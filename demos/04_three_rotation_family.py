@@ -2,7 +2,7 @@
 A one-parameter family of three-rotation problems
 =================================================
 
-Three rotations about the x axis, at angles -pi/2, alpha, and pi/2,
+Three rotations about the x axis, at angles pi, pi/2 and alpha,
 make a family whose critical points can be enumerated exactly: on the
 x-axis circle they are roots of an even polynomial, and one extra
 critical rotation sits off the circle at every alpha.  The sweep module
@@ -29,7 +29,7 @@ from rotavg.sweep import (
 
 # the family member at alpha = -pi/4, quadratic (p=2) cost
 alpha = -math.pi / 4
-print("sample angles at alpha = -pi/4:", [-90, math.degrees(alpha), 90], "deg about x")
+print("sample angles at alpha = -pi/4:", [180, 90, math.degrees(alpha)], "deg about x")
 print("p=2 polynomial coefficients:", np.round(q2_coeffs(alpha).coeffs, 6))
 print("p=2 positive roots:", positive_roots(q2_coeffs(alpha)))
 print("p=4 positive roots:", positive_roots(q4_coeffs(alpha)))

@@ -238,7 +238,7 @@ def check_two_roots(seed=0, trials=1000) -> CheckResult:
 
 def check_poly_consistency(seed=0, trials=40) -> CheckResult:
     """Every polynomial root admits a branch solving the critical system."""
-    from .sweep import _model_for, _poly_for, build_samples, positive_roots
+    from .sweep import _branches, _poly_for, build_samples, positive_roots
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -246,19 +246,9 @@ def check_poly_consistency(seed=0, trials=40) -> CheckResult:
     for _ in range(trials):
         alpha = float(rng.uniform(-np.pi, np.pi))
         for p in (2.0, 4.0):
-            samples = build_samples(alpha)
-            model = _model_for(samples, p)
+            model = CostModel.lp_chordal(build_samples(alpha), p)
             for x in positive_roots(_poly_for(p)(alpha)):
-                y = np.sqrt(max(1.0 - x * x, 0.0))
-                best = min(
-                    float(
-                        np.linalg.norm(
-                            model.pushforward_residual(np.array([s * y, x, 0.0, 0.0]))
-                        )
-                    )
-                    for s in (1.0, -1.0)
-                )
-                worst = max(worst, best)
+                worst = max(worst, min(res for _, res in _branches(model, x)))
                 n += 1
     return CheckResult("polynomial roots solve the critical system", n, worst, 1e-8)
 

@@ -11,16 +11,19 @@ matrices. Writing x_i = <q, q_i>:
     trace-sqrt      value sum (1 - |x_i|)^2            weights (1 - |x_i|) sgn(x_i)
     Lp chordal      value 8^(p/2) sum (1-x_i^2)^(p/2)  weights (1-x_i^2)^(p/2-1) x_i
 
-The geodesic model lives on the sphere minus the hyperplanes Pi_i where
-x_i = 0 (relative angle pi to a sample); trace-sqrt is non-differentiable
-there; Lp with p < 2 additionally excludes the sample lines. Guards keep
-a finite buffer eps_dom around each excluded set.
+The weights are the one definition the derivatives share: the gradient is
+-c sum_i w_i q_i (c = 16, 4, 2, p 8^(p/2)) and the pushforward residual is
+sum_i w_i Delta_i. The geodesic model lives on the sphere minus the
+hyperplanes Pi_i where x_i = 0 (relative angle pi to a sample); trace-sqrt
+is non-differentiable there; Lp with p < 2 excludes the sample lines
+instead. Guards keep a finite buffer eps_dom around each excluded set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,6 +62,15 @@ class DomainGuard:
     min_line_dist: float
 
 
+def _plane_clearance(d):
+    return np.min(np.abs(d))
+
+
+def _line_clearance(d):
+    # min_i sqrt(1 - d_i^2), read off the largest d_i^2 (every step is monotone)
+    return math.sqrt(max(1.0 - float(np.max(d * d)), 0.0))
+
+
 def _arc_over_sin(phi):
     """phi / sin(phi), elementwise, stable at phi -> 0 (Taylor below 1e-4)."""
     phi = np.asarray(phi, dtype=float)
@@ -80,12 +92,8 @@ def so3_log(Q):
     t = float(np.trace(Q))
     if abs(t + 1.0) < 1e-12:
         raise DomainError("matrix logarithm undefined at rotation angle pi")
-    theta = float(np.arccos(np.clip((t - 1.0) / 2.0, -1.0, 1.0)))
-    if theta < 1e-4:
-        half = 0.5 * (1.0 + theta**2 / 6.0 + 7.0 * theta**4 / 360.0)
-    else:
-        half = 0.5 * theta / np.sin(theta)
-    return half * (Q - Q.T)
+    theta = np.arccos(np.clip((t - 1.0) / 2.0, -1.0, 1.0))
+    return 0.5 * float(_arc_over_sin(theta)) * (Q - Q.T)
 
 
 @dataclass(frozen=True)
@@ -100,15 +108,28 @@ class CostModel:
     kind: str
     samples: SampleSet
     p: Optional[float] = None
+    # resolved once from kind and p: the gradient scale c and the clearance
+    # from the excluded set (None where there is none)
+    _scale: float = field(init=False, repr=False, compare=False)
+    _clearance: Optional[Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("L2Chordal", "Geodesic", "TraceSqrt", "LpChordal"):
             raise ValueError(f"unknown cost kind {self.kind!r}")
+        # the excluded set, stated once: the hyperplanes Pi_i for geodesic and
+        # trace-sqrt, the sample lines for Lp with p < 2, none otherwise
         if self.kind == "LpChordal":
             if self.p is None or self.p < 1.0:
                 raise ValueError("LpChordal requires p >= 1")
+            scale = self.p * 8.0 ** (self.p / 2.0)
+            clearance = _line_clearance if self.p < 2.0 else None
         elif self.p is not None:
             raise ValueError("p is only meaningful for LpChordal")
+        else:
+            scale = {"L2Chordal": 16.0, "Geodesic": 4.0, "TraceSqrt": 2.0}[self.kind]
+            clearance = None if self.kind == "L2Chordal" else _plane_clearance
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_clearance", clearance)
 
     @classmethod
     def l2_chordal(cls, samples):
@@ -134,19 +155,17 @@ class CostModel:
 
     def guard(self, q) -> DomainGuard:
         d = self.samples.quaternions @ np.asarray(q, dtype=float)
-        return DomainGuard(
-            min_abs_dot=float(np.min(np.abs(d))),
-            min_line_dist=float(np.min(np.sqrt(np.maximum(1.0 - d * d, 0.0)))),
-        )
+        return DomainGuard(min_abs_dot=float(_plane_clearance(d)), min_line_dist=float(_line_clearance(d)))
+
+    def clearance(self, q) -> float:
+        """Distance of unit q from this model's excluded set (inf if it has none)."""
+        if self._clearance is None:
+            return np.inf
+        return float(self._clearance(self.samples.quaternions @ np.asarray(q, dtype=float)))
 
     def admissible(self, q) -> bool:
         """True if q clears the guard buffer for this model's excluded sets."""
-        g = self.guard(q)
-        if self.kind in ("Geodesic", "TraceSqrt"):
-            return g.min_abs_dot > EPS_DOM
-        if self.kind == "LpChordal" and self.p < 2.0:
-            return g.min_line_dist > EPS_DOM
-        return True
+        return self.clearance(q) > EPS_DOM
 
     # -- evaluators -------------------------------------------------------
 
@@ -170,25 +189,12 @@ class CostModel:
         q = np.asarray(q, dtype=float)
         Q = self.samples.quaternions
         d = Q @ q
-        if self.kind == "L2Chordal":
-            return -16.0 * (d @ Q)
         if self.kind == "Geodesic":
-            if np.min(np.abs(d)) <= EPS_DOM:
-                raise DomainError("geodesic gradient needs clearance from the hyperplanes Pi_i")
+            # degree-0 prolongation: weights at q/|q|, radial part removed
             nq = np.linalg.norm(q)
-            phi = np.arccos(np.clip(np.abs(d) / nq, 0.0, 1.0))
-            s = np.sign(d) * _arc_over_sin(phi)
-            # -4 sum_i s_i (|q|^2 q_i - d_i q) / |q|^3
-            return (-4.0 / nq**3) * (nq * nq * (s @ Q) - np.dot(s, d) * q)
-        if self.kind == "TraceSqrt":
-            if np.min(np.abs(d)) <= EPS_DOM:
-                raise NonDifferentiable("trace-sqrt gradient undefined on a hyperplane Pi_i")
-            return -2.0 * (((1.0 - np.abs(d)) * np.sign(d)) @ Q)
-        base = np.maximum(1.0 - d * d, 0.0)
-        if self.p < 2.0 and np.min(np.sqrt(base)) <= EPS_DOM:
-            raise DomainError("Lp gradient (p < 2) needs clearance from the sample lines")
-        w = base ** (self.p / 2.0 - 1.0) * d
-        return -self.p * 8.0 ** (self.p / 2.0) * (w @ Q)
+            w = self._weights(d / nq)
+            return (-self._scale / nq**3) * (nq * nq * (w @ Q) - np.dot(w, d) * q)
+        return -self._scale * (self._weights(d) @ Q)
 
     def control_field(self, q) -> np.ndarray:
         """The sphere control field: T(q) applied to the prolongation gradient.
@@ -202,21 +208,18 @@ class CostModel:
     # -- residual systems --------------------------------------------------
 
     def _weights(self, d):
+        """Per-sample weights w(x_i) at the unit-sphere dots d = Q q."""
+        if self._clearance is not None and self._clearance(d) <= EPS_DOM:
+            error = NonDifferentiable if self.kind == "TraceSqrt" else DomainError
+            raise error(f"{self.kind} derivatives need clearance from the excluded set")
         if self.kind == "L2Chordal":
             return d
         if self.kind == "Geodesic":
-            if np.min(np.abs(d)) <= EPS_DOM:
-                raise DomainError("residual needs clearance from the hyperplanes Pi_i")
             phi = np.arccos(np.clip(np.abs(d), 0.0, 1.0))
             return np.sign(d) * _arc_over_sin(phi)
         if self.kind == "TraceSqrt":
-            if np.min(np.abs(d)) <= EPS_DOM:
-                raise NonDifferentiable("residual undefined on a hyperplane Pi_i")
             return (1.0 - np.abs(d)) * np.sign(d)
-        base = np.maximum(1.0 - d * d, 0.0)
-        if self.p < 2.0 and np.min(np.sqrt(base)) <= EPS_DOM:
-            raise DomainError("residual (p < 2) needs clearance from the sample lines")
-        return base ** (self.p / 2.0 - 1.0) * d
+        return np.maximum(1.0 - d * d, 0.0) ** (self.p / 2.0 - 1.0) * d
 
     def pushforward_residual(self, q) -> np.ndarray:
         """sum_i w_i(q) Delta_i(q): the critical-point system pushed to SO(3).
@@ -233,35 +236,33 @@ class CostModel:
         c = np.dot(w, -q0 * Q[:, 1] + q1 * Q[:, 0] + q2 * Q[:, 3] - q3 * Q[:, 2])
         return np.array([[0.0, a, b], [-a, 0.0, c], [-b, -c, 0.0]])
 
-    def rotation_residual(self, R) -> np.ndarray:
-        """The characterization equation directly in rotation matrices.
+    def _rho(self, t):
+        """Rotation-space weights rho(t_i) at the traces t_i = tr(R^T R_i)."""
+        if self.kind == "L2Chordal":
+            return np.full_like(t, 1.0 / t.size)
+        if self.kind == "Geodesic":
+            if np.min(np.abs(t + 1.0)) < 1e-12:
+                raise DomainError("matrix logarithm undefined at rotation angle pi")
+            return 0.5 * _arc_over_sin(np.arccos(np.clip((t - 1.0) / 2.0, -1.0, 1.0)))
+        if self.kind == "TraceSqrt":
+            if np.min(t) + 1.0 < 1e-12:
+                raise DomainError("trace-sqrt residual undefined at relative angle pi")
+            return 2.0 / np.sqrt(t + 1.0) - 1.0
+        base = np.maximum(3.0 - t, 0.0)
+        if self.p < 2.0 and np.min(base) < 1e-12:
+            raise DomainError("Lp residual (p < 2) undefined at a sample rotation")
+        return base ** (self.p / 2.0 - 1.0)
 
-        l2 chordal:  Rbar^T R - R^T Rbar with Rbar the arithmetic mean;
-        geodesic:    sum Log(R_i^T R);
-        trace-sqrt:  sum (2/sqrt(tr(R^T R_i)+1) - 1)(R_i^T R - R^T R_i);
-        Lp chordal:  sum (3 - tr(R^T R_i))^(p/2-1) (R_i^T R - R^T R_i).
+    def rotation_residual(self, R) -> np.ndarray:
+        """The characterization equation directly in rotation matrices:
+        M^T R - R^T M with M = sum_i rho(t_i) R_i and t_i = tr(R^T R_i).
+
+        l2 chordal:  rho = 1/r, so M is the arithmetic mean;
+        geodesic:    rho = theta_i / (2 sin theta_i), giving sum Log(R_i^T R);
+        trace-sqrt:  rho = 2/sqrt(t_i + 1) - 1;
+        Lp chordal:  rho = (3 - t_i)^(p/2-1).
         """
         R = np.asarray(R, dtype=float)
-        Rs = self.samples.rotations
-        if self.kind == "L2Chordal":
-            Rbar = Rs.mean(axis=0)
-            return Rbar.T @ R - R.T @ Rbar
-        if self.kind == "Geodesic":
-            out = np.zeros((3, 3))
-            for Ri in Rs:
-                out += so3_log(Ri.T @ R)
-            return out
-        out = np.zeros((3, 3))
-        for Ri in Rs:
-            t = float(np.sum(R * Ri))  # tr(R^T R_i)
-            if self.kind == "TraceSqrt":
-                if t + 1.0 < 1e-12:
-                    raise DomainError("trace-sqrt residual undefined at relative angle pi")
-                w = 2.0 / np.sqrt(t + 1.0) - 1.0
-            else:
-                base = max(3.0 - t, 0.0)
-                if self.p < 2.0 and base < 1e-12:
-                    raise DomainError("Lp residual (p < 2) undefined at a sample rotation")
-                w = base ** (self.p / 2.0 - 1.0)
-            out += w * (Ri.T @ R - R.T @ Ri)
-        return out
+        Rs = self.samples.rotations.reshape(-1, 9)
+        M = (self._rho(Rs @ R.ravel()) @ Rs).reshape(3, 3)
+        return M.T @ R - R.T @ M

@@ -42,7 +42,6 @@ class FlowConfig:
     step_shrink: float = 0.5
     grad_tol: float = 1e-12  # on ||control_field||
     max_iters: int = 200000
-    renormalize_every: int = 1
 
     def __post_init__(self):
         ok = (
@@ -50,7 +49,6 @@ class FlowConfig:
             and 0.0 < self.step_shrink < 1.0
             and self.grad_tol > 0
             and self.max_iters > 0
-            and self.renormalize_every > 0
         )
         if not ok:
             raise ValueError("invalid flow configuration")
@@ -101,9 +99,7 @@ def flow_descend(model: CostModel, q0, cfg: Optional[FlowConfig] = None) -> Crit
         noise = 1e-13 * (1.0 + abs(cost))
         accepted = False
         while h * nv > 1e-18:
-            trial = q - h * v
-            if (it + 1) % cfg.renormalize_every == 0:
-                trial = normalize(trial)
+            trial = normalize(q - h * v)
             try:
                 c_trial = model.value(trial)
             except (DomainError, NonDifferentiable):
@@ -183,10 +179,7 @@ def classify(model: CostModel, point: CriticalPoint, h: float = 1e-5):
     excluded set for the stencil are labeled Boundary.
     """
     q = np.asarray(point.q, dtype=float)
-    g = model.guard(q)
-    if model.kind in ("Geodesic", "TraceSqrt") and g.min_abs_dot < 2.0 * h:
-        return "Boundary", False
-    if model.kind == "LpChordal" and model.p < 2.0 and g.min_line_dist < 2.0 * h:
+    if model.clearance(q) < 2.0 * h:
         return "Boundary", False
     _, _, Vt = np.linalg.svd(q[None, :])
     B = Vt[1:]  # rows: orthonormal basis of the tangent space at q
@@ -226,30 +219,12 @@ def eigen_oracle_l2(samples):
     """Independent minimizer of the chordal cost: dominant eigenvector of
     M = sum_i q_i q_i^T.
 
-    Maximizes sum <q,q_i>^2 over S3. The eigenvector is found by power
-    iteration on the repeatedly squared, rescaled M (gap-independent),
-    polished by plain power steps to a Rayleigh residual <= 1e-14 * lam1.
-    Raises AmbiguousMean when the top two eigenvalues are closer than 1e-10.
+    Maximizes sum <q,q_i>^2 over S3 (Markley et al., "Averaging
+    Quaternions", 2007). Raises AmbiguousMean when the top two eigenvalues
+    are closer than 1e-10.
     """
     Q = samples.quaternions
-    M = Q.T @ Q
-    lam = np.linalg.eigvalsh(M)
+    lam, V = np.linalg.eigh(Q.T @ Q)
     if lam[-1] - lam[-2] < 1e-10:
         raise AmbiguousMean("top two eigenvalues within 1e-10: mean not unique")
-    B = M / lam[-1]
-    for _ in range(60):
-        B = B @ B
-        B = B / np.max(np.abs(B))
-    v = normalize(B[:, int(np.argmax(np.linalg.norm(B, axis=0)))])
-    for _ in range(200):
-        w = normalize(M @ v)
-        if np.dot(w, v) < 0:
-            w = -w
-        done = np.linalg.norm(w - v) < 1e-15
-        v = w
-        if done:
-            break
-    ray = float(v @ M @ v)
-    if np.linalg.norm(M @ v - ray * v) > 1e-14 * max(ray, 1.0):
-        raise AmbiguousMean("power iteration failed to separate the top eigenspace")
-    return canonicalize_sign(v)
+    return canonicalize_sign(V[:, -1])

@@ -201,8 +201,15 @@ def _poly_for(p):
     raise ValueError("closed-form polynomials exist only for p in {2, 4}")
 
 
-def _model_for(samples, p):
-    return CostModel.lp_chordal(samples, float(p))
+def _branches(model, x):
+    """The on-axis candidates (+-sqrt(1-x^2), x, 0, 0) of a root x, each with
+    its pushforward residual norm; one candidate where the branches meet."""
+    y = math.sqrt(max(1.0 - x * x, 0.0))
+    out = []
+    for sgn in (1.0,) if y < 1e-12 else (1.0, -1.0):
+        q = np.array([sgn * y, x, 0.0, 0.0])
+        out.append((q, float(np.linalg.norm(model.pushforward_residual(q)))))
+    return out
 
 
 def critical_sets(alpha: float, p: float):
@@ -215,8 +222,7 @@ def critical_sets(alpha: float, p: float):
     green/yellow/maroon/red by ascending root; minus-branch partners:
     pink/violet/gold/blue.
     """
-    samples = build_samples(alpha)
-    model = _model_for(samples, p)
+    model = CostModel.lp_chordal(build_samples(alpha), p)
     roots = positive_roots(_poly_for(p)(alpha))
     out = []
     qb = np.asarray(_BLACK_Q)
@@ -232,11 +238,7 @@ def critical_sets(alpha: float, p: float):
     names = _PAIR_NAMES.get(len(roots))
     for i, x in enumerate(roots):
         pair = names[i] if names else (f"x{i}+", f"x{i}-")
-        y = math.sqrt(max(1.0 - x * x, 0.0))
-        signs = (1.0,) if y < 1e-12 else (1.0, -1.0)
-        for sgn, label in zip(signs, pair):
-            q = np.array([sgn * y, x, 0.0, 0.0])
-            res = float(np.linalg.norm(model.pushforward_residual(q)))
+        for (q, res), label in zip(_branches(model, x), pair):
             if res < RESIDUAL_TOL:
                 out.append(
                     CriticalRep(
@@ -382,14 +384,9 @@ def polynomial_discrepancies(p: float, alpha_grid):
     """
     bad = []
     for a in np.asarray(alpha_grid, dtype=float):
-        samples = build_samples(a)
-        model = _model_for(samples, p)
+        model = CostModel.lp_chordal(build_samples(a), p)
         for x in positive_roots(_poly_for(p)(a)):
-            y = math.sqrt(max(1.0 - x * x, 0.0))
-            best = min(
-                float(np.linalg.norm(model.pushforward_residual(np.array([s * y, x, 0.0, 0.0]))))
-                for s in (1.0, -1.0)
-            )
+            best = min(res for _, res in _branches(model, x))
             if best >= RESIDUAL_TOL:
                 bad.append((float(a), float(x), best))
     return bad
@@ -397,6 +394,20 @@ def polynomial_discrepancies(p: float, alpha_grid):
 
 def _fmt(x):
     return "%.17g" % float(x)
+
+
+def _row(rec, label, rep, theta, is_min):
+    return [
+        _fmt(rec.alpha),
+        _fmt(rec.p),
+        label,
+        _fmt(math.nan if rep.x_root is None else rep.x_root),
+        _fmt(rep.q[0]),
+        _fmt(rep.q[1]),
+        _fmt(rep.cost),
+        _fmt(theta),
+        is_min,
+    ]
 
 
 def emit_csv(records, path):
@@ -411,34 +422,10 @@ def emit_csv(records, path):
             winners = set(rec.min_set_label)
             for rep in rec.sets:
                 theta = math.nan if rep.label == "black" else _theta_of(rep.q)
-                w.writerow(
-                    [
-                        _fmt(rec.alpha),
-                        _fmt(rec.p),
-                        rep.label,
-                        _fmt(math.nan if rep.x_root is None else rep.x_root),
-                        _fmt(rep.q[0]),
-                        _fmt(rep.q[1]),
-                        _fmt(rep.cost),
-                        _fmt(theta),
-                        "1" if rep.label in winners else "0",
-                    ]
-                )
+                w.writerow(_row(rec, rep.label, rep, theta, "1" if rep.label in winners else "0"))
             for label, theta in zip(rec.min_set_label, rec.theta_min):
                 rep = next(r for r in rec.sets if r.label == label)
-                w.writerow(
-                    [
-                        _fmt(rec.alpha),
-                        _fmt(rec.p),
-                        "min:" + label,
-                        _fmt(math.nan if rep.x_root is None else rep.x_root),
-                        _fmt(rep.q[0]),
-                        _fmt(rep.q[1]),
-                        _fmt(rep.cost),
-                        _fmt(theta),
-                        "1",
-                    ]
-                )
+                w.writerow(_row(rec, "min:" + label, rep, theta, "1"))
 
 
 def parse_csv(path):

@@ -153,17 +153,21 @@ def test_pushforward_even_and_skew():
 
 
 def test_l2_pushforward_vs_rotation_residual():
-    # sum_i d_i Delta_i = -(r/4)(Rbar^T R - R^T Rbar): same zero set, fixed ratio
+    # sum_i w_i Delta_i = -k (M^T R - R^T M): same zero set, and a fixed ratio
+    # k per cost that pins the normalization of each rotation-space weight
     rng = np.random.default_rng(26)
     for _ in range(50):
         r = int(rng.integers(1, 6))
         Q = np.array([normalize(rng.standard_normal(4)) for _ in range(r)])
         samples = SampleSet.from_quaternions(Q)
-        model = make("l2", samples)
-        q = normalize(rng.standard_normal(4))
-        lhs = model.pushforward_residual(q)
-        rhs = -(r / 4.0) * model.rotation_residual(covering_map(q))
-        assert np.abs(lhs - rhs).max() < 1e-12
+        cases = [("l2", None, r / 4.0), ("geodesic", None, 0.5), ("d3", None, 0.25)]
+        cases += [("lp", p, 2.0**-p) for p in (1.5, 3.0, 4.0)]
+        for kind, p, k in cases:
+            model = make(kind, samples, p)
+            q = probe(rng, model)
+            lhs = model.pushforward_residual(q)
+            rhs = -k * model.rotation_residual(covering_map(q))
+            assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_rotation_residual_zero_at_single_sample():

@@ -28,7 +28,6 @@ def test_flow_config_validation():
         {"step_shrink": 0.0},
         {"grad_tol": 0.0},
         {"max_iters": 0},
-        {"renormalize_every": 0},
     ):
         with pytest.raises(ValueError):
             FlowConfig(**kw)
