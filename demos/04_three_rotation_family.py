@@ -40,14 +40,19 @@ print("\nlabeled critical sets at alpha = -pi/4, p = 4:")
 for rep in critical_sets(alpha, 4.0):
     print(f"  {rep.label:7s} cost = {rep.cost:12.8f}  q = {np.round(rep.q, 6)}")
 
+# sweep the whole family once per p; transitions and ties are bisected
+# from changes between adjacent records
+full = np.arange(-math.pi, math.pi + 0.005, 0.01)
+sweeps = {p: theta_min_curve(p, full) for p in (2.0, 4.0)}
+
 # p=4 grows two extra root pairs inside a narrow alpha window
 print("\nroot-count transitions of the p=4 polynomial:")
-for a, before, after in root_count_transitions(4.0):
+for a, before, after in root_count_transitions(sweeps[4.0]):
     print(f"  alpha = {a:+.6f}: {before} -> {after} positive roots")
 
 # at exactly -pi/4 two distinct minimizing rotations tie
-print("\nglobal-minimum ties, p = 4:", tie_locations(4.0))
-print("global-minimum ties, p = 2:", tie_locations(2.0))
+print("\nglobal-minimum ties, p = 4:", tie_locations(sweeps[4.0]))
+print("global-minimum ties, p = 2:", tie_locations(sweeps[2.0]))
 
 # the off-circle set never moves and its p=2 cost never changes
 costs = [critical_sets(a, 2.0)[0].cost for a in np.linspace(-math.pi, math.pi, 41)]

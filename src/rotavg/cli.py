@@ -117,6 +117,10 @@ def _write_text(path, text) -> None:
 
 
 def cmd_average(args) -> int:
+    if args.starts < 1:
+        raise _ValidationError("--starts must be >= 1")
+    if args.tol is not None and not args.tol > 0.0:
+        raise _ValidationError("--tol must be > 0")
     samples = _load_rotations(args.input)
     model = _model_from_args(args, samples)
     cfg = FlowConfig() if args.tol is None else FlowConfig(grad_tol=args.tol)
@@ -153,8 +157,6 @@ def _fmt_angle(x, degrees):
 
 
 def cmd_sweep(args) -> int:
-    if args.p is None:
-        args.p = 2.0
     if int(round(args.p)) not in (2, 4) or args.p != int(round(args.p)):
         print("error: sweep supports only p = 2 or p = 4", file=sys.stderr)
         return EXIT_PARSE
@@ -171,13 +173,13 @@ def cmd_sweep(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     lines = [f"wrote {len(records)} grid points to {out}"]
-    trans = sweep_mod.root_count_transitions(args.p, lo, hi, step)
+    trans = sweep_mod.root_count_transitions(records)
     if trans:
         for a, before, after in trans:
             lines.append(f"root-count transition at alpha = {_fmt_angle(a, args.degrees)}: {before} -> {after}")
     else:
         lines.append("no root-count transitions")
-    ties = sweep_mod.tie_locations(args.p, lo, hi, step)
+    ties = sweep_mod.tie_locations(records)
     if ties:
         for a, labels in ties:
             lines.append(f"tied minima at alpha = {_fmt_angle(a, args.degrees)}: {', '.join(labels)}")
@@ -188,6 +190,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.trials < 1:
+        raise _ValidationError("--trials must be >= 1")
     results = checks_mod.run_all(seed=args.seed, trials=args.trials)
     report = checks_mod.format_report(results)
     try:
@@ -223,32 +227,34 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rotavg", description="Rotation averaging on the unit-quaternion sphere")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input):
-        p.add_argument("--cost", choices=["l2", "geodesic", "d3", "lp"], default="l2")
-        p.add_argument("--p", type=float, default=None, help="exponent for --cost lp (and sweep)")
+    def io(p, needs_input):
         if needs_input:
             p.add_argument("--input", required=True, help="JSON file with a rotations array")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--starts", type=int, default=64)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--degrees", action="store_true", help="report angles in degrees")
-        p.add_argument("--tol", type=float, default=None, help="override the flow gradient tolerance")
 
     p_avg = sub.add_parser("average", help="critical points of a cost over input rotations")
-    common(p_avg, needs_input=True)
+    io(p_avg, needs_input=True)
+    p_avg.add_argument("--cost", choices=["l2", "geodesic", "d3", "lp"], default="l2")
+    p_avg.add_argument("--p", type=float, default=None, help="exponent for --cost lp")
+    p_avg.add_argument("--starts", type=int, default=64)
+    p_avg.add_argument("--seed", type=int, default=0)
+    p_avg.add_argument("--tol", type=float, default=None, help="override the flow gradient tolerance")
 
     p_sweep = sub.add_parser("sweep", help="x-axis three-rotation family over an alpha grid")
-    common(p_sweep, needs_input=False)
+    io(p_sweep, needs_input=False)
+    p_sweep.add_argument("--p", type=float, default=2.0, help="chordal exponent, 2 or 4")
+    p_sweep.add_argument("--degrees", action="store_true", help="report angles in degrees")
     p_sweep.add_argument("--alpha-min", type=float, default=-math.pi)
     p_sweep.add_argument("--alpha-max", type=float, default=math.pi)
     p_sweep.add_argument("--alpha-step", type=float, default=0.01)
 
     p_check = sub.add_parser("check", help="run the invariant suite")
-    common(p_check, needs_input=False)
+    io(p_check, needs_input=False)
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--trials", type=int, default=1000)
 
     p_dist = sub.add_parser("distance", help="pairwise d1/d2/d3 table")
-    common(p_dist, needs_input=True)
+    io(p_dist, needs_input=True)
     return ap
 
 

@@ -33,7 +33,6 @@ from .geometry import SampleSet
 __all__ = [
     "DomainError",
     "NonDifferentiable",
-    "DomainGuard",
     "CostModel",
     "so3_log",
     "EPS_DOM",
@@ -48,18 +47,6 @@ class DomainError(ValueError):
 
 class NonDifferentiable(ValueError):
     """The model value exists here but its gradient does not (trace-sqrt on Pi_i)."""
-
-
-@dataclass(frozen=True)
-class DomainGuard:
-    """Clearances from the excluded loci, both in [0, 1].
-
-    min_abs_dot:   min_i |<q, q_i>| — distance to the nearest hyperplane Pi_i.
-    min_line_dist: min_i sqrt(1 - <q, q_i>^2) — distance to the nearest sample line.
-    """
-
-    min_abs_dot: float
-    min_line_dist: float
 
 
 def _plane_clearance(d):
@@ -152,10 +139,6 @@ class CostModel:
         return ScalarField(value=self.value, grad=self.gradient)
 
     # -- domain -----------------------------------------------------------
-
-    def guard(self, q) -> DomainGuard:
-        d = self.samples.quaternions @ np.asarray(q, dtype=float)
-        return DomainGuard(min_abs_dot=float(_plane_clearance(d)), min_line_dist=float(_line_clearance(d)))
 
     def clearance(self, q) -> float:
         """Distance of unit q from this model's excluded set (inf if it has none)."""

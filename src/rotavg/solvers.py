@@ -23,6 +23,8 @@ __all__ = [
     "random_unit_quaternion",
 ]
 
+FD_STEP = 1e-5  # central-difference step of classify's tangent Hessian
+
 
 class MaxIters(RuntimeError):
     """Flow did not reach the gradient tolerance within the iteration budget."""
@@ -169,7 +171,7 @@ def multistart(model: CostModel, n_starts: int, seed: int, cfg: Optional[FlowCon
     return classes
 
 
-def classify(model: CostModel, point: CriticalPoint, h: float = 1e-5):
+def classify(model: CostModel, point: CriticalPoint):
     """Label a converged point Min/Max/Saddle/Degenerate/Boundary.
 
     Central-difference 3x3 Hessian of the lifted cost in an orthonormal
@@ -179,7 +181,7 @@ def classify(model: CostModel, point: CriticalPoint, h: float = 1e-5):
     excluded set for the stencil are labeled Boundary.
     """
     q = np.asarray(point.q, dtype=float)
-    if model.clearance(q) < 2.0 * h:
+    if model.clearance(q) < 2.0 * FD_STEP:
         return "Boundary", False
     _, _, Vt = np.linalg.svd(q[None, :])
     B = Vt[1:]  # rows: orthonormal basis of the tangent space at q
@@ -191,15 +193,15 @@ def classify(model: CostModel, point: CriticalPoint, h: float = 1e-5):
     f0 = f(np.zeros(3))
     for i in range(3):
         ei = np.zeros(3)
-        ei[i] = h
-        H[i, i] = (f(ei) - 2.0 * f0 + f(-ei)) / h**2
+        ei[i] = FD_STEP
+        H[i, i] = (f(ei) - 2.0 * f0 + f(-ei)) / FD_STEP**2
     for i in range(3):
         for j in range(i + 1, 3):
             ei = np.zeros(3)
             ej = np.zeros(3)
-            ei[i] = h
-            ej[j] = h
-            H[i, j] = H[j, i] = (f(ei + ej) - f(ei - ej) - f(-ei + ej) + f(-ei - ej)) / (4.0 * h**2)
+            ei[i] = FD_STEP
+            ej[j] = FD_STEP
+            H[i, j] = H[j, i] = (f(ei + ej) - f(ei - ej) - f(-ei + ej) + f(-ei - ej)) / (4.0 * FD_STEP**2)
     lam = np.linalg.eigvalsh(H)
     scale = float(np.max(np.abs(lam)))
     if scale == 0.0:

@@ -3,8 +3,11 @@
 The samples are rotations by pi, pi/2 and alpha about the x-axis. On the
 axis the critical-point system collapses to a polynomial in the second
 quaternion component; this module builds those polynomials, isolates their
-positive roots, labels the resulting critical families, traces the
-minimizer angle over an alpha grid, and round-trips everything through CSV.
+positive roots, labels the resulting critical families and traces the
+minimizer angle over an alpha grid, one SweepRecord per alpha. Root-count
+transitions and minimizer ties are found from those records: each change
+between adjacent records is bisected, so they work on any grid. Records
+round-trip through CSV.
 """
 
 from __future__ import annotations
@@ -212,46 +215,6 @@ def _branches(model, x):
     return out
 
 
-def critical_sets(alpha: float, p: float):
-    """Labeled critical representatives at one alpha.
-
-    Always emits the out-of-pencil representative (0,0,1,0) ("black"), then,
-    for each positive root x of the matching polynomial, the branches
-    (+-sqrt(1-x^2), x, 0, 0) that actually satisfy the critical-point
-    system (pushforward residual below 1e-8). Plus-branch labels:
-    green/yellow/maroon/red by ascending root; minus-branch partners:
-    pink/violet/gold/blue.
-    """
-    model = CostModel.lp_chordal(build_samples(alpha), p)
-    roots = positive_roots(_poly_for(p)(alpha))
-    out = []
-    qb = np.asarray(_BLACK_Q)
-    out.append(
-        CriticalRep(
-            label="black",
-            x_root=None,
-            q=_BLACK_Q,
-            cost=float(model.value(qb)),
-            residual_norm=float(np.linalg.norm(model.pushforward_residual(qb))),
-        )
-    )
-    names = _PAIR_NAMES.get(len(roots))
-    for i, x in enumerate(roots):
-        pair = names[i] if names else (f"x{i}+", f"x{i}-")
-        for (q, res), label in zip(_branches(model, x), pair):
-            if res < RESIDUAL_TOL:
-                out.append(
-                    CriticalRep(
-                        label=label,
-                        x_root=float(x),
-                        q=tuple(float(v) for v in q),
-                        cost=float(model.value(q)),
-                        residual_norm=res,
-                    )
-                )
-    return out
-
-
 def _theta_of(q4):
     q = canonicalize_sign(normalize(np.asarray(q4, dtype=float)))
     return 2.0 * math.atan2(q[1], q[0])
@@ -275,23 +238,63 @@ def _winners(sets, tol=TIE_TOL):
 class SweepRecord:
     alpha: float
     p: float
-    roots: tuple  # ascending positive roots
+    roots: tuple  # ascending positive polynomial roots, before certification
     sets: tuple  # CriticalRep, emission order
     theta_min: tuple  # one angle per tied minimizer class
     min_set_label: tuple  # matching labels
 
 
 def _record_at(alpha, p):
-    sets = critical_sets(alpha, p)
+    """The one per-alpha computation: the polynomial's positive roots, the
+    labeled critical sets they yield, and the cost-minimal classes."""
+    model = CostModel.lp_chordal(build_samples(alpha), p)
+    roots = positive_roots(_poly_for(p)(alpha))
+    qb = np.asarray(_BLACK_Q)
+    sets = [
+        CriticalRep(
+            label="black",
+            x_root=None,
+            q=_BLACK_Q,
+            cost=float(model.value(qb)),
+            residual_norm=float(np.linalg.norm(model.pushforward_residual(qb))),
+        )
+    ]
+    names = _PAIR_NAMES.get(len(roots))
+    for i, x in enumerate(roots):
+        pair = names[i] if names else (f"x{i}+", f"x{i}-")
+        for (q, res), label in zip(_branches(model, x), pair):
+            if res < RESIDUAL_TOL:
+                sets.append(
+                    CriticalRep(
+                        label=label,
+                        x_root=float(x),
+                        q=tuple(float(v) for v in q),
+                        cost=float(model.value(q)),
+                        residual_norm=res,
+                    )
+                )
     win = _winners(sets)
     return SweepRecord(
         alpha=float(alpha),
         p=float(p),
-        roots=tuple(sorted({r.x_root for r in sets if r.x_root is not None})),
+        roots=tuple(roots),
         sets=tuple(sets),
         theta_min=tuple(_theta_of(rep.q) for rep in win),
         min_set_label=tuple(rep.label for rep in win),
     )
+
+
+def critical_sets(alpha: float, p: float):
+    """Labeled critical representatives at one alpha.
+
+    Always emits the out-of-pencil representative (0,0,1,0) ("black"), then,
+    for each positive root x of the matching polynomial, the branches
+    (+-sqrt(1-x^2), x, 0, 0) that actually satisfy the critical-point
+    system (pushforward residual below 1e-8). Plus-branch labels:
+    green/yellow/maroon/red by ascending root; minus-branch partners:
+    pink/violet/gold/blue.
+    """
+    return list(_record_at(alpha, p).sets)
 
 
 def theta_min_curve(p: float, alpha_grid):
@@ -299,78 +302,59 @@ def theta_min_curve(p: float, alpha_grid):
     return [_record_at(a, p) for a in np.asarray(alpha_grid, dtype=float)]
 
 
-def _root_count(p, alpha):
-    return len(positive_roots(_poly_for(p)(alpha)))
-
-
-def root_count_transitions(p: float, alpha_lo=-math.pi, alpha_hi=math.pi, step=0.01):
-    """Alphas where the positive-root count changes, bisected to ~1e-10.
-
-    Returns (alpha, count_before, count_after) triples in ascending order.
-    """
-    grid = np.arange(alpha_lo, alpha_hi + 0.5 * step, step)
-    out = []
-    prev = _root_count(p, grid[0])
-    for a0, a1 in zip(grid[:-1], grid[1:]):
-        cur = _root_count(p, a1)
-        if cur != prev:
-            lo, hi = float(a0), float(a1)
-            while hi - lo > 1e-10:
+def _changes(records, key, width):
+    """Every change of key between adjacent records, bisected with _record_at
+    to a bracket of at most width; yields (alpha, key_before, key_after)."""
+    for r0, r1 in zip(records[:-1], records[1:]):
+        before, after = key(r0), key(r1)
+        if before != after:
+            lo, hi = r0.alpha, r1.alpha
+            while abs(hi - lo) > width:
                 mid = 0.5 * (lo + hi)
-                if _root_count(p, mid) == prev:
+                if key(_record_at(mid, r0.p)) == before:
                     lo = mid
                 else:
                     hi = mid
-            out.append((0.5 * (lo + hi), prev, cur))
-        prev = cur
-    return out
+            yield 0.5 * (lo + hi), before, after
 
 
-def tie_locations(p: float, alpha_lo=-math.pi, alpha_hi=math.pi, step=0.01):
+def root_count_transitions(records):
+    """Alphas where the positive-root count changes between adjacent records,
+    bisected to ~1e-10.
+
+    Returns (alpha, count_before, count_after) triples in grid order.
+    """
+    return list(_changes(records, lambda rec: len(rec.roots), 1e-10))
+
+
+def tie_locations(records):
     """Alphas where distinct minimizer classes exactly exchange the lead.
 
-    Scans the grid for changes of the leading label, bisects each change,
-    then keeps only genuine ties: two winner classes whose rotations differ
-    by more than 1e-6 (a mere relabeling of one continuing rotation, as when
+    Bisects each change of the leading label between adjacent records, then
+    keeps only genuine ties: two winner classes whose rotations differ by
+    more than 1e-6 (a mere relabeling of one continuing rotation, as when
     the x_max branch crosses x = 1, is discarded).
     """
-    grid = np.arange(alpha_lo, alpha_hi + 0.5 * step, step)
-
-    def lead(a):
-        return _record_at(a, p).min_set_label[0]
-
     out = []
-    prev = lead(grid[0])
-    for a0, a1 in zip(grid[:-1], grid[1:]):
-        cur = lead(a1)
-        if cur != prev:
-            # crossing costs move ~1e2 per unit alpha, so the bracket must be
-            # far narrower than TIE_TOL before both classes can tie
-            lo, hi = float(a0), float(a1)
-            while hi - lo > 1e-13:
-                mid = 0.5 * (lo + hi)
-                if lead(mid) == prev:
-                    lo = mid
-                else:
-                    hi = mid
-            a_star = 0.5 * (lo + hi)
-            win = _winners(critical_sets(a_star, p), tol=1e-9)
-            rots = [covering_map(normalize(np.asarray(r.q))) for r in win]
-            labels = {r.label for r in win}
-            # the tie must be between the classes that swapped the lead;
-            # anything else is root-finder noise at a degenerate pinch
-            genuine = (
-                len(win) >= 2
-                and {prev, cur} <= labels
-                and any(
-                    np.linalg.norm(rots[i] - rots[j]) > 1e-6
-                    for i in range(len(win))
-                    for j in range(i + 1, len(win))
-                )
+    # crossing costs move ~1e2 per unit alpha, so the bracket must be far
+    # narrower than TIE_TOL before both classes can tie
+    for a_star, prev, cur in _changes(records, lambda rec: rec.min_set_label[0], 1e-13):
+        win = _winners(_record_at(a_star, records[0].p).sets, tol=1e-9)
+        rots = [covering_map(normalize(np.asarray(r.q))) for r in win]
+        labels = {r.label for r in win}
+        # the tie must be between the classes that swapped the lead;
+        # anything else is root-finder noise at a degenerate pinch
+        genuine = (
+            len(win) >= 2
+            and {prev, cur} <= labels
+            and any(
+                np.linalg.norm(rots[i] - rots[j]) > 1e-6
+                for i in range(len(win))
+                for j in range(i + 1, len(win))
             )
-            if genuine:
-                out.append((a_star, tuple(sorted(labels))))
-        prev = cur
+        )
+        if genuine:
+            out.append((a_star, tuple(sorted(labels))))
     return out
 
 

@@ -62,7 +62,7 @@ def test_03_min_angle_monotone_and_in_second_quadrant():
 
 
 def test_04_quartic_root_count_transitions():
-    trans = root_count_transitions(4.0)
+    trans = root_count_transitions(theta_min_curve(4.0, np.arange(-math.pi, math.pi + 0.005, 0.01)))
     print("transitions:", [(f"{a:.6f}", b, c) for a, b, c in trans], "(targets -1.02, -0.55, tol 0.01)")
     assert len(trans) == 2
     (a1, b1, c1), (a2, b2, c2) = trans

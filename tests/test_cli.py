@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +82,17 @@ def test_average_lp_without_p(cluster_input, capsys):
 def test_average_p_below_one(cluster_input):
     assert main(["average", "--cost", "lp", "--p", "0.5",
                  "--input", str(cluster_input)]) == 3
+
+
+def test_average_starts_below_one(cluster_input, capsys):
+    assert main(["average", "--input", str(cluster_input), "--starts", "0"]) == 3
+    assert "--starts" in capsys.readouterr().err
+
+
+def test_average_tol_not_positive(cluster_input, capsys):
+    for tol in ("0", "-1"):
+        assert main(["average", "--input", str(cluster_input), "--tol", tol]) == 3
+        assert "--tol" in capsys.readouterr().err
 
 
 def test_average_missing_file(tmp_path):
@@ -183,6 +196,20 @@ def test_check_passes(tmp_path):
     assert "PASS" in text and "FAIL" not in text
 
 
+def test_check_trials_below_one(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert main(["check", "--trials", "-3", "--out", str(out)]) == 3
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_options_are_per_subcommand(tmp_path, capsys):
+    # an option the subcommand does not read is a usage error, not ignored
+    assert main(["check", "--cost", "geodesic"]) == 2
+    assert main(["distance", "--input", str(tmp_path / "in.json"), "--starts", "4"]) == 2
+    capsys.readouterr()
+
+
 def test_distance_table(tmp_path, capsys):
     p = tmp_path / "in.json"
     p.write_text(json.dumps({"rotations": [
@@ -210,9 +237,11 @@ def test_distance_needs_two(tmp_path):
 
 
 def test_module_entry_point():
+    # the child process sees the source tree whether or not PYTHONPATH is set
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "rotavg.cli", "check", "--trials", "20"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -114,9 +114,9 @@ def test_admissibility_guard():
     assert geo.admissible(on_axis(0.3))
     assert not geo.admissible(np.array([EPS_DOM / 2.0, 1.0, 0.0, 0.0]))
     assert make("l2", IDENTITY).admissible(np.array([0.0, 1.0, 0.0, 0.0]))
-    g = geo.guard(on_axis(0.3))
-    assert abs(g.min_abs_dot - math.cos(0.3)) < 1e-12
-    assert abs(g.min_line_dist - math.sin(0.3)) < 1e-12
+    # the geodesic model excludes the hyperplane, Lp with p < 2 the sample line
+    assert abs(geo.clearance(on_axis(0.3)) - math.cos(0.3)) < 1e-12
+    assert abs(make("lp", IDENTITY, 1.5).clearance(on_axis(0.3)) - math.sin(0.3)) < 1e-12
 
 
 def test_control_field_tangent():

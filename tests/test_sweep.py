@@ -117,9 +117,14 @@ def test_theta_min_curve_records():
         assert "black" in labels and r.min_set_label[0] in labels
 
 
-def test_root_count_transitions():
-    assert root_count_transitions(2.0) == []
-    trans = root_count_transitions(4.0)
+@pytest.fixture(scope="module")
+def default_records():
+    """The CLI's default alpha grid, swept once per p."""
+    grid = np.arange(-math.pi, math.pi + 0.005, 0.01)
+    return {p: theta_min_curve(p, grid) for p in (2.0, 4.0)}
+
+
+def _assert_quartic_transitions(trans):
     assert len(trans) == 2
     (a1, b1, c1), (a2, b2, c2) = trans
     assert (b1, c1) == (2, 4) and (b2, c2) == (4, 2)
@@ -127,13 +132,32 @@ def test_root_count_transitions():
     assert abs(a2 - (-0.5476414366164841)) < 1e-8
 
 
-def test_tie_locations():
-    assert tie_locations(2.0) == []
-    ties = tie_locations(4.0)
+def _assert_quartic_tie(ties):
     assert len(ties) == 1
     a, labels = ties[0]
     assert labels == ("blue", "yellow")
     assert abs(a + math.pi / 4) < 1e-9
+
+
+def test_root_count_transitions(default_records):
+    assert root_count_transitions(default_records[2.0]) == []
+    _assert_quartic_transitions(root_count_transitions(default_records[4.0]))
+
+
+def test_tie_locations(default_records):
+    assert tie_locations(default_records[2.0]) == []
+    _assert_quartic_tie(tie_locations(default_records[4.0]))
+
+
+def test_transitions_and_ties_on_other_grids():
+    # a linspace window: the same events, found from the records alone
+    recs = theta_min_curve(4.0, np.linspace(-1.2, -0.4, 81))
+    _assert_quartic_transitions(root_count_transitions(recs))
+    _assert_quartic_tie(tie_locations(recs))
+    # one record has no neighbours to compare with
+    one = theta_min_curve(4.0, [-math.pi / 4])
+    assert root_count_transitions(one) == []
+    assert tie_locations(one) == []
 
 
 def test_quartic_tie_at_quarter():
