@@ -103,9 +103,14 @@ def _model_from_args(args, samples) -> CostModel:
         return CostModel.trace_sqrt(samples)
     if args.p is None:
         raise _ParseError("--cost lp requires --p")
-    if args.p < 1.0:
-        raise _ValidationError("--p must be >= 1")
+    if not 1.0 <= args.p < math.inf:
+        raise _ValidationError("--p must be finite and >= 1")
     return CostModel.lp_chordal(samples, args.p)
+
+
+def _require_seed(args) -> None:
+    if args.seed < 0:
+        raise _ValidationError("--seed must be >= 0")
 
 
 def _write_text(path, text) -> None:
@@ -121,6 +126,7 @@ def cmd_average(args) -> int:
         raise _ValidationError("--starts must be >= 1")
     if args.tol is not None and not args.tol > 0.0:
         raise _ValidationError("--tol must be > 0")
+    _require_seed(args)
     samples = _load_rotations(args.input)
     model = _model_from_args(args, samples)
     cfg = FlowConfig() if args.tol is None else FlowConfig(grad_tol=args.tol)
@@ -157,11 +163,13 @@ def _fmt_angle(x, degrees):
 
 
 def cmd_sweep(args) -> int:
+    if not math.isfinite(args.p):
+        raise _ValidationError("--p must be finite")
     if int(round(args.p)) not in (2, 4) or args.p != int(round(args.p)):
         print("error: sweep supports only p = 2 or p = 4", file=sys.stderr)
         return EXIT_PARSE
     lo, hi, step = args.alpha_min, args.alpha_max, args.alpha_step
-    if not (-math.pi - 1e-12 <= lo < hi <= math.pi + 1e-12) or step <= 0:
+    if not (-math.pi - 1e-12 <= lo < hi <= math.pi + 1e-12) or not step > 0:
         print("error: need -pi <= alpha-min < alpha-max <= pi and a positive step", file=sys.stderr)
         return EXIT_VALIDATION
     grid = np.arange(lo, hi + 0.5 * step, step)
@@ -192,6 +200,7 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     if args.trials < 1:
         raise _ValidationError("--trials must be >= 1")
+    _require_seed(args)
     results = checks_mod.run_all(seed=args.seed, trials=args.trials)
     report = checks_mod.format_report(results)
     try:

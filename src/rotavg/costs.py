@@ -13,10 +13,18 @@ matrices. Writing x_i = <q, q_i>:
 
 The weights are the one definition the derivatives share: the gradient is
 -c sum_i w_i q_i (c = 16, 4, 2, p 8^(p/2)) and the pushforward residual is
-sum_i w_i Delta_i. The geodesic model lives on the sphere minus the
-hyperplanes Pi_i where x_i = 0 (relative angle pi to a sample); trace-sqrt
-is non-differentiable there; Lp with p < 2 excludes the sample lines
-instead. Guards keep a finite buffer eps_dom around each excluded set.
+sum_i w_i Delta_i. Their slopes w'(x_i) give the tangent Hessian on S3 in
+Cartesian coordinates, c P(<w, d> I - Q^T diag(w') Q) P with P = I - q q^T:
+
+    l2 chordal      w' = 1
+    geodesic        w' = -(sin phi - phi cos phi) / sin^3 phi,  phi = arccos|x_i|
+    trace-sqrt      w' = -1
+    Lp chordal      w' = (1-x_i^2)^(p/2-2) (1 - (p-1) x_i^2)
+
+The geodesic model lives on the sphere minus the hyperplanes Pi_i where
+x_i = 0 (relative angle pi to a sample); trace-sqrt is non-differentiable
+there; Lp with p < 2 excludes the sample lines instead. Guards keep a finite
+buffer eps_dom around each excluded set.
 """
 
 from __future__ import annotations
@@ -66,6 +74,22 @@ def _arc_over_sin(phi):
     p2 = phi[small] ** 2
     out[small] = 1.0 + p2 / 6.0 + 7.0 * p2 * p2 / 360.0
     out[~small] = phi[~small] / np.sin(phi[~small])
+    return out
+
+
+def _arc_slope(phi):
+    """-(sin phi - phi cos phi) / sin^3 phi, elementwise: the slope of the
+    geodesic weight. The difference cancels as phi -> 0, so below 1e-2 the
+    Taylor form -(1/3 + 2 phi^2/15 + 2 phi^4/63) takes over; either side of
+    the switch is within ~4e-12 relative of the exact value."""
+    phi = np.asarray(phi, dtype=float)
+    small = phi < 1e-2
+    out = np.empty_like(phi)
+    p2 = phi[small] ** 2
+    out[small] = -(1.0 / 3.0 + p2 * (2.0 / 15.0 + 2.0 * p2 / 63.0))
+    big = phi[~small]
+    s = np.sin(big)
+    out[~small] = -(s - big * np.cos(big)) / s**3
     return out
 
 
@@ -190,11 +214,14 @@ class CostModel:
 
     # -- residual systems --------------------------------------------------
 
-    def _weights(self, d):
-        """Per-sample weights w(x_i) at the unit-sphere dots d = Q q."""
+    def _require_clearance(self, d):
         if self._clearance is not None and self._clearance(d) <= EPS_DOM:
             error = NonDifferentiable if self.kind == "TraceSqrt" else DomainError
             raise error(f"{self.kind} derivatives need clearance from the excluded set")
+
+    def _weights(self, d):
+        """Per-sample weights w(x_i) at the unit-sphere dots d = Q q."""
+        self._require_clearance(d)
         if self.kind == "L2Chordal":
             return d
         if self.kind == "Geodesic":
@@ -203,6 +230,41 @@ class CostModel:
         if self.kind == "TraceSqrt":
             return (1.0 - np.abs(d)) * np.sign(d)
         return np.maximum(1.0 - d * d, 0.0) ** (self.p / 2.0 - 1.0) * d
+
+    def _dweights(self, d):
+        """Weight slopes w'(x_i) at the unit-sphere dots d = Q q."""
+        self._require_clearance(d)
+        if self.kind == "L2Chordal":
+            return np.ones_like(d)
+        if self.kind == "Geodesic":
+            return _arc_slope(np.arccos(np.clip(np.abs(d), 0.0, 1.0)))
+        if self.kind == "TraceSqrt":
+            return -np.ones_like(d)
+        base = np.maximum(1.0 - d * d, 0.0)
+        # for p < 4, w' diverges on a sample line (base = 0); there the
+        # sample's tangent part vanishes, and with it the term in `hessian`
+        # for every p >= 2, so the slope is set to 0 on the line itself
+        on_line = base == 0.0
+        slope = np.where(on_line, 1.0, base) ** (self.p / 2.0 - 2.0) * (1.0 - (self.p - 1.0) * d * d)
+        return np.where(on_line, 0.0, slope)
+
+    def hessian(self, q) -> np.ndarray:
+        """Tangent Hessian of the cost on S3 at unit q, as a symmetric 4x4
+        matrix: c P(<w, d> I - Q^T diag(w') Q) P with P = I - q q^T.
+
+        It annihilates q; restricted to the tangent space it is the
+        Riemannian Hessian (no covariant derivatives needed: the sphere's
+        curvature enters through the <w, d> = <grad, q> / (-c) term). The
+        sample term is formed from the tangent parts P q_i = q_i - x_i q,
+        so a large w' next to a sample is not cancelled by P afterwards.
+        Raises like the gradient inside the guard buffer of an excluded set.
+        """
+        q = np.asarray(q, dtype=float)
+        Q = self.samples.quaternions
+        d = Q @ q
+        U = Q - np.outer(d, q)  # rows: P q_i
+        P = np.eye(4) - np.outer(q, q)
+        return self._scale * (np.dot(self._weights(d), d) * P - (U.T * self._dweights(d)) @ U)
 
     def pushforward_residual(self, q) -> np.ndarray:
         """sum_i w_i(q) Delta_i(q): the critical-point system pushed to SO(3).

@@ -23,7 +23,8 @@ __all__ = [
     "random_unit_quaternion",
 ]
 
-FD_STEP = 1e-5  # central-difference step of classify's tangent Hessian
+NEWTON_RADIUS = 1e-3  # longest Newton step flow_descend tries
+BOUNDARY_CLEARANCE = 2e-5  # classify labels points this close to an excluded set Boundary
 
 
 class MaxIters(RuntimeError):
@@ -75,9 +76,11 @@ def random_unit_quaternion(rng):
 def flow_descend(model: CostModel, q0, cfg: Optional[FlowConfig] = None) -> CriticalPoint:
     """Follow -control_field from q0 to a critical point of the lifted cost.
 
-    Projected explicit Euler with a backtracking line search on the cost.
-    Once the cost change falls below a few ulps (values can no longer
-    certify descent) a step is accepted only if it strictly shrinks
+    Each iteration first tries one Riemannian Newton step (see
+    :func:`_newton_trial`); where it is not taken, a projected explicit
+    Euler step with a backtracking line search on the cost follows. Once the
+    cost change falls below a few ulps (values can no longer certify
+    descent) a step is accepted only if it strictly shrinks
     ||control_field||, which carries the iterate down to the gradient noise
     floor. Stops when ||control_field|| < cfg.grad_tol.
 
@@ -95,35 +98,72 @@ def flow_descend(model: CostModel, q0, cfg: Optional[FlowConfig] = None) -> Crit
         nv = float(np.linalg.norm(v))
         if nv < cfg.grad_tol:
             return _converged(model, q, cost, nv)
-        h = min(2.0 * h, 1e6)  # retry a bit above the last accepted step
         # value evaluations carry cancellation noise well above one ulp, so
-        # both branches must judge decreases against this larger scale
+        # every acceptance test judges decreases against this larger scale
         noise = 1e-13 * (1.0 + abs(cost))
-        accepted = False
-        while h * nv > 1e-18:
-            trial = normalize(q - h * v)
-            try:
-                c_trial = model.value(trial)
-            except (DomainError, NonDifferentiable):
-                h *= cfg.step_shrink
-                continue
-            dc = c_trial - cost
-            # sufficient decrease: <grad, v> = |v|^2 / 4 at unit q, so a
-            # tenth of the first-order prediction must materialize — bare
-            # descent would admit wildly overshooting steps near the floor
-            if dc <= -max(0.025 * h * nv * nv, noise):
-                accepted = True
-                break
-            if dc <= noise and float(np.linalg.norm(model.control_field(trial))) <= 0.999 * nv:
-                accepted = True
-                break
-            h *= cfg.step_shrink
-        if not accepted:
-            raise MaxIters(f"line search stalled at iteration {it} (|v0| = {nv:.3e})")
-        q, cost = trial, c_trial
+        step = _newton_trial(model, q, v, nv, cost, noise)
+        if step is None:
+            # retry a bit above the last accepted step
+            found = _line_search(model, q, v, nv, cost, noise, min(2.0 * h, 1e6), cfg.step_shrink)
+            if found is None:
+                raise MaxIters(f"line search stalled at iteration {it} (|v0| = {nv:.3e})")
+            *step, h = found
+        q, cost = step
         if not model.admissible(q):
             raise DomainBreach("iterate entered a guard buffer of an excluded set")
     raise MaxIters(f"no convergence in {cfg.max_iters} iterations")
+
+
+def _newton_trial(model, q, v, nv, cost, noise):
+    """One Riemannian Newton step from unit q, or None where it is not taken.
+
+    The step is eta = -(H + q q^T)^-1 v / 4: v / 4 is the Riemannian gradient
+    and H the tangent Hessian, which q q^T makes invertible without changing
+    its action on the tangent space. It is tried only where H is positive
+    definite on the tangent space (H + q q^T passes Cholesky) and eta is
+    finite and no longer than NEWTON_RADIUS, and taken if the cost at
+    normalize(q + eta) falls by more than the noise scale, or stays within
+    it while ||control_field|| at least halves.
+    """
+    M = model.hessian(q) + np.outer(q, q)
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return None
+    eta = np.linalg.solve(M, -0.25 * v)
+    if not (np.all(np.isfinite(eta)) and float(np.linalg.norm(eta)) <= NEWTON_RADIUS):
+        return None
+    trial = normalize(q + eta)
+    try:
+        c_trial = model.value(trial)
+    except (DomainError, NonDifferentiable):
+        return None
+    dc = c_trial - cost
+    if dc < -noise or (dc <= noise and float(np.linalg.norm(model.control_field(trial))) <= 0.5 * nv):
+        return trial, c_trial
+    return None
+
+
+def _line_search(model, q, v, nv, cost, noise, h, shrink):
+    """Backtrack from step h along -v: the new point, its cost and the
+    accepted step, or None if no step is acceptable."""
+    while h * nv > 1e-18:
+        trial = normalize(q - h * v)
+        try:
+            c_trial = model.value(trial)
+        except (DomainError, NonDifferentiable):
+            h *= shrink
+            continue
+        dc = c_trial - cost
+        # sufficient decrease: <grad, v> = |v|^2 / 4 at unit q, so a
+        # tenth of the first-order prediction must materialize — bare
+        # descent would admit wildly overshooting steps near the floor
+        if dc <= -max(0.025 * h * nv * nv, noise):
+            return trial, c_trial, h
+        if dc <= noise and float(np.linalg.norm(model.control_field(trial))) <= 0.999 * nv:
+            return trial, c_trial, h
+        h *= shrink
+    return None
 
 
 def _converged(model, q, cost, nv):
@@ -174,35 +214,18 @@ def multistart(model: CostModel, n_starts: int, seed: int, cfg: Optional[FlowCon
 def classify(model: CostModel, point: CriticalPoint):
     """Label a converged point Min/Max/Saddle/Degenerate/Boundary.
 
-    Central-difference 3x3 Hessian of the lifted cost in an orthonormal
-    tangent basis at q. Eigenvalues below 1e-6 of the dominant one are
-    treated as zero (critical circles make one soft direction routine);
-    the second return value flags that degeneracy. Points too close to an
-    excluded set for the stencil are labeled Boundary.
+    The analytic tangent Hessian (:meth:`CostModel.hessian`) in an
+    orthonormal tangent basis at q. Eigenvalues below 1e-6 of the dominant
+    one are treated as zero (critical circles make one soft direction
+    routine); the second return value flags that degeneracy. Points within
+    BOUNDARY_CLEARANCE of an excluded set are labeled Boundary.
     """
     q = np.asarray(point.q, dtype=float)
-    if model.clearance(q) < 2.0 * FD_STEP:
+    if model.clearance(q) < BOUNDARY_CLEARANCE:
         return "Boundary", False
     _, _, Vt = np.linalg.svd(q[None, :])
     B = Vt[1:]  # rows: orthonormal basis of the tangent space at q
-
-    def f(t):
-        return model.value(normalize(q + t @ B))
-
-    H = np.empty((3, 3))
-    f0 = f(np.zeros(3))
-    for i in range(3):
-        ei = np.zeros(3)
-        ei[i] = FD_STEP
-        H[i, i] = (f(ei) - 2.0 * f0 + f(-ei)) / FD_STEP**2
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ei = np.zeros(3)
-            ej = np.zeros(3)
-            ei[i] = FD_STEP
-            ej[j] = FD_STEP
-            H[i, j] = H[j, i] = (f(ei + ej) - f(ei - ej) - f(-ei + ej) + f(-ei - ej)) / (4.0 * FD_STEP**2)
-    lam = np.linalg.eigvalsh(H)
+    lam = np.linalg.eigvalsh(B @ model.hessian(q) @ B.T)
     scale = float(np.max(np.abs(lam)))
     if scale == 0.0:
         return "Degenerate", True

@@ -84,6 +84,17 @@ def test_average_p_below_one(cluster_input):
                  "--input", str(cluster_input)]) == 3
 
 
+def test_average_p_not_finite(cluster_input, capsys):
+    # nan passes every "< 1" test, so it must be rejected before the flow
+    assert main(["average", "--cost", "lp", "--p", "nan", "--input", str(cluster_input)]) == 3
+    assert "error: --p" in capsys.readouterr().err
+
+
+def test_average_seed_negative(cluster_input, capsys):
+    assert main(["average", "--input", str(cluster_input), "--seed", "-1"]) == 3
+    assert "error: --seed" in capsys.readouterr().err
+
+
 def test_average_starts_below_one(cluster_input, capsys):
     assert main(["average", "--input", str(cluster_input), "--starts", "0"]) == 3
     assert "--starts" in capsys.readouterr().err
@@ -188,6 +199,11 @@ def test_sweep_rejects_bad_window(capsys):
     capsys.readouterr()
 
 
+def test_sweep_p_not_finite(capsys):
+    assert main(["sweep", "--p", "nan"]) == 3
+    assert "error: --p" in capsys.readouterr().err
+
+
 def test_check_passes(tmp_path):
     out = tmp_path / "report.txt"
     rc = main(["check", "--trials", "50", "--seed", "1", "--out", str(out)])
@@ -200,6 +216,13 @@ def test_check_trials_below_one(tmp_path, capsys):
     out = tmp_path / "report.txt"
     assert main(["check", "--trials", "-3", "--out", str(out)]) == 3
     assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_seed_negative(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert main(["check", "--seed", "-1", "--out", str(out)]) == 3
+    assert "error: --seed" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rotavg.control import fd_gradient
 from rotavg.costs import EPS_DOM, CostModel, DomainError, NonDifferentiable, so3_log
@@ -117,6 +120,97 @@ def test_admissibility_guard():
     # the geodesic model excludes the hyperplane, Lp with p < 2 the sample line
     assert abs(geo.clearance(on_axis(0.3)) - math.cos(0.3)) < 1e-12
     assert abs(make("lp", IDENTITY, 1.5).clearance(on_axis(0.3)) - math.sin(0.3)) < 1e-12
+
+
+HESSIAN_CASES = [("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 3.0), ("lp", 4.0)]
+
+
+def fd_hessian(model, q, h=1e-5):
+    # central differences of the Riemannian gradient P grad along the
+    # retraction normalize(q + t xi), projected back onto the tangent space
+    P = np.eye(4) - np.outer(q, q)
+
+    def rgrad(x):
+        return (np.eye(4) - np.outer(x, x)) @ model.gradient(x)
+
+    cols = [P @ (rgrad(normalize(q + h * xi)) - rgrad(normalize(q - h * xi))) / (2.0 * h) for xi in P.T]
+    H = np.array(cols).T
+    return 0.5 * (H + H.T)
+
+
+def near(sample, phi, rng):
+    # unit q at angle phi from a unit sample (so <q, sample> = cos phi)
+    u = rng.standard_normal(4)
+    u = normalize(u - np.dot(u, sample) * sample)
+    return math.cos(phi) * sample + math.sin(phi) * u
+
+
+def assert_hessian_matches(model, q):
+    H = model.hessian(q)
+    assert np.abs(H - fd_hessian(model, q)).max() < 1e-7 * max(1.0, np.abs(H).max())
+
+
+@pytest.mark.parametrize("r", [1, 3, 5, 50])
+@pytest.mark.parametrize("kind,p", HESSIAN_CASES)
+def test_hessian_matches_finite_differences(kind, p, r):
+    rng = np.random.default_rng([27, r])
+    Q = normalize(rng.standard_normal(4)) + 0.5 * rng.standard_normal((r, 4))
+    model = make(kind, SampleSet.from_quaternions(Q / np.linalg.norm(Q, axis=1, keepdims=True)), p)
+    for _ in range(10):
+        assert_hessian_matches(model, probe(rng, model, margin=0.02))
+    if kind == "geodesic":
+        # both sides of the small-angle switch of the weight slope (1e-2)
+        for phi in (3e-3, 8e-3, 1.2e-2, 5e-2):
+            assert_hessian_matches(model, near(model.samples.quaternions[0], phi, rng))
+
+
+def test_geodesic_slope_continuous_at_taylor_switch():
+    model = make("geodesic", IDENTITY)
+    below, above = model._dweights(np.cos(np.array([1e-2 * (1.0 - 1e-9), 1e-2 * (1.0 + 1e-9)])))
+    assert abs(below - above) < 1e-11
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind_p=st.sampled_from(HESSIAN_CASES),
+    Q=st.integers(1, 6).flatmap(lambda r: arrays(float, (r, 4), elements=st.floats(-1.0, 1.0))),
+    x=arrays(float, 4, elements=st.floats(-1.0, 1.0)),
+)
+def test_hessian_properties(kind_p, Q, x):
+    assume(np.linalg.norm(Q, axis=1).min() > 0.1 and np.linalg.norm(x) > 0.1)
+    model = make(kind_p[0], SampleSet.from_quaternions(Q / np.linalg.norm(Q, axis=1, keepdims=True)), kind_p[1])
+    q = normalize(x)
+    d = np.abs(model.samples.quaternions @ q)
+    assume(d.min() > 0.02 and d.max() < 0.98)
+    H = model.hessian(q)
+    scale = max(1.0, np.abs(H).max())
+    assert np.abs(H - H.T).max() < 1e-12 * scale
+    assert np.abs(H @ q).max() < 1e-12 * scale
+    assert_hessian_matches(model, q)
+
+
+def test_hessian_guard():
+    # inside the guard buffer the Hessian raises like the gradient
+    inside = np.array([EPS_DOM / 2.0, 1.0, 0.0, 0.0])
+    with pytest.raises(DomainError):
+        make("geodesic", IDENTITY).hessian(inside)
+    with pytest.raises(NonDifferentiable):
+        make("d3", IDENTITY).hessian(inside)
+    with pytest.raises(DomainError):
+        make("lp", IDENTITY, 1.5).hessian(normalize([1.0, EPS_DOM / 2.0, 0.0, 0.0]))
+    make("l2", IDENTITY).hessian(inside)
+
+
+def test_hessian_on_sample_line():
+    # Lp with p >= 2 has no excluded set; for p < 4 its slope w' diverges on
+    # a sample line, yet the tangent Hessian there is finite: 16 P for p = 2
+    # (the l2 value), 0 for p > 2 where the cost is flat to second order
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    P = np.eye(4) - np.outer(q, q)
+    assert np.abs(make("l2", IDENTITY).hessian(q) - 16.0 * P).max() < 1e-12
+    for p in (2.0, 2.5, 3.0, 4.0, 5.0):
+        expected = 16.0 * P if p == 2.0 else np.zeros((4, 4))
+        assert np.abs(make("lp", IDENTITY, p).hessian(q) - expected).max() < 1e-12
 
 
 def test_control_field_tangent():

@@ -19,6 +19,27 @@ from rotavg.solvers import (
 )
 from rotavg.sweep import build_samples, critical_sets
 
+# Two trace-sqrt (d3) problems with five samples drawn at spread 0.2 around a
+# random unit quaternion (scalar first). On the first, the line-search flow
+# alone creeps along the stability edge of its step size for ~1400 field
+# evaluations per start; on the second, a Newton trust radius of 0.1 rad
+# jumped into the basin of a second minimum (cost 2.9956) that the line
+# search never reaches.
+D3_SLOW = [
+    [-0.8875518288719321, -0.2009945363299193, -0.2502502083791038, -0.33049626418134365],
+    [-0.8508398957626582, -0.23458639062821435, -0.3527787394384966, -0.3107858718005069],
+    [-0.874770700130904, -0.19927703290167376, 0.042223569275555706, -0.439638552163053],
+    [-0.8324963955344846, -0.015351006129834168, 0.032918302302658416, -0.5528385690293356],
+    [-0.8193153580878099, -0.5358579152521388, 0.010041678627147986, -0.2036610010616282],
+]
+D3_TWO_BASINS = [
+    [-0.5122930281240697, -0.47096551301425216, -0.4914770555236915, -0.5236388476616832],
+    [-0.20178661887362762, -0.33022095734090134, -0.6096477751379676, -0.691784554645255],
+    [-0.5821122097536763, -0.2294545986021211, -0.6929050625568994, -0.35829950700363894],
+    [-0.05035177077921567, -0.07901756723614402, -0.6666676151139941, -0.7394425022986564],
+    [-0.3897209332229256, -0.12195647028521481, -0.7280998038728363, -0.5505587063735901],
+]
+
 
 def test_flow_config_validation():
     FlowConfig()  # defaults are fine
@@ -105,6 +126,30 @@ def test_multistart_matches_eigen_oracle():
         assert costs == sorted(costs)
         q_or = eigen_oracle_l2(samples)
         assert np.abs(pts[0].R - covering_map(q_or)).max() < 1e-8
+
+
+def test_newton_finish_field_evaluations(monkeypatch):
+    # the Newton finish converges in a few steps where the line search alone
+    # needed ~1400 field evaluations
+    model = CostModel.trace_sqrt(SampleSet.from_quaternions(D3_SLOW))
+    calls = []
+    field = CostModel.control_field
+    monkeypatch.setattr(CostModel, "control_field", lambda self, q: calls.append(q) or field(self, q))
+    pt = flow_descend(model, random_unit_quaternion(np.random.default_rng(0)))
+    assert pt.control_norm < 1e-12
+    assert len(calls) <= 40
+
+
+def test_newton_finish_keeps_basins():
+    # the trust radius is small enough that Newton steps never leave the
+    # basin the line search was in: the same single minimum as the flow
+    # without them
+    model = CostModel.trace_sqrt(SampleSet.from_quaternions(D3_TWO_BASINS))
+    pts = multistart(model, 64, seed=0)
+    assert [(p.classification, p.degenerate) for p in pts] == [("Min", False)]
+    assert abs(pts[0].cost - 0.01175890893633478) < 1e-12
+    q = np.array([0.35798065061821527, 0.255901928882793, 0.6647480705665768, 0.6037168701096888])
+    assert np.abs(pts[0].R - covering_map(q)).max() < 1e-10
 
 
 def test_multistart_validation():
