@@ -41,8 +41,8 @@ class CheckResult:
         return self.max_violation < self.tol
 
 
-def _random_samples(rng, r=None) -> SampleSet:
-    r = int(rng.integers(1, 7)) if r is None else r
+def _random_samples(rng) -> SampleSet:
+    r = int(rng.integers(1, 7))
     quats = rng.standard_normal((r, 4))
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
     return SampleSet.from_quaternions(quats)
@@ -71,14 +71,20 @@ def _probe(rng, samples, margin=1e-3, unit=True):
     raise RuntimeError("could not sample a probe point clear of the margins")
 
 
-def check_tangency(seed=0, trials=1000) -> CheckResult:
-    """<v0(q), grad F(q)> = 0: the control field never leaves the leaf."""
+def _draws(seed, trials, unit=True):
+    """Yield (model, q) per trial: a random sample set, a random model over
+    it and a probe point, drawn in that order from one seeded stream."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(trials):
         samples = _random_samples(rng)
         model = _random_model(rng, samples)
-        q = _probe(rng, samples, unit=False)
+        yield model, _probe(rng, samples, unit=unit)
+
+
+def check_tangency(seed=0, trials=1000) -> CheckResult:
+    """<v0(q), grad F(q)> = 0: the control field never leaves the leaf."""
+    worst = 0.0
+    for model, q in _draws(seed, trials, unit=False):
         prob = unit_sphere_problem(model.scalar_field())
         w = v0(prob, q)
         worst = max(worst, abs(float(np.dot(w, 2.0 * q))) / max(1.0, float(np.linalg.norm(w))))
@@ -87,12 +93,8 @@ def check_tangency(seed=0, trials=1000) -> CheckResult:
 
 def check_dissipation(seed=0, trials=1000) -> CheckResult:
     """Gram-determinant dissipation rate is nonnegative everywhere."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        samples = _random_samples(rng)
-        model = _random_model(rng, samples)
-        q = _probe(rng, samples, unit=False)
+    for model, q in _draws(seed, trials, unit=False):
         rate = dissipation_rate(unit_sphere_problem(model.scalar_field()), q)
         worst = max(worst, -float(rate))
     return CheckResult("dissipation rate >= 0", trials, worst, 1e-12)
@@ -100,12 +102,8 @@ def check_dissipation(seed=0, trials=1000) -> CheckResult:
 
 def check_projection_form(seed=0, trials=1000) -> CheckResult:
     """On the unit sphere v0 is 4x the tangential part of the cost gradient."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        samples = _random_samples(rng)
-        model = _random_model(rng, samples)
-        q = _probe(rng, samples)
+    for model, q in _draws(seed, trials):
         g = model.gradient(q)
         w = v0(unit_sphere_problem(model.scalar_field()), q)
         tangential = g - np.dot(q, g) * q
@@ -115,12 +113,8 @@ def check_projection_form(seed=0, trials=1000) -> CheckResult:
 
 def check_gradients(seed=0, trials=1000) -> CheckResult:
     """Analytic cost gradients against central differences."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        samples = _random_samples(rng)
-        model = _random_model(rng, samples)
-        q = _probe(rng, samples)
+    for model, q in _draws(seed, trials):
         g = model.gradient(q)
         fd = fd_gradient(model.value, q)
         worst = max(worst, float(np.linalg.norm(g - fd)) / max(1.0, float(np.linalg.norm(g))))
@@ -129,12 +123,8 @@ def check_gradients(seed=0, trials=1000) -> CheckResult:
 
 def check_evenness(seed=0, trials=1000) -> CheckResult:
     """value(-q) = value(q), gradient(-q) = -gradient(q), v0 likewise odd."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        samples = _random_samples(rng)
-        model = _random_model(rng, samples)
-        q = _probe(rng, samples)
+    for model, q in _draws(seed, trials):
         worst = max(worst, abs(model.value(-q) - model.value(q)))
         worst = max(worst, float(np.linalg.norm(model.gradient(-q) + model.gradient(q))))
         worst = max(worst, float(np.linalg.norm(model.control_field(-q) + model.control_field(q))))
@@ -160,12 +150,8 @@ def check_delta_relation(seed=0, trials=1000) -> CheckResult:
 
 def check_pushforward(seed=0, trials=1000) -> CheckResult:
     """DP(q) v0(q) = DP(-q) v0(-q): the flow descends through the double cover."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        samples = _random_samples(rng)
-        model = _random_model(rng, samples)
-        q = _probe(rng, samples)
+    for model, q in _draws(seed, trials):
         a = dp_apply(q, model.control_field(q))
         b = dp_apply(-q, model.control_field(-q))
         worst = max(worst, float(np.max(np.abs(a - b))))
@@ -238,7 +224,7 @@ def check_two_roots(seed=0, trials=1000) -> CheckResult:
 
 def check_poly_consistency(seed=0, trials=40) -> CheckResult:
     """Every polynomial root admits a branch solving the critical system."""
-    from .sweep import _branches, _poly_for, build_samples, positive_roots
+    from .sweep import _root_residuals
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -246,9 +232,8 @@ def check_poly_consistency(seed=0, trials=40) -> CheckResult:
     for _ in range(trials):
         alpha = float(rng.uniform(-np.pi, np.pi))
         for p in (2.0, 4.0):
-            model = CostModel.lp_chordal(build_samples(alpha), p)
-            for x in positive_roots(_poly_for(p)(alpha)):
-                worst = max(worst, min(res for _, res in _branches(model, x)))
+            for _, res in _root_residuals(alpha, p):
+                worst = max(worst, res)
                 n += 1
     return CheckResult("polynomial roots solve the critical system", n, worst, 1e-8)
 

@@ -45,8 +45,18 @@ class _ValidationError(Exception):
     pass
 
 
-class _IOError(Exception):
+class _NoConvergence(Exception):
     pass
+
+
+# every failure leaves through main: one "error:" line, then the exit code
+# of the first entry the exception is an instance of
+_EXIT_CODES = {
+    _ParseError: EXIT_PARSE,
+    _ValidationError: EXIT_VALIDATION,
+    _NoConvergence: EXIT_NO_CONVERGENCE,
+    OSError: EXIT_IO,
+}
 
 
 def _load_rotations(path) -> SampleSet:
@@ -54,7 +64,7 @@ def _load_rotations(path) -> SampleSet:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as e:
-        raise _IOError(f"cannot read {path}: {e}") from e
+        raise OSError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise _ParseError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict) or "rotations" not in doc:
@@ -132,8 +142,7 @@ def cmd_average(args) -> int:
     cfg = FlowConfig() if args.tol is None else FlowConfig(grad_tol=args.tol)
     points = multistart(model, n_starts=args.starts, seed=args.seed, cfg=cfg)
     if not points:
-        print("error: no start converged", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        raise _NoConvergence("no start converged")
     best = points[0].cost
     doc = {
         "cost": {"kind": args.cost, "p": args.p if args.cost == "lp" else None},
@@ -150,11 +159,7 @@ def cmd_average(args) -> int:
             for pt in points
         ],
     }
-    try:
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -166,20 +171,14 @@ def cmd_sweep(args) -> int:
     if not math.isfinite(args.p):
         raise _ValidationError("--p must be finite")
     if int(round(args.p)) not in (2, 4) or args.p != int(round(args.p)):
-        print("error: sweep supports only p = 2 or p = 4", file=sys.stderr)
-        return EXIT_PARSE
+        raise _ParseError("sweep supports only p = 2 or p = 4")
     lo, hi, step = args.alpha_min, args.alpha_max, args.alpha_step
     if not (-math.pi - 1e-12 <= lo < hi <= math.pi + 1e-12) or not step > 0:
-        print("error: need -pi <= alpha-min < alpha-max <= pi and a positive step", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _ValidationError("need -pi <= alpha-min < alpha-max <= pi and a positive step")
     grid = np.arange(lo, hi + 0.5 * step, step)
     records = sweep_mod.theta_min_curve(args.p, grid)
     out = args.out or "sweep.csv"
-    try:
-        sweep_mod.emit_csv(records, out)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    sweep_mod.emit_csv(records, out)
     lines = [f"wrote {len(records)} grid points to {out}"]
     trans = sweep_mod.root_count_transitions(records)
     if trans:
@@ -203,11 +202,7 @@ def cmd_check(args) -> int:
     _require_seed(args)
     results = checks_mod.run_all(seed=args.seed, trials=args.trials)
     report = checks_mod.format_report(results)
-    try:
-        _write_text(args.out, report + "\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, report + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK
 
 
@@ -224,11 +219,7 @@ def cmd_distance(args) -> int:
             except ValueError:
                 d2 = "undefined"
             lines.append(f"{i} {j} {dist_d1(Ri, Rj):.12g} {d2} {dist_d3(Ri, Rj):.12g}")
-    try:
-        _write_text(args.out, "\n".join(lines) + "\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -284,15 +275,9 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except _ParseError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except _ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _IOError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
 
 
 def entry() -> None:

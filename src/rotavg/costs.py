@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .control import ScalarField, apply_T_sphere
-from .geometry import SampleSet
+from .geometry import SampleSet, _skew, delta_skew
 
 __all__ = [
     "DomainError",
@@ -275,11 +275,7 @@ class CostModel:
         q = np.asarray(q, dtype=float)
         Q = self.samples.quaternions
         w = self._weights(Q @ q)
-        q0, q1, q2, q3 = q
-        a = np.dot(w, -q0 * Q[:, 3] + q1 * Q[:, 2] - q2 * Q[:, 1] + q3 * Q[:, 0])
-        b = np.dot(w, q0 * Q[:, 2] + q1 * Q[:, 3] - q2 * Q[:, 0] - q3 * Q[:, 1])
-        c = np.dot(w, -q0 * Q[:, 1] + q1 * Q[:, 0] + q2 * Q[:, 3] - q3 * Q[:, 2])
-        return np.array([[0.0, a, b], [-a, 0.0, c], [-b, -c, 0.0]])
+        return _skew(*(np.dot(w, e) for e in delta_skew(q, Q)))
 
     def _rho(self, t):
         """Rotation-space weights rho(t_i) at the traces t_i = tr(R^T R_i)."""

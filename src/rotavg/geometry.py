@@ -25,7 +25,6 @@ __all__ = [
     "dist_d1",
     "dist_d2",
     "dist_d3",
-    "trace_identity_check",
     "delta_skew",
     "dp_apply",
     "SampleSet",
@@ -137,37 +136,18 @@ def quat_from_rotation(R):
             ]
         )
     else:
+        # Shepperd's branch for the largest diagonal entry R[i, i], written
+        # once under the cyclic relabelling (i, j, k) of the axes; the
+        # subtrahends stay in ascending index order
         i = int(np.argmax(d))
-        if i == 0:
-            s = 2.0 * np.sqrt(max(1.0 + R[0, 0] - R[1, 1] - R[2, 2], 0.0))
-            q = np.array(
-                [
-                    (R[2, 1] - R[1, 2]) / s,
-                    0.25 * s,
-                    (R[0, 1] + R[1, 0]) / s,
-                    (R[0, 2] + R[2, 0]) / s,
-                ]
-            )
-        elif i == 1:
-            s = 2.0 * np.sqrt(max(1.0 + R[1, 1] - R[0, 0] - R[2, 2], 0.0))
-            q = np.array(
-                [
-                    (R[0, 2] - R[2, 0]) / s,
-                    (R[0, 1] + R[1, 0]) / s,
-                    0.25 * s,
-                    (R[1, 2] + R[2, 1]) / s,
-                ]
-            )
-        else:
-            s = 2.0 * np.sqrt(max(1.0 + R[2, 2] - R[0, 0] - R[1, 1], 0.0))
-            q = np.array(
-                [
-                    (R[1, 0] - R[0, 1]) / s,
-                    (R[0, 2] + R[2, 0]) / s,
-                    (R[1, 2] + R[2, 1]) / s,
-                    0.25 * s,
-                ]
-            )
+        j, k = (i + 1) % 3, (i + 2) % 3
+        m, n = sorted((j, k))
+        s = 2.0 * np.sqrt(max(1.0 + R[i, i] - R[m, m] - R[n, n], 0.0))
+        q = np.empty(4)
+        q[0] = (R[k, j] - R[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (R[i, j] + R[j, i]) / s
+        q[1 + k] = (R[i, k] + R[k, i]) / s
     return canonicalize_sign(normalize(q))
 
 
@@ -207,31 +187,29 @@ def dist_d3(R1, R2):
     return float(1.0 - 0.5 * np.sqrt(max(t + 1.0, 0.0)))
 
 
-def trace_identity_check(q, qi):
-    """Residual of <q,qi>^2 = (tr((R^q)^T R^qi) + 1)/4 — should be ~0.
-
-    Returns the signed difference; used as a self-test of the covering-map
-    algebra, not in any production path.
-    """
-    q = np.asarray(q, dtype=float)
-    qi = np.asarray(qi, dtype=float)
-    lhs = float(np.dot(q, qi)) ** 2
-    rhs = 0.25 * (np.trace(covering_map(q).T @ covering_map(qi)) + 1.0)
-    return float(lhs - rhs)
-
-
 def delta_skew(q, qi):
     """The skew matrix Delta_i(q) pairing a point q with a sample lift qi.
 
     Assembled from its three independent entries, so ``D + D.T`` is exactly
     zero. Satisfies ``delta_skew(-q, qi) == -delta_skew(q, qi)`` and
     ``<q,qi> * Delta_i(q) == ((R^q)^T R^qi - (R^qi)^T R^q) / 4``.
+
+    Given an (r, 4) array of lifts instead, returns the entry arrays
+    (a, b, c), each of shape (r,), with ``Delta_i = [[0, a_i, b_i],
+    [-a_i, 0, c_i], [-b_i, -c_i, 0]]`` for row i.
     """
     q0, q1, q2, q3 = np.asarray(q, dtype=float)
-    p0, p1, p2, p3 = np.asarray(qi, dtype=float)
+    p0, p1, p2, p3 = np.asarray(qi, dtype=float).T
     a = -q0 * p3 + q1 * p2 - q2 * p1 + q3 * p0
     b = q0 * p2 + q1 * p3 - q2 * p0 - q3 * p1
     c = -q0 * p1 + q1 * p0 + q2 * p3 - q3 * p2
+    if np.ndim(a):
+        return a, b, c
+    return _skew(a, b, c)
+
+
+def _skew(a, b, c):
+    """The 3x3 skew matrix [[0, a, b], [-a, 0, c], [-b, -c, 0]]."""
     return np.array([[0.0, a, b], [-a, 0.0, c], [-b, -c, 0.0]])
 
 

@@ -23,6 +23,8 @@ __all__ = [
     "random_unit_quaternion",
 ]
 
+INITIAL_STEP = 1e-2  # first Euler step flow_descend tries
+STEP_SHRINK = 0.5  # backtracking factor of the line search
 NEWTON_RADIUS = 1e-3  # longest Newton step flow_descend tries
 BOUNDARY_CLEARANCE = 2e-5  # classify labels points this close to an excluded set Boundary
 
@@ -41,19 +43,11 @@ class AmbiguousMean(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    initial_step: float = 1e-2
-    step_shrink: float = 0.5
     grad_tol: float = 1e-12  # on ||control_field||
     max_iters: int = 200000
 
     def __post_init__(self):
-        ok = (
-            self.initial_step > 0
-            and 0.0 < self.step_shrink < 1.0
-            and self.grad_tol > 0
-            and self.max_iters > 0
-        )
-        if not ok:
+        if not (self.grad_tol > 0 and self.max_iters > 0):
             raise ValueError("invalid flow configuration")
 
 
@@ -92,7 +86,7 @@ def flow_descend(model: CostModel, q0, cfg: Optional[FlowConfig] = None) -> Crit
     if not model.admissible(q):
         raise DomainBreach("start point violates the model's domain guard")
     cost = model.value(q)
-    h = cfg.initial_step
+    h = INITIAL_STEP
     for it in range(cfg.max_iters):
         v = model.control_field(q)
         nv = float(np.linalg.norm(v))
@@ -104,7 +98,7 @@ def flow_descend(model: CostModel, q0, cfg: Optional[FlowConfig] = None) -> Crit
         step = _newton_trial(model, q, v, nv, cost, noise)
         if step is None:
             # retry a bit above the last accepted step
-            found = _line_search(model, q, v, nv, cost, noise, min(2.0 * h, 1e6), cfg.step_shrink)
+            found = _line_search(model, q, v, nv, cost, noise, min(2.0 * h, 1e6))
             if found is None:
                 raise MaxIters(f"line search stalled at iteration {it} (|v0| = {nv:.3e})")
             *step, h = found
@@ -144,7 +138,7 @@ def _newton_trial(model, q, v, nv, cost, noise):
     return None
 
 
-def _line_search(model, q, v, nv, cost, noise, h, shrink):
+def _line_search(model, q, v, nv, cost, noise, h):
     """Backtrack from step h along -v: the new point, its cost and the
     accepted step, or None if no step is acceptable."""
     while h * nv > 1e-18:
@@ -152,7 +146,7 @@ def _line_search(model, q, v, nv, cost, noise, h, shrink):
         try:
             c_trial = model.value(trial)
         except (DomainError, NonDifferentiable):
-            h *= shrink
+            h *= STEP_SHRINK
             continue
         dc = c_trial - cost
         # sufficient decrease: <grad, v> = |v|^2 / 4 at unit q, so a
@@ -162,7 +156,7 @@ def _line_search(model, q, v, nv, cost, noise, h, shrink):
             return trial, c_trial, h
         if dc <= noise and float(np.linalg.norm(model.control_field(trial))) <= 0.999 * nv:
             return trial, c_trial, h
-        h *= shrink
+        h *= STEP_SHRINK
     return None
 
 

@@ -215,6 +215,14 @@ def _branches(model, x):
     return out
 
 
+def _root_residuals(alpha, p):
+    """Yield (x, best residual) for each positive root x of the polynomial
+    at alpha: the smaller pushforward residual norm of its two branches."""
+    model = CostModel.lp_chordal(build_samples(alpha), p)
+    for x in positive_roots(_poly_for(p)(alpha)):
+        yield x, min(res for _, res in _branches(model, x))
+
+
 def _theta_of(q4):
     q = canonicalize_sign(normalize(np.asarray(q4, dtype=float)))
     return 2.0 * math.atan2(q[1], q[0])
@@ -368,9 +376,7 @@ def polynomial_discrepancies(p: float, alpha_grid):
     """
     bad = []
     for a in np.asarray(alpha_grid, dtype=float):
-        model = CostModel.lp_chordal(build_samples(a), p)
-        for x in positive_roots(_poly_for(p)(a)):
-            best = min(res for _, res in _branches(model, x))
+        for x, best in _root_residuals(a, p):
             if best >= RESIDUAL_TOL:
                 bad.append((float(a), float(x), best))
     return bad

@@ -106,8 +106,32 @@ def test_average_tol_not_positive(cluster_input, capsys):
         assert "--tol" in capsys.readouterr().err
 
 
+def test_average_no_convergence(cluster_input, capsys):
+    # no start can reach a gradient tolerance of 1e-300
+    assert main(["average", "--input", str(cluster_input), "--starts", "2", "--tol", "1e-300"]) == 4
+    assert capsys.readouterr().err == "error: no start converged\n"
+
+
 def test_average_missing_file(tmp_path):
     assert main(["average", "--input", str(tmp_path / "nope.json")]) == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["average", "--input", "{input}", "--starts", "2"],
+        ["sweep", "--alpha-min", "0", "--alpha-max", "0.1"],
+        ["check", "--trials", "2"],
+        ["distance", "--input", "{input}"],
+    ],
+    ids=["average", "sweep", "check", "distance"],
+)
+def test_failed_write_exits_5(argv, cluster_input, tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "out"
+    argv = [a.format(input=cluster_input) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(out) in err
 
 
 def test_average_not_json(tmp_path):

@@ -15,7 +15,6 @@ from rotavg.geometry import (
     normalize,
     quat_from_rotation,
     rotation_angle,
-    trace_identity_check,
 )
 
 
@@ -104,12 +103,6 @@ def test_d3_equals_quaternion_form():
         assert abs(d - (1.0 - abs(np.dot(qa, qb)))) < 1e-12
 
 
-def test_trace_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        assert abs(trace_identity_check(rand_unit(rng), rand_unit(rng))) < 1e-12
-
-
 def test_delta_skew_structure():
     rng = np.random.default_rng(4)
     for _ in range(200):
@@ -117,6 +110,20 @@ def test_delta_skew_structure():
         D = delta_skew(q, qi)
         assert np.abs(D + D.T).max() == 0.0
         assert np.abs(delta_skew(-q, qi) + D).max() == 0.0
+
+
+def test_delta_skew_batched_matches_rows():
+    # an (r, 4) array of lifts gives the entry arrays of every Delta_i, bit
+    # for bit the entries of the one-sample call
+    rng = np.random.default_rng(7)
+    for r in (1, 2, 6):
+        q = rand_unit(rng)
+        Q = np.array([rand_unit(rng) for _ in range(r)])
+        a, b, c = delta_skew(q, Q)
+        assert a.shape == b.shape == c.shape == (r,)
+        for i in range(r):
+            D = delta_skew(q, Q[i])
+            assert (D[0, 1], D[0, 2], D[1, 2]) == (a[i], b[i], c[i])
 
 
 def test_delta_skew_rotation_relation():

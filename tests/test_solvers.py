@@ -44,9 +44,6 @@ D3_TWO_BASINS = [
 def test_flow_config_validation():
     FlowConfig()  # defaults are fine
     for kw in (
-        {"initial_step": 0.0},
-        {"step_shrink": 1.0},
-        {"step_shrink": 0.0},
         {"grad_tol": 0.0},
         {"max_iters": 0},
     ):
