@@ -23,7 +23,7 @@ from . import checks as checks_mod
 from . import sweep as sweep_mod
 from .costs import CostModel
 from .geometry import SampleSet, dist_d1, dist_d2, dist_d3, normalize, quat_from_rotation
-from .solvers import FlowConfig, multistart
+from .solvers import multistart
 
 __all__ = ["main", "entry"]
 
@@ -35,6 +35,7 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_IO = 5
 
 ORTHO_TOL = 1e-6  # matrix inputs may be off SO(3) by at most this much
+MAX_GRID_POINTS = 10**6  # longest alpha grid sweep accepts
 
 
 class _ParseError(Exception):
@@ -59,13 +60,27 @@ _EXIT_CODES = {
 }
 
 
+def _numeric(ent, i, key, shape, what):
+    """The finite array under ent[key], of the given shape."""
+    try:
+        a = np.asarray(ent[key], dtype=float)
+    except (TypeError, ValueError) as e:
+        raise _ParseError(f"rotations[{i}].{key} is not numeric") from e
+    if a.shape != shape:
+        raise _ParseError(f"rotations[{i}].{key} must {what}")
+    if not np.all(np.isfinite(a)):
+        # NaN passes every norm and orthogonality test below
+        raise _ValidationError(f"rotations[{i}].{key} has a non-finite entry")
+    return a
+
+
 def _load_rotations(path) -> SampleSet:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise OSError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
         raise _ParseError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict) or "rotations" not in doc:
         raise _ParseError('input must be an object with a "rotations" array')
@@ -77,24 +92,14 @@ def _load_rotations(path) -> SampleSet:
         if not isinstance(ent, dict):
             raise _ParseError(f"rotations[{i}] must be an object")
         if "matrix" in ent:
-            try:
-                R = np.asarray(ent["matrix"], dtype=float)
-            except (TypeError, ValueError) as e:
-                raise _ParseError(f"rotations[{i}].matrix is not numeric") from e
-            if R.shape != (3, 3):
-                raise _ParseError(f"rotations[{i}].matrix must be 3x3")
+            R = _numeric(ent, i, "matrix", (3, 3), "be 3x3")
             if float(np.max(np.abs(R.T @ R - np.eye(3)))) > ORTHO_TOL:
                 raise _ValidationError(f"rotations[{i}] is not orthogonal within {ORTHO_TOL:g}")
             if np.linalg.det(R) < 0.0:
                 raise _ValidationError(f"rotations[{i}] has determinant -1 (not a rotation)")
             quats.append(quat_from_rotation(R))
         elif "quaternion" in ent:
-            try:
-                q = np.asarray(ent["quaternion"], dtype=float)
-            except (TypeError, ValueError) as e:
-                raise _ParseError(f"rotations[{i}].quaternion is not numeric") from e
-            if q.shape != (4,):
-                raise _ParseError(f"rotations[{i}].quaternion must have 4 components")
+            q = _numeric(ent, i, "quaternion", (4,), "have 4 components")
             n = float(np.linalg.norm(q))
             if abs(n - 1.0) > ORTHO_TOL:
                 raise _ValidationError(f"rotations[{i}] quaternion norm {n:.8f} is not 1")
@@ -134,13 +139,12 @@ def _write_text(path, text) -> None:
 def cmd_average(args) -> int:
     if args.starts < 1:
         raise _ValidationError("--starts must be >= 1")
-    if args.tol is not None and not args.tol > 0.0:
-        raise _ValidationError("--tol must be > 0")
+    if not 0.0 < args.tol < math.inf:
+        raise _ValidationError("--tol must be finite and > 0")
     _require_seed(args)
     samples = _load_rotations(args.input)
     model = _model_from_args(args, samples)
-    cfg = FlowConfig() if args.tol is None else FlowConfig(grad_tol=args.tol)
-    points = multistart(model, n_starts=args.starts, seed=args.seed, cfg=cfg)
+    points = multistart(model, n_starts=args.starts, seed=args.seed, tol=args.tol)
     if not points:
         raise _NoConvergence("no start converged")
     best = points[0].cost
@@ -173,8 +177,11 @@ def cmd_sweep(args) -> int:
     if int(round(args.p)) not in (2, 4) or args.p != int(round(args.p)):
         raise _ParseError("sweep supports only p = 2 or p = 4")
     lo, hi, step = args.alpha_min, args.alpha_max, args.alpha_step
-    if not (-math.pi - 1e-12 <= lo < hi <= math.pi + 1e-12) or not step > 0:
-        raise _ValidationError("need -pi <= alpha-min < alpha-max <= pi and a positive step")
+    if not (-math.pi - 1e-12 <= lo < hi <= math.pi + 1e-12) or not 0.0 < step < math.inf:
+        raise _ValidationError("need -pi <= alpha-min < alpha-max <= pi and a finite positive step")
+    if (hi - lo) / step >= MAX_GRID_POINTS:
+        # checked before np.arange, which would try to allocate the grid
+        raise _ValidationError(f"--alpha-step gives more than {MAX_GRID_POINTS:g} grid points")
     grid = np.arange(lo, hi + 0.5 * step, step)
     records = sweep_mod.theta_min_curve(args.p, grid)
     out = args.out or "sweep.csv"
@@ -238,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_avg.add_argument("--p", type=float, default=None, help="exponent for --cost lp")
     p_avg.add_argument("--starts", type=int, default=64)
     p_avg.add_argument("--seed", type=int, default=0)
-    p_avg.add_argument("--tol", type=float, default=None, help="override the flow gradient tolerance")
+    p_avg.add_argument("--tol", type=float, default=1e-12, help="flow stopping tolerance, relative to 1 + c r")
 
     p_sweep = sub.add_parser("sweep", help="x-axis three-rotation family over an alpha grid")
     io(p_sweep, needs_input=False)

@@ -119,9 +119,9 @@ class CostModel:
     kind: str
     samples: SampleSet
     p: Optional[float] = None
-    # resolved once from kind and p: the gradient scale c and the clearance
-    # from the excluded set (None where there is none)
-    _scale: float = field(init=False, repr=False, compare=False)
+    # resolved once from kind and p: the gradient scale c (public, read-only)
+    # and the clearance from the excluded set (None where there is none)
+    scale: float = field(init=False, repr=False, compare=False)
     _clearance: Optional[Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -139,7 +139,7 @@ class CostModel:
         else:
             scale = {"L2Chordal": 16.0, "Geodesic": 4.0, "TraceSqrt": 2.0}[self.kind]
             clearance = None if self.kind == "L2Chordal" else _plane_clearance
-        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_clearance", clearance)
 
     @classmethod
@@ -200,8 +200,8 @@ class CostModel:
             # degree-0 prolongation: weights at q/|q|, radial part removed
             nq = np.linalg.norm(q)
             w = self._weights(d / nq)
-            return (-self._scale / nq**3) * (nq * nq * (w @ Q) - np.dot(w, d) * q)
-        return -self._scale * (self._weights(d) @ Q)
+            return (-self.scale / nq**3) * (nq * nq * (w @ Q) - np.dot(w, d) * q)
+        return -self.scale * (self._weights(d) @ Q)
 
     def control_field(self, q) -> np.ndarray:
         """The sphere control field: T(q) applied to the prolongation gradient.
@@ -264,7 +264,7 @@ class CostModel:
         d = Q @ q
         U = Q - np.outer(d, q)  # rows: P q_i
         P = np.eye(4) - np.outer(q, q)
-        return self._scale * (np.dot(self._weights(d), d) * P - (U.T * self._dweights(d)) @ U)
+        return self.scale * (np.dot(self._weights(d), d) * P - (U.T * self._dweights(d)) @ U)
 
     def pushforward_residual(self, q) -> np.ndarray:
         """sum_i w_i(q) Delta_i(q): the critical-point system pushed to SO(3).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -11,7 +12,6 @@ from .costs import CostModel, DomainError, NonDifferentiable
 from .geometry import canonicalize_sign, covering_map, normalize
 
 __all__ = [
-    "FlowConfig",
     "CriticalPoint",
     "MaxIters",
     "DomainBreach",
@@ -23,6 +23,7 @@ __all__ = [
     "random_unit_quaternion",
 ]
 
+MAX_ITERS = 200000  # iteration budget of one flow_descend
 INITIAL_STEP = 1e-2  # first Euler step flow_descend tries
 STEP_SHRINK = 0.5  # backtracking factor of the line search
 NEWTON_RADIUS = 1e-3  # longest Newton step flow_descend tries
@@ -41,16 +42,6 @@ class AmbiguousMean(RuntimeError):
     """Top two eigenvalues nearly tie: the chordal mean is not unique."""
 
 
-@dataclass(frozen=True)
-class FlowConfig:
-    grad_tol: float = 1e-12  # on ||control_field||
-    max_iters: int = 200000
-
-    def __post_init__(self):
-        if not (self.grad_tol > 0 and self.max_iters > 0):
-            raise ValueError("invalid flow configuration")
-
-
 @dataclass
 class CriticalPoint:
     q: np.ndarray
@@ -67,7 +58,7 @@ def random_unit_quaternion(rng):
     return normalize(rng.standard_normal(4))
 
 
-def flow_descend(model: CostModel, q0, cfg: Optional[FlowConfig] = None) -> CriticalPoint:
+def flow_descend(model: CostModel, q0, tol: float = 1e-12) -> CriticalPoint:
     """Follow -control_field from q0 to a critical point of the lifted cost.
 
     Each iteration first tries one Riemannian Newton step (see
@@ -76,21 +67,27 @@ def flow_descend(model: CostModel, q0, cfg: Optional[FlowConfig] = None) -> Crit
     cost change falls below a few ulps (values can no longer certify
     descent) a step is accepted only if it strictly shrinks
     ||control_field||, which carries the iterate down to the gradient noise
-    floor. Stops when ||control_field|| < cfg.grad_tol.
+    floor. Stops when ||control_field|| < tol * (1 + c r): the gradient
+    -c sum_i w_i q_i sums r terms of scale c, so its rounding floor, and
+    with it the field's, grows with both (c is ``model.scale``, r the
+    sample count).
 
-    Raises MaxIters if the budget runs out (or no acceptable step exists)
-    and DomainBreach if an accepted iterate lands inside a guard buffer.
+    Raises ValueError unless tol is finite and positive, MaxIters if
+    MAX_ITERS iterations run out (or no acceptable step exists) and
+    DomainBreach if an accepted iterate lands inside a guard buffer.
     """
-    cfg = cfg or FlowConfig()
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and > 0")
+    stop = tol * (1.0 + model.scale * model.samples.r)
     q = normalize(np.asarray(q0, dtype=float))
     if not model.admissible(q):
         raise DomainBreach("start point violates the model's domain guard")
     cost = model.value(q)
     h = INITIAL_STEP
-    for it in range(cfg.max_iters):
+    for it in range(MAX_ITERS):
         v = model.control_field(q)
         nv = float(np.linalg.norm(v))
-        if nv < cfg.grad_tol:
+        if nv < stop:
             return _converged(model, q, cost, nv)
         # value evaluations carry cancellation noise well above one ulp, so
         # every acceptance test judges decreases against this larger scale
@@ -105,7 +102,7 @@ def flow_descend(model: CostModel, q0, cfg: Optional[FlowConfig] = None) -> Crit
         q, cost = step
         if not model.admissible(q):
             raise DomainBreach("iterate entered a guard buffer of an excluded set")
-    raise MaxIters(f"no convergence in {cfg.max_iters} iterations")
+    raise MaxIters(f"no convergence in {MAX_ITERS} iterations")
 
 
 def _newton_trial(model, q, v, nv, cost, noise):
@@ -167,7 +164,7 @@ def _converged(model, q, cost, nv):
     return CriticalPoint(q=q, R=R, cost=float(model.value(q)), control_norm=nv, rotation_residual_norm=rr)
 
 
-def multistart(model: CostModel, n_starts: int, seed: int, cfg: Optional[FlowConfig] = None):
+def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
     """Run flow_descend from n uniform random starts; dedup and sort by cost.
 
     Starts violating the model's domain guard are resampled. Limits are
@@ -187,7 +184,7 @@ def multistart(model: CostModel, n_starts: int, seed: int, cfg: Optional[FlowCon
                 break
             q0 = random_unit_quaternion(rng)
         try:
-            limits.append(flow_descend(model, q0, cfg))
+            limits.append(flow_descend(model, q0, tol))
         except (MaxIters, DomainBreach):
             continue
     classes: list[CriticalPoint] = []

@@ -175,13 +175,15 @@ def positive_roots(poly: EvenPolynomial):
     """All roots of an even polynomial in (0, 1], ascending, multiplicity-free.
 
     Works in W = Z^2 (halving the degree), isolates by a derivative chain
-    and refines by bisection; every returned root r satisfies
-    |poly(r)| <~ 1e-9 * max|coeff|.
+    and refines by bisection. A node of the chain with no sign change around
+    it counts as a multiple root only where |poly| is at rounding level,
+    1e-14 * max|coeff|; counting the near-zero values beside a double root
+    as well would make the root count odd there.
     """
     w = poly.in_w()
     if not np.any(w != 0.0):
         raise ValueError("polynomial is identically zero")
-    ztol = 1e-9 * max(1.0, float(np.max(np.abs(w))))
+    ztol = 1e-14 * max(1.0, float(np.max(np.abs(w))))
     return [float(math.sqrt(r)) for r in _real_roots_on(w, 0.0, 1.0, ztol) if r > 0.0]
 
 

@@ -106,6 +106,13 @@ def test_average_tol_not_positive(cluster_input, capsys):
         assert "--tol" in capsys.readouterr().err
 
 
+def test_average_tol_not_finite(cluster_input, capsys):
+    # an infinite tolerance would accept the random starts themselves
+    for tol in ("inf", "nan"):
+        assert main(["average", "--input", str(cluster_input), "--tol", tol]) == 3
+        assert capsys.readouterr().err.startswith("error: --tol")
+
+
 def test_average_no_convergence(cluster_input, capsys):
     # no start can reach a gradient tolerance of 1e-300
     assert main(["average", "--input", str(cluster_input), "--starts", "2", "--tol", "1e-300"]) == 4
@@ -166,6 +173,29 @@ def test_average_bad_quaternion(tmp_path):
     assert main(["average", "--input", str(p)]) == 2
 
 
+def test_distance_nan_quaternion(tmp_path, capsys):
+    # NaN fails no norm test, so it would print a row of nan with exit 0
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"rotations": [{"quaternion": [float("nan"), 0, 0, 0]},
+                                           {"quaternion": [1, 0, 0, 0]}]}))
+    assert main(["distance", "--input", str(p)]) == 3
+    assert capsys.readouterr().err.startswith("error: rotations[0].quaternion")
+
+
+def test_average_infinite_matrix(tmp_path, capsys):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"rotations": [{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, float("inf")]]}]}))
+    assert main(["average", "--input", str(p)]) == 3
+    assert capsys.readouterr().err.startswith("error: rotations[0].matrix")
+
+
+def test_input_not_utf8(tmp_path, capsys):
+    p = tmp_path / "in.json"
+    p.write_bytes(b"\xff\xfe" + json.dumps({"rotations": [{"quaternion": [1, 0, 0, 0]}]}).encode("utf-16-le"))
+    assert main(["distance", "--input", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_average_quaternion_input(tmp_path, capsys):
     p = tmp_path / "in.json"
     p.write_text(json.dumps({"rotations": [
@@ -221,6 +251,14 @@ def test_sweep_rejects_other_p(capsys):
 def test_sweep_rejects_bad_window(capsys):
     assert main(["sweep", "--alpha-min", "1.0", "--alpha-max", "0.5"]) == 3
     capsys.readouterr()
+
+
+def test_sweep_grid_too_long(tmp_path, capsys):
+    # rejected before the grid is allocated
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha-step", "1e-300", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: --alpha-step")
+    assert not out.exists()
 
 
 def test_sweep_p_not_finite(capsys):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from rotavg import solvers
 from rotavg.costs import CostModel
 from rotavg.geometry import SampleSet, canonicalize_sign, covering_map, normalize
 from rotavg.solvers import (
     AmbiguousMean,
     CriticalPoint,
     DomainBreach,
-    FlowConfig,
     MaxIters,
     classify,
     eigen_oracle_l2,
@@ -41,14 +41,13 @@ D3_TWO_BASINS = [
 ]
 
 
-def test_flow_config_validation():
-    FlowConfig()  # defaults are fine
-    for kw in (
-        {"grad_tol": 0.0},
-        {"max_iters": 0},
-    ):
+def test_flow_tol_validation():
+    model = CostModel.l2_chordal(build_samples(0.3))
+    for tol in (0.0, -1e-12, math.inf, math.nan):
         with pytest.raises(ValueError):
-            FlowConfig(**kw)
+            flow_descend(model, [1.0, 0.0, 0.0, 0.0], tol)
+        with pytest.raises(ValueError):
+            multistart(model, 2, seed=0, tol=tol)
 
 
 def test_random_unit_quaternion():
@@ -81,9 +80,27 @@ def test_flow_single_sample():
             while not model.admissible(q0):
                 q0 = random_unit_quaternion(rng)
             pt = flow_descend(model, q0)
-            assert pt.control_norm < 1e-12
+            assert pt.control_norm < 1e-12 * (1.0 + model.scale)
             assert np.abs(pt.R - covering_map(target)).max() < pos_tol
             assert pt.rotation_residual_norm < pos_tol
+
+
+@pytest.mark.parametrize("r", [300, 1000, 3000])
+def test_flow_converges_at_large_r(r):
+    # the rounding floor of the control field grows with c r, so a fixed
+    # absolute tolerance stalls the flow here; the scaled one does not
+    rng = np.random.default_rng(r)
+    base = random_unit_quaternion(rng)
+    samples = SampleSet.from_quaternions(base + 0.2 * rng.standard_normal((r, 4)))
+    for model in (
+        CostModel.l2_chordal(samples),
+        CostModel.geodesic(samples),
+        CostModel.trace_sqrt(samples),
+        CostModel.lp_chordal(samples, 1.5),
+        CostModel.lp_chordal(samples, 4.0),
+    ):
+        costs = [flow_descend(model, random_unit_quaternion(rng)).cost for _ in range(4)]
+        assert max(costs) - min(costs) <= 1e-10 * min(costs)
 
 
 def test_flow_geodesic_midpoint():
@@ -97,11 +114,12 @@ def test_flow_geodesic_midpoint():
     assert np.abs(canonicalize_sign(pt.q) - mid).max() < 1e-9
 
 
-def test_flow_failure_modes():
+def test_flow_failure_modes(monkeypatch):
     samples = build_samples(-math.pi)
     model = CostModel.l2_chordal(samples)
+    monkeypatch.setattr(solvers, "MAX_ITERS", 1)
     with pytest.raises(MaxIters):
-        flow_descend(model, [1.0, 0.0, 0.0, 0.0], FlowConfig(max_iters=1))
+        flow_descend(model, [1.0, 0.0, 0.0, 0.0])
     geo = CostModel.geodesic(samples)
     with pytest.raises(DomainBreach):
         # start orthogonal to the first sample lift

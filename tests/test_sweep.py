@@ -117,6 +117,11 @@ def test_theta_min_curve_records():
         assert "black" in labels and r.min_set_label[0] in labels
 
 
+# the p = 4 root-count transitions: the double roots of the degree-8
+# polynomial, from a 50-digit solve of P = P' = 0 in (W, alpha)
+QUARTIC_DOUBLE_ROOTS = (-1.0231548901694783, -0.5476414366254183)
+
+
 @pytest.fixture(scope="module")
 def default_records():
     """The CLI's default alpha grid, swept once per p."""
@@ -128,8 +133,8 @@ def _assert_quartic_transitions(trans):
     assert len(trans) == 2
     (a1, b1, c1), (a2, b2, c2) = trans
     assert (b1, c1) == (2, 4) and (b2, c2) == (4, 2)
-    assert abs(a1 - (-1.0231549443402819)) < 1e-8
-    assert abs(a2 - (-0.5476414366164841)) < 1e-8
+    assert abs(a1 - QUARTIC_DOUBLE_ROOTS[0]) < 1e-8
+    assert abs(a2 - QUARTIC_DOUBLE_ROOTS[1]) < 1e-8
 
 
 def _assert_quartic_tie(ties):
@@ -158,6 +163,26 @@ def test_transitions_and_ties_on_other_grids():
     one = theta_min_curve(4.0, [-math.pi / 4])
     assert root_count_transitions(one) == []
     assert tie_locations(one) == []
+
+
+def test_transitions_do_not_depend_on_grid_direction():
+    # each transition is bisected between the last grid point on one side of
+    # a double root and the first on the other, so ascending and descending
+    # grids must land on the same double root
+    grid = np.linspace(-1.2, -0.4, 81)
+    for recs in (theta_min_curve(4.0, grid), theta_min_curve(4.0, grid[::-1])):
+        found = sorted(a for a, _, _ in root_count_transitions(recs))
+        assert len(found) == 2
+        for a, root in zip(found, QUARTIC_DOUBLE_ROOTS):
+            assert abs(a - root) < 1e-9
+
+
+def test_root_count_even_near_double_roots():
+    # the roots of the degree-8 polynomial come in pairs that meet at a
+    # double root: no alpha near one has an odd count of positive roots
+    for root in QUARTIC_DOUBLE_ROOTS:
+        for a in np.linspace(root - 1e-6, root + 1e-6, 201):
+            assert len(positive_roots(q4_coeffs(a))) in (2, 4)
 
 
 def test_quartic_tie_at_quarter():
