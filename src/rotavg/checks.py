@@ -160,17 +160,15 @@ def check_pushforward(seed=0, trials=1000) -> CheckResult:
 
 def check_double_cover(seed=0, trials=1000) -> CheckResult:
     """covering_map lands in SO(3), is even, and inverts through the lift."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    eye = np.eye(3)
-    for _ in range(trials):
-        q = normalize(rng.standard_normal(4))
-        R = covering_map(q)
-        worst = max(worst, float(np.max(np.abs(R.T @ R - eye))))
-        worst = max(worst, abs(float(np.linalg.det(R)) - 1.0))
-        worst = max(worst, float(np.max(np.abs(R - covering_map(-q)))))
-        back = quat_from_rotation(R)
-        worst = max(worst, float(np.max(np.abs(back - canonicalize_sign(q)))))
+    # every trial at once, one row each
+    q = normalize(np.random.default_rng(seed).standard_normal((trials, 4)))
+    R = covering_map(q)
+    worst = max(
+        float(np.max(np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)))),
+        float(np.max(np.abs(np.linalg.det(R) - 1.0))),
+        float(np.max(np.abs(R - covering_map(-q)))),
+        float(np.max(np.abs(quat_from_rotation(R) - canonicalize_sign(q)))),
+    )
     return CheckResult("double cover and lift round trip", trials, worst, 1e-10)
 
 

@@ -87,7 +87,8 @@ def _load_rotations(path) -> SampleSet:
     entries = doc["rotations"]
     if not isinstance(entries, list) or not entries:
         raise _ParseError('"rotations" must be a non-empty array')
-    quats = []
+    quats = np.empty((len(entries), 4))
+    mats = {}  # entry index -> matrix, lifted together below
     for i, ent in enumerate(entries):
         if not isinstance(ent, dict):
             raise _ParseError(f"rotations[{i}] must be an object")
@@ -97,16 +98,18 @@ def _load_rotations(path) -> SampleSet:
                 raise _ValidationError(f"rotations[{i}] is not orthogonal within {ORTHO_TOL:g}")
             if np.linalg.det(R) < 0.0:
                 raise _ValidationError(f"rotations[{i}] has determinant -1 (not a rotation)")
-            quats.append(quat_from_rotation(R))
+            mats[i] = R
         elif "quaternion" in ent:
             q = _numeric(ent, i, "quaternion", (4,), "have 4 components")
             n = float(np.linalg.norm(q))
             if abs(n - 1.0) > ORTHO_TOL:
                 raise _ValidationError(f"rotations[{i}] quaternion norm {n:.8f} is not 1")
-            quats.append(normalize(q))
+            quats[i] = normalize(q)
         else:
             raise _ParseError(f'rotations[{i}] needs a "matrix" or "quaternion" key')
-    return SampleSet.from_quaternions(np.asarray(quats))
+    if mats:
+        quats[list(mats)] = quat_from_rotation(np.array(list(mats.values())))
+    return SampleSet.from_quaternions(quats)
 
 
 def _model_from_args(args, samples) -> CostModel:

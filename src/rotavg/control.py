@@ -124,10 +124,11 @@ def dissipation_rate(problem: AmbientProblem, x) -> float:
 
 
 def apply_T_sphere(q, omega_bar):
-    """Fast path for S3: i_w T(q) = 4(<q,q> w - <q,w> q)."""
+    """Fast path for S3: i_w T(q) = 4(<q,q> w - <q,w> q), row by row for
+    (n, 4) stacks of points and covectors."""
     q = np.asarray(q, dtype=float)
     w = np.asarray(omega_bar, dtype=float)
-    return 4.0 * (np.dot(q, q) * w - np.dot(q, w) * q)
+    return 4.0 * (np.vecdot(q, q, keepdims=True) * w - np.vecdot(q, w, keepdims=True) * q)
 
 
 def T_matrix_sphere(q):

@@ -29,7 +29,6 @@ buffer eps_dom around each excluded set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -57,23 +56,30 @@ class NonDifferentiable(ValueError):
     """The model value exists here but its gradient does not (trace-sqrt on Pi_i)."""
 
 
-def _plane_clearance(d):
-    return np.min(np.abs(d))
+def _plane_clearance(D):
+    return np.abs(D).min(axis=-1)
 
 
-def _line_clearance(d):
+def _line_clearance(D):
     # min_i sqrt(1 - d_i^2), read off the largest d_i^2 (every step is monotone)
-    return math.sqrt(max(1.0 - float(np.max(d * d)), 0.0))
+    return np.sqrt(np.maximum(1.0 - (D * D).max(axis=-1), 0.0))
+
+
+def _rows(q):
+    """q as an (n, 4) array of points, and whether it was a single vector."""
+    q = np.asarray(q, dtype=float)
+    return q.reshape(-1, 4), q.ndim == 1
 
 
 def _arc_over_sin(phi):
     """phi / sin(phi), elementwise, stable at phi -> 0 (Taylor below 1e-4)."""
     phi = np.asarray(phi, dtype=float)
     small = phi < 1e-4
-    out = np.empty_like(phi)
+    out = np.sin(phi, out=np.empty_like(phi))
+    out[small] = 1.0  # keeps the division finite; replaced below
+    np.divide(phi, out, out=out)
     p2 = phi[small] ** 2
     out[small] = 1.0 + p2 / 6.0 + 7.0 * p2 * p2 / 360.0
-    out[~small] = phi[~small] / np.sin(phi[~small])
     return out
 
 
@@ -82,15 +88,25 @@ def _arc_slope(phi):
     geodesic weight. The difference cancels as phi -> 0, so below 1e-2 the
     Taylor form -(1/3 + 2 phi^2/15 + 2 phi^4/63) takes over; either side of
     the switch is within ~4e-12 relative of the exact value."""
-    phi = np.asarray(phi, dtype=float)
     small = phi < 1e-2
-    out = np.empty_like(phi)
+    s = np.sin(phi)
+    out = np.cos(phi)
+    out *= phi
+    np.subtract(s, out, out=out)
+    np.negative(out, out=out)
+    s[small] = 1.0  # keeps the division finite; replaced below
+    np.divide(out, np.power(s, 3, out=s), out=out)
     p2 = phi[small] ** 2
     out[small] = -(1.0 / 3.0 + p2 * (2.0 / 15.0 + 2.0 * p2 / 63.0))
-    big = phi[~small]
-    s = np.sin(big)
-    out[~small] = -(s - big * np.cos(big)) / s**3
     return out
+
+
+def _half_angles(d):
+    """arccos |x_i| at the unit-sphere dots d, formed in one new array (a
+    stack of n points has n r dots)."""
+    phi = np.abs(d)
+    np.clip(phi, 0.0, 1.0, out=phi)
+    return np.arccos(phi, out=phi)
 
 
 def so3_log(Q):
@@ -114,6 +130,14 @@ class CostModel:
     ``kind`` is one of {"L2Chordal", "Geodesic", "TraceSqrt", "LpChordal"};
     ``p`` is set only for LpChordal (real, >= 1). Instances are immutable
     and every evaluator is a pure function.
+
+    ``value``, ``gradient``, ``control_field``, ``hessian``, ``clearance``
+    and ``admissible`` take one point (4,) or a stack (n, 4) and return one
+    result per row: (n,), (n, 4) or (n, 4, 4). Each row has the bits of the
+    one-point call on it, whatever the other rows hold. Where the one-point
+    call raises (a point inside the guard buffer of an excluded set, or on a
+    geodesic hyperplane for ``value``), its row of a stack is NaN instead,
+    and the other rows are unaffected.
     """
 
     kind: str
@@ -164,46 +188,71 @@ class CostModel:
 
     # -- domain -----------------------------------------------------------
 
-    def clearance(self, q) -> float:
-        """Distance of unit q from this model's excluded set (inf if it has none)."""
-        if self._clearance is None:
-            return np.inf
-        return float(self._clearance(self.samples.quaternions @ np.asarray(q, dtype=float)))
+    def _dots(self, X):
+        """D[k, i] = <X[k], q_i> for (n, 4) points X."""
+        return np.matvec(self.samples.quaternions, X)
 
-    def admissible(self, q) -> bool:
+    def clearance(self, q):
+        """Distance of unit q from this model's excluded set (inf if it has none)."""
+        X, one = _rows(q)
+        c = np.full(len(X), np.inf) if self._clearance is None else self._clearance(self._dots(X))
+        return float(c[0]) if one else c
+
+    def admissible(self, q):
         """True if q clears the guard buffer for this model's excluded sets."""
         return self.clearance(q) > EPS_DOM
 
+    def _guard(self, D, one):
+        """The unit-sphere dots D, with the rows inside the guard buffer set
+        to NaN so that every derivative in those rows is NaN; a single point
+        there raises instead."""
+        if self._clearance is not None:
+            bad = self._clearance(D) <= EPS_DOM
+            if bad.any():
+                if one:
+                    error = NonDifferentiable if self.kind == "TraceSqrt" else DomainError
+                    raise error(f"{self.kind} derivatives need clearance from the excluded set")
+                D = np.where(bad[:, None], np.nan, D)
+        return D
+
     # -- evaluators -------------------------------------------------------
 
-    def value(self, q) -> float:
-        q = np.asarray(q, dtype=float)
-        d = self.samples.quaternions @ q
+    def value(self, q):
+        X, one = _rows(q)
+        D = self._dots(X)
         if self.kind == "L2Chordal":
-            return float(8.0 * np.sum(1.0 - d * d))
-        if self.kind == "Geodesic":
-            if np.min(np.abs(d)) < 1e-12:
-                raise DomainError("geodesic cost undefined on a hyperplane Pi_i")
-            u = np.clip(np.abs(d) / np.linalg.norm(q), 0.0, 1.0)
-            return float(2.0 * np.sum(np.arccos(u) ** 2))
-        if self.kind == "TraceSqrt":
-            return float(np.sum((1.0 - np.abs(d)) ** 2))
-        base = np.maximum(1.0 - d * d, 0.0)
-        return float(8.0 ** (self.p / 2.0) * np.sum(base ** (self.p / 2.0)))
+            v = 8.0 * (1.0 - D * D).sum(axis=1)
+        elif self.kind == "Geodesic":
+            on_plane = np.abs(D).min(axis=1) < 1e-12
+            if on_plane.any():
+                if one:
+                    raise DomainError("geodesic cost undefined on a hyperplane Pi_i")
+                D = np.where(on_plane[:, None], np.nan, D)
+            u = np.clip(np.abs(D) / np.sqrt(np.vecdot(X, X, keepdims=True)), 0.0, 1.0)
+            v = 2.0 * (np.arccos(u) ** 2).sum(axis=1)
+        elif self.kind == "TraceSqrt":
+            v = ((1.0 - np.abs(D)) ** 2).sum(axis=1)
+        else:
+            base = np.maximum(1.0 - D * D, 0.0)
+            base **= self.p / 2.0
+            v = 8.0 ** (self.p / 2.0) * base.sum(axis=1)
+        return float(v[0]) if one else v
 
-    def gradient(self, q) -> np.ndarray:
+    def gradient(self, q):
         """Analytic gradient of the prolongation (agrees with central FD)."""
-        q = np.asarray(q, dtype=float)
+        X, one = _rows(q)
         Q = self.samples.quaternions
-        d = Q @ q
+        D = self._dots(X)
         if self.kind == "Geodesic":
             # degree-0 prolongation: weights at q/|q|, radial part removed
-            nq = np.linalg.norm(q)
-            w = self._weights(d / nq)
-            return (-self.scale / nq**3) * (nq * nq * (w @ Q) - np.dot(w, d) * q)
-        return -self.scale * (self._weights(d) @ Q)
+            nq = np.sqrt(np.vecdot(X, X, keepdims=True))
+            W = self._weights(self._guard(D / nq, one))
+            G = (-self.scale / nq**3) * (nq * nq * np.vecmat(W, Q) - np.vecdot(W, D, keepdims=True) * X)
+        else:
+            G = -self.scale * np.vecmat(self._weights(self._guard(D, one)), Q)
+        return G[0] if one else G
 
-    def control_field(self, q) -> np.ndarray:
+    def control_field(self, q):
         """The sphere control field: T(q) applied to the prolongation gradient.
 
         Tangent to S3 at q, vanishes exactly at the constrained critical
@@ -214,30 +263,27 @@ class CostModel:
 
     # -- residual systems --------------------------------------------------
 
-    def _require_clearance(self, d):
-        if self._clearance is not None and self._clearance(d) <= EPS_DOM:
-            error = NonDifferentiable if self.kind == "TraceSqrt" else DomainError
-            raise error(f"{self.kind} derivatives need clearance from the excluded set")
-
     def _weights(self, d):
         """Per-sample weights w(x_i) at the unit-sphere dots d = Q q."""
-        self._require_clearance(d)
         if self.kind == "L2Chordal":
             return d
         if self.kind == "Geodesic":
-            phi = np.arccos(np.clip(np.abs(d), 0.0, 1.0))
-            return np.sign(d) * _arc_over_sin(phi)
+            w = _arc_over_sin(_half_angles(d))
+            w *= np.sign(d)
+            return w
         if self.kind == "TraceSqrt":
             return (1.0 - np.abs(d)) * np.sign(d)
-        return np.maximum(1.0 - d * d, 0.0) ** (self.p / 2.0 - 1.0) * d
+        w = np.maximum(1.0 - d * d, 0.0)
+        w **= self.p / 2.0 - 1.0
+        w *= d
+        return w
 
     def _dweights(self, d):
         """Weight slopes w'(x_i) at the unit-sphere dots d = Q q."""
-        self._require_clearance(d)
         if self.kind == "L2Chordal":
             return np.ones_like(d)
         if self.kind == "Geodesic":
-            return _arc_slope(np.arccos(np.clip(np.abs(d), 0.0, 1.0)))
+            return _arc_slope(_half_angles(d))
         if self.kind == "TraceSqrt":
             return -np.ones_like(d)
         base = np.maximum(1.0 - d * d, 0.0)
@@ -245,12 +291,16 @@ class CostModel:
         # sample's tangent part vanishes, and with it the term in `hessian`
         # for every p >= 2, so the slope is set to 0 on the line itself
         on_line = base == 0.0
-        slope = np.where(on_line, 1.0, base) ** (self.p / 2.0 - 2.0) * (1.0 - (self.p - 1.0) * d * d)
-        return np.where(on_line, 0.0, slope)
+        base[on_line] = 1.0
+        base **= self.p / 2.0 - 2.0
+        base *= 1.0 - (self.p - 1.0) * d * d
+        base[on_line] = 0.0
+        return base
 
-    def hessian(self, q) -> np.ndarray:
+    def hessian(self, q):
         """Tangent Hessian of the cost on S3 at unit q, as a symmetric 4x4
-        matrix: c P(<w, d> I - Q^T diag(w') Q) P with P = I - q q^T.
+        matrix (one per row of a stack): c P(<w, d> I - Q^T diag(w') Q) P
+        with P = I - q q^T.
 
         It annihilates q; restricted to the tangent space it is the
         Riemannian Hessian (no covariant derivatives needed: the sphere's
@@ -259,12 +309,22 @@ class CostModel:
         so a large w' next to a sample is not cancelled by P afterwards.
         Raises like the gradient inside the guard buffer of an excluded set.
         """
-        q = np.asarray(q, dtype=float)
+        X, one = _rows(q)
         Q = self.samples.quaternions
-        d = Q @ q
-        U = Q - np.outer(d, q)  # rows: P q_i
-        P = np.eye(4) - np.outer(q, q)
-        return self.scale * (np.dot(self._weights(d), d) * P - (U.T * self._dweights(d)) @ U)
+        D = self._guard(self._dots(X), one)
+        P = np.eye(4) - X[:, :, None] * X[:, None, :]
+        H = np.vecdot(self._weights(D), D)[:, None, None] * P
+        dW = self._dweights(D)
+        # the tangent parts of ceil(n / 4) rows at a time: each stack then
+        # holds about n r numbers, as many as D, where all rows at once would
+        # hold 4 n r and set the peak memory of a large-r multistart
+        step = max(1, -(-len(X) // 4))
+        for k in range(0, len(X), step):
+            U = D[k : k + step, :, None] * X[k : k + step, None, :]
+            np.subtract(Q, U, out=U)  # rows: the tangent parts P q_i = q_i - x_i q
+            H[k : k + step] -= (U * dW[k : k + step, :, None]).transpose(0, 2, 1) @ U
+        H *= self.scale
+        return H[0] if one else H
 
     def pushforward_residual(self, q) -> np.ndarray:
         """sum_i w_i(q) Delta_i(q): the critical-point system pushed to SO(3).
@@ -273,9 +333,8 @@ class CostModel:
         where the control field is zero.
         """
         q = np.asarray(q, dtype=float)
-        Q = self.samples.quaternions
-        w = self._weights(Q @ q)
-        return _skew(*(np.dot(w, e) for e in delta_skew(q, Q)))
+        w = self._weights(self._guard(self._dots(q[None]), True))[0]
+        return _skew(*(np.dot(w, e) for e in delta_skew(q, self.samples.quaternions)))
 
     def _rho(self, t):
         """Rotation-space weights rho(t_i) at the traces t_i = tr(R^T R_i)."""

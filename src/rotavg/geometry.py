@@ -32,41 +32,41 @@ __all__ = [
 
 
 def normalize(q):
-    """Return q / ||q||.
+    """Return q / ||q||, or each row of an (n, 4) array over its own norm.
 
     Parameters
     ----------
-    q : (4,) array_like
-        Nonzero quaternion.
+    q : (4,) or (n, 4) array_like
+        Nonzero quaternion(s).
 
     Returns
     -------
-    (4,) ndarray
-        Unit quaternion.
+    ndarray of q's shape
+        Unit quaternion(s).
 
     Raises
     ------
     ValueError
-        If ``q`` is (numerically) zero.
+        If ``q`` (or any row) is (numerically) zero.
     """
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n < 1e-300:
+    n = np.sqrt(np.vecdot(q, q, keepdims=True))
+    if (n < 1e-300).any():
         raise ValueError("cannot normalize the zero quaternion")
     return q / n
 
 
 def canonicalize_sign(q):
-    """Flip the sign of q so its first nonzero component is positive.
+    """Flip the sign of q so its first nonzero component is positive (row by
+    row for an (n, 4) array).
 
     q and -q represent the same rotation; tests and reported results need a
     deterministic representative of each pair.
     """
     q = np.asarray(q, dtype=float)
-    for c in q:
-        if c != 0.0:
-            return -q if c < 0.0 else q.copy()
-    return q.copy()
+    # sum_j sgn(q_j) 2^(3-j) takes the sign of the first nonzero q_j
+    flip = np.sign(q) @ np.array([8.0, 4.0, 2.0, 1.0]) < 0.0
+    return np.where(flip[..., None], -q, q)
 
 
 def covering_map(q):
@@ -74,16 +74,17 @@ def covering_map(q):
 
     Parameters
     ----------
-    q : (4,) array_like
-        Unit quaternion (q0, q1, q2, q3), scalar part first.
+    q : (4,) or (r, 4) array_like
+        Unit quaternion(s) (q0, q1, q2, q3), scalar part first.
 
     Returns
     -------
-    (3, 3) ndarray
-        The rotation matrix; ``covering_map(q) == covering_map(-q)``.
+    (3, 3) or (r, 3, 3) ndarray
+        The rotation matrix of each; ``covering_map(q) == covering_map(-q)``.
     """
-    q0, q1, q2, q3 = np.asarray(q, dtype=float)
-    return np.array(
+    q = np.asarray(q, dtype=float)
+    q0, q1, q2, q3 = q.T
+    R = np.array(
         [
             [
                 q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
@@ -102,6 +103,7 @@ def covering_map(q):
             ],
         ]
     )
+    return np.ascontiguousarray(R.reshape(9, -1).T).reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_from_rotation(R):
@@ -113,42 +115,40 @@ def quat_from_rotation(R):
 
     Parameters
     ----------
-    R : (3, 3) array_like
-        Rotation matrix.
+    R : (3, 3) or (r, 3, 3) array_like
+        Rotation matrix, or a stack of them.
 
     Returns
     -------
-    (4,) ndarray
+    (4,) or (r, 4) ndarray
         Unit quaternion q with ``covering_map(q) == R`` and the first
-        nonzero component positive.
+        nonzero component positive, one row per matrix of a stack.
     """
     R = np.asarray(R, dtype=float)
-    t = np.trace(R)
-    d = np.diagonal(R)
-    if t >= d.max():
-        s = 2.0 * np.sqrt(max(1.0 + t, 0.0))
-        q = np.array(
-            [
-                0.25 * s,
-                (R[2, 1] - R[1, 2]) / s,
-                (R[0, 2] - R[2, 0]) / s,
-                (R[1, 0] - R[0, 1]) / s,
-            ]
-        )
-    else:
-        # Shepperd's branch for the largest diagonal entry R[i, i], written
-        # once under the cyclic relabelling (i, j, k) of the axes; the
-        # subtrahends stay in ascending index order
-        i = int(np.argmax(d))
+    Rs = R.reshape(-1, 3, 3)
+    d = np.diagonal(Rs, axis1=1, axis2=2)
+    t = np.trace(Rs, axis1=1, axis2=2)
+    # K = 4 q q^T from the entries of R, so with s = 2 sqrt(K[b, b]) = 4 |q_b|
+    # each row gives K[b] / s = +-q; the row with the largest diagonal entry
+    # divides by the largest |q_b| (at least 1/2). Row 0 is the trace branch,
+    # row 1 + i Shepperd's branch for R[i, i]
+    K = np.empty((len(Rs), 4, 4))
+    K[:, 0] = np.stack([1.0 + t, Rs[:, 2, 1] - Rs[:, 1, 2], Rs[:, 0, 2] - Rs[:, 2, 0], Rs[:, 1, 0] - Rs[:, 0, 1]], 1)
+    for i in range(3):
+        # written once under the cyclic relabelling (i, j, k) of the axes;
+        # the subtrahends stay in ascending index order
         j, k = (i + 1) % 3, (i + 2) % 3
         m, n = sorted((j, k))
-        s = 2.0 * np.sqrt(max(1.0 + R[i, i] - R[m, m] - R[n, n], 0.0))
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (R[i, j] + R[j, i]) / s
-        q[1 + k] = (R[i, k] + R[k, i]) / s
-    return canonicalize_sign(normalize(q))
+        K[:, 1 + i, 0] = Rs[:, k, j] - Rs[:, j, k]
+        K[:, 1 + i, 1 + i] = 1.0 + Rs[:, i, i] - Rs[:, m, m] - Rs[:, n, n]
+        K[:, 1 + i, 1 + j] = Rs[:, i, j] + Rs[:, j, i]
+        K[:, 1 + i, 1 + k] = Rs[:, i, k] + Rs[:, k, i]
+    rows = np.arange(len(Rs))
+    b = np.where(t >= d.max(axis=1), 0, 1 + np.argmax(d, axis=1))
+    s = 2.0 * np.sqrt(np.maximum(K[rows, b, b], 0.0))
+    q = K[rows, b] / s[:, None]
+    q[rows, b] = 0.25 * s
+    return canonicalize_sign(normalize(q)).reshape(R.shape[:-2] + (4,))
 
 
 def rotation_angle(R1, R2):
@@ -267,16 +267,15 @@ class SampleSet:
         Q = np.atleast_2d(np.asarray(self.quaternions, dtype=float))
         if Q.ndim != 2 or Q.shape[1] != 4 or Q.shape[0] < 1:
             raise ValueError("quaternions must be an (r, 4) array with r >= 1")
-        Q = np.array([normalize(row) for row in Q])
+        Q = normalize(Q)
         if self.rotations is None:
-            R = np.array([covering_map(row) for row in Q])
+            R = covering_map(Q)
         else:
             R = np.asarray(self.rotations, dtype=float)
             if R.shape != (Q.shape[0], 3, 3):
                 raise ValueError("rotations must be an (r, 3, 3) array matching quaternions")
-            for row, M in zip(Q, R):
-                if np.max(np.abs(covering_map(row) - M)) > 1e-10:
-                    raise ValueError("quaternion lift does not reproduce its rotation")
+            if np.max(np.abs(covering_map(Q) - R)) > 1e-10:
+                raise ValueError("quaternion lift does not reproduce its rotation")
         self.quaternions = Q
         self.rotations = R
 
@@ -289,8 +288,7 @@ class SampleSet:
         Rs = np.asarray(Rs, dtype=float)
         if Rs.ndim == 2:
             Rs = Rs[None]
-        qs = np.array([quat_from_rotation(R) for R in Rs])
-        return cls(qs, Rs)
+        return cls(quat_from_rotation(Rs), Rs)
 
     @property
     def r(self):

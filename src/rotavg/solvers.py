@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostModel, DomainError, NonDifferentiable
+from .costs import CostModel
 from .geometry import canonicalize_sign, covering_map, normalize
 
 __all__ = [
@@ -61,6 +61,7 @@ def random_unit_quaternion(rng):
 def flow_descend(model: CostModel, q0, tol: float = 1e-12) -> CriticalPoint:
     """Follow -control_field from q0 to a critical point of the lifted cost.
 
+    The one-start case of the lockstep flow that :func:`multistart` runs.
     Each iteration first tries one Riemannian Newton step (see
     :func:`_newton_trial`); where it is not taken, a projected explicit
     Euler step with a backtracking line search on the cost follows. Once the
@@ -74,39 +75,69 @@ def flow_descend(model: CostModel, q0, tol: float = 1e-12) -> CriticalPoint:
 
     Raises ValueError unless tol is finite and positive, MaxIters if
     MAX_ITERS iterations run out (or no acceptable step exists) and
-    DomainBreach if an accepted iterate lands inside a guard buffer.
+    DomainBreach if the start or an accepted iterate lies inside a guard
+    buffer.
+    """
+    q, nv, ends = _flow(model, np.asarray(q0, dtype=float)[None], tol)
+    if ends[0] is not None:
+        raise ends[0]
+    return _critical_point(model, canonicalize_sign(normalize(q[0])), nv[0])
+
+
+def _flow(model, Q0, tol):
+    """Advance the flow from every row of Q0 at once, in lockstep.
+
+    Each row keeps its own point, cost, step size, Newton trial and line
+    search, and leaves the loop when it converges or fails; the rows still
+    running share one batched call per evaluation. Returns the final points
+    (n, 4), their ||control_field|| and, per row, None where it converged or
+    the MaxIters or DomainBreach it ended with.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and > 0")
     stop = tol * (1.0 + model.scale * model.samples.r)
-    q = normalize(np.asarray(q0, dtype=float))
-    if not model.admissible(q):
-        raise DomainBreach("start point violates the model's domain guard")
+    q = normalize(Q0)
     cost = model.value(q)
-    h = INITIAL_STEP
+    h = np.full(len(q), INITIAL_STEP)
+    nv_end = np.full(len(q), np.nan)
+    ends = [None] * len(q)
+    inside = ~model.admissible(q)
+    for k in np.flatnonzero(inside):
+        ends[k] = DomainBreach("start point violates the model's domain guard")
+    live = np.flatnonzero(~inside)
     for it in range(MAX_ITERS):
-        v = model.control_field(q)
-        nv = float(np.linalg.norm(v))
-        if nv < stop:
-            return _converged(model, q, cost, nv)
+        if not live.size:
+            break
+        V = model.control_field(q[live])
+        nv = np.sqrt(np.vecdot(V, V))
+        done = nv < stop
+        nv_end[live[done]] = nv[done]
+        live, V, nv = live[~done], V[~done], nv[~done]
+        X, c = q[live], cost[live]
         # value evaluations carry cancellation noise well above one ulp, so
         # every acceptance test judges decreases against this larger scale
-        noise = 1e-13 * (1.0 + abs(cost))
-        step = _newton_trial(model, q, v, nv, cost, noise)
-        if step is None:
-            # retry a bit above the last accepted step
-            found = _line_search(model, q, v, nv, cost, noise, min(2.0 * h, 1e6))
-            if found is None:
-                raise MaxIters(f"line search stalled at iteration {it} (|v0| = {nv:.3e})")
-            *step, h = found
-        q, cost = step
-        if not model.admissible(q):
-            raise DomainBreach("iterate entered a guard buffer of an excluded set")
-    raise MaxIters(f"no convergence in {MAX_ITERS} iterations")
+        noise = 1e-13 * (1.0 + np.abs(c))
+        moved, Y, cY = _newton_trial(model, X, V, nv, c, noise)
+        rest = np.flatnonzero(~moved)
+        # retry a bit above the last accepted step
+        h_rest = np.minimum(2.0 * h[live[rest]], 1e6)
+        moved[rest], Y[rest], cY[rest], h[live[rest]] = _line_search(model, X[rest], V[rest], nv[rest], c[rest], noise[rest], h_rest)
+        for k in np.flatnonzero(~moved):
+            ends[live[k]] = MaxIters(f"line search stalled at iteration {it} (|v0| = {nv[k]:.3e})")
+        live = live[moved]
+        q[live], cost[live] = Y[moved], cY[moved]
+        inside = ~model.admissible(q[live])
+        for k in live[inside]:
+            ends[k] = DomainBreach("iterate entered a guard buffer of an excluded set")
+        live = live[~inside]
+    for k in live:
+        ends[k] = MaxIters(f"no convergence in {MAX_ITERS} iterations")
+    return q, nv_end, ends
 
 
-def _newton_trial(model, q, v, nv, cost, noise):
-    """One Riemannian Newton step from unit q, or None where it is not taken.
+def _newton_trial(model, X, V, nv, cost, noise):
+    """One Riemannian Newton step from each unit row of X: which rows take
+    it, and their new points and costs.
 
     The step is eta = -(H + q q^T)^-1 v / 4: v / 4 is the Riemannian gradient
     and H the tangent Hessian, which q q^T makes invertible without changing
@@ -116,56 +147,81 @@ def _newton_trial(model, q, v, nv, cost, noise):
     normalize(q + eta) falls by more than the noise scale, or stays within
     it while ||control_field|| at least halves.
     """
-    M = model.hessian(q) + np.outer(q, q)
+    took = np.zeros(len(X), dtype=bool)
+    Y, cY = np.empty_like(X), np.empty(len(X))
+    M = model.hessian(X) + X[:, :, None] * X[:, None, :]
+    # ||eta|| >= ||v / 4|| / ||M||_F, so the other rows would step too far
+    rows = np.flatnonzero(0.25 * nv <= NEWTON_RADIUS * np.sqrt((M * M).sum(axis=(1, 2))))
+    rows = rows[_cholesky_passes(M[rows])]
+    eta = np.linalg.solve(M[rows], -0.25 * V[rows][:, :, None])[:, :, 0]
+    short = np.all(np.isfinite(eta), axis=1) & (np.sqrt(np.vecdot(eta, eta)) <= NEWTON_RADIUS)
+    rows, eta = rows[short], eta[short]
+    Y[rows] = normalize(X[rows] + eta)
+    cY[rows] = model.value(Y[rows])
+    dc = cY[rows] - cost[rows]
+    took[rows] = _or_field_shrinks(model, Y[rows], dc < -noise[rows], dc <= noise[rows], 0.5 * nv[rows])
+    return took, Y, cY
+
+
+def _cholesky_passes(M):
+    """Which matrices of the stack M np.linalg.cholesky factors. A stack
+    raises if any one of them fails, so a failing stack is split in halves."""
     try:
         np.linalg.cholesky(M)
+        return np.ones(len(M), dtype=bool)
     except np.linalg.LinAlgError:
-        return None
-    eta = np.linalg.solve(M, -0.25 * v)
-    if not (np.all(np.isfinite(eta)) and float(np.linalg.norm(eta)) <= NEWTON_RADIUS):
-        return None
-    trial = normalize(q + eta)
-    try:
-        c_trial = model.value(trial)
-    except (DomainError, NonDifferentiable):
-        return None
-    dc = c_trial - cost
-    if dc < -noise or (dc <= noise and float(np.linalg.norm(model.control_field(trial))) <= 0.5 * nv):
-        return trial, c_trial
-    return None
+        if len(M) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(M) // 2
+        return np.concatenate([_cholesky_passes(M[:half]), _cholesky_passes(M[half:])])
 
 
-def _line_search(model, q, v, nv, cost, noise, h):
-    """Backtrack from step h along -v: the new point, its cost and the
-    accepted step, or None if no step is acceptable."""
-    while h * nv > 1e-18:
-        trial = normalize(q - h * v)
-        try:
-            c_trial = model.value(trial)
-        except (DomainError, NonDifferentiable):
-            h *= STEP_SHRINK
-            continue
-        dc = c_trial - cost
+def _or_field_shrinks(model, Y, ok, within_noise, field_bound):
+    """Which trial rows Y pass: those already ok, and those whose cost change
+    stays within the noise while ||control_field|| at Y is at most
+    field_bound. The field is evaluated only on the rows that decides; a
+    NaN cost (a trial inside a guard buffer) passes neither test."""
+    check = ~ok & within_noise
+    if check.any():
+        F = model.control_field(Y[check])
+        ok[check] = np.sqrt(np.vecdot(F, F)) <= field_bound[check]
+    return ok
+
+
+def _line_search(model, X, V, nv, cost, noise, h):
+    """Backtrack each row from its step h along -v: which rows found an
+    acceptable step, and their new points, costs and accepted steps."""
+    found = np.zeros(len(X), dtype=bool)
+    Y, cY, h = np.empty_like(X), np.empty(len(X)), h.copy()
+    todo = np.flatnonzero(h * nv > 1e-18)
+    while todo.size:
+        T = normalize(X[todo] - h[todo, None] * V[todo])
+        cT = model.value(T)
+        n = nv[todo]
         # sufficient decrease: <grad, v> = |v|^2 / 4 at unit q, so a
         # tenth of the first-order prediction must materialize — bare
         # descent would admit wildly overshooting steps near the floor
-        if dc <= -max(0.025 * h * nv * nv, noise):
-            return trial, c_trial, h
-        if dc <= noise and float(np.linalg.norm(model.control_field(trial))) <= 0.999 * nv:
-            return trial, c_trial, h
-        h *= STEP_SHRINK
-    return None
+        dc = cT - cost[todo]
+        decrease = dc <= -np.maximum(0.025 * h[todo] * n * n, noise[todo])
+        ok = _or_field_shrinks(model, T, decrease, dc <= noise[todo], 0.999 * n)
+        done = todo[ok]
+        found[done], Y[done], cY[done] = True, T[ok], cT[ok]
+        todo = todo[~ok]
+        h[todo] *= STEP_SHRINK
+        todo = todo[h[todo] * nv[todo] > 1e-18]
+    return found, Y, cY, h
 
 
-def _converged(model, q, cost, nv):
-    q = canonicalize_sign(normalize(q))
+def _critical_point(model, q, nv):
+    """The CriticalPoint at a converged, canonical unit q."""
     R = covering_map(q)
     rr = float(np.linalg.norm(model.rotation_residual(R)))
-    return CriticalPoint(q=q, R=R, cost=float(model.value(q)), control_norm=nv, rotation_residual_norm=rr)
+    return CriticalPoint(q=q, R=R, cost=float(model.value(q)), control_norm=float(nv), rotation_residual_norm=rr)
 
 
 def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
-    """Run flow_descend from n uniform random starts; dedup and sort by cost.
+    """Run the flow from n uniform random starts in lockstep; dedup and sort
+    by cost.
 
     Starts violating the model's domain guard are resampled. Limits are
     identified under q ~ -q by comparing rotation matrices (Frobenius
@@ -176,29 +232,32 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     rng = np.random.default_rng(seed)
-    limits = []
+    starts = []
     for _ in range(n_starts):
         q0 = random_unit_quaternion(rng)
         for _ in range(1000):
             if model.admissible(q0):
                 break
             q0 = random_unit_quaternion(rng)
-        try:
-            limits.append(flow_descend(model, q0, tol))
-        except (MaxIters, DomainBreach):
-            continue
-    classes: list[CriticalPoint] = []
-    for pt in limits:
-        for i, kept in enumerate(classes):
-            if np.linalg.norm(pt.R - kept.R) < 1e-8:
-                if pt.control_norm < kept.control_norm:
-                    classes[i] = pt
-                break
-        else:
-            classes.append(pt)
+        starts.append(q0)
+    q, nv, ends = _flow(model, np.array(starts), tol)
+    converged = [k for k, end in enumerate(ends) if end is None]
+    q[converged] = canonicalize_sign(normalize(q[converged]))
+    R = covering_map(q[converged]).reshape(-1, 9)
+    reps: list[int] = []  # positions in `converged` of each class's representative
+    for i, k in enumerate(converged):
+        if reps:
+            diff = R[reps] - R[i]
+            near = np.flatnonzero(np.sqrt(np.vecdot(diff, diff)) < 1e-8)
+            if near.size:
+                if nv[k] < nv[converged[reps[near[0]]]]:
+                    reps[near[0]] = i
+                continue
+        reps.append(i)
+    classes = [_critical_point(model, q[converged[i]], nv[converged[i]]) for i in reps]
     classes.sort(key=lambda p: p.cost)
-    for pt in classes:
-        pt.classification, pt.degenerate = classify(model, pt)
+    for pt, label in zip(classes, _classify_rows(model, np.reshape([pt.q for pt in classes], (-1, 4)))):
+        pt.classification, pt.degenerate = label
     return classes
 
 
@@ -211,24 +270,30 @@ def classify(model: CostModel, point: CriticalPoint):
     routine); the second return value flags that degeneracy. Points within
     BOUNDARY_CLEARANCE of an excluded set are labeled Boundary.
     """
-    q = np.asarray(point.q, dtype=float)
-    if model.clearance(q) < BOUNDARY_CLEARANCE:
-        return "Boundary", False
-    _, _, Vt = np.linalg.svd(q[None, :])
-    B = Vt[1:]  # rows: orthonormal basis of the tangent space at q
-    lam = np.linalg.eigvalsh(B @ model.hessian(q) @ B.T)
-    scale = float(np.max(np.abs(lam)))
-    if scale == 0.0:
-        return "Degenerate", True
-    signif = lam[np.abs(lam) >= 1e-6 * scale]
-    degenerate = signif.size < 3
-    if signif.size == 0:
-        return "Degenerate", True
-    if np.all(signif > 0):
-        return "Min", degenerate
-    if np.all(signif < 0):
-        return "Max", degenerate
-    return "Saddle", degenerate
+    return _classify_rows(model, np.asarray(point.q, dtype=float)[None])[0]
+
+
+def _classify_rows(model, Q):
+    """:func:`classify` for each row of Q: one batched Hessian and one
+    stacked eigvalsh over the rows clear of the boundary."""
+    labels = [("Boundary", False)] * len(Q)
+    inner = np.flatnonzero(model.clearance(Q) >= BOUNDARY_CLEARANCE)
+    X = Q[inner]
+    B = np.linalg.svd(X[:, None, :])[2][:, 1:]  # rows: orthonormal basis of the tangent space at q
+    lams = np.linalg.eigvalsh(B @ model.hessian(X) @ B.transpose(0, 2, 1))
+    for k, lam in zip(inner, lams):
+        scale = float(np.max(np.abs(lam)))
+        signif = lam[np.abs(lam) >= 1e-6 * scale]
+        degenerate = signif.size < 3
+        if scale == 0.0 or signif.size == 0:
+            labels[k] = ("Degenerate", True)
+        elif np.all(signif > 0):
+            labels[k] = ("Min", degenerate)
+        elif np.all(signif < 0):
+            labels[k] = ("Max", degenerate)
+        else:
+            labels[k] = ("Saddle", degenerate)
+    return labels
 
 
 def eigen_oracle_l2(samples):

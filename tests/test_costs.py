@@ -213,6 +213,53 @@ def test_hessian_on_sample_line():
         assert np.abs(make("lp", IDENTITY, p).hessian(q) - expected).max() < 1e-12
 
 
+BATCH_CASES = [("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 3.0), ("lp", 4.0)]
+EVALUATORS = ("value", "gradient", "control_field", "hessian", "clearance", "admissible")
+
+
+def one_point(model, name, q):
+    """The one-point call, or the type of the error it raises."""
+    try:
+        return getattr(model, name)(q)
+    except (DomainError, NonDifferentiable) as e:
+        return type(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind_p=st.sampled_from(BATCH_CASES),
+    r=st.sampled_from([1, 5, 50]),
+    n=st.integers(1, 8),
+    guarded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_evaluators_match_rows(kind_p, r, n, guarded, seed):
+    # each row of a stacked call is the one-point call on that row; a row
+    # where the one-point call raises is NaN and leaves the other rows alone
+    rng = np.random.default_rng(seed)
+    model = make(kind_p[0], SampleSet.from_quaternions(rng.standard_normal((r, 4))), kind_p[1])
+    X = normalize(rng.standard_normal((n, 4)))
+    if guarded:
+        # on and just inside the guard buffer of the first sample's
+        # hyperplane (geodesic, d3) and of its line (lp with p < 2)
+        q0 = model.samples.quaternions[0]
+        u = normalize(X[0] - np.dot(X[0], q0) * q0)
+        rows = [u, normalize(u + 0.5 * EPS_DOM * q0), q0, normalize(q0 + 0.5 * EPS_DOM * u)]
+        X = np.insert(X, rng.integers(0, n + 1, size=4), rows, axis=0)
+    for name in EVALUATORS:
+        batch = getattr(model, name)(X)
+        assert len(batch) == len(X)
+        for q, got in zip(X, batch):
+            want = one_point(model, name, q)
+            if isinstance(want, type):
+                assert name in ("value", "gradient", "control_field", "hessian")
+                assert np.all(np.isnan(got))
+            else:
+                got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want) or np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_control_field_tangent():
     rng = np.random.default_rng(24)
     Q = np.array([normalize(rng.standard_normal(4)) for _ in range(5)])

@@ -75,6 +75,50 @@ def test_lift_near_angle_pi():
             assert np.abs(covering_map(q2) - R).max() < 1e-14
 
 
+def shepperd_lift(R):
+    # the one-matrix lift, branch by branch: the trace branch where the
+    # trace is at least every diagonal entry, else Shepperd's branch for the
+    # largest diagonal entry under the cyclic relabelling (i, j, k), with the
+    # subtrahends in ascending index order
+    t, d = np.trace(R), np.diagonal(R)
+    if t >= d.max():
+        s = 2.0 * math.sqrt(max(1.0 + t, 0.0))
+        q = np.array([0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s])
+    else:
+        i = int(np.argmax(d))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        m, n = sorted((j, k))
+        s = 2.0 * math.sqrt(max(1.0 + R[i, i] - R[m, m] - R[n, n], 0.0))
+        q = np.empty(4)
+        q[0] = (R[k, j] - R[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (R[i, j] + R[j, i]) / s
+        q[1 + k] = (R[i, k] + R[k, i]) / s
+    q = q / np.linalg.norm(q)
+    for c in q:
+        if c != 0.0:
+            return -q if c < 0.0 else q
+    return q
+
+
+def test_batched_lift_matches_one_matrix_lift():
+    # the stacked lift gives the bytes of the one-matrix lift on every
+    # matrix: 20 000 random rotations, plus angle 0, pi/2, pi and pi - 1e-9
+    # about the axes and diagonals, and those matrices rounded to integers
+    rng = np.random.default_rng(9)
+    axes = [*np.eye(3), *(normalize(v) for v in ([1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1], [1, -1, 0], [-1, 1, 1]))]
+    special = [np.concatenate(([math.cos(a / 2)], math.sin(a / 2) * ax)) for ax in axes for a in (0.0, math.pi / 2, math.pi, math.pi - 1e-9)]
+    Q = np.vstack([normalize(rng.standard_normal((20000, 4))), special])
+    Rs = covering_map(Q)
+    Rs = np.vstack([Rs, np.round(Rs[-len(special) :])])
+    lifted = quat_from_rotation(Rs)
+    assert lifted.shape == (len(Rs), 4)
+    assert np.array_equal(lifted, np.array([shepperd_lift(R) for R in Rs]))
+    assert np.array_equal(lifted[-100:], np.array([quat_from_rotation(R) for R in Rs[-100:]]))
+    # the stacked covering map is the one-quaternion map on every row
+    assert np.array_equal(Rs[: len(Q)], np.array([covering_map(q) for q in Q]))
+
+
 def test_rotation_angle():
     Rx = covering_map([math.cos(0.2), math.sin(0.2), 0, 0])
     assert abs(rotation_angle(np.eye(3), Rx) - 0.4) < 1e-12

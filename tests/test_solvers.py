@@ -167,6 +167,82 @@ def test_newton_finish_keeps_basins():
     assert np.abs(pts[0].R - covering_map(q)).max() < 1e-10
 
 
+def kind_model(kind, samples):
+    if kind.startswith("lp"):
+        return CostModel.lp_chordal(samples, float(kind[2:]))
+    return {"l2": CostModel.l2_chordal, "geodesic": CostModel.geodesic, "d3": CostModel.trace_sqrt}[kind](samples)
+
+
+def drawn_starts(model, n, seed):
+    # the starts multistart draws, in its order, resampling inadmissible ones
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(n):
+        q0 = random_unit_quaternion(rng)
+        for _ in range(1000):
+            if model.admissible(q0):
+                break
+            q0 = random_unit_quaternion(rng)
+        starts.append(q0)
+    return starts
+
+
+def classes_one_by_one(model, starts):
+    # flow_descend from each start alone, then multistart's dedup: a point
+    # within 1e-8 of a kept class in R joins it, and the better converged
+    # of the two represents it
+    classes = []
+    for q0 in starts:
+        try:
+            pt = flow_descend(model, q0)
+        except (MaxIters, DomainBreach):
+            continue
+        for i, kept in enumerate(classes):
+            if np.linalg.norm(pt.R - kept.R) < 1e-8:
+                if pt.control_norm < kept.control_norm:
+                    classes[i] = pt
+                break
+        else:
+            classes.append(pt)
+    return sorted(classes, key=lambda pt: pt.cost)
+
+
+def assert_same_classes(model, got, want):
+    assert [(pt.classification, pt.degenerate) for pt in got] == [classify(model, pt) for pt in want]
+    for a, b in zip(got, want):
+        assert abs(a.cost - b.cost) <= 1e-12 * (1.0 + abs(b.cost))
+        assert np.abs(a.R - b.R).max() <= 1e-10
+        # the final field norm sits at the rounding floor and differs from
+        # path to path: equal norms mean each start took its lone path
+        assert a.control_norm == b.control_norm
+
+
+@pytest.mark.parametrize("kind", ["l2", "geodesic", "d3", "lp1.5", "lp4"])
+def test_multistart_rows_independent(kind):
+    # the lockstep starts give the classes of the same starts run one by one
+    rng = np.random.default_rng(41)
+    model = kind_model(kind, SampleSet.from_quaternions(rng.standard_normal((5, 4))))
+    got = multistart(model, 16, seed=3)
+    assert got
+    assert_same_classes(model, got, classes_one_by_one(model, drawn_starts(model, 16, 3)))
+
+
+def test_multistart_drops_slow_starts(monkeypatch):
+    # with an iteration budget that only some starts meet, multistart keeps
+    # the classes of those and drops the rest
+    model = CostModel.geodesic(SampleSet.from_quaternions(np.random.default_rng(42).standard_normal((5, 4))))
+    starts = drawn_starts(model, 16, 0)
+    for budget in range(1, 65):
+        monkeypatch.setattr(solvers, "MAX_ITERS", budget)
+        converged = sum(len(classes_one_by_one(model, [q0])) for q0 in starts)
+        if len(starts) // 2 <= converged < len(starts):
+            break
+    else:
+        pytest.fail("no budget lets only some starts converge")
+    want = classes_one_by_one(model, starts)
+    assert_same_classes(model, multistart(model, 16, seed=0), want)
+
+
 def test_multistart_validation():
     samples = build_samples(0.3)
     with pytest.raises(ValueError):
