@@ -185,7 +185,10 @@ def cmd_sweep(args) -> int:
     if (hi - lo) / step >= MAX_GRID_POINTS:
         # checked before np.arange, which would try to allocate the grid
         raise _ValidationError(f"--alpha-step gives more than {MAX_GRID_POINTS:g} grid points")
-    grid = np.arange(lo, hi + 0.5 * step, step)
+    # the slack above admits a hair past +-pi, and the half step that keeps
+    # alpha-max on the grid may overshoot it; build_samples takes neither
+    lo, hi = max(lo, -math.pi), min(hi, math.pi)
+    grid = np.minimum(np.arange(lo, hi + 0.5 * step, step), hi)
     records = sweep_mod.theta_min_curve(args.p, grid)
     out = args.out or "sweep.csv"
     sweep_mod.emit_csv(records, out)

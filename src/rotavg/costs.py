@@ -13,8 +13,11 @@ matrices. Writing x_i = <q, q_i>:
 
 The weights are the one definition the derivatives share: the gradient is
 -c sum_i w_i q_i (c = 16, 4, 2, p 8^(p/2)) and the pushforward residual is
-sum_i w_i Delta_i. Their slopes w'(x_i) give the tangent Hessian on S3 in
-Cartesian coordinates, c P(<w, d> I - Q^T diag(w') Q) P with P = I - q q^T:
+sum_i w_i Delta_i, whose entries are the coordinates of sum_i w_i q_i in the
+tangent frame B = tangent_frame(q) of S3 at q. Their slopes w'(x_i) give the
+tangent Hessian in the same frame, the 3x3 matrix
+K = c (<w, d> I - A^T diag(w') A) with A = Q B^T (row i: B q_i), which is
+B^T K B in Cartesian coordinates:
 
     l2 chordal      w' = 1
     geodesic        w' = -(sin phi - phi cos phi) / sin^3 phi,  phi = arccos|x_i|
@@ -35,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .control import ScalarField, apply_T_sphere
-from .geometry import SampleSet, _skew, delta_skew
+from .geometry import SampleSet, _skew, tangent_frame
 
 __all__ = [
     "DomainError",
@@ -299,32 +302,43 @@ class CostModel:
 
     def hessian(self, q):
         """Tangent Hessian of the cost on S3 at unit q, as a symmetric 4x4
-        matrix (one per row of a stack): c P(<w, d> I - Q^T diag(w') Q) P
-        with P = I - q q^T.
+        matrix (one per row of a stack): B^T K B with B = tangent_frame(q)
+        and K = c(<w, d> I - A^T diag(w') A) the 3x3 Hessian in that frame,
+        where A = Q B^T holds the samples' frame coordinates B q_i.
 
         It annihilates q; restricted to the tangent space it is the
         Riemannian Hessian (no covariant derivatives needed: the sphere's
         curvature enters through the <w, d> = <grad, q> / (-c) term). The
-        sample term is formed from the tangent parts P q_i = q_i - x_i q,
-        so a large w' next to a sample is not cancelled by P afterwards.
+        coordinates B q_i are tangent by construction, so a large w' next to
+        a sample is not cancelled by a projection afterwards.
         Raises like the gradient inside the guard buffer of an excluded set.
         """
         X, one = _rows(q)
+        B, K = self._frame_hessian(X, one)
+        H = B.transpose(0, 2, 1) @ K @ B
+        return H[0] if one else H
+
+    def _frame_hessian(self, X, one=False):
+        """The tangent frames B (n, 3, 4) at the unit rows of X and the
+        Hessians K (n, 3, 3) in them (see :meth:`hessian`). Rows inside a
+        guard buffer are NaN, or raise when ``one`` is set."""
         Q = self.samples.quaternions
         D = self._guard(self._dots(X), one)
-        P = np.eye(4) - X[:, :, None] * X[:, None, :]
-        H = np.vecdot(self._weights(D), D)[:, None, None] * P
+        K = np.vecdot(self._weights(D), D)[:, None, None] * np.eye(3)
         dW = self._dweights(D)
-        # the tangent parts of ceil(n / 4) rows at a time: each stack then
-        # holds about n r numbers, as many as D, where all rows at once would
-        # hold 4 n r and set the peak memory of a large-r multistart
+        # B(x) q_i = -B(q_i) x, so the samples' own frames F give -A for
+        # every row in one matvec, with the bits of the one-point call; the
+        # sign drops out of A^T diag(w') A
+        F = tangent_frame(Q).reshape(-1, 4)
+        # ceil(n / 4) rows at a time: each stack then holds 3 n r / 4
+        # numbers, fewer than D, where all rows at once would hold 3 n r and
+        # set the peak memory of a large-r multistart
         step = max(1, -(-len(X) // 4))
         for k in range(0, len(X), step):
-            U = D[k : k + step, :, None] * X[k : k + step, None, :]
-            np.subtract(Q, U, out=U)  # rows: the tangent parts P q_i = q_i - x_i q
-            H[k : k + step] -= (U * dW[k : k + step, :, None]).transpose(0, 2, 1) @ U
-        H *= self.scale
-        return H[0] if one else H
+            A = np.matvec(F, X[k : k + step]).reshape(-1, len(Q), 3)
+            K[k : k + step] -= (A * dW[k : k + step, :, None]).transpose(0, 2, 1) @ A
+        K *= self.scale
+        return tangent_frame(X), K
 
     def pushforward_residual(self, q) -> np.ndarray:
         """sum_i w_i(q) Delta_i(q): the critical-point system pushed to SO(3).
@@ -334,7 +348,7 @@ class CostModel:
         """
         q = np.asarray(q, dtype=float)
         w = self._weights(self._guard(self._dots(q[None]), True))[0]
-        return _skew(*(np.dot(w, e) for e in delta_skew(q, self.samples.quaternions)))
+        return _skew(*(tangent_frame(q) @ (w @ self.samples.quaternions)))
 
     def _rho(self, t):
         """Rotation-space weights rho(t_i) at the traces t_i = tr(R^T R_i)."""

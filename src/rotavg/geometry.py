@@ -4,8 +4,8 @@ Unit quaternions q = (q0, q1, q2, q3) (scalar first) double-cover SO(3):
 q and -q map to the same rotation. Everything downstream — cost models,
 control fields, the parametric sweep — is built on the handful of maps
 in this module: the covering map and its differential, the inverse lift,
-three distances, and the skew matrices that push tangent data down to
-rotation space.
+three distances, the global orthonormal tangent frame of S3, and the skew
+matrices that push tangent data down to rotation space.
 
 All functions take and return plain numpy arrays.
 """
@@ -25,6 +25,7 @@ __all__ = [
     "dist_d1",
     "dist_d2",
     "dist_d3",
+    "tangent_frame",
     "delta_skew",
     "dp_apply",
     "SampleSet",
@@ -187,25 +188,40 @@ def dist_d3(R1, R2):
     return float(1.0 - 0.5 * np.sqrt(max(t + 1.0, 0.0)))
 
 
+# tangent_frame(q)[k] = q[_FRAME_INDEX[k]] * _FRAME_SIGN[k]: the rows
+# (q3, -q2, q1, -q0), (-q2, -q3, q0, q1) and (q1, -q0, -q3, q2)
+_FRAME_INDEX = np.array([[3, 2, 1, 0], [2, 3, 0, 1], [1, 0, 3, 2]])
+_FRAME_SIGN = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0], [1.0, -1.0, -1.0, 1.0]])
+
+
+def tangent_frame(q):
+    """The global orthonormal tangent frame of S3 at unit q.
+
+    Parameters
+    ----------
+    q : (4,) or (n, 4) array_like
+        Unit quaternion(s).
+
+    Returns
+    -------
+    (3, 4) or (n, 3, 4) ndarray
+        B with ``B @ q == 0``, ``B @ B.T == I`` and ``B(-q) == -B(q)``: its
+        rows span the tangent space at q. ``B @ qi`` are the entries
+        (a, b, c) of :func:`delta_skew` at (q, qi).
+    """
+    return np.asarray(q, dtype=float)[..., _FRAME_INDEX] * _FRAME_SIGN
+
+
 def delta_skew(q, qi):
     """The skew matrix Delta_i(q) pairing a point q with a sample lift qi.
 
-    Assembled from its three independent entries, so ``D + D.T`` is exactly
-    zero. Satisfies ``delta_skew(-q, qi) == -delta_skew(q, qi)`` and
+    Its entries (a, b, c), with ``Delta_i = [[0, a, b], [-a, 0, c],
+    [-b, -c, 0]]``, are the coordinates ``tangent_frame(q) @ qi`` of qi in
+    the tangent frame at q, so ``D + D.T`` is exactly zero. Satisfies
+    ``delta_skew(-q, qi) == -delta_skew(q, qi)`` and
     ``<q,qi> * Delta_i(q) == ((R^q)^T R^qi - (R^qi)^T R^q) / 4``.
-
-    Given an (r, 4) array of lifts instead, returns the entry arrays
-    (a, b, c), each of shape (r,), with ``Delta_i = [[0, a_i, b_i],
-    [-a_i, 0, c_i], [-b_i, -c_i, 0]]`` for row i.
     """
-    q0, q1, q2, q3 = np.asarray(q, dtype=float)
-    p0, p1, p2, p3 = np.asarray(qi, dtype=float).T
-    a = -q0 * p3 + q1 * p2 - q2 * p1 + q3 * p0
-    b = q0 * p2 + q1 * p3 - q2 * p0 - q3 * p1
-    c = -q0 * p1 + q1 * p0 + q2 * p3 - q3 * p2
-    if np.ndim(a):
-        return a, b, c
-    return _skew(a, b, c)
+    return _skew(*(tangent_frame(q) @ qi))
 
 
 def _skew(a, b, c):

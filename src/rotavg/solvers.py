@@ -139,21 +139,26 @@ def _newton_trial(model, X, V, nv, cost, noise):
     """One Riemannian Newton step from each unit row of X: which rows take
     it, and their new points and costs.
 
-    The step is eta = -(H + q q^T)^-1 v / 4: v / 4 is the Riemannian gradient
-    and H the tangent Hessian, which q q^T makes invertible without changing
-    its action on the tangent space. It is tried only where H is positive
-    definite on the tangent space (H + q q^T passes Cholesky) and eta is
+    In the tangent frame B at q (:func:`~rotavg.geometry.tangent_frame`) the
+    step solves K e = -B v / 4, where v / 4 is the Riemannian gradient and
+    K = B H B^T the 3x3 tangent Hessian (H from :meth:`CostModel.hessian`),
+    and moves by eta = B^T e. One eigendecomposition K = E diag(lam) E^T
+    gives both the gate and the step eta = B^T E (E^T B (-v / 4) / lam). The step
+    is tried only where K is positive definite (lam_min > 0) and eta is
     finite and no longer than NEWTON_RADIUS, and taken if the cost at
     normalize(q + eta) falls by more than the noise scale, or stays within
     it while ||control_field|| at least halves.
     """
     took = np.zeros(len(X), dtype=bool)
     Y, cY = np.empty_like(X), np.empty(len(X))
-    M = model.hessian(X) + X[:, :, None] * X[:, None, :]
-    # ||eta|| >= ||v / 4|| / ||M||_F, so the other rows would step too far
-    rows = np.flatnonzero(0.25 * nv <= NEWTON_RADIUS * np.sqrt((M * M).sum(axis=(1, 2))))
-    rows = rows[_cholesky_passes(M[rows])]
-    eta = np.linalg.solve(M[rows], -0.25 * V[rows][:, :, None])[:, :, 0]
+    B, K = model._frame_hessian(X)
+    # ||eta|| >= ||v / 4|| / ||K||_F, so the other rows would step too far
+    rows = np.flatnonzero(0.25 * nv <= NEWTON_RADIUS * np.sqrt((K * K).sum(axis=(1, 2))))
+    lam, E = np.linalg.eigh(K[rows])
+    pd = lam[:, 0] > 0.0  # eigh sorts each row ascending
+    rows, lam = rows[pd], lam[pd]
+    EB = E[pd].transpose(0, 2, 1) @ B[rows]  # rows: the eigenvectors as tangent vectors
+    eta = np.vecmat(np.matvec(EB, -0.25 * V[rows]) / lam, EB)
     short = np.all(np.isfinite(eta), axis=1) & (np.sqrt(np.vecdot(eta, eta)) <= NEWTON_RADIUS)
     rows, eta = rows[short], eta[short]
     Y[rows] = normalize(X[rows] + eta)
@@ -161,19 +166,6 @@ def _newton_trial(model, X, V, nv, cost, noise):
     dc = cY[rows] - cost[rows]
     took[rows] = _or_field_shrinks(model, Y[rows], dc < -noise[rows], dc <= noise[rows], 0.5 * nv[rows])
     return took, Y, cY
-
-
-def _cholesky_passes(M):
-    """Which matrices of the stack M np.linalg.cholesky factors. A stack
-    raises if any one of them fails, so a failing stack is split in halves."""
-    try:
-        np.linalg.cholesky(M)
-        return np.ones(len(M), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(M) == 1:
-            return np.zeros(1, dtype=bool)
-        half = len(M) // 2
-        return np.concatenate([_cholesky_passes(M[:half]), _cholesky_passes(M[half:])])
 
 
 def _or_field_shrinks(model, Y, ok, within_noise, field_bound):
@@ -264,9 +256,10 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
 def classify(model: CostModel, point: CriticalPoint):
     """Label a converged point Min/Max/Saddle/Degenerate/Boundary.
 
-    The analytic tangent Hessian (:meth:`CostModel.hessian`) in an
-    orthonormal tangent basis at q. Eigenvalues below 1e-6 of the dominant
-    one are treated as zero (critical circles make one soft direction
+    The eigenvalues of the analytic tangent Hessian
+    (:meth:`CostModel.hessian`) in the tangent frame at q
+    (:func:`~rotavg.geometry.tangent_frame`). Eigenvalues below 1e-6 of the
+    dominant one are treated as zero (critical circles make one soft direction
     routine); the second return value flags that degeneracy. Points within
     BOUNDARY_CLEARANCE of an excluded set are labeled Boundary.
     """
@@ -274,13 +267,12 @@ def classify(model: CostModel, point: CriticalPoint):
 
 
 def _classify_rows(model, Q):
-    """:func:`classify` for each row of Q: one batched Hessian and one
-    stacked eigvalsh over the rows clear of the boundary."""
+    """:func:`classify` for each row of Q: one batched Hessian in the
+    tangent frame and one stacked eigvalsh, over the rows clear of the
+    boundary."""
     labels = [("Boundary", False)] * len(Q)
     inner = np.flatnonzero(model.clearance(Q) >= BOUNDARY_CLEARANCE)
-    X = Q[inner]
-    B = np.linalg.svd(X[:, None, :])[2][:, 1:]  # rows: orthonormal basis of the tangent space at q
-    lams = np.linalg.eigvalsh(B @ model.hessian(X) @ B.transpose(0, 2, 1))
+    lams = np.linalg.eigvalsh(model._frame_hessian(Q[inner])[1])
     for k, lam in zip(inner, lams):
         scale = float(np.max(np.abs(lam)))
         signif = lam[np.abs(lam) >= 1e-6 * scale]

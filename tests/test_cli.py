@@ -253,6 +253,24 @@ def test_sweep_rejects_bad_window(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "window",
+    [
+        # np.arange's half-step overshoot passes pi
+        ["--alpha-min", "3.1", "--alpha-max", "3.141592653589793", "--alpha-step", "0.08"],
+        # admitted by the window check's slack, a hair below -pi
+        ["--alpha-min", "-3.14159265359"],
+    ],
+    ids=["past-pi", "below-minus-pi"],
+)
+def test_sweep_window_at_pi(window, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *window, "--out", str(out)]) == 0
+    capsys.readouterr()
+    alphas = [rec.alpha for rec in parse_csv(str(out))]
+    assert alphas and all(-np.pi <= a <= np.pi for a in alphas)
+
+
 def test_sweep_grid_too_long(tmp_path, capsys):
     # rejected before the grid is allocated
     out = tmp_path / "sweep.csv"

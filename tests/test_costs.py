@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from rotavg.control import fd_gradient
 from rotavg.costs import EPS_DOM, CostModel, DomainError, NonDifferentiable, so3_log
-from rotavg.geometry import SampleSet, covering_map, normalize
+from rotavg.geometry import SampleSet, covering_map, delta_skew, normalize
 
 IDENTITY = SampleSet.from_quaternions([[1.0, 0.0, 0.0, 0.0]])
 
@@ -189,6 +189,34 @@ def test_hessian_properties(kind_p, Q, x):
     assert_hessian_matches(model, q)
 
 
+def projector_hessian(model, q):
+    # the Cartesian form c P(<w, d> I - U^T diag(w') U) P with P = I - q q^T
+    # and U's rows the tangent parts q_i - x_i q: a reference for the frame
+    # form that shares none of its steps
+    Q = model.samples.quaternions
+    d = Q @ q
+    P = np.eye(4) - np.outer(q, q)
+    U = Q - np.outer(d, q)
+    inner = np.dot(model._weights(d), d) * np.eye(4) - U.T @ (model._dweights(d)[:, None] * U)
+    return model.scale * P @ inner @ P
+
+
+@pytest.mark.parametrize("r", [1, 5, 1000])
+@pytest.mark.parametrize("kind,p", HESSIAN_CASES)
+def test_hessian_matches_projector_form(kind, p, r):
+    rng = np.random.default_rng([28, r])
+    model = make(kind, SampleSet.from_quaternions(rng.standard_normal((r, 4))), p)
+    X = np.array([probe(rng, model, margin=1e-3) for _ in range(8)])
+    H = model.hessian(X)
+    for q, h in zip(X, H):
+        # relative to the terms the Hessian sums: at r = 1000 they cancel to
+        # about 1 % of their size, which leaves rounding that is relative to
+        # them, not to H
+        d = model.samples.quaternions @ q
+        terms = model.scale * (abs(np.dot(model._weights(d), d)) + np.abs(model._dweights(d)).sum())
+        assert np.abs(h - projector_hessian(model, q)).max() <= 1e-13 * terms
+
+
 def test_hessian_guard():
     # inside the guard buffer the Hessian raises like the gradient
     inside = np.array([EPS_DOM / 2.0, 1.0, 0.0, 0.0])
@@ -291,6 +319,21 @@ def test_pushforward_even_and_skew():
             S = model.pushforward_residual(q)
             assert np.abs(S + S.T).max() == 0.0
             assert np.abs(model.pushforward_residual(-q) - S).max() == 0.0
+
+
+def test_pushforward_is_weighted_delta_sum():
+    # sum_i w_i Delta_i(q), summed sample by sample
+    rng = np.random.default_rng(29)
+    for r in (1, 5, 50):
+        samples = SampleSet.from_quaternions(rng.standard_normal((r, 4)))
+        for kind, p in HESSIAN_CASES:
+            model = make(kind, samples, p)
+            for _ in range(10):
+                q = probe(rng, model, margin=1e-3)
+                w = model._weights(samples.quaternions @ q)
+                want = sum(wi * delta_skew(q, qi) for wi, qi in zip(w, samples.quaternions))
+                got = model.pushforward_residual(q)
+                assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(w).sum())
 
 
 def test_l2_pushforward_vs_rotation_residual():

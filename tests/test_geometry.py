@@ -15,6 +15,7 @@ from rotavg.geometry import (
     normalize,
     quat_from_rotation,
     rotation_angle,
+    tangent_frame,
 )
 
 
@@ -156,18 +157,39 @@ def test_delta_skew_structure():
         assert np.abs(delta_skew(-q, qi) + D).max() == 0.0
 
 
-def test_delta_skew_batched_matches_rows():
-    # an (r, 4) array of lifts gives the entry arrays of every Delta_i, bit
-    # for bit the entries of the one-sample call
-    rng = np.random.default_rng(7)
-    for r in (1, 2, 6):
-        q = rand_unit(rng)
-        Q = np.array([rand_unit(rng) for _ in range(r)])
-        a, b, c = delta_skew(q, Q)
-        assert a.shape == b.shape == c.shape == (r,)
-        for i in range(r):
-            D = delta_skew(q, Q[i])
-            assert (D[0, 1], D[0, 2], D[1, 2]) == (a[i], b[i], c[i])
+def delta_entries(q, qi):
+    # the entries (a, b, c) of Delta_i(q) written out term by term: a
+    # reference for the frame rows
+    q0, q1, q2, q3 = q
+    p0, p1, p2, p3 = qi
+    a = -q0 * p3 + q1 * p2 - q2 * p1 + q3 * p0
+    b = q0 * p2 + q1 * p3 - q2 * p0 - q3 * p1
+    c = -q0 * p1 + q1 * p0 + q2 * p3 - q3 * p2
+    return np.array([a, b, c])
+
+
+def test_tangent_frame_orthonormal_and_odd():
+    rng = np.random.default_rng(8)
+    Q = normalize(rng.standard_normal((500, 4)))
+    Bs = tangent_frame(Q)
+    assert Bs.shape == (500, 3, 4)
+    for q, B in zip(Q, Bs):
+        assert B.shape == (3, 4)
+        assert np.abs(B @ q).max() < 1e-15
+        assert np.abs(B @ B.T - np.eye(3)).max() < 1e-15
+        assert np.array_equal(tangent_frame(-q), -B)
+        # a stack gives the one-point frame row by row
+        assert np.array_equal(tangent_frame(q), B)
+
+
+def test_tangent_frame_gives_delta_entries():
+    rng = np.random.default_rng(9)
+    for _ in range(500):
+        q, qi = rand_unit(rng), rand_unit(rng)
+        abc = delta_entries(q, qi)
+        assert np.abs(tangent_frame(q) @ qi - abc).max() < 1e-15
+        D = delta_skew(q, qi)
+        assert np.abs(D - np.array([[0, abc[0], abc[1]], [-abc[0], 0, abc[2]], [-abc[1], -abc[2], 0]])).max() < 1e-15
 
 
 def test_delta_skew_rotation_relation():

@@ -5,7 +5,7 @@ import pytest
 
 from rotavg import solvers
 from rotavg.costs import CostModel
-from rotavg.geometry import SampleSet, canonicalize_sign, covering_map, normalize
+from rotavg.geometry import SampleSet, canonicalize_sign, covering_map, normalize, tangent_frame
 from rotavg.solvers import (
     AmbiguousMean,
     CriticalPoint,
@@ -153,6 +153,30 @@ def test_newton_finish_field_evaluations(monkeypatch):
     pt = flow_descend(model, random_unit_quaternion(np.random.default_rng(0)))
     assert pt.control_norm < 1e-12
     assert len(calls) <= 40
+
+
+def test_newton_steps_only_positive_definite_rows():
+    # the l2 critical points are the eigenvectors e_0..e_3 of sum_i q_i q_i^T
+    # (ascending eigenvalues lam): e_3 is the minimum, e_1 and e_2 saddles,
+    # e_0 the maximum, and the tangent Hessian at e_k along e_j is
+    # 16 (lam_k - lam_j). Each row starts 1e-5 from e_k towards e_j; for
+    # j < k the curvature there is positive and a Newton step would lower the
+    # cost, so only the positive-definite gate keeps the saddle rows still
+    rng = np.random.default_rng(31)
+    model = CostModel.l2_chordal(SampleSet.from_quaternions(rng.standard_normal((5, 4))))
+    E = np.linalg.eigh(model.samples.quaternions.T @ model.samples.quaternions)[1].T
+    pairs = [(3, 0), (2, 1), (1, 0), (0, 2), (3, 2), (2, 0), (3, 1), (1, 0)]
+    X = normalize(np.array([E[k] + 1e-5 * E[j] for k, j in pairs]) * rng.choice([-1.0, 1.0], (len(pairs), 1)))
+    near_min = np.array([k == 3 for k, _ in pairs])
+    B = tangent_frame(X)
+    K = B @ model.hessian(X) @ B.transpose(0, 2, 1)
+    assert np.array_equal(np.linalg.eigvalsh(K).min(axis=1) > 0.0, near_min)
+    V = model.control_field(X)
+    cost = model.value(X)
+    took, Y, cY = solvers._newton_trial(model, X, V, np.sqrt(np.vecdot(V, V)), cost, 1e-13 * (1.0 + np.abs(cost)))
+    assert np.array_equal(took, near_min)
+    assert np.all(cY[took] < cost[took])
+    assert np.all(1.0 - np.abs(Y[took] @ E[3]) < 1e-15)
 
 
 def test_newton_finish_keeps_basins():

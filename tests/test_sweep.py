@@ -221,7 +221,7 @@ def test_csv_min_rows(tmp_path):
     recs = theta_min_curve(4.0, [-0.78])
     path = tmp_path / "one.csv"
     emit_csv(recs, path)
-    rows = [line.split(",") for line in open(path).read().splitlines()[1:]]
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     min_rows = [r for r in rows if r[2].startswith("min:")]
     assert [r[2][4:] for r in min_rows] == list(recs[0].min_set_label)
     flagged = {r[2] for r in rows if r[8] == "1" and not r[2].startswith("min:")}
