@@ -82,15 +82,13 @@ class EvenPolynomial:
     def __post_init__(self):
         c = tuple(float(x) for x in self.coeffs)
         object.__setattr__(self, "coeffs", c)
+        if not all(math.isfinite(x) for x in c):
+            raise ValueError("coefficients must be finite")
         if any(x != 0.0 for x in c[1::2]):
             raise ValueError("odd-degree coefficients must vanish")
 
     def evaluate(self, z):
         return npoly.polyval(z, np.asarray(self.coeffs))
-
-    def in_w(self):
-        """Ascending coefficients of the same polynomial in W = Z^2."""
-        return np.asarray(self.coeffs)[0::2].copy()
 
 
 def q2_coeffs(alpha: float) -> EvenPolynomial:
@@ -113,12 +111,25 @@ def q4_coeffs(alpha: float) -> EvenPolynomial:
     return EvenPolynomial((a0, 0.0, a2, 0.0, a4, 0.0, a6, 0.0, 16.0))
 
 
+def _horner(c, x):
+    # numpy polyval's operation order, highest coefficient first, so the
+    # result matches polyval's bit for bit
+    v = c[-1]
+    for a in c[-2::-1]:
+        v = a + v * x
+    return v
+
+
+def _derivative(c):
+    return tuple(j * c[j] for j in range(1, len(c)))
+
+
 def _bisect_root(c, lo, hi, flo):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo < 1e-13:
             break
-        fm = float(npoly.polyval(mid, c))
+        fm = _horner(c, mid)
         if fm == 0.0:
             break
         if (fm < 0.0) == (flo < 0.0):
@@ -128,12 +139,12 @@ def _bisect_root(c, lo, hi, flo):
     # Newton polish: simple roots sharpen to full precision, which matters
     # for roots many orders smaller than the bisection width floor
     x = 0.5 * (lo + hi)
-    dc = npoly.polyder(c)
+    dc = _derivative(c)
     for _ in range(3):
-        d = float(npoly.polyval(x, dc))
+        d = _horner(dc, x)
         if d == 0.0:
             break
-        x2 = x - float(npoly.polyval(x, c)) / d
+        x2 = x - _horner(c, x) / d
         if not (lo - 1e-9 <= x2 <= hi + 1e-9):
             break
         x = x2
@@ -144,14 +155,15 @@ def _real_roots_on(c, lo, hi, ztol):
     # roots of P' partition [lo, hi] into monotone pieces; recurse on the
     # derivative, then bisect every sign change and keep near-zero nodes
     # (this catches multiple roots that plain companion-matrix solves smear)
-    c = np.trim_zeros(np.asarray(c, dtype=float), "b")
-    if c.size <= 1:
+    while c and c[-1] == 0.0:
+        c = c[:-1]
+    if len(c) <= 1:
         return []
-    if c.size == 2:
+    if len(c) == 2:
         r = -c[0] / c[1]
         return [r] if lo - 1e-12 <= r <= hi + 1e-12 else []
-    nodes = [lo] + sorted(_real_roots_on(npoly.polyder(c), lo, hi, ztol)) + [hi]
-    vals = [float(npoly.polyval(t, c)) for t in nodes]
+    nodes = [lo] + sorted(_real_roots_on(_derivative(c), lo, hi, ztol)) + [hi]
+    vals = [_horner(c, t) for t in nodes]
     n = len(nodes)
     cross = [vals[i] * vals[i + 1] < 0.0 for i in range(n - 1)]
     roots = []
@@ -175,16 +187,16 @@ def positive_roots(poly: EvenPolynomial):
     """All roots of an even polynomial in (0, 1], ascending, multiplicity-free.
 
     Works in W = Z^2 (halving the degree), isolates by a derivative chain
-    and refines by bisection. A node of the chain with no sign change around
-    it counts as a multiple root only where |poly| is at rounding level,
-    1e-14 * max|coeff|; counting the near-zero values beside a double root
-    as well would make the root count odd there.
+    and refines by bisection, all in Python floats. A node of the chain with
+    no sign change around it counts as a multiple root only where |poly| is
+    at rounding level, 1e-14 * max|coeff|; counting the near-zero values
+    beside a double root as well would make the root count odd there.
     """
-    w = poly.in_w()
-    if not np.any(w != 0.0):
+    w = poly.coeffs[0::2]
+    if not any(w):
         raise ValueError("polynomial is identically zero")
-    ztol = 1e-14 * max(1.0, float(np.max(np.abs(w))))
-    return [float(math.sqrt(r)) for r in _real_roots_on(w, 0.0, 1.0, ztol) if r > 0.0]
+    ztol = 1e-14 * max(1.0, max(abs(a) for a in w))
+    return [math.sqrt(r) for r in _real_roots_on(w, 0.0, 1.0, ztol) if r > 0.0]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from rotavg.geometry import canonicalize_sign, covering_map
@@ -41,6 +42,14 @@ def test_even_polynomial():
         EvenPolynomial((0.0, 1.0, 0.0))  # odd coefficient
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_even_polynomial_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        EvenPolynomial((bad, 0.0, -1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        EvenPolynomial((1.0, 0.0, bad, 0.0, 1.0))
+
+
 def test_positive_roots_factored():
     # Z^4 - 0.58 Z^2 + 0.0441 = (Z^2 - 0.09)(Z^2 - 0.49)
     roots = positive_roots(EvenPolynomial((0.0441, 0.0, -0.58, 0.0, 1.0)))
@@ -64,6 +73,104 @@ def test_positive_roots_tiny():
     p = q2_coeffs(-1.571593)
     for r in roots:
         assert abs(p.evaluate(r)) < 1e-10
+
+
+def _reference_bisect(c, lo, hi, flo):
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-13:
+            break
+        fm = float(npoly.polyval(mid, c))
+        if fm == 0.0:
+            break
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    dc = npoly.polyder(c)
+    for _ in range(3):
+        d = float(npoly.polyval(x, dc))
+        if d == 0.0:
+            break
+        x2 = x - float(npoly.polyval(x, c)) / d
+        if not (lo - 1e-9 <= x2 <= hi + 1e-9):
+            break
+        x = x2
+    return x
+
+
+def _reference_roots_on(c, lo, hi, ztol):
+    c = np.trim_zeros(np.asarray(c, dtype=float), "b")
+    if c.size <= 1:
+        return []
+    if c.size == 2:
+        r = -c[0] / c[1]
+        return [r] if lo - 1e-12 <= r <= hi + 1e-12 else []
+    nodes = [lo] + sorted(_reference_roots_on(npoly.polyder(c), lo, hi, ztol)) + [hi]
+    vals = [float(npoly.polyval(t, c)) for t in nodes]
+    n = len(nodes)
+    cross = [vals[i] * vals[i + 1] < 0.0 for i in range(n - 1)]
+    roots = []
+    for i in range(n):
+        flanked = (i > 0 and cross[i - 1]) or (i < n - 1 and cross[i])
+        if abs(vals[i]) <= ztol and not flanked:
+            roots.append(nodes[i])
+    for i in range(n - 1):
+        if cross[i]:
+            roots.append(_reference_bisect(c, nodes[i], nodes[i + 1], vals[i]))
+    out = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > 1e-10:
+            out.append(r)
+    return out
+
+
+def _reference_positive_roots(poly):
+    """The isolator on numpy arrays (polyval, polyder, trim_zeros): the same
+    algorithm as positive_roots, so its roots must match bit for bit."""
+    w = np.asarray(poly.coeffs)[0::2]
+    ztol = 1e-14 * max(1.0, float(np.max(np.abs(w))))
+    return [float(math.sqrt(r)) for r in _reference_roots_on(w, 0.0, 1.0, ztol) if r > 0.0]
+
+
+def test_positive_roots_bits_match_reference():
+    grid = np.arange(-math.pi, math.pi + 0.005, 0.01)
+    rng = np.random.default_rng(9)
+    random_alphas = rng.uniform(-math.pi, math.pi, 2000)
+    for q in (q2_coeffs, q4_coeffs):
+        alphas = [grid, random_alphas, math.pi / 24 * np.arange(-24, 25)]
+        if q is q4_coeffs:
+            alphas += [np.linspace(a - 1e-6, a + 1e-6, 201) for a in QUARTIC_DOUBLE_ROOTS]
+        for a in np.concatenate(alphas):
+            poly = q(float(a))
+            assert positive_roots(poly) == _reference_positive_roots(poly), (q.__name__, a)
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        ((0.25, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0), [0.5]),  # trailing zeros
+        ((3.0,), []),  # nonzero constant
+        ((3.0, 0.0, 0.0), []),  # nonzero constant with a trailing zero
+        ((-0.25, 0.0, 1.0), [0.5]),  # linear in W
+        ((0.0, 0.0, -0.25, 0.0, 1.0), [0.5]),  # W (W - 1/4): the root W = 0 is dropped
+        ((0.25, 0.0, -1.25, 0.0, 1.0), [0.5, 1.0]),  # (W - 1/4)(W - 1)
+        ((1.0, 0.0, -2.0, 0.0, 1.0), [1.0]),  # (W - 1)^2: a double root at W = 1
+        ((0.0, 0.0, 0.0, 0.0, 1.0), []),  # W^2: a double root at W = 0
+    ],
+)
+def test_positive_roots_edge_cases(coeffs, expected):
+    poly = EvenPolynomial(coeffs)
+    roots = positive_roots(poly)
+    assert roots == _reference_positive_roots(poly)
+    assert np.allclose(roots, expected, rtol=0.0, atol=1e-12)
+    assert all(type(r) is float for r in roots)
+
+
+def test_positive_roots_rejects_zero_polynomial():
+    with pytest.raises(ValueError, match="identically zero"):
+        positive_roots(EvenPolynomial((0.0, 0.0, 0.0)))
 
 
 def test_q2_coeffs_quarter():
