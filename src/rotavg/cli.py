@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -60,18 +61,84 @@ _EXIT_CODES = {
 }
 
 
-def _numeric(ent, i, key, shape, what):
-    """The finite array under ent[key], of the given shape."""
+# each entry key -> the shape of its value and how a wrong shape is reported
+_VALUES = {"matrix": ((3, 3), "be 3x3"), "quaternion": ((4,), "have 4 components")}
+# the types json.load gives a JSON number; a string, true/false or null is none of them
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _numeric(values):
+    """values as one float array, or None if they are ragged or hold
+    anything but JSON numbers."""
     try:
-        a = np.asarray(ent[key], dtype=float)
-    except (TypeError, ValueError) as e:
-        raise _ParseError(f"rotations[{i}].{key} is not numeric") from e
-    if a.shape != shape:
-        raise _ParseError(f"rotations[{i}].{key} must {what}")
-    if not np.all(np.isfinite(a)):
-        # NaN passes every norm and orthogonality test below
-        raise _ValidationError(f"rotations[{i}].{key} has a non-finite entry")
-    return a
+        a = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or a leaf float() refuses
+        return None
+    leaves = values
+    for _ in range(a.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    return a if _NUMBER_TYPES.issuperset(map(type, leaves)) else None
+
+
+def _stacks(entries, keys):
+    """key -> (entry indices, stacked values) for the entries with that key,
+    or None if some value is not an array of JSON numbers of its shape."""
+    stacks = {}
+    for key, (shape, _) in _VALUES.items():
+        rows = [i for i, k in enumerate(keys) if k == key]
+        a = _numeric([entries[i][key] for i in rows]) if rows else np.empty((0, *shape))
+        if a is None or a.shape != (len(rows), *shape):
+            return None
+        stacks[key] = rows, a
+    return stacks
+
+
+def _parse_error(i, key, value):
+    """The parse error of entry i's value, or None if it stacks."""
+    shape, what = _VALUES[key]
+    a = _numeric([value])
+    if a is None:
+        return _ParseError(f"rotations[{i}].{key} is not numeric")
+    if a.shape[1:] != shape:
+        return _ParseError(f"rotations[{i}].{key} must {what}")
+    return None
+
+
+def _checked_lifts(keys, stacks):
+    """The unit lifts of the entries. Raises the error of the first entry
+    that fails a check, naming that entry's first failing check."""
+    (mrows, R), (qrows, Q) = stacks["matrix"], stacks["quaternion"]
+    # NaN passes every norm and orthogonality test, so non-finite rows fail
+    # first and the identity stands in for them in the tests after
+    mfinite = np.isfinite(R).all(axis=(1, 2))
+    qfinite = np.isfinite(Q).all(axis=1)
+    R = np.where(mfinite[:, None, None], R, np.eye(3))
+    off = np.abs(np.matrix_transpose(R) @ R - np.eye(3)).max(axis=(1, 2))
+    det = np.linalg.det(R)
+    norm = np.sqrt(np.vecdot(Q, Q))
+    bad = np.zeros(len(keys), dtype=bool)
+    bad[mrows] = ~mfinite | (off > ORTHO_TOL) | (det < 0.0)
+    bad[qrows] = ~qfinite | (np.abs(norm - 1.0) > ORTHO_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        key = keys[i]
+        if key == "matrix":
+            j = mrows.index(i)
+            if not mfinite[j]:
+                raise _ValidationError(f"rotations[{i}].{key} has a non-finite entry")
+            if off[j] > ORTHO_TOL:
+                raise _ValidationError(f"rotations[{i}] is not orthogonal within {ORTHO_TOL:g}")
+            raise _ValidationError(f"rotations[{i}] has determinant -1 (not a rotation)")
+        j = qrows.index(i)
+        if not qfinite[j]:
+            raise _ValidationError(f"rotations[{i}].{key} has a non-finite entry")
+        raise _ValidationError(f"rotations[{i}] quaternion norm {float(norm[j]):.8f} is not 1")
+    quats = np.empty((len(keys), 4))
+    if mrows:
+        quats[mrows] = quat_from_rotation(R)
+    if qrows:
+        quats[qrows] = normalize(Q)
+    return quats
 
 
 def _load_rotations(path) -> SampleSet:
@@ -87,28 +154,32 @@ def _load_rotations(path) -> SampleSet:
     entries = doc["rotations"]
     if not isinstance(entries, list) or not entries:
         raise _ParseError('"rotations" must be a non-empty array')
-    quats = np.empty((len(entries), 4))
-    mats = {}  # entry index -> matrix, lifted together below
+    # the key of each entry, up to the first that is not an object with one;
+    # an error is raised only once every entry before it has passed its checks
+    keys, error = [], None
     for i, ent in enumerate(entries):
         if not isinstance(ent, dict):
-            raise _ParseError(f"rotations[{i}] must be an object")
+            error = _ParseError(f"rotations[{i}] must be an object")
+            break
         if "matrix" in ent:
-            R = _numeric(ent, i, "matrix", (3, 3), "be 3x3")
-            if float(np.max(np.abs(R.T @ R - np.eye(3)))) > ORTHO_TOL:
-                raise _ValidationError(f"rotations[{i}] is not orthogonal within {ORTHO_TOL:g}")
-            if np.linalg.det(R) < 0.0:
-                raise _ValidationError(f"rotations[{i}] has determinant -1 (not a rotation)")
-            mats[i] = R
+            keys.append("matrix")
         elif "quaternion" in ent:
-            q = _numeric(ent, i, "quaternion", (4,), "have 4 components")
-            n = float(np.linalg.norm(q))
-            if abs(n - 1.0) > ORTHO_TOL:
-                raise _ValidationError(f"rotations[{i}] quaternion norm {n:.8f} is not 1")
-            quats[i] = normalize(q)
+            keys.append("quaternion")
         else:
-            raise _ParseError(f'rotations[{i}] needs a "matrix" or "quaternion" key')
-    if mats:
-        quats[list(mats)] = quat_from_rotation(np.array(list(mats.values())))
+            error = _ParseError(f'rotations[{i}] needs a "matrix" or "quaternion" key')
+            break
+    stacks = _stacks(entries, keys)
+    if stacks is None:
+        # convert one value at a time only to name the first that does not stack
+        for i, key in enumerate(keys):
+            error = _parse_error(i, key, entries[i][key])
+            if error:
+                break
+        keys = keys[:i]
+        stacks = _stacks(entries, keys)
+    quats = _checked_lifts(keys, stacks)
+    if error:
+        raise error
     return SampleSet.from_quaternions(quats)
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .costs import CostModel
 from .geometry import SampleSet, canonicalize_sign, covering_map, normalize
@@ -86,9 +85,6 @@ class EvenPolynomial:
             raise ValueError("coefficients must be finite")
         if any(x != 0.0 for x in c[1::2]):
             raise ValueError("odd-degree coefficients must vanish")
-
-    def evaluate(self, z):
-        return npoly.polyval(z, np.asarray(self.coeffs))
 
 
 def q2_coeffs(alpha: float) -> EvenPolynomial:

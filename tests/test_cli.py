@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotavg.cli import main
+from rotavg.cli import ORTHO_TOL, _load_rotations, _ParseError, _ValidationError, main
+from rotavg.geometry import SampleSet, covering_map, normalize, quat_from_rotation
 from rotavg.sweep import parse_csv, theta_min_curve
 
 
@@ -209,6 +212,167 @@ def test_average_quaternion_input(tmp_path, capsys):
     # midpoint of two x-axis rotations 0 and 0.2
     R_mid = np.asarray(rot_x(0.1))
     assert np.abs(np.asarray(best["matrix"]) - R_mid).max() < 1e-7
+
+
+@pytest.mark.parametrize("components", [["1e0", "0", "0", "0"], [True, False, False, False], [None, 0, 0, 1]],
+                         ids=["strings", "booleans", "null"])
+def test_distance_rejects_non_number_components(components, tmp_path, capsys):
+    # float() reads "1e0" and true as 1.0 and numpy reads null as NaN, but
+    # none of them is a JSON number
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"rotations": [{"quaternion": [1, 0, 0, 0]}, {"quaternion": components}]}))
+    assert main(["distance", "--input", str(p)]) == 2
+    assert capsys.readouterr().err == "error: rotations[1].quaternion is not numeric\n"
+
+
+def test_average_rejects_string_matrix_entry(tmp_path, capsys):
+    R = rot_x(0.3)
+    R[1][1] = str(R[1][1])
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"rotations": [{"matrix": R}]}))
+    assert main(["average", "--input", str(p)]) == 2
+    assert capsys.readouterr().err == "error: rotations[0].matrix is not numeric\n"
+
+
+def _error_of(doc, tmp_path, capsys):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    rc = main(["distance", "--input", str(p)])
+    return rc, capsys.readouterr().err
+
+
+def test_error_names_first_faulty_entry(tmp_path, capsys):
+    # a validation fault before a parse fault is the one reported
+    rc, err = _error_of({"rotations": [{"matrix": [[float("nan")] * 3] * 3}, {"quaternion": [1, 0, 0]}]},
+                        tmp_path, capsys)
+    assert rc == 3 and err == "error: rotations[0].matrix has a non-finite entry\n"
+    rc, err = _error_of({"rotations": [{"quaternion": [1, 0, 0, 0]}, [1, 0, 0, 0]]}, tmp_path, capsys)
+    assert rc == 2 and err == "error: rotations[1] must be an object\n"
+
+
+def test_error_names_last_of_many_entries(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    Rs = covering_map(normalize(rng.standard_normal((1000, 4))))
+    Rs[999] *= -1.0
+    rc, err = _error_of({"rotations": [{"matrix": R.tolist()} for R in Rs]}, tmp_path, capsys)
+    assert rc == 3 and err == "error: rotations[999] has determinant -1 (not a rotation)\n"
+
+
+def _reference_load_rotations(path):
+    """The entry-at-a-time loader the batched one replaced, kept as the
+    reference for its results and errors on files of JSON numbers."""
+
+    def numeric(ent, i, key, shape, what):
+        try:
+            a = np.asarray(ent[key], dtype=float)
+        except (TypeError, ValueError) as e:
+            raise _ParseError(f"rotations[{i}].{key} is not numeric") from e
+        if a.shape != shape:
+            raise _ParseError(f"rotations[{i}].{key} must {what}")
+        if not np.all(np.isfinite(a)):
+            raise _ValidationError(f"rotations[{i}].{key} has a non-finite entry")
+        return a
+
+    with open(path, encoding="utf-8") as fh:
+        entries = json.load(fh)["rotations"]
+    quats = np.empty((len(entries), 4))
+    mats = {}
+    for i, ent in enumerate(entries):
+        if not isinstance(ent, dict):
+            raise _ParseError(f"rotations[{i}] must be an object")
+        if "matrix" in ent:
+            R = numeric(ent, i, "matrix", (3, 3), "be 3x3")
+            if float(np.max(np.abs(R.T @ R - np.eye(3)))) > ORTHO_TOL:
+                raise _ValidationError(f"rotations[{i}] is not orthogonal within {ORTHO_TOL:g}")
+            if np.linalg.det(R) < 0.0:
+                raise _ValidationError(f"rotations[{i}] has determinant -1 (not a rotation)")
+            mats[i] = R
+        elif "quaternion" in ent:
+            q = numeric(ent, i, "quaternion", (4,), "have 4 components")
+            n = float(np.linalg.norm(q))
+            if abs(n - 1.0) > ORTHO_TOL:
+                raise _ValidationError(f"rotations[{i}] quaternion norm {n:.8f} is not 1")
+            quats[i] = normalize(q)
+        else:
+            raise _ParseError(f'rotations[{i}] needs a "matrix" or "quaternion" key')
+    if mats:
+        quats[list(mats)] = quat_from_rotation(np.array(list(mats.values())))
+    return SampleSet.from_quaternions(quats)
+
+
+FAULTS = ("not-object", "no-key", "ragged", "wrong-shape", "nan", "inf", "-inf",
+          "non-orthogonal", "reflection", "off-norm")
+# sizes of an orthogonality or norm fault: well past ORTHO_TOL, just past it, just inside it
+FAULT_SIZES = (1e-3, 1.5e-6, 5e-7)
+
+
+def _faulty(ent, fault, rng):
+    """ent with one fault of the given kind."""
+    (key, value), = ent.items()
+    a = np.array(value, dtype=float)
+    if fault == "not-object":
+        return value
+    if fault == "no-key":
+        return {"rotation": value}
+    if fault == "ragged":
+        if key == "matrix":
+            value[rng.integers(3)].pop()
+        else:
+            value[rng.integers(4)] = [value[0]]
+        return {key: value}
+    if fault == "wrong-shape":
+        return {key: value[:-1] if rng.integers(2) else value + value[:1]}
+    if fault in ("nan", "inf", "-inf"):
+        a.flat[rng.integers(a.size)] = float(fault)
+        return {key: a.tolist()}
+    size = FAULT_SIZES[rng.integers(len(FAULT_SIZES))]
+    if key == "matrix" and fault == "reflection":
+        return {key: (-a).tolist()}
+    if key == "matrix" and fault == "non-orthogonal":
+        a.flat[rng.integers(9)] += size
+        return {key: a.tolist()}
+    return {key: (a * (1.0 + size)).tolist()}
+
+
+@st.composite
+def rotation_lists(draw):
+    """Mixed matrix and quaternion entries of JSON numbers, some of them
+    integers, with zero, one or several faulty entries."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["matrix", "quaternion", "integer matrix", "integer quaternion"]))
+        # the identity and the half turns about the axes have integer entries
+        q = np.eye(4)[rng.integers(4)] if kind.startswith("integer") else normalize(rng.standard_normal(4))
+        value = covering_map(q) if kind.endswith("matrix") else q
+        if kind.startswith("integer"):
+            value = value.astype(int)
+        entries.append({kind.split()[-1]: value.tolist()})
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        entries[i] = _faulty(entries[i], draw(st.sampled_from(FAULTS)), rng)
+    return entries
+
+
+@pytest.fixture(scope="module")
+def loader_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader")
+
+
+def _load_outcome(load, path):
+    try:
+        s = load(path)
+    except (_ParseError, _ValidationError) as e:
+        return type(e), str(e)
+    return s.quaternions.tobytes(), s.rotations.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_lists())
+def test_load_matches_entry_at_a_time_reference(loader_dir, entries):
+    path = loader_dir / "in.json"
+    path.write_text(json.dumps({"rotations": entries}))
+    assert _load_outcome(_load_rotations, path) == _load_outcome(_reference_load_rotations, path)
 
 
 def test_sweep_transition_summary(tmp_path, capsys):
