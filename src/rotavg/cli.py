@@ -113,9 +113,12 @@ def _checked_lifts(keys, stacks):
     mfinite = np.isfinite(R).all(axis=(1, 2))
     qfinite = np.isfinite(Q).all(axis=1)
     R = np.where(mfinite[:, None, None], R, np.eye(3))
-    off = np.abs(np.matrix_transpose(R) @ R - np.eye(3)).max(axis=(1, 2))
-    det = np.linalg.det(R)
-    norm = np.sqrt(np.vecdot(Q, Q))
+    # a finite but huge entry overflows to inf here, which fails the checks
+    # below as it should; numpy's warning about it would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.abs(np.matrix_transpose(R) @ R - np.eye(3)).max(axis=(1, 2))
+        det = np.linalg.det(R)
+        norm = np.sqrt(np.vecdot(Q, Q))
     bad = np.zeros(len(keys), dtype=bool)
     bad[mrows] = ~mfinite | (off > ORTHO_TOL) | (det < 0.0)
     bad[qrows] = ~qfinite | (np.abs(norm - 1.0) > ORTHO_TOL)

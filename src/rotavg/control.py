@@ -28,7 +28,6 @@ __all__ = [
     "v0",
     "dissipation_rate",
     "apply_T_sphere",
-    "T_matrix_sphere",
     "unit_sphere_problem",
     "fd_gradient",
 ]
@@ -48,8 +47,8 @@ class AmbientProblem:
 
     ``level`` is the target value c0 of F; the leaf of interest is
     F^{-1}(c0). Regularity (independent constraint gradients) is a
-    pointwise condition — check it where you evaluate, via
-    :meth:`regularity`.
+    pointwise condition: the determinant of the constraint Gramian
+    (:func:`gramian`) at the point is nonzero.
     """
 
     dimension: int
@@ -63,11 +62,6 @@ class AmbientProblem:
             raise ValueError("need 1 <= k < m constraint fields")
         if len(self.level) != k:
             raise ValueError("level must have one entry per constraint")
-
-    def regularity(self, x):
-        """det of the constraint Gramian at x; > 1e-12 means x is regular."""
-        grads = [f.grad(x) for f in self.constraints]
-        return _det(gramian(grads, grads))
 
 
 def gramian(grads_rows, grads_cols):
@@ -129,16 +123,6 @@ def apply_T_sphere(q, omega_bar):
     q = np.asarray(q, dtype=float)
     w = np.asarray(omega_bar, dtype=float)
     return 4.0 * (np.vecdot(q, q, keepdims=True) * w - np.vecdot(q, w, keepdims=True) * q)
-
-
-def T_matrix_sphere(q):
-    """The 4x4 matrix of the tensor T at q: 4(<q,q> I - q q^T).
-
-    Symmetric, annihilates q (T(q) q = 0 for any q, unit or not), and has
-    rank 3 everywhere away from the origin.
-    """
-    q = np.asarray(q, dtype=float)
-    return 4.0 * (np.dot(q, q) * np.eye(4) - np.outer(q, q))
 
 
 def unit_sphere_problem(objective: ScalarField, dim: int = 4) -> AmbientProblem:

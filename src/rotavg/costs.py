@@ -44,7 +44,6 @@ __all__ = [
     "DomainError",
     "NonDifferentiable",
     "CostModel",
-    "so3_log",
     "EPS_DOM",
 ]
 
@@ -110,20 +109,6 @@ def _half_angles(d):
     phi = np.abs(d)
     np.clip(phi, 0.0, 1.0, out=phi)
     return np.arccos(phi, out=phi)
-
-
-def so3_log(Q):
-    """Principal matrix logarithm of a rotation: (theta / 2 sin theta)(Q - Q^T).
-
-    Raises DomainError at relative angle pi (trace = -1 within 1e-12), where
-    the logarithm has no principal branch.
-    """
-    Q = np.asarray(Q, dtype=float)
-    t = float(np.trace(Q))
-    if abs(t + 1.0) < 1e-12:
-        raise DomainError("matrix logarithm undefined at rotation angle pi")
-    theta = np.arccos(np.clip((t - 1.0) / 2.0, -1.0, 1.0))
-    return 0.5 * float(_arc_over_sin(theta)) * (Q - Q.T)
 
 
 @dataclass(frozen=True)
@@ -198,12 +183,20 @@ class CostModel:
     def clearance(self, q):
         """Distance of unit q from this model's excluded set (inf if it has none)."""
         X, one = _rows(q)
-        c = np.full(len(X), np.inf) if self._clearance is None else self._clearance(self._dots(X))
+        c = self._clearance_at(self._dots(X))
         return float(c[0]) if one else c
+
+    def _clearance_at(self, D):
+        """:meth:`clearance` for each row of the dots D."""
+        return np.full(len(D), np.inf) if self._clearance is None else self._clearance(D)
 
     def admissible(self, q):
         """True if q clears the guard buffer for this model's excluded sets."""
         return self.clearance(q) > EPS_DOM
+
+    def _admissible(self, D):
+        """:meth:`admissible` for each row of the dots D."""
+        return self._clearance_at(D) > EPS_DOM
 
     def _guard(self, D, one):
         """The unit-sphere dots D, with the rows inside the guard buffer set
@@ -219,41 +212,53 @@ class CostModel:
         return D
 
     # -- evaluators -------------------------------------------------------
+    #
+    # Each public evaluator forms the dots D = self._dots(X) of its rows and
+    # hands them to a private form; the flow carries D with its points and
+    # calls the private forms directly, so each point's dots are formed once.
 
     def value(self, q):
         X, one = _rows(q)
-        D = self._dots(X)
+        v = self._value(X, self._dots(X), one)
+        return float(v[0]) if one else v
+
+    def _value(self, X, D, one=False):
+        """:meth:`value` at the rows X with dots D."""
         if self.kind == "L2Chordal":
-            v = 8.0 * (1.0 - D * D).sum(axis=1)
-        elif self.kind == "Geodesic":
+            return 8.0 * (1.0 - D * D).sum(axis=1)
+        if self.kind == "Geodesic":
             on_plane = np.abs(D).min(axis=1) < 1e-12
             if on_plane.any():
                 if one:
                     raise DomainError("geodesic cost undefined on a hyperplane Pi_i")
                 D = np.where(on_plane[:, None], np.nan, D)
             u = np.clip(np.abs(D) / np.sqrt(np.vecdot(X, X, keepdims=True)), 0.0, 1.0)
-            v = 2.0 * (np.arccos(u) ** 2).sum(axis=1)
-        elif self.kind == "TraceSqrt":
-            v = ((1.0 - np.abs(D)) ** 2).sum(axis=1)
-        else:
-            base = np.maximum(1.0 - D * D, 0.0)
-            base **= self.p / 2.0
-            v = 8.0 ** (self.p / 2.0) * base.sum(axis=1)
-        return float(v[0]) if one else v
+            return 2.0 * (np.arccos(u) ** 2).sum(axis=1)
+        if self.kind == "TraceSqrt":
+            return ((1.0 - np.abs(D)) ** 2).sum(axis=1)
+        base = np.maximum(1.0 - D * D, 0.0)
+        base **= self.p / 2.0
+        return 8.0 ** (self.p / 2.0) * base.sum(axis=1)
 
     def gradient(self, q):
         """Analytic gradient of the prolongation (agrees with central FD)."""
         X, one = _rows(q)
+        G = self._gradient(X, self._dots(X), one)[0]
+        return G[0] if one else G
+
+    def _gradient(self, X, D, one=False):
+        """:meth:`gradient` at the rows X with dots D, and the weights W it
+        was formed from."""
         Q = self.samples.quaternions
-        D = self._dots(X)
         if self.kind == "Geodesic":
             # degree-0 prolongation: weights at q/|q|, radial part removed
             nq = np.sqrt(np.vecdot(X, X, keepdims=True))
             W = self._weights(self._guard(D / nq, one))
             G = (-self.scale / nq**3) * (nq * nq * np.vecmat(W, Q) - np.vecdot(W, D, keepdims=True) * X)
         else:
-            G = -self.scale * np.vecmat(self._weights(self._guard(D, one)), Q)
-        return G[0] if one else G
+            W = self._weights(self._guard(D, one))
+            G = -self.scale * np.vecmat(W, Q)
+        return G, W
 
     def control_field(self, q):
         """The sphere control field: T(q) applied to the prolongation gradient.
@@ -262,7 +267,15 @@ class CostModel:
         points, and points in the ascent direction (the flow follows its
         negative).
         """
-        return apply_T_sphere(q, self.gradient(q))
+        X, one = _rows(q)
+        V = self._field(X, self._dots(X), one)[0]
+        return V[0] if one else V
+
+    def _field(self, X, D, one=False):
+        """:meth:`control_field` at the rows X with dots D, and the weights
+        W of its gradient."""
+        G, W = self._gradient(X, D, one)
+        return apply_T_sphere(X, G), W
 
     # -- residual systems --------------------------------------------------
 
@@ -314,17 +327,22 @@ class CostModel:
         Raises like the gradient inside the guard buffer of an excluded set.
         """
         X, one = _rows(q)
-        B, K = self._frame_hessian(X, one)
+        B, K = self._frame_hessian(X, one=one)
         H = B.transpose(0, 2, 1) @ K @ B
         return H[0] if one else H
 
-    def _frame_hessian(self, X, one=False):
+    def _frame_hessian(self, X, D=None, wd=None, one=False):
         """The tangent frames B (n, 3, 4) at the unit rows of X and the
-        Hessians K (n, 3, 3) in them (see :meth:`hessian`). Rows inside a
-        guard buffer are NaN, or raise when ``one`` is set."""
+        Hessians K (n, 3, 3) in them (see :meth:`hessian`), from the rows'
+        dots D and the products wd = <w, d> of their weights with them: the
+        flow passes the weights of its last :meth:`_field` call in that
+        form. Without D and wd they are formed here, and rows inside a guard
+        buffer are NaN, or raise when ``one`` is set."""
         Q = self.samples.quaternions
-        D = self._guard(self._dots(X), one)
-        K = np.vecdot(self._weights(D), D)[:, None, None] * np.eye(3)
+        if D is None:
+            D = self._guard(self._dots(X), one)
+            wd = np.vecdot(self._weights(D), D)
+        K = wd[:, None, None] * np.eye(3)
         dW = self._dweights(D)
         # B(x) q_i = -B(q_i) x, so the samples' own frames F give -A for
         # every row in one matvec, with the bits of the one-point call; the

@@ -89,59 +89,74 @@ def _flow(model, Q0, tol):
 
     Each row keeps its own point, cost, step size, Newton trial and line
     search, and leaves the loop when it converges or fails; the rows still
-    running share one batched call per evaluation. Returns the final points
-    (n, 4), their ||control_field|| and, per row, None where it converged or
-    the MaxIters or DomainBreach it ended with.
+    running share one batched call per evaluation. Their state is kept
+    compacted to those rows: points X, costs c, steps h and the sample dots
+    D = Q X, formed once per point when it is first evaluated and read by
+    every later evaluation there. Returns the final points (n, 4), their
+    ||control_field|| and, per row, None where it converged or the MaxIters
+    or DomainBreach it ended with.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and > 0")
     stop = tol * (1.0 + model.scale * model.samples.r)
-    q = normalize(Q0)
-    cost = model.value(q)
-    h = np.full(len(q), INITIAL_STEP)
-    nv_end = np.full(len(q), np.nan)
-    ends = [None] * len(q)
-    inside = ~model.admissible(q)
-    for k in np.flatnonzero(inside):
+    X = normalize(Q0)
+    q = X.copy()
+    nv_end = np.full(len(X), np.nan)
+    ends = [None] * len(X)
+    D = model._dots(X)
+    c = model._value(X, D)
+    keep = model._admissible(D)
+    for k in np.flatnonzero(~keep):
         ends[k] = DomainBreach("start point violates the model's domain guard")
-    live = np.flatnonzero(~inside)
+    live, X, D, c, h = _compact(keep, np.arange(len(X)), X, D, c, np.full(len(X), INITIAL_STEP))
     for it in range(MAX_ITERS):
         if not live.size:
             break
-        V = model.control_field(q[live])
+        V, W = model._field(X, D)
+        # the Hessian reads the field's weights only through <w, d>, so the
+        # (n, r) weights are dropped here rather than carried
+        wd = np.vecdot(W, D)
+        del W
         nv = np.sqrt(np.vecdot(V, V))
         done = nv < stop
-        nv_end[live[done]] = nv[done]
-        live, V, nv = live[~done], V[~done], nv[~done]
-        X, c = q[live], cost[live]
+        q[live[done]], nv_end[live[done]] = X[done], nv[done]
+        live, X, D, c, h, V, wd, nv = _compact(~done, live, X, D, c, h, V, wd, nv)
         # value evaluations carry cancellation noise well above one ulp, so
         # every acceptance test judges decreases against this larger scale
         noise = 1e-13 * (1.0 + np.abs(c))
-        moved, Y, cY = _newton_trial(model, X, V, nv, c, noise)
+        moved = _newton_trial(model, X, D, V, wd, nv, c, noise)
         rest = np.flatnonzero(~moved)
         # retry a bit above the last accepted step
-        h_rest = np.minimum(2.0 * h[live[rest]], 1e6)
-        moved[rest], Y[rest], cY[rest], h[live[rest]] = _line_search(model, X[rest], V[rest], nv[rest], c[rest], noise[rest], h_rest)
+        h[rest] = np.minimum(2.0 * h[rest], 1e6)
+        moved[rest] = _line_search(model, X, D, V, nv, c, noise, h, rest)
         for k in np.flatnonzero(~moved):
             ends[live[k]] = MaxIters(f"line search stalled at iteration {it} (|v0| = {nv[k]:.3e})")
-        live = live[moved]
-        q[live], cost[live] = Y[moved], cY[moved]
-        inside = ~model.admissible(q[live])
-        for k in live[inside]:
-            ends[k] = DomainBreach("iterate entered a guard buffer of an excluded set")
-        live = live[~inside]
+        keep = moved & model._admissible(D)
+        for k in np.flatnonzero(moved & ~keep):
+            ends[live[k]] = DomainBreach("iterate entered a guard buffer of an excluded set")
+        q[live[~keep]] = X[~keep]
+        live, X, D, c, h = _compact(keep, live, X, D, c, h)
     for k in live:
         ends[k] = MaxIters(f"no convergence in {MAX_ITERS} iterations")
+    q[live] = X
     return q, nv_end, ends
 
 
-def _newton_trial(model, X, V, nv, cost, noise):
-    """One Riemannian Newton step from each unit row of X: which rows take
-    it, and their new points and costs.
+def _compact(keep, *state):
+    """The rows ``keep`` of each state array, or the arrays themselves when
+    every row stays."""
+    return state if keep.all() else tuple(a[keep] for a in state)
+
+
+def _newton_trial(model, X, D, V, wd, nv, cost, noise):
+    """One Riemannian Newton step from each unit row of X, where it is
+    taken: those rows move in place, with their dots D and costs, to the new
+    point. Returns which rows took it.
 
     In the tangent frame B at q (:func:`~rotavg.geometry.tangent_frame`) the
     step solves K e = -B v / 4, where v / 4 is the Riemannian gradient and
-    K = B H B^T the 3x3 tangent Hessian (H from :meth:`CostModel.hessian`),
+    K = B H B^T the 3x3 tangent Hessian (:meth:`CostModel._frame_hessian`,
+    from D and wd = <w, d>, the weights w of the field V times the dots),
     and moves by eta = B^T e. One eigendecomposition K = E diag(lam) E^T
     gives both the gate and the step eta = B^T E (E^T B (-v / 4) / lam). The step
     is tried only where K is positive definite (lam_min > 0) and eta is
@@ -150,8 +165,7 @@ def _newton_trial(model, X, V, nv, cost, noise):
     it while ||control_field|| at least halves.
     """
     took = np.zeros(len(X), dtype=bool)
-    Y, cY = np.empty_like(X), np.empty(len(X))
-    B, K = model._frame_hessian(X)
+    B, K = model._frame_hessian(X, D, wd)
     # ||eta|| >= ||v / 4|| / ||K||_F, so the other rows would step too far
     rows = np.flatnonzero(0.25 * nv <= NEWTON_RADIUS * np.sqrt((K * K).sum(axis=(1, 2))))
     lam, E = np.linalg.eigh(K[rows])
@@ -161,47 +175,53 @@ def _newton_trial(model, X, V, nv, cost, noise):
     eta = np.vecmat(np.matvec(EB, -0.25 * V[rows]) / lam, EB)
     short = np.all(np.isfinite(eta), axis=1) & (np.sqrt(np.vecdot(eta, eta)) <= NEWTON_RADIUS)
     rows, eta = rows[short], eta[short]
-    Y[rows] = normalize(X[rows] + eta)
-    cY[rows] = model.value(Y[rows])
-    dc = cY[rows] - cost[rows]
-    took[rows] = _or_field_shrinks(model, Y[rows], dc < -noise[rows], dc <= noise[rows], 0.5 * nv[rows])
-    return took, Y, cY
+    Y = normalize(X[rows] + eta)
+    DY = model._dots(Y)
+    cY = model._value(Y, DY)
+    dc = cY - cost[rows]
+    ok = _or_field_shrinks(model, Y, DY, dc < -noise[rows], dc <= noise[rows], 0.5 * nv[rows])
+    rows = rows[ok]
+    took[rows], X[rows], D[rows], cost[rows] = True, Y[ok], DY[ok], cY[ok]
+    return took
 
 
-def _or_field_shrinks(model, Y, ok, within_noise, field_bound):
-    """Which trial rows Y pass: those already ok, and those whose cost change
-    stays within the noise while ||control_field|| at Y is at most
-    field_bound. The field is evaluated only on the rows that decides; a
-    NaN cost (a trial inside a guard buffer) passes neither test."""
+def _or_field_shrinks(model, Y, DY, ok, within_noise, field_bound):
+    """Which trial rows Y (dots DY) pass: those already ok, and those whose
+    cost change stays within the noise while ||control_field|| at Y is at
+    most field_bound. The field is evaluated only on the rows that decides;
+    a NaN cost (a trial inside a guard buffer) passes neither test."""
     check = ~ok & within_noise
     if check.any():
-        F = model.control_field(Y[check])
+        F = model._field(Y[check], DY[check])[0]
         ok[check] = np.sqrt(np.vecdot(F, F)) <= field_bound[check]
     return ok
 
 
-def _line_search(model, X, V, nv, cost, noise, h):
-    """Backtrack each row from its step h along -v: which rows found an
-    acceptable step, and their new points, costs and accepted steps."""
-    found = np.zeros(len(X), dtype=bool)
-    Y, cY, h = np.empty_like(X), np.empty(len(X)), h.copy()
-    todo = np.flatnonzero(h * nv > 1e-18)
+def _line_search(model, X, D, V, nv, cost, noise, h, rows):
+    """Backtrack each of the given rows from its step h along -v: which of
+    them found an acceptable step. Those move in place, with their dots D
+    and costs, to the point found; h holds each row's last step tried."""
+    found = np.zeros(len(rows), dtype=bool)
+    todo = np.flatnonzero(h[rows] * nv[rows] > 1e-18)  # positions in rows
     while todo.size:
-        T = normalize(X[todo] - h[todo, None] * V[todo])
-        cT = model.value(T)
-        n = nv[todo]
+        k = rows[todo]
+        T = normalize(X[k] - h[k, None] * V[k])
+        DT = model._dots(T)
+        cT = model._value(T, DT)
+        n = nv[k]
         # sufficient decrease: <grad, v> = |v|^2 / 4 at unit q, so a
         # tenth of the first-order prediction must materialize — bare
         # descent would admit wildly overshooting steps near the floor
-        dc = cT - cost[todo]
-        decrease = dc <= -np.maximum(0.025 * h[todo] * n * n, noise[todo])
-        ok = _or_field_shrinks(model, T, decrease, dc <= noise[todo], 0.999 * n)
-        done = todo[ok]
-        found[done], Y[done], cY[done] = True, T[ok], cT[ok]
+        dc = cT - cost[k]
+        decrease = dc <= -np.maximum(0.025 * h[k] * n * n, noise[k])
+        ok = _or_field_shrinks(model, T, DT, decrease, dc <= noise[k], 0.999 * n)
+        found[todo[ok]] = True
+        X[k[ok]], D[k[ok]], cost[k[ok]] = T[ok], DT[ok], cT[ok]
         todo = todo[~ok]
-        h[todo] *= STEP_SHRINK
-        todo = todo[h[todo] * nv[todo] > 1e-18]
-    return found, Y, cY, h
+        k = rows[todo]
+        h[k] *= STEP_SHRINK
+        todo = todo[h[k] * nv[k] > 1e-18]
+    return found
 
 
 def _critical_point(model, q, nv):

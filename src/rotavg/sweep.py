@@ -34,7 +34,6 @@ __all__ = [
     "theta_min_curve",
     "root_count_transitions",
     "tie_locations",
-    "polynomial_discrepancies",
     "emit_csv",
     "parse_csv",
     "CSV_HEADER",
@@ -374,22 +373,6 @@ def tie_locations(records):
         if genuine:
             out.append((a_star, tuple(sorted(labels))))
     return out
-
-
-def polynomial_discrepancies(p: float, alpha_grid):
-    """Roots whose quaternion candidates fail the critical-point system.
-
-    For each positive root x at each alpha, checks both branches
-    (+-sqrt(1-x^2), x, 0, 0); if neither drives the pushforward residual
-    below 1e-8 the triple (alpha, x, best residual) is reported. An empty
-    list certifies polynomial/system consistency over the grid.
-    """
-    bad = []
-    for a in np.asarray(alpha_grid, dtype=float):
-        for x, best in _root_residuals(a, p):
-            if best >= RESIDUAL_TOL:
-                bad.append((float(a), float(x), best))
-    return bad
 
 
 def _fmt(x):

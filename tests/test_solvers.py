@@ -148,11 +148,11 @@ def test_newton_finish_field_evaluations(monkeypatch):
     # needed ~1400 field evaluations
     model = CostModel.trace_sqrt(SampleSet.from_quaternions(D3_SLOW))
     calls = []
-    field = CostModel.control_field
-    monkeypatch.setattr(CostModel, "control_field", lambda self, q: calls.append(q) or field(self, q))
+    field = CostModel._field
+    monkeypatch.setattr(CostModel, "_field", lambda self, X, D: calls.append(X) or field(self, X, D))
     pt = flow_descend(model, random_unit_quaternion(np.random.default_rng(0)))
     assert pt.control_norm < 1e-12
-    assert len(calls) <= 40
+    assert 0 < len(calls) <= 40
 
 
 def test_newton_steps_only_positive_definite_rows():
@@ -171,12 +171,18 @@ def test_newton_steps_only_positive_definite_rows():
     B = tangent_frame(X)
     K = B @ model.hessian(X) @ B.transpose(0, 2, 1)
     assert np.array_equal(np.linalg.eigvalsh(K).min(axis=1) > 0.0, near_min)
-    V = model.control_field(X)
-    cost = model.value(X)
-    took, Y, cY = solvers._newton_trial(model, X, V, np.sqrt(np.vecdot(V, V)), cost, 1e-13 * (1.0 + np.abs(cost)))
+    D = model._dots(X)
+    V, W = model._field(X, D)
+    cost = model._value(X, D)
+    X0, cost0 = X.copy(), cost.copy()
+    nv, noise = np.sqrt(np.vecdot(V, V)), 1e-13 * (1.0 + np.abs(cost))
+    took = solvers._newton_trial(model, X, D, V, np.vecdot(W, D), nv, cost, noise)
     assert np.array_equal(took, near_min)
-    assert np.all(cY[took] < cost[took])
-    assert np.all(1.0 - np.abs(Y[took] @ E[3]) < 1e-15)
+    assert np.all(cost[took] < cost0[took])
+    assert np.all(1.0 - np.abs(X[took] @ E[3]) < 1e-15)
+    # the rows that stay keep their state; the moved ones carry their new dots
+    assert np.array_equal(X[~took], X0[~took]) and np.array_equal(cost[~took], cost0[~took])
+    assert np.array_equal(D, model._dots(X)) and np.array_equal(cost, model.value(X))
 
 
 def test_newton_finish_keeps_basins():
@@ -241,14 +247,44 @@ def assert_same_classes(model, got, want):
         assert a.control_norm == b.control_norm
 
 
-@pytest.mark.parametrize("kind", ["l2", "geodesic", "d3", "lp1.5", "lp4"])
-def test_multistart_rows_independent(kind):
-    # the lockstep starts give the classes of the same starts run one by one
+@pytest.mark.parametrize(
+    "kind, r, n",
+    [pytest.param(kind, 5, 16, id=kind) for kind in ("l2", "geodesic", "d3", "lp1.5", "lp4")]
+    + [pytest.param(kind, 200, 8, id=f"{kind}-r200") for kind in ("geodesic", "lp1.5")],
+)
+def test_multistart_rows_independent(kind, r, n):
+    # the lockstep starts give the classes of the same starts run one by one,
+    # bit for bit, however the running rows are compacted as starts leave
     rng = np.random.default_rng(41)
-    model = kind_model(kind, SampleSet.from_quaternions(rng.standard_normal((5, 4))))
-    got = multistart(model, 16, seed=3)
+    model = kind_model(kind, SampleSet.from_quaternions(rng.standard_normal((r, 4))))
+    got = multistart(model, n, seed=3)
     assert got
-    assert_same_classes(model, got, classes_one_by_one(model, drawn_starts(model, 16, 3)))
+    assert_same_classes(model, got, classes_one_by_one(model, drawn_starts(model, n, 3)))
+
+
+@pytest.mark.parametrize("kind", ["l2", "geodesic", "d3", "lp1.5", "lp4"])
+def test_flow_forms_each_points_dots_once(kind, monkeypatch):
+    # the flow forms a point's sample dots once, with its cost, and every
+    # later evaluation there (field, Hessian, guard) reads them: the rows it
+    # passes to the dots function are, call for call, the rows whose cost it
+    # takes. (Two starts may still reach a minimum with the same bits, so
+    # the rows need not be distinct across starts.)
+    rng = np.random.default_rng(43)
+    model = kind_model(kind, SampleSet.from_quaternions(rng.standard_normal((5, 4))))
+    calls = {"_dots": [], "_value": []}
+    flow = solvers._flow
+
+    def recording_flow(*args):
+        with monkeypatch.context() as m:
+            for name, log in calls.items():
+                method = getattr(CostModel, name)
+                m.setattr(CostModel, name, lambda self, X, *a, f=method, log=log: log.append(X.tobytes()) or f(self, X, *a))
+            return flow(*args)
+
+    monkeypatch.setattr(solvers, "_flow", recording_flow)
+    assert multistart(model, 16, seed=5)
+    assert len(calls["_dots"]) > 16
+    assert calls["_dots"] == calls["_value"]
 
 
 def test_multistart_drops_slow_starts(monkeypatch):

@@ -7,12 +7,13 @@ import pytest
 from rotavg.geometry import canonicalize_sign, covering_map
 from rotavg.sweep import (
     CSV_HEADER,
+    RESIDUAL_TOL,
     EvenPolynomial,
+    _root_residuals,
     build_samples,
     critical_sets,
     emit_csv,
     parse_csv,
-    polynomial_discrepancies,
     positive_roots,
     q2_coeffs,
     q4_coeffs,
@@ -304,6 +305,18 @@ def test_quartic_tie_at_quarter():
     assert np.abs(qb - [0.17820287, -0.98399377, 0.0, 0.0]).max() < 1e-8
     # distinct rotations, not a relabeling
     assert np.abs(covering_map(qy) - covering_map(qb)).max() > 0.1
+
+
+def polynomial_discrepancies(p, alpha_grid):
+    """(alpha, x, best residual) for each positive root x whose two
+    quaternion branches both miss the critical-point system by RESIDUAL_TOL
+    or more; empty when the polynomial and the system agree on the grid."""
+    return [
+        (float(a), float(x), best)
+        for a in np.asarray(alpha_grid, dtype=float)
+        for x, best in _root_residuals(a, p)
+        if best >= RESIDUAL_TOL
+    ]
 
 
 def test_polynomial_discrepancies_empty():
