@@ -313,6 +313,26 @@ class CostModel:
         base[on_line] = 0.0
         return base
 
+    def _slope_bound(self, D):
+        """s >= |w'(x_i)| |B q_i|^2 for every sample of each row of the dots
+        D, so that the Hessian in the frame (:meth:`_frame_hessian`) obeys
+        ||K||_F <= c (sqrt(3) |<w, d>| + r s).
+
+        At unit q and q_i, |B q_i|^2 = 1 - x_i^2. Where w' stays finite,
+        |w'(x)| (1 - x^2) is at most 1, its value at x = 0 (1 - phi cot phi
+        for geodesic; checked over [-1, 1] for Lp with p >= 2), so s = 1.
+        Where w' diverges on the sample lines (Lp, p < 2) it is at most
+        (1 - x^2)^(p/2 - 1), largest at the row's nearest sample:
+        s = clearance^(p - 2). Rows and samples that are unit only to within
+        a few ulp leave the computed |B q_i|^2 up to about 4e-15 above
+        1 - x_i^2; next to a line that is no longer small against 1 - x_i^2,
+        so s there is raised by the factor 1 + 1e-14 / clearance^2.
+        """
+        if self._clearance is _line_clearance:
+            u = self._clearance(D) ** 2
+            return u ** (self.p / 2.0 - 1.0) * (1.0 + 1e-14 / u)
+        return 1.0
+
     def hessian(self, q):
         """Tangent Hessian of the cost on S3 at unit q, as a symmetric 4x4
         matrix (one per row of a stack): B^T K B with B = tangent_frame(q)

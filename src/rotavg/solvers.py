@@ -27,6 +27,10 @@ MAX_ITERS = 200000  # iteration budget of one flow_descend
 INITIAL_STEP = 1e-2  # first Euler step flow_descend tries
 STEP_SHRINK = 0.5  # backtracking factor of the line search
 NEWTON_RADIUS = 1e-3  # longest Newton step flow_descend tries
+# relative slack on the bound that screens rows out of the Newton trial: the
+# computed K sums r terms, so its rounding stays near r ulps of the bound,
+# below 1e-9 for any r under a million
+HESSIAN_BOUND_SLACK = 1.0 + 1e-9
 BOUNDARY_CLEARANCE = 2e-5  # classify labels points this close to an excluded set Boundary
 
 
@@ -163,15 +167,28 @@ def _newton_trial(model, X, D, V, wd, nv, cost, noise):
     finite and no longer than NEWTON_RADIUS, and taken if the cost at
     normalize(q + eta) falls by more than the noise scale, or stays within
     it while ||control_field|| at least halves.
+
+    Since ||eta|| >= ||v / 4|| / ||K||_F, a row can step only where
+    ||v / 4|| <= NEWTON_RADIUS ||K||_F. K is formed only for the rows where
+    that holds with ||K||_F replaced by its bound c (sqrt(3) |wd| + r s)
+    (:meth:`CostModel._slope_bound`, times HESSIAN_BOUND_SLACK), which needs
+    neither the slopes w' nor the samples' frame coordinates. Every other
+    row would fail the exact test too, so the screen skips no Newton step,
+    and the rows it keeps get the bits they would get without it.
     """
     took = np.zeros(len(X), dtype=bool)
-    B, K = model._frame_hessian(X, D, wd)
-    # ||eta|| >= ||v / 4|| / ||K||_F, so the other rows would step too far
-    rows = np.flatnonzero(0.25 * nv <= NEWTON_RADIUS * np.sqrt((K * K).sum(axis=(1, 2))))
-    lam, E = np.linalg.eigh(K[rows])
+    bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + model.samples.r * model._slope_bound(D))
+    screen = 0.25 * nv <= NEWTON_RADIUS * HESSIAN_BOUND_SLACK * bound
+    if not screen.any():
+        return took
+    B, K = model._frame_hessian(*_compact(screen, X, D, wd))
+    # the exact test; sel indexes B and K, rows the full arrays
+    sel = np.flatnonzero(0.25 * nv[screen] <= NEWTON_RADIUS * np.sqrt((K * K).sum(axis=(1, 2))))
+    rows = np.flatnonzero(screen)[sel]
+    lam, E = np.linalg.eigh(K[sel])
     pd = lam[:, 0] > 0.0  # eigh sorts each row ascending
-    rows, lam = rows[pd], lam[pd]
-    EB = E[pd].transpose(0, 2, 1) @ B[rows]  # rows: the eigenvectors as tangent vectors
+    sel, rows, lam = sel[pd], rows[pd], lam[pd]
+    EB = E[pd].transpose(0, 2, 1) @ B[sel]  # rows: the eigenvectors as tangent vectors
     eta = np.vecmat(np.matvec(EB, -0.25 * V[rows]) / lam, EB)
     short = np.all(np.isfinite(eta), axis=1) & (np.sqrt(np.vecdot(eta, eta)) <= NEWTON_RADIUS)
     rows, eta = rows[short], eta[short]
@@ -243,16 +260,7 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    rng = np.random.default_rng(seed)
-    starts = []
-    for _ in range(n_starts):
-        q0 = random_unit_quaternion(rng)
-        for _ in range(1000):
-            if model.admissible(q0):
-                break
-            q0 = random_unit_quaternion(rng)
-        starts.append(q0)
-    q, nv, ends = _flow(model, np.array(starts), tol)
+    q, nv, ends = _flow(model, _draw_starts(model, n_starts, np.random.default_rng(seed)), tol)
     converged = [k for k, end in enumerate(ends) if end is None]
     q[converged] = canonicalize_sign(normalize(q[converged]))
     R = covering_map(q[converged]).reshape(-1, 9)
@@ -271,6 +279,37 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
     for pt, label in zip(classes, _classify_rows(model, np.reshape([pt.q for pt in classes], (-1, 4)))):
         pt.classification, pt.degenerate = label
     return classes
+
+
+def _draw_starts(model, n, rng):
+    """n uniform random unit starts from rng, each inadmissible one redrawn
+    in place (up to 1000 times) before the next is drawn: the starts of n
+    successive :func:`random_unit_quaternion` draws with their redraws.
+
+    The starts are drawn and checked as one batch. At the first inadmissible
+    start the stream is rewound to just after its draw; its redraws follow
+    one at a time, and the rest are drawn as a new batch.
+    """
+    starts = np.empty((n, 4))
+    k = 0
+    while k < n:
+        state = rng.bit_generator.state
+        Z = normalize(rng.standard_normal((n - k, 4)))
+        bad = np.flatnonzero(~model._admissible(model._dots(Z)))
+        j = bad[0] if bad.size else len(Z)
+        starts[k : k + j] = Z[:j]
+        if not bad.size:
+            break
+        rng.bit_generator.state = state
+        rng.standard_normal((j + 1, 4))
+        q0 = Z[j]
+        for _ in range(1000):
+            if model.admissible(q0):
+                break
+            q0 = random_unit_quaternion(rng)
+        starts[k + j] = q0
+        k += j + 1
+    return starts
 
 
 def classify(model: CostModel, point: CriticalPoint):

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from rotavg.control import fd_gradient
 from rotavg.costs import EPS_DOM, CostModel, DomainError, NonDifferentiable
 from rotavg.geometry import SampleSet, covering_map, delta_skew, normalize
+from rotavg.solvers import HESSIAN_BOUND_SLACK
 
 IDENTITY = SampleSet.from_quaternions([[1.0, 0.0, 0.0, 0.0]])
 
@@ -239,6 +240,46 @@ def test_hessian_on_sample_line():
     for p in (2.0, 2.5, 3.0, 4.0, 5.0):
         expected = 16.0 * P if p == 2.0 else np.zeros((4, 4))
         assert np.abs(make("lp", IDENTITY, p).hessian(q) - expected).max() < 1e-12
+
+
+BOUND_CASES = [("l2", None), ("geodesic", None), ("d3", None)] + [("lp", p) for p in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind_p=st.sampled_from(BOUND_CASES),
+    r=st.integers(1, 50),
+    near=st.sampled_from(["anywhere", "line", "plane"]),
+    log_t=st.floats(-8.5, -6.0),
+    clustered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_hessian_norm_bound(kind_p, r, near, log_t, clustered, seed):
+    # ||K||_F <= c (sqrt(3) |<w, d>| + r s), the bound the Newton trial
+    # screens its rows with, up to the screen's stated slack: on rows within
+    # 1e-6 of the first sample's line or hyperplane, with the samples spread
+    # or clustered, and with row norms 1 +- a few ulp
+    rng = np.random.default_rng(seed)
+    Q = rng.standard_normal((r, 4))
+    if clustered:
+        Q = Q[0] + 1e-3 * Q
+    model = make(kind_p[0], SampleSet.from_quaternions(Q), kind_p[1])
+    q0 = model.samples.quaternions[0]
+    X = normalize(rng.standard_normal((16, 4)))
+    U = normalize(X - np.outer(X @ q0, q0))
+    t = 10.0**log_t
+    if near == "line":
+        X = normalize(q0 + t * U)
+    elif near == "plane":
+        X = normalize(U + t * q0)
+    X = X * (1.0 + rng.integers(-4, 5, (len(X), 1)) * 2.0**-52)
+    D = model._dots(X)
+    keep = model._admissible(D)
+    X, D = X[keep], D[keep]
+    K = model._frame_hessian(X)[1]
+    wd = np.vecdot(model._weights(D), D)
+    bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + r * model._slope_bound(D))
+    assert np.all(np.sqrt((K * K).sum(axis=(1, 2))) <= HESSIAN_BOUND_SLACK * bound)
 
 
 BATCH_CASES = [("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 3.0), ("lp", 4.0)]

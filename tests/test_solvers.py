@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rotavg import solvers
+from rotavg import costs, solvers
 from rotavg.costs import CostModel
 from rotavg.geometry import SampleSet, canonicalize_sign, covering_map, normalize, tangent_frame
 from rotavg.solvers import (
@@ -185,6 +185,76 @@ def test_newton_steps_only_positive_definite_rows():
     assert np.array_equal(D, model._dots(X)) and np.array_equal(cost, model.value(X))
 
 
+def unscreened_newton_trial(model, X, D, V, wd, nv, cost, noise):
+    # the Newton trial without its screen: the Hessian on every row, then the
+    # exact gate ||v / 4|| <= NEWTON_RADIUS ||K||_F, eigh and the step
+    took = np.zeros(len(X), dtype=bool)
+    B, K = model._frame_hessian(X, D, wd)
+    rows = np.flatnonzero(0.25 * nv <= solvers.NEWTON_RADIUS * np.sqrt((K * K).sum(axis=(1, 2))))
+    lam, E = np.linalg.eigh(K[rows])
+    pd = lam[:, 0] > 0.0
+    rows, lam = rows[pd], lam[pd]
+    EB = E[pd].transpose(0, 2, 1) @ B[rows]
+    eta = np.vecmat(np.matvec(EB, -0.25 * V[rows]) / lam, EB)
+    short = np.all(np.isfinite(eta), axis=1) & (np.sqrt(np.vecdot(eta, eta)) <= solvers.NEWTON_RADIUS)
+    rows, eta = rows[short], eta[short]
+    Y = normalize(X[rows] + eta)
+    DY = model._dots(Y)
+    cY = model._value(Y, DY)
+    dc = cY - cost[rows]
+    ok = solvers._or_field_shrinks(model, Y, DY, dc < -noise[rows], dc <= noise[rows], 0.5 * nv[rows])
+    rows = rows[ok]
+    took[rows], X[rows], D[rows], cost[rows] = True, Y[ok], DY[ok], cY[ok]
+    return took
+
+
+def newton_trials(model, X, monkeypatch):
+    # the screened and the unscreened trial from the flow's state at the unit
+    # rows X, each on its own copy: (took, X, D, cost) of each, and the rows
+    # the screened one formed a Hessian for
+    D = model._dots(X)
+    V, W = model._field(X, D)
+    wd, nv, cost = np.vecdot(W, D), np.sqrt(np.vecdot(V, V)), model._value(X, D)
+    noise = 1e-13 * (1.0 + np.abs(cost))
+    hessian_rows = []
+    frame_hessian = CostModel._frame_hessian
+    results = []
+    for trial in (solvers._newton_trial, unscreened_newton_trial):
+        state = [X.copy(), D.copy(), cost.copy()]
+        with monkeypatch.context() as m:
+            if trial is solvers._newton_trial:
+                m.setattr(CostModel, "_frame_hessian", lambda self, X, *a: hessian_rows.append(len(X)) or frame_hessian(self, X, *a))
+            took = trial(model, state[0], state[1], V, wd, nv, state[2], noise)
+        results.append((took, *state))
+    return results, hessian_rows
+
+
+@pytest.mark.parametrize("r", [5, 1000])
+@pytest.mark.parametrize("kind", ["l2", "geodesic", "d3", "lp1.5", "lp4"])
+def test_newton_screen_skips_no_step(kind, r, monkeypatch):
+    # screening rows out by the bound on ||K||_F changes no bit of the trial:
+    # rows from 1e-6 to 1e-1 rad off the minimum, where some pass the exact
+    # gate and step and some do not, and far rows that the screen rules out
+    rng = np.random.default_rng([44, r])
+    base = random_unit_quaternion(rng)
+    model = kind_model(kind, SampleSet.from_quaternions(base + 0.2 * rng.standard_normal((r, 4))))
+    q = flow_descend(model, base).q
+    T = normalize(rng.standard_normal((24, 4)) - np.outer(rng.standard_normal(24), q))
+    T = normalize(T - np.outer(T @ q, q))
+    near = normalize(q + 10.0 ** rng.uniform(-6.0, -1.0, (24, 1)) * T)
+    far = normalize(base + rng.standard_normal((8, 4)))
+    X = np.concatenate([near, far])[rng.permutation(32)]
+    (screened, unscreened), hessian_rows = newton_trials(model, X, monkeypatch)
+    for a, b in zip(screened, unscreened):
+        assert np.array_equal(a, b)
+    assert 0 < screened[0].sum() and sum(hessian_rows) < len(X)
+    # every row ruled out: no Hessian, no step
+    (screened, unscreened), hessian_rows = newton_trials(model, far, monkeypatch)
+    for a, b in zip(screened, unscreened):
+        assert np.array_equal(a, b)
+    assert not screened[0].any() and hessian_rows == []
+
+
 def test_newton_finish_keeps_basins():
     # the trust radius is small enough that Newton steps never leave the
     # basin the line search was in: the same single minimum as the flow
@@ -215,6 +285,37 @@ def drawn_starts(model, n, seed):
             q0 = random_unit_quaternion(rng)
         starts.append(q0)
     return starts
+
+
+class StartsDrawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "kind, guard, n",
+    [("l2", costs.EPS_DOM, 64), ("geodesic", costs.EPS_DOM, 64), ("geodesic", 0.3, 64), ("lp1.5", 0.5, 64)]
+    + [("geodesic", 0.99, 3)],
+)
+def test_multistart_draws_reference_starts(kind, guard, n, monkeypatch):
+    # multistart draws and checks its starts as one batch, yet gets the
+    # starts of one draw at a time: a wide guard buffer makes many starts
+    # inadmissible, and each is redrawn in place before the next is drawn
+    # (the last case runs out of its 1000 redraws)
+    monkeypatch.setattr(costs, "EPS_DOM", guard)
+    model = kind_model(kind, SampleSet.from_quaternions(np.random.default_rng(45).standard_normal((3, 4))))
+    drawn = []
+
+    def recording_flow(model, Q0, tol):
+        drawn.append(Q0)
+        raise StartsDrawn
+
+    monkeypatch.setattr(solvers, "_flow", recording_flow)
+    for seed in range(3):
+        with pytest.raises(StartsDrawn):
+            multistart(model, n, seed=seed)
+        assert np.array_equal(drawn[-1], drawn_starts(model, n, seed))
+    redrawn = not np.array_equal(drawn[-1], normalize(np.random.default_rng(2).standard_normal((n, 4))))
+    assert redrawn == (guard > 1e-6)
 
 
 def classes_one_by_one(model, starts):
