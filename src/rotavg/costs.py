@@ -119,9 +119,10 @@ class CostModel:
     ``p`` is set only for LpChordal (real, >= 1). Instances are immutable
     and every evaluator is a pure function.
 
-    ``value``, ``gradient``, ``control_field``, ``hessian``, ``clearance``
-    and ``admissible`` take one point (4,) or a stack (n, 4) and return one
-    result per row: (n,), (n, 4) or (n, 4, 4). Each row has the bits of the
+    ``value``, ``gradient``, ``control_field``, ``hessian``,
+    ``pushforward_residual``, ``clearance`` and ``admissible`` take one point
+    (4,) or a stack (n, 4) and return one result per row: (n,), (n, 4),
+    (n, 4, 4) or (n, 3, 3). Each row has the bits of the
     one-point call on it, whatever the other rows hold. Where the one-point
     call raises (a point inside the guard buffer of an excluded set, or on a
     geodesic hyperplane for ``value``), its row of a stack is NaN instead,
@@ -381,12 +382,13 @@ class CostModel:
     def pushforward_residual(self, q) -> np.ndarray:
         """sum_i w_i(q) Delta_i(q): the critical-point system pushed to SO(3).
 
-        Returns a skew 3x3 matrix, identical at q and -q, and zero exactly
-        where the control field is zero.
+        Returns a skew 3x3 matrix (n x 3 x 3 for a stack), identical at q and
+        -q, and zero exactly where the control field is zero.
         """
-        q = np.asarray(q, dtype=float)
-        w = self._weights(self._guard(self._dots(q[None]), True))[0]
-        return _skew(*(tangent_frame(q) @ (w @ self.samples.quaternions)))
+        X, one = _rows(q)
+        W = self._weights(self._guard(self._dots(X), one))
+        S = _skew(np.matvec(tangent_frame(X), np.vecmat(W, self.samples.quaternions)))
+        return S[0] if one else S
 
     def _rho(self, t):
         """Rotation-space weights rho(t_i) at the traces t_i = tr(R^T R_i)."""

@@ -221,12 +221,16 @@ def delta_skew(q, qi):
     ``delta_skew(-q, qi) == -delta_skew(q, qi)`` and
     ``<q,qi> * Delta_i(q) == ((R^q)^T R^qi - (R^qi)^T R^q) / 4``.
     """
-    return _skew(*(tangent_frame(q) @ qi))
+    return _skew(tangent_frame(q) @ qi)
 
 
-def _skew(a, b, c):
-    """The 3x3 skew matrix [[0, a, b], [-a, 0, c], [-b, -c, 0]]."""
-    return np.array([[0.0, a, b], [-a, 0.0, c], [-b, -c, 0.0]])
+def _skew(v):
+    """The skew matrix [[0, a, b], [-a, 0, c], [-b, -c, 0]] of v = (a, b, c),
+    one per row of an (n, 3) array."""
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., (0, 0, 1), (1, 2, 2)] = v
+    S[..., (1, 2, 2), (0, 0, 1)] = -v
+    return S
 
 
 def _dp_jacobian(q):

@@ -119,12 +119,16 @@ def _derivative(c):
     return tuple(j * c[j] for j in range(1, len(c)))
 
 
-def _bisect_root(c, lo, hi, flo):
+def _bisect_root(c, dc, lo, hi, flo):
+    # the root of c in [lo, hi], where c changes sign; dc is c's derivative
+    lead, rest = c[-1], c[-2::-1]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo < 1e-13:
             break
-        fm = _horner(c, mid)
+        fm = lead  # _horner(c, mid), inlined
+        for a in rest:
+            fm = a + fm * mid
         if fm == 0.0:
             break
         if (fm < 0.0) == (flo < 0.0):
@@ -134,7 +138,6 @@ def _bisect_root(c, lo, hi, flo):
     # Newton polish: simple roots sharpen to full precision, which matters
     # for roots many orders smaller than the bisection width floor
     x = 0.5 * (lo + hi)
-    dc = _derivative(c)
     for _ in range(3):
         d = _horner(dc, x)
         if d == 0.0:
@@ -157,7 +160,8 @@ def _real_roots_on(c, lo, hi, ztol):
     if len(c) == 2:
         r = -c[0] / c[1]
         return [r] if lo - 1e-12 <= r <= hi + 1e-12 else []
-    nodes = [lo] + sorted(_real_roots_on(_derivative(c), lo, hi, ztol)) + [hi]
+    dc = _derivative(c)
+    nodes = [lo] + sorted(_real_roots_on(dc, lo, hi, ztol)) + [hi]
     vals = [_horner(c, t) for t in nodes]
     n = len(nodes)
     cross = [vals[i] * vals[i + 1] < 0.0 for i in range(n - 1)]
@@ -170,7 +174,7 @@ def _real_roots_on(c, lo, hi, ztol):
             roots.append(nodes[i])
     for i in range(n - 1):
         if cross[i]:
-            roots.append(_bisect_root(c, nodes[i], nodes[i + 1], vals[i]))
+            roots.append(_bisect_root(c, dc, nodes[i], nodes[i + 1], vals[i]))
     out = []
     for r in sorted(roots):
         if not out or r - out[-1] > 1e-10:
@@ -213,23 +217,37 @@ def _poly_for(p):
     raise ValueError("closed-form polynomials exist only for p in {2, 4}")
 
 
-def _branches(model, x):
-    """The on-axis candidates (+-sqrt(1-x^2), x, 0, 0) of a root x, each with
-    its pushforward residual norm; one candidate where the branches meet."""
-    y = math.sqrt(max(1.0 - x * x, 0.0))
-    out = []
-    for sgn in (1.0,) if y < 1e-12 else (1.0, -1.0):
-        q = np.array([sgn * y, x, 0.0, 0.0])
-        out.append((q, float(np.linalg.norm(model.pushforward_residual(q)))))
-    return out
+def _candidates(roots):
+    """The points a record evaluates, as one (n, 4) stack: the black point
+    (0,0,1,0), then for each root x its on-axis branches (+-y, x, 0, 0),
+    y = sqrt(1-x^2), plus first; one branch where they meet. Also returns
+    (root index, branch index) for each row after the black one."""
+    X = [_BLACK_Q]
+    rows = []
+    for i, x in enumerate(roots):
+        y = math.sqrt(max(1.0 - x * x, 0.0))
+        for b, sgn in enumerate((1.0,) if y < 1e-12 else (1.0, -1.0)):
+            X.append((sgn * y, x, 0.0, 0.0))
+            rows.append((i, b))
+    return np.array(X), rows
+
+
+def _residual_norms(model, X):
+    """The Frobenius norm of the pushforward residual at each row of X."""
+    S = model.pushforward_residual(X).reshape(-1, 9)
+    # sqrt of a 9-term dot, as np.linalg.norm forms it for one 3x3 matrix
+    return np.sqrt(np.vecdot(S, S))
 
 
 def _root_residuals(alpha, p):
     """Yield (x, best residual) for each positive root x of the polynomial
     at alpha: the smaller pushforward residual norm of its two branches."""
     model = CostModel.lp_chordal(build_samples(alpha), p)
-    for x in positive_roots(_poly_for(p)(alpha)):
-        yield x, min(res for _, res in _branches(model, x))
+    roots = positive_roots(_poly_for(p)(alpha))
+    X, rows = _candidates(roots)
+    res = _residual_norms(model, X)[1:].tolist()
+    for i, x in enumerate(roots):
+        yield x, min(r for (j, _), r in zip(rows, res) if j == i)
 
 
 def _theta_of(q4):
@@ -237,18 +255,22 @@ def _theta_of(q4):
     return 2.0 * math.atan2(q[1], q[0])
 
 
+def _rotations(reps):
+    """The rotation matrix of each rep's quaternion, one stacked call."""
+    return covering_map(normalize(np.array([rep.q for rep in reps])))
+
+
 def _winners(sets, tol=TIE_TOL):
     """Deduplicate reps by rotation, then collect every cost-minimal class."""
+    F = _rotations(sets).reshape(-1, 9)
     classes = []
-    for rep in sets:
-        R = covering_map(normalize(np.asarray(rep.q)))
-        for _, Rk in classes:
-            if np.linalg.norm(R - Rk) < 1e-8:
-                break
-        else:
-            classes.append((rep, R))
-    best = min(rep.cost for rep, _ in classes)
-    return [rep for rep, _ in classes if rep.cost <= best + tol]
+    for k, f in enumerate(F):
+        d = F[classes] - f
+        # the Frobenius norm with np.linalg.norm's bits, one per class
+        if not (np.sqrt(np.vecdot(d, d)) < 1e-8).any():
+            classes.append(k)
+    best = min(sets[k].cost for k in classes)
+    return [sets[k] for k in classes if sets[k].cost <= best + tol]
 
 
 @dataclass(frozen=True)
@@ -263,33 +285,19 @@ class SweepRecord:
 
 def _record_at(alpha, p):
     """The one per-alpha computation: the polynomial's positive roots, the
-    labeled critical sets they yield, and the cost-minimal classes."""
+    labeled critical sets they yield, and the cost-minimal classes. The
+    costs and residuals of all candidates come from one stacked call each."""
     model = CostModel.lp_chordal(build_samples(alpha), p)
     roots = positive_roots(_poly_for(p)(alpha))
-    qb = np.asarray(_BLACK_Q)
-    sets = [
-        CriticalRep(
-            label="black",
-            x_root=None,
-            q=_BLACK_Q,
-            cost=float(model.value(qb)),
-            residual_norm=float(np.linalg.norm(model.pushforward_residual(qb))),
-        )
-    ]
+    X, rows = _candidates(roots)
+    costs = model.value(X).tolist()
+    res = _residual_norms(model, X).tolist()
+    sets = [CriticalRep("black", None, _BLACK_Q, costs[0], res[0])]
     names = _PAIR_NAMES.get(len(roots))
-    for i, x in enumerate(roots):
-        pair = names[i] if names else (f"x{i}+", f"x{i}-")
-        for (q, res), label in zip(_branches(model, x), pair):
-            if res < RESIDUAL_TOL:
-                sets.append(
-                    CriticalRep(
-                        label=label,
-                        x_root=float(x),
-                        q=tuple(float(v) for v in q),
-                        cost=float(model.value(q)),
-                        residual_norm=res,
-                    )
-                )
+    for (i, b), q, cost, r in zip(rows, X[1:].tolist(), costs[1:], res[1:]):
+        if r < RESIDUAL_TOL:
+            label = names[i][b] if names else (f"x{i}+", f"x{i}-")[b]
+            sets.append(CriticalRep(label, float(roots[i]), tuple(q), cost, r))
     win = _winners(sets)
     return SweepRecord(
         alpha=float(alpha),
@@ -319,29 +327,38 @@ def theta_min_curve(p: float, alpha_grid):
     return [_record_at(a, p) for a in np.asarray(alpha_grid, dtype=float)]
 
 
-def _changes(records, key, width):
-    """Every change of key between adjacent records, bisected with _record_at
-    to a bracket of at most width; yields (alpha, key_before, key_after)."""
+def _changes(records, key, key_at, width):
+    """Every change of key(record) between adjacent records, bisected to a
+    bracket of at most width with key_at(alpha, p), the same key computed
+    at a bare alpha; yields (alpha, key_before, key_after)."""
     for r0, r1 in zip(records[:-1], records[1:]):
         before, after = key(r0), key(r1)
         if before != after:
             lo, hi = r0.alpha, r1.alpha
             while abs(hi - lo) > width:
                 mid = 0.5 * (lo + hi)
-                if key(_record_at(mid, r0.p)) == before:
+                if key_at(mid, r0.p) == before:
                     lo = mid
                 else:
                     hi = mid
             yield 0.5 * (lo + hi), before, after
 
 
+def _root_count(alpha, p):
+    return len(positive_roots(_poly_for(p)(alpha)))
+
+
+def _leading_label(alpha, p):
+    return _record_at(alpha, p).min_set_label[0]
+
+
 def root_count_transitions(records):
     """Alphas where the positive-root count changes between adjacent records,
-    bisected to ~1e-10.
+    bisected to ~1e-10 on the root count alone.
 
     Returns (alpha, count_before, count_after) triples in grid order.
     """
-    return list(_changes(records, lambda rec: len(rec.roots), 1e-10))
+    return list(_changes(records, lambda rec: len(rec.roots), _root_count, 1e-10))
 
 
 def tie_locations(records):
@@ -355,9 +372,10 @@ def tie_locations(records):
     out = []
     # crossing costs move ~1e2 per unit alpha, so the bracket must be far
     # narrower than TIE_TOL before both classes can tie
-    for a_star, prev, cur in _changes(records, lambda rec: rec.min_set_label[0], 1e-13):
+    changes = _changes(records, lambda rec: rec.min_set_label[0], _leading_label, 1e-13)
+    for a_star, prev, cur in changes:
         win = _winners(_record_at(a_star, records[0].p).sets, tol=1e-9)
-        rots = [covering_map(normalize(np.asarray(r.q))) for r in win]
+        rots = _rotations(win)
         labels = {r.label for r in win}
         # the tie must be between the classes that swapped the lead;
         # anything else is root-finder noise at a degenerate pinch
