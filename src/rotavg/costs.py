@@ -388,6 +388,7 @@ class CostModel:
         X, one = _rows(q)
         W = self._weights(self._guard(self._dots(X), one))
         S = _skew(np.matvec(tangent_frame(X), np.vecmat(W, self.samples.quaternions)))
+        S[np.isnan(W).any(axis=1)] = np.nan  # a guarded row: the diagonal too
         return S[0] if one else S
 
     def _rho(self, t):

@@ -217,15 +217,22 @@ def _poly_for(p):
     raise ValueError("closed-form polynomials exist only for p in {2, 4}")
 
 
-def _candidates(roots):
+def _candidates(roots, p):
     """The points a record evaluates, as one (n, 4) stack: the black point
     (0,0,1,0), then for each root x its on-axis branches (+-y, x, 0, 0),
-    y = sqrt(1-x^2), plus first; one branch where they meet. Also returns
-    (root index, branch index) for each row after the black one."""
+    plus first; one branch where they meet. Also returns (root index,
+    branch index) for each row after the black one.
+
+    y is sqrt(1-x^2), except for p = 2 with two roots: its W-polynomial
+    A W^2 - A W + a0 has roots W and 1 - W, so each root's y is the other
+    root's x. That keeps y where 1 - x^2 cancels, as next to alpha = -pi/2,
+    where W ~ 7e-17 rounds 1 - W to 1 and sqrt(1-x^2) to 0 for y ~ 8e-9.
+    """
+    paired = int(round(p)) == 2 and len(roots) == 2
     X = [_BLACK_Q]
     rows = []
     for i, x in enumerate(roots):
-        y = math.sqrt(max(1.0 - x * x, 0.0))
+        y = roots[1 - i] if paired else math.sqrt(max(1.0 - x * x, 0.0))
         for b, sgn in enumerate((1.0,) if y < 1e-12 else (1.0, -1.0)):
             X.append((sgn * y, x, 0.0, 0.0))
             rows.append((i, b))
@@ -244,7 +251,7 @@ def _root_residuals(alpha, p):
     at alpha: the smaller pushforward residual norm of its two branches."""
     model = CostModel.lp_chordal(build_samples(alpha), p)
     roots = positive_roots(_poly_for(p)(alpha))
-    X, rows = _candidates(roots)
+    X, rows = _candidates(roots, p)
     res = _residual_norms(model, X)[1:].tolist()
     for i, x in enumerate(roots):
         yield x, min(r for (j, _), r in zip(rows, res) if j == i)
@@ -289,7 +296,7 @@ def _record_at(alpha, p):
     costs and residuals of all candidates come from one stacked call each."""
     model = CostModel.lp_chordal(build_samples(alpha), p)
     roots = positive_roots(_poly_for(p)(alpha))
-    X, rows = _candidates(roots)
+    X, rows = _candidates(roots, p)
     costs = model.value(X).tolist()
     res = _residual_norms(model, X).tolist()
     sets = [CriticalRep("black", None, _BLACK_Q, costs[0], res[0])]

@@ -283,7 +283,7 @@ def test_frame_hessian_norm_bound(kind_p, r, near, log_t, clustered, seed):
 
 
 BATCH_CASES = [("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 3.0), ("lp", 4.0)]
-EVALUATORS = ("value", "gradient", "control_field", "hessian", "clearance", "admissible")
+EVALUATORS = ("value", "gradient", "control_field", "hessian", "pushforward_residual", "clearance", "admissible")
 
 
 def one_point(model, name, q):
@@ -321,7 +321,7 @@ def test_batched_evaluators_match_rows(kind_p, r, n, guarded, seed):
         for q, got in zip(X, batch):
             want = one_point(model, name, q)
             if isinstance(want, type):
-                assert name in ("value", "gradient", "control_field", "hessian")
+                assert name in ("value", "gradient", "control_field", "hessian", "pushforward_residual")
                 assert np.all(np.isnan(got))
             else:
                 got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
@@ -360,6 +360,38 @@ def test_pushforward_even_and_skew():
             S = model.pushforward_residual(q)
             assert np.abs(S + S.T).max() == 0.0
             assert np.abs(model.pushforward_residual(-q) - S).max() == 0.0
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("kind,p", [("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 2.0), ("lp", 4.0)])
+def test_pushforward_stack_rows_match_one_point(kind, p, r):
+    # each row of a stacked call has the bits of the one-point call on it
+    rng = np.random.default_rng([43, r])
+    model = make(kind, SampleSet.from_quaternions(rng.standard_normal((r, 4))), p)
+    X = np.array([probe(rng, model, margin=1e-3) for _ in range(12)])
+    S = model.pushforward_residual(X)
+    assert S.shape == (12, 3, 3)
+    for q, row in zip(X, S):
+        assert np.array_equal(row, model.pushforward_residual(q))
+    assert model.pushforward_residual(X[0]).shape == (3, 3)
+
+
+def test_pushforward_guard():
+    # a point inside a guard buffer raises alone and is a NaN row in a stack
+    ok = on_axis(0.3)
+    for kind, p, bad, error in [
+        ("geodesic", None, [EPS_DOM / 2.0, 1.0, 0.0, 0.0], DomainError),
+        ("d3", None, [0.0, 1.0, 0.0, 0.0], NonDifferentiable),
+        ("lp", 1.5, [1.0, EPS_DOM / 2.0, 0.0, 0.0], DomainError),
+    ]:
+        model = make(kind, IDENTITY, p)
+        bad = normalize(np.array(bad))
+        with pytest.raises(error):
+            model.pushforward_residual(bad)
+        S = model.pushforward_residual(np.array([ok, bad, ok]))
+        assert np.all(np.isnan(S[1]))
+        assert np.array_equal(S[0], model.pushforward_residual(ok))
+        assert np.array_equal(S[2], S[0])
 
 
 def test_pushforward_is_weighted_delta_sum():

@@ -4,11 +4,15 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from rotavg.geometry import canonicalize_sign, covering_map
+from rotavg import checks, sweep
+from rotavg.costs import CostModel
+from rotavg.geometry import canonicalize_sign, covering_map, normalize
 from rotavg.sweep import (
     CSV_HEADER,
     RESIDUAL_TOL,
+    CriticalRep,
     EvenPolynomial,
+    _record_at,
     _root_residuals,
     build_samples,
     critical_sets,
@@ -252,6 +256,90 @@ def _assert_quartic_tie(ties):
     assert abs(a + math.pi / 4) < 1e-9
 
 
+def _reference_record(alpha, p):
+    """_record_at one candidate at a time: a one-point value and
+    pushforward_residual call per candidate, one covering_map per rep.
+    Returns (roots, sets, residual norms, theta_min, min_set_label)."""
+    model = CostModel.lp_chordal(build_samples(alpha), p)
+    roots = positive_roots((q2_coeffs if p == 2.0 else q4_coeffs)(alpha))
+    names = {
+        1: ("red", "blue"),
+        2: ("green", "pink", "red", "blue"),
+        3: ("green", "pink", "yellow", "violet", "red", "blue"),
+        4: ("green", "pink", "yellow", "violet", "maroon", "gold", "red", "blue"),
+    }
+    qb = np.array([0.0, 0.0, 1.0, 0.0])
+    sets = [CriticalRep("black", None, tuple(qb.tolist()), model.value(qb), 0.0)]
+    res = [float(np.linalg.norm(model.pushforward_residual(qb)))]
+    for i, x in enumerate(roots):
+        # p = 2: the roots pair as W and 1 - W, so each root's y is the other's x
+        y = roots[1 - i] if p == 2.0 and len(roots) == 2 else math.sqrt(max(1.0 - x * x, 0.0))
+        for b, sgn in enumerate((1.0,) if y < 1e-12 else (1.0, -1.0)):
+            q = np.array([sgn * y, x, 0.0, 0.0])
+            r = float(np.linalg.norm(model.pushforward_residual(q)))
+            if r < RESIDUAL_TOL:
+                label = names[len(roots)][2 * i + b] if len(roots) in names else f"x{i}{'+-'[b]}"
+                sets.append(CriticalRep(label, x, tuple(q.tolist()), model.value(q), r))
+                res.append(r)
+    classes = []
+    for rep in sets:
+        R = covering_map(normalize(np.asarray(rep.q)))
+        if all(np.linalg.norm(R - Rk) >= 1e-8 for _, Rk in classes):
+            classes.append((rep, R))
+    best = min(rep.cost for rep, _ in classes)
+    win = [rep for rep, _ in classes if rep.cost <= best + 1e-10]
+    thetas = []
+    for rep in win:
+        q = canonicalize_sign(normalize(np.asarray(rep.q)))
+        thetas.append(2.0 * math.atan2(q[1], q[0]))
+    return tuple(roots), tuple(sets), res, tuple(thetas), tuple(rep.label for rep in win)
+
+
+def _assert_matches_reference(rec):
+    roots, sets, res, thetas, labels = _reference_record(rec.alpha, rec.p)
+    assert rec.roots == roots
+    # labels, q and cost (CriticalRep equality leaves the residual out)
+    assert rec.sets == sets, (rec.alpha, rec.p)
+    assert rec.theta_min == thetas
+    assert rec.min_set_label == labels
+    for rep, want in zip(rec.sets, res):
+        assert abs(rep.residual_norm - want) <= 1e-15 * max(1.0, want)
+
+
+def test_record_matches_one_candidate_at_a_time(default_records):
+    rng = np.random.default_rng(13)
+    for p in (2.0, 4.0):
+        for rec in default_records[p]:
+            _assert_matches_reference(rec)
+        for a in rng.uniform(-math.pi, math.pi, 200):
+            _assert_matches_reference(_record_at(float(a), p))
+
+
+def test_root_count_transitions_need_no_records(monkeypatch):
+    grid = np.linspace(-1.2, -0.4, 81)
+    for recs in (theta_min_curve(4.0, grid), theta_min_curve(4.0, grid[::-1])):
+        # the same bisection, with a full record at each midpoint
+        want = []
+        for r0, r1 in zip(recs[:-1], recs[1:]):
+            before, after = len(r0.roots), len(r1.roots)
+            if before != after:
+                lo, hi = r0.alpha, r1.alpha
+                while abs(hi - lo) > 1e-10:
+                    mid = 0.5 * (lo + hi)
+                    if len(_record_at(mid, 4.0).roots) == before:
+                        lo = mid
+                    else:
+                        hi = mid
+                want.append((0.5 * (lo + hi), before, after))
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(sweep, "_record_at", lambda *args: calls.append(args))
+            got = root_count_transitions(recs)
+        assert calls == []
+        assert len(want) == 2
+        assert got == want
+
+
 def test_root_count_transitions(default_records):
     assert root_count_transitions(default_records[2.0]) == []
     _assert_quartic_transitions(root_count_transitions(default_records[4.0]))
@@ -323,6 +411,14 @@ def test_polynomial_discrepancies_empty():
     grid = np.linspace(-math.pi, math.pi, 25)
     assert polynomial_discrepancies(2.0, grid) == []
     assert polynomial_discrepancies(4.0, grid) == []
+
+
+def test_poly_consistency_next_to_minus_half_pi():
+    # the family's seed under run_all(seed=206003) draws alpha = -1.5706152855,
+    # where the p = 2 roots are W ~ 6.7e-17 and 1 - W: sqrt(1 - x^2) of the
+    # larger root rounds to 0 for y ~ 8.2e-9, but the smaller root's x keeps it
+    result = checks.check_poly_consistency(seed=206014, trials=1000)
+    assert result.passed, result.max_violation
 
 
 def test_csv_round_trip(tmp_path):
