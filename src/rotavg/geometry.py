@@ -12,7 +12,7 @@ All functions take and return plain numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -265,7 +265,6 @@ def dp_apply(q, v):
     return (_dp_jacobian(q) @ v).reshape(3, 3)
 
 
-@dataclass
 class SampleSet:
     """The averaging input: r sample rotations with chosen quaternion lifts.
 
@@ -276,28 +275,34 @@ class SampleSet:
         (results never depend on the lift signs, but the lifts themselves
         are the caller's choice).
     rotations : (r, 3, 3) ndarray
-        The sample rotations R_i; ``covering_map(q_i) == R_i`` within 1e-10
-        is enforced at construction.
+        The sample rotations R_i = covering_map(q_i), formed on first read
+        and cached; most callers work on the lifts alone and never form
+        them. Rotations passed to the constructor (or ``from_rotations``)
+        must match ``covering_map(q_i)`` within 1e-10, checked at
+        construction, and are kept as given.
     """
 
-    quaternions: np.ndarray
-    rotations: np.ndarray = field(default=None)  # type: ignore[assignment]
+    def __init__(self, quaternions, rotations=None):
+        self.__post_init__(quaternions, rotations)
 
-    def __post_init__(self):
-        Q = np.atleast_2d(np.asarray(self.quaternions, dtype=float))
+    def __post_init__(self, quaternions, rotations):
+        # apart from __init__ because bench/layers.py times builds by wrapping it
+        Q = np.atleast_2d(np.asarray(quaternions, dtype=float))
         if Q.ndim != 2 or Q.shape[1] != 4 or Q.shape[0] < 1:
             raise ValueError("quaternions must be an (r, 4) array with r >= 1")
         Q = normalize(Q)
-        if self.rotations is None:
-            R = covering_map(Q)
-        else:
-            R = np.asarray(self.rotations, dtype=float)
+        if rotations is not None:
+            R = np.asarray(rotations, dtype=float)
             if R.shape != (Q.shape[0], 3, 3):
                 raise ValueError("rotations must be an (r, 3, 3) array matching quaternions")
             if np.max(np.abs(covering_map(Q) - R)) > 1e-10:
                 raise ValueError("quaternion lift does not reproduce its rotation")
+            self.rotations = R  # seeds the cache
         self.quaternions = Q
-        self.rotations = R
+
+    @cached_property
+    def rotations(self):
+        return covering_map(self.quaternions)
 
     @classmethod
     def from_quaternions(cls, qs):

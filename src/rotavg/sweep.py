@@ -56,7 +56,8 @@ _BLACK_Q = (0.0, 0.0, 1.0, 0.0)
 
 
 def build_samples(alpha: float) -> SampleSet:
-    """The three sample rotations: angles pi, pi/2 and alpha about the x-axis."""
+    """The three samples, rotations by pi, pi/2 and alpha about the x-axis,
+    as their quaternion lifts (cos(a/2), sin(a/2), 0, 0)."""
     if not -math.pi <= alpha <= math.pi:
         raise ValueError("alpha must lie in [-pi, pi]")
     h = 0.5 * alpha
@@ -262,6 +263,14 @@ def _theta_of(q4):
     return 2.0 * math.atan2(q[1], q[0])
 
 
+def _thetas(qs):
+    """_theta_of of each quaternion in qs, normalized and sign-fixed in one
+    stacked call. math.atan2 stays per row: np.arctan2 may round
+    differently."""
+    Q = canonicalize_sign(normalize(np.array(qs, dtype=float).reshape(-1, 4)))
+    return [2.0 * math.atan2(q1, q0) for q0, q1, _, _ in Q.tolist()]
+
+
 def _rotations(reps):
     """The rotation matrix of each rep's quaternion, one stacked call."""
     return covering_map(normalize(np.array([rep.q for rep in reps])))
@@ -423,13 +432,15 @@ def emit_csv(records, path):
     minimizer (set_label "min:<label>"). Floats carry 17 significant digits,
     enough for an exact round trip; inapplicable cells hold nan.
     """
+    records = list(records)
+    thetas = iter(_thetas([rep.q for rec in records for rep in rec.sets if rep.label != "black"]))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
         for rec in records:
             winners = set(rec.min_set_label)
             for rep in rec.sets:
-                theta = math.nan if rep.label == "black" else _theta_of(rep.q)
+                theta = math.nan if rep.label == "black" else next(thetas)
                 w.writerow(_row(rec, rep.label, rep, theta, "1" if rep.label in winners else "0"))
             for label, theta in zip(rec.min_set_label, rec.theta_min):
                 rep = next(r for r in rec.sets if r.label == label)

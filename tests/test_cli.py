@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotavg import checks
 from rotavg.cli import ORTHO_TOL, _load_rotations, _ParseError, _ValidationError, main
 from rotavg.geometry import SampleSet, covering_map, normalize, quat_from_rotation
 from rotavg.sweep import parse_csv, theta_min_curve
@@ -534,3 +535,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_python_dash_m_rotavg(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = tmp_path / "report.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotavg", "check", "--trials", "5", "--seed", "0", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in out.read_text()
+
+
+def test_lazy_rotations_leave_the_check_report_unchanged(monkeypatch):
+    lazy = checks.format_report(checks.run_all(seed=0, trials=30))
+    init = SampleSet.__init__
+
+    def eager(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.rotations  # forms and caches the matrices
+
+    monkeypatch.setattr(SampleSet, "__init__", eager)
+    assert checks.format_report(checks.run_all(seed=0, trials=30)) == lazy

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotavg import geometry
 from rotavg.geometry import (
     SampleSet,
     canonicalize_sign,
@@ -235,7 +236,7 @@ def test_sample_set_construction():
     rng = np.random.default_rng(8)
     Rs = np.array([covering_map(rand_unit(rng)) for _ in range(5)])
     s3 = SampleSet.from_rotations(Rs)
-    assert np.abs(s3.rotations - Rs).max() == 0.0
+    assert s3.rotations is Rs  # kept as supplied, not formed again
     for q, R in zip(s3.quaternions, Rs):
         assert np.abs(covering_map(q) - R).max() < 1e-14
 
@@ -248,3 +249,18 @@ def test_sample_set_rejects_bad_input():
     with pytest.raises(ValueError):
         # lift does not match the claimed rotation
         SampleSet(np.array([[1.0, 0, 0, 0]]), np.diag([1.0, -1.0, -1.0])[None])
+    with pytest.raises(ValueError):
+        SampleSet(np.array([[1.0, 0, 0, 0]]), np.eye(3)[None].repeat(2, axis=0))
+
+
+def test_sample_set_forms_rotations_on_first_read(monkeypatch):
+    calls = []
+    real = geometry.covering_map
+    monkeypatch.setattr(geometry, "covering_map", lambda q: calls.append(q) or real(q))
+    s = SampleSet.from_quaternions(np.random.default_rng(3).standard_normal((5, 4)))
+    assert calls == []
+    R = s.rotations
+    assert len(calls) == 1
+    # the cached matrices are covering_map's, bit for bit, and formed once
+    assert R.tobytes() == real(s.quaternions).tobytes()
+    assert s.rotations is R and len(calls) == 1

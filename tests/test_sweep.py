@@ -6,7 +6,7 @@ import pytest
 
 from rotavg import checks, sweep
 from rotavg.costs import CostModel
-from rotavg.geometry import canonicalize_sign, covering_map, normalize
+from rotavg.geometry import SampleSet, canonicalize_sign, covering_map, normalize
 from rotavg.sweep import (
     CSV_HEADER,
     RESIDUAL_TOL,
@@ -14,6 +14,8 @@ from rotavg.sweep import (
     EvenPolynomial,
     _record_at,
     _root_residuals,
+    _theta_of,
+    _thetas,
     build_samples,
     critical_sets,
     emit_csv,
@@ -239,6 +241,26 @@ def default_records():
     """The CLI's default alpha grid, swept once per p."""
     grid = np.arange(-math.pi, math.pi + 0.005, 0.01)
     return {p: theta_min_curve(p, grid) for p in (2.0, 4.0)}
+
+
+def test_stacked_thetas_match_one_row_calls(default_records):
+    for recs in default_records.values():
+        qs = [rep.q for rec in recs for rep in rec.sets if rep.label != "black"]
+        assert [t.hex() for t in _thetas(qs)] == [_theta_of(q).hex() for q in qs]
+
+
+def test_record_forms_no_rotation_matrix(monkeypatch):
+    built = []
+    init = SampleSet.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SampleSet, "__init__", recording)
+    _record_at(0.3, 4.0)
+    assert len(built) == 1
+    assert "rotations" not in vars(built[0])
 
 
 def _assert_quartic_transitions(trans):
