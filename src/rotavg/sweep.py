@@ -258,15 +258,10 @@ def _root_residuals(alpha, p):
         yield x, min(r for (j, _), r in zip(rows, res) if j == i)
 
 
-def _theta_of(q4):
-    q = canonicalize_sign(normalize(np.asarray(q4, dtype=float)))
-    return 2.0 * math.atan2(q[1], q[0])
-
-
 def _thetas(qs):
-    """_theta_of of each quaternion in qs, normalized and sign-fixed in one
-    stacked call. math.atan2 stays per row: np.arctan2 may round
-    differently."""
+    """The rotation angle 2 atan2(q1, q0) of each quaternion in qs, after
+    normalizing and sign-fixing all rows in one stacked call. math.atan2
+    stays per row: np.arctan2 may round differently."""
     Q = canonicalize_sign(normalize(np.array(qs, dtype=float).reshape(-1, 4)))
     return [2.0 * math.atan2(q1, q0) for q0, q1, _, _ in Q.tolist()]
 
@@ -320,7 +315,7 @@ def _record_at(alpha, p):
         p=float(p),
         roots=tuple(roots),
         sets=tuple(sets),
-        theta_min=tuple(_theta_of(rep.q) for rep in win),
+        theta_min=tuple(_thetas([rep.q for rep in win])),
         min_set_label=tuple(rep.label for rep in win),
     )
 

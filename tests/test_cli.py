@@ -526,26 +526,17 @@ def test_distance_needs_two(tmp_path):
     assert main(["distance", "--input", str(p)]) == 3
 
 
-def test_module_entry_point():
+def test_module_entry_point(tmp_path):
     # the child process sees the source tree whether or not PYTHONPATH is set
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rotavg.cli", "check", "--trials", "20"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0
-    assert "PASS" in proc.stdout
-
-
-def test_python_dash_m_rotavg(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    out = tmp_path / "report.txt"
-    proc = subprocess.run(
-        [sys.executable, "-m", "rotavg", "check", "--trials", "5", "--seed", "0", "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "PASS" in out.read_text()
+    for module in ("rotavg", "rotavg.cli"):
+        out = tmp_path / f"{module}.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "check", "--trials", "20", "--seed", "0", "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert "PASS" in out.read_text()
 
 
 def test_lazy_rotations_leave_the_check_report_unchanged(monkeypatch):

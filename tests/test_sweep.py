@@ -14,7 +14,6 @@ from rotavg.sweep import (
     EvenPolynomial,
     _record_at,
     _root_residuals,
-    _theta_of,
     _thetas,
     build_samples,
     critical_sets,
@@ -243,10 +242,16 @@ def default_records():
     return {p: theta_min_curve(p, grid) for p in (2.0, 4.0)}
 
 
+def _theta_one_row(q4):
+    """The angle of one quaternion, normalized and sign-fixed on its own."""
+    q = canonicalize_sign(normalize(np.asarray(q4, dtype=float)))
+    return 2.0 * math.atan2(q[1], q[0])
+
+
 def test_stacked_thetas_match_one_row_calls(default_records):
     for recs in default_records.values():
-        qs = [rep.q for rec in recs for rep in rec.sets if rep.label != "black"]
-        assert [t.hex() for t in _thetas(qs)] == [_theta_of(q).hex() for q in qs]
+        qs = [rep.q for rec in recs for rep in rec.sets]
+        assert [t.hex() for t in _thetas(qs)] == [_theta_one_row(q).hex() for q in qs]
 
 
 def test_record_forms_no_rotation_matrix(monkeypatch):
@@ -310,11 +315,8 @@ def _reference_record(alpha, p):
             classes.append((rep, R))
     best = min(rep.cost for rep, _ in classes)
     win = [rep for rep, _ in classes if rep.cost <= best + 1e-10]
-    thetas = []
-    for rep in win:
-        q = canonicalize_sign(normalize(np.asarray(rep.q)))
-        thetas.append(2.0 * math.atan2(q[1], q[0]))
-    return tuple(roots), tuple(sets), res, tuple(thetas), tuple(rep.label for rep in win)
+    thetas = tuple(_theta_one_row(rep.q) for rep in win)
+    return tuple(roots), tuple(sets), res, thetas, tuple(rep.label for rep in win)
 
 
 def _assert_matches_reference(rec):
