@@ -24,6 +24,13 @@ B^T K B in Cartesian coordinates:
     trace-sqrt      w' = -1
     Lp chordal      w' = (1-x_i^2)^(p/2-2) (1 - (p-1) x_i^2)
 
+The rotation residual M^T R - R^T M reads the same weights through
+u = w(x)/x (w'(0) at x = 0): M = sum_i u(x_i) R_i / kappa. u is even in x,
+so a function of the trace tr(R^T R_i) alone, and kappa = r, 2, 1 and
+4^(1-p/2) for the four kinds keeps each kind's residual scale. Since
+x_i Delta_i = (R^T R_i - R_i^T R) / 4, the pushforward residual is -kappa/4
+times the rotation residual.
+
 The geodesic model lives on the sphere minus the hyperplanes Pi_i where
 x_i = 0 (relative angle pi to a sample); trace-sqrt is non-differentiable
 there; Lp with p < 2 excludes the sample lines instead. Guards keep a finite
@@ -38,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .control import ScalarField, apply_T_sphere
-from .geometry import SampleSet, _skew, tangent_frame
+from .geometry import SampleSet, _abs_dots, _skew, tangent_frame
 
 __all__ = [
     "DomainError",
@@ -132,9 +139,11 @@ class CostModel:
     kind: str
     samples: SampleSet
     p: Optional[float] = None
-    # resolved once from kind and p: the gradient scale c (public, read-only)
-    # and the clearance from the excluded set (None where there is none)
+    # resolved once from kind and p: the gradient scale c (public, read-only),
+    # the rotation residual's scale kappa and the clearance from the excluded
+    # set (None where there is none)
     scale: float = field(init=False, repr=False, compare=False)
+    _kappa: float = field(init=False, repr=False, compare=False)
     _clearance: Optional[Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -145,14 +154,16 @@ class CostModel:
         if self.kind == "LpChordal":
             if self.p is None or self.p < 1.0:
                 raise ValueError("LpChordal requires p >= 1")
-            scale = self.p * 8.0 ** (self.p / 2.0)
+            scale, kappa = self.p * 8.0 ** (self.p / 2.0), 4.0 ** (1.0 - self.p / 2.0)
             clearance = _line_clearance if self.p < 2.0 else None
         elif self.p is not None:
             raise ValueError("p is only meaningful for LpChordal")
         else:
-            scale = {"L2Chordal": 16.0, "Geodesic": 4.0, "TraceSqrt": 2.0}[self.kind]
+            scales = {"L2Chordal": (16.0, self.samples.r), "Geodesic": (4.0, 2.0), "TraceSqrt": (2.0, 1.0)}
+            scale, kappa = scales[self.kind]
             clearance = None if self.kind == "L2Chordal" else _plane_clearance
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_kappa", kappa)
         object.__setattr__(self, "_clearance", clearance)
 
     @classmethod
@@ -391,33 +402,22 @@ class CostModel:
         S[np.isnan(W).any(axis=1)] = np.nan  # a guarded row: the diagonal too
         return S[0] if one else S
 
-    def _rho(self, t):
-        """Rotation-space weights rho(t_i) at the traces t_i = tr(R^T R_i)."""
-        if self.kind == "L2Chordal":
-            return np.full_like(t, 1.0 / t.size)
-        if self.kind == "Geodesic":
-            if np.min(np.abs(t + 1.0)) < 1e-12:
-                raise DomainError("matrix logarithm undefined at rotation angle pi")
-            return 0.5 * _arc_over_sin(np.arccos(np.clip((t - 1.0) / 2.0, -1.0, 1.0)))
-        if self.kind == "TraceSqrt":
-            if np.min(t) + 1.0 < 1e-12:
-                raise DomainError("trace-sqrt residual undefined at relative angle pi")
-            return 2.0 / np.sqrt(t + 1.0) - 1.0
-        base = np.maximum(3.0 - t, 0.0)
-        if self.p < 2.0 and np.min(base) < 1e-12:
-            raise DomainError("Lp residual (p < 2) undefined at a sample rotation")
-        return base ** (self.p / 2.0 - 1.0)
-
     def rotation_residual(self, R) -> np.ndarray:
         """The characterization equation directly in rotation matrices:
-        M^T R - R^T M with M = sum_i rho(t_i) R_i and t_i = tr(R^T R_i).
+        M^T R - R^T M with M = sum_i u(x_i) R_i / kappa.
 
-        l2 chordal:  rho = 1/r, so M is the arithmetic mean;
-        geodesic:    rho = theta_i / (2 sin theta_i), giving sum Log(R_i^T R);
-        trace-sqrt:  rho = 2/sqrt(t_i + 1) - 1;
-        Lp chordal:  rho = (3 - t_i)^(p/2-1).
+        u = w(x)/x comes from the weights (w'(0) where x_i = 0, admissible
+        for l2 and Lp with p >= 2); it is even in x, so a function of
+        t_i = tr(R^T R_i) alone, and |x_i| is read off R^T R_i with full
+        precision up to relative angle pi. kappa keeps each kind's scale:
+        r for l2 (M is the arithmetic mean), 2 for geodesic (M^T R - R^T M
+        is then sum_i Log(R_i^T R)), 1 for trace-sqrt and 4^(1 - p/2) for
+        Lp. Raises like the gradient inside the guard buffer of an excluded
+        set.
         """
         R = np.asarray(R, dtype=float)
         Rs = self.samples.rotations.reshape(-1, 9)
-        M = (self._rho(Rs @ R.ravel()) @ Rs).reshape(3, 3)
+        x = self._guard(_abs_dots(R, Rs), True)
+        u = np.divide(self._weights(x), x, out=np.full_like(x, self._dweights(np.zeros(1))[0]), where=x > 0.0)
+        M = (u @ Rs).reshape(3, 3) / self._kappa
         return M.T @ R - R.T @ M

@@ -183,9 +183,43 @@ def dist_d2(R1, R2):
 
 
 def dist_d3(R1, R2):
-    """1 - (1/2) sqrt(tr(R1^T R2) + 1); equals 1 - |<q1,q2>| on quaternion lifts."""
-    t = float(np.trace(np.asarray(R1).T @ np.asarray(R2)))
-    return float(1.0 - 0.5 * np.sqrt(max(t + 1.0, 0.0)))
+    """1 - |<q1,q2>| on quaternion lifts, read off P = R1^T R2 (see
+    :func:`_abs_dots`): 1 - (1/2) sqrt(tr P + 1) where tr P >= 0, and past
+    that from the skew part P - P^T, which keeps full precision up to
+    relative angle pi."""
+    return float(1.0 - _abs_dots(R1, R2)[0])
+
+
+def _abs_dots(R, Rs):
+    """|x_i| = |<q, q_i>| for lifts q of R and q_i of each R_i in Rs (r, 3, 3),
+    read off P_i = R^T R_i with trace t_i.
+
+    Where t_i >= 0 it is sqrt(t_i + 1) / 2. Below that, near relative angle
+    pi, that form has condition 1/(4 |x_i|) in t_i, so the skew part is read
+    instead: ||P_i - P_i^T||_F^2 = 8 x_i^2 (3 - t_i) keeps full precision.
+    """
+    # one (r, 9) @ (9, 4) product gives t_i and the axial vector w_i of
+    # P_i - P_i^T, w_i = sum_k R_i[k] x R[k] over the rows k, whose squared
+    # norm is half the skew part's
+    R = np.asarray(R, dtype=float)
+    C = np.zeros((3, 3, 4))
+    C[..., 0] = R
+    C[:, (1, 2, 0), (1, 2, 3)] = R[:, (2, 0, 1)]
+    C[:, (2, 0, 1), (1, 2, 3)] = -R[:, (1, 2, 0)]
+    Y = np.reshape(Rs, (-1, 9)) @ C.reshape(9, 4)
+    t, w = Y[:, 0], Y[:, 1:]
+    # the clamps keep the branch that a row does not take finite
+    near = 0.5 * np.sqrt(np.maximum(t + 1.0, 1.0))
+    far = np.sqrt(np.vecdot(w, w) / (4.0 * np.maximum(3.0 - t, 3.0)))
+    return np.where(t >= 0.0, near, far)
+
+
+def _same_rotation(F, f):
+    """Positions of the rows of F within Frobenius distance 1e-8 of f, both
+    flattened 3x3 matrices: the one rule that puts two rotations in one
+    class. The distance has np.linalg.norm's bits."""
+    d = F - f
+    return np.flatnonzero(np.sqrt(np.vecdot(d, d)) < 1e-8)
 
 
 # tangent_frame(q)[k] = q[_FRAME_INDEX[k]] * _FRAME_SIGN[k]: the rows

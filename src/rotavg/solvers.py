@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostModel
-from .geometry import canonicalize_sign, covering_map, normalize
+from .geometry import _same_rotation, canonicalize_sign, covering_map, normalize
 
 __all__ = [
     "CriticalPoint",
@@ -266,14 +266,11 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
     R = covering_map(q[converged]).reshape(-1, 9)
     reps: list[int] = []  # positions in `converged` of each class's representative
     for i, k in enumerate(converged):
-        if reps:
-            diff = R[reps] - R[i]
-            near = np.flatnonzero(np.sqrt(np.vecdot(diff, diff)) < 1e-8)
-            if near.size:
-                if nv[k] < nv[converged[reps[near[0]]]]:
-                    reps[near[0]] = i
-                continue
-        reps.append(i)
+        near = _same_rotation(R[reps], R[i])
+        if not near.size:
+            reps.append(i)
+        elif nv[k] < nv[converged[reps[near[0]]]]:
+            reps[near[0]] = i
     classes = [_critical_point(model, q[converged[i]], nv[converged[i]]) for i in reps]
     classes.sort(key=lambda p: p.cost)
     for pt, label in zip(classes, _classify_rows(model, np.reshape([pt.q for pt in classes], (-1, 4)))):

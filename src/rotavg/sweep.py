@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostModel
-from .geometry import SampleSet, canonicalize_sign, covering_map, normalize
+from .geometry import SampleSet, _same_rotation, canonicalize_sign, covering_map, normalize
 
 __all__ = [
     "EvenPolynomial",
@@ -276,9 +276,7 @@ def _winners(sets, tol=TIE_TOL):
     F = _rotations(sets).reshape(-1, 9)
     classes = []
     for k, f in enumerate(F):
-        d = F[classes] - f
-        # the Frobenius norm with np.linalg.norm's bits, one per class
-        if not (np.sqrt(np.vecdot(d, d)) < 1e-8).any():
+        if not _same_rotation(F[classes], f).size:
             classes.append(k)
     best = min(sets[k].cost for k in classes)
     return [sets[k] for k in classes if sets[k].cost <= best + tol]

@@ -435,6 +435,68 @@ def test_rotation_residual_zero_at_single_sample():
         assert np.abs(model.rotation_residual(R)).max() < 1e-14
 
 
+def near_plane(rng, q, x):
+    # a unit lift at <q, q_i> = x: relative angle pi - 2 arcsin(x) to q
+    v = rng.standard_normal(4)
+    v -= (v @ q) * q
+    return normalize(normalize(v) + x * q)
+
+
+def assert_residuals_agree(model, q, k, rel):
+    # the pushforward residual is -k times the rotation residual, k = kappa / 4
+    pf = model.pushforward_residual(q)
+    rr = model.rotation_residual(covering_map(q))
+    assert np.all(np.isfinite(rr))
+    assert np.abs(pf + k * rr).max() <= rel * np.abs(pf).max()
+
+
+def test_rotation_residual_next_to_a_hyperplane():
+    # a sample at x in [1e-5, 1e-3] from q, where |x| read off the trace
+    # alone is good to only about 1e-17 / x, and at x = 1e-7, which still
+    # clears EPS_DOM: the residual is finite there, as the gradient is
+    rng = np.random.default_rng(31)
+    for x in [*(10.0 ** rng.uniform(-5, -3, 40)), 1e-7]:
+        q = normalize(rng.standard_normal(4))
+        samples = SampleSet.from_quaternions(np.vstack([normalize(rng.standard_normal((4, 4))), near_plane(rng, q, x)]))
+        for kind, k in (("geodesic", 0.5), ("d3", 0.25)):
+            model = make(kind, samples)
+            assert np.all(np.isfinite(model.gradient(q)))
+            assert_residuals_agree(model, q, k, 1e-9)
+
+
+def test_rotation_residual_on_a_hyperplane():
+    # x_i = 0 exactly, where w(x)/x is 0/0 and u(0) = w'(0) stands in; l2 and Lp
+    # with p >= 2 are smooth there
+    rng = np.random.default_rng(33)
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    Q = np.vstack([normalize(rng.standard_normal((3, 4))), [0.0, 0.0, 1.0, 0.0]])
+    samples = SampleSet.from_quaternions(Q)
+    cases = [("l2", None, len(Q) / 4.0)] + [("lp", p, 2.0**-p) for p in (2.0, 3.0, 4.0)]
+    for kind, p, k in cases:
+        assert_residuals_agree(make(kind, samples, p), q, k, 1e-13)
+
+
+def test_rotation_residual_raises_like_the_gradient():
+    # inside the guard buffer of an excluded set: next to a hyperplane, and
+    # on a sample line (exact lifts there: 1 - x^2 read off a rounded x
+    # resolves the line clearance only to about 1.5e-8 on either path)
+    rng = np.random.default_rng(34)
+    q = normalize(rng.standard_normal(4))
+    on_plane = [near_plane(rng, q, 0.0), near_plane(rng, q, EPS_DOM / 2.0)]
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    for kind, p, at, lifts, error in [
+        ("geodesic", None, q, on_plane, DomainError),
+        ("d3", None, q, on_plane, NonDifferentiable),
+        ("lp", 1.5, e0, [e0, -e0], DomainError),
+    ]:
+        for qi in lifts:
+            model = make(kind, SampleSet.from_quaternions(np.vstack([normalize(rng.standard_normal((2, 4))), qi])), p)
+            with pytest.raises(error):
+                model.gradient(at)
+            with pytest.raises(error):
+                model.rotation_residual(covering_map(at))
+
+
 def so3_log(R):
     """Principal matrix logarithm of a rotation off angle pi, the reference
     form: (theta / 2 sin theta)(R - R^T), with sinc keeping theta -> 0 exact."""

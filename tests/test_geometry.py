@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rotavg import geometry
+from rotavg.checks import check_d3_identity
 from rotavg.geometry import (
     SampleSet,
     canonicalize_sign,
@@ -143,10 +144,39 @@ def test_d2_undefined_at_pi():
 
 def test_d3_equals_quaternion_form():
     rng = np.random.default_rng(2)
-    for _ in range(300):
-        qa, qb = rand_unit(rng), rand_unit(rng)
+    pairs = [(rand_unit(rng), rand_unit(rng)) for _ in range(300)]
+    # near relative angle pi: <qa, qb> = x, where sqrt(t + 1) / 2 read off
+    # the trace t would be good only to about 1e-17 / x
+    for x in np.logspace(-12, -2, 60):
+        qa, v = rand_unit(rng), rng.standard_normal(4)
+        pairs.append((qa, normalize(normalize(v - np.dot(v, qa) * qa) + x * qa)))
+    for qa, qb in pairs:
         d = dist_d3(covering_map(qa), covering_map(qb))
         assert abs(d - (1.0 - abs(np.dot(qa, qb)))) < 1e-12
+
+
+def test_d3_identity_check_seed_next_to_pi():
+    # the d3 family's seed under run_all(seed=11004); its worst pair has
+    # x = -3.77e-5, where the trace form read 1.581e-12 against 1e-12
+    assert check_d3_identity(seed=11012, trials=1000).passed
+
+
+def test_abs_dots_of_a_stack():
+    # every row within an ulp of |<q, q_i>|, on both sides of t = 0
+    rng = np.random.default_rng(5)
+    q, Q = rand_unit(rng), normalize(rng.standard_normal((200, 4)))
+    x = geometry._abs_dots(covering_map(q), covering_map(Q))
+    assert np.abs(x - np.abs(Q @ q)).max() < 1e-15
+    # the ends x = 1 and x = 0, exactly
+    assert geometry._abs_dots(np.eye(3), np.eye(3))[0] == 1.0
+    assert geometry._abs_dots(np.eye(3), np.diag([1.0, -1.0, -1.0]))[0] == 0.0
+
+
+def test_same_rotation_rule():
+    # the identity, flattened, and two copies 0.9e-8 and 1.1e-8 away from it
+    F = np.eye(3).reshape(1, 9) + np.array([[0.0], [0.9e-8], [1.1e-8]]) * np.eye(9)[0]
+    assert geometry._same_rotation(F, F[0]).tolist() == [0, 1]
+    assert geometry._same_rotation(F[:0], F[0]).size == 0
 
 
 def test_delta_skew_structure():
