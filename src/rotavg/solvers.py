@@ -68,14 +68,15 @@ def flow_descend(model: CostModel, q0, tol: float = 1e-12) -> CriticalPoint:
     The one-start case of the lockstep flow that :func:`multistart` runs.
     Each iteration first tries one Riemannian Newton step (see
     :func:`_newton_trial`); where it is not taken, a projected explicit
-    Euler step with a backtracking line search on the cost follows. Once the
-    cost change falls below a few ulps (values can no longer certify
-    descent) a step is accepted only if it strictly shrinks
-    ||control_field||, which carries the iterate down to the gradient noise
-    floor. Stops when ||control_field|| < tol * (1 + c r): the gradient
-    -c sum_i w_i q_i sums r terms of scale c, so its rounding floor, and
-    with it the field's, grows with both (c is ``model.scale``, r the
-    sample count).
+    Euler step with a backtracking line search on the cost follows, which
+    halves the step until the cost falls by the sufficient-decrease bound.
+    Only where the cost change dc sits at the noise floor, |dc| <= noise
+    (values can no longer certify descent), is a step accepted instead for
+    strictly shrinking ||control_field||, which carries the iterate down to
+    the gradient noise floor. Stops when ||control_field|| < tol * (1 + c r):
+    the gradient -c sum_i w_i q_i sums r terms of scale c, so its rounding
+    floor, and with it the field's, grows with both (c is ``model.scale``,
+    r the sample count).
 
     Raises ValueError unless tol is finite and positive, MaxIters if
     MAX_ITERS iterations run out (or no acceptable step exists) and
@@ -196,18 +197,19 @@ def _newton_trial(model, X, D, V, wd, nv, cost, noise):
     DY = model._dots(Y)
     cY = model._value(Y, DY)
     dc = cY - cost[rows]
-    ok = _or_field_shrinks(model, Y, DY, dc < -noise[rows], dc <= noise[rows], 0.5 * nv[rows])
+    ok = _or_field_shrinks(model, Y, DY, dc < -noise[rows], dc, noise[rows], 0.5 * nv[rows])
     rows = rows[ok]
     took[rows], X[rows], D[rows], cost[rows] = True, Y[ok], DY[ok], cY[ok]
     return took
 
 
-def _or_field_shrinks(model, Y, DY, ok, within_noise, field_bound):
+def _or_field_shrinks(model, Y, DY, ok, dc, noise, field_bound):
     """Which trial rows Y (dots DY) pass: those already ok, and those whose
-    cost change stays within the noise while ||control_field|| at Y is at
-    most field_bound. The field is evaluated only on the rows that decides;
-    a NaN cost (a trial inside a guard buffer) passes neither test."""
-    check = ~ok & within_noise
+    cost change dc sits at the noise floor, |dc| <= noise, while
+    ||control_field|| at Y is at most field_bound. The field is evaluated
+    only on the rows that decides; a NaN cost (a trial inside a guard
+    buffer) passes neither test."""
+    check = ~ok & (np.abs(dc) <= noise)
     if check.any():
         F = model._field(Y[check], DY[check])[0]
         ok[check] = np.sqrt(np.vecdot(F, F)) <= field_bound[check]
@@ -216,8 +218,11 @@ def _or_field_shrinks(model, Y, DY, ok, within_noise, field_bound):
 
 def _line_search(model, X, D, V, nv, cost, noise, h, rows):
     """Backtrack each of the given rows from its step h along -v: which of
-    them found an acceptable step. Those move in place, with their dots D
-    and costs, to the point found; h holds each row's last step tried."""
+    them found an acceptable step. A step is acceptable where the cost falls
+    by at least max(0.025 h |v|^2, noise), or where its change dc sits at
+    the noise floor, |dc| <= noise, and ||control_field|| shrinks to at most
+    0.999 |v|; otherwise h halves. Those rows move in place, with their dots
+    D and costs, to the point found; h holds each row's last step tried."""
     found = np.zeros(len(rows), dtype=bool)
     todo = np.flatnonzero(h[rows] * nv[rows] > 1e-18)  # positions in rows
     while todo.size:
@@ -231,7 +236,7 @@ def _line_search(model, X, D, V, nv, cost, noise, h, rows):
         # descent would admit wildly overshooting steps near the floor
         dc = cT - cost[k]
         decrease = dc <= -np.maximum(0.025 * h[k] * n * n, noise[k])
-        ok = _or_field_shrinks(model, T, DT, decrease, dc <= noise[k], 0.999 * n)
+        ok = _or_field_shrinks(model, T, DT, decrease, dc, noise[k], 0.999 * n)
         found[todo[ok]] = True
         X[k[ok]], D[k[ok]], cost[k[ok]] = T[ok], DT[ok], cT[ok]
         todo = todo[~ok]

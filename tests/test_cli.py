@@ -237,6 +237,20 @@ def test_average_quaternion_input(tmp_path, capsys):
     assert np.abs(np.asarray(best["matrix"]) - R_mid).max() < 1e-7
 
 
+@pytest.mark.parametrize("cost", [["l2"], ["geodesic"], ["d3"], ["lp", "--p", "1.5"], ["lp", "--p", "4"]],
+                         ids=["l2", "geodesic", "d3", "lp1.5", "lp4"])
+def test_average_straggler_fixture(cost, capsys):
+    # the committed r = 5 input holds the samples of D3_CREEP in
+    # test_solvers.py as matrices: every cost averages it, and under d3 the
+    # minimum its slow start reaches is among the classes
+    fixture = Path(__file__).parent / "data" / "d3_straggler.json"
+    assert main(["average", "--input", str(fixture), "--cost", *cost]) == 0
+    pts = json.loads(capsys.readouterr().out)["critical_points"]
+    assert pts and pts[0]["class"] == "min"
+    if cost == ["d3"]:
+        assert any(abs(pt["cost"] - 1.6202218112417728) < 1e-12 and pt["class"] == "min" for pt in pts)
+
+
 @pytest.mark.parametrize("components", [["1e0", "0", "0", "0"], [True, False, False, False], [None, 0, 0, 1]],
                          ids=["strings", "booleans", "null"])
 def test_distance_rejects_non_number_components(components, tmp_path, capsys):

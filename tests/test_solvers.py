@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotavg import costs, solvers
 from rotavg.costs import CostModel
@@ -20,9 +22,10 @@ from rotavg.solvers import (
 from rotavg.sweep import build_samples, critical_sets
 
 # Two trace-sqrt (d3) problems with five samples drawn at spread 0.2 around a
-# random unit quaternion (scalar first). On the first, the line-search flow
-# alone creeps along the stability edge of its step size for ~1400 field
-# evaluations per start; on the second, a Newton trust radius of 0.1 rad
+# random unit quaternion (scalar first). On the first, the Euler phase, which
+# backtracks to sufficient decrease, converges only linearly and alone needs
+# ~800 field evaluations per start; the Newton finish takes it to the noise
+# floor in a few steps. On the second, a Newton trust radius of 0.1 rad
 # jumped into the basin of a second minimum (cost 2.9956) that the line
 # search never reaches.
 D3_SLOW = [
@@ -39,6 +42,19 @@ D3_TWO_BASINS = [
     [-0.05035177077921567, -0.07901756723614402, -0.6666676151139941, -0.7394425022986564],
     [-0.3897209332229256, -0.12195647028521481, -0.7280998038728363, -0.5505587063735901],
 ]
+
+# seed 0's trace-sqrt problem on uniform samples, and start 35 of its
+# multistart(seed=0): a line search that also takes a step whose cost fell by
+# less than the sufficient-decrease bound whenever the field shrinks by 0.1 %
+# zigzags here for 1547 field evaluations
+D3_CREEP = [
+    [0.32682236460207903, 0.6342304087340287, -0.37706359619981217, -0.5905607293529072],
+    [0.05304747159534315, -0.42275289766554625, -0.6579169383566412, 0.6209760506623013],
+    [0.7879905934432084, 0.3091839169118431, 0.345661195427091, 0.40496230459634797],
+    [0.6596829069829723, -0.2856406055297313, 0.6943037612512715, -0.03420809581723259],
+    [0.17541967334219616, -0.6705181679760537, 0.36449023089394694, 0.6219165508341381],
+]
+D3_CREEP_START = [0.4462366273434678, 0.5568055316800143, 0.48776652389329556, 0.5029157886532445]
 
 
 def test_flow_tol_validation():
@@ -145,7 +161,7 @@ def test_multistart_matches_eigen_oracle():
 
 def test_newton_finish_field_evaluations(monkeypatch):
     # the Newton finish converges in a few steps where the line search alone
-    # needed ~1400 field evaluations
+    # needs ~800 field evaluations
     model = CostModel.trace_sqrt(SampleSet.from_quaternions(D3_SLOW))
     calls = []
     field = CostModel._field
@@ -153,6 +169,64 @@ def test_newton_finish_field_evaluations(monkeypatch):
     pt = flow_descend(model, random_unit_quaternion(np.random.default_rng(0)))
     assert pt.control_norm < 1e-12
     assert 0 < len(calls) <= 40
+
+
+def test_flow_backtracks_insufficient_decrease(monkeypatch):
+    # a step whose cost fell, but by less than the sufficient-decrease bound,
+    # is backtracked rather than taken for a 0.1 % smaller field: the start
+    # reaches the minimum in a few steps instead of zigzagging at the
+    # stability edge of its step size
+    model = CostModel.trace_sqrt(SampleSet.from_quaternions(D3_CREEP))
+    calls = []
+    field = CostModel._field
+    monkeypatch.setattr(CostModel, "_field", lambda self, X, D: calls.append(X) or field(self, X, D))
+    pt = flow_descend(model, D3_CREEP_START)
+    assert 0 < len(calls) <= 50
+    assert classify(model, pt) == ("Min", False)
+    assert abs(pt.cost - 1.6202218112417728) < 1e-12
+    q = np.array([0.7632741341062883, 0.1704377904183512, 0.601247628602899, -0.16390498741953094])
+    assert np.abs(pt.R - covering_map(q)).max() < 1e-10
+
+
+@st.composite
+def flow_problems(draw):
+    # a model of every kind on 1 to 6 random samples, and four random starts
+    kind = draw(st.sampled_from(["l2", "geodesic", "d3", "lp1.5", "lp4"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = kind_model(kind, SampleSet.from_quaternions(rng.standard_normal((draw(st.integers(1, 6)), 4))))
+    return model, normalize(rng.standard_normal((4, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow_problems())
+def test_line_search_acceptance_rule(problem):
+    # every step the line search takes either lowers the cost by at least
+    # max(0.025 h |v|^2, noise), or leaves it within the noise, |dc| <= noise,
+    # while the field at the new point is at most 0.999 |v|
+    model, starts = problem
+    line_search = solvers._line_search
+    accepted = []
+
+    def checked(model, X, D, V, nv, cost, noise, h, rows):
+        X0, cost0 = X[rows], cost[rows]
+        found = line_search(model, X, D, V, nv, cost, noise, h, rows)
+        k = rows[found]
+        T, n = X[k], nv[k]
+        assert np.array_equal(T, normalize(X0[found] - h[k, None] * V[k]))
+        dc = cost[k] - cost0[found]
+        rest = dc > -np.maximum(0.025 * h[k] * n * n, noise[k])  # no sufficient decrease
+        assert np.all(np.abs(dc[rest]) <= noise[k][rest])
+        # the field only there: a sufficient step may end inside a guard
+        # buffer, where the flow stops it and the field is not defined
+        F = model._field(T[rest], model._dots(T[rest]))[0]
+        assert np.all(np.sqrt(np.vecdot(F, F)) <= 0.999 * n[rest])
+        accepted.append(len(k))
+        return found
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solvers, "_line_search", checked)
+        solvers._flow(model, starts, 1e-12)
+    assert sum(accepted) > 0
 
 
 def test_newton_steps_only_positive_definite_rows():
@@ -202,7 +276,7 @@ def unscreened_newton_trial(model, X, D, V, wd, nv, cost, noise):
     DY = model._dots(Y)
     cY = model._value(Y, DY)
     dc = cY - cost[rows]
-    ok = solvers._or_field_shrinks(model, Y, DY, dc < -noise[rows], dc <= noise[rows], 0.5 * nv[rows])
+    ok = solvers._or_field_shrinks(model, Y, DY, dc < -noise[rows], dc, noise[rows], 0.5 * nv[rows])
     rows = rows[ok]
     took[rows], X[rows], D[rows], cost[rows] = True, Y[ok], DY[ok], cY[ok]
     return took
