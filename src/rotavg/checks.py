@@ -207,7 +207,8 @@ def check_two_roots(seed=0, trials=1000) -> CheckResult:
 
     Sampled on the standard 0.01 grid over [-pi, pi] (the claim degenerates
     exactly at alpha = 0, where the two roots collide, which the grid never
-    hits).
+    hits). The polynomial is quadratic in W = x^2, so positive_roots solves
+    it in closed form; its roots pair as W and 1 - W.
     """
     from .sweep import positive_roots, q2_coeffs
 

@@ -214,12 +214,29 @@ def _abs_dots(R, Rs):
     return np.where(t >= 0.0, near, far)
 
 
-def _same_rotation(F, f):
-    """Positions of the rows of F within Frobenius distance 1e-8 of f, both
-    flattened 3x3 matrices: the one rule that puts two rotations in one
-    class. The distance has np.linalg.norm's bits."""
-    d = F - f
-    return np.flatnonzero(np.sqrt(np.vecdot(d, d)) < 1e-8)
+def _rotation_distances(F):
+    """The Frobenius distance between every pair of rows of F, flattened
+    3x3 matrices, as one (n, n) matrix. Each distance has np.linalg.norm's
+    bits for its difference, in either order."""
+    d = F[:, None] - F[None]
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _same_rotation(Q):
+    """Which pairs of rows of Q, unit quaternions, are one rotation, as
+    nested lists of bools: the one rule that puts two rotations in one
+    class. Two rows are one rotation when their rotation matrices lie
+    within Frobenius distance 1e-8 (:func:`_rotation_distances`).
+
+    That distance is 2 sqrt(2 (1 - <q, q'>^2)), so a pair with
+    1 - <q, q'>^2 above 1e-12 lies over 2.8e-6 apart, far beyond the
+    rounding of either form; the matrices are formed only when some pair
+    of distinct rows passes that screen.
+    """
+    same = 1.0 - (Q @ Q.T) ** 2 <= 1e-12
+    if np.count_nonzero(same) > len(Q):
+        same = _rotation_distances(covering_map(Q).reshape(-1, 9)) < 1e-8
+    return same.tolist()
 
 
 # tangent_frame(q)[k] = q[_FRAME_INDEX[k]] * _FRAME_SIGN[k]: the rows

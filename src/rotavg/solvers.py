@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostModel
+from .costs import CostModel, DomainError, NonDifferentiable
 from .geometry import _same_rotation, canonicalize_sign, covering_map, normalize
 
 __all__ = [
@@ -260,23 +260,31 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
     Starts violating the model's domain guard are resampled. Limits are
     identified under q ~ -q by comparing rotation matrices (Frobenius
     tolerance 1e-8); each class keeps its best-converged representative.
-    Per-start failures (MaxIters, DomainBreach) are tolerated; the returned
-    list holds the surviving classes, classified, sorted by cost.
+    Per-start failures (MaxIters, DomainBreach) are tolerated, and a class
+    is dropped the same way where its certificate, the rotation residual,
+    raises (a representative next to a sample's own lift under Lp p < 2);
+    the returned list holds the surviving classes, classified, sorted by
+    cost.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     q, nv, ends = _flow(model, _draw_starts(model, n_starts, np.random.default_rng(seed)), tol)
     converged = [k for k, end in enumerate(ends) if end is None]
     q[converged] = canonicalize_sign(normalize(q[converged]))
-    R = covering_map(q[converged]).reshape(-1, 9)
+    same = _same_rotation(q[converged])
     reps: list[int] = []  # positions in `converged` of each class's representative
     for i, k in enumerate(converged):
-        near = _same_rotation(R[reps], R[i])
-        if not near.size:
+        j = next((j for j, rep in enumerate(reps) if same[i][rep]), None)
+        if j is None:
             reps.append(i)
-        elif nv[k] < nv[converged[reps[near[0]]]]:
-            reps[near[0]] = i
-    classes = [_critical_point(model, q[converged[i]], nv[converged[i]]) for i in reps]
+        elif nv[k] < nv[converged[reps[j]]]:
+            reps[j] = i
+    classes = []
+    for i in reps:
+        try:
+            classes.append(_critical_point(model, q[converged[i]], nv[converged[i]]))
+        except (DomainError, NonDifferentiable):
+            continue
     classes.sort(key=lambda p: p.cost)
     for pt, label in zip(classes, _classify_rows(model, np.reshape([pt.q for pt in classes], (-1, 4)))):
         pt.classification, pt.degenerate = label

@@ -2,12 +2,14 @@
 
 The samples are rotations by pi, pi/2 and alpha about the x-axis. On the
 axis the critical-point system collapses to a polynomial in the second
-quaternion component; this module builds those polynomials, isolates their
-positive roots, labels the resulting critical families and traces the
-minimizer angle over an alpha grid, one SweepRecord per alpha. Root-count
-transitions and minimizer ties are found from those records: each change
-between adjacent records is bisected, so they work on any grid. Records
-round-trip through CSV.
+quaternion component; this module builds those polynomials, finds their
+positive roots (in closed form for p = 2, by safeguarded Newton steps on a
+derivative chain for p = 4), labels the resulting critical families and
+traces the minimizer angle over an alpha grid, one SweepRecord per alpha.
+Minimizer classes are deduplicated under the rule multistart uses
+(geometry._same_rotation). Root-count transitions and minimizer ties are
+found from those records: each change between adjacent records is
+bisected, so they work on any grid. Records round-trip through CSV.
 """
 
 from __future__ import annotations
@@ -88,11 +90,23 @@ class EvenPolynomial:
 
 
 def q2_coeffs(alpha: float) -> EvenPolynomial:
-    """Quartic whose positive roots are the x-axis critical coordinates, p = 2."""
+    """Quartic whose positive roots are the x-axis critical coordinates, p = 2.
+
+    The constant term is (1 + sin a)^2 (3 - 2 sin a - 2 cos a). It has a
+    fourfold zero at a = -pi/2, where its expansion in sin(a/2) and
+    cos(a/2) cancels terms up to 28 down to ~1e-13; so for a <= -pi/4 it is
+    formed as that product, with 1 + sin a = (sin(a/2) + cos(a/2))^2.
+    Elsewhere the expansion is kept: next to the double root at a = 0 it
+    holds the constant term to an ulp, where the product of rounded factors
+    is several ulps off, enough to move the two close roots by ~1e-8.
+    """
     s = math.sin(0.5 * alpha)
     c = math.cos(0.5 * alpha)
     big_a = 128.0 * s**4 - 32.0 * s**2 + 4.0
-    a0 = -16.0 * s**6 + 16.0 * s**5 * c + 28.0 * s**4 - 8.0 * s**2 + 1.0
+    if alpha > -0.25 * math.pi:
+        a0 = -16.0 * s**6 + 16.0 * s**5 * c + 28.0 * s**4 - 8.0 * s**2 + 1.0
+    else:
+        a0 = (s + c) ** 4 * (3.0 - 2.0 * math.sin(alpha) - 2.0 * math.cos(alpha))
     return EvenPolynomial((a0, 0.0, -big_a, 0.0, big_a))
 
 
@@ -120,62 +134,85 @@ def _derivative(c):
     return tuple(j * c[j] for j in range(1, len(c)))
 
 
-def _bisect_root(c, dc, lo, hi, flo):
-    # the root of c in [lo, hi], where c changes sign; dc is c's derivative
-    lead, rest = c[-1], c[-2::-1]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-13:
-            break
-        fm = lead  # _horner(c, mid), inlined
-        for a in rest:
-            fm = a + fm * mid
-        if fm == 0.0:
-            break
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    # Newton polish: simple roots sharpen to full precision, which matters
-    # for roots many orders smaller than the bisection width floor
+def _in_interval(roots, lo, hi):
+    # roots within 1e-12 of [lo, hi], moved onto it
+    return [min(max(r, lo), hi) for r in roots if lo - 1e-12 <= r <= hi + 1e-12]
+
+
+def _quadratic_roots(c, lo, hi, ztol):
+    # the real roots of c0 + c1 W + c2 W^2 in [lo, hi]: q/c2 and c0/q with
+    # q = -(c1 + sign(c1) sqrt(disc)) / 2, which subtracts nothing; with
+    # disc < 0 the vertex is one multiple root where |c| is at most ztol there
+    c0, c1, c2 = c
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        v = -c1 / (2.0 * c2)
+        return _in_interval([v], lo, hi) if abs(_horner(c, v)) <= ztol else []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return _in_interval(sorted((q / c2, c0 / q)) if q else [0.0], lo, hi)
+
+
+def _newton_root(c, dc, lo, hi, flo):
+    # the root of c in [lo, hi], where c changes sign and c(lo) = flo; dc is
+    # c's derivative. Newton from the midpoint, with c and dc in one Horner
+    # pass (each in numpy polyval's order). Every iterate becomes an end of
+    # the bracket, by its sign; a step that would leave the bracket is
+    # replaced by the bracket's midpoint
+    neg = flo < 0.0
+    head, tail = c[-2:0:-1], dc[-2::-1]
     x = 0.5 * (lo + hi)
-    for _ in range(3):
-        d = _horner(dc, x)
-        if d == 0.0:
+    for _ in range(100):
+        f, d = c[-1], dc[-1]
+        for a, b in zip(head, tail):
+            f, d = a + f * x, b + d * x
+        f = c[0] + f * x
+        if f == 0.0:
             break
-        x2 = x - _horner(c, x) / d
-        if not (lo - 1e-9 <= x2 <= hi + 1e-9):
+        if (f < 0.0) == neg:
+            lo = x
+        else:
+            hi = x
+        step = f / d if d else math.inf
+        if abs(step) <= 4e-16 * abs(x):
+            return x - step
+        xn = x - step
+        if not lo < xn < hi:
+            xn = 0.5 * (lo + hi)
+        if xn == x:
             break
-        x = x2
+        x = xn
     return x
 
 
 def _real_roots_on(c, lo, hi, ztol):
     # roots of P' partition [lo, hi] into monotone pieces; recurse on the
-    # derivative, then bisect every sign change and keep near-zero nodes
-    # (this catches multiple roots that plain companion-matrix solves smear)
+    # derivative down to degree 2, solved in closed form, then root every
+    # sign change and keep near-zero nodes (this catches multiple roots
+    # that plain companion-matrix solves smear)
     while c and c[-1] == 0.0:
         c = c[:-1]
     if len(c) <= 1:
         return []
     if len(c) == 2:
-        r = -c[0] / c[1]
-        return [r] if lo - 1e-12 <= r <= hi + 1e-12 else []
-    dc = _derivative(c)
-    nodes = [lo] + sorted(_real_roots_on(dc, lo, hi, ztol)) + [hi]
-    vals = [_horner(c, t) for t in nodes]
-    n = len(nodes)
-    cross = [vals[i] * vals[i + 1] < 0.0 for i in range(n - 1)]
-    roots = []
-    for i in range(n):
-        # a near-zero node is a (multiple) root only when no strict sign
-        # change flanks it; otherwise the bisected crossings already cover it
-        flanked = (i > 0 and cross[i - 1]) or (i < n - 1 and cross[i])
-        if abs(vals[i]) <= ztol and not flanked:
-            roots.append(nodes[i])
-    for i in range(n - 1):
-        if cross[i]:
-            roots.append(_bisect_root(c, dc, nodes[i], nodes[i + 1], vals[i]))
+        return _in_interval([-c[0] / c[1]], lo, hi)
+    if len(c) == 3:
+        roots = _quadratic_roots(c, lo, hi, ztol)
+    else:
+        dc = _derivative(c)
+        nodes = [lo] + _real_roots_on(dc, lo, hi, ztol) + [hi]
+        vals = [_horner(c, t) for t in nodes]
+        n = len(nodes)
+        cross = [vals[i] * vals[i + 1] < 0.0 for i in range(n - 1)]
+        roots = []
+        for i in range(n):
+            # a near-zero node is a (multiple) root only when no strict sign
+            # change flanks it; otherwise the crossings already cover it
+            flanked = (i > 0 and cross[i - 1]) or (i < n - 1 and cross[i])
+            if abs(vals[i]) <= ztol and not flanked:
+                roots.append(nodes[i])
+        for i in range(n - 1):
+            if cross[i]:
+                roots.append(_newton_root(c, dc, nodes[i], nodes[i + 1], vals[i]))
     out = []
     for r in sorted(roots):
         if not out or r - out[-1] > 1e-10:
@@ -186,11 +223,17 @@ def _real_roots_on(c, lo, hi, ztol):
 def positive_roots(poly: EvenPolynomial):
     """All roots of an even polynomial in (0, 1], ascending, multiplicity-free.
 
-    Works in W = Z^2 (halving the degree), isolates by a derivative chain
-    and refines by bisection, all in Python floats. A node of the chain with
-    no sign change around it counts as a multiple root only where |poly| is
-    at rounding level, 1e-14 * max|coeff|; counting the near-zero values
-    beside a double root as well would make the root count odd there.
+    Works in W = Z^2 (halving the degree), all in Python floats. Degree 2
+    in W (all of the p = 2 polynomial) is solved in closed form, by the
+    formula that subtracts nothing. Higher degrees are isolated by a
+    derivative chain down to degree 2: between adjacent roots of P' the
+    polynomial is monotone, and each sign change there is refined by
+    Newton's method from the bracket's midpoint, bisecting whenever a step
+    would leave the bracket. A node of the chain with no sign change around
+    it (for degree 2, a vertex with a negative discriminant) counts as a
+    multiple root only where |poly| is at rounding level, 1e-14 * max|coeff|;
+    counting the near-zero values beside a double root as well would make
+    the root count odd there.
     """
     w = poly.coeffs[0::2]
     if not any(w):
@@ -266,17 +309,17 @@ def _thetas(qs):
     return [2.0 * math.atan2(q1, q0) for q0, q1, _, _ in Q.tolist()]
 
 
-def _rotations(reps):
-    """The rotation matrix of each rep's quaternion, one stacked call."""
-    return covering_map(normalize(np.array([rep.q for rep in reps])))
+def _unit_quats(reps):
+    """Each rep's quaternion, normalized in one stacked call."""
+    return normalize(np.array([rep.q for rep in reps]))
 
 
 def _winners(sets, tol=TIE_TOL):
     """Deduplicate reps by rotation, then collect every cost-minimal class."""
-    F = _rotations(sets).reshape(-1, 9)
+    same = _same_rotation(_unit_quats(sets))
     classes = []
-    for k, f in enumerate(F):
-        if not _same_rotation(F[classes], f).size:
+    for k, row in enumerate(same):
+        if not any(row[j] for j in classes):
             classes.append(k)
     best = min(sets[k].cost for k in classes)
     return [sets[k] for k in classes if sets[k].cost <= best + tol]
@@ -384,7 +427,7 @@ def tie_locations(records):
     changes = _changes(records, lambda rec: rec.min_set_label[0], _leading_label, 1e-13)
     for a_star, prev, cur in changes:
         win = _winners(_record_at(a_star, records[0].p).sets, tol=1e-9)
-        rots = _rotations(win)
+        rots = covering_map(_unit_quats(win))
         labels = {r.label for r in win}
         # the tie must be between the classes that swapped the lead;
         # anything else is root-finder noise at a degenerate pinch

@@ -173,10 +173,41 @@ def test_abs_dots_of_a_stack():
 
 
 def test_same_rotation_rule():
-    # the identity, flattened, and two copies 0.9e-8 and 1.1e-8 away from it
-    F = np.eye(3).reshape(1, 9) + np.array([[0.0], [0.9e-8], [1.1e-8]]) * np.eye(9)[0]
-    assert geometry._same_rotation(F, F[0]).tolist() == [0, 1]
-    assert geometry._same_rotation(F[:0], F[0]).size == 0
+    # the identity and rotations about x whose matrices lie 0.9e-8 and
+    # 1.1e-8 from it: ||R(q) - I||_F = 2 sqrt(2) |sin(angle / 2)|
+    t = np.array([0.0, 0.9e-8, 1.1e-8]) / (2.0 * math.sqrt(2.0))
+    Q = normalize(np.stack([np.ones(3), t, np.zeros(3), np.zeros(3)], axis=1))
+    assert geometry._same_rotation(Q) == [[True, True, False], [True, True, True], [False, True, True]]
+    assert geometry._same_rotation(np.concatenate([Q[:1], -Q[:1]])) == [[True, True], [True, True]]
+    assert geometry._same_rotation(Q[:0]) == []
+
+
+def test_same_rotation_screen_keeps_the_rule():
+    # the quaternion screen decides only pairs far beyond the threshold, so
+    # the table equals the matrix rule on every pair, near ones included
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 5, 64):
+        for scale in (0.0, 1e-10, 3e-9, 1e-8, 3e-8, 1e-6, 1e-3):
+            Q = normalize(rng.standard_normal((n, 4)))
+            k = rng.integers(0, n, n // 2)
+            Q[k] = normalize(Q[k[::-1]] + scale * rng.standard_normal((len(k), 4)))
+            Q[::3] *= -1.0
+            want = (geometry._rotation_distances(covering_map(Q).reshape(-1, 9)) < 1e-8).tolist()
+            assert geometry._same_rotation(Q) == want
+
+
+def test_rotation_distances_are_norms_bit_for_bit():
+    # the pairwise matrix must keep the per-pair distances that multistart
+    # and the sweep compared before, np.linalg.norm of each difference
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 64):
+        F = covering_map(normalize(rng.standard_normal((n, 4)))).reshape(-1, 9)
+        F[n // 2] = F[0] + 1e-9 * rng.standard_normal(9)  # a near pair
+        dist = geometry._rotation_distances(F)
+        assert dist.shape == (n, n)
+        for i in range(n):
+            for j in range(n):
+                assert dist[i, j] == np.linalg.norm(F[j] - F[i]) == np.linalg.norm((F[i] - F[j]).reshape(3, 3))
 
 
 def test_delta_skew_structure():

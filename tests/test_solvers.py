@@ -478,6 +478,20 @@ def test_multistart_drops_slow_starts(monkeypatch):
     assert_same_classes(model, multistart(model, 16, seed=0), want)
 
 
+def test_multistart_drops_class_without_certificate():
+    # one Lp p = 1.5 sample: a start converges next to the sample's own lift,
+    # where the rotation residual's weights are undefined and it raises
+    # DomainError; that class is dropped like a DomainBreach start
+    S = SampleSet.from_quaternions(np.random.default_rng(1).standard_normal((1, 4)))
+    model = CostModel.lp_chordal(S, 1.5)
+    q, _, ends = solvers._flow(model, drawn_starts(model, 4, 1), 1e-12)
+    assert any(end is None for end in ends)
+    with pytest.raises(costs.DomainError):
+        model.rotation_residual(covering_map(q[[end is None for end in ends]][0]))
+    classes = multistart(model, 4, seed=1)
+    assert all(math.isfinite(pt.rotation_residual_norm) for pt in classes)
+
+
 def test_multistart_validation():
     samples = build_samples(0.3)
     with pytest.raises(ValueError):

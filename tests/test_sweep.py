@@ -81,28 +81,91 @@ def test_positive_roots_tiny():
         assert abs(npoly.polyval(r, p.coeffs)) < 1e-10
 
 
-def _reference_bisect(c, lo, hi, flo):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-13:
-            break
-        fm = float(npoly.polyval(mid, c))
-        if fm == 0.0:
-            break
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+# positive roots of the float coefficients at three alphas, from a 60-digit
+# solve: p = 2 next to its double root at alpha = 0, and p = 4 with four
+# roots and next to alpha = -pi/2
+PINNED_ROOTS = (
+    (q2_coeffs, -0.0015926535898600491, (0.70710633207529254345, 0.70710723029751725735)),
+    (
+        q4_coeffs,
+        -0.5715926535898479,
+        (0.38434108179239104301, 0.60290532731902833969, 0.98614014880340371448, 0.99996570432753185343),
+    ),
+    (q4_coeffs, -1.5715926535898266, (0.055634818787622846225, 0.99999998018324004797)),
+)
+
+
+@pytest.mark.parametrize("q, alpha, want", PINNED_ROOTS)
+def test_positive_roots_match_60_digit_roots(q, alpha, want):
+    roots = positive_roots(q(alpha))
+    assert len(roots) == len(want)
+    for got, x in zip(roots, want):
+        assert abs(got - x) <= 1e-11 * x, (alpha, got, x)
+
+
+@pytest.mark.parametrize(
+    "alpha, want",
+    # the small p = 2 root of the exact polynomial at alpha, from a 60-digit solve
+    [(-1.5715926535898266, 1.5840793823075455e-7), (-1.5706152855, 8.195471310814782e-9)],
+)
+def test_q2_small_root_next_to_minus_half_pi(alpha, want):
+    # the constant term has a fourfold zero at -pi/2: only a form without
+    # cancellation there keeps the small root, to ~2e-13 relative
+    small = positive_roots(q2_coeffs(alpha))[0]
+    assert abs(small - want) <= 1e-10 * want
+
+
+def test_q2_constant_term_matches_expanded_form():
+    # the factored constant term below alpha = -pi/4 is the expanded one
+    # up to the expansion's rounding
+    for a in np.random.default_rng(5).uniform(-math.pi, math.pi, 2000):
+        s, c = math.sin(0.5 * a), math.cos(0.5 * a)
+        expanded = -16.0 * s**6 + 16.0 * s**5 * c + 28.0 * s**4 - 8.0 * s**2 + 1.0
+        assert abs(q2_coeffs(a).coeffs[0] - expanded) < 1e-13
+
+
+def test_q2_roots_certified_next_to_double_root():
+    # within ~3e-4 of alpha = 0 the two p = 2 roots lie closer than the
+    # coefficients resolve, so the constant term must be right to an ulp:
+    # a few ulps off puts the roots ~1e-8 from the critical system, past
+    # RESIDUAL_TOL
+    for a in np.random.default_rng(8).uniform(-3e-4, 3e-4, 400):
+        for x, res in _root_residuals(float(a), 2.0):
+            assert res < RESIDUAL_TOL, (a, x, res)
+
+
+def _reference_in_interval(roots, lo, hi):
+    return [float(np.clip(r, lo, hi)) for r in roots if lo - 1e-12 <= r <= hi + 1e-12]
+
+
+def _reference_quadratic(c, lo, hi, ztol):
+    c0, c1, c2 = (np.float64(a) for a in c)
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        v = -c1 / (2.0 * c2)
+        return _reference_in_interval([v], lo, hi) if abs(npoly.polyval(v, c)) <= ztol else []
+    q = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+    return _reference_in_interval(sorted([q / c2, c0 / q]) if q else [0.0], lo, hi)
+
+
+def _reference_newton(c, lo, hi, flo):
     dc = npoly.polyder(c)
-    for _ in range(3):
-        d = float(npoly.polyval(x, dc))
-        if d == 0.0:
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        f, d = float(npoly.polyval(x, c)), float(npoly.polyval(x, dc))
+        if f == 0.0:
             break
-        x2 = x - float(npoly.polyval(x, c)) / d
-        if not (lo - 1e-9 <= x2 <= hi + 1e-9):
+        if (f < 0.0) == (flo < 0.0):
+            lo = x
+        else:
+            hi = x
+        step = f / d if d else math.inf
+        if abs(step) <= 4e-16 * abs(x):
+            return x - step
+        xn = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+        if xn == x:
             break
-        x = x2
+        x = xn
     return x
 
 
@@ -111,20 +174,22 @@ def _reference_roots_on(c, lo, hi, ztol):
     if c.size <= 1:
         return []
     if c.size == 2:
-        r = -c[0] / c[1]
-        return [r] if lo - 1e-12 <= r <= hi + 1e-12 else []
-    nodes = [lo] + sorted(_reference_roots_on(npoly.polyder(c), lo, hi, ztol)) + [hi]
-    vals = [float(npoly.polyval(t, c)) for t in nodes]
-    n = len(nodes)
-    cross = [vals[i] * vals[i + 1] < 0.0 for i in range(n - 1)]
-    roots = []
-    for i in range(n):
-        flanked = (i > 0 and cross[i - 1]) or (i < n - 1 and cross[i])
-        if abs(vals[i]) <= ztol and not flanked:
-            roots.append(nodes[i])
-    for i in range(n - 1):
-        if cross[i]:
-            roots.append(_reference_bisect(c, nodes[i], nodes[i + 1], vals[i]))
+        return _reference_in_interval([-c[0] / c[1]], lo, hi)
+    if c.size == 3:
+        roots = _reference_quadratic(c, lo, hi, ztol)
+    else:
+        nodes = [lo] + sorted(_reference_roots_on(npoly.polyder(c), lo, hi, ztol)) + [hi]
+        vals = [float(npoly.polyval(t, c)) for t in nodes]
+        n = len(nodes)
+        cross = [vals[i] * vals[i + 1] < 0.0 for i in range(n - 1)]
+        roots = []
+        for i in range(n):
+            flanked = (i > 0 and cross[i - 1]) or (i < n - 1 and cross[i])
+            if abs(vals[i]) <= ztol and not flanked:
+                roots.append(nodes[i])
+        for i in range(n - 1):
+            if cross[i]:
+                roots.append(_reference_newton(c, nodes[i], nodes[i + 1], vals[i]))
     out = []
     for r in sorted(roots):
         if not out or r - out[-1] > 1e-10:
@@ -133,8 +198,10 @@ def _reference_roots_on(c, lo, hi, ztol):
 
 
 def _reference_positive_roots(poly):
-    """The isolator on numpy arrays (polyval, polyder, trim_zeros): the same
-    algorithm as positive_roots, so its roots must match bit for bit."""
+    """The isolator on numpy arrays and scalars (polyval, polyder,
+    trim_zeros, np.sqrt): the same algorithm as positive_roots, closed form
+    at degree 2 in W and safeguarded Newton above, so its roots must match
+    bit for bit."""
     w = np.asarray(poly.coeffs)[0::2]
     ztol = 1e-14 * max(1.0, float(np.max(np.abs(w))))
     return [float(math.sqrt(r)) for r in _reference_roots_on(w, 0.0, 1.0, ztol) if r > 0.0]
@@ -240,6 +307,27 @@ def default_records():
     """The CLI's default alpha grid, swept once per p."""
     grid = np.arange(-math.pi, math.pi + 0.005, 0.01)
     return {p: theta_min_curve(p, grid) for p in (2.0, 4.0)}
+
+
+def _reference_winners(sets, tol):
+    """The dedup rule one pair at a time, np.linalg.norm of each difference
+    of rotation matrices, then the cost-minimal classes."""
+    classes = []
+    for rep in sets:
+        R = covering_map(normalize(np.asarray(rep.q)))
+        if all(np.linalg.norm(R - Rk) >= 1e-8 for _, Rk in classes):
+            classes.append((rep, R))
+    best = min(rep.cost for rep, _ in classes)
+    return [rep.label for rep, _ in classes if rep.cost <= best + tol]
+
+
+def test_winners_match_pairwise_rule(default_records):
+    # the one (n, n) distance matrix keeps the labels of the per-pair rule
+    for recs in default_records.values():
+        for rec in recs:
+            for tol in (sweep.TIE_TOL, 1e-9):
+                want = _reference_winners(rec.sets, tol)
+                assert [rep.label for rep in sweep._winners(list(rec.sets), tol)] == want
 
 
 def _theta_one_row(q4):
