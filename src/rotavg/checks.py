@@ -5,6 +5,12 @@ worst violation of one structural identity, and compares it to a fixed
 tolerance. The same functions back the command-line `check` subcommand and
 the property-suite regression tests, so the output is deterministic for a
 given seed.
+
+A family draws all its trials first, in one pass over one seeded stream,
+and builds no sample set or cost model per trial. It then evaluates them
+as stacks: the trials of one (r, kind, p), at most 6 * 7 = 42 groups, form
+one stacked SampleSet and one CostModel, whose evaluators read probe k
+against set k with the bits of the one-trial call.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .geometry import (
 
 __all__ = ["CheckResult", "run_all", "format_report", "FAMILIES"]
 
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -41,121 +46,153 @@ class CheckResult:
         return self.max_violation < self.tol
 
 
-def _random_samples(rng) -> SampleSet:
+def _random_quats(rng):
+    """r = 1..6 random unit quaternions, (r, 4)."""
     r = int(rng.integers(1, 7))
     quats = rng.standard_normal((r, 4))
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    return SampleSet.from_quaternions(quats)
+    return quats
 
 
-def _random_model(rng, samples) -> CostModel:
-    k = int(rng.integers(0, 4))
-    if k == 0:
-        return CostModel.l2_chordal(samples)
-    if k == 1:
-        return CostModel.geodesic(samples)
-    if k == 2:
-        return CostModel.trace_sqrt(samples)
-    return CostModel.lp_chordal(samples, p=float(rng.choice([1.5, 2.0, 3.0, 4.0])))
-
-
-def _probe(rng, samples, margin=1e-3, unit=True):
-    # keep |<q,q_i>| away from 0 and 1: every cost is smooth there
+def _probe(rng, Q, margin=1e-3, unit=True):
+    # keep |<q,q_i>| away from 0 and 1 for each sample lift q_i (rows of Q):
+    # every cost is smooth there
     for _ in range(10000):
         q = normalize(rng.standard_normal(4))
         if not unit:
             q = q * float(rng.uniform(0.7, 1.3))
-        d = np.abs(samples.quaternions @ q)
-        if np.min(d) > margin and np.max(d) < 1.0 - margin:
+        d = np.abs(Q @ q)
+        if d.min() > margin and d.max() < 1.0 - margin:
             return q
     raise RuntimeError("could not sample a probe point clear of the margins")
 
 
 def _draws(seed, trials, unit=True):
-    """Yield (model, q) per trial: a random sample set, a random model over
-    it and a probe point, drawn in that order from one seeded stream."""
+    """Each trial's (quats, kind, p, q), drawn in that order from one seeded
+    stream: r = 1..6 sample quaternions as a SampleSet takes them, a cost
+    kind, the Lp power (None for the other kinds) and a probe point clear of
+    the samples."""
     rng = np.random.default_rng(seed)
+    draws = []
     for _ in range(trials):
-        samples = _random_samples(rng)
-        model = _random_model(rng, samples)
-        yield model, _probe(rng, samples, unit=unit)
+        quats = _random_quats(rng)
+        kind = ("L2Chordal", "Geodesic", "TraceSqrt", "LpChordal")[int(rng.integers(0, 4))]
+        # rng.choice over the four powers would draw what integers(0, 4) does
+        p = (1.5, 2.0, 3.0, 4.0)[int(rng.integers(0, 4))] if kind == "LpChordal" else None
+        draws.append((quats, kind, p, _probe(rng, normalize(quats), unit=unit)))
+    return draws
+
+
+def _stacks(draws):
+    """Yield (model, X) per (r, kind, p) of the draws: one model over the
+    stack of the group's sample sets and the (m, 4) stack of its probes."""
+    groups = {}
+    for quats, kind, p, q in draws:
+        groups.setdefault((len(quats), kind, p), []).append((quats, q))
+    for (_, kind, p), rows in groups.items():
+        sets, X = zip(*rows)
+        yield CostModel(kind, SampleSet(np.array(sets)), p), np.array(X)
+
+
+def _norms(A):
+    """The Euclidean norm of each row of A (n, ...), with the bits
+    np.linalg.norm gives the row alone."""
+    A = A.reshape(len(A), -1)
+    return np.sqrt(np.vecdot(A, A))
+
+
+def _worst(readings):
+    """The largest entry over a family's arrays of readings, and 0 when
+    every reading is negative or there is none; NaN if any reading is NaN,
+    which fails every tolerance."""
+    return float(np.max(np.concatenate([np.ravel(r) for r in readings] + [np.zeros(1)])))
 
 
 def check_tangency(seed=0, trials=1000) -> CheckResult:
     """<v0(q), grad F(q)> = 0: the control field never leaves the leaf."""
-    worst = 0.0
-    for model, q in _draws(seed, trials, unit=False):
-        prob = unit_sphere_problem(model.scalar_field())
-        w = v0(prob, q)
-        worst = max(worst, abs(float(np.dot(w, 2.0 * q))) / max(1.0, float(np.linalg.norm(w))))
-    return CheckResult("tangency <v0, grad F> = 0", trials, worst, 1e-10)
+    readings = []
+    for model, X in _stacks(_draws(seed, trials, unit=False)):
+        W = v0(unit_sphere_problem(model.scalar_field()), X)
+        readings.append(np.abs(np.vecdot(W, 2.0 * X)) / np.maximum(1.0, _norms(W)))
+    return CheckResult("tangency <v0, grad F> = 0", trials, _worst(readings), 1e-10)
 
 
 def check_dissipation(seed=0, trials=1000) -> CheckResult:
     """Gram-determinant dissipation rate is nonnegative everywhere."""
-    worst = 0.0
-    for model, q in _draws(seed, trials, unit=False):
-        rate = dissipation_rate(unit_sphere_problem(model.scalar_field()), q)
-        worst = max(worst, -float(rate))
-    return CheckResult("dissipation rate >= 0", trials, worst, 1e-12)
+    readings = [
+        -dissipation_rate(unit_sphere_problem(model.scalar_field()), X)
+        for model, X in _stacks(_draws(seed, trials, unit=False))
+    ]
+    return CheckResult("dissipation rate >= 0", trials, _worst(readings), 1e-12)
 
 
 def check_projection_form(seed=0, trials=1000) -> CheckResult:
-    """On the unit sphere v0 is 4x the tangential part of the cost gradient."""
-    worst = 0.0
-    for model, q in _draws(seed, trials):
-        g = model.gradient(q)
-        w = v0(unit_sphere_problem(model.scalar_field()), q)
-        tangential = g - np.dot(q, g) * q
-        worst = max(worst, float(np.linalg.norm(w - 4.0 * tangential)))
-    return CheckResult("v0 = 4 * tangential gradient on the sphere", trials, worst, 1e-12)
+    """On the unit sphere v0 is 4x the tangential part of the cost gradient.
+
+    The violation is read relative to max(1, ||4 tangential||): the
+    rounding of both sides scales with the gradient, whose scale c reaches
+    256 for Lp 4.
+    """
+    readings = []
+    for model, X in _stacks(_draws(seed, trials)):
+        G = model.gradient(X)
+        W = v0(unit_sphere_problem(model.scalar_field()), X)
+        T = 4.0 * (G - np.vecdot(X, G)[:, None] * X)
+        readings.append(_norms(W - T) / np.maximum(1.0, _norms(T)))
+    return CheckResult("v0 = 4 * tangential gradient on the sphere", trials, _worst(readings), 1e-12)
 
 
 def check_gradients(seed=0, trials=1000) -> CheckResult:
     """Analytic cost gradients against central differences."""
-    worst = 0.0
-    for model, q in _draws(seed, trials):
-        g = model.gradient(q)
-        fd = fd_gradient(model.value, q)
-        worst = max(worst, float(np.linalg.norm(g - fd)) / max(1.0, float(np.linalg.norm(g))))
-    return CheckResult("gradient vs central differences", trials, worst, 1e-6)
+    readings = []
+    for model, X in _stacks(_draws(seed, trials)):
+        G = model.gradient(X)
+        readings.append(_norms(G - fd_gradient(model.value, X)) / np.maximum(1.0, _norms(G)))
+    return CheckResult("gradient vs central differences", trials, _worst(readings), 1e-6)
 
 
 def check_evenness(seed=0, trials=1000) -> CheckResult:
     """value(-q) = value(q), gradient(-q) = -gradient(q), v0 likewise odd."""
-    worst = 0.0
-    for model, q in _draws(seed, trials):
-        worst = max(worst, abs(model.value(-q) - model.value(q)))
-        worst = max(worst, float(np.linalg.norm(model.gradient(-q) + model.gradient(q))))
-        worst = max(worst, float(np.linalg.norm(model.control_field(-q) + model.control_field(q))))
-    return CheckResult("sign evenness of costs, oddness of fields", trials, worst, 1e-12)
+    readings = []
+    for model, X in _stacks(_draws(seed, trials)):
+        readings.append(np.abs(model.value(-X) - model.value(X)))
+        readings.append(_norms(model.gradient(-X) + model.gradient(X)))
+        readings.append(_norms(model.control_field(-X) + model.control_field(X)))
+    return CheckResult("sign evenness of costs, oddness of fields", trials, _worst(readings), 1e-12)
 
 
 def check_delta_relation(seed=0, trials=1000) -> CheckResult:
-    """<q,q_i> Delta_i(q) = (R^T R_i - R_i^T R)/4 on the unit sphere."""
+    """<q,q_i> Delta_i(q) = (R^T R_i - R_i^T R)/4 on the unit sphere.
+
+    The (trial, sample) pairs of 128 trials at a time are the rows of one
+    stack, which bounds the memory it holds.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        samples = _random_samples(rng)
-        q = normalize(rng.standard_normal(4))
-        R = covering_map(q)
-        for qi, Ri in zip(samples.quaternions, samples.rotations):
-            lhs = float(np.dot(q, qi)) * delta_skew(q, qi)
-            rhs = 0.25 * (R.T @ Ri - Ri.T @ R)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            tr = float(np.trace(R.T @ Ri))
-            worst = max(worst, abs(np.dot(q, qi) ** 2 - 0.25 * (tr + 1.0)))
-    return CheckResult("skew bracket and trace identities", trials, worst, 1e-12)
+    readings = []
+    for k in range(0, trials, 128):
+        samples, probes = [], []
+        for _ in range(min(128, trials - k)):
+            Q = normalize(_random_quats(rng))
+            samples.append(Q)
+            probes.append(np.broadcast_to(normalize(rng.standard_normal(4)), Q.shape))
+        q, qi = np.concatenate(probes), np.concatenate(samples)
+        R, Ri = covering_map(q), covering_map(qi)
+        x = np.vecdot(q, qi)
+        RtRi = np.swapaxes(R, -1, -2) @ Ri
+        lhs = x[:, None, None] * delta_skew(q, qi)
+        readings.append(np.max(np.abs(lhs - 0.25 * (RtRi - np.swapaxes(Ri, -1, -2) @ R))))
+        readings.append(np.max(np.abs(x**2 - 0.25 * (np.trace(RtRi, axis1=-2, axis2=-1) + 1.0))))
+    return CheckResult("skew bracket and trace identities", trials, _worst(readings), 1e-12)
 
 
 def check_pushforward(seed=0, trials=1000) -> CheckResult:
     """DP(q) v0(q) = DP(-q) v0(-q): the flow descends through the double cover."""
-    worst = 0.0
-    for model, q in _draws(seed, trials):
-        a = dp_apply(q, model.control_field(q))
-        b = dp_apply(-q, model.control_field(-q))
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return CheckResult("pushforward well-defined under q ~ -q", trials, worst, 1e-10)
+    readings = []
+    for model, X in _stacks(_draws(seed, trials)):
+        a = dp_apply(X, model.control_field(X))
+        b = dp_apply(-X, model.control_field(-X))
+        readings.append(np.abs(a - b))
+    return CheckResult("pushforward well-defined under q ~ -q", trials, _worst(readings), 1e-10)
 
 
 def check_double_cover(seed=0, trials=1000) -> CheckResult:
@@ -174,32 +211,34 @@ def check_double_cover(seed=0, trials=1000) -> CheckResult:
 
 def check_d3_identity(seed=0, trials=1000) -> CheckResult:
     """Matrix and quaternion forms of the d3 pseudometric agree."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        qa = normalize(rng.standard_normal(4))
-        qb = normalize(rng.standard_normal(4))
-        lhs = dist_d3(covering_map(qa), covering_map(qb))
-        worst = max(worst, abs(lhs - (1.0 - abs(float(np.dot(qa, qb))))))
-    return CheckResult("d3 matrix form equals quaternion form", trials, worst, 1e-12)
+    # each trial draws two normal 4-vectors in turn: one (trials, 2, 4) draw
+    Z = normalize(np.random.default_rng(seed).standard_normal((trials, 2, 4)))
+    qa, qb = Z[:, 0], Z[:, 1]
+    lhs = dist_d3(covering_map(qa), covering_map(qb))
+    readings = [np.abs(lhs - (1.0 - np.abs(np.vecdot(qa, qb))))]
+    return CheckResult("d3 matrix form equals quaternion form", trials, _worst(readings), 1e-12)
 
 
 def check_black_set(seed=0, trials=1000) -> CheckResult:
     """Cost on (0,0,cos t,sin t) is 3*8^(p/2), independent of t and alpha."""
-    from .sweep import build_samples
+    from .sweep import _sample_quats
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    by_p = {}
     for _ in range(trials):
         alpha = float(rng.uniform(-np.pi, np.pi))
         t = float(rng.uniform(0.0, 2.0 * np.pi))
         p = float(rng.choice([2.0, 4.0]))
-        samples = build_samples(alpha)
-        model = CostModel.lp_chordal(samples, p)
-        q = np.array([0.0, 0.0, np.cos(t), np.sin(t)])
-        worst = max(worst, abs(model.value(q) - 3.0 * 8.0 ** (p / 2.0)))
-        worst = max(worst, float(np.linalg.norm(model.pushforward_residual(q))))
-    return CheckResult("out-of-pencil set: constant cost, zero residual", trials, worst, 1e-12)
+        by_p.setdefault(p, []).append((_sample_quats(alpha), t))
+    readings = []
+    for p, rows in by_p.items():
+        sets, t = zip(*rows)
+        model = CostModel.lp_chordal(SampleSet(np.array(sets)), p)
+        X = np.zeros((len(t), 4))
+        X[:, 2], X[:, 3] = np.cos(t), np.sin(t)
+        readings.append(np.abs(model.value(X) - 3.0 * 8.0 ** (p / 2.0)))
+        readings.append(_norms(model.pushforward_residual(X)))
+    return CheckResult("out-of-pencil set: constant cost, zero residual", trials, _worst(readings), 1e-12)
 
 
 def check_two_roots(seed=0, trials=1000) -> CheckResult:
@@ -226,15 +265,12 @@ def check_poly_consistency(seed=0, trials=40) -> CheckResult:
     from .sweep import _root_residuals
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    n = 0
-    for _ in range(trials):
-        alpha = float(rng.uniform(-np.pi, np.pi))
-        for p in (2.0, 4.0):
-            for _, res in _root_residuals(alpha, p):
-                worst = max(worst, res)
-                n += 1
-    return CheckResult("polynomial roots solve the critical system", n, worst, 1e-8)
+    alphas = [float(rng.uniform(-np.pi, np.pi)) for _ in range(trials)]
+    res = []
+    for p in (2.0, 4.0):
+        for k in range(0, trials, 128):  # 128 alphas to a stack bounds its memory
+            res += [best for _, best in _root_residuals(alphas[k : k + 128], p)]
+    return CheckResult("polynomial roots solve the critical system", len(res), _worst([res]), 1e-8)
 
 
 FAMILIES = (

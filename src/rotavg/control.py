@@ -12,6 +12,11 @@ it is nonnegative and vanishes exactly at the constrained critical points.
 
 The unit sphere S3 in R^4 (k=1, F = ||q||^2) has a closed-form fast path:
 the degenerate tensor T with i_w T(q) = 4(<q,q> w - <q,w> q).
+
+gramian, v0, dissipation_rate and fd_gradient also take an (n, m) stack of
+points and return one result per row, each with the bits of the one-point
+call; the Gram determinants of all rows then come from one stacked matmul
+and one determinant each, not from a Python loop over the points.
 """
 
 from __future__ import annotations
@@ -65,56 +70,71 @@ class AmbientProblem:
 
 
 def gramian(grads_rows, grads_cols):
-    """Gram matrix with entry (a, b) = <grads_cols[b], grads_rows[a]>."""
-    rows = np.atleast_2d(np.asarray(grads_rows, dtype=float))
-    cols = np.atleast_2d(np.asarray(grads_cols, dtype=float))
-    if rows.shape[1] != cols.shape[1]:
+    """Gram matrix with entry (a, b) = <grads_cols[b], grads_rows[a]>.
+
+    Each argument is a sequence of gradients of one point, (a, m), or of
+    n points each, (a, n, m); the latter gives one (a, b) matrix per point,
+    (n, a, b), each with the bits of the one-point call.
+    """
+    rows, cols = _by_point(grads_rows), _by_point(grads_cols)
+    if rows.shape[-1] != cols.shape[-1]:
         raise ValueError("gradient dimension mismatch")
-    return rows @ cols.T
+    return rows @ np.swapaxes(cols, -1, -2)
+
+
+def _by_point(grads):
+    # (a, n, m) gradients of n points to n contiguous (a, m) blocks, so that
+    # matmul makes one BLAS call per point, the call a single point makes
+    G = np.atleast_2d(np.asarray(grads, dtype=float))
+    return G if G.ndim == 2 else np.ascontiguousarray(np.moveaxis(G, 0, -2))
 
 
 def _det(M):
-    # cofactor expansion up to 3x3, LU beyond
-    n = M.shape[0]
+    # cofactor expansion up to 3x3, LU beyond; one per matrix of a stack
+    n = M.shape[-1]
     if n == 1:
-        return float(M[0, 0])
+        return M[..., 0, 0]
     if n == 2:
-        return float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
     if n == 3:
-        return float(
-            M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-            - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-            + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
+        return (
+            M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
+            - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
+            + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0])
         )
-    return float(np.linalg.det(M))
+    return np.linalg.det(M)
 
 
 def v0(problem: AmbientProblem, x) -> np.ndarray:
-    """The standard control vector field at x.
+    """The standard control vector field at x, a point (m,) or a stack of
+    points (n, m) with one field per row.
 
     Defined everywhere; vanishes wherever the constraint gradients become
     dependent. For k=1 reduces to ||grad F||^2 grad G - <grad F, grad G> grad F.
+    The problem's gradients must take the same (m,) or (n, m) input.
     """
     x = np.asarray(x, dtype=float)
     gF = [f.grad(x) for f in problem.constraints]
     gG = problem.objective.grad(x)
     k = len(gF)
-    out = _det(gramian(gF, gF)) * gG
+    out = np.expand_dims(_det(gramian(gF, gF)), -1) * gG
     for i in range(1, k + 1):
         cols = gF[: i - 1] + gF[i:] + [gG]
-        out = out + ((-1.0) ** (i + k + 1)) * _det(gramian(gF, cols)) * gF[i - 1]
+        out = out + np.expand_dims(((-1.0) ** (i + k + 1)) * _det(gramian(gF, cols)), -1) * gF[i - 1]
     return out
 
 
-def dissipation_rate(problem: AmbientProblem, x) -> float:
-    """det of the (k+1)x(k+1) Gramian of (grad F_1..grad F_k, grad G).
+def dissipation_rate(problem: AmbientProblem, x):
+    """det of the (k+1)x(k+1) Gramian of (grad F_1..grad F_k, grad G), at
+    a point (a float) or at each row of an (n, m) stack ((n,)).
 
     Equals <grad G(x), v0(x)>; nonnegative by the Gram inequality, zero
     exactly at the constrained critical points.
     """
     x = np.asarray(x, dtype=float)
     g = [f.grad(x) for f in problem.constraints] + [problem.objective.grad(x)]
-    return _det(gramian(g, g))
+    d = _det(gramian(g, g))
+    return float(d) if x.ndim == 1 else d
 
 
 def apply_T_sphere(q, omega_bar):
@@ -127,19 +147,21 @@ def apply_T_sphere(q, omega_bar):
 
 def unit_sphere_problem(objective: ScalarField, dim: int = 4) -> AmbientProblem:
     """AmbientProblem for the unit sphere F(q) = ||q||^2 = 1 in R^dim."""
-    F = ScalarField(value=lambda x: float(np.dot(x, x)), grad=lambda x: 2.0 * np.asarray(x, dtype=float))
+    F = ScalarField(value=lambda x: np.vecdot(x, x), grad=lambda x: 2.0 * np.asarray(x, dtype=float))
     return AmbientProblem(dimension=dim, constraints=(F,), objective=objective, level=(1.0,))
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with relative step (testing helper only)."""
+    """Central-difference gradient with relative step (testing helper only),
+    at a point (m,) or at each row of an (n, m) stack, for which f must
+    return one value per row."""
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
-    for i in range(x.size):
-        step = h * max(1.0, abs(x[i]))
+    for i in range(x.shape[-1]):
+        step = h * np.maximum(1.0, np.abs(x[..., i]))
         xp = x.copy()
         xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        g[i] = (f(xp) - f(xm)) / (2.0 * step)
+        xp[..., i] += step
+        xm[..., i] -= step
+        g[..., i] = (f(xp) - f(xm)) / (2.0 * step)
     return g

@@ -40,12 +40,12 @@ buffer eps_dom around each excluded set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .control import ScalarField, apply_T_sphere
-from .geometry import SampleSet, _abs_dots, _skew, tangent_frame
+from .geometry import SampleSet, _abs_dots, _skew, quat_from_rotation, tangent_frame
 
 __all__ = [
     "DomainError",
@@ -63,15 +63,6 @@ class DomainError(ValueError):
 
 class NonDifferentiable(ValueError):
     """The model value exists here but its gradient does not (trace-sqrt on Pi_i)."""
-
-
-def _plane_clearance(D):
-    return np.abs(D).min(axis=-1)
-
-
-def _line_clearance(D):
-    # min_i sqrt(1 - d_i^2), read off the largest d_i^2 (every step is monotone)
-    return np.sqrt(np.maximum(1.0 - (D * D).max(axis=-1), 0.0))
 
 
 def _rows(q):
@@ -134,17 +125,22 @@ class CostModel:
     call raises (a point inside the guard buffer of an excluded set, or on a
     geodesic hyperplane for ``value``), its row of a stack is NaN instead,
     and the other rows are unaffected.
+
+    Over a stacked :class:`~rotavg.geometry.SampleSet` of m sets, ``value``,
+    ``gradient``, ``control_field``, ``pushforward_residual``, ``clearance``
+    and ``admissible`` take an (m, 4) stack and read row k against set k;
+    ``hessian`` and ``rotation_residual`` raise ValueError.
     """
 
     kind: str
     samples: SampleSet
     p: Optional[float] = None
     # resolved once from kind and p: the gradient scale c (public, read-only),
-    # the rotation residual's scale kappa and the clearance from the excluded
-    # set (None where there is none)
+    # the rotation residual's scale kappa and the excluded set ("planes",
+    # "lines" or None)
     scale: float = field(init=False, repr=False, compare=False)
     _kappa: float = field(init=False, repr=False, compare=False)
-    _clearance: Optional[Callable] = field(init=False, repr=False, compare=False)
+    _excluded: Optional[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("L2Chordal", "Geodesic", "TraceSqrt", "LpChordal"):
@@ -155,16 +151,16 @@ class CostModel:
             if self.p is None or self.p < 1.0:
                 raise ValueError("LpChordal requires p >= 1")
             scale, kappa = self.p * 8.0 ** (self.p / 2.0), 4.0 ** (1.0 - self.p / 2.0)
-            clearance = _line_clearance if self.p < 2.0 else None
+            excluded = "lines" if self.p < 2.0 else None
         elif self.p is not None:
             raise ValueError("p is only meaningful for LpChordal")
         else:
             scales = {"L2Chordal": (16.0, self.samples.r), "Geodesic": (4.0, 2.0), "TraceSqrt": (2.0, 1.0)}
             scale, kappa = scales[self.kind]
-            clearance = None if self.kind == "L2Chordal" else _plane_clearance
+            excluded = None if self.kind == "L2Chordal" else "planes"
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_kappa", kappa)
-        object.__setattr__(self, "_clearance", clearance)
+        object.__setattr__(self, "_excluded", excluded)
 
     @classmethod
     def l2_chordal(cls, samples):
@@ -189,38 +185,96 @@ class CostModel:
     # -- domain -----------------------------------------------------------
 
     def _dots(self, X):
-        """D[k, i] = <X[k], q_i> for (n, 4) points X."""
+        """D[k, i] = <X[k], q_i> for (n, 4) points X (q_i of set k for a
+        stack of sets)."""
         return np.matvec(self.samples.quaternions, X)
+
+    def _single_set(self):
+        """Raise ValueError where this model holds a stack of sample sets."""
+        if self.samples.stacked:
+            raise ValueError("this needs a single sample set, not a stack of them")
 
     def clearance(self, q):
         """Distance of unit q from this model's excluded set (inf if it has none)."""
         X, one = _rows(q)
-        c = self._clearance_at(self._dots(X))
+        c = self._clearance_at(X, self._dots(X))
         return float(c[0]) if one else c
 
-    def _clearance_at(self, D):
-        """:meth:`clearance` for each row of the dots D."""
-        return np.full(len(D), np.inf) if self._clearance is None else self._clearance(D)
+    def _clearance_at(self, X, D, base=None):
+        """:meth:`clearance` for each row of X, with dots D (and, for the
+        sample lines, the rows' :meth:`_bases` where already formed)."""
+        if self._excluded == "planes":
+            return np.abs(D).min(axis=-1)
+        if self._excluded == "lines":
+            if base is not None:
+                return np.sqrt(base.min(axis=-1))
+            # the same reading at each row's nearest sample j alone, the
+            # largest d_j^2 (every step is monotone); the smallest base lies
+            # elsewhere only where two samples lie within 1e-4 of one line
+            rows = np.arange(len(D))
+            j = np.argmax(D * D, axis=-1)
+            d = D[rows, j]
+            u = np.maximum(1.0 - d * d, 0.0)
+            near = u < 1e-8
+            if near.any():
+                u[near] = self._line_gaps(X, D, rows[near], j[near])
+            return np.sqrt(u)
+        return np.full(len(D), np.inf)
+
+    def _bases(self, X, D, d=None):
+        """1 - d_i^2, clamped at 0, at the dots d (D by default) of the unit
+        rows X, for Lp (None for the other kinds, which do not read it).
+
+        The rounded 1 - d^2 has an absolute error near 2e-16, so it resolves
+        no clearance below about 1e-8, where the guard buffer is 1e-9. For a
+        model that excludes the sample lines, entries below 1e-8 are read
+        from X and its dots D instead (:meth:`_line_gaps`).
+        """
+        if self.kind != "LpChordal":
+            return None
+        d = D if d is None else d
+        # in place: one (n, r) array, not three
+        base = d * d
+        np.subtract(1.0, base, out=base)
+        np.maximum(base, 0.0, out=base)
+        if self._excluded == "lines" and np.fmin.reduce(base, axis=None, initial=1.0) < 1e-8:
+            k, i = np.nonzero(base < 1e-8)
+            base[k, i] = self._line_gaps(X, D, k, i)
+        return base
+
+    def _line_gaps(self, X, D, k, i):
+        """1 - d^2 for the dot d = D[k, i] of the unit row X[k] with sample
+        i, as (1 - |d|)(1 + |d|) with 1 - |d| = |x - s q_i|^2 / 2, s = sign d:
+        full relative precision at unit x and q_i, where 1 - d^2 cancels."""
+        Q = self.samples.quaternions
+        Qi = Q[k, i] if self.samples.stacked else Q[i]
+        d = D[k, i]
+        e = np.where((d < 0.0)[:, None], X[k] + Qi, X[k] - Qi)
+        return 0.5 * np.vecdot(e, e) * (1.0 + np.abs(d))
 
     def admissible(self, q):
         """True if q clears the guard buffer for this model's excluded sets."""
         return self.clearance(q) > EPS_DOM
 
-    def _admissible(self, D):
-        """:meth:`admissible` for each row of the dots D."""
-        return self._clearance_at(D) > EPS_DOM
+    def _admissible(self, X, D):
+        """:meth:`admissible` for each row of X, with dots D."""
+        return self._clearance_at(X, D) > EPS_DOM
 
-    def _guard(self, D, one):
-        """The unit-sphere dots D, with the rows inside the guard buffer set
-        to NaN so that every derivative in those rows is NaN; a single point
-        there raises instead."""
-        if self._clearance is not None:
-            bad = self._clearance(D) <= EPS_DOM
+    def _guard(self, X, D, one, base=None):
+        """The dots D of the unit rows X, with the rows inside the guard
+        buffer set to NaN so that every derivative in those rows is NaN; a
+        single point there raises instead. ``base`` as for
+        :meth:`_clearance_at`; its rows inside the buffer are set to NaN in
+        place as well."""
+        if self._excluded is not None:
+            bad = self._clearance_at(X, D, base) <= EPS_DOM
             if bad.any():
                 if one:
                     error = NonDifferentiable if self.kind == "TraceSqrt" else DomainError
                     raise error(f"{self.kind} derivatives need clearance from the excluded set")
                 D = np.where(bad[:, None], np.nan, D)
+                if base is not None:
+                    base[bad] = np.nan
         return D
 
     # -- evaluators -------------------------------------------------------
@@ -248,7 +302,7 @@ class CostModel:
             return 2.0 * (np.arccos(u) ** 2).sum(axis=1)
         if self.kind == "TraceSqrt":
             return ((1.0 - np.abs(D)) ** 2).sum(axis=1)
-        base = np.maximum(1.0 - D * D, 0.0)
+        base = self._bases(X, D)
         base **= self.p / 2.0
         return 8.0 ** (self.p / 2.0) * base.sum(axis=1)
 
@@ -265,10 +319,11 @@ class CostModel:
         if self.kind == "Geodesic":
             # degree-0 prolongation: weights at q/|q|, radial part removed
             nq = np.sqrt(np.vecdot(X, X, keepdims=True))
-            W = self._weights(self._guard(D / nq, one))
+            W = self._weights(self._guard(X / nq, D / nq, one))
             G = (-self.scale / nq**3) * (nq * nq * np.vecmat(W, Q) - np.vecdot(W, D, keepdims=True) * X)
         else:
-            W = self._weights(self._guard(D, one))
+            base = self._bases(X, D)
+            W = self._weights(self._guard(X, D, one, base), base)
             G = -self.scale * np.vecmat(W, Q)
         return G, W
 
@@ -291,8 +346,9 @@ class CostModel:
 
     # -- residual systems --------------------------------------------------
 
-    def _weights(self, d):
-        """Per-sample weights w(x_i) at the unit-sphere dots d = Q q."""
+    def _weights(self, d, base=None):
+        """Per-sample weights w(x_i) at the unit-sphere dots d = Q q; Lp
+        reads 1 - d^2 from ``base`` where given (see :meth:`_bases`)."""
         if self.kind == "L2Chordal":
             return d
         if self.kind == "Geodesic":
@@ -301,20 +357,22 @@ class CostModel:
             return w
         if self.kind == "TraceSqrt":
             return (1.0 - np.abs(d)) * np.sign(d)
-        w = np.maximum(1.0 - d * d, 0.0)
-        w **= self.p / 2.0 - 1.0
+        if base is None:
+            base = np.maximum(1.0 - d * d, 0.0)
+        w = base ** (self.p / 2.0 - 1.0)
         w *= d
         return w
 
-    def _dweights(self, d):
-        """Weight slopes w'(x_i) at the unit-sphere dots d = Q q."""
+    def _dweights(self, d, base=None):
+        """Weight slopes w'(x_i) at the unit-sphere dots d = Q q; Lp reads
+        1 - d^2 from ``base`` where given (see :meth:`_bases`)."""
         if self.kind == "L2Chordal":
             return np.ones_like(d)
         if self.kind == "Geodesic":
             return _arc_slope(_half_angles(d))
         if self.kind == "TraceSqrt":
             return -np.ones_like(d)
-        base = np.maximum(1.0 - d * d, 0.0)
+        base = np.maximum(1.0 - d * d, 0.0) if base is None else base.copy()
         # for p < 4, w' diverges on a sample line (base = 0); there the
         # sample's tangent part vanishes, and with it the term in `hessian`
         # for every p >= 2, so the slope is set to 0 on the line itself
@@ -325,9 +383,9 @@ class CostModel:
         base[on_line] = 0.0
         return base
 
-    def _slope_bound(self, D):
-        """s >= |w'(x_i)| |B q_i|^2 for every sample of each row of the dots
-        D, so that the Hessian in the frame (:meth:`_frame_hessian`) obeys
+    def _slope_bound(self, X, D):
+        """s >= |w'(x_i)| |B q_i|^2 for every sample of each row of X, with
+        dots D, so that the Hessian in the frame (:meth:`_frame_hessian`) obeys
         ||K||_F <= c (sqrt(3) |<w, d>| + r s).
 
         At unit q and q_i, |B q_i|^2 = 1 - x_i^2. Where w' stays finite,
@@ -340,8 +398,8 @@ class CostModel:
         1 - x_i^2; next to a line that is no longer small against 1 - x_i^2,
         so s there is raised by the factor 1 + 1e-14 / clearance^2.
         """
-        if self._clearance is _line_clearance:
-            u = self._clearance(D) ** 2
+        if self._excluded == "lines":
+            u = self._clearance_at(X, D) ** 2
             return u ** (self.p / 2.0 - 1.0) * (1.0 + 1e-14 / u)
         return 1.0
 
@@ -369,13 +427,18 @@ class CostModel:
         dots D and the products wd = <w, d> of their weights with them: the
         flow passes the weights of its last :meth:`_field` call in that
         form. Without D and wd they are formed here, and rows inside a guard
-        buffer are NaN, or raise when ``one`` is set."""
+        buffer are NaN, or raise when ``one`` is set. A stacked sample set
+        raises ValueError."""
+        self._single_set()
         Q = self.samples.quaternions
         if D is None:
-            D = self._guard(self._dots(X), one)
-            wd = np.vecdot(self._weights(D), D)
+            D = self._dots(X)
+        base = self._bases(X, D)
+        if wd is None:
+            D = self._guard(X, D, one, base)
+            wd = np.vecdot(self._weights(D, base), D)
         K = wd[:, None, None] * np.eye(3)
-        dW = self._dweights(D)
+        dW = self._dweights(D, base)
         # B(x) q_i = -B(q_i) x, so the samples' own frames F give -A for
         # every row in one matvec, with the bits of the one-point call; the
         # sign drops out of A^T diag(w') A
@@ -397,7 +460,9 @@ class CostModel:
         -q, and zero exactly where the control field is zero.
         """
         X, one = _rows(q)
-        W = self._weights(self._guard(self._dots(X), one))
+        D = self._dots(X)
+        base = self._bases(X, D)
+        W = self._weights(self._guard(X, D, one, base), base)
         S = _skew(np.matvec(tangent_frame(X), np.vecmat(W, self.samples.quaternions)))
         S[np.isnan(W).any(axis=1)] = np.nan  # a guarded row: the diagonal too
         return S[0] if one else S
@@ -413,11 +478,22 @@ class CostModel:
         r for l2 (M is the arithmetic mean), 2 for geodesic (M^T R - R^T M
         is then sum_i Log(R_i^T R)), 1 for trace-sqrt and 4^(1 - p/2) for
         Lp. Raises like the gradient inside the guard buffer of an excluded
-        set.
+        set, judged at the dots of a lift of R, and ValueError on a stacked
+        sample set.
         """
+        self._single_set()
         R = np.asarray(R, dtype=float)
         Rs = self.samples.rotations.reshape(-1, 9)
-        x = self._guard(_abs_dots(R, Rs), True)
-        u = np.divide(self._weights(x), x, out=np.full_like(x, self._dweights(np.zeros(1))[0]), where=x > 0.0)
+        x = _abs_dots(R, Rs)[None]
+        base = None
+        if self._excluded is not None:
+            # the guard, and 1 - x_i^2 next to a sample line, read the dots
+            # of a lift
+            X = quat_from_rotation(R)[None]
+            D = self._dots(X)
+            base = self._bases(X, D, x)
+            self._guard(X, D, True, base)
+        w0 = self._dweights(np.zeros(1))[0]
+        u = np.divide(self._weights(x, base), x, out=np.full_like(x, w0), where=x > 0.0)[0]
         M = (u @ Rs).reshape(3, 3) / self._kappa
         return M.T @ R - R.T @ M

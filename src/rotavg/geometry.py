@@ -75,16 +75,16 @@ def covering_map(q):
 
     Parameters
     ----------
-    q : (4,) or (r, 4) array_like
+    q : (..., 4) array_like
         Unit quaternion(s) (q0, q1, q2, q3), scalar part first.
 
     Returns
     -------
-    (3, 3) or (r, 3, 3) ndarray
+    (..., 3, 3) ndarray
         The rotation matrix of each; ``covering_map(q) == covering_map(-q)``.
     """
     q = np.asarray(q, dtype=float)
-    q0, q1, q2, q3 = q.T
+    q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
     R = np.array(
         [
             [
@@ -186,13 +186,17 @@ def dist_d3(R1, R2):
     """1 - |<q1,q2>| on quaternion lifts, read off P = R1^T R2 (see
     :func:`_abs_dots`): 1 - (1/2) sqrt(tr P + 1) where tr P >= 0, and past
     that from the skew part P - P^T, which keeps full precision up to
-    relative angle pi."""
-    return float(1.0 - _abs_dots(R1, R2)[0])
+    relative angle pi. Two (n, 3, 3) stacks give one distance per pair of
+    rows."""
+    R1 = np.asarray(R1, dtype=float)
+    d = 1.0 - _abs_dots(R1, np.expand_dims(R2, -3))[..., 0]
+    return float(d) if R1.ndim == 2 else d
 
 
 def _abs_dots(R, Rs):
     """|x_i| = |<q, q_i>| for lifts q of R and q_i of each R_i in Rs (r, 3, 3),
-    read off P_i = R^T R_i with trace t_i.
+    read off P_i = R^T R_i with trace t_i. A stack R (n, 3, 3) pairs row k
+    with the k-th set of Rs (n, r, 3, 3), giving (n, r).
 
     Where t_i >= 0 it is sqrt(t_i + 1) / 2. Below that, near relative angle
     pi, that form has condition 1/(4 |x_i|) in t_i, so the skew part is read
@@ -202,12 +206,13 @@ def _abs_dots(R, Rs):
     # P_i - P_i^T, w_i = sum_k R_i[k] x R[k] over the rows k, whose squared
     # norm is half the skew part's
     R = np.asarray(R, dtype=float)
-    C = np.zeros((3, 3, 4))
+    batch = R.shape[:-2]
+    C = np.zeros(R.shape + (4,))
     C[..., 0] = R
-    C[:, (1, 2, 0), (1, 2, 3)] = R[:, (2, 0, 1)]
-    C[:, (2, 0, 1), (1, 2, 3)] = -R[:, (1, 2, 0)]
-    Y = np.reshape(Rs, (-1, 9)) @ C.reshape(9, 4)
-    t, w = Y[:, 0], Y[:, 1:]
+    C[..., (1, 2, 0), (1, 2, 3)] = R[..., (2, 0, 1)]
+    C[..., (2, 0, 1), (1, 2, 3)] = -R[..., (1, 2, 0)]
+    Y = np.reshape(Rs, batch + (-1, 9)) @ C.reshape(batch + (9, 4))
+    t, w = Y[..., 0], Y[..., 1:]
     # the clamps keep the branch that a row does not take finite
     near = 0.5 * np.sqrt(np.maximum(t + 1.0, 1.0))
     far = np.sqrt(np.vecdot(w, w) / (4.0 * np.maximum(3.0 - t, 3.0)))
@@ -270,9 +275,10 @@ def delta_skew(q, qi):
     [-b, -c, 0]]``, are the coordinates ``tangent_frame(q) @ qi`` of qi in
     the tangent frame at q, so ``D + D.T`` is exactly zero. Satisfies
     ``delta_skew(-q, qi) == -delta_skew(q, qi)`` and
-    ``<q,qi> * Delta_i(q) == ((R^q)^T R^qi - (R^qi)^T R^q) / 4``.
+    ``<q,qi> * Delta_i(q) == ((R^q)^T R^qi - (R^qi)^T R^q) / 4``. Two
+    (n, 4) stacks give one matrix per pair of rows.
     """
-    return _skew(tangent_frame(q) @ qi)
+    return _skew(np.matvec(tangent_frame(q), qi))
 
 
 def _skew(v):
@@ -286,9 +292,9 @@ def _skew(v):
 
 def _dp_jacobian(q):
     # 9x4 Jacobian of the coordinate extension of the covering map,
-    # rows ordered row-major over the 3x3 image.
-    q0, q1, q2, q3 = q
-    return 2.0 * np.array(
+    # rows ordered row-major over the 3x3 image; one per row of a stack.
+    q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
+    J = 2.0 * np.array(
         [
             [q0, q1, -q2, -q3],
             [-q3, q2, q1, -q0],
@@ -301,6 +307,7 @@ def _dp_jacobian(q):
             [q0, -q1, -q2, q3],
         ]
     )
+    return np.ascontiguousarray(np.moveaxis(J, (0, 1), (-2, -1)))
 
 
 def dp_apply(q, v):
@@ -310,27 +317,36 @@ def dp_apply(q, v):
     q to the 4-vector v and reshapes the result row-major into 3x3. For v
     tangent to the sphere at unit q, ``covering_map(q).T @ dp_apply(q, v)``
     is skew-symmetric (a tangent vector of SO(3) in body coordinates).
+    Two (n, 4) stacks give one (3, 3) matrix per pair of rows.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    return (_dp_jacobian(q) @ v).reshape(3, 3)
+    return np.matvec(_dp_jacobian(q), v).reshape(q.shape[:-1] + (3, 3))
 
 
 class SampleSet:
-    """The averaging input: r sample rotations with chosen quaternion lifts.
+    """The averaging input: r sample rotations with chosen quaternion lifts,
+    or a stack of m such inputs of equal r.
 
     Attributes
     ----------
-    quaternions : (r, 4) ndarray
+    quaternions : (r, 4) or (m, r, 4) ndarray
         Unit lifts q_i, one row per sample, kept exactly as supplied
         (results never depend on the lift signs, but the lifts themselves
         are the caller's choice).
-    rotations : (r, 3, 3) ndarray
+    rotations : (r, 3, 3) or (m, r, 3, 3) ndarray
         The sample rotations R_i = covering_map(q_i), formed on first read
         and cached; most callers work on the lifts alone and never form
         them. Rotations passed to the constructor (or ``from_rotations``)
         must match ``covering_map(q_i)`` within 1e-10, checked at
         construction, and are kept as given.
+
+    A stack lets one :class:`~rotavg.costs.CostModel` evaluate m problems
+    at once: its ``value``, ``gradient``, ``control_field``, ``clearance``
+    and ``pushforward_residual`` take an (m, 4) stack of points and read
+    row k against set k, each row with the bits of the one-point call on
+    the set alone. Everything else (the Hessian, the rotation residual and
+    so the solvers) needs a single set and raises ValueError on a stack.
     """
 
     def __init__(self, quaternions, rotations=None):
@@ -339,12 +355,12 @@ class SampleSet:
     def __post_init__(self, quaternions, rotations):
         # apart from __init__ because bench/layers.py times builds by wrapping it
         Q = np.atleast_2d(np.asarray(quaternions, dtype=float))
-        if Q.ndim != 2 or Q.shape[1] != 4 or Q.shape[0] < 1:
-            raise ValueError("quaternions must be an (r, 4) array with r >= 1")
+        if Q.ndim > 3 or Q.shape[-1] != 4 or Q.shape[-2] < 1:
+            raise ValueError("quaternions must be an (r, 4) or (m, r, 4) array with r >= 1")
         Q = normalize(Q)
         if rotations is not None:
             R = np.asarray(rotations, dtype=float)
-            if R.shape != (Q.shape[0], 3, 3):
+            if R.shape != Q.shape[:-1] + (3, 3):
                 raise ValueError("rotations must be an (r, 3, 3) array matching quaternions")
             if np.max(np.abs(covering_map(Q) - R)) > 1e-10:
                 raise ValueError("quaternion lift does not reproduce its rotation")
@@ -368,7 +384,12 @@ class SampleSet:
 
     @property
     def r(self):
-        return self.quaternions.shape[0]
+        return self.quaternions.shape[-2]
+
+    @property
+    def stacked(self):
+        """Whether this holds a stack of m sample sets."""
+        return self.quaternions.ndim == 3
 
     def __len__(self):
         return self.r

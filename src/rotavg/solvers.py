@@ -78,7 +78,8 @@ def flow_descend(model: CostModel, q0, tol: float = 1e-12) -> CriticalPoint:
     floor, and with it the field's, grows with both (c is ``model.scale``,
     r the sample count).
 
-    Raises ValueError unless tol is finite and positive, MaxIters if
+    Raises ValueError unless tol is finite and positive, or if the model
+    holds a stack of sample sets, MaxIters if
     MAX_ITERS iterations run out (or no acceptable step exists) and
     DomainBreach if the start or an accepted iterate lies inside a guard
     buffer.
@@ -103,6 +104,7 @@ def _flow(model, Q0, tol):
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and > 0")
+    model._single_set()
     stop = tol * (1.0 + model.scale * model.samples.r)
     X = normalize(Q0)
     q = X.copy()
@@ -110,7 +112,7 @@ def _flow(model, Q0, tol):
     ends = [None] * len(X)
     D = model._dots(X)
     c = model._value(X, D)
-    keep = model._admissible(D)
+    keep = model._admissible(X, D)
     for k in np.flatnonzero(~keep):
         ends[k] = DomainBreach("start point violates the model's domain guard")
     live, X, D, c, h = _compact(keep, np.arange(len(X)), X, D, c, np.full(len(X), INITIAL_STEP))
@@ -136,7 +138,7 @@ def _flow(model, Q0, tol):
         moved[rest] = _line_search(model, X, D, V, nv, c, noise, h, rest)
         for k in np.flatnonzero(~moved):
             ends[live[k]] = MaxIters(f"line search stalled at iteration {it} (|v0| = {nv[k]:.3e})")
-        keep = moved & model._admissible(D)
+        keep = moved & model._admissible(X, D)
         for k in np.flatnonzero(moved & ~keep):
             ends[live[k]] = DomainBreach("iterate entered a guard buffer of an excluded set")
         q[live[~keep]] = X[~keep]
@@ -178,7 +180,7 @@ def _newton_trial(model, X, D, V, wd, nv, cost, noise):
     and the rows it keeps get the bits they would get without it.
     """
     took = np.zeros(len(X), dtype=bool)
-    bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + model.samples.r * model._slope_bound(D))
+    bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + model.samples.r * model._slope_bound(X, D))
     screen = 0.25 * nv <= NEWTON_RADIUS * HESSIAN_BOUND_SLACK * bound
     if not screen.any():
         return took
@@ -268,6 +270,7 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    model._single_set()
     q, nv, ends = _flow(model, _draw_starts(model, n_starts, np.random.default_rng(seed)), tol)
     converged = [k for k, end in enumerate(ends) if end is None]
     q[converged] = canonicalize_sign(normalize(q[converged]))
@@ -305,7 +308,7 @@ def _draw_starts(model, n, rng):
     while k < n:
         state = rng.bit_generator.state
         Z = normalize(rng.standard_normal((n - k, 4)))
-        bad = np.flatnonzero(~model._admissible(model._dots(Z)))
+        bad = np.flatnonzero(~model._admissible(Z, model._dots(Z)))
         j = bad[0] if bad.size else len(Z)
         starts[k : k + j] = Z[:j]
         if not bad.size:

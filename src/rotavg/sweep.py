@@ -60,18 +60,23 @@ _BLACK_Q = (0.0, 0.0, 1.0, 0.0)
 def build_samples(alpha: float) -> SampleSet:
     """The three samples, rotations by pi, pi/2 and alpha about the x-axis,
     as their quaternion lifts (cos(a/2), sin(a/2), 0, 0)."""
+    return SampleSet.from_quaternions(_sample_quats(alpha))
+
+
+def _sample_quats(alpha):
+    """The (3, 4) lifts of :func:`build_samples`, before the sample set
+    normalizes them: rows of a stack of sample sets."""
     if not -math.pi <= alpha <= math.pi:
         raise ValueError("alpha must lie in [-pi, pi]")
     h = 0.5 * alpha
     s2 = math.sqrt(2.0) / 2.0
-    quats = np.array(
+    return np.array(
         [
             [0.0, 1.0, 0.0, 0.0],
             [s2, s2, 0.0, 0.0],
             [math.cos(h), math.sin(h), 0.0, 0.0],
         ]
     )
-    return SampleSet.from_quaternions(quats)
 
 
 @dataclass(frozen=True)
@@ -290,15 +295,26 @@ def _residual_norms(model, X):
     return np.sqrt(np.vecdot(S, S))
 
 
-def _root_residuals(alpha, p):
-    """Yield (x, best residual) for each positive root x of the polynomial
-    at alpha: the smaller pushforward residual norm of its two branches."""
-    model = CostModel.lp_chordal(build_samples(alpha), p)
-    roots = positive_roots(_poly_for(p)(alpha))
-    X, rows = _candidates(roots, p)
-    res = _residual_norms(model, X)[1:].tolist()
-    for i, x in enumerate(roots):
-        yield x, min(r for (j, _), r in zip(rows, res) if j == i)
+def _root_residuals(alphas, p):
+    """(x, best residual) for each positive root x of the polynomial at an
+    alpha, or at each alpha of a sequence in turn: the smaller pushforward
+    residual norm of the root's two branches. Every branch of every alpha is
+    one row of a single stacked call, against its own alpha's samples."""
+    sets, X, root, xs = [], [], [], []
+    for alpha in np.atleast_1d(alphas).tolist():
+        roots = positive_roots(_poly_for(p)(alpha))
+        C, rows = _candidates(roots, p)
+        quats = _sample_quats(alpha)
+        for (i, _), x in zip(rows, C[1:]):
+            sets.append(quats)
+            X.append(x)
+            root.append(len(xs) + i)
+        xs += roots
+    best = np.full(len(xs), np.inf)
+    if X:
+        model = CostModel.lp_chordal(SampleSet(np.array(sets)), p)
+        np.minimum.at(best, root, _residual_norms(model, np.array(X)))
+    return list(zip(xs, best.tolist()))
 
 
 def _thetas(qs):

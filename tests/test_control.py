@@ -14,10 +14,11 @@ from rotavg.control import (
 
 
 def quadratic_field(A, b):
+    # x^T A x + b^T x at a point (m,) or at each row of a stack (n, m)
     A = 0.5 * (A + A.T)
     return ScalarField(
-        value=lambda x, A=A, b=b: float(x @ A @ x + b @ x),
-        grad=lambda x, A=A, b=b: 2.0 * A @ x + b,
+        value=lambda x, A=A, b=b: np.vecdot(x, np.matvec(A, x)) + np.vecdot(b, x),
+        grad=lambda x, A=A, b=b: np.matvec(2.0 * A, x) + b,
     )
 
 
@@ -145,3 +146,38 @@ def test_fd_gradient():
     for _ in range(20):
         x = rng.standard_normal(4)
         assert np.abs(fd_gradient(f, x) - 2.0 * A @ x).max() < 1e-7
+
+
+@pytest.mark.parametrize("m, k", [(4, 1), (5, 2), (6, 3), (9, 7)])
+def test_stacks_equal_one_point_calls(m, k):
+    # one result per row of an (n, m) stack, with the bits of the one-point
+    # call; the one-point call keeps its shape (a float for the rate)
+    rng = np.random.default_rng(17 + m)
+    prob = random_problem(rng, m, k)
+    X = rng.standard_normal((25, m))
+    V, rate = v0(prob, X), dissipation_rate(prob, X)
+    G = fd_gradient(prob.objective.value, X)
+    assert V.shape == X.shape and rate.shape == (25,) and G.shape == X.shape
+    for x, v, d, g in zip(X, V, rate, G):
+        assert np.array_equal(v0(prob, x), v)
+        one = dissipation_rate(prob, x)
+        assert isinstance(one, float) and one == d
+        assert np.array_equal(fd_gradient(prob.objective.value, x), g)
+
+
+def test_sphere_stacks_equal_one_point_calls():
+    rng = np.random.default_rng(18)
+    prob = unit_sphere_problem(quadratic_field(rng.standard_normal((4, 4)), rng.standard_normal(4)))
+    X = rng.standard_normal((25, 4))
+    V, rate = v0(prob, X), dissipation_rate(prob, X)
+    for x, v, d in zip(X, V, rate):
+        assert np.array_equal(v0(prob, x), v) and dissipation_rate(prob, x) == d
+
+
+def test_gramian_of_stacks():
+    rng = np.random.default_rng(19)
+    rows, cols = rng.standard_normal((3, 10, 5)), rng.standard_normal((2, 10, 5))
+    G = gramian(list(rows), list(cols))
+    assert G.shape == (10, 3, 2)
+    for n in range(10):
+        assert np.array_equal(G[n], gramian(rows[:, n], cols[:, n]))

@@ -123,6 +123,29 @@ def test_admissibility_guard():
     assert abs(make("lp", IDENTITY, 1.5).clearance(on_axis(0.3)) - math.sin(0.3)) < 1e-12
 
 
+def test_line_clearance_resolves_the_guard_buffer():
+    # 1 - d^2 from a rounded d resolves no clearance below ~1e-8; read from
+    # the nearest sample it keeps full precision down to the 1e-9 buffer
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        qi = normalize(rng.standard_normal(4))
+        with pytest.raises(DomainError):
+            make("lp", SampleSet.from_quaternions(qi[None]), 1.5).gradient(qi)
+    for sign in (1.0, -1.0):
+        Q = normalize(rng.standard_normal((3, 4)))
+        model = make("lp", SampleSet.from_quaternions(Q), 1.5)
+        for t in (1e-10, 3e-9, 1e-8, 3e-8, 1e-6, 1e-4):
+            q = sign * near(Q[1], t, rng)
+            assert abs(model.clearance(q) / math.sin(t) - 1.0) < 1e-5
+            assert model.admissible(q) == (t > EPS_DOM)
+        # the derivatives next to the line read the same 1 - d^2: finite,
+        # and raising only inside the buffer
+        q = sign * near(Q[1], 3e-9, rng)
+        assert np.all(np.isfinite(model.gradient(q))) and np.all(np.isfinite(model.hessian(q)))
+        with pytest.raises(DomainError):
+            model.pushforward_residual(sign * near(Q[1], 3e-10, rng))
+
+
 HESSIAN_CASES = [("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 3.0), ("lp", 4.0)]
 
 
@@ -274,11 +297,11 @@ def test_frame_hessian_norm_bound(kind_p, r, near, log_t, clustered, seed):
         X = normalize(U + t * q0)
     X = X * (1.0 + rng.integers(-4, 5, (len(X), 1)) * 2.0**-52)
     D = model._dots(X)
-    keep = model._admissible(D)
+    keep = model._admissible(X, D)
     X, D = X[keep], D[keep]
     K = model._frame_hessian(X)[1]
-    wd = np.vecdot(model._weights(D), D)
-    bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + r * model._slope_bound(D))
+    wd = np.vecdot(model._weights(D, model._bases(X, D)), D)
+    bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + r * model._slope_bound(X, D))
     assert np.all(np.sqrt((K * K).sum(axis=(1, 2))) <= HESSIAN_BOUND_SLACK * bound)
 
 

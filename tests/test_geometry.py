@@ -325,3 +325,19 @@ def test_sample_set_forms_rotations_on_first_read(monkeypatch):
     # the cached matrices are covering_map's, bit for bit, and formed once
     assert R.tobytes() == real(s.quaternions).tobytes()
     assert s.rotations is R and len(calls) == 1
+
+
+def test_stacked_helpers_equal_row_calls():
+    # delta_skew, dp_apply and dist_d3 pair the rows of two stacks
+    rng = np.random.default_rng(21)
+    q, p = normalize(rng.standard_normal((30, 4))), normalize(rng.standard_normal((30, 4)))
+    v = rng.standard_normal((30, 4))
+    Rq, Rp = covering_map(q), covering_map(p)
+    D, J, d = delta_skew(q, p), dp_apply(q, v), dist_d3(Rq, Rp)
+    assert D.shape == J.shape == (30, 3, 3) and d.shape == (30,)
+    for k in range(30):
+        assert np.array_equal(D[k], delta_skew(q[k], p[k]))
+        assert np.array_equal(J[k], dp_apply(q[k], v[k]))
+        assert d[k] == dist_d3(Rq[k], Rp[k])
+    Q = normalize(rng.standard_normal((5, 3, 4)))
+    assert np.array_equal(covering_map(Q)[4], covering_map(Q[4]))
