@@ -552,3 +552,263 @@ def test_scalar_field_view():
     q = on_axis(0.4)
     assert sf.value(q) == model.value(q)
     assert np.abs(sf.grad(q) - model.gradient(q)).max() == 0.0
+
+
+# The bits of each public evaluator at fixed inputs: three unit samples and
+# two unit points, each a normalized vector of dyadic rationals. Any change
+# to the arithmetic of a cost shows here, where every other test compares
+# within a tolerance or against another path of the same code.
+PIN_SAMPLES = SampleSet.from_quaternions(normalize(np.array(
+    [[1.0, 0.25, -0.125, 0.375], [0.5, -0.75, 0.25, 0.125], [-0.25, 0.5, 0.875, -0.5]])))
+PIN_POINTS = normalize(np.array([[0.875, 0.375, 0.25, -0.125], [0.125, -0.625, 0.5, 0.375]]))
+PINNED_BITS = {
+    ('L2Chordal', None, 0): {
+        'value': '0x1.1f3a1463b7d59p+4',
+        'gradient': '-0x1.9bacb02f774d6p+3 -0x1.b49b3ddb4210ep+0 -0x1.0d1f9afbf2398p+1 -0x1.ae3cfecab2ef3p+1',
+        'hessian': (
+            '-0x1.335de53b59e72p+1 0x1.a1a364a024240p+1 0x1.c0142e95a9643p+0 -0x1.c292e8295f81dp+1 '
+            '0x1.a1a364a024240p+1 -0x1.0080a0d10614cp+2 -0x1.492a75b1888fcp+1 0x1.6b0f880be3b03p+2 '
+            '0x1.c0142e95a9643p+0 -0x1.492a75b1888fep+1 0x1.1194478ae9e54p+0 0x1.ab2dc4c1108a4p+2 '
+            '-0x1.c292e8295f81dp+1 0x1.6b0f880be3b02p+2 0x1.ab2dc4c1108a4p+2 0x1.6e87f514fdde6p+2'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 -0x1.0e17f2ab495a1p-2 0x1.9116b0b982780p-8 0x1.0e17f2ab495a1p-2 '
+            '0x0.0p+0 0x1.1e179807a2d26p-2 -0x1.9116b0b982780p-8 -0x1.1e179807a2d26p-2 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 0x1.681fee39b722dp-2 -0x1.0b6475d101a80p-7 -0x1.681fee39b722dp-2 '
+            '0x0.0p+0 -0x1.7d74cab4d9189p-2 0x1.0b6475d101a80p-7 0x1.7d74cab4d9189p-2 '
+            '0x0.0p+0'
+        ),
+    },
+    ('L2Chordal', None, 1): {
+        'value': '0x1.257bbc7bace03p+4',
+        'gradient': '-0x1.0295a3d035b20p+3 0x1.62553acc7f20bp+3 -0x1.2c131ff47da6dp+1 -0x1.54771e592093cp+1',
+        'hessian': (
+            '-0x1.4f4281c7a31b6p+2 -0x1.da958056b0f74p-6 0x1.470ec46e443dfp+2 -0x1.4769d3d10a704p+2 '
+            '-0x1.da958056b0f46p-6 0x1.ca1b6a589548cp+0 -0x1.d839add987dcbp-2 0x1.cdb22e98f7820p+1 '
+            '0x1.470ec46e443dfp+2 -0x1.d839add987dccp-2 -0x1.dae2e4fd273ddp+1 0x1.3cc354d00a85dp+1 '
+            '-0x1.4769d3d10a705p+2 0x1.cdb22e98f781fp+1 0x1.3cc354d00a85cp+1 0x1.1ab58a3a75633p+2'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 0x1.e54d5f6b3f1b3p-2 -0x1.689a4a6c90c78p-4 -0x1.e54d5f6b3f1b3p-2 '
+            '0x0.0p+0 -0x1.cd12c22902e84p-3 0x1.689a4a6c90c78p-4 0x1.cd12c22902e84p-3 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 -0x1.4388ea477f678p-1 0x1.e0cdb890c10a4p-4 0x1.4388ea477f678p-1 '
+            '0x0.0p+0 0x1.3361d6c601f01p-2 -0x1.e0cdb890c10a4p-4 -0x1.3361d6c601f01p-2 '
+            '0x0.0p+0'
+        ),
+    },
+    ('Geodesic', None, 0): {
+        'value': '0x1.026a43992b679p+3',
+        'gradient': '-0x1.a6cfff4f083e3p-2 0x1.a116ec0e559f5p+1 -0x1.da2d124f507b6p+1 -0x1.0c2d7f631d3c2p-1',
+        'hessian': (
+            '0x1.187f65228863fp+1 -0x1.a397d2875a271p+1 -0x1.04cd6492f4f85p+1 0x1.6e33066b84abap+0 '
+            '-0x1.a397d2875a270p+1 0x1.eafde2bb3b4fcp+2 -0x1.58f61051f8885p-2 -0x1.35c3d59245545p-1 '
+            '-0x1.04cd6492f4f86p+1 -0x1.58f61051f8882p-2 0x1.d008ef16d072ap+2 -0x1.8b592720b8ceep-1 '
+            '0x1.6e33066b84abap+0 -0x1.35c3d59245547p-1 -0x1.8b592720b8ceap-1 0x1.a9d9915d1ff92p+2'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 0x1.b5106def10daap-2 0x1.79a8a10343a7bp-1 -0x1.b5106def10daap-2 '
+            '0x0.0p+0 0x1.d072d6ab82cbep-1 -0x1.79a8a10343a7bp-1 -0x1.d072d6ab82cbep-1 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 -0x1.b5106def10da6p-1 -0x1.79a8a10343a7cp+0 0x1.b5106def10da6p-1 '
+            '0x0.0p+0 -0x1.d072d6ab82cbdp+0 0x1.79a8a10343a7cp+0 0x1.d072d6ab82cbdp+0 '
+            '0x0.0p+0'
+        ),
+    },
+    ('Geodesic', None, 1): {
+        'value': '0x1.365e7801cc6d6p+3',
+        'gradient': '-0x1.0e508d44215ffp+3 0x1.8183757feb0c3p+0 0x1.a1b7c1299f133p+2 -0x1.b03bba298d28fp+1',
+        'hessian': (
+            '0x1.ec6eae83f0edep+2 0x1.cce4ab0b4ab1fp-1 -0x1.83e0a33fc35a7p+0 0x1.e957a9b25849ep-1 '
+            '0x1.cce4ab0b4ab21p-1 0x1.82e71e77305a7p+1 0x1.5821d30b7cd4cp+1 0x1.272cc0ecc7d85p+0 '
+            '-0x1.83e0a33fc35a7p+0 0x1.5821d30b7cd4dp+1 0x1.5b0a676e6c50ep+2 -0x1.1f3dee335ae60p+1 '
+            '0x1.e957a9b2584a3p-1 0x1.272cc0ecc7d87p+0 -0x1.1f3dee335ae5fp+1 0x1.2618481d76db0p+2'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 0x1.0fa53f46a4fc8p+1 -0x1.d8214cec29ccfp+0 -0x1.0fa53f46a4fc8p+1 '
+            '0x0.0p+0 -0x1.11fa501b34848p-2 0x1.d8214cec29ccfp+0 0x1.11fa501b34848p-2 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 -0x1.0fa53f46a4fcep+2 0x1.d8214cec29cccp+1 0x1.0fa53f46a4fcep+2 '
+            '0x0.0p+0 0x1.11fa501b34830p-1 -0x1.d8214cec29cccp+1 -0x1.11fa501b34830p-1 '
+            '0x0.0p+0'
+        ),
+    },
+    ('TraceSqrt', None, 0): {
+        'value': '0x1.423525aaf1218p+0',
+        'gradient': '-0x1.a89a9828c7d48p-1 0x1.ed8f8c8acae4ep-2 -0x1.8f1e3831fa6a3p+0 0x1.5fd9a57f3c85ap-2',
+        'hessian': (
+            '0x1.b5d57a6ad7433p-1 -0x1.3d85bf01e8c4cp+0 -0x1.8c2b937294a8dp-1 0x1.6f5cb7fb44e8cp-1 '
+            '-0x1.3d85bf01e8c4dp+0 0x1.5220bd70f376ap+1 0x1.566ee098fee50p-4 -0x1.2e2bd8a9117a9p-1 '
+            '-0x1.8c2b937294a8bp-1 0x1.566ee098fee57p-4 0x1.1a462f2d303edp+1 -0x1.8295fa7f2f111p-1 '
+            '0x1.6f5cb7fb44e8bp-1 -0x1.2e2bd8a9117aap-1 -0x1.8295fa7f2f111p-1 0x1.bdecc472a7e5cp+0'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 0x1.d18b420c93ebcp-2 0x1.f367318f94992p-2 -0x1.d18b420c93ebcp-2 '
+            '0x0.0p+0 0x1.b25d4609d74f5p-2 -0x1.f367318f94992p-2 -0x1.b25d4609d74f5p-2 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 -0x1.d18b420c93eb8p+0 -0x1.f367318f94992p+0 0x1.d18b420c93eb8p+0 '
+            '0x0.0p+0 -0x1.b25d4609d74f4p+0 0x1.f367318f94992p+0 0x1.b25d4609d74f4p+0 '
+            '0x0.0p+0'
+        ),
+    },
+    ('TraceSqrt', None, 1): {
+        'value': '0x1.c2b1fcdf85478p+0',
+        'gradient': '-0x1.25c3ae857f873p+1 0x1.3d829392fcd00p-1 0x1.8219391de1cfcp+0 -0x1.7ac117eb48870p+0',
+        'hessian': (
+            '0x1.48192a71fdf52p+1 0x1.8e44cc67e30dbp-3 -0x1.953a75b5f9198p-1 0x1.0cc90edb42cb9p-1 '
+            '0x1.8e44cc67e30dbp-3 0x1.899525bbf2417p-1 0x1.a45e114420c7ep-1 0x1.f2560c0353b51p-4 '
+            '-0x1.953a75b5f9199p-1 0x1.a45e114420c7ep-1 0x1.ccb7e0d901104p+0 -0x1.88e4be3f23d5cp-1 '
+            '0x1.0cc90edb42cbbp-1 0x1.f2560c0353b49p-4 -0x1.88e4be3f23d5bp-1 0x1.0d0a9d9b3acf6p+0'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 0x1.14826ad2af451p+0 -0x1.22d18d0b7b85ep+0 -0x1.14826ad2af451p+0 '
+            '0x0.0p+0 -0x1.d9135c64fbdf0p-6 0x1.22d18d0b7b85ep+0 0x1.d9135c64fbdf0p-6 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 -0x1.14826ad2af456p+2 0x1.22d18d0b7b85dp+2 0x1.14826ad2af456p+2 '
+            '0x0.0p+0 0x1.d9135c64fbe00p-4 -0x1.22d18d0b7b85dp+2 -0x1.d9135c64fbe00p-4 '
+            '0x0.0p+0'
+        ),
+    },
+    ('LpChordal', 1.5, 0): {
+        'value': '0x1.69244d1f36229p+3',
+        'gradient': '-0x1.d80ca944532f1p+2 -0x1.2987287182a0cp+0 -0x1.81940be736df3p-1 -0x1.0d7ed71d70fe9p+1',
+        'hessian': (
+            '-0x1.390659bdcd554p+0 0x1.410f730499ee5p+0 0x1.31545060e71d3p+0 -0x1.34aabd3080a80p+1 '
+            '0x1.410f730499ee5p+0 -0x1.ab691ed0779fap-1 -0x1.98c65cc8a788bp+0 0x1.8a60deab1981fp+1 '
+            '0x1.31545060e71d4p+0 -0x1.98c65cc8a788cp+0 0x1.20d071312536bp-1 0x1.2bf2e35f601a6p+2 '
+            '-0x1.34aabd3080a7fp+1 0x1.8a60deab1981ep+1 0x1.2bf2e35f601a6p+2 0x1.bc85fa5690ae3p+0'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 -0x1.91045b88b5a98p-2 -0x1.2181278ca6430p-5 0x1.91045b88b5a98p-2 '
+            '0x0.0p+0 0x1.56bccc7db5eb8p-2 0x1.2181278ca6430p-5 -0x1.56bccc7db5eb8p-2 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 0x1.1b8fd5c1a4be5p+0 0x1.996bd406df2ecp-4 -0x1.1b8fd5c1a4be5p+0 '
+            '0x0.0p+0 -0x1.e4b43a45bfabap-1 -0x1.996bd406df2ecp-4 0x1.e4b43a45bfabap-1 '
+            '0x0.0p+0'
+        ),
+    },
+    ('LpChordal', 1.5, 1): {
+        'value': '0x1.6d751e751a0fap+3',
+        'gradient': '-0x1.2ccfdb1ad3ee1p+2 0x1.a54a34cf8e87dp+2 -0x1.97aabdcebf669p+0 -0x1.75fab2c78a599p+0',
+        'hessian': (
+            '-0x1.7acf8c3046b3dp+1 0x1.54bb6c5ce64bap+0 0x1.a43a05ac6f905p+1 -0x1.2c2d526625355p+0 '
+            '0x1.54bb6c5ce64bdp+0 0x1.12c34c2e50d91p+0 -0x1.e0fea1e73c609p-4 0x1.807193017f032p+0 '
+            '0x1.a43a05ac6f904p+1 -0x1.e0fea1e73c5e8p-4 -0x1.0dc1c26452473p+0 0x1.d6bce8ab7b4e0p-4 '
+            '-0x1.2c2d526625353p+0 0x1.807193017f031p+0 0x1.d6bce8ab7b4dbp-4 0x1.5ec8fe8b203d7p+1'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 0x1.37910df009f9ep-1 -0x1.7efef497bdad6p-4 -0x1.37910df009f9ep-1 '
+            '0x0.0p+0 -0x1.3e902f7e5d5d4p-2 0x1.7efef497bdad6p-4 0x1.3e902f7e5d5d4p-2 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 -0x1.b89f2a39c2129p+0 0x1.0ed1aac4e0446p-2 0x1.b89f2a39c2129p+0 '
+            '0x0.0p+0 0x1.c28434f141736p-1 -0x1.0ed1aac4e0446p-2 -0x1.c28434f141736p-1 '
+            '0x0.0p+0'
+        ),
+    },
+    ('LpChordal', 2.0, 0): {
+        'value': '0x1.1f3a1463b7d59p+4',
+        'gradient': '-0x1.9bacb02f774d6p+3 -0x1.b49b3ddb4210ep+0 -0x1.0d1f9afbf2398p+1 -0x1.ae3cfecab2ef3p+1',
+        'hessian': (
+            '-0x1.335de53b59e72p+1 0x1.a1a364a024240p+1 0x1.c0142e95a9643p+0 -0x1.c292e8295f81dp+1 '
+            '0x1.a1a364a024240p+1 -0x1.0080a0d10614cp+2 -0x1.492a75b1888fcp+1 0x1.6b0f880be3b03p+2 '
+            '0x1.c0142e95a9643p+0 -0x1.492a75b1888fep+1 0x1.1194478ae9e54p+0 0x1.ab2dc4c1108a4p+2 '
+            '-0x1.c292e8295f81dp+1 0x1.6b0f880be3b02p+2 0x1.ab2dc4c1108a4p+2 0x1.6e87f514fdde6p+2'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 -0x1.0e17f2ab495a1p-2 0x1.9116b0b982780p-8 0x1.0e17f2ab495a1p-2 '
+            '0x0.0p+0 0x1.1e179807a2d26p-2 -0x1.9116b0b982780p-8 -0x1.1e179807a2d26p-2 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 0x1.0e17f2ab495a2p+0 -0x1.9116b0b9827c0p-6 -0x1.0e17f2ab495a2p+0 '
+            '0x0.0p+0 -0x1.1e179807a2d27p+0 0x1.9116b0b9827c0p-6 0x1.1e179807a2d27p+0 '
+            '0x0.0p+0'
+        ),
+    },
+    ('LpChordal', 2.0, 1): {
+        'value': '0x1.257bbc7bace03p+4',
+        'gradient': '-0x1.0295a3d035b20p+3 0x1.62553acc7f20bp+3 -0x1.2c131ff47da6dp+1 -0x1.54771e592093cp+1',
+        'hessian': (
+            '-0x1.4f4281c7a31b4p+2 -0x1.da958056b0e6fp-6 0x1.470ec46e443dep+2 -0x1.4769d3d10a704p+2 '
+            '-0x1.da958056b0fcdp-6 0x1.ca1b6a589548bp+0 -0x1.d839add987dd0p-2 0x1.cdb22e98f7820p+1 '
+            '0x1.470ec46e443dep+2 -0x1.d839add987dd2p-2 -0x1.dae2e4fd273ddp+1 0x1.3cc354d00a85bp+1 '
+            '-0x1.4769d3d10a704p+2 0x1.cdb22e98f781fp+1 0x1.3cc354d00a85cp+1 0x1.1ab58a3a75634p+2'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 0x1.e54d5f6b3f1b3p-2 -0x1.689a4a6c90c78p-4 -0x1.e54d5f6b3f1b3p-2 '
+            '0x0.0p+0 -0x1.cd12c22902e84p-3 0x1.689a4a6c90c78p-4 0x1.cd12c22902e84p-3 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 -0x1.e54d5f6b3f1b4p+0 0x1.689a4a6c90c7bp-2 0x1.e54d5f6b3f1b4p+0 '
+            '0x0.0p+0 0x1.cd12c22902e81p-1 -0x1.689a4a6c90c7bp-2 -0x1.cd12c22902e81p-1 '
+            '0x0.0p+0'
+        ),
+    },
+    ('LpChordal', 4.0, 0): {
+        'value': '0x1.edf837e6e3372p+6',
+        'gradient': '-0x1.4175eaea0de5cp+6 0x1.7b4003fc8a4c0p+1 -0x1.73ffc69931a3cp+5 -0x1.f605a66631c5cp+2',
+        'hessian': (
+            '-0x1.1940fc40101f4p+5 0x1.088779e14a9fap+6 0x1.d400faec500b3p+3 -0x1.27331a05122f9p+4 '
+            '0x1.088779e14a9fap+6 -0x1.f59e38f2daa74p+6 -0x1.dca8564864e7ep+3 0x1.c75f297cc25bap+5 '
+            '0x1.d400faec500b2p+3 -0x1.dca8564864e7bp+3 -0x1.1989b1ac2a8e3p+4 0x1.67f389762baf5p+4 '
+            '-0x1.27331a05122fbp+4 0x1.c75f297cc25bbp+5 0x1.67f389762baf7p+4 0x1.5a6f156d598ddp+6'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 0x1.476b9eb5c14acp-8 0x1.759b6007a9c82p-4 -0x1.476b9eb5c14acp-8 '
+            '0x0.0p+0 0x1.4695d4696ab83p-3 -0x1.759b6007a9c82p-4 -0x1.4695d4696ab83p-3 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 -0x1.476b9eb5c1460p-4 -0x1.759b6007a9c86p+0 0x1.476b9eb5c1460p-4 '
+            '0x0.0p+0 -0x1.4695d4696ab86p+1 0x1.759b6007a9c86p+0 0x1.4695d4696ab86p+1 '
+            '0x0.0p+0'
+        ),
+    },
+    ('LpChordal', 4.0, 1): {
+        'value': '0x1.09165e697736cp+7',
+        'gradient': '-0x1.92f51e715eb8ap+5 0x1.d67128abcab7ep+5 0x1.c4abbcb994aa8p+0 -0x1.6c037d2dd3553p+4',
+        'hessian': (
+            '-0x1.c2e49314b585fp+6 -0x1.d98cf6f4ece02p+5 0x1.6bdc6d5d92d06p+5 -0x1.e6e6e5ae40190p+6 '
+            '-0x1.d98cf6f4ece03p+5 -0x1.41507fbc89f57p+3 -0x1.f73ed9de3b54cp+4 0x1.67775901e7b24p+5 '
+            '0x1.6bdc6d5d92d03p+5 -0x1.f73ed9de3b54dp+4 -0x1.d9cb93e446e72p+6 0x1.6965d82ed8037p+6 '
+            '-0x1.e6e6e5ae40190p+6 0x1.67775901e7b26p+5 0x1.6965d82ed8038p+6 -0x1.4020982c9925bp+2'
+        ),
+        'pushforward_residual': (
+            '0x0.0p+0 0x1.a131c1011d67ap-3 -0x1.3af979187f67cp-4 -0x1.a131c1011d67ap-3 '
+            '0x0.0p+0 -0x1.b175aced2e4ccp-5 0x1.3af979187f67cp-4 0x1.b175aced2e4ccp-5 '
+            '0x0.0p+0'
+        ),
+        'rotation_residual': (
+            '0x0.0p+0 -0x1.a131c1011d67dp+1 0x1.3af979187f67bp+0 0x1.a131c1011d67dp+1 '
+            '0x0.0p+0 0x1.b175aced2e4c4p-1 -0x1.3af979187f67bp+0 -0x1.b175aced2e4c4p-1 '
+            '0x0.0p+0'
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("kind,p,k", list(PINNED_BITS))
+def test_evaluators_keep_their_bits(kind, p, k):
+    model = CostModel(kind, PIN_SAMPLES, p)
+    q = PIN_POINTS[k]
+    for name, want in PINNED_BITS[kind, p, k].items():
+        got = getattr(model, name)(covering_map(q) if name == "rotation_residual" else q)
+        assert [float(v).hex() for v in np.ravel(got)] == want.split(), name
