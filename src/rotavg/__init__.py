@@ -1,108 +1,12 @@
 """Rotation averaging on SO(3) via dissipative flow on the unit-quaternion sphere."""
 
-from .control import (
-    AmbientProblem,
-    ScalarField,
-    apply_T_sphere,
-    dissipation_rate,
-    gramian,
-    unit_sphere_problem,
-    v0,
-)
-from .costs import (
-    EPS_DOM,
-    CostModel,
-    DomainError,
-    NonDifferentiable,
-)
-from .geometry import (
-    SampleSet,
-    canonicalize_sign,
-    covering_map,
-    delta_skew,
-    dist_d1,
-    dist_d2,
-    dist_d3,
-    dp_apply,
-    normalize,
-    quat_from_rotation,
-    rotation_angle,
-    tangent_frame,
-)
-from .solvers import (
-    AmbiguousMean,
-    CriticalPoint,
-    DomainBreach,
-    MaxIters,
-    classify,
-    eigen_oracle_l2,
-    flow_descend,
-    multistart,
-    random_unit_quaternion,
-)
-from .sweep import (
-    CriticalRep,
-    EvenPolynomial,
-    SweepRecord,
-    build_samples,
-    critical_sets,
-    emit_csv,
-    parse_csv,
-    positive_roots,
-    q2_coeffs,
-    q4_coeffs,
-    root_count_transitions,
-    theta_min_curve,
-    tie_locations,
-)
+from . import control, costs, geometry, solvers, sweep
+from .control import *  # noqa: F403
+from .costs import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .solvers import *  # noqa: F403
+from .sweep import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientProblem",
-    "ScalarField",
-    "apply_T_sphere",
-    "dissipation_rate",
-    "gramian",
-    "unit_sphere_problem",
-    "v0",
-    "EPS_DOM",
-    "CostModel",
-    "DomainError",
-    "NonDifferentiable",
-    "SampleSet",
-    "canonicalize_sign",
-    "covering_map",
-    "delta_skew",
-    "dist_d1",
-    "dist_d2",
-    "dist_d3",
-    "dp_apply",
-    "normalize",
-    "quat_from_rotation",
-    "rotation_angle",
-    "tangent_frame",
-    "AmbiguousMean",
-    "CriticalPoint",
-    "DomainBreach",
-    "MaxIters",
-    "classify",
-    "eigen_oracle_l2",
-    "flow_descend",
-    "multistart",
-    "random_unit_quaternion",
-    "CriticalRep",
-    "EvenPolynomial",
-    "SweepRecord",
-    "build_samples",
-    "critical_sets",
-    "emit_csv",
-    "parse_csv",
-    "positive_roots",
-    "q2_coeffs",
-    "q4_coeffs",
-    "root_count_transitions",
-    "theta_min_curve",
-    "tie_locations",
-    "__version__",
-]
+__all__ = [*control.__all__, *costs.__all__, *geometry.__all__, *solvers.__all__, *sweep.__all__, "__version__"]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import dissipation_rate, fd_gradient, unit_sphere_problem, v0
-from .costs import CostModel
+from .costs import _KINDS, CostModel
 from .geometry import (
     SampleSet,
     canonicalize_sign,
@@ -76,9 +76,10 @@ def _draws(seed, trials, unit=True):
     draws = []
     for _ in range(trials):
         quats = _random_quats(rng)
-        kind = ("L2Chordal", "Geodesic", "TraceSqrt", "LpChordal")[int(rng.integers(0, 4))]
-        # rng.choice over the four powers would draw what integers(0, 4) does
-        p = (1.5, 2.0, 3.0, 4.0)[int(rng.integers(0, 4))] if kind == "LpChordal" else None
+        kind = list(_KINDS)[int(rng.integers(0, len(_KINDS)))]
+        # a kind whose record is built from p draws one of four powers;
+        # rng.choice over them would draw what integers(0, 4) does
+        p = (1.5, 2.0, 3.0, 4.0)[int(rng.integers(0, 4))] if callable(_KINDS[kind]) else None
         draws.append((quats, kind, p, _probe(rng, normalize(quats), unit=unit)))
     return draws
 

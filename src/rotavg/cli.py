@@ -37,6 +37,8 @@ EXIT_IO = 5
 
 ORTHO_TOL = 1e-6  # matrix inputs may be off SO(3) by at most this much
 MAX_GRID_POINTS = 10**6  # longest alpha grid sweep accepts
+# --cost spelling -> CostModel kind
+_COSTS = {"l2": "L2Chordal", "geodesic": "Geodesic", "d3": "TraceSqrt", "lp": "LpChordal"}
 
 
 class _ParseError(Exception):
@@ -187,17 +189,11 @@ def _load_rotations(path) -> SampleSet:
 
 
 def _model_from_args(args, samples) -> CostModel:
-    if args.cost == "l2":
-        return CostModel.l2_chordal(samples)
-    if args.cost == "geodesic":
-        return CostModel.geodesic(samples)
-    if args.cost == "d3":
-        return CostModel.trace_sqrt(samples)
-    if args.p is None:
-        raise _ParseError("--cost lp requires --p")
-    if not 1.0 <= args.p < math.inf:
+    if (args.p is None) == (args.cost == "lp"):
+        raise _ParseError("--cost lp requires --p" if args.p is None else "--p applies only to --cost lp")
+    if args.p is not None and not 1.0 <= args.p < math.inf:
         raise _ValidationError("--p must be finite and >= 1")
-    return CostModel.lp_chordal(samples, args.p)
+    return CostModel(_COSTS[args.cost], samples, args.p)
 
 
 def _require_seed(args) -> None:
@@ -226,7 +222,7 @@ def cmd_average(args) -> int:
         raise _NoConvergence("no start converged")
     best = points[0].cost
     doc = {
-        "cost": {"kind": args.cost, "p": args.p if args.cost == "lp" else None},
+        "cost": {"kind": args.cost, "p": args.p},
         "critical_points": [
             {
                 "quaternion": [float(x) for x in pt.q],
@@ -321,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_avg = sub.add_parser("average", help="critical points of a cost over input rotations")
     io(p_avg, needs_input=True)
-    p_avg.add_argument("--cost", choices=["l2", "geodesic", "d3", "lp"], default="l2")
+    p_avg.add_argument("--cost", choices=list(_COSTS), default="l2")
     p_avg.add_argument("--p", type=float, default=None, help="exponent for --cost lp")
     p_avg.add_argument("--starts", type=int, default=64)
     p_avg.add_argument("--seed", type=int, default=0)

@@ -4,43 +4,40 @@ Each model owns a sample set and exposes the lifted value, the analytic
 gradient of its ambient prolongation, the sphere control field, and two
 residual operators: the weighted-skew system on S3 pushed down through the
 covering map, and the equivalent characterization directly in rotation
-matrices. Writing x_i = <q, q_i>:
+matrices.
 
-    l2 chordal      value 8 sum (1 - x_i^2)            weights x_i
-    geodesic        value 2 sum arccos^2|x_i|          weights sgn(x_i) arccos|x_i| / sqrt(1-x_i^2)
-    trace-sqrt      value sum (1 - |x_i|)^2            weights (1 - |x_i|) sgn(x_i)
-    Lp chordal      value 8^(p/2) sum (1-x_i^2)^(p/2)  weights (1-x_i^2)^(p/2-1) x_i
+Each kind is defined once, by one :class:`_Kind` record in ``_KINDS``: a
+per-sample term f, its weight w and the weight's slope w', all functions of
+x_i = <q, q_i>, together with the constants and the excluded set that go
+with them (README, section Costs, lists them for the four kinds). The
+value is the record's factor times sum_i f(x_i); everything else derives
+from the weights:
 
-The weights are the one definition the derivatives share: the gradient is
--c sum_i w_i q_i (c = 16, 4, 2, p 8^(p/2)) and the pushforward residual is
-sum_i w_i Delta_i, whose entries are the coordinates of sum_i w_i q_i in the
-tangent frame B = tangent_frame(q) of S3 at q. Their slopes w'(x_i) give the
-tangent Hessian in the same frame, the 3x3 matrix
-K = c (<w, d> I - A^T diag(w') A) with A = Q B^T (row i: B q_i), which is
-B^T K B in Cartesian coordinates:
+- the gradient is -c sum_i w(x_i) q_i;
+- the pushforward residual is sum_i w_i Delta_i, whose entries are the
+  coordinates of sum_i w_i q_i in the tangent frame B = tangent_frame(q) of
+  S3 at q;
+- the tangent Hessian in the same frame is the 3x3 matrix
+  K = c (<w, d> I - A^T diag(w') A) with A = Q B^T (row i: B q_i), which is
+  B^T K B in Cartesian coordinates;
+- the rotation residual M^T R - R^T M reads u = w(x)/x (w'(0) at x = 0):
+  M = sum_i u(x_i) R_i / kappa. u is even in x, so a function of the trace
+  tr(R^T R_i) alone, and kappa keeps each kind's residual scale. Since
+  x_i Delta_i = (R^T R_i - R_i^T R) / 4, the pushforward residual is
+  -kappa/4 times the rotation residual;
+- the guards keep a finite buffer eps_dom around the excluded set: the
+  hyperplanes Pi_i where x_i = 0 (relative angle pi to a sample), on which
+  the geodesic model is undefined and trace-sqrt is not differentiable, or
+  the sample lines, which Lp with p < 2 excludes.
 
-    l2 chordal      w' = 1
-    geodesic        w' = -(sin phi - phi cos phi) / sin^3 phi,  phi = arccos|x_i|
-    trace-sqrt      w' = -1
-    Lp chordal      w' = (1-x_i^2)^(p/2-2) (1 - (p-1) x_i^2)
-
-The rotation residual M^T R - R^T M reads the same weights through
-u = w(x)/x (w'(0) at x = 0): M = sum_i u(x_i) R_i / kappa. u is even in x,
-so a function of the trace tr(R^T R_i) alone, and kappa = r, 2, 1 and
-4^(1-p/2) for the four kinds keeps each kind's residual scale. Since
-x_i Delta_i = (R^T R_i - R_i^T R) / 4, the pushforward residual is -kappa/4
-times the rotation residual.
-
-The geodesic model lives on the sphere minus the hyperplanes Pi_i where
-x_i = 0 (relative angle pi to a sample); trace-sqrt is non-differentiable
-there; Lp with p < 2 excludes the sample lines instead. Guards keep a finite
-buffer eps_dom around each excluded set.
+The geodesic model alone reads its per-sample functions at q/|q| (its
+prolongation is of degree 0); the others read them at q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -109,12 +106,89 @@ def _half_angles(d):
     return np.arccos(phi, out=phi)
 
 
+def _geodesic_weight(d, _):
+    """sgn(x) phi / sin phi with phi = arccos |x|, elementwise."""
+    w = _arc_over_sin(_half_angles(d))
+    w *= np.sign(d)
+    return w
+
+
+class _Kind(NamedTuple):
+    """One cost kind's per-sample definition.
+
+    ``term``, ``weight`` and ``slope`` map the unit-sphere dots d = Q q and
+    ``base`` to f(x), w(x) and w'(x) elementwise. A kind that sets
+    ``reads_base`` reads 1 - d^2 from ``base`` where the caller formed it
+    (see :meth:`CostModel._bases`; ``term`` overwrites it), and forms it
+    where ``base`` is None; the other kinds ignore it. The value is
+    ``factor`` sum_i f(x_i) and the gradient -``scale`` sum_i w(x_i) q_i;
+    ``kappa`` scales the rotation residual (None: the sample count r).
+    ``excluded`` is "planes", "lines" or None, and ``error`` is what a
+    derivative at a single point inside its guard buffer raises.
+    """
+
+    factor: float
+    term: Callable
+    weight: Callable
+    slope: Callable
+    scale: float
+    kappa: Optional[float]
+    excluded: Optional[str] = None
+    error: type = DomainError
+    reads_base: bool = False
+
+
+def _lp(p):
+    """The Lp chordal record for the power p, which must satisfy 1 <= p < inf."""
+    if p is None or not 1.0 <= p < np.inf:
+        raise ValueError("LpChordal requires a power p with 1 <= p < inf")
+
+    def term(d, base):
+        base **= p / 2.0
+        return base
+
+    def weight(d, base):
+        if base is None:
+            base = np.maximum(1.0 - d * d, 0.0)
+        w = base ** (p / 2.0 - 1.0)
+        w *= d
+        return w
+
+    def slope(d, base):
+        base = np.maximum(1.0 - d * d, 0.0) if base is None else base.copy()
+        # for p < 4, w' diverges on a sample line (base = 0); there the
+        # sample's tangent part vanishes, and with it the term in `hessian`
+        # for every p >= 2, so the slope is set to 0 on the line itself
+        on_line = base == 0.0
+        base[on_line] = 1.0
+        base **= p / 2.0 - 2.0
+        base *= 1.0 - (p - 1.0) * d * d
+        base[on_line] = 0.0
+        return base
+
+    excluded = "lines" if p < 2.0 else None
+    return _Kind(8.0 ** (p / 2.0), term, weight, slope, p * 8.0 ** (p / 2.0), 4.0 ** (1.0 - p / 2.0), excluded,
+                 reads_base=True)
+
+
+# kind -> its record (factor, f, w, w', c, kappa, excluded set, guard error),
+# or for LpChordal the function that builds it from p
+_KINDS = {
+    "L2Chordal": _Kind(8.0, lambda d, _: 1.0 - d * d, lambda d, _: d, lambda d, _: np.ones_like(d), 16.0, None),
+    "Geodesic": _Kind(2.0, lambda d, _: _half_angles(d) ** 2, _geodesic_weight,
+                      lambda d, _: _arc_slope(_half_angles(d)), 4.0, 2.0, "planes"),
+    "TraceSqrt": _Kind(1.0, lambda d, _: (1.0 - np.abs(d)) ** 2, lambda d, _: (1.0 - np.abs(d)) * np.sign(d),
+                       lambda d, _: -np.ones_like(d), 2.0, 1.0, "planes", NonDifferentiable),
+    "LpChordal": _lp,
+}
+
+
 @dataclass(frozen=True)
 class CostModel:
     """One averaging cost over a fixed :class:`~rotavg.geometry.SampleSet`.
 
     ``kind`` is one of {"L2Chordal", "Geodesic", "TraceSqrt", "LpChordal"};
-    ``p`` is set only for LpChordal (real, >= 1). Instances are immutable
+    ``p`` is set only for LpChordal (real, 1 <= p < inf). Instances are immutable
     and every evaluator is a pure function.
 
     ``value``, ``gradient``, ``control_field``, ``hessian``,
@@ -135,32 +209,21 @@ class CostModel:
     kind: str
     samples: SampleSet
     p: Optional[float] = None
-    # resolved once from kind and p: the gradient scale c (public, read-only),
-    # the rotation residual's scale kappa and the excluded set ("planes",
-    # "lines" or None)
+    # resolved once from kind and p: the gradient scale c (public, read-only)
+    # and the kind's record
     scale: float = field(init=False, repr=False, compare=False)
-    _kappa: float = field(init=False, repr=False, compare=False)
-    _excluded: Optional[str] = field(init=False, repr=False, compare=False)
+    _cost: _Kind = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("L2Chordal", "Geodesic", "TraceSqrt", "LpChordal"):
+        cost = _KINDS.get(self.kind)
+        if cost is None:
             raise ValueError(f"unknown cost kind {self.kind!r}")
-        # the excluded set, stated once: the hyperplanes Pi_i for geodesic and
-        # trace-sqrt, the sample lines for Lp with p < 2, none otherwise
-        if self.kind == "LpChordal":
-            if self.p is None or self.p < 1.0:
-                raise ValueError("LpChordal requires p >= 1")
-            scale, kappa = self.p * 8.0 ** (self.p / 2.0), 4.0 ** (1.0 - self.p / 2.0)
-            excluded = "lines" if self.p < 2.0 else None
+        if callable(cost):
+            cost = cost(self.p)
         elif self.p is not None:
             raise ValueError("p is only meaningful for LpChordal")
-        else:
-            scales = {"L2Chordal": (16.0, self.samples.r), "Geodesic": (4.0, 2.0), "TraceSqrt": (2.0, 1.0)}
-            scale, kappa = scales[self.kind]
-            excluded = None if self.kind == "L2Chordal" else "planes"
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_kappa", kappa)
-        object.__setattr__(self, "_excluded", excluded)
+        object.__setattr__(self, "scale", cost.scale)
+        object.__setattr__(self, "_cost", cost)
 
     @classmethod
     def l2_chordal(cls, samples):
@@ -203,9 +266,9 @@ class CostModel:
     def _clearance_at(self, X, D, base=None):
         """:meth:`clearance` for each row of X, with dots D (and, for the
         sample lines, the rows' :meth:`_bases` where already formed)."""
-        if self._excluded == "planes":
+        if self._cost.excluded == "planes":
             return np.abs(D).min(axis=-1)
-        if self._excluded == "lines":
+        if self._cost.excluded == "lines":
             if base is not None:
                 return np.sqrt(base.min(axis=-1))
             # the same reading at each row's nearest sample j alone, the
@@ -223,21 +286,21 @@ class CostModel:
 
     def _bases(self, X, D, d=None):
         """1 - d_i^2, clamped at 0, at the dots d (D by default) of the unit
-        rows X, for Lp (None for the other kinds, which do not read it).
+        rows X, for a kind that reads it (None for the others).
 
         The rounded 1 - d^2 has an absolute error near 2e-16, so it resolves
         no clearance below about 1e-8, where the guard buffer is 1e-9. For a
         model that excludes the sample lines, entries below 1e-8 are read
         from X and its dots D instead (:meth:`_line_gaps`).
         """
-        if self.kind != "LpChordal":
+        if not self._cost.reads_base:
             return None
         d = D if d is None else d
         # in place: one (n, r) array, not three
         base = d * d
         np.subtract(1.0, base, out=base)
         np.maximum(base, 0.0, out=base)
-        if self._excluded == "lines" and np.fmin.reduce(base, axis=None, initial=1.0) < 1e-8:
+        if self._cost.excluded == "lines" and np.fmin.reduce(base, axis=None, initial=1.0) < 1e-8:
             k, i = np.nonzero(base < 1e-8)
             base[k, i] = self._line_gaps(X, D, k, i)
         return base
@@ -266,12 +329,11 @@ class CostModel:
         single point there raises instead. ``base`` as for
         :meth:`_clearance_at`; its rows inside the buffer are set to NaN in
         place as well."""
-        if self._excluded is not None:
+        if self._cost.excluded is not None:
             bad = self._clearance_at(X, D, base) <= EPS_DOM
             if bad.any():
                 if one:
-                    error = NonDifferentiable if self.kind == "TraceSqrt" else DomainError
-                    raise error(f"{self.kind} derivatives need clearance from the excluded set")
+                    raise self._cost.error(f"{self.kind} derivatives need clearance from the excluded set")
                 D = np.where(bad[:, None], np.nan, D)
                 if base is not None:
                     base[bad] = np.nan
@@ -290,21 +352,15 @@ class CostModel:
 
     def _value(self, X, D, one=False):
         """:meth:`value` at the rows X with dots D."""
-        if self.kind == "L2Chordal":
-            return 8.0 * (1.0 - D * D).sum(axis=1)
         if self.kind == "Geodesic":
+            # degree-0 prolongation: the terms at q/|q|, undefined on Pi_i
             on_plane = np.abs(D).min(axis=1) < 1e-12
             if on_plane.any():
                 if one:
                     raise DomainError("geodesic cost undefined on a hyperplane Pi_i")
                 D = np.where(on_plane[:, None], np.nan, D)
-            u = np.clip(np.abs(D) / np.sqrt(np.vecdot(X, X, keepdims=True)), 0.0, 1.0)
-            return 2.0 * (np.arccos(u) ** 2).sum(axis=1)
-        if self.kind == "TraceSqrt":
-            return ((1.0 - np.abs(D)) ** 2).sum(axis=1)
-        base = self._bases(X, D)
-        base **= self.p / 2.0
-        return 8.0 ** (self.p / 2.0) * base.sum(axis=1)
+            D = D / np.sqrt(np.vecdot(X, X, keepdims=True))
+        return self._cost.factor * self._cost.term(D, self._bases(X, D)).sum(axis=1)
 
     def gradient(self, q):
         """Analytic gradient of the prolongation (agrees with central FD)."""
@@ -319,11 +375,11 @@ class CostModel:
         if self.kind == "Geodesic":
             # degree-0 prolongation: weights at q/|q|, radial part removed
             nq = np.sqrt(np.vecdot(X, X, keepdims=True))
-            W = self._weights(self._guard(X / nq, D / nq, one))
+            W = self._cost.weight(self._guard(X / nq, D / nq, one), None)
             G = (-self.scale / nq**3) * (nq * nq * np.vecmat(W, Q) - np.vecdot(W, D, keepdims=True) * X)
         else:
             base = self._bases(X, D)
-            W = self._weights(self._guard(X, D, one, base), base)
+            W = self._cost.weight(self._guard(X, D, one, base), base)
             G = -self.scale * np.vecmat(W, Q)
         return G, W
 
@@ -346,43 +402,6 @@ class CostModel:
 
     # -- residual systems --------------------------------------------------
 
-    def _weights(self, d, base=None):
-        """Per-sample weights w(x_i) at the unit-sphere dots d = Q q; Lp
-        reads 1 - d^2 from ``base`` where given (see :meth:`_bases`)."""
-        if self.kind == "L2Chordal":
-            return d
-        if self.kind == "Geodesic":
-            w = _arc_over_sin(_half_angles(d))
-            w *= np.sign(d)
-            return w
-        if self.kind == "TraceSqrt":
-            return (1.0 - np.abs(d)) * np.sign(d)
-        if base is None:
-            base = np.maximum(1.0 - d * d, 0.0)
-        w = base ** (self.p / 2.0 - 1.0)
-        w *= d
-        return w
-
-    def _dweights(self, d, base=None):
-        """Weight slopes w'(x_i) at the unit-sphere dots d = Q q; Lp reads
-        1 - d^2 from ``base`` where given (see :meth:`_bases`)."""
-        if self.kind == "L2Chordal":
-            return np.ones_like(d)
-        if self.kind == "Geodesic":
-            return _arc_slope(_half_angles(d))
-        if self.kind == "TraceSqrt":
-            return -np.ones_like(d)
-        base = np.maximum(1.0 - d * d, 0.0) if base is None else base.copy()
-        # for p < 4, w' diverges on a sample line (base = 0); there the
-        # sample's tangent part vanishes, and with it the term in `hessian`
-        # for every p >= 2, so the slope is set to 0 on the line itself
-        on_line = base == 0.0
-        base[on_line] = 1.0
-        base **= self.p / 2.0 - 2.0
-        base *= 1.0 - (self.p - 1.0) * d * d
-        base[on_line] = 0.0
-        return base
-
     def _slope_bound(self, X, D):
         """s >= |w'(x_i)| |B q_i|^2 for every sample of each row of X, with
         dots D, so that the Hessian in the frame (:meth:`_frame_hessian`) obeys
@@ -398,7 +417,7 @@ class CostModel:
         1 - x_i^2; next to a line that is no longer small against 1 - x_i^2,
         so s there is raised by the factor 1 + 1e-14 / clearance^2.
         """
-        if self._excluded == "lines":
+        if self._cost.excluded == "lines":
             u = self._clearance_at(X, D) ** 2
             return u ** (self.p / 2.0 - 1.0) * (1.0 + 1e-14 / u)
         return 1.0
@@ -436,9 +455,9 @@ class CostModel:
         base = self._bases(X, D)
         if wd is None:
             D = self._guard(X, D, one, base)
-            wd = np.vecdot(self._weights(D, base), D)
+            wd = np.vecdot(self._cost.weight(D, base), D)
         K = wd[:, None, None] * np.eye(3)
-        dW = self._dweights(D, base)
+        dW = self._cost.slope(D, base)
         # B(x) q_i = -B(q_i) x, so the samples' own frames F give -A for
         # every row in one matvec, with the bits of the one-point call; the
         # sign drops out of A^T diag(w') A
@@ -462,7 +481,7 @@ class CostModel:
         X, one = _rows(q)
         D = self._dots(X)
         base = self._bases(X, D)
-        W = self._weights(self._guard(X, D, one, base), base)
+        W = self._cost.weight(self._guard(X, D, one, base), base)
         S = _skew(np.matvec(tangent_frame(X), np.vecmat(W, self.samples.quaternions)))
         S[np.isnan(W).any(axis=1)] = np.nan  # a guarded row: the diagonal too
         return S[0] if one else S
@@ -474,10 +493,10 @@ class CostModel:
         u = w(x)/x comes from the weights (w'(0) where x_i = 0, admissible
         for l2 and Lp with p >= 2); it is even in x, so a function of
         t_i = tr(R^T R_i) alone, and |x_i| is read off R^T R_i with full
-        precision up to relative angle pi. kappa keeps each kind's scale:
-        r for l2 (M is the arithmetic mean), 2 for geodesic (M^T R - R^T M
-        is then sum_i Log(R_i^T R)), 1 for trace-sqrt and 4^(1 - p/2) for
-        Lp. Raises like the gradient inside the guard buffer of an excluded
+        precision up to relative angle pi. kappa, the kind's (r where its
+        record holds None), keeps each kind's scale: M is the arithmetic
+        mean for l2, and M^T R - R^T M is sum_i Log(R_i^T R) for geodesic.
+        Raises like the gradient inside the guard buffer of an excluded
         set, judged at the dots of a lift of R, and ValueError on a stacked
         sample set.
         """
@@ -485,15 +504,15 @@ class CostModel:
         R = np.asarray(R, dtype=float)
         Rs = self.samples.rotations.reshape(-1, 9)
         x = _abs_dots(R, Rs)[None]
-        base = None
-        if self._excluded is not None:
+        cost, base = self._cost, None
+        if cost.excluded is not None:
             # the guard, and 1 - x_i^2 next to a sample line, read the dots
             # of a lift
             X = quat_from_rotation(R)[None]
             D = self._dots(X)
             base = self._bases(X, D, x)
             self._guard(X, D, True, base)
-        w0 = self._dweights(np.zeros(1))[0]
-        u = np.divide(self._weights(x, base), x, out=np.full_like(x, w0), where=x > 0.0)[0]
-        M = (u @ Rs).reshape(3, 3) / self._kappa
+        w0 = cost.slope(np.zeros(1), None)[0]
+        u = np.divide(cost.weight(x, base), x, out=np.full_like(x, w0), where=x > 0.0)[0]
+        M = (u @ Rs).reshape(3, 3) / (self.samples.r if cost.kappa is None else cost.kappa)
         return M.T @ R - R.T @ M

@@ -83,6 +83,13 @@ def test_average_lp_without_p(cluster_input, capsys):
     assert "requires --p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cost", ["l2", "geodesic", "d3"])
+def test_average_p_without_lp(cluster_input, capsys, cost):
+    # a power the chosen cost has no use for is refused, not dropped
+    assert main(["average", "--cost", cost, "--p", "7", "--input", str(cluster_input)]) == 2
+    assert "error: --p applies only to --cost lp" in capsys.readouterr().err
+
+
 def test_average_p_below_one(cluster_input):
     assert main(["average", "--cost", "lp", "--p", "0.5",
                  "--input", str(cluster_input)]) == 3

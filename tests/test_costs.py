@@ -190,7 +190,7 @@ def test_hessian_matches_finite_differences(kind, p, r):
 
 def test_geodesic_slope_continuous_at_taylor_switch():
     model = make("geodesic", IDENTITY)
-    below, above = model._dweights(np.cos(np.array([1e-2 * (1.0 - 1e-9), 1e-2 * (1.0 + 1e-9)])))
+    below, above = model._cost.slope(np.cos(np.array([1e-2 * (1.0 - 1e-9), 1e-2 * (1.0 + 1e-9)])), None)
     assert abs(below - above) < 1e-11
 
 
@@ -221,7 +221,7 @@ def projector_hessian(model, q):
     d = Q @ q
     P = np.eye(4) - np.outer(q, q)
     U = Q - np.outer(d, q)
-    inner = np.dot(model._weights(d), d) * np.eye(4) - U.T @ (model._dweights(d)[:, None] * U)
+    inner = np.dot(model._cost.weight(d, None), d) * np.eye(4) - U.T @ (model._cost.slope(d, None)[:, None] * U)
     return model.scale * P @ inner @ P
 
 
@@ -237,7 +237,7 @@ def test_hessian_matches_projector_form(kind, p, r):
         # about 1 % of their size, which leaves rounding that is relative to
         # them, not to H
         d = model.samples.quaternions @ q
-        terms = model.scale * (abs(np.dot(model._weights(d), d)) + np.abs(model._dweights(d)).sum())
+        terms = model.scale * (abs(np.dot(model._cost.weight(d, None), d)) + np.abs(model._cost.slope(d, None)).sum())
         assert np.abs(h - projector_hessian(model, q)).max() <= 1e-13 * terms
 
 
@@ -300,7 +300,7 @@ def test_frame_hessian_norm_bound(kind_p, r, near, log_t, clustered, seed):
     keep = model._admissible(X, D)
     X, D = X[keep], D[keep]
     K = model._frame_hessian(X)[1]
-    wd = np.vecdot(model._weights(D, model._bases(X, D)), D)
+    wd = np.vecdot(model._cost.weight(D, model._bases(X, D)), D)
     bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + r * model._slope_bound(X, D))
     assert np.all(np.sqrt((K * K).sum(axis=(1, 2))) <= HESSIAN_BOUND_SLACK * bound)
 
@@ -426,7 +426,7 @@ def test_pushforward_is_weighted_delta_sum():
             model = make(kind, samples, p)
             for _ in range(10):
                 q = probe(rng, model, margin=1e-3)
-                w = model._weights(samples.quaternions @ q)
+                w = model._cost.weight(samples.quaternions @ q, None)
                 want = sum(wi * delta_skew(q, qi) for wi, qi in zip(w, samples.quaternions))
                 got = model.pushforward_residual(q)
                 assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(w).sum())
@@ -540,8 +540,9 @@ def test_model_validation():
         CostModel("Bogus", IDENTITY)
     with pytest.raises(ValueError):
         CostModel("LpChordal", IDENTITY)  # missing p
-    with pytest.raises(ValueError):
-        CostModel.lp_chordal(IDENTITY, 0.5)
+    for p in (0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            CostModel.lp_chordal(IDENTITY, p)
     with pytest.raises(ValueError):
         CostModel("L2Chordal", IDENTITY, p=2.0)
 
