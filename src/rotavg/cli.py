@@ -247,7 +247,7 @@ def _fmt_angle(x, degrees):
 def cmd_sweep(args) -> int:
     if not math.isfinite(args.p):
         raise _ValidationError("--p must be finite")
-    if int(round(args.p)) not in (2, 4) or args.p != int(round(args.p)):
+    if args.p not in (2.0, 4.0):
         raise _ParseError("sweep supports only p = 2 or p = 4")
     lo, hi, step = args.alpha_min, args.alpha_max, args.alpha_step
     if not (-math.pi - 1e-12 <= lo < hi <= math.pi + 1e-12) or not 0.0 < step < math.inf:

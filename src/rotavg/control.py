@@ -50,23 +50,19 @@ class ScalarField:
 class AmbientProblem:
     """Constraint fields F_1..F_k and objective G on R^m, k < m.
 
-    ``level`` is the target value c0 of F; the leaf of interest is
-    F^{-1}(c0). Regularity (independent constraint gradients) is a
-    pointwise condition: the determinant of the constraint Gramian
-    (:func:`gramian`) at the point is nonzero.
+    v0 is tangent to every level set F^{-1}(c0) of F, so the problem names
+    no level. Regularity (independent constraint gradients) is a pointwise
+    condition: the determinant of the constraint Gramian (:func:`gramian`)
+    at the point is nonzero.
     """
 
     dimension: int
     constraints: tuple[ScalarField, ...]
     objective: ScalarField
-    level: tuple[float, ...]
 
     def __post_init__(self):
-        k = len(self.constraints)
-        if not 1 <= k < self.dimension:
+        if not 1 <= len(self.constraints) < self.dimension:
             raise ValueError("need 1 <= k < m constraint fields")
-        if len(self.level) != k:
-            raise ValueError("level must have one entry per constraint")
 
 
 def gramian(grads_rows, grads_cols):
@@ -148,7 +144,7 @@ def apply_T_sphere(q, omega_bar):
 def unit_sphere_problem(objective: ScalarField, dim: int = 4) -> AmbientProblem:
     """AmbientProblem for the unit sphere F(q) = ||q||^2 = 1 in R^dim."""
     F = ScalarField(value=lambda x: np.vecdot(x, x), grad=lambda x: 2.0 * np.asarray(x, dtype=float))
-    return AmbientProblem(dimension=dim, constraints=(F,), objective=objective, level=(1.0,))
+    return AmbientProblem(dimension=dim, constraints=(F,), objective=objective)
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x, h: float = 1e-6) -> np.ndarray:

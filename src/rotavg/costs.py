@@ -193,25 +193,27 @@ class CostModel:
 
     ``value``, ``gradient``, ``control_field``, ``hessian``,
     ``pushforward_residual``, ``clearance`` and ``admissible`` take one point
-    (4,) or a stack (n, 4) and return one result per row: (n,), (n, 4),
+    (4,) or a stack (n, 4), and ``rotation_residual`` one rotation (3, 3) or
+    a stack (n, 3, 3); each returns one result per row: (n,), (n, 4),
     (n, 4, 4) or (n, 3, 3). Each row has the bits of the
     one-point call on it, whatever the other rows hold. Where the one-point
     call raises (a point inside the guard buffer of an excluded set, or on a
     geodesic hyperplane for ``value``), its row of a stack is NaN instead,
     and the other rows are unaffected.
 
-    Over a stacked :class:`~rotavg.geometry.SampleSet` of m sets, ``value``,
-    ``gradient``, ``control_field``, ``pushforward_residual``, ``clearance``
-    and ``admissible`` take an (m, 4) stack and read row k against set k;
-    ``hessian`` and ``rotation_residual`` raise ValueError.
+    Over a stacked :class:`~rotavg.geometry.SampleSet` of m sets, every
+    evaluator but ``hessian`` takes an (m, 4) or (m, 3, 3) stack and reads
+    row k against set k; ``hessian`` raises ValueError.
     """
 
     kind: str
     samples: SampleSet
     p: Optional[float] = None
-    # resolved once from kind and p: the gradient scale c (public, read-only)
-    # and the kind's record
+    # resolved once from kind, p and the samples: the gradient scale c and
+    # the rotation residual's scale kappa (public, read-only), and the
+    # kind's record
     scale: float = field(init=False, repr=False, compare=False)
+    kappa: float = field(init=False, repr=False, compare=False)
     _cost: _Kind = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -223,6 +225,7 @@ class CostModel:
         elif self.p is not None:
             raise ValueError("p is only meaningful for LpChordal")
         object.__setattr__(self, "scale", cost.scale)
+        object.__setattr__(self, "kappa", self.samples.r if cost.kappa is None else cost.kappa)
         object.__setattr__(self, "_cost", cost)
 
     @classmethod
@@ -488,31 +491,35 @@ class CostModel:
 
     def rotation_residual(self, R) -> np.ndarray:
         """The characterization equation directly in rotation matrices:
-        M^T R - R^T M with M = sum_i u(x_i) R_i / kappa.
+        M^T R - R^T M with M = sum_i u(x_i) R_i / kappa, at one rotation R
+        (3, 3) or at each row of a stack (n, 3, 3).
 
         u = w(x)/x comes from the weights (w'(0) where x_i = 0, admissible
         for l2 and Lp with p >= 2); it is even in x, so a function of
         t_i = tr(R^T R_i) alone, and |x_i| is read off R^T R_i with full
-        precision up to relative angle pi. kappa, the kind's (r where its
-        record holds None), keeps each kind's scale: M is the arithmetic
-        mean for l2, and M^T R - R^T M is sum_i Log(R_i^T R) for geodesic.
-        Raises like the gradient inside the guard buffer of an excluded
-        set, judged at the dots of a lift of R, and ValueError on a stacked
-        sample set.
+        precision up to relative angle pi. ``kappa`` keeps each kind's
+        scale: M is the arithmetic mean for l2, and M^T R - R^T M is
+        sum_i Log(R_i^T R) for geodesic. Inside the guard buffer of an
+        excluded set, judged at the dots of a lift of R, a single R raises
+        like the gradient and a row of a stack is NaN. Over a stacked
+        sample set, row k is read against set k. Each row has the bits of
+        the one-point call.
         """
-        self._single_set()
         R = np.asarray(R, dtype=float)
-        Rs = self.samples.rotations.reshape(-1, 9)
-        x = _abs_dots(R, Rs)[None]
-        cost, base = self._cost, None
+        Rr, one = R.reshape(-1, 3, 3), R.ndim == 2
+        Rs = self.samples.rotations
+        x = _abs_dots(Rr, Rs)
+        cost, base, bad = self._cost, None, np.zeros(len(Rr), dtype=bool)
         if cost.excluded is not None:
             # the guard, and 1 - x_i^2 next to a sample line, read the dots
             # of a lift
-            X = quat_from_rotation(R)[None]
+            X = quat_from_rotation(Rr)
             D = self._dots(X)
             base = self._bases(X, D, x)
-            self._guard(X, D, True, base)
+            bad = np.isnan(self._guard(X, D, one, base)[:, 0])
         w0 = cost.slope(np.zeros(1), None)[0]
-        u = np.divide(cost.weight(x, base), x, out=np.full_like(x, w0), where=x > 0.0)[0]
-        M = (u @ Rs).reshape(3, 3) / (self.samples.r if cost.kappa is None else cost.kappa)
-        return M.T @ R - R.T @ M
+        u = np.divide(cost.weight(x, base), x, out=np.full_like(x, w0), where=x > 0.0)
+        M = np.vecmat(u, Rs.reshape(Rs.shape[:-2] + (9,))).reshape(-1, 3, 3) / self.kappa
+        S = M.transpose(0, 2, 1) @ Rr - Rr.transpose(0, 2, 1) @ M
+        S[bad] = np.nan
+        return S[0] if one else S

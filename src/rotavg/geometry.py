@@ -3,7 +3,7 @@
 Unit quaternions q = (q0, q1, q2, q3) (scalar first) double-cover SO(3):
 q and -q map to the same rotation. Everything downstream — cost models,
 control fields, the parametric sweep — is built on the handful of maps
-in this module: the covering map and its differential, the inverse lift,
+in this module: the covering map, the inverse lift,
 three distances, the global orthonormal tangent frame of S3, and the skew
 matrices that push tangent data down to rotation space.
 
@@ -27,7 +27,6 @@ __all__ = [
     "dist_d3",
     "tangent_frame",
     "delta_skew",
-    "dp_apply",
     "SampleSet",
 ]
 
@@ -195,8 +194,9 @@ def dist_d3(R1, R2):
 
 def _abs_dots(R, Rs):
     """|x_i| = |<q, q_i>| for lifts q of R and q_i of each R_i in Rs (r, 3, 3),
-    read off P_i = R^T R_i with trace t_i. A stack R (n, 3, 3) pairs row k
-    with the k-th set of Rs (n, r, 3, 3), giving (n, r).
+    read off P_i = R^T R_i with trace t_i. A stack R (n, 3, 3) reads every
+    row against Rs, or row k against the k-th set of a stack Rs
+    (n, r, 3, 3), giving (n, r).
 
     Where t_i >= 0 it is sqrt(t_i + 1) / 2. Below that, near relative angle
     pi, that form has condition 1/(4 |x_i|) in t_i, so the skew part is read
@@ -211,7 +211,7 @@ def _abs_dots(R, Rs):
     C[..., 0] = R
     C[..., (1, 2, 0), (1, 2, 3)] = R[..., (2, 0, 1)]
     C[..., (2, 0, 1), (1, 2, 3)] = -R[..., (1, 2, 0)]
-    Y = np.reshape(Rs, batch + (-1, 9)) @ C.reshape(batch + (9, 4))
+    Y = np.reshape(Rs, np.shape(Rs)[:-3] + (-1, 9)) @ C.reshape(batch + (9, 4))
     t, w = Y[..., 0], Y[..., 1:]
     # the clamps keep the branch that a row does not take finite
     near = 0.5 * np.sqrt(np.maximum(t + 1.0, 1.0))
@@ -290,40 +290,6 @@ def _skew(v):
     return S
 
 
-def _dp_jacobian(q):
-    # 9x4 Jacobian of the coordinate extension of the covering map,
-    # rows ordered row-major over the 3x3 image; one per row of a stack.
-    q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
-    J = 2.0 * np.array(
-        [
-            [q0, q1, -q2, -q3],
-            [-q3, q2, q1, -q0],
-            [q2, q3, q0, q1],
-            [q3, q2, q1, q0],
-            [q0, -q1, q2, -q3],
-            [-q1, -q0, q3, q2],
-            [-q2, q3, -q0, q1],
-            [q1, q0, q3, q2],
-            [q0, -q1, -q2, q3],
-        ]
-    )
-    return np.ascontiguousarray(np.moveaxis(J, (0, 1), (-2, -1)))
-
-
-def dp_apply(q, v):
-    """Differential of the covering map: directional derivative along v.
-
-    Applies the 9x4 Jacobian of the ambient extension of the covering map at
-    q to the 4-vector v and reshapes the result row-major into 3x3. For v
-    tangent to the sphere at unit q, ``covering_map(q).T @ dp_apply(q, v)``
-    is skew-symmetric (a tangent vector of SO(3) in body coordinates).
-    Two (n, 4) stacks give one (3, 3) matrix per pair of rows.
-    """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return np.matvec(_dp_jacobian(q), v).reshape(q.shape[:-1] + (3, 3))
-
-
 class SampleSet:
     """The averaging input: r sample rotations with chosen quaternion lifts,
     or a stack of m such inputs of equal r.
@@ -342,11 +308,11 @@ class SampleSet:
         construction, and are kept as given.
 
     A stack lets one :class:`~rotavg.costs.CostModel` evaluate m problems
-    at once: its ``value``, ``gradient``, ``control_field``, ``clearance``
-    and ``pushforward_residual`` take an (m, 4) stack of points and read
-    row k against set k, each row with the bits of the one-point call on
-    the set alone. Everything else (the Hessian, the rotation residual and
-    so the solvers) needs a single set and raises ValueError on a stack.
+    at once: each of its evaluators but the Hessian takes an (m, 4) stack
+    of points, or (m, 3, 3) of rotations, and reads row k against set k,
+    each row with the bits of the one-point call on the set alone. The
+    Hessian, and so the solvers, need a single set and raise ValueError on
+    a stack.
     """
 
     def __init__(self, quaternions, rotations=None):

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostModel, DomainError, NonDifferentiable
+from .costs import CostModel
 from .geometry import _same_rotation, canonicalize_sign, covering_map, normalize
 
 __all__ = [
@@ -82,12 +82,14 @@ def flow_descend(model: CostModel, q0, tol: float = 1e-12) -> CriticalPoint:
     holds a stack of sample sets, MaxIters if
     MAX_ITERS iterations run out (or no acceptable step exists) and
     DomainBreach if the start or an accepted iterate lies inside a guard
-    buffer.
+    buffer. The limit is certified as :func:`multistart` certifies its
+    classes, but where its rotation residual raises (a limit inside a guard
+    buffer that the flow's own guard let pass), so does this.
     """
     q, nv, ends = _flow(model, np.asarray(q0, dtype=float)[None], tol)
     if ends[0] is not None:
         raise ends[0]
-    return _critical_point(model, canonicalize_sign(normalize(q[0])), nv[0])
+    return _critical_points(model, canonicalize_sign(normalize(q[0])), nv)[0]
 
 
 def _flow(model, Q0, tol):
@@ -248,11 +250,22 @@ def _line_search(model, X, D, V, nv, cost, noise, h, rows):
     return found
 
 
-def _critical_point(model, q, nv):
-    """The CriticalPoint at a converged, canonical unit q."""
+def _critical_points(model, q, nv):
+    """The CriticalPoints at converged, canonical unit points q, one (4,) or
+    a stack (n, 4), with field norms nv (n,), from one covering_map, one
+    value and one rotation_residual call. A stack drops the rows whose
+    residual is NaN (inside a guard buffer); a single point raises there,
+    as rotation_residual does."""
     R = covering_map(q)
-    rr = float(np.linalg.norm(model.rotation_residual(R)))
-    return CriticalPoint(q=q, R=R, cost=float(model.value(q)), control_norm=float(nv), rotation_residual_norm=rr)
+    S = model.rotation_residual(R).reshape(-1, 9)
+    # sqrt of a 9-term dot, as np.linalg.norm forms it for one 3x3 matrix
+    rr = np.sqrt(np.vecdot(S, S)).tolist()
+    cost = np.reshape(model.value(q), -1).tolist()
+    return [
+        CriticalPoint(q=qk, R=Rk, cost=ck, control_norm=float(nk), rotation_residual_norm=rk)
+        for qk, Rk, ck, nk, rk in zip(np.reshape(q, (-1, 4)), R.reshape(-1, 3, 3), cost, nv, rr)
+        if not math.isnan(rk)
+    ]
 
 
 def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
@@ -264,9 +277,10 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
     tolerance 1e-8); each class keeps its best-converged representative.
     Per-start failures (MaxIters, DomainBreach) are tolerated, and a class
     is dropped the same way where its certificate, the rotation residual,
-    raises (a representative next to a sample's own lift under Lp p < 2);
-    the returned list holds the surviving classes, classified, sorted by
-    cost.
+    is NaN (a representative inside a guard buffer, next to a sample's own
+    lift under Lp p < 2); every class is certified in one stacked call.
+    The returned list holds the surviving classes, classified, sorted by
+    cost; it is empty where no start converged.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -282,12 +296,8 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
             reps.append(i)
         elif nv[k] < nv[converged[reps[j]]]:
             reps[j] = i
-    classes = []
-    for i in reps:
-        try:
-            classes.append(_critical_point(model, q[converged[i]], nv[converged[i]]))
-        except (DomainError, NonDifferentiable):
-            continue
+    reps = [converged[i] for i in reps]
+    classes = _critical_points(model, q[reps], nv[reps])
     classes.sort(key=lambda p: p.cost)
     for pt, label in zip(classes, _classify_rows(model, np.reshape([pt.q for pt in classes], (-1, 4)))):
         pt.classification, pt.degenerate = label
@@ -299,30 +309,24 @@ def _draw_starts(model, n, rng):
     in place (up to 1000 times) before the next is drawn: the starts of n
     successive :func:`random_unit_quaternion` draws with their redraws.
 
-    The starts are drawn and checked as one batch. At the first inadmissible
-    start the stream is rewound to just after its draw; its redraws follow
-    one at a time, and the rest are drawn as a new batch.
+    The n starts are drawn as one batch, which stands where every start is
+    admissible. Otherwise the stream is rewound to the batch's start and
+    the starts are drawn one at a time.
     """
-    starts = np.empty((n, 4))
-    k = 0
-    while k < n:
-        state = rng.bit_generator.state
-        Z = normalize(rng.standard_normal((n - k, 4)))
-        bad = np.flatnonzero(~model._admissible(Z, model._dots(Z)))
-        j = bad[0] if bad.size else len(Z)
-        starts[k : k + j] = Z[:j]
-        if not bad.size:
-            break
-        rng.bit_generator.state = state
-        rng.standard_normal((j + 1, 4))
-        q0 = Z[j]
+    state = rng.bit_generator.state
+    starts = normalize(rng.standard_normal((n, 4)))
+    if model._admissible(starts, model._dots(starts)).all():
+        return starts
+    rng.bit_generator.state = state
+    starts = []
+    for _ in range(n):
+        q0 = random_unit_quaternion(rng)
         for _ in range(1000):
             if model.admissible(q0):
                 break
             q0 = random_unit_quaternion(rng)
-        starts[k + j] = q0
-        k += j + 1
-    return starts
+        starts.append(q0)
+    return np.array(starts)
 
 
 def classify(model: CostModel, point: CriticalPoint):

@@ -259,9 +259,9 @@ class CriticalRep:
 
 
 def _poly_for(p):
-    if int(round(p)) == 2:
+    if p == 2:
         return q2_coeffs
-    if int(round(p)) == 4:
+    if p == 4:
         return q4_coeffs
     raise ValueError("closed-form polynomials exist only for p in {2, 4}")
 
@@ -277,7 +277,7 @@ def _candidates(roots, p):
     root's x. That keeps y where 1 - x^2 cancels, as next to alpha = -pi/2,
     where W ~ 7e-17 rounds 1 - W to 1 and sqrt(1-x^2) to 0 for y ~ 8e-9.
     """
-    paired = int(round(p)) == 2 and len(roots) == 2
+    paired = p == 2 and len(roots) == 2
     X = [_BLACK_Q]
     rows = []
     for i, x in enumerate(roots):
@@ -385,7 +385,8 @@ def critical_sets(alpha: float, p: float):
     (+-sqrt(1-x^2), x, 0, 0) that actually satisfy the critical-point
     system (pushforward residual below 1e-8). Plus-branch labels:
     green/yellow/maroon/red by ascending root; minus-branch partners:
-    pink/violet/gold/blue.
+    pink/violet/gold/blue. p must be exactly 2 or 4, the powers with a
+    closed-form polynomial; any other raises ValueError.
     """
     return list(_record_at(alpha, p).sets)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rotavg import checks
 from rotavg.control import dissipation_rate, fd_gradient, unit_sphere_problem, v0
 from rotavg.costs import CostModel
-from rotavg.geometry import SampleSet, covering_map, delta_skew, dist_d3, dp_apply, normalize
+from rotavg.geometry import SampleSet, covering_map, delta_skew, dist_d3, normalize
 from rotavg.solvers import multistart
 from rotavg.sweep import _candidates, _poly_for, _residual_norms, build_samples, positive_roots
 
@@ -121,9 +121,9 @@ def ref_delta_relation(seed, trials):
 def ref_pushforward(seed, trials):
     worst = 0.0
     for model, q in reference_draws(seed, trials):
-        a = dp_apply(q, model.control_field(q))
-        b = dp_apply(-q, model.control_field(-q))
-        worst = max(worst, float(np.max(np.abs(a - b))))
+        P = model.pushforward_residual(q)
+        E = P + (model.kappa / 4.0) * model.rotation_residual(covering_map(q))
+        worst = max(worst, _norm(E) / max(1.0, _norm(P)))
     return worst
 
 
@@ -218,6 +218,20 @@ def test_family_reading_matches_the_per_trial_reference(family, seed):
         assert abs(got - want) <= ulps * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("scale", [0.5, 2.0, -1.0])
+def test_pushforward_family_fails_on_a_misscaled_residual(scale, monkeypatch):
+    # the family reads the S3 system against the matrix system, so a
+    # rotation residual off by a factor or of the wrong sign fails it.
+    # (kappa itself cancels from the reading, which multiplies by the
+    # kappa that M divides by; test_l2_pushforward_vs_rotation_residual
+    # pins each kind's ratio as a literal)
+    assert checks.check_pushforward(seed=0, trials=100).passed
+    residual = CostModel.rotation_residual
+    monkeypatch.setattr(CostModel, "rotation_residual", lambda self, R: scale * residual(self, R))
+    result = checks.check_pushforward(seed=0, trials=100)
+    assert not result.passed and result.max_violation > 0.1
+
+
 def test_nan_reading_fails():
     assert math.isnan(checks._worst([np.array([1.0, np.nan])]))
     assert checks._worst([np.array([-1.0])]) == 0.0
@@ -246,6 +260,12 @@ def test_stacked_evaluators_equal_per_set_calls(kind_p, r, m, seed):
         got = getattr(stacked, name)(X)
         want = np.array([getattr(model, name)(x) for model, x in zip(singles, X)])
         assert np.array_equal(got, want), name
+    R = covering_map(X)
+    want = np.array([model.rotation_residual(Rk) for model, Rk in zip(singles, R)])
+    assert np.array_equal(stacked.rotation_residual(R), want)
+    # an (m, 3, 3) stack over one set: one residual per row
+    want = np.array([singles[0].rotation_residual(Rk) for Rk in R])
+    assert np.array_equal(singles[0].rotation_residual(R), want)
 
 
 def test_stacked_set_shapes():
@@ -264,7 +284,5 @@ def test_stacked_set_refuses_single_set_work(make):
     X = normalize(np.random.default_rng(2).standard_normal((4, 4)))
     with pytest.raises(ValueError, match="stack"):
         model.hessian(X)
-    with pytest.raises(ValueError, match="stack"):
-        model.rotation_residual(np.eye(3))
     with pytest.raises(ValueError, match="stack"):
         multistart(model, 4, seed=0)

@@ -27,7 +27,7 @@ def random_problem(rng, m, k):
         quadratic_field(rng.standard_normal((m, m)), rng.standard_normal(m)) for _ in range(k)
     )
     objective = quadratic_field(rng.standard_normal((m, m)), rng.standard_normal(m))
-    return AmbientProblem(dimension=m, constraints=constraints, objective=objective, level=(0.0,) * k)
+    return AmbientProblem(dimension=m, constraints=constraints, objective=objective)
 
 
 def test_gramian():
@@ -40,11 +40,9 @@ def test_gramian():
 def test_problem_validation():
     f = quadratic_field(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
-        AmbientProblem(dimension=3, constraints=(), objective=f, level=())
+        AmbientProblem(dimension=3, constraints=(), objective=f)
     with pytest.raises(ValueError):
-        AmbientProblem(dimension=2, constraints=(f, f), objective=f, level=(0.0, 0.0))
-    with pytest.raises(ValueError):
-        AmbientProblem(dimension=3, constraints=(f,), objective=f, level=(0.0, 0.0))
+        AmbientProblem(dimension=2, constraints=(f, f), objective=f)
 
 
 def test_v0_tangent_to_leaves():
@@ -112,7 +110,7 @@ def test_sphere_problem_matches_tensor():
     rng = np.random.default_rng(14)
     obj = quadratic_field(rng.standard_normal((4, 4)), rng.standard_normal(4))
     prob = unit_sphere_problem(obj)
-    assert prob.dimension == 4 and prob.level == (1.0,)
+    assert prob.dimension == 4 and len(prob.constraints) == 1
     for _ in range(100):
         q = rng.standard_normal(4)
         assert np.abs(v0(prob, q) - apply_T_sphere(q, obj.grad(q))).max() < 1e-10

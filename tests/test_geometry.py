@@ -13,7 +13,6 @@ from rotavg.geometry import (
     dist_d1,
     dist_d2,
     dist_d3,
-    dp_apply,
     normalize,
     quat_from_rotation,
     rotation_angle,
@@ -265,26 +264,6 @@ def test_delta_skew_rotation_relation():
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_dp_apply_tangent_is_skew():
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        q = rand_unit(rng)
-        v = rng.standard_normal(4)
-        v -= np.dot(v, q) * q  # tangent at q
-        S = covering_map(q).T @ dp_apply(q, v)
-        assert np.abs(S + S.T).max() < 1e-13
-
-
-def test_dp_apply_matches_finite_difference():
-    rng = np.random.default_rng(7)
-    h = 1e-7
-    for _ in range(50):
-        q = rand_unit(rng)
-        v = rng.standard_normal(4)
-        fd = (covering_map(q + h * v) - covering_map(q - h * v)) / (2.0 * h)
-        assert np.abs(dp_apply(q, v) - fd).max() < 1e-6
-
-
 def test_sample_set_construction():
     s = SampleSet.from_quaternions([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
     assert s.r == 2 and len(s) == 2
@@ -328,16 +307,14 @@ def test_sample_set_forms_rotations_on_first_read(monkeypatch):
 
 
 def test_stacked_helpers_equal_row_calls():
-    # delta_skew, dp_apply and dist_d3 pair the rows of two stacks
+    # delta_skew and dist_d3 pair the rows of two stacks
     rng = np.random.default_rng(21)
     q, p = normalize(rng.standard_normal((30, 4))), normalize(rng.standard_normal((30, 4)))
-    v = rng.standard_normal((30, 4))
     Rq, Rp = covering_map(q), covering_map(p)
-    D, J, d = delta_skew(q, p), dp_apply(q, v), dist_d3(Rq, Rp)
-    assert D.shape == J.shape == (30, 3, 3) and d.shape == (30,)
+    D, d = delta_skew(q, p), dist_d3(Rq, Rp)
+    assert D.shape == (30, 3, 3) and d.shape == (30,)
     for k in range(30):
         assert np.array_equal(D[k], delta_skew(q[k], p[k]))
-        assert np.array_equal(J[k], dp_apply(q[k], v[k]))
         assert d[k] == dist_d3(Rq[k], Rp[k])
     Q = normalize(rng.standard_normal((5, 3, 4)))
     assert np.array_equal(covering_map(Q)[4], covering_map(Q[4]))

@@ -479,24 +479,25 @@ def test_multistart_drops_slow_starts(monkeypatch):
 
 
 def test_multistart_drops_class_without_certificate(monkeypatch):
-    # a class whose certificate, the rotation residual, raises DomainError
-    # is dropped like a DomainBreach start. The flow's guard and the
-    # residual's read the same clearance, so they part only at rounding
-    # level next to a guard buffer; here the residual raises at the first
-    # class it certifies
+    # a class whose certificate, the rotation residual, is NaN (its row of
+    # the stacked call lies inside a guard buffer) is dropped like a
+    # DomainBreach start. The flow's guard and the residual's read the same
+    # clearance, so they part only at rounding level next to a guard
+    # buffer; here the first class's row reads NaN
     model = CostModel.trace_sqrt(SampleSet.from_quaternions(D3_CREEP))
     want = multistart(model, 16, seed=0)
     residual = CostModel.rotation_residual
     calls = []
 
-    def first_raises(self, R):
+    def first_row_nan(self, R):
         calls.append(R)
-        if len(calls) == 1:
-            raise costs.DomainError("inside a guard buffer")
-        return residual(self, R)
+        S = residual(self, R)
+        S[0] = np.nan
+        return S
 
-    monkeypatch.setattr(CostModel, "rotation_residual", first_raises)
+    monkeypatch.setattr(CostModel, "rotation_residual", first_row_nan)
     got = multistart(model, 16, seed=0)
+    assert len(calls) == 1 and calls[0].shape == (len(want), 3, 3)
     assert len(want) >= 2 and len(got) == len(want) - 1
     assert all(math.isfinite(pt.rotation_residual_norm) for pt in got)
     assert {pt.cost for pt in got} < {pt.cost for pt in want}

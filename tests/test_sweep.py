@@ -297,6 +297,16 @@ def test_theta_min_curve_records():
         assert "black" in labels and r.min_set_label[0] in labels
 
 
+@pytest.mark.parametrize("p", [2.4, 1.6, 3.7, 4.4, 2.0 + 1e-12])
+def test_sweep_refuses_p_that_only_rounds_to_2_or_4(p):
+    # closed-form polynomials exist for p = 2 and p = 4 alone: an Lp model
+    # at another p read at their roots certifies none of them
+    with pytest.raises(ValueError, match="only for p in"):
+        critical_sets(0.3, p)
+    with pytest.raises(ValueError, match="only for p in"):
+        theta_min_curve(p, [0.3])
+
+
 # the p = 4 root-count transitions: the double roots of the degree-8
 # polynomial, from a 50-digit solve of P = P' = 0 in (W, alpha)
 QUARTIC_DOUBLE_ROOTS = (-1.0231548901694783, -0.5476414366254183)
