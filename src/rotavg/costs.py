@@ -62,12 +62,6 @@ class NonDifferentiable(ValueError):
     """The model value exists here but its gradient does not (trace-sqrt on Pi_i)."""
 
 
-def _rows(q):
-    """q as an (n, 4) array of points, and whether it was a single vector."""
-    q = np.asarray(q, dtype=float)
-    return q.reshape(-1, 4), q.ndim == 1
-
-
 def _arc_over_sin(phi):
     """phi / sin(phi), elementwise, stable at phi -> 0 (Taylor below 1e-4)."""
     phi = np.asarray(phi, dtype=float)
@@ -191,19 +185,23 @@ class CostModel:
     ``p`` is set only for LpChordal (real, 1 <= p < inf). Instances are immutable
     and every evaluator is a pure function.
 
+    One shape rule holds for every evaluator (:meth:`_evaluate`).
     ``value``, ``gradient``, ``control_field``, ``hessian``,
     ``pushforward_residual``, ``clearance`` and ``admissible`` take one point
     (4,) or a stack (n, 4), and ``rotation_residual`` one rotation (3, 3) or
     a stack (n, 3, 3); each returns one result per row: (n,), (n, 4),
-    (n, 4, 4) or (n, 3, 3). Each row has the bits of the
-    one-point call on it, whatever the other rows hold. Where the one-point
-    call raises (a point inside the guard buffer of an excluded set, or on a
-    geodesic hyperplane for ``value``), its row of a stack is NaN instead,
-    and the other rows are unaffected.
+    (n, 4, 4) or (n, 3, 3). Over a stacked
+    :class:`~rotavg.geometry.SampleSet` of m sets, n must be m (one point
+    counts as n = 1), and row k is read against set k; ``hessian`` then
+    raises ValueError. Any other shape raises ValueError.
 
-    Over a stacked :class:`~rotavg.geometry.SampleSet` of m sets, every
-    evaluator but ``hessian`` takes an (m, 4) or (m, 3, 3) stack and reads
-    row k against set k; ``hessian`` raises ValueError.
+    Each row has the bits of the one-point call on it, whatever the other
+    rows hold. A row inside the guard buffer of an excluded set (or, for
+    ``value``, on a geodesic hyperplane) is NaN, and the other rows are
+    unaffected. A one-point call returns its own row, and raises where that
+    row is NaN at a finite point: ``DomainError`` or ``NonDifferentiable``
+    by the kind (``DomainError`` for ``value``). A point with a NaN entry
+    gives NaN, and raises nothing.
     """
 
     kind: str
@@ -260,11 +258,33 @@ class CostModel:
         if self.samples.stacked:
             raise ValueError("this needs a single sample set, not a stack of them")
 
+    def _evaluate(self, form, a, error=None, shape=(4,)):
+        """The shape rule of every public evaluator: ``form`` at ``a``, which
+        is one point (4,) or a stack (n, 4) (for ``shape`` (3, 3): one
+        rotation or a stack (n, 3, 3)), with n = m over a stacked sample set
+        of m sets; any other shape raises ValueError.
+
+        ``form`` takes the stack and, for points, its dots, and returns one
+        result per row, NaN in a guarded row. A one-point call returns its
+        own row, and raises ``error`` (by default the kind's guard error)
+        where that row is NaN at a finite point.
+        """
+        a = np.asarray(a, dtype=float)
+        one = a.shape == shape
+        rows = a[None] if one else a
+        if rows.shape[1:] != shape or self.samples.stacked and len(rows) != len(self.samples.quaternions):
+            raise ValueError(f"expected one {shape} row or a stack of them, exactly m over an (m, r, 4) stack of "
+                             f"sample sets; got {a.shape} over samples {self.samples.quaternions.shape}")
+        out = form(rows) if shape == (3, 3) else form(rows, self._dots(rows))
+        if not one:
+            return out
+        if np.isnan(out[0]).any() and np.isfinite(a).all():
+            raise error or self._cost.error(f"{self.kind} derivatives need clearance from the excluded set")
+        return float(out[0]) if out.ndim == 1 else out[0]
+
     def clearance(self, q):
         """Distance of unit q from this model's excluded set (inf if it has none)."""
-        X, one = _rows(q)
-        c = self._clearance_at(X, self._dots(X))
-        return float(c[0]) if one else c
+        return self._evaluate(self._clearance_at, q)
 
     def _clearance_at(self, X, D, base=None):
         """:meth:`clearance` for each row of X, with dots D (and, for the
@@ -326,17 +346,15 @@ class CostModel:
         """:meth:`admissible` for each row of X, with dots D."""
         return self._clearance_at(X, D) > EPS_DOM
 
-    def _guard(self, X, D, one, base=None):
+    def _guard(self, X, D, base=None):
         """The dots D of the unit rows X, with the rows inside the guard
-        buffer set to NaN so that every derivative in those rows is NaN; a
-        single point there raises instead. ``base`` as for
+        buffer set to NaN so that every derivative in those rows is NaN (a
+        one-point call raises there, in :meth:`_evaluate`). ``base`` as for
         :meth:`_clearance_at`; its rows inside the buffer are set to NaN in
         place as well."""
         if self._cost.excluded is not None:
             bad = self._clearance_at(X, D, base) <= EPS_DOM
             if bad.any():
-                if one:
-                    raise self._cost.error(f"{self.kind} derivatives need clearance from the excluded set")
                 D = np.where(bad[:, None], np.nan, D)
                 if base is not None:
                     base[bad] = np.nan
@@ -344,45 +362,43 @@ class CostModel:
 
     # -- evaluators -------------------------------------------------------
     #
-    # Each public evaluator forms the dots D = self._dots(X) of its rows and
-    # hands them to a private form; the flow carries D with its points and
-    # calls the private forms directly, so each point's dots are formed once.
+    # Each public evaluator checks its input's shape, forms the dots
+    # D = self._dots(X) of its rows and hands them to a private form, all in
+    # :meth:`_evaluate`. Every private form computes a stack, with NaN in the
+    # guarded rows, and never raises for a row; the flow carries D with its
+    # points and calls the private forms directly, so each point's dots are
+    # formed once.
 
     def value(self, q):
-        X, one = _rows(q)
-        v = self._value(X, self._dots(X), one)
-        return float(v[0]) if one else v
+        # only the geodesic value has NaN rows at finite points
+        return self._evaluate(self._value, q, DomainError("geodesic cost undefined on a hyperplane Pi_i"))
 
-    def _value(self, X, D, one=False):
+    def _value(self, X, D):
         """:meth:`value` at the rows X with dots D."""
         if self.kind == "Geodesic":
             # degree-0 prolongation: the terms at q/|q|, undefined on Pi_i
             on_plane = np.abs(D).min(axis=1) < 1e-12
             if on_plane.any():
-                if one:
-                    raise DomainError("geodesic cost undefined on a hyperplane Pi_i")
                 D = np.where(on_plane[:, None], np.nan, D)
             D = D / np.sqrt(np.vecdot(X, X, keepdims=True))
         return self._cost.factor * self._cost.term(D, self._bases(X, D)).sum(axis=1)
 
     def gradient(self, q):
         """Analytic gradient of the prolongation (agrees with central FD)."""
-        X, one = _rows(q)
-        G = self._gradient(X, self._dots(X), one)[0]
-        return G[0] if one else G
+        return self._evaluate(lambda X, D: self._gradient(X, D)[0], q)
 
-    def _gradient(self, X, D, one=False):
+    def _gradient(self, X, D):
         """:meth:`gradient` at the rows X with dots D, and the weights W it
         was formed from."""
         Q = self.samples.quaternions
         if self.kind == "Geodesic":
             # degree-0 prolongation: weights at q/|q|, radial part removed
             nq = np.sqrt(np.vecdot(X, X, keepdims=True))
-            W = self._cost.weight(self._guard(X / nq, D / nq, one), None)
+            W = self._cost.weight(self._guard(X / nq, D / nq), None)
             G = (-self.scale / nq**3) * (nq * nq * np.vecmat(W, Q) - np.vecdot(W, D, keepdims=True) * X)
         else:
             base = self._bases(X, D)
-            W = self._cost.weight(self._guard(X, D, one, base), base)
+            W = self._cost.weight(self._guard(X, D, base), base)
             G = -self.scale * np.vecmat(W, Q)
         return G, W
 
@@ -393,14 +409,12 @@ class CostModel:
         points, and points in the ascent direction (the flow follows its
         negative).
         """
-        X, one = _rows(q)
-        V = self._field(X, self._dots(X), one)[0]
-        return V[0] if one else V
+        return self._evaluate(lambda X, D: self._field(X, D)[0], q)
 
-    def _field(self, X, D, one=False):
+    def _field(self, X, D):
         """:meth:`control_field` at the rows X with dots D, and the weights
         W of its gradient."""
-        G, W = self._gradient(X, D, one)
+        G, W = self._gradient(X, D)
         return apply_T_sphere(X, G), W
 
     # -- residual systems --------------------------------------------------
@@ -438,26 +452,27 @@ class CostModel:
         a sample is not cancelled by a projection afterwards.
         Raises like the gradient inside the guard buffer of an excluded set.
         """
-        X, one = _rows(q)
-        B, K = self._frame_hessian(X, one=one)
-        H = B.transpose(0, 2, 1) @ K @ B
-        return H[0] if one else H
+        return self._evaluate(self._hessian, q)
 
-    def _frame_hessian(self, X, D=None, wd=None, one=False):
+    def _hessian(self, X, D):
+        """:meth:`hessian` at the rows X with dots D."""
+        B, K = self._frame_hessian(X, D)
+        return B.transpose(0, 2, 1) @ K @ B
+
+    def _frame_hessian(self, X, D=None, wd=None):
         """The tangent frames B (n, 3, 4) at the unit rows of X and the
         Hessians K (n, 3, 3) in them (see :meth:`hessian`), from the rows'
         dots D and the products wd = <w, d> of their weights with them: the
         flow passes the weights of its last :meth:`_field` call in that
-        form. Without D and wd they are formed here, and rows inside a guard
-        buffer are NaN, or raise when ``one`` is set. A stacked sample set
-        raises ValueError."""
+        form. Without D and wd they are formed here, and the rows inside a
+        guard buffer are NaN. A stacked sample set raises ValueError."""
         self._single_set()
         Q = self.samples.quaternions
         if D is None:
             D = self._dots(X)
         base = self._bases(X, D)
         if wd is None:
-            D = self._guard(X, D, one, base)
+            D = self._guard(X, D, base)
             wd = np.vecdot(self._cost.weight(D, base), D)
         K = wd[:, None, None] * np.eye(3)
         dW = self._cost.slope(D, base)
@@ -479,15 +494,20 @@ class CostModel:
         """sum_i w_i(q) Delta_i(q): the critical-point system pushed to SO(3).
 
         Returns a skew 3x3 matrix (n x 3 x 3 for a stack), identical at q and
-        -q, and zero exactly where the control field is zero.
+        -q. At unit q it is zero exactly where the control field is zero.
+        Off the unit sphere that can fail for geodesic: its field reads the
+        weights at q/|q| (the prolongation has degree 0), this residual reads
+        them at q itself.
         """
-        X, one = _rows(q)
-        D = self._dots(X)
+        return self._evaluate(self._pushforward, q)
+
+    def _pushforward(self, X, D):
+        """:meth:`pushforward_residual` at the rows X with dots D."""
         base = self._bases(X, D)
-        W = self._cost.weight(self._guard(X, D, one, base), base)
+        W = self._cost.weight(self._guard(X, D, base), base)
         S = _skew(np.matvec(tangent_frame(X), np.vecmat(W, self.samples.quaternions)))
         S[np.isnan(W).any(axis=1)] = np.nan  # a guarded row: the diagonal too
-        return S[0] if one else S
+        return S
 
     def rotation_residual(self, R) -> np.ndarray:
         """The characterization equation directly in rotation matrices:
@@ -501,12 +521,12 @@ class CostModel:
         scale: M is the arithmetic mean for l2, and M^T R - R^T M is
         sum_i Log(R_i^T R) for geodesic. Inside the guard buffer of an
         excluded set, judged at the dots of a lift of R, a single R raises
-        like the gradient and a row of a stack is NaN. Over a stacked
-        sample set, row k is read against set k. Each row has the bits of
-        the one-point call.
+        like the gradient and a row of a stack is NaN.
         """
-        R = np.asarray(R, dtype=float)
-        Rr, one = R.reshape(-1, 3, 3), R.ndim == 2
+        return self._evaluate(self._rotation_residual, R, shape=(3, 3))
+
+    def _rotation_residual(self, Rr):
+        """:meth:`rotation_residual` at the rows Rr (n, 3, 3)."""
         Rs = self.samples.rotations
         x = _abs_dots(Rr, Rs)
         cost, base, bad = self._cost, None, np.zeros(len(Rr), dtype=bool)
@@ -516,10 +536,10 @@ class CostModel:
             X = quat_from_rotation(Rr)
             D = self._dots(X)
             base = self._bases(X, D, x)
-            bad = np.isnan(self._guard(X, D, one, base)[:, 0])
+            bad = np.isnan(self._guard(X, D, base)[:, 0])
         w0 = cost.slope(np.zeros(1), None)[0]
         u = np.divide(cost.weight(x, base), x, out=np.full_like(x, w0), where=x > 0.0)
         M = np.vecmat(u, Rs.reshape(Rs.shape[:-2] + (9,))).reshape(-1, 3, 3) / self.kappa
         S = M.transpose(0, 2, 1) @ Rr - Rr.transpose(0, 2, 1) @ M
         S[bad] = np.nan
-        return S[0] if one else S
+        return S

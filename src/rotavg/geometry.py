@@ -308,11 +308,12 @@ class SampleSet:
         construction, and are kept as given.
 
     A stack lets one :class:`~rotavg.costs.CostModel` evaluate m problems
-    at once: each of its evaluators but the Hessian takes an (m, 4) stack
-    of points, or (m, 3, 3) of rotations, and reads row k against set k,
-    each row with the bits of the one-point call on the set alone. The
-    Hessian, and so the solvers, need a single set and raise ValueError on
-    a stack.
+    at once: each of its evaluators takes exactly m rows, an (m, 4) stack
+    of points or (m, 3, 3) of rotations, and reads row k against set k,
+    each row with the bits of the one-point call on the set alone. Any
+    other row count raises ValueError, and so does one point unless m = 1.
+    The Hessian, and so the solvers, need a single set and raise ValueError
+    on a stack.
     """
 
     def __init__(self, quaternions, rotations=None):

@@ -278,11 +278,35 @@ def test_stacked_set_shapes():
         SampleSet(np.zeros((2, 3, 4, 4)))
 
 
+STACK_EVALUATORS = ("value", "gradient", "control_field", "hessian", "pushforward_residual", "clearance",
+                    "admissible", "rotation_residual")
+
+
+def _call(model, name, X):
+    """The evaluator ``name`` at the points X, or at their rotations for rotation_residual."""
+    return getattr(model, name)(covering_map(X) if name == "rotation_residual" else X)
+
+
 @pytest.mark.parametrize("make", [CostModel.l2_chordal, CostModel.geodesic, lambda s: CostModel.lp_chordal(s, 1.5)])
 def test_stacked_set_refuses_single_set_work(make):
-    model = make(SampleSet(np.random.default_rng(1).standard_normal((4, 3, 4))))
-    X = normalize(np.random.default_rng(2).standard_normal((4, 4)))
+    sets = np.random.default_rng(1).standard_normal((4, 3, 4))
+    model = make(SampleSet(sets))
+    X = normalize(np.random.default_rng(2).standard_normal((5, 4)))
     with pytest.raises(ValueError, match="stack"):
-        model.hessian(X)
+        model.hessian(X[:4])
     with pytest.raises(ValueError, match="stack"):
         multistart(model, 4, seed=0)
+    # a stack of m = 4 sets reads exactly 4 rows: one point would answer
+    # for set 0 alone, and 5 rows have no set for the last
+    for name in STACK_EVALUATORS:
+        for points in (X[0], X):
+            with pytest.raises(ValueError, match="stack"):
+                _call(model, name, points)
+    # over a stack of one set, one point answers for that set
+    one, single = make(SampleSet(sets[:1])), make(SampleSet(sets[0]))
+    for name in STACK_EVALUATORS:
+        if name == "hessian":
+            with pytest.raises(ValueError, match="stack"):
+                _call(one, name, X[0])
+        else:
+            assert np.array_equal(_call(one, name, X[0]), _call(single, name, X[0])), name

@@ -111,6 +111,12 @@ def test_domain_errors():
     # but the quadratic and quartic costs are fine everywhere
     make("l2", IDENTITY).gradient(orth)
     make("lp", IDENTITY, 4.0).gradient(np.array([1.0, 0.0, 0.0, 0.0]))
+    # the geodesic prolongation has no gradient at the origin: a NaN row at
+    # a finite point, so the one-point call raises
+    with np.errstate(all="ignore"), pytest.raises(DomainError):
+        geo.gradient(np.zeros(4))
+    with np.errstate(all="ignore"):
+        assert np.all(np.isnan(geo.gradient(np.zeros((1, 4)))))
 
 
 def test_admissibility_guard():
@@ -326,8 +332,10 @@ def one_point(model, name, q):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_evaluators_match_rows(kind_p, r, n, guarded, seed):
-    # each row of a stacked call is the one-point call on that row; a row
-    # where the one-point call raises is NaN and leaves the other rows alone
+    # each row of a stacked call is the one-point call on that row, and
+    # leaves the other rows alone. The one-point call raises exactly where
+    # its row is NaN at a finite point: DomainError for value, the kind's
+    # error for the derivatives. A row of NaN input is NaN and raises nothing
     rng = np.random.default_rng(seed)
     model = make(kind_p[0], SampleSet.from_quaternions(rng.standard_normal((r, 4))), kind_p[1])
     X = normalize(rng.standard_normal((n, 4)))
@@ -338,18 +346,38 @@ def test_batched_evaluators_match_rows(kind_p, r, n, guarded, seed):
         u = normalize(X[0] - np.dot(X[0], q0) * q0)
         rows = [u, normalize(u + 0.5 * EPS_DOM * q0), q0, normalize(q0 + 0.5 * EPS_DOM * u)]
         X = np.insert(X, rng.integers(0, n + 1, size=4), rows, axis=0)
-    for name in EVALUATORS:
-        batch = getattr(model, name)(X)
-        assert len(batch) == len(X)
-        for q, got in zip(X, batch):
-            want = one_point(model, name, q)
-            if isinstance(want, type):
-                assert name in ("value", "gradient", "control_field", "hessian", "pushforward_residual")
-                assert np.all(np.isnan(got))
-            else:
-                got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-                assert got.shape == want.shape
-                assert np.array_equal(got, want) or np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    X = np.insert(X, rng.integers(0, len(X) + 1), np.nan, axis=0)
+    inputs = dict.fromkeys(EVALUATORS, X) | {"rotation_residual": covering_map(X)}
+    for name, A in inputs.items():
+        batch = getattr(model, name)(A)
+        assert len(batch) == len(A)
+        for a, got in zip(A, batch):
+            want = one_point(model, name, a)
+            got = np.asarray(got, dtype=float)
+            if np.isnan(got).any() and np.isfinite(a).all():
+                assert want is (DomainError if name == "value" else model._cost.error)
+                assert name not in ("clearance", "admissible") and np.all(np.isnan(got))
+                continue
+            assert not isinstance(want, type)
+            want = np.asarray(want, dtype=float)
+            assert got.shape == want.shape
+            if not np.isfinite(a).all():
+                assert np.array_equal(got, want, equal_nan=True)
+                assert name in ("clearance", "admissible") or np.all(np.isnan(got))
+                continue
+            assert np.array_equal(got, want) or np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    "name,shape",
+    [(name, shape) for name in EVALUATORS for shape in [(8,), (2, 3, 4), (3,)]]
+    + [("rotation_residual", (9,)), ("rotation_residual", (2, 2, 3, 3))],
+)
+def test_evaluators_refuse_other_shapes(name, shape):
+    # one point is (4,) and a stack (n, 4), one rotation (3, 3) and a stack
+    # (n, 3, 3): (8,) is not two points, nor (2, 3, 4) six
+    with pytest.raises(ValueError):
+        getattr(make("l2", IDENTITY), name)(np.ones(shape))
 
 
 def test_control_field_tangent():
