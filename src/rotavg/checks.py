@@ -267,10 +267,7 @@ def check_poly_consistency(seed=0, trials=40) -> CheckResult:
     """Every polynomial root admits a branch solving the critical system."""
     rng = np.random.default_rng(seed)
     alphas = [float(rng.uniform(-np.pi, np.pi)) for _ in range(trials)]
-    res = []
-    for p in (2.0, 4.0):
-        for k in range(0, trials, 128):  # 128 alphas to a stack bounds its memory
-            res += [best for _, best in _root_residuals(alphas[k : k + 128], p)]
+    res = [best for p in (2.0, 4.0) for _, best in _root_residuals(alphas, p)]
     return CheckResult("polynomial roots solve the critical system", len(res), _worst([res]), 1e-8)
 
 

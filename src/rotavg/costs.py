@@ -199,9 +199,10 @@ class CostModel:
     rows hold. A row inside the guard buffer of an excluded set (or, for
     ``value``, on a geodesic hyperplane) is NaN, and the other rows are
     unaffected. A one-point call returns its own row, and raises where that
-    row is NaN at a finite point: ``DomainError`` or ``NonDifferentiable``
-    by the kind (``DomainError`` for ``value``). A point with a NaN entry
-    gives NaN, and raises nothing.
+    row is NaN at a finite point: inside a guard buffer ``DomainError`` or
+    ``NonDifferentiable`` by the kind (``DomainError`` for ``value``), and
+    elsewhere ValueError, since the arithmetic overflowed. A point with a
+    NaN entry gives NaN, and raises nothing.
     """
 
     kind: str
@@ -266,8 +267,11 @@ class CostModel:
 
         ``form`` takes the stack and, for points, its dots, and returns one
         result per row, NaN in a guarded row. A one-point call returns its
-        own row, and raises ``error`` (by default the kind's guard error)
-        where that row is NaN at a finite point.
+        own row. Where that row is NaN at a finite point, it raises ``error``
+        (by default the kind's guard error) if the point or its direction
+        lies inside a guard buffer, as :meth:`admissible` judges it (a
+        rotation at the dots of a lift), and otherwise ValueError: the
+        arithmetic overflowed.
         """
         a = np.asarray(a, dtype=float)
         one = a.shape == shape
@@ -279,7 +283,14 @@ class CostModel:
         if not one:
             return out
         if np.isnan(out[0]).any() and np.isfinite(a).all():
-            raise error or self._cost.error(f"{self.kind} derivatives need clearance from the excluded set")
+            X = quat_from_rotation(rows) if shape == (3, 3) else rows
+            nq = np.sqrt(np.vecdot(X, X))
+            if 0.0 < nq[0] < np.inf:
+                # and at its direction, where the geodesic derivatives guard it
+                X = np.concatenate([X, X / nq[:, None]])
+            if (self._clearance_at(X, self._dots(X)) <= EPS_DOM).any():
+                raise error or self._cost.error(f"{self.kind} derivatives need clearance from the excluded set")
+            raise ValueError(f"{self.kind}: the arithmetic overflowed at this input")
         return float(out[0]) if out.ndim == 1 else out[0]
 
     def clearance(self, q):
@@ -370,7 +381,7 @@ class CostModel:
     # formed once.
 
     def value(self, q):
-        # only the geodesic value has NaN rows at finite points
+        # only the geodesic value has guarded rows: those on a hyperplane
         return self._evaluate(self._value, q, DomainError("geodesic cost undefined on a hyperplane Pi_i"))
 
     def _value(self, X, D):
@@ -392,10 +403,12 @@ class CostModel:
         was formed from."""
         Q = self.samples.quaternions
         if self.kind == "Geodesic":
-            # degree-0 prolongation: weights at q/|q|, radial part removed
+            # degree-0 prolongation: weights at q/|q|, radial part removed;
+            # the origin has no direction, and its row is NaN without warnings
             nq = np.sqrt(np.vecdot(X, X, keepdims=True))
-            W = self._cost.weight(self._guard(X / nq, D / nq), None)
-            G = (-self.scale / nq**3) * (nq * nq * np.vecmat(W, Q) - np.vecdot(W, D, keepdims=True) * X)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                W = self._cost.weight(self._guard(X / nq, D / nq), None)
+                G = (-self.scale / nq**3) * (nq * nq * np.vecmat(W, Q) - np.vecdot(W, D, keepdims=True) * X)
         else:
             base = self._bases(X, D)
             W = self._cost.weight(self._guard(X, D, base), base)

@@ -6,7 +6,9 @@ quaternion component; this module builds those polynomials, finds their
 positive roots (in closed form for p = 2, by safeguarded Newton steps on a
 derivative chain for p = 4), labels the resulting critical families and
 traces the minimizer angle over an alpha grid, one SweepRecord per alpha.
-Minimizer classes are deduplicated under the rule multistart uses
+The candidates of the whole grid are evaluated as one chunked stack
+(ALPHAS_PER_STACK alphas to a stacked model); the bisections evaluate one
+alpha at a time. Minimizer classes are deduplicated under the rule multistart uses
 (geometry._same_rotation). Root-count transitions and minimizer ties are
 found from those records: each change between adjacent records is
 bisected, so they work on any grid. Records round-trip through CSV.
@@ -22,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostModel
-from .geometry import SampleSet, _same_rotation, canonicalize_sign, covering_map, normalize
+from .geometry import SampleSet, _rotation_distances, _same_rotation, canonicalize_sign, covering_map, normalize
 
 __all__ = [
     "EvenPolynomial",
@@ -43,6 +45,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-8  # a candidate is critical when its pushforward residual beats this
 TIE_TOL = 1e-10  # costs closer than this count as one minimum
+ALPHAS_PER_STACK = 128  # alphas whose candidates share one stacked model; bounds its memory
 
 CSV_HEADER = ("alpha", "p", "set_label", "x_root", "q0", "q1", "cost", "theta", "is_min")
 
@@ -288,33 +291,39 @@ def _candidates(roots, p):
     return np.array(X), rows
 
 
-def _residual_norms(model, X):
-    """The Frobenius norm of the pushforward residual at each row of X."""
-    S = model.pushforward_residual(X).reshape(-1, 9)
-    # sqrt of a 9-term dot, as np.linalg.norm forms it for one 3x3 matrix
-    return np.sqrt(np.vecdot(S, S))
+def _candidate_stack(alphas, p):
+    """For each alpha of a sequence in turn: its positive roots, its
+    :func:`_candidates` stack and rows, and each candidate's cost and
+    pushforward residual norm, as lists. The candidates of ALPHAS_PER_STACK
+    alphas at a time are the rows of one stacked model, each against its
+    own alpha's samples: one value and one pushforward_residual call, each
+    row with the bits of the one-alpha call."""
+    out = []
+    for k in range(0, len(alphas), ALPHAS_PER_STACK):
+        chunk = alphas[k : k + ALPHAS_PER_STACK]
+        roots = [positive_roots(_poly_for(p)(a)) for a in chunk]
+        found = [_candidates(x, p) for x in roots]
+        sizes = [len(C) for C, _ in found]
+        model = CostModel.lp_chordal(SampleSet(np.repeat([_sample_quats(a) for a in chunk], sizes, axis=0)), p)
+        X = np.concatenate([C for C, _ in found])
+        S = model.pushforward_residual(X).reshape(-1, 9)
+        # sqrt of a 9-term dot, as np.linalg.norm forms it for one 3x3 matrix
+        costs, res = model.value(X).tolist(), np.sqrt(np.vecdot(S, S)).tolist()
+        for x, (C, rows), end in zip(roots, found, np.cumsum(sizes).tolist()):
+            out.append((x, C, rows, costs[end - len(C) : end], res[end - len(C) : end]))
+    return out
 
 
 def _root_residuals(alphas, p):
     """(x, best residual) for each positive root x of the polynomial at an
     alpha, or at each alpha of a sequence in turn: the smaller pushforward
-    residual norm of the root's two branches. Every branch of every alpha is
-    one row of a single stacked call, against its own alpha's samples."""
-    sets, X, root, xs = [], [], [], []
-    for alpha in np.atleast_1d(alphas).tolist():
-        roots = positive_roots(_poly_for(p)(alpha))
-        C, rows = _candidates(roots, p)
-        quats = _sample_quats(alpha)
-        for (i, _), x in zip(rows, C[1:]):
-            sets.append(quats)
-            X.append(x)
-            root.append(len(xs) + i)
-        xs += roots
-    best = np.full(len(xs), np.inf)
-    if X:
-        model = CostModel.lp_chordal(SampleSet(np.array(sets)), p)
-        np.minimum.at(best, root, _residual_norms(model, np.array(X)))
-    return list(zip(xs, best.tolist()))
+    residual norm of the root's two branches."""
+    out = []
+    for roots, _, rows, _, res in _candidate_stack(np.atleast_1d(alphas), p):
+        best = np.full(len(roots), np.inf)
+        np.minimum.at(best, [i for i, _ in rows], res[1:])
+        out += zip(roots, best.tolist())
+    return out
 
 
 def _thetas(qs):
@@ -351,30 +360,22 @@ class SweepRecord:
     min_set_label: tuple  # matching labels
 
 
-def _record_at(alpha, p):
-    """The one per-alpha computation: the polynomial's positive roots, the
-    labeled critical sets they yield, and the cost-minimal classes. The
-    costs and residuals of all candidates come from one stacked call each."""
-    model = CostModel.lp_chordal(build_samples(alpha), p)
-    roots = positive_roots(_poly_for(p)(alpha))
-    X, rows = _candidates(roots, p)
-    costs = model.value(X).tolist()
-    res = _residual_norms(model, X).tolist()
-    sets = [CriticalRep("black", None, _BLACK_Q, costs[0], res[0])]
-    names = _PAIR_NAMES.get(len(roots))
-    for (i, b), q, cost, r in zip(rows, X[1:].tolist(), costs[1:], res[1:]):
-        if r < RESIDUAL_TOL:
-            label = names[i][b] if names else (f"x{i}+", f"x{i}-")[b]
-            sets.append(CriticalRep(label, float(roots[i]), tuple(q), cost, r))
-    win = _winners(sets)
-    return SweepRecord(
-        alpha=float(alpha),
-        p=float(p),
-        roots=tuple(roots),
-        sets=tuple(sets),
-        theta_min=tuple(_thetas([rep.q for rep in win])),
-        min_set_label=tuple(rep.label for rep in win),
-    )
+def _records(alphas, p):
+    """The SweepRecord of each alpha of a sequence: the polynomial's
+    positive roots, the labeled critical sets they yield, and the
+    cost-minimal classes, from one :func:`_candidate_stack`."""
+    out = []
+    for alpha, (roots, X, rows, costs, res) in zip(alphas, _candidate_stack(alphas, p)):
+        sets = [CriticalRep("black", None, _BLACK_Q, costs[0], res[0])]
+        names = _PAIR_NAMES.get(len(roots))
+        for (i, b), q, cost, r in zip(rows, X[1:].tolist(), costs[1:], res[1:]):
+            if r < RESIDUAL_TOL:
+                label = names[i][b] if names else (f"x{i}+", f"x{i}-")[b]
+                sets.append(CriticalRep(label, float(roots[i]), tuple(q), cost, r))
+        win = _winners(sets)
+        thetas, labels = tuple(_thetas([rep.q for rep in win])), tuple(rep.label for rep in win)
+        out.append(SweepRecord(float(alpha), float(p), tuple(roots), tuple(sets), thetas, labels))
+    return out
 
 
 def critical_sets(alpha: float, p: float):
@@ -388,12 +389,12 @@ def critical_sets(alpha: float, p: float):
     pink/violet/gold/blue. p must be exactly 2 or 4, the powers with a
     closed-form polynomial; any other raises ValueError.
     """
-    return list(_record_at(alpha, p).sets)
+    return list(_records([alpha], p)[0].sets)
 
 
 def theta_min_curve(p: float, alpha_grid):
     """One SweepRecord per grid point; ties within 1e-10 are multi-valued."""
-    return [_record_at(a, p) for a in np.asarray(alpha_grid, dtype=float)]
+    return _records(np.asarray(alpha_grid, dtype=float), p)
 
 
 def _changes(records, key, key_at, width):
@@ -418,7 +419,7 @@ def _root_count(alpha, p):
 
 
 def _leading_label(alpha, p):
-    return _record_at(alpha, p).min_set_label[0]
+    return _records([alpha], p)[0].min_set_label[0]
 
 
 def root_count_transitions(records):
@@ -443,21 +444,11 @@ def tie_locations(records):
     # narrower than TIE_TOL before both classes can tie
     changes = _changes(records, lambda rec: rec.min_set_label[0], _leading_label, 1e-13)
     for a_star, prev, cur in changes:
-        win = _winners(_record_at(a_star, records[0].p).sets, tol=1e-9)
-        rots = covering_map(_unit_quats(win))
-        labels = {r.label for r in win}
+        win = _winners(_records([a_star], records[0].p)[0].sets, tol=1e-9)
+        labels, rots = {r.label for r in win}, covering_map(_unit_quats(win)).reshape(-1, 9)
         # the tie must be between the classes that swapped the lead;
         # anything else is root-finder noise at a degenerate pinch
-        genuine = (
-            len(win) >= 2
-            and {prev, cur} <= labels
-            and any(
-                np.linalg.norm(rots[i] - rots[j]) > 1e-6
-                for i in range(len(win))
-                for j in range(i + 1, len(win))
-            )
-        )
-        if genuine:
+        if {prev, cur} <= labels and (_rotation_distances(rots) > 1e-6).any():
             out.append((a_star, tuple(sorted(labels))))
     return out
 

@@ -17,7 +17,7 @@ from rotavg.control import dissipation_rate, fd_gradient, unit_sphere_problem, v
 from rotavg.costs import CostModel
 from rotavg.geometry import SampleSet, covering_map, delta_skew, dist_d3, normalize
 from rotavg.solvers import multistart
-from rotavg.sweep import _candidates, _poly_for, _residual_norms, build_samples, positive_roots
+from rotavg.sweep import _candidates, _poly_for, build_samples, positive_roots
 
 
 def _random_samples(rng):
@@ -162,7 +162,8 @@ def ref_poly_consistency(seed, trials):
             model = CostModel.lp_chordal(build_samples(alpha), p)
             roots = positive_roots(_poly_for(p)(alpha))
             X, rows = _candidates(roots, p)
-            res = _residual_norms(model, X)[1:]
+            S = model.pushforward_residual(X).reshape(-1, 9)[1:]
+            res = np.sqrt(np.vecdot(S, S))
             for i in range(len(roots)):
                 worst = max(worst, min(r for (j, _), r in zip(rows, res) if j == i))
     return worst

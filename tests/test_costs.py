@@ -112,11 +112,26 @@ def test_domain_errors():
     make("l2", IDENTITY).gradient(orth)
     make("lp", IDENTITY, 4.0).gradient(np.array([1.0, 0.0, 0.0, 0.0]))
     # the geodesic prolongation has no gradient at the origin: a NaN row at
-    # a finite point, so the one-point call raises
-    with np.errstate(all="ignore"), pytest.raises(DomainError):
-        geo.gradient(np.zeros(4))
-    with np.errstate(all="ignore"):
-        assert np.all(np.isnan(geo.gradient(np.zeros((1, 4)))))
+    # a finite point, so the one-point call raises, and without warnings
+    for f in (geo.gradient, geo.control_field):
+        with pytest.raises(DomainError):
+            f(np.zeros(4))
+        assert np.all(np.isnan(f(np.zeros((1, 4)))))
+    # off the sphere the geodesic derivatives guard the point's direction
+    with pytest.raises(DomainError):
+        geo.gradient(2.0 * normalize(np.array([0.5 * EPS_DOM, 1.0, 0.0, 0.0])))
+    # a NaN row outside every guard buffer is overflow, not the excluded set
+    q = normalize(np.array([1.0, 2.0, 3.0, 4.0]))
+    for model, name, a in [
+        (make("lp", IDENTITY, 4.0), "control_field", 1e300 * q),
+        (make("l2", IDENTITY), "control_field", 1e200 * q),
+        (geo, "gradient", 1e200 * q),
+        (make("d3", IDENTITY), "hessian", 1e200 * q),
+        (make("l2", IDENTITY), "rotation_residual", 1e200 * covering_map(q)),
+    ]:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflowed") as err:
+            getattr(model, name)(a)
+        assert not isinstance(err.value, (DomainError, NonDifferentiable))
 
 
 def test_admissibility_guard():

@@ -7,12 +7,14 @@ import pytest
 from rotavg import checks, sweep
 from rotavg.costs import CostModel
 from rotavg.geometry import SampleSet, canonicalize_sign, covering_map, normalize
+from rotavg.solvers import multistart
 from rotavg.sweep import (
+    ALPHAS_PER_STACK,
     CSV_HEADER,
     RESIDUAL_TOL,
     CriticalRep,
     EvenPolynomial,
-    _record_at,
+    _records,
     _root_residuals,
     _thetas,
     build_samples,
@@ -352,7 +354,10 @@ def test_stacked_thetas_match_one_row_calls(default_records):
         assert [t.hex() for t in _thetas(qs)] == [_theta_one_row(q).hex() for q in qs]
 
 
-def test_record_forms_no_rotation_matrix(monkeypatch):
+def test_chunked_grid_matches_one_alpha_records(monkeypatch):
+    # a grid over more than one stacked model: every record equals the
+    # record of its alpha alone, residual norms to the bit, and no model
+    # forms a rotation matrix
     built = []
     init = SampleSet.__init__
 
@@ -360,10 +365,16 @@ def test_record_forms_no_rotation_matrix(monkeypatch):
         init(self, *args, **kwargs)
         built.append(self)
 
-    monkeypatch.setattr(SampleSet, "__init__", recording)
-    _record_at(0.3, 4.0)
-    assert len(built) == 1
-    assert "rotations" not in vars(built[0])
+    grid = np.linspace(-math.pi, math.pi, ALPHAS_PER_STACK + 77)
+    with monkeypatch.context() as m:
+        m.setattr(SampleSet, "__init__", recording)
+        recs = theta_min_curve(4.0, grid)
+    assert len(built) == 2
+    assert not any("rotations" in vars(s) for s in built)
+    for rec, a in zip(recs, grid):
+        (one,) = _records([a], 4.0)
+        assert rec == one
+        assert [r.residual_norm.hex() for r in rec.sets] == [r.residual_norm.hex() for r in one.sets]
 
 
 def _assert_quartic_transitions(trans):
@@ -382,7 +393,7 @@ def _assert_quartic_tie(ties):
 
 
 def _reference_record(alpha, p):
-    """_record_at one candidate at a time: a one-point value and
+    """One alpha's record, one candidate at a time: a one-point value and
     pushforward_residual call per candidate, one covering_map per rep.
     Returns (roots, sets, residual norms, theta_min, min_set_label)."""
     model = CostModel.lp_chordal(build_samples(alpha), p)
@@ -433,8 +444,8 @@ def test_record_matches_one_candidate_at_a_time(default_records):
     for p in (2.0, 4.0):
         for rec in default_records[p]:
             _assert_matches_reference(rec)
-        for a in rng.uniform(-math.pi, math.pi, 200):
-            _assert_matches_reference(_record_at(float(a), p))
+        for rec in _records(rng.uniform(-math.pi, math.pi, 200), p):
+            _assert_matches_reference(rec)
 
 
 def test_root_count_transitions_need_no_records(monkeypatch):
@@ -448,14 +459,14 @@ def test_root_count_transitions_need_no_records(monkeypatch):
                 lo, hi = r0.alpha, r1.alpha
                 while abs(hi - lo) > 1e-10:
                     mid = 0.5 * (lo + hi)
-                    if len(_record_at(mid, 4.0).roots) == before:
+                    if len(_records([mid], 4.0)[0].roots) == before:
                         lo = mid
                     else:
                         hi = mid
                 want.append((0.5 * (lo + hi), before, after))
         calls = []
         with monkeypatch.context() as m:
-            m.setattr(sweep, "_record_at", lambda *args: calls.append(args))
+            m.setattr(sweep, "_candidate_stack", lambda *args: calls.append(args))
             got = root_count_transitions(recs)
         assert calls == []
         assert len(want) == 2
@@ -501,6 +512,17 @@ def test_root_count_even_near_double_roots():
     for root in QUARTIC_DOUBLE_ROOTS:
         for a in np.linspace(root - 1e-6, root + 1e-6, 201):
             assert len(positive_roots(q4_coeffs(a))) in (2, 4)
+
+
+def test_sweep_agrees_with_multistart():
+    # the lowest critical cost the sweep finds is the global minimum that
+    # multistart reaches from 64 random starts; -0.8 lies in the four-root
+    # window and -pi/4 holds the p = 4 tie
+    for p in (2.0, 4.0):
+        for a in (-math.pi, -2.5, -1.6, -0.8, -math.pi / 4, -0.3, 0.0, 0.7, 1.9, math.pi):
+            best = multistart(CostModel.lp_chordal(build_samples(a), p), 64, seed=0)[0].cost
+            lowest = min(rep.cost for rep in critical_sets(a, p))
+            assert abs(best - lowest) <= 1e-12 * lowest, (p, a, best, lowest)
 
 
 def test_quartic_tie_at_quarter():
