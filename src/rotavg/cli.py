@@ -23,7 +23,7 @@ import numpy as np
 from . import checks as checks_mod
 from . import sweep as sweep_mod
 from .costs import CostModel
-from .geometry import SampleSet, dist_d1, dist_d2, dist_d3, normalize, quat_from_rotation
+from .geometry import SampleSet, _pair_distances, normalize, quat_from_rotation
 from .solvers import multistart
 
 __all__ = ["main", "entry"]
@@ -293,15 +293,16 @@ def cmd_distance(args) -> int:
     samples = _load_rotations(args.input)
     if len(samples) < 2:
         raise _ValidationError("distance needs at least 2 rotations")
+    Q = samples.quaternions
     lines = ["i j d1 d2 d3"]
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            Ri, Rj = samples.rotations[i], samples.rotations[j]
-            try:
-                d2 = f"{dist_d2(Ri, Rj):.12g}"
-            except ValueError:
-                d2 = "undefined"
-            lines.append(f"{i} {j} {dist_d1(Ri, Rj):.12g} {d2} {dist_d3(Ri, Rj):.12g}")
+    # a block of rows i against every sample, about 2^16 pairs at a time
+    step = max(1, 2**16 // len(Q))
+    for i0 in range(0, len(Q) - 1, step):
+        D1, D2, D3 = (d.tolist() for d in _pair_distances(Q[i0 : i0 + step], Q))
+        for i, d1, d2, d3 in zip(range(i0, len(Q)), D1, D2, D3):
+            for j in range(i + 1, len(Q)):
+                d2j = "undefined" if math.isnan(d2[j]) else f"{d2[j]:.12g}"
+                lines.append(f"{i} {j} {d1[j]:.12g} {d2j} {d3[j]:.12g}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

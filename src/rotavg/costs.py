@@ -298,24 +298,14 @@ class CostModel:
         return self._evaluate(self._clearance_at, q)
 
     def _clearance_at(self, X, D, base=None):
-        """:meth:`clearance` for each row of X, with dots D (and, for the
-        sample lines, the rows' :meth:`_bases` where already formed)."""
+        """:meth:`clearance` for each row of X, with dots D: min_i |x_i| to
+        the hyperplanes, and to the sample lines sqrt(min_i (1 - x_i^2)),
+        read from the rows' :meth:`_bases` (passed in where already formed),
+        so that every sample counts, near-duplicate ones included."""
         if self._cost.excluded == "planes":
             return np.abs(D).min(axis=-1)
         if self._cost.excluded == "lines":
-            if base is not None:
-                return np.sqrt(base.min(axis=-1))
-            # the same reading at each row's nearest sample j alone, the
-            # largest d_j^2 (every step is monotone); the smallest base lies
-            # elsewhere only where two samples lie within 1e-4 of one line
-            rows = np.arange(len(D))
-            j = np.argmax(D * D, axis=-1)
-            d = D[rows, j]
-            u = np.maximum(1.0 - d * d, 0.0)
-            near = u < 1e-8
-            if near.any():
-                u[near] = self._line_gaps(X, D, rows[near], j[near])
-            return np.sqrt(u)
+            return np.sqrt((self._bases(X, D) if base is None else base).min(axis=-1))
         return np.full(len(D), np.inf)
 
     def _bases(self, X, D, d=None):
@@ -353,10 +343,6 @@ class CostModel:
         """True if q clears the guard buffer for this model's excluded sets."""
         return self.clearance(q) > EPS_DOM
 
-    def _admissible(self, X, D):
-        """:meth:`admissible` for each row of X, with dots D."""
-        return self._clearance_at(X, D) > EPS_DOM
-
     def _guard(self, X, D, base=None):
         """The dots D of the unit rows X, with the rows inside the guard
         buffer set to NaN so that every derivative in those rows is NaN (a
@@ -388,10 +374,12 @@ class CostModel:
         """:meth:`value` at the rows X with dots D."""
         if self.kind == "Geodesic":
             # degree-0 prolongation: the terms at q/|q|, undefined on Pi_i
+            # (and at the origin, which has no direction)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                D = D / np.sqrt(np.vecdot(X, X, keepdims=True))
             on_plane = np.abs(D).min(axis=1) < 1e-12
             if on_plane.any():
                 D = np.where(on_plane[:, None], np.nan, D)
-            D = D / np.sqrt(np.vecdot(X, X, keepdims=True))
         return self._cost.factor * self._cost.term(D, self._bases(X, D)).sum(axis=1)
 
     def gradient(self, q):
@@ -441,7 +429,7 @@ class CostModel:
         |w'(x)| (1 - x^2) is at most 1, its value at x = 0 (1 - phi cot phi
         for geodesic; checked over [-1, 1] for Lp with p >= 2), so s = 1.
         Where w' diverges on the sample lines (Lp, p < 2) it is at most
-        (1 - x^2)^(p/2 - 1), largest at the row's nearest sample:
+        (1 - x^2)^(p/2 - 1), largest at the row's smallest 1 - x_i^2:
         s = clearance^(p - 2). Rows and samples that are unit only to within
         a few ulp leave the computed |B q_i|^2 up to about 4e-15 above
         1 - x_i^2; next to a line that is no longer small against 1 - x_i^2,

@@ -219,29 +219,34 @@ def _abs_dots(R, Rs):
     return np.where(t >= 0.0, near, far)
 
 
-def _rotation_distances(F):
-    """The Frobenius distance between every pair of rows of F, flattened
-    3x3 matrices, as one (n, n) matrix. Each distance has np.linalg.norm's
-    bits for its difference, in either order."""
-    d = F[:, None] - F[None]
-    return np.sqrt(np.vecdot(d, d))
+def _pair_distances(P, Q):
+    """d1, d2 and d3 between the rotations of every row of P (n, 4) and
+    every row of Q (m, 4), unit quaternions, as three (n, m) arrays.
+
+    With s = sign <p, q>, e = p - s q and f = p + s q, |e| |f| = 2 sqrt(1 -
+    <p, q>^2) and the half angle is 2 atan2(|e|, |f|), so d1 = sqrt(2) |e|
+    |f|, d2 = 4 sqrt(2) atan2(|e|, |f|) and d3 = 1 - |<p, q>| = |e|^2 / 2,
+    each with full relative precision down to coincident rotations, where
+    the matrix forms cancel. d2 is NaN where :func:`dist_d2` raises,
+    tr(R1^T R2) = 4 <p, q>^2 - 1 within 1e-12 of -1.
+    """
+    x = P @ Q.T
+    sQ = np.copysign(1.0, x)[..., None] * Q
+    e, f = P[:, None] - sQ, P[:, None] + sQ
+    ee = np.vecdot(e, e)
+    ne, nf = np.sqrt(ee), np.sqrt(np.vecdot(f, f))
+    d2 = 4.0 * np.sqrt(2.0) * np.arctan2(ne, nf)
+    d2[4.0 * x * x < 1e-12] = np.nan
+    return np.sqrt(2.0) * ne * nf, d2, 0.5 * ee
 
 
 def _same_rotation(Q):
     """Which pairs of rows of Q, unit quaternions, are one rotation, as
     nested lists of bools: the one rule that puts two rotations in one
     class. Two rows are one rotation when their rotation matrices lie
-    within Frobenius distance 1e-8 (:func:`_rotation_distances`).
-
-    That distance is 2 sqrt(2 (1 - <q, q'>^2)), so a pair with
-    1 - <q, q'>^2 above 1e-12 lies over 2.8e-6 apart, far beyond the
-    rounding of either form; the matrices are formed only when some pair
-    of distinct rows passes that screen.
+    within Frobenius distance 1e-8, d1 of :func:`_pair_distances`.
     """
-    same = 1.0 - (Q @ Q.T) ** 2 <= 1e-12
-    if np.count_nonzero(same) > len(Q):
-        same = _rotation_distances(covering_map(Q).reshape(-1, 9)) < 1e-8
-    return same.tolist()
+    return (_pair_distances(Q, Q)[0] < 1e-8).tolist()
 
 
 # tangent_frame(q)[k] = q[_FRAME_INDEX[k]] * _FRAME_SIGN[k]: the rows

@@ -82,9 +82,12 @@ def flow_descend(model: CostModel, q0, tol: float = 1e-12) -> CriticalPoint:
     holds a stack of sample sets, MaxIters if
     MAX_ITERS iterations run out (or no acceptable step exists) and
     DomainBreach if the start or an accepted iterate lies inside a guard
-    buffer. The limit is certified as :func:`multistart` certifies its
-    classes, but where its rotation residual raises (a limit inside a guard
-    buffer that the flow's own guard let pass), so does this.
+    buffer. The flow reads that from the control field it evaluates at
+    each point anyway: the field is NaN exactly there, by the clearance
+    that :meth:`CostModel.admissible` reads. The limit is certified as
+    :func:`multistart` certifies its classes, but where its rotation
+    residual raises (a limit inside a guard buffer that the flow's own
+    guard let pass), so does this.
     """
     q, nv, ends = _flow(model, np.asarray(q0, dtype=float)[None], tol)
     if ends[0] is not None:
@@ -114,10 +117,7 @@ def _flow(model, Q0, tol):
     ends = [None] * len(X)
     D = model._dots(X)
     c = model._value(X, D)
-    keep = model._admissible(X, D)
-    for k in np.flatnonzero(~keep):
-        ends[k] = DomainBreach("start point violates the model's domain guard")
-    live, X, D, c, h = _compact(keep, np.arange(len(X)), X, D, c, np.full(len(X), INITIAL_STEP))
+    live, h = np.arange(len(X)), np.full(len(X), INITIAL_STEP)
     for it in range(MAX_ITERS):
         if not live.size:
             break
@@ -129,7 +129,13 @@ def _flow(model, Q0, tol):
         nv = np.sqrt(np.vecdot(V, V))
         done = nv < stop
         q[live[done]], nv_end[live[done]] = X[done], nv[done]
-        live, X, D, c, h, V, wd, nv = _compact(~done, live, X, D, c, h, V, wd, nv)
+        # the field is NaN exactly in the rows inside a guard buffer
+        breach = np.isnan(nv)
+        for k in np.flatnonzero(breach):
+            ends[live[k]] = DomainBreach("iterate entered a guard buffer of an excluded set" if it else
+                                         "start point violates the model's domain guard")
+        q[live[breach]] = X[breach]
+        live, X, D, c, h, V, wd, nv = _compact(~(done | breach), live, X, D, c, h, V, wd, nv)
         # value evaluations carry cancellation noise well above one ulp, so
         # every acceptance test judges decreases against this larger scale
         noise = 1e-13 * (1.0 + np.abs(c))
@@ -140,11 +146,8 @@ def _flow(model, Q0, tol):
         moved[rest] = _line_search(model, X, D, V, nv, c, noise, h, rest)
         for k in np.flatnonzero(~moved):
             ends[live[k]] = MaxIters(f"line search stalled at iteration {it} (|v0| = {nv[k]:.3e})")
-        keep = moved & model._admissible(X, D)
-        for k in np.flatnonzero(moved & ~keep):
-            ends[live[k]] = DomainBreach("iterate entered a guard buffer of an excluded set")
-        q[live[~keep]] = X[~keep]
-        live, X, D, c, h = _compact(keep, live, X, D, c, h)
+        q[live[~moved]] = X[~moved]
+        live, X, D, c, h = _compact(moved, live, X, D, c, h)
     for k in live:
         ends[k] = MaxIters(f"no convergence in {MAX_ITERS} iterations")
     q[live] = X
@@ -315,7 +318,7 @@ def _draw_starts(model, n, rng):
     """
     state = rng.bit_generator.state
     starts = normalize(rng.standard_normal((n, 4)))
-    if model._admissible(starts, model._dots(starts)).all():
+    if model.admissible(starts).all():
         return starts
     rng.bit_generator.state = state
     starts = []

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostModel
-from .geometry import SampleSet, _rotation_distances, _same_rotation, canonicalize_sign, covering_map, normalize
+from .geometry import SampleSet, _pair_distances, _same_rotation, canonicalize_sign, normalize
 
 __all__ = [
     "EvenPolynomial",
@@ -445,10 +445,10 @@ def tie_locations(records):
     changes = _changes(records, lambda rec: rec.min_set_label[0], _leading_label, 1e-13)
     for a_star, prev, cur in changes:
         win = _winners(_records([a_star], records[0].p)[0].sets, tol=1e-9)
-        labels, rots = {r.label for r in win}, covering_map(_unit_quats(win)).reshape(-1, 9)
+        labels, Q = {r.label for r in win}, _unit_quats(win)
         # the tie must be between the classes that swapped the lead;
         # anything else is root-finder noise at a degenerate pinch
-        if {prev, cur} <= labels and (_rotation_distances(rots) > 1e-6).any():
+        if {prev, cur} <= labels and (_pair_distances(Q, Q)[0] > 1e-6).any():
             out.append((a_star, tuple(sorted(labels))))
     return out
 

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from rotavg.control import fd_gradient
 from rotavg.costs import EPS_DOM, CostModel, DomainError, NonDifferentiable
 from rotavg.geometry import SampleSet, covering_map, delta_skew, normalize
-from rotavg.solvers import HESSIAN_BOUND_SLACK
+from rotavg.solvers import HESSIAN_BOUND_SLACK, DomainBreach, flow_descend
 
 IDENTITY = SampleSet.from_quaternions([[1.0, 0.0, 0.0, 0.0]])
 
@@ -146,7 +146,8 @@ def test_admissibility_guard():
 
 def test_line_clearance_resolves_the_guard_buffer():
     # 1 - d^2 from a rounded d resolves no clearance below ~1e-8; read from
-    # the nearest sample it keeps full precision down to the 1e-9 buffer
+    # the point and the sample themselves it keeps full precision down to
+    # the 1e-9 buffer
     rng = np.random.default_rng(20)
     for _ in range(2000):
         qi = normalize(rng.standard_normal(4))
@@ -165,6 +166,55 @@ def test_line_clearance_resolves_the_guard_buffer():
         assert np.all(np.isfinite(model.gradient(q))) and np.all(np.isfinite(model.hessian(q)))
         with pytest.raises(DomainError):
             model.pushforward_residual(sign * near(Q[1], 3e-10, rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([1.0, 1.5]),
+    log_gap=st.floats(-12.0, -8.0),
+    offset=st.floats(0.1, 2.0),
+    extra=st.integers(0, 3),
+    sign=st.sampled_from([1.0, -1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_line_guard_has_one_reading_next_to_near_duplicates(p, log_gap, offset, extra, sign, seed):
+    # two samples 1e-12 to 1e-8 apart, and a point 0.1 to 2 EPS_DOM from
+    # the first one's line: rounding cannot tell which line is nearer, yet
+    # admissible and the derivatives must read the same clearance, so the
+    # field raises DomainError exactly where admissible is False, and a flow
+    # from there ends in DomainBreach
+    rng = np.random.default_rng(seed)
+    q1 = normalize(rng.standard_normal(4))
+    Q = np.concatenate([[q1, near(q1, 10.0**log_gap, rng)], normalize(rng.standard_normal((extra, 4)))])
+    model = make("lp", SampleSet.from_quaternions(Q[rng.permutation(len(Q))]), p)
+    q = sign * near(q1, offset * EPS_DOM, rng)
+    try:
+        field = model.control_field(q)
+    except ValueError as e:
+        assert type(e) is DomainError
+        assert not model.admissible(q)
+        with pytest.raises(DomainBreach):
+            flow_descend(model, q)
+    else:
+        assert np.all(np.isfinite(field))
+        assert model.admissible(q)
+
+
+def test_geodesic_value_guards_the_direction():
+    # the geodesic prolongation has degree 0, so its value reads the dots
+    # of q/|q| against the hyperplanes, as its gradient does: a point far
+    # inside the unit ball keeps the value of its direction (bit for bit at
+    # a power-of-2 scale, to rounding of the dots at 1e-11), here a unit q
+    # 0.02 from one hyperplane, whose scaled dots fall below 1e-12
+    rng = np.random.default_rng(31)
+    model = make("geodesic", SampleSet.from_quaternions(rng.standard_normal((5, 4))))
+    q = near_plane(rng, model.samples.quaternions[0], 0.02)
+    assert 0.01 < np.abs(model.samples.quaternions @ q).min() < 0.05
+    assert model.value(2.0**-37 * q) == model.value(q)
+    assert model.value(1e-11 * q) == pytest.approx(model.value(q), rel=1e-13, abs=0.0)
+    assert np.all(np.isfinite(model.gradient(1e-11 * q)))
+    with pytest.raises(DomainError):
+        model.value(1e-11 * near_plane(rng, model.samples.quaternions[2], 0.0))
 
 
 HESSIAN_CASES = [("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 3.0), ("lp", 4.0)]
@@ -318,7 +368,7 @@ def test_frame_hessian_norm_bound(kind_p, r, near, log_t, clustered, seed):
         X = normalize(U + t * q0)
     X = X * (1.0 + rng.integers(-4, 5, (len(X), 1)) * 2.0**-52)
     D = model._dots(X)
-    keep = model._admissible(X, D)
+    keep = model.admissible(X)
     X, D = X[keep], D[keep]
     K = model._frame_hessian(X)[1]
     wd = np.vecdot(model._cost.weight(D, model._bases(X, D)), D)

@@ -182,8 +182,8 @@ def test_same_rotation_rule():
 
 
 def test_same_rotation_screen_keeps_the_rule():
-    # the quaternion screen decides only pairs far beyond the threshold, so
-    # the table equals the matrix rule on every pair, near ones included
+    # the quaternion form of the rule equals the matrix rule, Frobenius
+    # distance below 1e-8, on every pair, near ones included
     rng = np.random.default_rng(23)
     for n in (1, 2, 5, 64):
         for scale in (0.0, 1e-10, 3e-9, 1e-8, 3e-8, 1e-6, 1e-3):
@@ -191,22 +191,47 @@ def test_same_rotation_screen_keeps_the_rule():
             k = rng.integers(0, n, n // 2)
             Q[k] = normalize(Q[k[::-1]] + scale * rng.standard_normal((len(k), 4)))
             Q[::3] *= -1.0
-            want = (geometry._rotation_distances(covering_map(Q).reshape(-1, 9)) < 1e-8).tolist()
+            F = covering_map(Q).reshape(-1, 9)
+            want = [[np.linalg.norm(F[i] - F[j]) < 1e-8 for j in range(n)] for i in range(n)]
             assert geometry._same_rotation(Q) == want
 
 
-def test_rotation_distances_are_norms_bit_for_bit():
-    # the pairwise matrix must keep the per-pair distances that multistart
-    # and the sweep compared before, np.linalg.norm of each difference
+def test_pair_distances_match_matrix_forms():
+    # every pair of rows against dist_d1, dist_d2 and dist_d3, with d2 NaN
+    # exactly where dist_d2 raises (a half-turn pair is among them)
     rng = np.random.default_rng(17)
-    for n in (1, 2, 5, 64):
-        F = covering_map(normalize(rng.standard_normal((n, 4)))).reshape(-1, 9)
-        F[n // 2] = F[0] + 1e-9 * rng.standard_normal(9)  # a near pair
-        dist = geometry._rotation_distances(F)
-        assert dist.shape == (n, n)
-        for i in range(n):
-            for j in range(n):
-                assert dist[i, j] == np.linalg.norm(F[j] - F[i]) == np.linalg.norm((F[i] - F[j]).reshape(3, 3))
+    P, Q = normalize(rng.standard_normal((20, 4))), normalize(rng.standard_normal((30, 4)))
+    Q[0] = [P[0, 1], -P[0, 0], P[0, 3], -P[0, 2]]  # <P[0], Q[0]> = 0
+    d1, d2, d3 = geometry._pair_distances(P, Q)
+    assert d1.shape == d2.shape == d3.shape == (20, 30)
+    for i in range(20):
+        for j in range(30):
+            Ri, Rj = covering_map(P[i]), covering_map(Q[j])
+            assert abs(d1[i, j] - dist_d1(Ri, Rj)) < 1e-14
+            assert abs(d3[i, j] - dist_d3(Ri, Rj)) < 1e-14
+            try:
+                assert abs(d2[i, j] - dist_d2(Ri, Rj)) < 1e-12
+            except ValueError:
+                assert np.isnan(d2[i, j])
+    assert np.isnan(d2[0, 0])
+    # one lift or the other, in either order
+    assert np.array_equal(geometry._pair_distances(-Q, P)[0], d1.T)
+
+
+@pytest.mark.parametrize("angle", [1e-8, 1e-6, 1e-4])
+def test_pair_distances_closed_forms(angle):
+    # rotations by a small angle about each axis, where the matrix forms
+    # cancel: d1 = 2 sqrt(2) sin(angle / 2), d2 = sqrt(2) angle and
+    # d3 = 1 - cos(angle / 2) = 2 sin^2(angle / 4), each to a few ulp
+    P = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+    Q = np.zeros((3, 4))
+    Q[:, 0] = math.cos(angle / 2.0)
+    Q[[0, 1, 2], [1, 2, 3]] = math.sin(angle / 2.0)
+    for sign in (1.0, -1.0):
+        d1, d2, d3 = (np.diagonal(d) for d in geometry._pair_distances(P, sign * Q))
+        for d, want in [(d1, 2.0 * math.sqrt(2.0) * math.sin(angle / 2.0)), (d2, math.sqrt(2.0) * angle),
+                        (d3, 2.0 * math.sin(angle / 4.0) ** 2)]:
+            assert np.abs(d / want - 1.0).max() < 1e-14
 
 
 def test_delta_skew_structure():

@@ -510,8 +510,28 @@ def test_flow_breaches_next_to_a_sample_line():
     S = SampleSet.from_quaternions(np.random.default_rng(1).standard_normal((1, 4)))
     model = CostModel.lp_chordal(S, 1.5)
     _, _, ends = solvers._flow(model, drawn_starts(model, 4, 1), 1e-12)
-    assert all(isinstance(end, DomainBreach) for end in ends)
+    assert all(isinstance(end, DomainBreach) and str(end).startswith("iterate") for end in ends)
     assert multistart(model, 4, seed=1) == []
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_flow_breaches_next_to_near_duplicate_samples(p):
+    # two Lp samples 1e-9 apart and a start 5e-10 from the first one's
+    # line: the start lies inside the guard buffer, and the flow ends it in
+    # DomainBreach rather than stalling on the NaN field there; in a batch
+    # the other rows run on (and at p = 1 end on a sample line themselves)
+    rng = np.random.default_rng(0)
+    q1 = normalize(rng.standard_normal(4))
+    B = tangent_frame(q1)
+    Q = np.concatenate([[q1, normalize(q1 + 1e-9 * B[0])], normalize(rng.standard_normal((3, 4)))])
+    model = CostModel.lp_chordal(SampleSet.from_quaternions(Q), p)
+    q0 = normalize(q1 + 5e-10 * B[1])
+    assert not model.admissible(q0)
+    with pytest.raises(DomainBreach, match="start point"):
+        flow_descend(model, q0)
+    _, _, ends = solvers._flow(model, np.stack([q0, normalize(rng.standard_normal(4))]), 1e-12)
+    assert isinstance(ends[0], DomainBreach) and str(ends[0]).startswith("start point")
+    assert ends[1] is None or str(ends[1]).startswith("iterate")
 
 
 def test_multistart_validation():
