@@ -294,8 +294,19 @@ class CostModel:
         return float(out[0]) if out.ndim == 1 else out[0]
 
     def clearance(self, q):
-        """Distance of unit q from this model's excluded set (inf if it has none)."""
-        return self._evaluate(self._clearance_at, q)
+        """Distance of unit q from this model's excluded set (inf if it has
+        none). The geodesic model reads the direction q/|q|, as its value
+        and derivatives do (0 at the origin, which has no direction); the
+        others read q itself."""
+        return self._evaluate(self._clearance, q)
+
+    def _clearance(self, X, D):
+        """:meth:`clearance` at the rows X with dots D."""
+        if self.kind == "Geodesic":
+            nq = np.sqrt(np.vecdot(X, X, keepdims=True))
+            with np.errstate(invalid="ignore"):
+                D = np.divide(D, nq, out=np.zeros_like(D), where=nq != 0.0)
+        return self._clearance_at(X, D)
 
     def _clearance_at(self, X, D, base=None):
         """:meth:`clearance` for each row of X, with dots D: min_i |x_i| to
@@ -309,13 +320,15 @@ class CostModel:
         return np.full(len(D), np.inf)
 
     def _bases(self, X, D, d=None):
-        """1 - d_i^2, clamped at 0, at the dots d (D by default) of the unit
-        rows X, for a kind that reads it (None for the others).
+        """1 - d_i^2, clamped at 0, at the dots d (D by default) of the rows
+        X, for a kind that reads it (None for the others).
 
         The rounded 1 - d^2 has an absolute error near 2e-16, so it resolves
         no clearance below about 1e-8, where the guard buffer is 1e-9. For a
-        model that excludes the sample lines, entries below 1e-8 are read
-        from X and its dots D instead (:meth:`_line_gaps`).
+        model that excludes the sample lines, entries below 1e-8 in rows
+        that are unit to within rounding, |(|x|^2 - 1)| <= 1e-12, are read
+        from X and its dots D instead (:meth:`_line_gaps`, which holds only
+        on the unit sphere).
         """
         if not self._cost.reads_base:
             return None
@@ -326,7 +339,8 @@ class CostModel:
         np.maximum(base, 0.0, out=base)
         if self._cost.excluded == "lines" and np.fmin.reduce(base, axis=None, initial=1.0) < 1e-8:
             k, i = np.nonzero(base < 1e-8)
-            base[k, i] = self._line_gaps(X, D, k, i)
+            unit = np.abs(np.vecdot(X[k], X[k]) - 1.0) <= 1e-12
+            base[k[unit], i[unit]] = self._line_gaps(X, D, k[unit], i[unit])
         return base
 
     def _line_gaps(self, X, D, k, i):

@@ -221,7 +221,9 @@ def _abs_dots(R, Rs):
 
 def _pair_distances(P, Q):
     """d1, d2 and d3 between the rotations of every row of P (n, 4) and
-    every row of Q (m, 4), unit quaternions, as three (n, m) arrays.
+    every row of Q (m, 4), unit quaternions, as three (n, m) arrays; for
+    stacks P (..., n, 4) and Q (..., m, 4), three (..., n, m) arrays, one
+    table per stacked pair of sets.
 
     With s = sign <p, q>, e = p - s q and f = p + s q, |e| |f| = 2 sqrt(1 -
     <p, q>^2) and the half angle is 2 atan2(|e|, |f|), so d1 = sqrt(2) |e|
@@ -230,9 +232,9 @@ def _pair_distances(P, Q):
     the matrix forms cancel. d2 is NaN where :func:`dist_d2` raises,
     tr(R1^T R2) = 4 <p, q>^2 - 1 within 1e-12 of -1.
     """
-    x = P @ Q.T
-    sQ = np.copysign(1.0, x)[..., None] * Q
-    e, f = P[:, None] - sQ, P[:, None] + sQ
+    x = P @ np.swapaxes(Q, -1, -2)
+    sQ = np.copysign(1.0, x)[..., None] * Q[..., None, :, :]
+    e, f = P[..., :, None, :] - sQ, P[..., :, None, :] + sQ
     ee = np.vecdot(e, e)
     ne, nf = np.sqrt(ee), np.sqrt(np.vecdot(f, f))
     d2 = 4.0 * np.sqrt(2.0) * np.arctan2(ne, nf)
@@ -242,9 +244,10 @@ def _pair_distances(P, Q):
 
 def _same_rotation(Q):
     """Which pairs of rows of Q, unit quaternions, are one rotation, as
-    nested lists of bools: the one rule that puts two rotations in one
-    class. Two rows are one rotation when their rotation matrices lie
-    within Frobenius distance 1e-8, d1 of :func:`_pair_distances`.
+    nested lists of bools (one table per stacked set of a stack Q
+    (..., n, 4)): the one rule that puts two rotations in one class. Two
+    rows are one rotation when their rotation matrices lie within
+    Frobenius distance 1e-8, d1 of :func:`_pair_distances`.
     """
     return (_pair_distances(Q, Q)[0] < 1e-8).tolist()
 

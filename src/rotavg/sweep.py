@@ -8,10 +8,11 @@ derivative chain for p = 4), labels the resulting critical families and
 traces the minimizer angle over an alpha grid, one SweepRecord per alpha.
 The candidates of the whole grid are evaluated as one chunked stack
 (ALPHAS_PER_STACK alphas to a stacked model); the bisections evaluate one
-alpha at a time. Minimizer classes are deduplicated under the rule multistart uses
-(geometry._same_rotation). Root-count transitions and minimizer ties are
-found from those records: each change between adjacent records is
-bisected, so they work on any grid. Records round-trip through CSV.
+alpha at a time. Minimizer classes are deduplicated under the rule
+multistart uses (geometry._same_rotation), one call per chunk of records.
+Root-count transitions and minimizer ties are found from those records:
+each change between adjacent records is bisected, so they work on any
+grid. Records round-trip through CSV.
 """
 
 from __future__ import annotations
@@ -339,12 +340,15 @@ def _unit_quats(reps):
     return normalize(np.array([rep.q for rep in reps]))
 
 
-def _winners(sets, tol=TIE_TOL):
-    """Deduplicate reps by rotation, then collect every cost-minimal class."""
-    same = _same_rotation(_unit_quats(sets))
+def _winners(sets, tol=TIE_TOL, same=None):
+    """Deduplicate reps by rotation, then collect every cost-minimal class.
+    ``same`` is the reps' :func:`_same_rotation` table, formed here if not
+    given; only its first len(sets) rows and columns are read."""
+    if same is None:
+        same = _same_rotation(_unit_quats(sets))
     classes = []
-    for k, row in enumerate(same):
-        if not any(row[j] for j in classes):
+    for k in range(len(sets)):
+        if not any(same[k][j] for j in classes):
             classes.append(k)
     best = min(sets[k].cost for k in classes)
     return [sets[k] for k in classes if sets[k].cost <= best + tol]
@@ -363,8 +367,11 @@ class SweepRecord:
 def _records(alphas, p):
     """The SweepRecord of each alpha of a sequence: the polynomial's
     positive roots, the labeled critical sets they yield, and the
-    cost-minimal classes, from one :func:`_candidate_stack`."""
-    out = []
+    cost-minimal classes, from one :func:`_candidate_stack`. The reps of
+    ALPHAS_PER_STACK records at a time are deduplicated in one call, as the
+    rows of one (records, K, 4) stack padded with the black point to the
+    chunk's longest K (each record reads only its own rows)."""
+    found = []
     for alpha, (roots, X, rows, costs, res) in zip(alphas, _candidate_stack(alphas, p)):
         sets = [CriticalRep("black", None, _BLACK_Q, costs[0], res[0])]
         names = _PAIR_NAMES.get(len(roots))
@@ -372,9 +379,16 @@ def _records(alphas, p):
             if r < RESIDUAL_TOL:
                 label = names[i][b] if names else (f"x{i}+", f"x{i}-")[b]
                 sets.append(CriticalRep(label, float(roots[i]), tuple(q), cost, r))
-        win = _winners(sets)
-        thetas, labels = tuple(_thetas([rep.q for rep in win])), tuple(rep.label for rep in win)
-        out.append(SweepRecord(float(alpha), float(p), tuple(roots), tuple(sets), thetas, labels))
+        found.append((float(alpha), roots, sets))
+    out = []
+    for k in range(0, len(found), ALPHAS_PER_STACK):
+        chunk = found[k : k + ALPHAS_PER_STACK]
+        K = max(len(sets) for _, _, sets in chunk)
+        U = normalize(np.array([[rep.q for rep in sets] + [_BLACK_Q] * (K - len(sets)) for _, _, sets in chunk]))
+        for (alpha, roots, sets), same in zip(chunk, _same_rotation(U)):
+            win = _winners(sets, same=same)
+            thetas, labels = tuple(_thetas([rep.q for rep in win])), tuple(rep.label for rep in win)
+            out.append(SweepRecord(alpha, float(p), tuple(roots), tuple(sets), thetas, labels))
     return out
 
 

@@ -17,7 +17,7 @@ from rotavg.control import dissipation_rate, fd_gradient, unit_sphere_problem, v
 from rotavg.costs import CostModel
 from rotavg.geometry import SampleSet, covering_map, delta_skew, dist_d3, normalize
 from rotavg.solvers import multistart
-from rotavg.sweep import _candidates, _poly_for, build_samples, positive_roots
+from rotavg.sweep import _candidates, _poly_for, build_samples, positive_roots, q2_coeffs
 
 
 def _random_samples(rng):
@@ -152,6 +152,15 @@ def ref_black_set(seed, trials):
     return worst
 
 
+def ref_two_roots(seed, trials):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        alpha = -np.pi + 0.01 * int(rng.integers(0, 629))
+        worst = max(worst, float(abs(len(positive_roots(q2_coeffs(alpha))) - 2)))
+    return worst
+
+
 def ref_poly_consistency(seed, trials):
     # one model per alpha and p, its candidates as one stack of points
     rng = np.random.default_rng(seed)
@@ -182,19 +191,62 @@ REFERENCES = {
     checks.check_pushforward: (ref_pushforward, 0),
     checks.check_d3_identity: (ref_d3_identity, 4),
     checks.check_black_set: (ref_black_set, 0),
+    checks.check_two_roots: (ref_two_roots, 0),
     checks.check_poly_consistency: (ref_poly_consistency, 0),
 }
 
 
-@pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("unit", [True, False])
-def test_draw_pass_reproduces_the_per_trial_draws(seed, unit):
-    new = checks._draws(seed, 100, unit=unit)
-    assert len(new) == 100
-    for (quats, kind, p, q), (model, q_ref) in zip(new, reference_draws(seed, 100, unit=unit)):
+def _assert_reference_draws(draws, seed, unit):
+    for (quats, kind, p, q), (model, q_ref) in zip(draws, reference_draws(seed, len(draws), unit=unit), strict=True):
         assert np.array_equal(normalize(quats), model.samples.quaternions)
         assert kind == model.kind and p == model.p
         assert np.array_equal(q, q_ref)
+
+
+@pytest.mark.parametrize("seed", [*range(10), 11004, 206003])
+@pytest.mark.parametrize("unit", [True, False])
+def test_draw_pass_reproduces_the_per_trial_draws(seed, unit):
+    # the block pass against the per-trial loop; the seeds of the CLI
+    # smoke runs (0, 3, 11004, 206003) at a full pass of 1000 trials
+    trials = 1000 if seed in (0, 3, 11004, 206003) else 100
+    draws = checks._draws(seed, trials, unit=unit)
+    assert len(draws) == trials
+    _assert_reference_draws(draws, seed, unit)
+
+
+def _block_positions(seed, trials, unit, monkeypatch):
+    """The draws, and the place in its block of each trial whose first
+    probe the margin test rejects (each trial that _draws finishes with
+    _probe): a block holds DRAW_BLOCK trials (half for scaled probes) and
+    ends at its first rejected trial."""
+    rejected, probe = [], checks._probe
+    monkeypatch.setattr(checks, "_probe", lambda rng, Q, unit: rejected.append(Q) or probe(rng, Q, unit))
+    draws = checks._draws(seed, trials, unit=unit)
+    size = checks.DRAW_BLOCK if unit else checks.DRAW_BLOCK // 2
+    positions, start = [], 0
+    for Q in rejected:
+        k = next(k for k, d in enumerate(draws) if np.array_equal(normalize(d[0]), Q))
+        start += (k - start) // size * size
+        positions.append(k - start)
+        start = k + 1
+    return draws, positions
+
+
+def test_draw_pass_restores_the_stream_at_both_ends_of_a_block(monkeypatch):
+    # seed 7 (unit probes) rejects the first probe of a block's last trial,
+    # and later that of a block's first trial, where no trial of the block
+    # is kept before it; each is finished from its restored state
+    draws, positions = _block_positions(7, 1000, True, monkeypatch)
+    assert positions[0] == checks.DRAW_BLOCK - 1 and 0 in positions
+    _assert_reference_draws(draws, 7, True)
+
+
+def test_bulk_integer_draw_equals_the_scalar_draws():
+    # check_two_roots draws every trial's grid index at once
+    for seed in (0, 5, 10):
+        bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert bulk.integers(0, 629, size=1000).tolist() == [int(scalar.integers(0, 629)) for _ in range(1000)]
+        assert bulk.bit_generator.state == scalar.bit_generator.state
 
 
 def test_stacks_group_by_r_kind_and_p():

@@ -217,6 +217,36 @@ def test_geodesic_value_guards_the_direction():
         model.value(1e-11 * near_plane(rng, model.samples.quaternions[2], 0.0))
 
 
+def test_geodesic_clearance_reads_the_direction():
+    # clearance and admissible read q/|q|, as the geodesic value and
+    # derivatives do: a point far inside the unit ball where both are
+    # finite is admissible, and the origin, which has no direction, is not.
+    # d3 reads the raw dots, as its derivatives do
+    rng = np.random.default_rng(31)
+    model = make("geodesic", SampleSet.from_quaternions(rng.standard_normal((5, 4))))
+    q = near_plane(rng, model.samples.quaternions[0], 0.02)
+    assert model.clearance(1e-11 * q) == pytest.approx(model.clearance(q), rel=1e-13, abs=0.0)
+    assert model.admissible(1e-11 * q)
+    assert np.isfinite(model.value(1e-11 * q)) and np.all(np.isfinite(model.gradient(1e-11 * q)))
+    assert model.clearance(np.zeros(4)) == 0.0 and not model.admissible(np.zeros(4))
+    assert math.isnan(model.clearance(np.full(4, np.nan)))
+    d3 = make("d3", model.samples)
+    assert d3.clearance(1e-11 * q) == pytest.approx(1e-11 * d3.clearance(q), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_line_clamp_holds_off_the_unit_sphere(p):
+    # the exact 1 - d^2 next to a sample line (_line_gaps) holds only on
+    # the unit sphere; off it an entry keeps the clamp max(1 - d^2, 0).
+    # (2, 0, 0, 0) lies on the first sample's line, beyond both samples
+    model = make("lp", SampleSet.from_quaternions([[1.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0]]), p)
+    x = np.array([2.0, 0.0, 0.0, 0.0])
+    assert model.value(x) == 0.0
+    assert model.clearance(x) == 0.0 and not model.admissible(x)
+    with pytest.raises(DomainError):
+        model.gradient(x)
+
+
 HESSIAN_CASES = [("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 3.0), ("lp", 4.0)]
 
 

@@ -218,6 +218,18 @@ def test_pair_distances_match_matrix_forms():
     assert np.array_equal(geometry._pair_distances(-Q, P)[0], d1.T)
 
 
+def test_pair_distances_take_stacks():
+    # a stack of set pairs gives each pair's tables with the bits of the
+    # call on that pair alone, and so does the dedup rule the sweep stacks
+    rng = np.random.default_rng(3)
+    P = normalize(rng.standard_normal((6, 3, 4)))
+    Q = normalize(rng.standard_normal((6, 5, 4)))
+    Q[2, 1] = -P[2, 0]
+    for got, *want in zip(geometry._pair_distances(P, Q), *(geometry._pair_distances(p, q) for p, q in zip(P, Q))):
+        assert np.array_equal(got, np.array(want), equal_nan=True)
+    assert geometry._same_rotation(Q) == [geometry._same_rotation(q) for q in Q]
+
+
 @pytest.mark.parametrize("angle", [1e-8, 1e-6, 1e-4])
 def test_pair_distances_closed_forms(angle):
     # rotations by a small angle about each axis, where the matrix forms
