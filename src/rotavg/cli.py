@@ -230,7 +230,7 @@ def cmd_average(args) -> int:
                 "cost": pt.cost,
                 "control_norm": pt.control_norm,
                 "rotation_residual_norm": pt.rotation_residual_norm,
-                "class": (pt.classification or "min").lower(),
+                "class": pt.classification.lower(),
                 "is_global_min": bool(pt.cost <= best + 1e-9),
             }
             for pt in points

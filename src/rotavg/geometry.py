@@ -242,14 +242,24 @@ def _pair_distances(P, Q):
     return np.sqrt(2.0) * ne * nf, d2, 0.5 * ee
 
 
-def _same_rotation(Q):
-    """Which pairs of rows of Q, unit quaternions, are one rotation, as
-    nested lists of bools (one table per stacked set of a stack Q
-    (..., n, 4)): the one rule that puts two rotations in one class. Two
-    rows are one rotation when their rotation matrices lie within
-    Frobenius distance 1e-8, d1 of :func:`_pair_distances`.
+def _classes(Q):
+    """The one rule that puts rotations in one class: for each row of Q,
+    unit quaternions (n, 4), the index of its class's first row, its head;
+    for a stack (m, n, 4), one such list per set.
+
+    A row joins the first class whose head's rotation matrix lies within
+    Frobenius distance 1e-8 of its own (d1 of :func:`_pair_distances`), so
+    q and -q share a class; otherwise it heads a new class.
     """
-    return (_pair_distances(Q, Q)[0] < 1e-8).tolist()
+
+    def heads(near):
+        out = []
+        for i, row in enumerate(near):
+            out.append(next((j for j, h in enumerate(out) if h == j and row[j]), i))
+        return out
+
+    near = (_pair_distances(Q, Q)[0] < 1e-8).tolist()
+    return [heads(t) for t in near] if np.ndim(Q) == 3 else heads(near)
 
 
 # tangent_frame(q)[k] = q[_FRAME_INDEX[k]] * _FRAME_SIGN[k]: the rows

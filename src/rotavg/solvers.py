@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostModel
-from .geometry import _same_rotation, canonicalize_sign, covering_map, normalize
+from .geometry import _classes, canonicalize_sign, covering_map, normalize
 
 __all__ = [
     "CriticalPoint",
@@ -275,9 +275,12 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
     """Run the flow from n uniform random starts in lockstep; dedup and sort
     by cost.
 
-    Starts violating the model's domain guard are resampled. Limits are
-    identified under q ~ -q by comparing rotation matrices (Frobenius
-    tolerance 1e-8); each class keeps its best-converged representative.
+    Starts violating the model's domain guard are resampled. The converged
+    limits are put in classes by the rule of
+    :func:`~rotavg.geometry._classes` (a limit joins the first class whose
+    first limit's rotation matrix lies within Frobenius distance 1e-8 of its
+    own, so q ~ -q), and each class keeps its best-converged start, the one
+    with the smallest ||control_field||.
     Per-start failures (MaxIters, DomainBreach) are tolerated, and a class
     is dropped the same way where its certificate, the rotation residual,
     is NaN (a representative inside a guard buffer, next to a sample's own
@@ -291,15 +294,11 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
     q, nv, ends = _flow(model, _draw_starts(model, n_starts, np.random.default_rng(seed)), tol)
     converged = [k for k, end in enumerate(ends) if end is None]
     q[converged] = canonicalize_sign(normalize(q[converged]))
-    same = _same_rotation(q[converged])
-    reps: list[int] = []  # positions in `converged` of each class's representative
-    for i, k in enumerate(converged):
-        j = next((j for j, rep in enumerate(reps) if same[i][rep]), None)
-        if j is None:
-            reps.append(i)
-        elif nv[k] < nv[converged[reps[j]]]:
-            reps[j] = i
-    reps = [converged[i] for i in reps]
+    best: dict = {}  # class head -> the class's best-converged start
+    for k, head in zip(converged, _classes(q[converged])):
+        if head not in best or nv[k] < nv[best[head]]:
+            best[head] = k
+    reps = list(best.values())
     classes = _critical_points(model, q[reps], nv[reps])
     classes.sort(key=lambda p: p.cost)
     for pt, label in zip(classes, _classify_rows(model, np.reshape([pt.q for pt in classes], (-1, 4)))):
@@ -373,9 +372,11 @@ def eigen_oracle_l2(samples):
 
     Maximizes sum <q,q_i>^2 over S3 (Markley et al., "Averaging
     Quaternions", 2007). Raises AmbiguousMean when the top two eigenvalues
-    are closer than 1e-10.
+    are closer than 1e-10, and ValueError on a stack of sample sets.
     """
     Q = samples.quaternions
+    if Q.ndim != 2:
+        raise ValueError("this needs a single sample set, not a stack of them")
     lam, V = np.linalg.eigh(Q.T @ Q)
     if lam[-1] - lam[-2] < 1e-10:
         raise AmbiguousMean("top two eigenvalues within 1e-10: mean not unique")

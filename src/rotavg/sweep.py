@@ -6,10 +6,11 @@ quaternion component; this module builds those polynomials, finds their
 positive roots (in closed form for p = 2, by safeguarded Newton steps on a
 derivative chain for p = 4), labels the resulting critical families and
 traces the minimizer angle over an alpha grid, one SweepRecord per alpha.
-The candidates of the whole grid are evaluated as one chunked stack
-(ALPHAS_PER_STACK alphas to a stacked model); the bisections evaluate one
-alpha at a time. Minimizer classes are deduplicated under the rule
-multistart uses (geometry._same_rotation), one call per chunk of records.
+The grid is worked in chunks of ALPHAS_PER_STACK alphas: the candidates of
+a chunk are the rows of one stacked model, its critical sets are put in
+classes by one call of the rule multistart uses (geometry._classes), and
+the angles of all its minimizers come from one stacked call. The
+bisections evaluate one alpha at a time.
 Root-count transitions and minimizer ties are found from those records:
 each change between adjacent records is bisected, so they work on any
 grid. Records round-trip through CSV.
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostModel
-from .geometry import SampleSet, _pair_distances, _same_rotation, canonicalize_sign, normalize
+from .geometry import SampleSet, _classes, _pair_distances, canonicalize_sign, normalize
 
 __all__ = [
     "EvenPolynomial",
@@ -335,23 +336,16 @@ def _thetas(qs):
     return [2.0 * math.atan2(q1, q0) for q0, q1, _, _ in Q.tolist()]
 
 
-def _unit_quats(reps):
-    """Each rep's quaternion, normalized in one stacked call."""
-    return normalize(np.array([rep.q for rep in reps]))
-
-
-def _winners(sets, tol=TIE_TOL, same=None):
-    """Deduplicate reps by rotation, then collect every cost-minimal class.
-    ``same`` is the reps' :func:`_same_rotation` table, formed here if not
-    given; only its first len(sets) rows and columns are read."""
-    if same is None:
-        same = _same_rotation(_unit_quats(sets))
-    classes = []
-    for k in range(len(sets)):
-        if not any(same[k][j] for j in classes):
-            classes.append(k)
-    best = min(sets[k].cost for k in classes)
-    return [sets[k] for k in classes if sets[k].cost <= best + tol]
+def _winners(sets, tol=TIE_TOL, heads=None):
+    """The cost-minimal classes of reps: the class heads
+    (:func:`~rotavg.geometry._classes`) whose cost lies within tol of the
+    least head's. ``heads`` gives each rep's class head and is formed here
+    if not given; only its first len(sets) entries are read."""
+    if heads is None:
+        heads = _classes(normalize(np.array([rep.q for rep in sets])))
+    classes = [rep for k, rep in enumerate(sets) if heads[k] == k]
+    best = min(rep.cost for rep in classes)
+    return [rep for rep in classes if rep.cost <= best + tol]
 
 
 @dataclass(frozen=True)
@@ -367,28 +361,29 @@ class SweepRecord:
 def _records(alphas, p):
     """The SweepRecord of each alpha of a sequence: the polynomial's
     positive roots, the labeled critical sets they yield, and the
-    cost-minimal classes, from one :func:`_candidate_stack`. The reps of
-    ALPHAS_PER_STACK records at a time are deduplicated in one call, as the
-    rows of one (records, K, 4) stack padded with the black point to the
-    chunk's longest K (each record reads only its own rows)."""
-    found = []
-    for alpha, (roots, X, rows, costs, res) in zip(alphas, _candidate_stack(alphas, p)):
-        sets = [CriticalRep("black", None, _BLACK_Q, costs[0], res[0])]
-        names = _PAIR_NAMES.get(len(roots))
-        for (i, b), q, cost, r in zip(rows, X[1:].tolist(), costs[1:], res[1:]):
-            if r < RESIDUAL_TOL:
-                label = names[i][b] if names else (f"x{i}+", f"x{i}-")[b]
-                sets.append(CriticalRep(label, float(roots[i]), tuple(q), cost, r))
-        found.append((float(alpha), roots, sets))
-    out = []
+    cost-minimal classes, from one :func:`_candidate_stack`. Each chunk of
+    ALPHAS_PER_STACK records is classed by one :func:`_classes` call, over
+    a (records, K, 4) stack padded with the black point to the chunk's
+    longest K (a record's classes read only its own rows), and the angles
+    of all its winners come from one :func:`_thetas` call."""
+    found, out = _candidate_stack(alphas, p), []
     for k in range(0, len(found), ALPHAS_PER_STACK):
-        chunk = found[k : k + ALPHAS_PER_STACK]
-        K = max(len(sets) for _, _, sets in chunk)
-        U = normalize(np.array([[rep.q for rep in sets] + [_BLACK_Q] * (K - len(sets)) for _, _, sets in chunk]))
-        for (alpha, roots, sets), same in zip(chunk, _same_rotation(U)):
-            win = _winners(sets, same=same)
-            thetas, labels = tuple(_thetas([rep.q for rep in win])), tuple(rep.label for rep in win)
-            out.append(SweepRecord(alpha, float(p), tuple(roots), tuple(sets), thetas, labels))
+        chunk = []
+        for roots, X, rows, costs, res in found[k : k + ALPHAS_PER_STACK]:
+            sets = [CriticalRep("black", None, _BLACK_Q, costs[0], res[0])]
+            names = _PAIR_NAMES.get(len(roots))
+            for (i, b), q, cost, r in zip(rows, X[1:].tolist(), costs[1:], res[1:]):
+                if r < RESIDUAL_TOL:
+                    label = names[i][b] if names else (f"x{i}+", f"x{i}-")[b]
+                    sets.append(CriticalRep(label, float(roots[i]), tuple(q), cost, r))
+            chunk.append((roots, sets))
+        K = max(len(sets) for _, sets in chunk)
+        U = normalize(np.array([[rep.q for rep in sets] + [_BLACK_Q] * (K - len(sets)) for _, sets in chunk]))
+        wins = [_winners(sets, heads=h) for (_, sets), h in zip(chunk, _classes(U))]
+        thetas = iter(_thetas([rep.q for win in wins for rep in win]))
+        for alpha, (roots, sets), win in zip(alphas[k:], chunk, wins):
+            thetas_min, labels = tuple(next(thetas) for _ in win), tuple(rep.label for rep in win)
+            out.append(SweepRecord(float(alpha), float(p), tuple(roots), tuple(sets), thetas_min, labels))
     return out
 
 
@@ -459,7 +454,7 @@ def tie_locations(records):
     changes = _changes(records, lambda rec: rec.min_set_label[0], _leading_label, 1e-13)
     for a_star, prev, cur in changes:
         win = _winners(_records([a_star], records[0].p)[0].sets, tol=1e-9)
-        labels, Q = {r.label for r in win}, _unit_quats(win)
+        labels, Q = {r.label for r in win}, normalize(np.array([r.q for r in win]))
         # the tie must be between the classes that swapped the lead;
         # anything else is root-finder noise at a degenerate pinch
         if {prev, cur} <= labels and (_pair_distances(Q, Q)[0] > 1e-6).any():
@@ -506,43 +501,27 @@ def emit_csv(records, path):
 
 
 def parse_csv(path):
-    """Rebuild SweepRecords from emit_csv output (exact floats)."""
-    groups: dict = {}
-    order = []
+    """Rebuild SweepRecords from emit_csv output (exact floats). Raises
+    ValueError unless the header is CSV_HEADER and every row holds exactly
+    its nine fields, with a number in each numeric one."""
+    cells: dict = {}  # (alpha, p) as written -> (sets, (label, theta) of each min row)
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is None or tuple(header) != CSV_HEADER:
+        if tuple(next(rd, ())) != CSV_HEADER:
             raise ValueError("unrecognized CSV header")
         for row in rd:
-            alpha, p = float(row[0]), float(row[1])
-            key = (row[0], row[1])
-            if key not in groups:
-                groups[key] = {"alpha": alpha, "p": p, "sets": [], "mins": []}
-                order.append(key)
-            g = groups[key]
-            label = row[2]
-            x_root = float(row[3])
-            q0, q1 = float(row[4]), float(row[5])
-            cost = float(row[6])
-            theta = float(row[7])
+            # nine fields exactly, or the unpacking raises ValueError
+            alpha, p, label, x_root, q0, q1, cost, theta, _ = row
+            x_root, q0, q1, cost, theta = map(float, (x_root, q0, q1, cost, theta))
+            sets, mins = cells.setdefault((alpha, p), ([], []))
             if label.startswith("min:"):
-                g["mins"].append((label[4:], theta))
+                mins.append((label[4:], theta))
             elif label == "black":
-                g["sets"].append(CriticalRep("black", None, _BLACK_Q, cost, 0.0))
+                sets.append(CriticalRep("black", None, _BLACK_Q, cost, 0.0))
             else:
-                g["sets"].append(CriticalRep(label, x_root, (q0, q1, 0.0, 0.0), cost, 0.0))
-    records = []
-    for key in order:
-        g = groups[key]
-        records.append(
-            SweepRecord(
-                alpha=g["alpha"],
-                p=g["p"],
-                roots=tuple(sorted({r.x_root for r in g["sets"] if r.x_root is not None})),
-                sets=tuple(g["sets"]),
-                theta_min=tuple(t for _, t in g["mins"]),
-                min_set_label=tuple(l for l, _ in g["mins"]),
-            )
-        )
-    return records
+                sets.append(CriticalRep(label, x_root, (q0, q1, 0.0, 0.0), cost, 0.0))
+    return [
+        SweepRecord(float(alpha), float(p), tuple(sorted({r.x_root for r in sets if r.x_root is not None})),
+                    tuple(sets), tuple(t for _, t in mins), tuple(l for l, _ in mins))
+        for (alpha, p), (sets, mins) in cells.items()
+    ]

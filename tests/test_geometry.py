@@ -171,19 +171,25 @@ def test_abs_dots_of_a_stack():
     assert geometry._abs_dots(np.eye(3), np.diag([1.0, -1.0, -1.0]))[0] == 0.0
 
 
-def test_same_rotation_rule():
+def test_classes_rule():
     # the identity and rotations about x whose matrices lie 0.9e-8 and
-    # 1.1e-8 from it: ||R(q) - I||_F = 2 sqrt(2) |sin(angle / 2)|
+    # 1.1e-8 from it: ||R(q) - I||_F = 2 sqrt(2) |sin(angle / 2)|. Row 2
+    # lies within 1e-8 of row 1 but not of row 0, the head of row 1's
+    # class, so it heads its own; in another order all three are one class
     t = np.array([0.0, 0.9e-8, 1.1e-8]) / (2.0 * math.sqrt(2.0))
     Q = normalize(np.stack([np.ones(3), t, np.zeros(3), np.zeros(3)], axis=1))
-    assert geometry._same_rotation(Q) == [[True, True, False], [True, True, True], [False, True, True]]
-    assert geometry._same_rotation(np.concatenate([Q[:1], -Q[:1]])) == [[True, True], [True, True]]
-    assert geometry._same_rotation(Q[:0]) == []
+    assert geometry._classes(Q) == [0, 0, 2]
+    assert geometry._classes(np.concatenate([Q[:1], -Q[:1]])) == [0, 0]
+    assert geometry._classes(Q[:0]) == []
+    stack = np.stack([Q, Q[::-1], Q[[1, 0, 2]]])
+    assert geometry._classes(stack) == [[0, 0, 2], [0, 0, 2], [0, 0, 0]]
+    assert geometry._classes(stack) == [geometry._classes(q) for q in stack]
 
 
-def test_same_rotation_screen_keeps_the_rule():
+def test_classes_match_the_matrix_rule():
     # the quaternion form of the rule equals the matrix rule, Frobenius
-    # distance below 1e-8, on every pair, near ones included
+    # distance below 1e-8 to a class's head, read pair by pair with
+    # np.linalg.norm, near pairs included
     rng = np.random.default_rng(23)
     for n in (1, 2, 5, 64):
         for scale in (0.0, 1e-10, 3e-9, 1e-8, 3e-8, 1e-6, 1e-3):
@@ -192,8 +198,10 @@ def test_same_rotation_screen_keeps_the_rule():
             Q[k] = normalize(Q[k[::-1]] + scale * rng.standard_normal((len(k), 4)))
             Q[::3] *= -1.0
             F = covering_map(Q).reshape(-1, 9)
-            want = [[np.linalg.norm(F[i] - F[j]) < 1e-8 for j in range(n)] for i in range(n)]
-            assert geometry._same_rotation(Q) == want
+            want = []
+            for i in range(n):
+                want.append(next((j for j in range(i) if want[j] == j and np.linalg.norm(F[i] - F[j]) < 1e-8), i))
+            assert geometry._classes(Q) == want
 
 
 def test_pair_distances_match_matrix_forms():
@@ -220,14 +228,13 @@ def test_pair_distances_match_matrix_forms():
 
 def test_pair_distances_take_stacks():
     # a stack of set pairs gives each pair's tables with the bits of the
-    # call on that pair alone, and so does the dedup rule the sweep stacks
+    # call on that pair alone
     rng = np.random.default_rng(3)
     P = normalize(rng.standard_normal((6, 3, 4)))
     Q = normalize(rng.standard_normal((6, 5, 4)))
     Q[2, 1] = -P[2, 0]
     for got, *want in zip(geometry._pair_distances(P, Q), *(geometry._pair_distances(p, q) for p, q in zip(P, Q))):
         assert np.array_equal(got, np.array(want), equal_nan=True)
-    assert geometry._same_rotation(Q) == [geometry._same_rotation(q) for q in Q]
 
 
 @pytest.mark.parametrize("angle", [1e-8, 1e-6, 1e-4])

@@ -503,6 +503,23 @@ def test_multistart_drops_class_without_certificate(monkeypatch):
     assert {pt.cost for pt in got} < {pt.cost for pt in want}
 
 
+def test_multistart_classes_by_head_and_keeps_the_best_converged_start(monkeypatch):
+    # three limits in a chain: the identity and rotations about x whose
+    # matrices lie 0.9e-8 and 1.1e-8 from it, so row 1 lies within 1e-8 of
+    # rows 0 and 2, but row 2 not of row 0. Row 2 is judged against the head
+    # of row 1's class, row 0, not against row 1, its best start so far, so
+    # it heads a class of its own; the first class keeps row 1, the start
+    # with the smaller ||v0||
+    t = np.array([0.0, 0.9e-8, 1.1e-8]) / (2.0 * math.sqrt(2.0))
+    Q = normalize(np.stack([np.ones(3), t, np.zeros(3), np.zeros(3)], axis=1))
+    nv = np.array([3e-13, 1e-13, 2e-13])
+    monkeypatch.setattr(solvers, "_flow", lambda model, Q0, tol: (Q.copy(), nv.copy(), [None] * 3))
+    model = CostModel.l2_chordal(SampleSet.from_quaternions([[0.6, 0.8, 0.0, 0.0]]))
+    got = {pt.control_norm: pt.q for pt in multistart(model, 3, seed=0)}
+    assert sorted(got) == [1e-13, 2e-13]
+    assert abs(got[1e-13][1] - Q[1, 1]) < 1e-16 and abs(got[2e-13][1] - Q[2, 1]) < 1e-16
+
+
 def test_flow_breaches_next_to_a_sample_line():
     # one Lp p = 1.5 sample: the minimum sits on the sample's own line,
     # which the guard excludes. Its clearance resolves the 1e-9 buffer, so
@@ -575,4 +592,13 @@ def test_eigen_oracle_single_sample():
 def test_eigen_oracle_ambiguous():
     samples = SampleSet.from_quaternions([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     with pytest.raises(AmbiguousMean):
+        eigen_oracle_l2(samples)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (4, 4, 4)])
+def test_eigen_oracle_refuses_a_stack(shape):
+    # the oracle averages one sample set; a stack had failed inside numpy
+    # (a matmul core-dimension error, or an ambiguous truth value at m = r)
+    samples = SampleSet(np.random.default_rng(0).standard_normal(shape))
+    with pytest.raises(ValueError, match="stack"):
         eigen_oracle_l2(samples)

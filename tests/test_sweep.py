@@ -586,3 +586,14 @@ def test_csv_min_rows(tmp_path):
     assert [r[2][4:] for r in min_rows] == list(recs[0].min_set_label)
     flagged = {r[2] for r in rows if r[8] == "1" and not r[2].startswith("min:")}
     assert flagged == set(recs[0].min_set_label)
+
+
+def test_parse_csv_refuses_rows_without_nine_fields(tmp_path):
+    # a row without is_min, with a tenth field, with five fields or none
+    path = tmp_path / "one.csv"
+    emit_csv(theta_min_curve(4.0, [-0.78]), path)
+    header, row, *rest = path.read_text().splitlines()
+    for bad in (row.rsplit(",", 1)[0], row + ",1", ",".join(row.split(",")[:5]), ""):
+        path.write_text("\n".join([header, bad, *rest]) + "\n")
+        with pytest.raises(ValueError, match="values to unpack"):
+            parse_csv(path)
