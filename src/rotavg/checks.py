@@ -6,21 +6,22 @@ tolerance. The same functions back the command-line `check` subcommand and
 the property-suite regression tests, so the output is deterministic for a
 given seed.
 
-A family draws all its trials first, in one pass over one seeded stream,
-and builds no sample set or cost model per trial. Only the generator runs
-per trial: the arithmetic around the draws (the norms of the samples and
-probes, the probe dots and the margin test) runs once per block of trials
-(:func:`_draws`), and each trial still gets the draws, in stream order, of
-a per-trial loop. The family then evaluates the trials as stacks: the
-trials of one (r, kind, p), at most 6 * 7 = 42 groups, form one stacked
-SampleSet and one CostModel, whose evaluators read probe k against set k
-with the bits of the one-trial call.
+A family draws its trials as fixed-shape arrays, a few generator calls in
+all, and builds no sample set or cost model per trial (:func:`_draws`):
+each trial's r = 1..6, six sample slots of which the first r are live, a
+cost kind, an Lp power and a probe. The probes that fall within the margin
+of a live sample are redrawn, as one array per pass. The family then
+evaluates the trials as stacks: the trials of one (r, kind, p), at most
+6 * 7 = 42 groups, form one stacked SampleSet and one CostModel, whose
+evaluators read probe k against set k with the bits of the one-trial call.
+The d3 and polynomial families add explicit edge-case trials to the drawn
+ones (:data:`D3_EDGE`, :data:`POLY_EDGE_ALPHAS`), which every run reads and
+the report counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -34,12 +35,23 @@ from .geometry import (
     dist_d3,
     normalize,
     quat_from_rotation,
+    tangent_frame,
 )
 from .sweep import _root_residuals, _sample_quats, positive_roots, q2_coeffs
 
 __all__ = ["CheckResult", "run_all", "format_report", "FAMILIES"]
 
-DRAW_BLOCK = 16  # trials per pass of draw arithmetic (see _draws); a rejected probe ends a block early
+POWERS = (1.5, 2.0, 3.0, 4.0)  # the Lp powers a trial draws from
+
+# a d3 pair at relative angle pi - 1e-6, where <qa, qb> ~ 5e-7 and the trace
+# form of dist_d3 would lose digits; qb turns qa within its tangent frame
+_QA = normalize(np.array([1.0, 2.0, 3.0, 4.0]))
+D3_EDGE = (_QA, np.cos(0.5 * (np.pi - 1e-6)) * _QA + np.sin(0.5 * (np.pi - 1e-6)) * tangent_frame(_QA)[0])
+
+# alpha next to -pi/2, where the p = 2 roots are x ~ 2.5e-13 and x ~ 1 (whose
+# y = sqrt(1 - x^2) would round to 0; see sweep._candidates) and the p = 4
+# coefficients cancel, and next to 0, where the p = 2 roots W and 1 - W meet
+POLY_EDGE_ALPHAS = (-np.pi / 2 + 1e-6, 7e-5)
 
 
 @dataclass(frozen=True)
@@ -60,73 +72,52 @@ def _clear(d, margin=1e-3):
     return (d > margin) & (d < 1.0 - margin)
 
 
-def _probe(rng, Q, unit=True):
-    """A probe point clear (:func:`_clear`) of each sample lift, a row of
-    Q: unit, or for ``unit`` False scaled by a factor in [0.7, 1.3]."""
-    for _ in range(10000):
-        q = normalize(rng.standard_normal(4))
-        if not unit:
-            q = q * float(rng.uniform(0.7, 1.3))
-        if _clear(np.abs(Q @ q)).all():
-            return q
-    raise RuntimeError("could not sample a probe point clear of the margins")
+def _slots(rng, trials):
+    """Each trial's r = 1..6 and the (trials, 6, 4) sample slots: a trial's
+    first r slots unit normal draws, the rest NaN."""
+    r = rng.integers(1, 7, size=trials)
+    A = rng.standard_normal((trials, 6, 4))
+    A /= np.sqrt(np.vecdot(A, A))[..., None]
+    A[np.arange(6) >= r[:, None]] = np.nan
+    return r, A
 
 
 def _draws(seed, trials, unit=True):
-    """Each trial's (quats, kind, p, q), drawn in that order from one seeded
-    stream: r = 1..6 sample quaternions as a SampleSet takes them, a cost
-    kind, the Lp power (None for the other kinds) and a :func:`_probe`.
+    """The trials (r, slots, kind, power, X) of one seeded stream, as
+    arrays: r and the sample slots (:func:`_slots`), an index into _KINDS,
+    an index into POWERS (-1 for the kinds that take no p), and the (trials,
+    4) probes, unit or, for ``unit`` False, scaled by a factor in [0.7, 1.3].
 
-    Only the generator runs per trial. A block of trials is drawn with
-    their first probes, as if each were clear, keeping the stream state
-    after each trial; the norms, the probe dots and the margin test then
-    run once over the block. The trials before the first whose first probe
-    fails are kept; that trial is finished by :func:`_probe` from the state
-    right after its first probe, and the next block starts after it. A
-    failed probe's redraws are the only data-dependent draws, so every
-    trial gets the draws of a per-trial loop. Blocks hold DRAW_BLOCK
-    trials, or half as many for scaled probes, whose first probe fails
-    about 9 % of the time against 0.5 % for unit ones.
+    Each probe keeps clear (:func:`_clear`) of the trial's live samples:
+    the probes that do not are redrawn, all of them in one draw per pass.
     """
     rng = np.random.default_rng(seed)
-    names, draws = list(_KINDS), []
-    while len(draws) < trials:
-        block = []
-        for _ in range(min(DRAW_BLOCK if unit else DRAW_BLOCK // 2, trials - len(draws))):
-            quats = rng.standard_normal((int(rng.integers(1, 7)), 4))
-            kind = names[int(rng.integers(0, len(names)))]
-            # a kind whose record is built from p draws one of four powers;
-            # rng.choice over them would draw what integers(0, 4) does
-            p = (1.5, 2.0, 3.0, 4.0)[int(rng.integers(0, 4))] if callable(_KINDS[kind]) else None
-            z = rng.standard_normal(4)
-            block.append((quats, kind, p, z, 1.0 if unit else float(rng.uniform(0.7, 1.3)), rng.bit_generator.state))
-        raw, kinds, ps, Z, scales, states = zip(*block)
-        sizes = [len(quats) for quats in raw]
-        ends = list(accumulate(sizes))
-        starts = [e - r for r, e in zip(sizes, ends)]
-        A = np.concatenate(raw)
-        A /= np.linalg.norm(A, axis=1, keepdims=True)
-        Q = normalize(A)
-        X = normalize(np.array(Z)) * np.array(scales)[:, None]
-        clear = np.logical_and.reduceat(_clear(np.abs(np.vecdot(Q, np.repeat(X, sizes, axis=0)))), starts)
-        n = len(block) if clear.all() else int(np.argmin(clear))
-        draws += zip([A[a:e] for a, e in zip(starts[:n], ends)], kinds[:n], ps[:n], X[:n])
-        if n < len(block):
-            rng.bit_generator.state = states[n]
-            a, e = starts[n], ends[n]
-            draws.append((A[a:e], kinds[n], ps[n], _probe(rng, Q[a:e], unit)))
-    return draws
+    r, A = _slots(rng, trials)
+    kind = rng.integers(0, len(_KINDS), size=trials)
+    takes_p = np.array([callable(record) for record in _KINDS.values()])
+    power = np.where(takes_p[kind], rng.integers(0, len(POWERS), size=trials), -1)
+    X, todo = np.empty((trials, 4)), np.arange(trials)
+    for _ in range(10000):
+        if not len(todo):
+            return r, A, kind, power, X
+        X[todo] = normalize(rng.standard_normal((len(todo), 4)))
+        if not unit:
+            X[todo] *= rng.uniform(0.7, 1.3, size=(len(todo), 1))
+        d = np.abs(np.vecdot(A[todo], X[todo, None]))  # NaN at a masked slot
+        todo = todo[~(_clear(d) | np.isnan(d)).all(axis=1)]
+    raise RuntimeError("could not sample probe points clear of the margins")
 
 
-def _stacks(draws):
-    """Yield (model, X) per (r, kind, p) of the draws: one model over the
-    stack of the group's sample sets and the (m, 4) stack of its probes."""
-    groups = {}
-    for quats, kind, p, q in draws:
-        groups.setdefault((len(quats), kind, p), []).append((quats, q))
-    for (_, kind, p), rows in groups.items():
-        sets, X = zip(*rows)
-        yield CostModel(kind, SampleSet(np.array(sets)), p), np.array(X)
+def _stacks(trials):
+    """Yield (model, X) per (r, kind, p) of the trials: one model over the
+    stack of the group's live sample slots and the (m, 4) stack of its
+    probes."""
+    r, A, kind, power, X = trials
+    groups, names = {}, list(_KINDS)
+    for t, key in enumerate(zip(r.tolist(), kind.tolist(), power.tolist())):
+        groups.setdefault(key, []).append(t)
+    for (n, k, i), rows in groups.items():
+        yield CostModel(names[k], SampleSet(A[rows, :n]), POWERS[i] if i >= 0 else None), X[rows]
 
 
 def _norms(A):
@@ -199,21 +190,17 @@ def check_evenness(seed=0, trials=1000) -> CheckResult:
 def check_delta_relation(seed=0, trials=1000) -> CheckResult:
     """<q,q_i> Delta_i(q) = (R^T R_i - R_i^T R)/4 on the unit sphere.
 
-    The (trial, sample) pairs of 128 trials at a time are the rows of one
-    stack, which bounds the memory it holds. Each trial draws its r = 1..6
-    samples and its probe raw; the stack normalizes them in one pass.
+    Each trial draws r = 1..6 samples (:func:`_slots`) and a unit probe,
+    with no margin. The live (trial, sample) pairs, 768 at a time, are the
+    rows of one stack, which bounds the memory it holds.
     """
     rng = np.random.default_rng(seed)
+    r, A = _slots(rng, trials)
+    Q = np.repeat(normalize(rng.standard_normal((trials, 4))), r, axis=0)
+    A = A[np.arange(6) < r[:, None]]
     readings = []
-    for k in range(0, trials, 128):
-        raw = [(rng.standard_normal((int(rng.integers(1, 7)), 4)), rng.standard_normal(4))
-               for _ in range(min(128, trials - k))]
-        samples, probes = zip(*raw)
-        qi = np.concatenate(samples)
-        qi = normalize(qi / np.linalg.norm(qi, axis=1, keepdims=True))
-        # one broadcast row block per trial: the stack's memory layout, and
-        # so its rounding, is that of the per-trial probes
-        q = np.concatenate([np.broadcast_to(z, Q.shape) for z, Q in zip(normalize(np.array(probes)), samples)])
+    for k in range(0, len(A), 768):
+        q, qi = Q[k : k + 768], A[k : k + 768]
         R, Ri = covering_map(q), covering_map(qi)
         x = np.vecdot(q, qi)
         RtRi = np.swapaxes(R, -1, -2) @ Ri
@@ -254,32 +241,28 @@ def check_double_cover(seed=0, trials=1000) -> CheckResult:
 
 
 def check_d3_identity(seed=0, trials=1000) -> CheckResult:
-    """Matrix and quaternion forms of the d3 pseudometric agree."""
-    # each trial draws two normal 4-vectors in turn: one (trials, 2, 4) draw
+    """Matrix and quaternion forms of the d3 pseudometric agree, over the
+    drawn pairs and :data:`D3_EDGE`."""
     Z = normalize(np.random.default_rng(seed).standard_normal((trials, 2, 4)))
-    qa, qb = Z[:, 0], Z[:, 1]
+    qa, qb = np.vstack([Z[:, 0], D3_EDGE[0]]), np.vstack([Z[:, 1], D3_EDGE[1]])
     lhs = dist_d3(covering_map(qa), covering_map(qb))
     readings = [np.abs(lhs - (1.0 - np.abs(np.vecdot(qa, qb))))]
-    return CheckResult("d3 matrix form equals quaternion form", trials, _worst(readings), 1e-12)
+    return CheckResult("d3 matrix form equals quaternion form", len(qa), _worst(readings), 1e-12)
 
 
 def check_black_set(seed=0, trials=1000) -> CheckResult:
     """Cost on (0,0,cos t,sin t) is 3*8^(p/2), independent of t and alpha."""
     rng = np.random.default_rng(seed)
-    by_p = {}
-    for _ in range(trials):
-        alpha = float(rng.uniform(-np.pi, np.pi))
-        t = float(rng.uniform(0.0, 2.0 * np.pi))
-        # what rng.choice([2.0, 4.0]) draws, without its list-to-array step
-        p = (2.0, 4.0)[int(rng.integers(0, 2))]
-        by_p.setdefault(p, []).append((_sample_quats(alpha), t))
+    alpha = rng.uniform(-np.pi, np.pi, size=trials)
+    t = rng.uniform(0.0, 2.0 * np.pi, size=trials)
+    p = np.array([2.0, 4.0])[rng.integers(0, 2, size=trials)]
     readings = []
-    for p, rows in by_p.items():
-        sets, t = zip(*rows)
-        model = CostModel.lp_chordal(SampleSet(np.array(sets)), p)
-        X = np.zeros((len(t), 4))
-        X[:, 2], X[:, 3] = np.cos(t), np.sin(t)
-        readings.append(np.abs(model.value(X) - 3.0 * 8.0 ** (p / 2.0)))
+    for power in sorted(set(p.tolist())):
+        rows = p == power
+        model = CostModel.lp_chordal(SampleSet(np.array([_sample_quats(a) for a in alpha[rows].tolist()])), power)
+        X = np.zeros((np.count_nonzero(rows), 4))
+        X[:, 2], X[:, 3] = np.cos(t[rows]), np.sin(t[rows])
+        readings.append(np.abs(model.value(X) - 3.0 * 8.0 ** (power / 2.0)))
         readings.append(_norms(model.pushforward_residual(X)))
     return CheckResult("out-of-pencil set: constant cost, zero residual", trials, _worst(readings), 1e-12)
 
@@ -300,9 +283,9 @@ def check_two_roots(seed=0, trials=1000) -> CheckResult:
 
 
 def check_poly_consistency(seed=0, trials=40) -> CheckResult:
-    """Every polynomial root admits a branch solving the critical system."""
-    rng = np.random.default_rng(seed)
-    alphas = [float(rng.uniform(-np.pi, np.pi)) for _ in range(trials)]
+    """Every polynomial root admits a branch solving the critical system,
+    at the drawn angles and :data:`POLY_EDGE_ALPHAS`."""
+    alphas = [*np.random.default_rng(seed).uniform(-np.pi, np.pi, size=trials).tolist(), *POLY_EDGE_ALPHAS]
     res = [best for p in (2.0, 4.0) for _, best in _root_residuals(alphas, p)]
     return CheckResult("polynomial roots solve the critical system", len(res), _worst([res]), 1e-8)
 

@@ -319,13 +319,14 @@ def _candidate_stack(alphas, p):
 def _root_residuals(alphas, p):
     """(x, best residual) for each positive root x of the polynomial at an
     alpha, or at each alpha of a sequence in turn: the smaller pushforward
-    residual norm of the root's two branches."""
-    out = []
-    for roots, _, rows, _, res in _candidate_stack(np.atleast_1d(alphas), p):
-        best = np.full(len(roots), np.inf)
-        np.minimum.at(best, [i for i, _ in rows], res[1:])
-        out += zip(roots, best.tolist())
-    return out
+    residual norm of the root's two branches, in one grouped minimum over
+    all the alphas."""
+    stack = _candidate_stack(np.atleast_1d(alphas), p)
+    roots = [x for found in stack for x in found[0]]
+    # each root's branches are consecutive rows, the first of them branch 0
+    branches = np.array([b for found in stack for _, b in found[2]])
+    res = [r for found in stack for r in found[4][1:]]
+    return list(zip(roots, np.minimum.reduceat(res, np.flatnonzero(branches == 0)).tolist(), strict=True))
 
 
 def _thetas(qs):

@@ -1,8 +1,9 @@
 """The stacked check families against a per-trial reference.
 
-Each family draws its trials in one pass and evaluates them as stacks
-grouped by (r, kind, p). The reference here is the per-trial form: one
-SampleSet, one CostModel and one-point calls per trial, in stream order.
+Each family draws its trials as fixed-shape arrays and evaluates them as
+stacks grouped by (r, kind, p). The reference here reads the same trials
+in per-trial form: one SampleSet, one CostModel and one-point calls per
+trial.
 """
 
 import math
@@ -14,48 +15,18 @@ from hypothesis import strategies as st
 
 from rotavg import checks
 from rotavg.control import dissipation_rate, fd_gradient, unit_sphere_problem, v0
-from rotavg.costs import CostModel
+from rotavg.costs import _KINDS, CostModel
 from rotavg.geometry import SampleSet, covering_map, delta_skew, dist_d3, normalize
 from rotavg.solvers import multistart
 from rotavg.sweep import _candidates, _poly_for, build_samples, positive_roots, q2_coeffs
 
 
-def _random_samples(rng):
-    r = int(rng.integers(1, 7))
-    quats = rng.standard_normal((r, 4))
-    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    return SampleSet.from_quaternions(quats)
-
-
-def _random_model(rng, samples):
-    k = int(rng.integers(0, 4))
-    if k == 0:
-        return CostModel.l2_chordal(samples)
-    if k == 1:
-        return CostModel.geodesic(samples)
-    if k == 2:
-        return CostModel.trace_sqrt(samples)
-    return CostModel.lp_chordal(samples, p=float(rng.choice([1.5, 2.0, 3.0, 4.0])))
-
-
-def _probe(rng, samples, margin=1e-3, unit=True):
-    for _ in range(10000):
-        q = normalize(rng.standard_normal(4))
-        if not unit:
-            q = q * float(rng.uniform(0.7, 1.3))
-        d = np.abs(samples.quaternions @ q)
-        if np.min(d) > margin and np.max(d) < 1.0 - margin:
-            return q
-    raise RuntimeError("no probe")
-
-
 def reference_draws(seed, trials, unit=True):
-    """The per-trial draw loop: a sample set, a model and a probe per trial."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        samples = _random_samples(rng)
-        model = _random_model(rng, samples)
-        yield model, _probe(rng, samples, unit=unit)
+    """The family's trials one at a time: a sample set, a model and a probe each."""
+    r, A, kind, power, X = checks._draws(seed, trials, unit)
+    for k in range(trials):
+        p = checks.POWERS[power[k]] if power[k] >= 0 else None
+        yield CostModel(list(_KINDS)[kind[k]], SampleSet(A[k, : r[k]]), p), X[k]
 
 
 def _norm(a):
@@ -105,13 +76,15 @@ def ref_evenness(seed, trials):
 
 
 def ref_delta_relation(seed, trials):
+    # the family's draw: sample slots, then one unit probe per trial
     rng = np.random.default_rng(seed)
+    r, A = checks._slots(rng, trials)
+    probes = normalize(rng.standard_normal((trials, 4)))
     worst = 0.0
-    for _ in range(trials):
-        samples = _random_samples(rng)
-        q = normalize(rng.standard_normal(4))
+    for k, q in enumerate(probes):
         R = covering_map(q)
-        for qi, Ri in zip(samples.quaternions, samples.rotations):
+        for qi in A[k, : r[k]]:
+            Ri = covering_map(qi)
             lhs = float(np.dot(q, qi)) * delta_skew(q, qi)
             worst = max(worst, float(np.max(np.abs(lhs - 0.25 * (R.T @ Ri - Ri.T @ R)))))
             worst = max(worst, abs(np.dot(q, qi) ** 2 - 0.25 * (float(np.trace(R.T @ Ri)) + 1.0)))
@@ -128,23 +101,22 @@ def ref_pushforward(seed, trials):
 
 
 def ref_d3_identity(seed, trials):
-    rng = np.random.default_rng(seed)
+    # the family's draw, two normal 4-vectors a trial, and its edge pair
+    Z = np.random.default_rng(seed).standard_normal((trials, 2, 4))
     worst = 0.0
-    for _ in range(trials):
-        qa = normalize(rng.standard_normal(4))
-        qb = normalize(rng.standard_normal(4))
+    for za, zb in [*Z, checks.D3_EDGE]:
+        qa, qb = normalize(za), normalize(zb)
         lhs = dist_d3(covering_map(qa), covering_map(qb))
         worst = max(worst, abs(lhs - (1.0 - abs(float(np.dot(qa, qb))))))
     return worst
 
 
 def ref_black_set(seed, trials):
+    # the family's draw: every trial's alpha, then t, then p
     rng = np.random.default_rng(seed)
+    alphas, ts = rng.uniform(-np.pi, np.pi, size=trials), rng.uniform(0.0, 2.0 * np.pi, size=trials)
     worst = 0.0
-    for _ in range(trials):
-        alpha = float(rng.uniform(-np.pi, np.pi))
-        t = float(rng.uniform(0.0, 2.0 * np.pi))
-        p = float(rng.choice([2.0, 4.0]))
+    for alpha, t, p in zip(alphas.tolist(), ts.tolist(), rng.choice([2.0, 4.0], size=trials).tolist()):
         model = CostModel.lp_chordal(build_samples(alpha), p)
         q = np.array([0.0, 0.0, np.cos(t), np.sin(t)])
         worst = max(worst, abs(model.value(q) - 3.0 * 8.0 ** (p / 2.0)))
@@ -165,8 +137,7 @@ def ref_poly_consistency(seed, trials):
     # one model per alpha and p, its candidates as one stack of points
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        alpha = float(rng.uniform(-np.pi, np.pi))
+    for alpha in [float(rng.uniform(-np.pi, np.pi)) for _ in range(trials)] + list(checks.POLY_EDGE_ALPHAS):
         for p in (2.0, 4.0):
             model = CostModel.lp_chordal(build_samples(alpha), p)
             roots = positive_roots(_poly_for(p)(alpha))
@@ -196,49 +167,48 @@ REFERENCES = {
 }
 
 
-def _assert_reference_draws(draws, seed, unit):
-    for (quats, kind, p, q), (model, q_ref) in zip(draws, reference_draws(seed, len(draws), unit=unit), strict=True):
-        assert np.array_equal(normalize(quats), model.samples.quaternions)
-        assert kind == model.kind and p == model.p
-        assert np.array_equal(q, q_ref)
+def _assert_draw_invariants(seed, trials, unit):
+    draws = checks._draws(seed, trials, unit)
+    r, A, kind, power, X = draws
+    assert r.shape == kind.shape == power.shape == (trials,)
+    assert A.shape == (trials, 6, 4) and X.shape == (trials, 4)
+    assert set(r.tolist()) <= set(range(1, 7))
+    live = np.arange(6) < r[:, None]
+    assert np.isnan(A[~live]).all() and not np.isnan(A[live]).any()
+    # every live sample clears the margin at its probe, where each cost is smooth
+    d = np.abs(np.vecdot(A, X[:, None]))[live]
+    assert ((d > 1e-3) & (d < 1.0 - 1e-3)).all()
+    norms = np.linalg.norm(X, axis=1)
+    if unit:
+        assert np.allclose(norms, 1.0, rtol=0, atol=1e-15)
+    else:
+        assert ((norms >= 0.7) & (norms <= 1.3)).all()
+        assert trials < 100 or np.ptp(norms) > 0.5
+    # a power only for the kinds built from p
+    takes_p = np.array([callable(record) for record in _KINDS.values()])[kind]
+    assert (power[takes_p] >= 0).all() and (power[~takes_p] == -1).all()
+    for got, again in zip(draws, checks._draws(seed, trials, unit)):
+        assert np.array_equal(got, again, equal_nan=True)
+    # the masked slots never reach a group's sample set
+    stacks = list(checks._stacks(draws))
+    assert len(stacks) <= 42 and sum(len(X) for _, X in stacks) == trials
+    for model, Xg in stacks:
+        assert model.samples.quaternions.shape == (len(Xg), model.samples.r, 4)
+        assert not np.isnan(model.samples.quaternions).any()
 
 
 @pytest.mark.parametrize("seed", [*range(10), 11004, 206003])
 @pytest.mark.parametrize("unit", [True, False])
-def test_draw_pass_reproduces_the_per_trial_draws(seed, unit):
-    # the block pass against the per-trial loop; the seeds of the CLI
-    # smoke runs (0, 3, 11004, 206003) at a full pass of 1000 trials
-    trials = 1000 if seed in (0, 3, 11004, 206003) else 100
-    draws = checks._draws(seed, trials, unit=unit)
-    assert len(draws) == trials
-    _assert_reference_draws(draws, seed, unit)
+def test_draw_pass_keeps_its_invariants(seed, unit):
+    # the CLI smoke seeds 0 and 3, and 11004 and 206003, at a full pass of
+    # 1000 trials; the others at 100
+    _assert_draw_invariants(seed, 1000 if seed in (0, 3, 11004, 206003) else 100, unit)
 
 
-def _block_positions(seed, trials, unit, monkeypatch):
-    """The draws, and the place in its block of each trial whose first
-    probe the margin test rejects (each trial that _draws finishes with
-    _probe): a block holds DRAW_BLOCK trials (half for scaled probes) and
-    ends at its first rejected trial."""
-    rejected, probe = [], checks._probe
-    monkeypatch.setattr(checks, "_probe", lambda rng, Q, unit: rejected.append(Q) or probe(rng, Q, unit))
-    draws = checks._draws(seed, trials, unit=unit)
-    size = checks.DRAW_BLOCK if unit else checks.DRAW_BLOCK // 2
-    positions, start = [], 0
-    for Q in rejected:
-        k = next(k for k, d in enumerate(draws) if np.array_equal(normalize(d[0]), Q))
-        start += (k - start) // size * size
-        positions.append(k - start)
-        start = k + 1
-    return draws, positions
-
-
-def test_draw_pass_restores_the_stream_at_both_ends_of_a_block(monkeypatch):
-    # seed 7 (unit probes) rejects the first probe of a block's last trial,
-    # and later that of a block's first trial, where no trial of the block
-    # is kept before it; each is finished from its restored state
-    draws, positions = _block_positions(7, 1000, True, monkeypatch)
-    assert positions[0] == checks.DRAW_BLOCK - 1 and 0 in positions
-    _assert_reference_draws(draws, 7, True)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 300), unit=st.booleans())
+def test_draws_hold_for_any_seed_and_size(seed, trials, unit):
+    _assert_draw_invariants(seed, trials, unit)
 
 
 def test_bulk_integer_draw_equals_the_scalar_draws():
@@ -249,13 +219,34 @@ def test_bulk_integer_draw_equals_the_scalar_draws():
         assert bulk.bit_generator.state == scalar.bit_generator.state
 
 
+def test_bulk_uniform_draw_equals_the_scalar_draws():
+    # check_poly_consistency draws every trial's alpha at once
+    for seed in range(5):
+        bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = bulk.uniform(-np.pi, np.pi, size=1000).tolist()
+        assert got == [float(scalar.uniform(-np.pi, np.pi)) for _ in range(1000)]
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
 def test_stacks_group_by_r_kind_and_p():
-    draws = checks._draws(5, 300)
-    stacks = list(checks._stacks(draws))
-    assert len(stacks) <= 42
-    assert sum(len(X) for _, X in stacks) == 300
+    stacks = list(checks._stacks(checks._draws(5, 300)))
+    assert len({(model.samples.r, model.kind, model.p) for model, _ in stacks}) == len(stacks)
     for model, X in stacks:
         assert model.samples.stacked and len(model.samples.quaternions) == len(X)
+
+
+def test_explicit_edge_trials_are_read():
+    # the d3 pair sits at relative angle pi - 1e-6; the polynomial angles
+    # next to -pi/2 and 0 are read at both powers in every run, and counted
+    qa, qb = checks.D3_EDGE
+    assert abs(np.dot(qa, qb) - math.cos(0.5 * (math.pi - 1e-6))) < 1e-15
+    assert checks.check_d3_identity(seed=0, trials=1).trials == 2
+    drawn = [float(np.random.default_rng(0).uniform(-np.pi, np.pi))]
+    res = {a: [best for p in (2.0, 4.0) for _, best in checks._root_residuals(a, p)]
+           for a in drawn + list(checks.POLY_EDGE_ALPHAS)}
+    result = checks.check_poly_consistency(seed=0, trials=1)
+    assert result.trials == sum(map(len, res.values()))
+    assert result.max_violation == max(max(r) for r in res.values()) < result.tol
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11004])
