@@ -189,19 +189,27 @@ def _assert_draw_invariants(seed, trials, unit):
     assert (power[takes_p] >= 0).all() and (power[~takes_p] == -1).all()
     for got, again in zip(draws, checks._draws(seed, trials, unit)):
         assert np.array_equal(got, again, equal_nan=True)
-    # the masked slots never reach a group's sample set
+    # the masked slots never reach a group's sample set, and each group's
+    # rows are its trials in draw order, bit for bit as read one at a time
+    rows = {}
+    for model, q in reference_draws(seed, trials, unit=unit):
+        rows.setdefault((model.samples.r, model.kind, model.p), []).append(np.append(model.samples.quaternions, q))
     stacks = list(checks._stacks(draws))
     assert len(stacks) <= 42 and sum(len(X) for _, X in stacks) == trials
     for model, Xg in stacks:
         assert model.samples.quaternions.shape == (len(Xg), model.samples.r, 4)
         assert not np.isnan(model.samples.quaternions).any()
+        got = np.hstack([model.samples.quaternions.reshape(len(Xg), -1), Xg])
+        assert np.array_equal(got, rows.pop((model.samples.r, model.kind, model.p)))
+    assert not rows
 
 
 @pytest.mark.parametrize("seed", [*range(10), 11004, 206003])
 @pytest.mark.parametrize("unit", [True, False])
-def test_draw_pass_keeps_its_invariants(seed, unit):
-    # the CLI smoke seeds 0 and 3, and 11004 and 206003, at a full pass of
-    # 1000 trials; the others at 100
+def test_draw_pass_reproduces_the_per_trial_draws(seed, unit):
+    # the stacked pass against the per-trial reading of the same draw; the
+    # CLI smoke seeds 0 and 3, and 11004 and 206003, at a full pass of 1000
+    # trials, the others at 100
     _assert_draw_invariants(seed, 1000 if seed in (0, 3, 11004, 206003) else 100, unit)
 
 
