@@ -18,8 +18,10 @@ from the weights:
   coordinates of sum_i w_i q_i in the tangent frame B = tangent_frame(q) of
   S3 at q;
 - the tangent Hessian in the same frame is the 3x3 matrix
-  K = c (<w, d> I - A^T diag(w') A) with A = Q B^T (row i: B q_i), which is
-  B^T K B in Cartesian coordinates;
+  K = c (<w, d> I - B S B^T) with S = sum_i w'(x_i) q_i q_i^T, one 4x4
+  ambient matrix per point, which is B^T K B in Cartesian coordinates. For
+  Lp with p < 4, whose w' diverges on a sample line, the pairs with
+  1 - x_i^2 < LINE_PAIR_GAP enter as w'(x_i) (B q_i)(B q_i)^T instead;
 - the rotation residual M^T R - R^T M reads u = w(x)/x (w'(0) at x = 0):
   M = sum_i u(x_i) R_i / kappa. u is even in x, so a function of the trace
   tr(R^T R_i) alone, and kappa keeps each kind's residual scale. Since
@@ -52,6 +54,9 @@ __all__ = [
 ]
 
 EPS_DOM = 1e-9  # guard buffer around the excluded sets
+# Lp with p < 4: the Hessian terms of the pairs with 1 - x_i^2 below this
+# are formed from the samples' frame coordinates, not from S (see hessian)
+LINE_PAIR_GAP = 1e-3
 
 
 class DomainError(ValueError):
@@ -119,6 +124,9 @@ class _Kind(NamedTuple):
     ``kappa`` scales the rotation residual (None: the sample count r).
     ``excluded`` is "planes", "lines" or None, and ``error`` is what a
     derivative at a single point inside its guard buffer raises.
+    ``slope_diverges`` marks a w' that diverges on the sample lines (Lp,
+    p < 4), where the Hessian keeps the terms of the pairs next to a line
+    (:meth:`CostModel.hessian`).
     """
 
     factor: float
@@ -130,6 +138,7 @@ class _Kind(NamedTuple):
     excluded: Optional[str] = None
     error: type = DomainError
     reads_base: bool = False
+    slope_diverges: bool = False
 
 
 def _lp(p):
@@ -162,7 +171,7 @@ def _lp(p):
 
     excluded = "lines" if p < 2.0 else None
     return _Kind(8.0 ** (p / 2.0), term, weight, slope, p * 8.0 ** (p / 2.0), 4.0 ** (1.0 - p / 2.0), excluded,
-                 reads_base=True)
+                 reads_base=True, slope_diverges=p < 4.0)
 
 
 # kind -> its record (factor, f, w, w', c, kappa, excluded set, guard error),
@@ -253,6 +262,11 @@ class CostModel:
         """D[k, i] = <X[k], q_i> for (n, 4) points X (q_i of set k for a
         stack of sets)."""
         return np.matvec(self.samples.quaternions, X)
+
+    def _weighted_sum(self, W):
+        """sum_i W[k, i] q_i for each row k of the (n, r) weights W (q_i of
+        set k for a stack of sets): one row-invariant matvec."""
+        return np.matvec(self.samples.columns, W)
 
     def _single_set(self):
         """Raise ValueError where this model holds a stack of sample sets."""
@@ -403,18 +417,17 @@ class CostModel:
     def _gradient(self, X, D):
         """:meth:`gradient` at the rows X with dots D, and the weights W it
         was formed from."""
-        Q = self.samples.quaternions
         if self.kind == "Geodesic":
             # degree-0 prolongation: weights at q/|q|, radial part removed;
             # the origin has no direction, and its row is NaN without warnings
             nq = np.sqrt(np.vecdot(X, X, keepdims=True))
             with np.errstate(divide="ignore", invalid="ignore"):
                 W = self._cost.weight(self._guard(X / nq, D / nq), None)
-                G = (-self.scale / nq**3) * (nq * nq * np.vecmat(W, Q) - np.vecdot(W, D, keepdims=True) * X)
+                G = (-self.scale / nq**3) * (nq * nq * self._weighted_sum(W) - np.vecdot(W, D, keepdims=True) * X)
         else:
             base = self._bases(X, D)
             W = self._cost.weight(self._guard(X, D, base), base)
-            G = -self.scale * np.vecmat(W, Q)
+            G = -self.scale * self._weighted_sum(W)
         return G, W
 
     def control_field(self, q):
@@ -457,14 +470,18 @@ class CostModel:
     def hessian(self, q):
         """Tangent Hessian of the cost on S3 at unit q, as a symmetric 4x4
         matrix (one per row of a stack): B^T K B with B = tangent_frame(q)
-        and K = c(<w, d> I - A^T diag(w') A) the 3x3 Hessian in that frame,
-        where A = Q B^T holds the samples' frame coordinates B q_i.
+        and K = c(<w, d> I - B S B^T) the 3x3 Hessian in that frame, where
+        S = sum_i w'(x_i) q_i q_i^T is one ambient 4x4 matrix per point.
 
         It annihilates q; restricted to the tangent space it is the
         Riemannian Hessian (no covariant derivatives needed: the sphere's
         curvature enters through the <w, d> = <grad, q> / (-c) term). The
-        coordinates B q_i are tangent by construction, so a large w' next to
-        a sample is not cancelled by a projection afterwards.
+        projection B S B^T leaves each pair's term with an absolute error
+        near eps |w'(x_i)|, while the term itself is w'(x_i) (1 - x_i^2):
+        for Lp with p < 4, whose w' diverges on a sample line, the pairs with
+        1 - x_i^2 < LINE_PAIR_GAP (1e-3, where that relative error reaches
+        about 2e-13) are formed from the samples' frame coordinates B q_i
+        instead, which are tangent by construction.
         Raises like the gradient inside the guard buffer of an excluded set.
         """
         return self._evaluate(self._hessian, q)
@@ -480,30 +497,33 @@ class CostModel:
         dots D and the products wd = <w, d> of their weights with them: the
         flow passes the weights of its last :meth:`_field` call in that
         form. Without D and wd they are formed here, and the rows inside a
-        guard buffer are NaN. A stacked sample set raises ValueError."""
+        guard buffer are NaN. A stacked sample set raises ValueError.
+
+        S comes for every row from one matvec of the slopes with the
+        samples' outer products (``SampleSet.outer_products``), which gives
+        each row the bits of the one-point call. The pairs (k, i) that keep
+        their own term (Lp, p < 4, 1 - x_i^2 < LINE_PAIR_GAP) are left out
+        of it and added to their rows with ``np.add.at``."""
         self._single_set()
-        Q = self.samples.quaternions
         if D is None:
             D = self._dots(X)
         base = self._bases(X, D)
         if wd is None:
             D = self._guard(X, D, base)
             wd = np.vecdot(self._cost.weight(D, base), D)
-        K = wd[:, None, None] * np.eye(3)
         dW = self._cost.slope(D, base)
-        # B(x) q_i = -B(q_i) x, so the samples' own frames F give -A for
-        # every row in one matvec, with the bits of the one-point call; the
-        # sign drops out of A^T diag(w') A
-        F = tangent_frame(Q).reshape(-1, 4)
-        # ceil(n / 4) rows at a time: each stack then holds 3 n r / 4
-        # numbers, fewer than D, where all rows at once would hold 3 n r and
-        # set the peak memory of a large-r multistart
-        step = max(1, -(-len(X) // 4))
-        for k in range(0, len(X), step):
-            A = np.matvec(F, X[k : k + step]).reshape(-1, len(Q), 3)
-            K[k : k + step] -= (A * dW[k : k + step, :, None]).transpose(0, 2, 1) @ A
-        K *= self.scale
-        return tangent_frame(X), K
+        if self._cost.slope_diverges:
+            # the pairs that keep their own term (see hessian)
+            k, i = np.nonzero(base < LINE_PAIR_GAP)
+            near, dW[k, i] = dW[k, i], 0.0
+        B = tangent_frame(X)
+        K = B @ np.matvec(self.samples.outer_products, dW).reshape(-1, 4, 4) @ B.transpose(0, 2, 1)
+        if self._cost.slope_diverges and k.size:
+            # B q_i = B (q_i - s x) with s = sign x_i, since B x = 0: the
+            # difference keeps full relative precision where B q_i is small
+            A = np.matvec(B[k], self.samples.quaternions[i] - np.sign(D[k, i])[:, None] * X[k])
+            np.add.at(K, k, near[:, None, None] * A[:, :, None] * A[:, None, :])
+        return B, self.scale * (wd[:, None, None] * np.eye(3) - K)
 
     def pushforward_residual(self, q) -> np.ndarray:
         """sum_i w_i(q) Delta_i(q): the critical-point system pushed to SO(3).
@@ -520,7 +540,7 @@ class CostModel:
         """:meth:`pushforward_residual` at the rows X with dots D."""
         base = self._bases(X, D)
         W = self._cost.weight(self._guard(X, D, base), base)
-        S = _skew(np.matvec(tangent_frame(X), np.vecmat(W, self.samples.quaternions)))
+        S = _skew(np.matvec(tangent_frame(X), self._weighted_sum(W)))
         S[np.isnan(W).any(axis=1)] = np.nan  # a guarded row: the diagonal too
         return S
 

@@ -324,6 +324,13 @@ class SampleSet:
         them. Rotations passed to the constructor (or ``from_rotations``)
         must match ``covering_map(q_i)`` within 1e-10, checked at
         construction, and are kept as given.
+    columns : (4, r) or (m, 4, r) ndarray
+        The lifts as contiguous columns, so that a weighted sum
+        sum_i w_i q_i is one matvec for every row of weights.
+    outer_products : (16, r) or (m, 16, r) ndarray
+        The entries of each q_i q_i^T as columns: S = sum_i v_i q_i q_i^T
+        is one matvec, reshaped to 4x4. Formed on first read and cached,
+        like ``rotations``.
 
     A stack lets one :class:`~rotavg.costs.CostModel` evaluate m problems
     at once: each of its evaluators takes exactly m rows, an (m, 4) stack
@@ -351,10 +358,16 @@ class SampleSet:
                 raise ValueError("quaternion lift does not reproduce its rotation")
             self.rotations = R  # seeds the cache
         self.quaternions = Q
+        self.columns = np.ascontiguousarray(np.swapaxes(Q, -1, -2))
 
     @cached_property
     def rotations(self):
         return covering_map(self.quaternions)
+
+    @cached_property
+    def outer_products(self):
+        Q = self.quaternions
+        return np.einsum("...ia,...ib->...abi", Q, Q, order="C").reshape(Q.shape[:-2] + (16, -1))
 
     @classmethod
     def from_quaternions(cls, qs):

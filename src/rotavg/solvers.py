@@ -28,8 +28,11 @@ INITIAL_STEP = 1e-2  # first Euler step flow_descend tries
 STEP_SHRINK = 0.5  # backtracking factor of the line search
 NEWTON_RADIUS = 1e-3  # longest Newton step flow_descend tries
 # relative slack on the bound that screens rows out of the Newton trial: the
-# computed K sums r terms, so its rounding stays near r ulps of the bound,
-# below 1e-9 for any r under a million
+# computed K = c (<w, d> I - B S B^T) rounds each of the r terms of S to a
+# few eps |w'(x_i)|, at most 1e3 eps times the term's share s of the bound
+# (|w'| <= 2 s for l2, geodesic, d3 and Lp with p >= 4; Lp with p < 4 keeps
+# the pairs with 1 - x_i^2 < 1e-3 out of S), so its rounding stays below
+# 1e-9 of the bound unless r is in the thousands and the roundings align
 HESSIAN_BOUND_SLACK = 1.0 + 1e-9
 BOUNDARY_CLEARANCE = 2e-5  # classify labels points this close to an excluded set Boundary
 

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from rotavg.control import fd_gradient
 from rotavg.costs import EPS_DOM, CostModel, DomainError, NonDifferentiable
-from rotavg.geometry import SampleSet, covering_map, delta_skew, normalize
+from rotavg.geometry import SampleSet, covering_map, delta_skew, normalize, tangent_frame
 from rotavg.solvers import HESSIAN_BOUND_SLACK, DomainBreach, flow_descend
 
 IDENTITY = SampleSet.from_quaternions([[1.0, 0.0, 0.0, 0.0]])
@@ -406,6 +406,50 @@ def test_frame_hessian_norm_bound(kind_p, r, near, log_t, clustered, seed):
     assert np.all(np.sqrt((K * K).sum(axis=(1, 2))) <= HESSIAN_BOUND_SLACK * bound)
 
 
+def a_form_frame_hessian(model, X):
+    # the per-sample form K = c (<w, d> I - A^T diag(w') A), with row i of A
+    # the frame coordinates B q_i of sample i, formed as B (q_i - s x) with
+    # s = sign x_i (B x = 0) so that they keep full relative precision next
+    # to a sample line: a reference that forms no S = sum_i w'_i q_i q_i^T
+    D = model._dots(X)
+    base = model._bases(X, D)
+    D = model._guard(X, D, base)
+    B = tangent_frame(X)
+    A = (model.samples.quaternions - np.sign(D)[..., None] * X[:, None]) @ B.transpose(0, 2, 1)
+    S = (A * model._cost.slope(D, base)[..., None]).transpose(0, 2, 1) @ A
+    return model.scale * (np.vecdot(model._cost.weight(D, base), D)[:, None, None] * np.eye(3) - S)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind_p=st.sampled_from(BOUND_CASES),
+    r=st.sampled_from([1, 5, 50, 1000]),
+    near=st.sampled_from(["line", "plane"]),
+    log_t=st.floats(-8.0, -1.0),
+    clustered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_hessian_matches_the_a_form(kind_p, r, near, log_t, clustered, seed):
+    # the S-form K (with the A-form pairs it keeps for Lp p < 4 next to a
+    # line) against the per-sample reference, on rows 1e-8 to 1e-1 from the
+    # first sample's line or hyperplane: within 1e-12 of the larger of K's
+    # entries and 1e-3 c r, the scale of the terms where K cancels
+    rng = np.random.default_rng(seed)
+    Q = rng.standard_normal((r, 4))
+    if clustered:
+        Q = Q[0] + 1e-3 * Q
+    model = make(kind_p[0], SampleSet.from_quaternions(Q), kind_p[1])
+    q0 = model.samples.quaternions[0]
+    U = normalize(rng.standard_normal((16, 4)))
+    U = normalize(U - np.outer(U @ q0, q0))
+    t = 10.0**log_t
+    X = normalize(q0 + t * U) if near == "line" else normalize(U + t * q0)
+    X = X[model.admissible(X)]
+    K, want = model._frame_hessian(X)[1], a_form_frame_hessian(model, X)
+    scale = np.maximum(np.abs(want).max(axis=(1, 2)), 1e-3 * model.scale * r)
+    assert np.all(np.abs(K - want).max(axis=(1, 2)) <= 1e-12 * scale)
+
+
 BATCH_CASES = [("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 3.0), ("lp", 4.0)]
 EVALUATORS = ("value", "gradient", "control_field", "hessian", "pushforward_residual", "clearance", "admissible")
 
@@ -688,12 +732,12 @@ PIN_POINTS = normalize(np.array([[0.875, 0.375, 0.25, -0.125], [0.125, -0.625, 0
 PINNED_BITS = {
     ('L2Chordal', None, 0): {
         'value': '0x1.1f3a1463b7d59p+4',
-        'gradient': '-0x1.9bacb02f774d6p+3 -0x1.b49b3ddb4210ep+0 -0x1.0d1f9afbf2398p+1 -0x1.ae3cfecab2ef3p+1',
+        'gradient': '-0x1.9bacb02f774d6p+3 -0x1.b49b3ddb4210dp+0 -0x1.0d1f9afbf2398p+1 -0x1.ae3cfecab2ef3p+1',
         'hessian': (
-            '-0x1.335de53b59e72p+1 0x1.a1a364a024240p+1 0x1.c0142e95a9643p+0 -0x1.c292e8295f81dp+1 '
-            '0x1.a1a364a024240p+1 -0x1.0080a0d10614cp+2 -0x1.492a75b1888fcp+1 0x1.6b0f880be3b03p+2 '
-            '0x1.c0142e95a9643p+0 -0x1.492a75b1888fep+1 0x1.1194478ae9e54p+0 0x1.ab2dc4c1108a4p+2 '
-            '-0x1.c292e8295f81dp+1 0x1.6b0f880be3b02p+2 0x1.ab2dc4c1108a4p+2 0x1.6e87f514fdde6p+2'
+            '-0x1.335de53b59e71p+1 0x1.a1a364a024241p+1 0x1.c0142e95a963fp+0 -0x1.c292e8295f81cp+1 '
+            '0x1.a1a364a024241p+1 -0x1.0080a0d10614dp+2 -0x1.492a75b1888fdp+1 0x1.6b0f880be3b03p+2 '
+            '0x1.c0142e95a963fp+0 -0x1.492a75b1888fdp+1 0x1.1194478ae9e5cp+0 0x1.ab2dc4c1108a2p+2 '
+            '-0x1.c292e8295f81cp+1 0x1.6b0f880be3b02p+2 0x1.ab2dc4c1108a3p+2 0x1.6e87f514fdde7p+2'
         ),
         'pushforward_residual': (
             '0x0.0p+0 -0x1.0e17f2ab495a1p-2 0x1.9116b0b982780p-8 0x1.0e17f2ab495a1p-2 '
@@ -710,10 +754,10 @@ PINNED_BITS = {
         'value': '0x1.257bbc7bace03p+4',
         'gradient': '-0x1.0295a3d035b20p+3 0x1.62553acc7f20bp+3 -0x1.2c131ff47da6dp+1 -0x1.54771e592093cp+1',
         'hessian': (
-            '-0x1.4f4281c7a31b6p+2 -0x1.da958056b0f74p-6 0x1.470ec46e443dfp+2 -0x1.4769d3d10a704p+2 '
-            '-0x1.da958056b0f46p-6 0x1.ca1b6a589548cp+0 -0x1.d839add987dcbp-2 0x1.cdb22e98f7820p+1 '
-            '0x1.470ec46e443dfp+2 -0x1.d839add987dccp-2 -0x1.dae2e4fd273ddp+1 0x1.3cc354d00a85dp+1 '
-            '-0x1.4769d3d10a705p+2 0x1.cdb22e98f781fp+1 0x1.3cc354d00a85cp+1 0x1.1ab58a3a75633p+2'
+            '-0x1.4f4281c7a31b4p+2 -0x1.da958056b0fa3p-6 0x1.470ec46e443dfp+2 -0x1.4769d3d10a707p+2 '
+            '-0x1.da958056b0f60p-6 0x1.ca1b6a589548bp+0 -0x1.d839add987dd3p-2 0x1.cdb22e98f7820p+1 '
+            '0x1.470ec46e443e0p+2 -0x1.d839add987dd2p-2 -0x1.dae2e4fd273ddp+1 0x1.3cc354d00a85bp+1 '
+            '-0x1.4769d3d10a707p+2 0x1.cdb22e98f7820p+1 0x1.3cc354d00a85cp+1 0x1.1ab58a3a75635p+2'
         ),
         'pushforward_residual': (
             '0x0.0p+0 0x1.e54d5f6b3f1b3p-2 -0x1.689a4a6c90c78p-4 -0x1.e54d5f6b3f1b3p-2 '
@@ -728,16 +772,16 @@ PINNED_BITS = {
     },
     ('Geodesic', None, 0): {
         'value': '0x1.026a43992b679p+3',
-        'gradient': '-0x1.a6cfff4f083e3p-2 0x1.a116ec0e559f5p+1 -0x1.da2d124f507b6p+1 -0x1.0c2d7f631d3c2p-1',
+        'gradient': '-0x1.a6cfff4f083e3p-2 0x1.a116ec0e559f5p+1 -0x1.da2d124f507b4p+1 -0x1.0c2d7f631d3c2p-1',
         'hessian': (
             '0x1.187f65228863fp+1 -0x1.a397d2875a271p+1 -0x1.04cd6492f4f85p+1 0x1.6e33066b84abap+0 '
-            '-0x1.a397d2875a270p+1 0x1.eafde2bb3b4fcp+2 -0x1.58f61051f8885p-2 -0x1.35c3d59245545p-1 '
-            '-0x1.04cd6492f4f86p+1 -0x1.58f61051f8882p-2 0x1.d008ef16d072ap+2 -0x1.8b592720b8ceep-1 '
-            '0x1.6e33066b84abap+0 -0x1.35c3d59245547p-1 -0x1.8b592720b8ceap-1 0x1.a9d9915d1ff92p+2'
+            '-0x1.a397d2875a271p+1 0x1.eafde2bb3b4fcp+2 -0x1.58f61051f887fp-2 -0x1.35c3d59245543p-1 '
+            '-0x1.04cd6492f4f86p+1 -0x1.58f61051f8883p-2 0x1.d008ef16d072ap+2 -0x1.8b592720b8ceep-1 '
+            '0x1.6e33066b84ab9p+0 -0x1.35c3d59245547p-1 -0x1.8b592720b8ce6p-1 0x1.a9d9915d1ff92p+2'
         ),
         'pushforward_residual': (
-            '0x0.0p+0 0x1.b5106def10daap-2 0x1.79a8a10343a7bp-1 -0x1.b5106def10daap-2 '
-            '0x0.0p+0 0x1.d072d6ab82cbep-1 -0x1.79a8a10343a7bp-1 -0x1.d072d6ab82cbep-1 '
+            '0x0.0p+0 0x1.b5106def10da8p-2 0x1.79a8a10343a79p-1 -0x1.b5106def10da8p-2 '
+            '0x0.0p+0 0x1.d072d6ab82cbdp-1 -0x1.79a8a10343a79p-1 -0x1.d072d6ab82cbdp-1 '
             '0x0.0p+0'
         ),
         'rotation_residual': (
@@ -751,7 +795,7 @@ PINNED_BITS = {
         'gradient': '-0x1.0e508d44215ffp+3 0x1.8183757feb0c3p+0 0x1.a1b7c1299f133p+2 -0x1.b03bba298d28fp+1',
         'hessian': (
             '0x1.ec6eae83f0edep+2 0x1.cce4ab0b4ab1fp-1 -0x1.83e0a33fc35a7p+0 0x1.e957a9b25849ep-1 '
-            '0x1.cce4ab0b4ab21p-1 0x1.82e71e77305a7p+1 0x1.5821d30b7cd4cp+1 0x1.272cc0ecc7d85p+0 '
+            '0x1.cce4ab0b4ab22p-1 0x1.82e71e77305a7p+1 0x1.5821d30b7cd4cp+1 0x1.272cc0ecc7d85p+0 '
             '-0x1.83e0a33fc35a7p+0 0x1.5821d30b7cd4dp+1 0x1.5b0a676e6c50ep+2 -0x1.1f3dee335ae60p+1 '
             '0x1.e957a9b2584a3p-1 0x1.272cc0ecc7d87p+0 -0x1.1f3dee335ae5fp+1 0x1.2618481d76db0p+2'
         ),
@@ -768,16 +812,16 @@ PINNED_BITS = {
     },
     ('TraceSqrt', None, 0): {
         'value': '0x1.423525aaf1218p+0',
-        'gradient': '-0x1.a89a9828c7d48p-1 0x1.ed8f8c8acae4ep-2 -0x1.8f1e3831fa6a3p+0 0x1.5fd9a57f3c85ap-2',
+        'gradient': '-0x1.a89a9828c7d49p-1 0x1.ed8f8c8acae4fp-2 -0x1.8f1e3831fa6a3p+0 0x1.5fd9a57f3c859p-2',
         'hessian': (
-            '0x1.b5d57a6ad7433p-1 -0x1.3d85bf01e8c4cp+0 -0x1.8c2b937294a8dp-1 0x1.6f5cb7fb44e8cp-1 '
+            '0x1.b5d57a6ad7433p-1 -0x1.3d85bf01e8c4cp+0 -0x1.8c2b937294a8bp-1 0x1.6f5cb7fb44e8bp-1 '
             '-0x1.3d85bf01e8c4dp+0 0x1.5220bd70f376ap+1 0x1.566ee098fee50p-4 -0x1.2e2bd8a9117a9p-1 '
-            '-0x1.8c2b937294a8bp-1 0x1.566ee098fee57p-4 0x1.1a462f2d303edp+1 -0x1.8295fa7f2f111p-1 '
-            '0x1.6f5cb7fb44e8bp-1 -0x1.2e2bd8a9117aap-1 -0x1.8295fa7f2f111p-1 0x1.bdecc472a7e5cp+0'
+            '-0x1.8c2b937294a8ap-1 0x1.566ee098fee4fp-4 0x1.1a462f2d303ecp+1 -0x1.8295fa7f2f110p-1 '
+            '0x1.6f5cb7fb44e8bp-1 -0x1.2e2bd8a9117a7p-1 -0x1.8295fa7f2f112p-1 0x1.bdecc472a7e5dp+0'
         ),
         'pushforward_residual': (
             '0x0.0p+0 0x1.d18b420c93ebcp-2 0x1.f367318f94992p-2 -0x1.d18b420c93ebcp-2 '
-            '0x0.0p+0 0x1.b25d4609d74f5p-2 -0x1.f367318f94992p-2 -0x1.b25d4609d74f5p-2 '
+            '0x0.0p+0 0x1.b25d4609d74f6p-2 -0x1.f367318f94992p-2 -0x1.b25d4609d74f6p-2 '
             '0x0.0p+0'
         ),
         'rotation_residual': (
@@ -790,10 +834,10 @@ PINNED_BITS = {
         'value': '0x1.c2b1fcdf85478p+0',
         'gradient': '-0x1.25c3ae857f873p+1 0x1.3d829392fcd00p-1 0x1.8219391de1cfcp+0 -0x1.7ac117eb48870p+0',
         'hessian': (
-            '0x1.48192a71fdf52p+1 0x1.8e44cc67e30dbp-3 -0x1.953a75b5f9198p-1 0x1.0cc90edb42cb9p-1 '
-            '0x1.8e44cc67e30dbp-3 0x1.899525bbf2417p-1 0x1.a45e114420c7ep-1 0x1.f2560c0353b51p-4 '
-            '-0x1.953a75b5f9199p-1 0x1.a45e114420c7ep-1 0x1.ccb7e0d901104p+0 -0x1.88e4be3f23d5cp-1 '
-            '0x1.0cc90edb42cbbp-1 0x1.f2560c0353b49p-4 -0x1.88e4be3f23d5bp-1 0x1.0d0a9d9b3acf6p+0'
+            '0x1.48192a71fdf52p+1 0x1.8e44cc67e30dap-3 -0x1.953a75b5f9198p-1 0x1.0cc90edb42cbap-1 '
+            '0x1.8e44cc67e30dep-3 0x1.899525bbf2417p-1 0x1.a45e114420c7ep-1 0x1.f2560c0353b4cp-4 '
+            '-0x1.953a75b5f9199p-1 0x1.a45e114420c7ep-1 0x1.ccb7e0d901105p+0 -0x1.88e4be3f23d5cp-1 '
+            '0x1.0cc90edb42cbbp-1 0x1.f2560c0353b4ap-4 -0x1.88e4be3f23d5bp-1 0x1.0d0a9d9b3acf5p+0'
         ),
         'pushforward_residual': (
             '0x0.0p+0 0x1.14826ad2af451p+0 -0x1.22d18d0b7b85ep+0 -0x1.14826ad2af451p+0 '
@@ -810,10 +854,10 @@ PINNED_BITS = {
         'value': '0x1.69244d1f36229p+3',
         'gradient': '-0x1.d80ca944532f1p+2 -0x1.2987287182a0cp+0 -0x1.81940be736df3p-1 -0x1.0d7ed71d70fe9p+1',
         'hessian': (
-            '-0x1.390659bdcd554p+0 0x1.410f730499ee5p+0 0x1.31545060e71d3p+0 -0x1.34aabd3080a80p+1 '
-            '0x1.410f730499ee5p+0 -0x1.ab691ed0779fap-1 -0x1.98c65cc8a788bp+0 0x1.8a60deab1981fp+1 '
-            '0x1.31545060e71d4p+0 -0x1.98c65cc8a788cp+0 0x1.20d071312536bp-1 0x1.2bf2e35f601a6p+2 '
-            '-0x1.34aabd3080a7fp+1 0x1.8a60deab1981ep+1 0x1.2bf2e35f601a6p+2 0x1.bc85fa5690ae3p+0'
+            '-0x1.390659bdcd552p+0 0x1.410f730499ee1p+0 0x1.31545060e71d2p+0 -0x1.34aabd3080a7ep+1 '
+            '0x1.410f730499ee2p+0 -0x1.ab691ed0779eap-1 -0x1.98c65cc8a788cp+0 0x1.8a60deab1981fp+1 '
+            '0x1.31545060e71d3p+0 -0x1.98c65cc8a788ep+0 0x1.20d0713125373p-1 0x1.2bf2e35f601a4p+2 '
+            '-0x1.34aabd3080a7fp+1 0x1.8a60deab1981fp+1 0x1.2bf2e35f601a5p+2 0x1.bc85fa5690ae4p+0'
         ),
         'pushforward_residual': (
             '0x0.0p+0 -0x1.91045b88b5a98p-2 -0x1.2181278ca6430p-5 0x1.91045b88b5a98p-2 '
@@ -830,10 +874,10 @@ PINNED_BITS = {
         'value': '0x1.6d751e751a0fap+3',
         'gradient': '-0x1.2ccfdb1ad3ee1p+2 0x1.a54a34cf8e87dp+2 -0x1.97aabdcebf669p+0 -0x1.75fab2c78a599p+0',
         'hessian': (
-            '-0x1.7acf8c3046b3dp+1 0x1.54bb6c5ce64bap+0 0x1.a43a05ac6f905p+1 -0x1.2c2d526625355p+0 '
-            '0x1.54bb6c5ce64bdp+0 0x1.12c34c2e50d91p+0 -0x1.e0fea1e73c609p-4 0x1.807193017f032p+0 '
-            '0x1.a43a05ac6f904p+1 -0x1.e0fea1e73c5e8p-4 -0x1.0dc1c26452473p+0 0x1.d6bce8ab7b4e0p-4 '
-            '-0x1.2c2d526625353p+0 0x1.807193017f031p+0 0x1.d6bce8ab7b4dbp-4 0x1.5ec8fe8b203d7p+1'
+            '-0x1.7acf8c3046b38p+1 0x1.54bb6c5ce64bap+0 0x1.a43a05ac6f901p+1 -0x1.2c2d526625352p+0 '
+            '0x1.54bb6c5ce64b7p+0 0x1.12c34c2e50d8fp+0 -0x1.e0fea1e73c5f3p-4 0x1.807193017f02fp+0 '
+            '0x1.a43a05ac6f8ffp+1 -0x1.e0fea1e73c60bp-4 -0x1.0dc1c26452472p+0 0x1.d6bce8ab7b4bdp-4 '
+            '-0x1.2c2d526625352p+0 0x1.807193017f031p+0 0x1.d6bce8ab7b4cbp-4 0x1.5ec8fe8b203d7p+1'
         ),
         'pushforward_residual': (
             '0x0.0p+0 0x1.37910df009f9ep-1 -0x1.7efef497bdad6p-4 -0x1.37910df009f9ep-1 '
@@ -848,12 +892,12 @@ PINNED_BITS = {
     },
     ('LpChordal', 2.0, 0): {
         'value': '0x1.1f3a1463b7d59p+4',
-        'gradient': '-0x1.9bacb02f774d6p+3 -0x1.b49b3ddb4210ep+0 -0x1.0d1f9afbf2398p+1 -0x1.ae3cfecab2ef3p+1',
+        'gradient': '-0x1.9bacb02f774d6p+3 -0x1.b49b3ddb4210dp+0 -0x1.0d1f9afbf2398p+1 -0x1.ae3cfecab2ef3p+1',
         'hessian': (
-            '-0x1.335de53b59e72p+1 0x1.a1a364a024240p+1 0x1.c0142e95a9643p+0 -0x1.c292e8295f81dp+1 '
-            '0x1.a1a364a024240p+1 -0x1.0080a0d10614cp+2 -0x1.492a75b1888fcp+1 0x1.6b0f880be3b03p+2 '
-            '0x1.c0142e95a9643p+0 -0x1.492a75b1888fep+1 0x1.1194478ae9e54p+0 0x1.ab2dc4c1108a4p+2 '
-            '-0x1.c292e8295f81dp+1 0x1.6b0f880be3b02p+2 0x1.ab2dc4c1108a4p+2 0x1.6e87f514fdde6p+2'
+            '-0x1.335de53b59e71p+1 0x1.a1a364a024241p+1 0x1.c0142e95a963fp+0 -0x1.c292e8295f81cp+1 '
+            '0x1.a1a364a024241p+1 -0x1.0080a0d10614dp+2 -0x1.492a75b1888fdp+1 0x1.6b0f880be3b03p+2 '
+            '0x1.c0142e95a963fp+0 -0x1.492a75b1888fdp+1 0x1.1194478ae9e5cp+0 0x1.ab2dc4c1108a2p+2 '
+            '-0x1.c292e8295f81cp+1 0x1.6b0f880be3b02p+2 0x1.ab2dc4c1108a3p+2 0x1.6e87f514fdde7p+2'
         ),
         'pushforward_residual': (
             '0x0.0p+0 -0x1.0e17f2ab495a1p-2 0x1.9116b0b982780p-8 0x1.0e17f2ab495a1p-2 '
@@ -870,10 +914,10 @@ PINNED_BITS = {
         'value': '0x1.257bbc7bace03p+4',
         'gradient': '-0x1.0295a3d035b20p+3 0x1.62553acc7f20bp+3 -0x1.2c131ff47da6dp+1 -0x1.54771e592093cp+1',
         'hessian': (
-            '-0x1.4f4281c7a31b4p+2 -0x1.da958056b0e6fp-6 0x1.470ec46e443dep+2 -0x1.4769d3d10a704p+2 '
-            '-0x1.da958056b0fcdp-6 0x1.ca1b6a589548bp+0 -0x1.d839add987dd0p-2 0x1.cdb22e98f7820p+1 '
-            '0x1.470ec46e443dep+2 -0x1.d839add987dd2p-2 -0x1.dae2e4fd273ddp+1 0x1.3cc354d00a85bp+1 '
-            '-0x1.4769d3d10a704p+2 0x1.cdb22e98f781fp+1 0x1.3cc354d00a85cp+1 0x1.1ab58a3a75634p+2'
+            '-0x1.4f4281c7a31b6p+2 -0x1.da958056b102ep-6 0x1.470ec46e443dep+2 -0x1.4769d3d10a706p+2 '
+            '-0x1.da958056b0f4dp-6 0x1.ca1b6a5895489p+0 -0x1.d839add987ddap-2 0x1.cdb22e98f7820p+1 '
+            '0x1.470ec46e443dep+2 -0x1.d839add987dd1p-2 -0x1.dae2e4fd273dcp+1 0x1.3cc354d00a85ap+1 '
+            '-0x1.4769d3d10a705p+2 0x1.cdb22e98f781ep+1 0x1.3cc354d00a859p+1 0x1.1ab58a3a75634p+2'
         ),
         'pushforward_residual': (
             '0x0.0p+0 0x1.e54d5f6b3f1b3p-2 -0x1.689a4a6c90c78p-4 -0x1.e54d5f6b3f1b3p-2 '
@@ -888,16 +932,16 @@ PINNED_BITS = {
     },
     ('LpChordal', 4.0, 0): {
         'value': '0x1.edf837e6e3372p+6',
-        'gradient': '-0x1.4175eaea0de5cp+6 0x1.7b4003fc8a4c0p+1 -0x1.73ffc69931a3cp+5 -0x1.f605a66631c5cp+2',
+        'gradient': '-0x1.4175eaea0de5bp+6 0x1.7b4003fc8a4bcp+1 -0x1.73ffc69931a3cp+5 -0x1.f605a66631c5ap+2',
         'hessian': (
-            '-0x1.1940fc40101f4p+5 0x1.088779e14a9fap+6 0x1.d400faec500b3p+3 -0x1.27331a05122f9p+4 '
-            '0x1.088779e14a9fap+6 -0x1.f59e38f2daa74p+6 -0x1.dca8564864e7ep+3 0x1.c75f297cc25bap+5 '
-            '0x1.d400faec500b2p+3 -0x1.dca8564864e7bp+3 -0x1.1989b1ac2a8e3p+4 0x1.67f389762baf5p+4 '
-            '-0x1.27331a05122fbp+4 0x1.c75f297cc25bbp+5 0x1.67f389762baf7p+4 0x1.5a6f156d598ddp+6'
+            '-0x1.1940fc40101f4p+5 0x1.088779e14a9fap+6 0x1.d400faec500afp+3 -0x1.27331a05122fap+4 '
+            '0x1.088779e14a9fap+6 -0x1.f59e38f2daa74p+6 -0x1.dca8564864e7ap+3 0x1.c75f297cc25b9p+5 '
+            '0x1.d400faec500adp+3 -0x1.dca8564864e76p+3 -0x1.1989b1ac2a8ddp+4 0x1.67f389762baf5p+4 '
+            '-0x1.27331a05122fap+4 0x1.c75f297cc25bbp+5 0x1.67f389762baf3p+4 0x1.5a6f156d598ddp+6'
         ),
         'pushforward_residual': (
-            '0x0.0p+0 0x1.476b9eb5c14acp-8 0x1.759b6007a9c82p-4 -0x1.476b9eb5c14acp-8 '
-            '0x0.0p+0 0x1.4695d4696ab83p-3 -0x1.759b6007a9c82p-4 -0x1.4695d4696ab83p-3 '
+            '0x0.0p+0 0x1.476b9eb5c14b8p-8 0x1.759b6007a9c83p-4 -0x1.476b9eb5c14b8p-8 '
+            '0x0.0p+0 0x1.4695d4696ab82p-3 -0x1.759b6007a9c83p-4 -0x1.4695d4696ab82p-3 '
             '0x0.0p+0'
         ),
         'rotation_residual': (
@@ -908,12 +952,12 @@ PINNED_BITS = {
     },
     ('LpChordal', 4.0, 1): {
         'value': '0x1.09165e697736cp+7',
-        'gradient': '-0x1.92f51e715eb8ap+5 0x1.d67128abcab7ep+5 0x1.c4abbcb994aa8p+0 -0x1.6c037d2dd3553p+4',
+        'gradient': '-0x1.92f51e715eb8ap+5 0x1.d67128abcab7ep+5 0x1.c4abbcb994aaap+0 -0x1.6c037d2dd3553p+4',
         'hessian': (
-            '-0x1.c2e49314b585fp+6 -0x1.d98cf6f4ece02p+5 0x1.6bdc6d5d92d06p+5 -0x1.e6e6e5ae40190p+6 '
-            '-0x1.d98cf6f4ece03p+5 -0x1.41507fbc89f57p+3 -0x1.f73ed9de3b54cp+4 0x1.67775901e7b24p+5 '
-            '0x1.6bdc6d5d92d03p+5 -0x1.f73ed9de3b54dp+4 -0x1.d9cb93e446e72p+6 0x1.6965d82ed8037p+6 '
-            '-0x1.e6e6e5ae40190p+6 0x1.67775901e7b26p+5 0x1.6965d82ed8038p+6 -0x1.4020982c9925bp+2'
+            '-0x1.c2e49314b585dp+6 -0x1.d98cf6f4ece01p+5 0x1.6bdc6d5d92d06p+5 -0x1.e6e6e5ae40190p+6 '
+            '-0x1.d98cf6f4ece01p+5 -0x1.41507fbc89f56p+3 -0x1.f73ed9de3b54ap+4 0x1.67775901e7b23p+5 '
+            '0x1.6bdc6d5d92d05p+5 -0x1.f73ed9de3b54dp+4 -0x1.d9cb93e446e72p+6 0x1.6965d82ed8036p+6 '
+            '-0x1.e6e6e5ae40190p+6 0x1.67775901e7b23p+5 0x1.6965d82ed8037p+6 -0x1.4020982c9926bp+2'
         ),
         'pushforward_residual': (
             '0x0.0p+0 0x1.a131c1011d67ap-3 -0x1.3af979187f67cp-4 -0x1.a131c1011d67ap-3 '
