@@ -141,10 +141,10 @@ def apply_T_sphere(q, omega_bar):
     return 4.0 * (np.vecdot(q, q, keepdims=True) * w - np.vecdot(q, w, keepdims=True) * q)
 
 
-def unit_sphere_problem(objective: ScalarField, dim: int = 4) -> AmbientProblem:
-    """AmbientProblem for the unit sphere F(q) = ||q||^2 = 1 in R^dim."""
+def unit_sphere_problem(objective: ScalarField) -> AmbientProblem:
+    """AmbientProblem for the unit sphere F(q) = ||q||^2 = 1 in R^4."""
     F = ScalarField(value=lambda x: np.vecdot(x, x), grad=lambda x: 2.0 * np.asarray(x, dtype=float))
-    return AmbientProblem(dimension=dim, constraints=(F,), objective=objective)
+    return AmbientProblem(dimension=4, constraints=(F,), objective=objective)
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x, h: float = 1e-6) -> np.ndarray:

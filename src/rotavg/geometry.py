@@ -321,9 +321,9 @@ class SampleSet:
     rotations : (r, 3, 3) or (m, r, 3, 3) ndarray
         The sample rotations R_i = covering_map(q_i), formed on first read
         and cached; most callers work on the lifts alone and never form
-        them. Rotations passed to the constructor (or ``from_rotations``)
-        must match ``covering_map(q_i)`` within 1e-10, checked at
-        construction, and are kept as given.
+        them. A set built by ``from_rotations`` keeps only the lifts
+        (:func:`quat_from_rotation`) and forms its rotations from them like
+        any other.
     columns : (4, r) or (m, 4, r) ndarray
         The lifts as contiguous columns, so that a weighted sum
         sum_i w_i q_i is one matvec for every row of weights.
@@ -341,24 +341,16 @@ class SampleSet:
     on a stack.
     """
 
-    def __init__(self, quaternions, rotations=None):
-        self.__post_init__(quaternions, rotations)
+    def __init__(self, quaternions):
+        self.__post_init__(quaternions)
 
-    def __post_init__(self, quaternions, rotations):
+    def __post_init__(self, quaternions):
         # apart from __init__ because bench/layers.py times builds by wrapping it
         Q = np.atleast_2d(np.asarray(quaternions, dtype=float))
         if Q.ndim > 3 or Q.shape[-1] != 4 or Q.shape[-2] < 1:
             raise ValueError("quaternions must be an (r, 4) or (m, r, 4) array with r >= 1")
-        Q = normalize(Q)
-        if rotations is not None:
-            R = np.asarray(rotations, dtype=float)
-            if R.shape != Q.shape[:-1] + (3, 3):
-                raise ValueError("rotations must be an (r, 3, 3) array matching quaternions")
-            if np.max(np.abs(covering_map(Q) - R)) > 1e-10:
-                raise ValueError("quaternion lift does not reproduce its rotation")
-            self.rotations = R  # seeds the cache
-        self.quaternions = Q
-        self.columns = np.ascontiguousarray(np.swapaxes(Q, -1, -2))
+        self.quaternions = normalize(Q)
+        self.columns = np.ascontiguousarray(np.swapaxes(self.quaternions, -1, -2))
 
     @cached_property
     def rotations(self):
@@ -375,10 +367,7 @@ class SampleSet:
 
     @classmethod
     def from_rotations(cls, Rs):
-        Rs = np.asarray(Rs, dtype=float)
-        if Rs.ndim == 2:
-            Rs = Rs[None]
-        return cls(quat_from_rotation(Rs), Rs)
+        return cls(quat_from_rotation(Rs))
 
     @property
     def r(self):

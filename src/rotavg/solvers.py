@@ -131,13 +131,12 @@ def _flow(model, Q0, tol):
         del W
         nv = np.sqrt(np.vecdot(V, V))
         done = nv < stop
-        q[live[done]], nv_end[live[done]] = X[done], nv[done]
+        nv_end[live[done]] = nv[done]
         # the field is NaN exactly in the rows inside a guard buffer
         breach = np.isnan(nv)
         for k in np.flatnonzero(breach):
             ends[live[k]] = DomainBreach("iterate entered a guard buffer of an excluded set" if it else
                                          "start point violates the model's domain guard")
-        q[live[breach]] = X[breach]
         live, X, D, c, h, V, wd, nv = _compact(~(done | breach), live, X, D, c, h, V, wd, nv)
         # value evaluations carry cancellation noise well above one ulp, so
         # every acceptance test judges decreases against this larger scale
@@ -149,11 +148,12 @@ def _flow(model, Q0, tol):
         moved[rest] = _line_search(model, X, D, V, nv, c, noise, h, rest)
         for k in np.flatnonzero(~moved):
             ends[live[k]] = MaxIters(f"line search stalled at iteration {it} (|v0| = {nv[k]:.3e})")
-        q[live[~moved]] = X[~moved]
+        # every row that leaves the loop, here or at the next field
+        # evaluation, leaves at the point written now
+        q[live] = X
         live, X, D, c, h = _compact(moved, live, X, D, c, h)
     for k in live:
         ends[k] = MaxIters(f"no convergence in {MAX_ITERS} iterations")
-    q[live] = X
     return q, nv_end, ends
 
 
@@ -175,9 +175,9 @@ def _newton_trial(model, X, D, V, wd, nv, cost, noise):
     and moves by eta = B^T e. One eigendecomposition K = E diag(lam) E^T
     gives both the gate and the step eta = B^T E (E^T B (-v / 4) / lam). The step
     is tried only where K is positive definite (lam_min > 0) and eta is
-    finite and no longer than NEWTON_RADIUS, and taken if the cost at
-    normalize(q + eta) falls by more than the noise scale, or stays within
-    it while ||control_field|| at least halves.
+    finite and no longer than NEWTON_RADIUS, and taken (:func:`_try`) if
+    the cost at normalize(q + eta) falls by at least the noise scale, or
+    stays within it while ||control_field|| at least halves.
 
     Since ||eta|| >= ||v / 4|| / ||K||_F, a row can step only where
     ||v / 4|| <= NEWTON_RADIUS ||K||_F. K is formed only for the rows where
@@ -202,53 +202,52 @@ def _newton_trial(model, X, D, V, wd, nv, cost, noise):
     EB = E[pd].transpose(0, 2, 1) @ B[sel]  # rows: the eigenvectors as tangent vectors
     eta = np.vecmat(np.matvec(EB, -0.25 * V[rows]) / lam, EB)
     short = np.all(np.isfinite(eta), axis=1) & (np.sqrt(np.vecdot(eta, eta)) <= NEWTON_RADIUS)
-    rows, eta = rows[short], eta[short]
-    Y = normalize(X[rows] + eta)
-    DY = model._dots(Y)
-    cY = model._value(Y, DY)
-    dc = cY - cost[rows]
-    ok = _or_field_shrinks(model, Y, DY, dc < -noise[rows], dc, noise[rows], 0.5 * nv[rows])
-    rows = rows[ok]
-    took[rows], X[rows], D[rows], cost[rows] = True, Y[ok], DY[ok], cY[ok]
+    rows = rows[short]
+    ok = _try(model, X, D, cost, noise, rows, normalize(X[rows] + eta[short]), noise[rows], 0.5 * nv[rows])
+    took[rows[ok]] = True
     return took
 
 
-def _or_field_shrinks(model, Y, DY, ok, dc, noise, field_bound):
-    """Which trial rows Y (dots DY) pass: those already ok, and those whose
-    cost change dc sits at the noise floor, |dc| <= noise, while
-    ||control_field|| at Y is at most field_bound. The field is evaluated
-    only on the rows that decides; a NaN cost (a trial inside a guard
-    buffer) passes neither test."""
-    check = ~ok & (np.abs(dc) <= noise)
+def _try(model, X, D, cost, noise, rows, T, fall, field_bound):
+    """Try the points T for the given rows of X: which of them are
+    accepted. A trial is accepted where its cost change dc falls by at
+    least ``fall``, dc <= -fall, or where dc sits at the noise floor,
+    |dc| <= noise, while ||control_field|| at T is at most field_bound (the
+    field is evaluated only on the rows that decides). A NaN cost (a trial
+    inside a guard buffer) passes neither test. The accepted rows of X move
+    in place to T, with their dots D and costs."""
+    DT = model._dots(T)
+    cT = model._value(T, DT)
+    dc = cT - cost[rows]
+    ok = dc <= -fall
+    check = ~ok & (np.abs(dc) <= noise[rows])
     if check.any():
-        F = model._field(Y[check], DY[check])[0]
+        F = model._field(T[check], DT[check])[0]
         ok[check] = np.sqrt(np.vecdot(F, F)) <= field_bound[check]
+    k = rows[ok]
+    X[k], D[k], cost[k] = T[ok], DT[ok], cT[ok]
     return ok
 
 
 def _line_search(model, X, D, V, nv, cost, noise, h, rows):
     """Backtrack each of the given rows from its step h along -v: which of
-    them found an acceptable step. A step is acceptable where the cost falls
-    by at least max(0.025 h |v|^2, noise), or where its change dc sits at
-    the noise floor, |dc| <= noise, and ||control_field|| shrinks to at most
-    0.999 |v|; otherwise h halves. Those rows move in place, with their dots
-    D and costs, to the point found; h holds each row's last step tried."""
+    them found an acceptable step. A step is acceptable (:func:`_try`)
+    where the cost falls by at least max(0.025 h |v|^2, noise), or where
+    its change sits at the noise floor and ||control_field|| shrinks to at
+    most 0.999 |v|; otherwise h halves. Those rows move in place, with
+    their dots D and costs, to the point found; h holds each row's last
+    step tried."""
     found = np.zeros(len(rows), dtype=bool)
     todo = np.flatnonzero(h[rows] * nv[rows] > 1e-18)  # positions in rows
     while todo.size:
         k = rows[todo]
-        T = normalize(X[k] - h[k, None] * V[k])
-        DT = model._dots(T)
-        cT = model._value(T, DT)
         n = nv[k]
         # sufficient decrease: <grad, v> = |v|^2 / 4 at unit q, so a
         # tenth of the first-order prediction must materialize — bare
         # descent would admit wildly overshooting steps near the floor
-        dc = cT - cost[k]
-        decrease = dc <= -np.maximum(0.025 * h[k] * n * n, noise[k])
-        ok = _or_field_shrinks(model, T, DT, decrease, dc, noise[k], 0.999 * n)
+        fall = np.maximum(0.025 * h[k] * n * n, noise[k])
+        ok = _try(model, X, D, cost, noise, k, normalize(X[k] - h[k, None] * V[k]), fall, 0.999 * n)
         found[todo[ok]] = True
-        X[k[ok]], D[k[ok]], cost[k[ok]] = T[ok], DT[ok], cT[ok]
         todo = todo[~ok]
         k = rows[todo]
         h[k] *= STEP_SHRINK
@@ -278,12 +277,12 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
     """Run the flow from n uniform random starts in lockstep; dedup and sort
     by cost.
 
-    Starts violating the model's domain guard are resampled. The converged
-    limits are put in classes by the rule of
-    :func:`~rotavg.geometry._classes` (a limit joins the first class whose
-    first limit's rotation matrix lies within Frobenius distance 1e-8 of its
-    own, so q ~ -q), and each class keeps its best-converged start, the one
-    with the smallest ||control_field||.
+    Starts violating the model's domain guard are redrawn
+    (:func:`_draw_starts`). The converged limits are put in classes by the
+    rule of :func:`~rotavg.geometry._classes` (a limit joins the first
+    class whose first limit's rotation matrix lies within Frobenius
+    distance 1e-8 of its own, so q ~ -q), and each class keeps its
+    best-converged start, the one with the smallest ||control_field||.
     Per-start failures (MaxIters, DomainBreach) are tolerated, and a class
     is dropped the same way where its certificate, the rotation residual,
     is NaN (a representative inside a guard buffer, next to a sample's own
@@ -310,28 +309,18 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
 
 
 def _draw_starts(model, n, rng):
-    """n uniform random unit starts from rng, each inadmissible one redrawn
-    in place (up to 1000 times) before the next is drawn: the starts of n
-    successive :func:`random_unit_quaternion` draws with their redraws.
-
-    The n starts are drawn as one batch, which stands where every start is
-    admissible. Otherwise the stream is rewound to the batch's start and
-    the starts are drawn one at a time.
+    """n uniform random unit starts from rng: one batch of n draws, then the
+    inadmissible rows redrawn, all of them in one draw per pass, for at most
+    1000 passes. A row still inadmissible after the last pass stays, and
+    the flow ends it in DomainBreach.
     """
-    state = rng.bit_generator.state
-    starts = normalize(rng.standard_normal((n, 4)))
-    if model.admissible(starts).all():
-        return starts
-    rng.bit_generator.state = state
-    starts = []
-    for _ in range(n):
-        q0 = random_unit_quaternion(rng)
-        for _ in range(1000):
-            if model.admissible(q0):
-                break
-            q0 = random_unit_quaternion(rng)
-        starts.append(q0)
-    return np.array(starts)
+    X, todo = np.empty((n, 4)), np.arange(n)
+    for _ in range(1000):
+        X[todo] = normalize(rng.standard_normal((len(todo), 4)))
+        todo = todo[~model.admissible(X[todo])]
+        if not todo.size:
+            break
+    return X
 
 
 def classify(model: CostModel, point: CriticalPoint):

@@ -320,9 +320,10 @@ def test_sample_set_construction():
     rng = np.random.default_rng(8)
     Rs = np.array([covering_map(rand_unit(rng)) for _ in range(5)])
     s3 = SampleSet.from_rotations(Rs)
-    assert s3.rotations is Rs  # kept as supplied, not formed again
-    for q, R in zip(s3.quaternions, Rs):
-        assert np.abs(covering_map(q) - R).max() < 1e-14
+    assert "rotations" not in vars(s3)  # formed from the lifts on first read
+    assert np.array_equal(s3.rotations, covering_map(s3.quaternions))
+    assert np.abs(s3.rotations - Rs).max() < 1e-14
+    assert SampleSet.from_rotations(Rs[0]).r == 1
 
 
 def test_sample_set_rejects_bad_input():
@@ -330,11 +331,6 @@ def test_sample_set_rejects_bad_input():
         SampleSet.from_quaternions(np.zeros((0, 4)))
     with pytest.raises(ValueError):
         SampleSet.from_quaternions([[1.0, 0, 0]])
-    with pytest.raises(ValueError):
-        # lift does not match the claimed rotation
-        SampleSet(np.array([[1.0, 0, 0, 0]]), np.diag([1.0, -1.0, -1.0])[None])
-    with pytest.raises(ValueError):
-        SampleSet(np.array([[1.0, 0, 0, 0]]), np.eye(3)[None].repeat(2, axis=0))
 
 
 def test_sample_set_forms_rotations_on_first_read(monkeypatch):

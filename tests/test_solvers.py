@@ -200,31 +200,48 @@ def flow_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(flow_problems())
 def test_line_search_acceptance_rule(problem):
-    # every step the line search takes either lowers the cost by at least
-    # max(0.025 h |v|^2, noise), or leaves it within the noise, |dc| <= noise,
-    # while the field at the new point is at most 0.999 |v|
+    # every step the flow takes passes one rule, the Newton trial's and the
+    # line search's alike: it lowers the cost by at least its bound (noise
+    # for Newton, max(0.025 h |v|^2, noise) for the line search), or leaves
+    # it within the noise, |dc| <= noise, while the field at the new point
+    # is at most 0.5 |v| (Newton) or 0.999 |v| (line search). The rows that
+    # move carry the dots and cost of their new point
     model, starts = problem
-    line_search = solvers._line_search
+    newton_trial, line_search = solvers._newton_trial, solvers._line_search
     accepted = []
 
-    def checked(model, X, D, V, nv, cost, noise, h, rows):
+    def check_steps(X, D, cost, k, cost0, fall, noise, field_bound):
+        T = X[k]
+        assert np.array_equal(D[k], model._dots(T)) and np.array_equal(cost[k], model._value(T, D[k]))
+        dc = cost[k] - cost0
+        rest = dc > -fall  # no sufficient decrease
+        assert np.all(np.abs(dc[rest]) <= noise[rest])
+        # the field only there: a sufficient step may end inside a guard
+        # buffer, where the flow stops it and the field is not defined
+        F = model._field(T[rest], D[k][rest])[0]
+        assert np.all(np.sqrt(np.vecdot(F, F)) <= field_bound[rest])
+
+    def checked_newton(model, X, D, V, wd, nv, cost, noise):
+        X0, cost0 = X.copy(), cost.copy()
+        took = newton_trial(model, X, D, V, wd, nv, cost, noise)
+        assert np.array_equal(X[~took], X0[~took]) and np.array_equal(cost[~took], cost0[~took])
+        check_steps(X, D, cost, took, cost0[took], noise[took], noise[took], 0.5 * nv[took])
+        return took
+
+    def checked_line_search(model, X, D, V, nv, cost, noise, h, rows):
         X0, cost0 = X[rows], cost[rows]
         found = line_search(model, X, D, V, nv, cost, noise, h, rows)
         k = rows[found]
-        T, n = X[k], nv[k]
-        assert np.array_equal(T, normalize(X0[found] - h[k, None] * V[k]))
-        dc = cost[k] - cost0[found]
-        rest = dc > -np.maximum(0.025 * h[k] * n * n, noise[k])  # no sufficient decrease
-        assert np.all(np.abs(dc[rest]) <= noise[k][rest])
-        # the field only there: a sufficient step may end inside a guard
-        # buffer, where the flow stops it and the field is not defined
-        F = model._field(T[rest], model._dots(T[rest]))[0]
-        assert np.all(np.sqrt(np.vecdot(F, F)) <= 0.999 * n[rest])
+        n = nv[k]
+        assert np.array_equal(X[k], normalize(X0[found] - h[k, None] * V[k]))
+        fall = np.maximum(0.025 * h[k] * n * n, noise[k])
+        check_steps(X, D, cost, k, cost0[found], fall, noise[k], 0.999 * n)
         accepted.append(len(k))
         return found
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(solvers, "_line_search", checked)
+        m.setattr(solvers, "_newton_trial", checked_newton)
+        m.setattr(solvers, "_line_search", checked_line_search)
         solvers._flow(model, starts, 1e-12)
     assert sum(accepted) > 0
 
@@ -261,7 +278,8 @@ def test_newton_steps_only_positive_definite_rows():
 
 def unscreened_newton_trial(model, X, D, V, wd, nv, cost, noise):
     # the Newton trial without its screen: the Hessian on every row, then the
-    # exact gate ||v / 4|| <= NEWTON_RADIUS ||K||_F, eigh and the step
+    # exact gate ||v / 4|| <= NEWTON_RADIUS ||K||_F, eigh, the step and the
+    # flow's acceptance rule
     took = np.zeros(len(X), dtype=bool)
     B, K = model._frame_hessian(X, D, wd)
     rows = np.flatnonzero(0.25 * nv <= solvers.NEWTON_RADIUS * np.sqrt((K * K).sum(axis=(1, 2))))
@@ -271,14 +289,9 @@ def unscreened_newton_trial(model, X, D, V, wd, nv, cost, noise):
     EB = E[pd].transpose(0, 2, 1) @ B[rows]
     eta = np.vecmat(np.matvec(EB, -0.25 * V[rows]) / lam, EB)
     short = np.all(np.isfinite(eta), axis=1) & (np.sqrt(np.vecdot(eta, eta)) <= solvers.NEWTON_RADIUS)
-    rows, eta = rows[short], eta[short]
-    Y = normalize(X[rows] + eta)
-    DY = model._dots(Y)
-    cY = model._value(Y, DY)
-    dc = cY - cost[rows]
-    ok = solvers._or_field_shrinks(model, Y, DY, dc < -noise[rows], dc, noise[rows], 0.5 * nv[rows])
-    rows = rows[ok]
-    took[rows], X[rows], D[rows], cost[rows] = True, Y[ok], DY[ok], cY[ok]
+    rows = rows[short]
+    ok = solvers._try(model, X, D, cost, noise, rows, normalize(X[rows] + eta[short]), noise[rows], 0.5 * nv[rows])
+    took[rows[ok]] = True
     return took
 
 
@@ -347,20 +360,6 @@ def kind_model(kind, samples):
     return {"l2": CostModel.l2_chordal, "geodesic": CostModel.geodesic, "d3": CostModel.trace_sqrt}[kind](samples)
 
 
-def drawn_starts(model, n, seed):
-    # the starts multistart draws, in its order, resampling inadmissible ones
-    rng = np.random.default_rng(seed)
-    starts = []
-    for _ in range(n):
-        q0 = random_unit_quaternion(rng)
-        for _ in range(1000):
-            if model.admissible(q0):
-                break
-            q0 = random_unit_quaternion(rng)
-        starts.append(q0)
-    return starts
-
-
 class StartsDrawn(Exception):
     pass
 
@@ -371,24 +370,39 @@ class StartsDrawn(Exception):
     + [("geodesic", 0.99, 3)],
 )
 def test_multistart_draws_reference_starts(kind, guard, n, monkeypatch):
-    # multistart draws and checks its starts as one batch, yet gets the
-    # starts of one draw at a time: a wide guard buffer makes many starts
-    # inadmissible, and each is redrawn in place before the next is drawn
-    # (the last case runs out of its 1000 redraws)
+    # the reference is one Gaussian batch of the seed's stream: an admissible
+    # batch comes back bit for bit. A wide guard buffer makes many rows of
+    # the batch inadmissible; the admissible ones keep their bits and the
+    # rest are redrawn until admissible, one draw per pass, for at most 1000
+    # passes. The last case runs out of them, and the flow ends its starts
+    # in DomainBreach
     monkeypatch.setattr(costs, "EPS_DOM", guard)
     model = kind_model(kind, SampleSet.from_quaternions(np.random.default_rng(45).standard_normal((3, 4))))
-    drawn = []
+    drawn, passes = [], []
 
     def recording_flow(model, Q0, tol):
         drawn.append(Q0)
         raise StartsDrawn
 
+    flow, admissible = solvers._flow, CostModel.admissible
     monkeypatch.setattr(solvers, "_flow", recording_flow)
+    monkeypatch.setattr(CostModel, "admissible", lambda self, X: passes.append(len(X)) or admissible(self, X))
+    redrawn = False
     for seed in range(3):
+        passes.clear()
         with pytest.raises(StartsDrawn):
             multistart(model, n, seed=seed)
-        assert np.array_equal(drawn[-1], drawn_starts(model, n, seed))
-    redrawn = not np.array_equal(drawn[-1], normalize(np.random.default_rng(2).standard_normal((n, 4))))
+        starts = drawn[-1]
+        batch = normalize(np.random.default_rng(seed).standard_normal((n, 4)))
+        first = admissible(model, batch)
+        assert np.array_equal(starts[first], batch[first])
+        redrawn |= not first.all()
+        if guard < 0.99:
+            assert admissible(model, starts).all()
+            continue
+        assert passes == [n] * 1000 and not admissible(model, starts).any()
+        _, _, ends = flow(model, starts, 1e-12)
+        assert all(isinstance(end, DomainBreach) and str(end).startswith("start point") for end in ends)
     assert redrawn == (guard > 1e-6)
 
 
@@ -434,7 +448,7 @@ def test_multistart_rows_independent(kind, r, n):
     model = kind_model(kind, SampleSet.from_quaternions(rng.standard_normal((r, 4))))
     got = multistart(model, n, seed=3)
     assert got
-    assert_same_classes(model, got, classes_one_by_one(model, drawn_starts(model, n, 3)))
+    assert_same_classes(model, got, classes_one_by_one(model, solvers._draw_starts(model, n, np.random.default_rng(3))))
 
 
 @pytest.mark.parametrize("kind", ["l2", "geodesic", "d3", "lp1.5", "lp4"])
@@ -466,7 +480,7 @@ def test_multistart_drops_slow_starts(monkeypatch):
     # with an iteration budget that only some starts meet, multistart keeps
     # the classes of those and drops the rest
     model = CostModel.geodesic(SampleSet.from_quaternions(np.random.default_rng(42).standard_normal((5, 4))))
-    starts = drawn_starts(model, 16, 0)
+    starts = solvers._draw_starts(model, 16, np.random.default_rng(0))
     for budget in range(1, 65):
         monkeypatch.setattr(solvers, "MAX_ITERS", budget)
         converged = sum(len(classes_one_by_one(model, [q0])) for q0 in starts)
@@ -526,7 +540,7 @@ def test_flow_breaches_next_to_a_sample_line():
     # every start ends in DomainBreach there; none converges inside it
     S = SampleSet.from_quaternions(np.random.default_rng(1).standard_normal((1, 4)))
     model = CostModel.lp_chordal(S, 1.5)
-    _, _, ends = solvers._flow(model, drawn_starts(model, 4, 1), 1e-12)
+    _, _, ends = solvers._flow(model, solvers._draw_starts(model, 4, np.random.default_rng(1)), 1e-12)
     assert all(isinstance(end, DomainBreach) and str(end).startswith("iterate") for end in ends)
     assert multistart(model, 4, seed=1) == []
 
