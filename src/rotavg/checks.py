@@ -43,8 +43,9 @@ __all__ = ["CheckResult", "run_all", "format_report", "FAMILIES"]
 
 POWERS = (1.5, 2.0, 3.0, 4.0)  # the Lp powers a trial draws from
 
-# a d3 pair at relative angle pi - 1e-6, where <qa, qb> ~ 5e-7 and the trace
-# form of dist_d3 would lose digits; qb turns qa within its tangent frame
+# a d3 pair at relative angle pi - 1e-6, where <qa, qb> ~ 5e-7 and a trace
+# form of d3 would lose digits; dist_d3 reads the lifts of the two matrices,
+# so this reads the lift there. qb turns qa within its tangent frame
 _QA = normalize(np.array([1.0, 2.0, 3.0, 4.0]))
 D3_EDGE = (_QA, np.cos(0.5 * (np.pi - 1e-6)) * _QA + np.sin(0.5 * (np.pi - 1e-6)) * tangent_frame(_QA)[0])
 

@@ -22,11 +22,11 @@ from the weights:
   ambient matrix per point, which is B^T K B in Cartesian coordinates. For
   Lp with p < 4, whose w' diverges on a sample line, the pairs with
   1 - x_i^2 < LINE_PAIR_GAP enter as w'(x_i) (B q_i)(B q_i)^T instead;
-- the rotation residual M^T R - R^T M reads u = w(x)/x (w'(0) at x = 0):
-  M = sum_i u(x_i) R_i / kappa. u is even in x, so a function of the trace
-  tr(R^T R_i) alone, and kappa keeps each kind's residual scale. Since
-  x_i Delta_i = (R^T R_i - R_i^T R) / 4, the pushforward residual is
-  -kappa/4 times the rotation residual;
+- the rotation residual M^T R - R^T M reads u = w(x)/x (w'(0) at x = 0)
+  at the dots x_i of the lift of R: M = sum_i u(x_i) R_i / kappa. u is even
+  in x, so either lift gives the same M, and kappa keeps each kind's
+  residual scale. Since x_i Delta_i = (R^T R_i - R_i^T R) / 4, the
+  pushforward residual is -kappa/4 times the rotation residual;
 - the guards keep a finite buffer eps_dom around the excluded set: the
   hyperplanes Pi_i where x_i = 0 (relative angle pi to a sample), on which
   the geodesic model is undefined and trace-sqrt is not differentiable, or
@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .control import ScalarField, apply_T_sphere
-from .geometry import SampleSet, _abs_dots, _skew, quat_from_rotation, tangent_frame
+from .geometry import SampleSet, _skew, quat_from_rotation, tangent_frame
 
 __all__ = [
     "DomainError",
@@ -333,9 +333,9 @@ class CostModel:
             return np.sqrt((self._bases(X, D) if base is None else base).min(axis=-1))
         return np.full(len(D), np.inf)
 
-    def _bases(self, X, D, d=None):
-        """1 - d_i^2, clamped at 0, at the dots d (D by default) of the rows
-        X, for a kind that reads it (None for the others).
+    def _bases(self, X, D):
+        """1 - d_i^2, clamped at 0, at the dots D of the rows X, for a kind
+        that reads it (None for the others).
 
         The rounded 1 - d^2 has an absolute error near 2e-16, so it resolves
         no clearance below about 1e-8, where the guard buffer is 1e-9. For a
@@ -346,9 +346,8 @@ class CostModel:
         """
         if not self._cost.reads_base:
             return None
-        d = D if d is None else d
         # in place: one (n, r) array, not three
-        base = d * d
+        base = D * D
         np.subtract(1.0, base, out=base)
         np.maximum(base, 0.0, out=base)
         if self._cost.excluded == "lines" and np.fmin.reduce(base, axis=None, initial=1.0) < 1e-8:
@@ -550,31 +549,27 @@ class CostModel:
         (3, 3) or at each row of a stack (n, 3, 3).
 
         u = w(x)/x comes from the weights (w'(0) where x_i = 0, admissible
-        for l2 and Lp with p >= 2); it is even in x, so a function of
-        t_i = tr(R^T R_i) alone, and |x_i| is read off R^T R_i with full
-        precision up to relative angle pi. ``kappa`` keeps each kind's
+        for l2 and Lp with p >= 2) at the dots x_i of R's lift
+        (:func:`~rotavg.geometry.quat_from_rotation`), with its guard and
+        bases, as every other evaluator reads its points; u is even in x,
+        so either lift gives the same residual. ``kappa`` keeps each kind's
         scale: M is the arithmetic mean for l2, and M^T R - R^T M is
         sum_i Log(R_i^T R) for geodesic. Inside the guard buffer of an
-        excluded set, judged at the dots of a lift of R, a single R raises
-        like the gradient and a row of a stack is NaN.
+        excluded set a single R raises like the gradient and a row of a
+        stack is NaN.
         """
         return self._evaluate(self._rotation_residual, R, shape=(3, 3))
 
     def _rotation_residual(self, Rr):
-        """:meth:`rotation_residual` at the rows Rr (n, 3, 3)."""
+        """:meth:`rotation_residual` at the rows Rr (n, 3, 3), read from the
+        dots of their lifts; a guarded row's NaN dots make the whole row NaN."""
+        X = quat_from_rotation(Rr)
+        D = self._dots(X)
+        base = self._bases(X, D)
+        x = np.abs(self._guard(X, D, base))
+        w0 = self._cost.slope(np.zeros(1), None)[0]
+        # NaN != 0, so a guarded row keeps its NaN instead of taking w'(0)
+        u = np.divide(self._cost.weight(x, base), x, out=np.full_like(x, w0), where=x != 0.0)
         Rs = self.samples.rotations
-        x = _abs_dots(Rr, Rs)
-        cost, base, bad = self._cost, None, np.zeros(len(Rr), dtype=bool)
-        if cost.excluded is not None:
-            # the guard, and 1 - x_i^2 next to a sample line, read the dots
-            # of a lift
-            X = quat_from_rotation(Rr)
-            D = self._dots(X)
-            base = self._bases(X, D, x)
-            bad = np.isnan(self._guard(X, D, base)[:, 0])
-        w0 = cost.slope(np.zeros(1), None)[0]
-        u = np.divide(cost.weight(x, base), x, out=np.full_like(x, w0), where=x > 0.0)
         M = np.vecmat(u, Rs.reshape(Rs.shape[:-2] + (9,))).reshape(-1, 3, 3) / self.kappa
-        S = M.transpose(0, 2, 1) @ Rr - Rr.transpose(0, 2, 1) @ M
-        S[bad] = np.nan
-        return S
+        return M.transpose(0, 2, 1) @ Rr - Rr.transpose(0, 2, 1) @ M

@@ -5,7 +5,9 @@ q and -q map to the same rotation. Everything downstream — cost models,
 control fields, the parametric sweep — is built on the handful of maps
 in this module: the covering map, the inverse lift,
 three distances, the global orthonormal tangent frame of S3, and the skew
-matrices that push tangent data down to rotation space.
+matrices that push tangent data down to rotation space. A rotation matrix
+becomes numbers one way only, through its lift: the distances and the
+relative angle of two matrices are read off their lifts.
 
 All functions take and return plain numpy arrays.
 """
@@ -152,22 +154,21 @@ def quat_from_rotation(R):
 
 
 def rotation_angle(R1, R2):
-    """Relative rotation angle |theta| = arccos((tr(R1^T R2) - 1)/2) in [0, pi].
-
-    The trace argument is clamped to [-1, 1] before arccos; floating-point
-    drift on traces of products routinely lands a hair outside.
-    """
-    t = np.trace(np.asarray(R1).T @ np.asarray(R2))
-    return float(np.arccos(np.clip((t - 1.0) / 2.0, -1.0, 1.0)))
+    """Relative rotation angle |theta| in [0, pi]: d2 / sqrt(2) of
+    :func:`_pair_distances` on the lifts, read before d2's mask, so a half
+    turn gives pi."""
+    return float(_lift_distances(R1, R2, masked=False)[1] / np.sqrt(2.0))
 
 
 def dist_d1(R1, R2):
-    """Chordal distance: Frobenius norm ||R1 - R2||_F."""
-    return float(np.linalg.norm(np.asarray(R1, dtype=float) - np.asarray(R2, dtype=float)))
+    """Chordal distance ||R1 - R2||_F, read off the lifts (see
+    :func:`_pair_distances`)."""
+    return float(_lift_distances(R1, R2)[0])
 
 
 def dist_d2(R1, R2):
-    """Geodesic distance sqrt(2) * |theta|.
+    """Geodesic distance sqrt(2) * |theta|, read off the lifts (see
+    :func:`_pair_distances`).
 
     Raises
     ------
@@ -175,51 +176,27 @@ def dist_d2(R1, R2):
         If tr(R1^T R2) = -1 within 1e-12 (relative angle pi), where the
         matrix logarithm — hence the distance derivative — is undefined.
     """
-    t = float(np.trace(np.asarray(R1).T @ np.asarray(R2)))
-    if abs(t + 1.0) < 1e-12:
+    d = float(_lift_distances(R1, R2)[1])
+    if np.isnan(d):
         raise ValueError("geodesic distance undefined at relative angle pi (trace = -1)")
-    return float(np.sqrt(2.0) * rotation_angle(R1, R2))
+    return d
 
 
 def dist_d3(R1, R2):
-    """1 - |<q1,q2>| on quaternion lifts, read off P = R1^T R2 (see
-    :func:`_abs_dots`): 1 - (1/2) sqrt(tr P + 1) where tr P >= 0, and past
-    that from the skew part P - P^T, which keeps full precision up to
-    relative angle pi. Two (n, 3, 3) stacks give one distance per pair of
-    rows."""
-    R1 = np.asarray(R1, dtype=float)
-    d = 1.0 - _abs_dots(R1, np.expand_dims(R2, -3))[..., 0]
-    return float(d) if R1.ndim == 2 else d
+    """1 - |<q1,q2>| on quaternion lifts (see :func:`_pair_distances`). Two
+    (n, 3, 3) stacks give one distance per pair of rows."""
+    d = _lift_distances(R1, R2)[2]
+    return float(d) if d.ndim == 0 else d
 
 
-def _abs_dots(R, Rs):
-    """|x_i| = |<q, q_i>| for lifts q of R and q_i of each R_i in Rs (r, 3, 3),
-    read off P_i = R^T R_i with trace t_i. A stack R (n, 3, 3) reads every
-    row against Rs, or row k against the k-th set of a stack Rs
-    (n, r, 3, 3), giving (n, r).
-
-    Where t_i >= 0 it is sqrt(t_i + 1) / 2. Below that, near relative angle
-    pi, that form has condition 1/(4 |x_i|) in t_i, so the skew part is read
-    instead: ||P_i - P_i^T||_F^2 = 8 x_i^2 (3 - t_i) keeps full precision.
-    """
-    # one (r, 9) @ (9, 4) product gives t_i and the axial vector w_i of
-    # P_i - P_i^T, w_i = sum_k R_i[k] x R[k] over the rows k, whose squared
-    # norm is half the skew part's
-    R = np.asarray(R, dtype=float)
-    batch = R.shape[:-2]
-    C = np.zeros(R.shape + (4,))
-    C[..., 0] = R
-    C[..., (1, 2, 0), (1, 2, 3)] = R[..., (2, 0, 1)]
-    C[..., (2, 0, 1), (1, 2, 3)] = -R[..., (1, 2, 0)]
-    Y = np.reshape(Rs, np.shape(Rs)[:-3] + (-1, 9)) @ C.reshape(batch + (9, 4))
-    t, w = Y[..., 0], Y[..., 1:]
-    # the clamps keep the branch that a row does not take finite
-    near = 0.5 * np.sqrt(np.maximum(t + 1.0, 1.0))
-    far = np.sqrt(np.vecdot(w, w) / (4.0 * np.maximum(3.0 - t, 3.0)))
-    return np.where(t >= 0.0, near, far)
+def _lift_distances(R1, R2, masked=True):
+    """:func:`_pair_distances` between the lifts of R1 and R2, one rotation
+    (3, 3) each or two (n, 3, 3) stacks read row against row."""
+    P, Q = (quat_from_rotation(R)[..., None, :] for R in (R1, R2))
+    return [d[..., 0, 0] for d in _pair_distances(P, Q, masked)]
 
 
-def _pair_distances(P, Q):
+def _pair_distances(P, Q, masked=True):
     """d1, d2 and d3 between the rotations of every row of P (n, 4) and
     every row of Q (m, 4), unit quaternions, as three (n, m) arrays; for
     stacks P (..., n, 4) and Q (..., m, 4), three (..., n, m) arrays, one
@@ -229,8 +206,8 @@ def _pair_distances(P, Q):
     <p, q>^2) and the half angle is 2 atan2(|e|, |f|), so d1 = sqrt(2) |e|
     |f|, d2 = 4 sqrt(2) atan2(|e|, |f|) and d3 = 1 - |<p, q>| = |e|^2 / 2,
     each with full relative precision down to coincident rotations, where
-    the matrix forms cancel. d2 is NaN where :func:`dist_d2` raises,
-    tr(R1^T R2) = 4 <p, q>^2 - 1 within 1e-12 of -1.
+    the matrix forms cancel. Where ``masked``, d2 is NaN where
+    :func:`dist_d2` raises, tr(R1^T R2) = 4 <p, q>^2 - 1 within 1e-12 of -1.
     """
     x = P @ np.swapaxes(Q, -1, -2)
     sQ = np.copysign(1.0, x)[..., None] * Q[..., None, :, :]
@@ -238,7 +215,8 @@ def _pair_distances(P, Q):
     ee = np.vecdot(e, e)
     ne, nf = np.sqrt(ee), np.sqrt(np.vecdot(f, f))
     d2 = 4.0 * np.sqrt(2.0) * np.arctan2(ne, nf)
-    d2[4.0 * x * x < 1e-12] = np.nan
+    if masked:
+        d2[4.0 * x * x < 1e-12] = np.nan
     return np.sqrt(2.0) * ne * nf, d2, 0.5 * ee
 
 
@@ -347,8 +325,8 @@ class SampleSet:
     def __post_init__(self, quaternions):
         # apart from __init__ because bench/layers.py times builds by wrapping it
         Q = np.atleast_2d(np.asarray(quaternions, dtype=float))
-        if Q.ndim > 3 or Q.shape[-1] != 4 or Q.shape[-2] < 1:
-            raise ValueError("quaternions must be an (r, 4) or (m, r, 4) array with r >= 1")
+        if Q.ndim > 3 or Q.shape[-1] != 4 or Q.shape[-2] < 1 or not np.isfinite(Q).all():
+            raise ValueError("quaternions must be a finite (r, 4) or (m, r, 4) array with r >= 1")
         self.quaternions = normalize(Q)
         self.columns = np.ascontiguousarray(np.swapaxes(self.quaternions, -1, -2))
 

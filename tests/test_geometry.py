@@ -125,7 +125,8 @@ def test_rotation_angle():
     Rx = covering_map([math.cos(0.2), math.sin(0.2), 0, 0])
     assert abs(rotation_angle(np.eye(3), Rx) - 0.4) < 1e-12
     assert rotation_angle(Rx, Rx) == 0.0
-    assert abs(rotation_angle(np.eye(3), np.diag([1.0, -1.0, -1.0])) - math.pi) < 1e-12
+    # a half turn gives pi itself, where d2 is undefined
+    assert rotation_angle(np.eye(3), np.diag([1.0, -1.0, -1.0])) == math.pi
 
 
 def test_distances_known_values():
@@ -134,6 +135,32 @@ def test_distances_known_values():
     assert abs(dist_d1(I, Rx) - 2.0 * math.sqrt(2.0) * math.sin(0.2)) < 1e-12
     assert abs(dist_d2(I, Rx) - math.sqrt(2.0) * 0.4) < 1e-12
     assert abs(dist_d3(I, Rx) - (1.0 - math.cos(0.2))) < 1e-12
+    # the ends, exactly: 0 at coincident rotations, d3 = 1 at a half turn
+    assert dist_d1(Rx, Rx) == dist_d2(Rx, Rx) == dist_d3(Rx, Rx) == 0.0
+    assert dist_d3(I, np.diag([1.0, -1.0, -1.0])) == 1.0
+
+
+@pytest.mark.parametrize("angle", [1e-8, 1e-4, 0.3, math.pi - 1e-6])
+def test_distances_hold_at_every_scale(angle):
+    # rotations by angle about random axes, from the identity and from a
+    # half turn, whose lifts are exact, so that the pair is at angle to
+    # within the rounding of the turned matrix's own lift: each distance
+    # within 1e-12 relative of its closed form, in either order, where
+    # the matrix forms cancel
+    rng = np.random.default_rng(41)
+    for base in (np.eye(3), np.diag([1.0, -1.0, -1.0])):
+        for _ in range(20):
+            axis = normalize(rng.standard_normal(3))
+            R = base @ covering_map(np.concatenate(([math.cos(angle / 2.0)], math.sin(angle / 2.0) * axis)))
+            for R1, R2 in ((base, R), (R, base)):
+                assert rotation_angle(R1, R2) == pytest.approx(angle, rel=1e-12, abs=0.0)
+                assert dist_d1(R1, R2) == pytest.approx(2.0 * math.sqrt(2.0) * math.sin(angle / 2.0), rel=1e-12, abs=0.0)
+                # 1 - cos(angle / 2), written without its cancellation
+                assert dist_d3(R1, R2) == pytest.approx(2.0 * math.sin(angle / 4.0) ** 2, rel=1e-12, abs=0.0)
+                # at pi - 1e-6, 4 <p, q>^2 = 1e-12 to within rounding: the
+                # edge of the rule by which dist_d2 raises
+                if angle < 3.0:
+                    assert dist_d2(R1, R2) == pytest.approx(math.sqrt(2.0) * angle, rel=1e-12, abs=0.0)
 
 
 def test_d2_undefined_at_pi():
@@ -152,23 +179,16 @@ def test_d3_equals_quaternion_form():
     for qa, qb in pairs:
         d = dist_d3(covering_map(qa), covering_map(qb))
         assert abs(d - (1.0 - abs(np.dot(qa, qb)))) < 1e-12
+    # and stacked, one distance per pair of rows
+    QA, QB = np.array(pairs).transpose(1, 0, 2)
+    d = dist_d3(covering_map(QA), covering_map(QB))
+    assert np.abs(d - (1.0 - np.abs(np.vecdot(QA, QB)))).max() < 1e-12
 
 
 def test_d3_identity_check_seed_next_to_pi():
     # the d3 family's seed under run_all(seed=11004); its worst pair has
     # x = -3.77e-5, where the trace form read 1.581e-12 against 1e-12
     assert check_d3_identity(seed=11012, trials=1000).passed
-
-
-def test_abs_dots_of_a_stack():
-    # every row within an ulp of |<q, q_i>|, on both sides of t = 0
-    rng = np.random.default_rng(5)
-    q, Q = rand_unit(rng), normalize(rng.standard_normal((200, 4)))
-    x = geometry._abs_dots(covering_map(q), covering_map(Q))
-    assert np.abs(x - np.abs(Q @ q)).max() < 1e-15
-    # the ends x = 1 and x = 0, exactly
-    assert geometry._abs_dots(np.eye(3), np.eye(3))[0] == 1.0
-    assert geometry._abs_dots(np.eye(3), np.diag([1.0, -1.0, -1.0]))[0] == 0.0
 
 
 def test_classes_rule():
@@ -204,9 +224,20 @@ def test_classes_match_the_matrix_rule():
             assert geometry._classes(Q) == want
 
 
+def matrix_distances(R1, R2):
+    """The matrix forms of d1, d2 and d3, the references for the lift
+    forms: ||R1 - R2||_F, and sqrt(2) theta and 1 - sqrt(t + 1) / 2 read
+    off t = tr(R1^T R2), with d2 None where |t + 1| < 1e-12."""
+    t = float(np.trace(R1.T @ R2))
+    d2 = None if abs(t + 1.0) < 1e-12 else math.sqrt(2.0) * math.acos(min(1.0, max(-1.0, (t - 1.0) / 2.0)))
+    return float(np.linalg.norm(R1 - R2)), d2, 1.0 - 0.5 * math.sqrt(max(t + 1.0, 0.0))
+
+
 def test_pair_distances_match_matrix_forms():
-    # every pair of rows against dist_d1, dist_d2 and dist_d3, with d2 NaN
-    # exactly where dist_d2 raises (a half-turn pair is among them)
+    # every pair of rows against the matrix forms, with d2 NaN exactly
+    # where the trace form is undefined (a half-turn pair is among them),
+    # and within its rounding elsewhere; the trace form of d3 has condition
+    # 1 / (4 |x|) in t, so its tolerance grows as x = 1 - d3 goes to 0
     rng = np.random.default_rng(17)
     P, Q = normalize(rng.standard_normal((20, 4))), normalize(rng.standard_normal((30, 4)))
     Q[0] = [P[0, 1], -P[0, 0], P[0, 3], -P[0, 2]]  # <P[0], Q[0]> = 0
@@ -214,13 +245,13 @@ def test_pair_distances_match_matrix_forms():
     assert d1.shape == d2.shape == d3.shape == (20, 30)
     for i in range(20):
         for j in range(30):
-            Ri, Rj = covering_map(P[i]), covering_map(Q[j])
-            assert abs(d1[i, j] - dist_d1(Ri, Rj)) < 1e-14
-            assert abs(d3[i, j] - dist_d3(Ri, Rj)) < 1e-14
-            try:
-                assert abs(d2[i, j] - dist_d2(Ri, Rj)) < 1e-12
-            except ValueError:
+            want1, want2, want3 = matrix_distances(covering_map(P[i]), covering_map(Q[j]))
+            assert abs(d1[i, j] - want1) < 1e-14
+            assert abs(d3[i, j] - want3) < 1e-14 + 1e-15 / max(1.0 - want3, 1e-15)
+            if want2 is None:
                 assert np.isnan(d2[i, j])
+            else:
+                assert abs(d2[i, j] - want2) < 1e-12
     assert np.isnan(d2[0, 0])
     # one lift or the other, in either order
     assert np.array_equal(geometry._pair_distances(-Q, P)[0], d1.T)
@@ -331,6 +362,14 @@ def test_sample_set_rejects_bad_input():
         SampleSet.from_quaternions(np.zeros((0, 4)))
     with pytest.raises(ValueError):
         SampleSet.from_quaternions([[1.0, 0, 0]])
+    # a non-finite entry, before it reaches normalize (inf / inf is NaN)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet.from_quaternions([[1.0, 0, 0, 0], [0.5, bad, 0.5, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet.from_quaternions(np.full((2, 3, 4), bad))
+    with pytest.raises(ValueError, match="finite"):
+        SampleSet.from_rotations(np.full((1, 3, 3), np.nan))
 
 
 def test_sample_set_forms_rotations_on_first_read(monkeypatch):
