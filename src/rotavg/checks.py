@@ -242,13 +242,15 @@ def check_double_cover(seed=0, trials=1000) -> CheckResult:
 
 
 def check_d3_identity(seed=0, trials=1000) -> CheckResult:
-    """Matrix and quaternion forms of the d3 pseudometric agree, over the
-    drawn pairs and :data:`D3_EDGE`."""
+    """d3 between two rotation matrices, which :func:`dist_d3` reads on
+    their quaternion lifts, equals 1 - |<qa, qb>| for the quaternions they
+    came from, over the drawn pairs and :data:`D3_EDGE`: the lift's round
+    trip and the e-form of d3 together."""
     Z = normalize(np.random.default_rng(seed).standard_normal((trials, 2, 4)))
     qa, qb = np.vstack([Z[:, 0], D3_EDGE[0]]), np.vstack([Z[:, 1], D3_EDGE[1]])
     lhs = dist_d3(covering_map(qa), covering_map(qb))
     readings = [np.abs(lhs - (1.0 - np.abs(np.vecdot(qa, qb))))]
-    return CheckResult("d3 matrix form equals quaternion form", len(qa), _worst(readings), 1e-12)
+    return CheckResult("d3 on the lifts equals 1 - |<qa, qb>|", len(qa), _worst(readings), 1e-12)
 
 
 def check_black_set(seed=0, trials=1000) -> CheckResult:

@@ -13,6 +13,8 @@ Exit codes: 0 ok, 1 check failure, 2 parse error, 3 validation error,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -37,6 +39,7 @@ EXIT_IO = 5
 
 ORTHO_TOL = 1e-6  # matrix inputs may be off SO(3) by at most this much
 MAX_GRID_POINTS = 10**6  # longest alpha grid sweep accepts
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # --cost spelling -> CostModel kind
 _COSTS = {"l2": "L2Chordal", "geodesic": "Geodesic", "d3": "TraceSqrt", "lp": "LpChordal"}
 
@@ -350,8 +353,33 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _setup() -> argparse.ArgumentParser:
+    """Once per process: keep freed memory in the heap, and build the parser.
+
+    At r = 1000 the flow's (64, r) temporaries are 512 000 bytes, above
+    glibc's initial 128 KiB mmap threshold, so each one would be mapped,
+    faulted in and given back to the kernel again. With the thresholds
+    raised, freed blocks stay in the heap and are reused. Where there is no
+    mallopt (not glibc, or no C library to load) the allocator is left as
+    it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt  # TypeError on Windows
+    except (AttributeError, OSError, TypeError):
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        # 32 MiB is the largest mmap threshold glibc takes on 64-bit; mallopt
+        # returns 1 when a setting takes, and either threshold alone saves
+        # nothing, so the trim threshold is raised only after the mmap one
+        if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
+            mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    ap = _build_parser()
+    ap = _setup()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

@@ -209,15 +209,27 @@ def _pair_distances(P, Q, masked=True):
     the matrix forms cancel. Where ``masked``, d2 is NaN where
     :func:`dist_d2` raises, tr(R1^T R2) = 4 <p, q>^2 - 1 within 1e-12 of -1.
     """
+    x, d1, ee, ne, nf = _chords(P, Q)
+    d2 = 4.0 * np.sqrt(2.0) * np.arctan2(ne, nf)
+    if masked:
+        d2[4.0 * x * x < 1e-12] = np.nan
+    return d1, d2, 0.5 * ee
+
+
+def _chords(P, Q):
+    """<p, q>, d1, |e|^2, |e| and |f| for the pairs of :func:`_pair_distances`."""
     x = P @ np.swapaxes(Q, -1, -2)
     sQ = np.copysign(1.0, x)[..., None] * Q[..., None, :, :]
     e, f = P[..., :, None, :] - sQ, P[..., :, None, :] + sQ
     ee = np.vecdot(e, e)
     ne, nf = np.sqrt(ee), np.sqrt(np.vecdot(f, f))
-    d2 = 4.0 * np.sqrt(2.0) * np.arctan2(ne, nf)
-    if masked:
-        d2[4.0 * x * x < 1e-12] = np.nan
-    return np.sqrt(2.0) * ne * nf, d2, 0.5 * ee
+    return x, np.sqrt(2.0) * ne * nf, ee, ne, nf
+
+
+def _d1(P, Q):
+    """d1 of :func:`_pair_distances` alone, with the same bits and shapes,
+    without d2's arctan2 or d3."""
+    return _chords(P, Q)[1]
 
 
 def _classes(Q):
@@ -226,8 +238,8 @@ def _classes(Q):
     for a stack (m, n, 4), one such list per set.
 
     A row joins the first class whose head's rotation matrix lies within
-    Frobenius distance 1e-8 of its own (d1 of :func:`_pair_distances`), so
-    q and -q share a class; otherwise it heads a new class.
+    Frobenius distance 1e-8 of its own (:func:`_d1`), so q and -q share a
+    class; otherwise it heads a new class.
     """
 
     def heads(near):
@@ -236,7 +248,7 @@ def _classes(Q):
             out.append(next((j for j, h in enumerate(out) if h == j and row[j]), i))
         return out
 
-    near = (_pair_distances(Q, Q)[0] < 1e-8).tolist()
+    near = (_d1(Q, Q) < 1e-8).tolist()
     return [heads(t) for t in near] if np.ndim(Q) == 3 else heads(near)
 
 

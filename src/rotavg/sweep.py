@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostModel
-from .geometry import SampleSet, _classes, _pair_distances, canonicalize_sign, normalize
+from .geometry import SampleSet, _classes, _d1, canonicalize_sign, normalize
 
 __all__ = [
     "EvenPolynomial",
@@ -458,7 +458,7 @@ def tie_locations(records):
         labels, Q = {r.label for r in win}, normalize(np.array([r.q for r in win]))
         # the tie must be between the classes that swapped the lead;
         # anything else is root-finder noise at a degenerate pinch
-        if {prev, cur} <= labels and (_pair_distances(Q, Q)[0] > 1e-6).any():
+        if {prev, cur} <= labels and (_d1(Q, Q) > 1e-6).any():
             out.append((a_star, tuple(sorted(labels))))
     return out
 

@@ -1,15 +1,17 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotavg import checks
+from rotavg import checks, cli
 from rotavg.cli import ORTHO_TOL, _load_rotations, _ParseError, _ValidationError, main
 from rotavg.geometry import SampleSet, covering_map, normalize, quat_from_rotation
 from rotavg.sweep import parse_csv, theta_min_curve
@@ -570,3 +572,104 @@ def test_lazy_rotations_leave_the_check_report_unchanged(monkeypatch):
 
     monkeypatch.setattr(SampleSet, "__init__", eager)
     assert checks.format_report(checks.run_all(seed=0, trials=30)) == lazy
+
+
+@pytest.fixture
+def fresh_setup():
+    # the test's first main call runs the per-process setup afresh, and the
+    # first call after the test runs it again on the real C library
+    cli._setup.cache_clear()
+    yield
+    cli._setup.cache_clear()
+
+
+@pytest.mark.parametrize("library", ["none", "without-mallopt", "refusing"])
+def test_main_runs_where_the_allocator_cannot_be_set(library, fresh_setup, monkeypatch, tmp_path):
+    loads, taken = [], []
+
+    def mallopt(param, value):
+        taken.append((param, value))
+        return 0
+
+    def cdll(name):
+        loads.append(name)
+        if library == "none":
+            raise TypeError("no C library to load")  # as ctypes.CDLL(None) on Windows
+        return SimpleNamespace(mallopt=mallopt) if library == "refusing" else SimpleNamespace()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    for seed in ("0", "1"):
+        assert main(["check", "--trials", "5", "--seed", seed, "--out", str(tmp_path / "r.txt")]) == 0
+    # one setup for the process, however many main calls follow; the trim
+    # threshold is not set once the mmap threshold is refused
+    assert loads == [None]
+    assert taken == ([(-3, 32 << 20)] if library == "refusing" else [])
+
+
+def test_cached_parser_matches_fresh_runs(cluster_input, fresh_setup, tmp_path, capsys):
+    # sweep's --p defaults to 2 and average's to None, so a parser that
+    # carried values from one subcommand to the next would fail the average
+    # after the sweep; each output must equal that of a freshly built parser
+    out = tmp_path / "s.csv"
+    runs = [
+        ["sweep", "--p", "4", "--alpha-min", "-1.1", "--alpha-max", "-1.0", "--alpha-step", "0.01", "--out", str(out)],
+        ["average", "--input", str(cluster_input), "--starts", "8"],
+        ["average", "--cost", "lp", "--p", "4", "--input", str(cluster_input), "--starts", "8"],
+        ["check", "--cost", "geodesic"],
+        ["check", "--cost", "geodesic"],
+        ["--help"],
+        ["--help"],
+    ]
+
+    def outcomes(fresh):
+        got = []
+        for argv in runs:
+            if fresh:
+                cli._setup.cache_clear()
+            rc = main(argv)
+            got.append((rc, capsys.readouterr(), out.read_bytes() if argv[0] == "sweep" else None))
+        return got
+
+    cached = outcomes(fresh=False)
+    assert cli._setup() is cli._setup()
+    assert cached == outcomes(fresh=True)
+    assert [rc for rc, _, _ in cached] == [0, 0, 0, 2, 2, 0, 0]
+    assert "unrecognized arguments: --cost geodesic" in cached[4][1].err
+    assert "{average,sweep,check,distance}" in cached[6][1].out
+
+
+_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from rotavg.cli import _setup
+from rotavg.costs import CostModel
+from rotavg.geometry import SampleSet, normalize
+from rotavg.solvers import multistart
+
+_setup()
+Q = normalize(np.random.default_rng(7).standard_normal((1000, 4)))
+model = CostModel.geodesic(SampleSet.from_quaternions(Q))
+multistart(model, 64, 0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+multistart(model, 64, 0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_setup_keeps_the_r1000_flow_from_faulting():
+    # at r = 1000 the flow's (64, r) temporaries are above glibc's default
+    # mmap threshold; after the CLI's setup a repeated solve reuses freed
+    # heap blocks instead of faulting fresh pages in (thousands of faults
+    # without the setup)
+    try:
+        import ctypes
+
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("no mallopt in this C library")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the thresholds are glibc's")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000

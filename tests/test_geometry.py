@@ -268,6 +268,18 @@ def test_pair_distances_take_stacks():
         assert np.array_equal(got, np.array(want), equal_nan=True)
 
 
+def test_d1_alone_has_the_bits_of_the_table():
+    # the class rule and the sweep's tie test read d1 alone; it must be
+    # the table's d1 bit for bit, on one pair of sets and on stacks, next
+    # to coincident and antipodal rows too
+    rng = np.random.default_rng(29)
+    P = normalize(rng.standard_normal((4, 7, 4)))
+    Q = normalize(rng.standard_normal((4, 9, 4)))
+    Q[0, 0], Q[1, 0] = -P[0, 0], normalize(P[1, 0] + 1e-9 * rng.standard_normal(4))
+    for p, q in [(P, Q), (P[0], Q[0]), (Q[1], Q[1])]:
+        assert np.array_equal(geometry._d1(p, q), geometry._pair_distances(p, q)[0])
+
+
 @pytest.mark.parametrize("angle", [1e-8, 1e-6, 1e-4])
 def test_pair_distances_closed_forms(angle):
     # rotations by a small angle about each axis, where the matrix forms
