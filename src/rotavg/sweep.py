@@ -9,11 +9,15 @@ traces the minimizer angle over an alpha grid, one SweepRecord per alpha.
 The grid is worked in chunks of ALPHAS_PER_STACK alphas: the candidates of
 a chunk are the rows of one stacked model, its critical sets are put in
 classes by one call of the rule multistart uses (geometry._classes), and
-the angles of all its minimizers come from one stacked call. The
-bisections evaluate one alpha at a time.
+the angles of all its minimizers come from one stacked call.
 Root-count transitions and minimizer ties are found from those records:
 each change between adjacent records is bisected, so they work on any
-grid. Records round-trip through CSV.
+grid. All changes are bisected in lockstep: each step evaluates the
+midpoints of every bracket still open in one stacked call, and each
+bracket takes the midpoints it would take alone, with the same
+0.5 * (lo + hi); as every stacked row has the bits of its one-alpha call,
+every bisected alpha keeps its bits. Records round-trip through CSV, each
+row formatted directly in the bytes of the csv module's writer.
 """
 
 from __future__ import annotations
@@ -60,6 +64,10 @@ _PAIR_NAMES = {
 }
 
 _BLACK_Q = (0.0, 0.0, 1.0, 0.0)
+
+# one emit_csv row: 17 significant digits for each number, is_min as 0 or 1,
+# and the csv module's terminator
+_CSV_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d\r\n"
 
 
 def build_samples(alpha: float) -> SampleSet:
@@ -407,29 +415,30 @@ def theta_min_curve(p: float, alpha_grid):
     return _records(np.asarray(alpha_grid, dtype=float), p)
 
 
-def _changes(records, key, key_at, width):
+def _changes(records, key, keys_at, width):
     """Every change of key(record) between adjacent records, bisected to a
-    bracket of at most width with key_at(alpha, p), the same key computed
-    at a bare alpha; yields (alpha, key_before, key_after)."""
-    for r0, r1 in zip(records[:-1], records[1:]):
-        before, after = key(r0), key(r1)
-        if before != after:
-            lo, hi = r0.alpha, r1.alpha
-            while abs(hi - lo) > width:
-                mid = 0.5 * (lo + hi)
-                if key_at(mid, r0.p) == before:
-                    lo = mid
-                else:
-                    hi = mid
-            yield 0.5 * (lo + hi), before, after
+    bracket of at most width; returns (alpha, key_before, key_after) in
+    grid order. The brackets advance in lockstep: each step reads the key
+    at the midpoint 0.5 * (lo + hi) of every bracket still wider than width
+    with one keys_at(alphas, p) call, the same key computed at bare alphas.
+    Each bracket takes the midpoints it would take alone."""
+    pairs = [(r0.alpha, r1.alpha, key(r0), key(r1)) for r0, r1 in zip(records[:-1], records[1:])]
+    brackets = [list(b) for b in pairs if b[2] != b[3]]
+    open_ = [b for b in brackets if abs(b[1] - b[0]) > width]
+    while open_:
+        mids = [0.5 * (lo + hi) for lo, hi, _, _ in open_]
+        for b, mid, k in zip(open_, mids, keys_at(mids, records[0].p)):
+            b[0 if k == b[2] else 1] = mid
+        open_ = [b for b in open_ if abs(b[1] - b[0]) > width]
+    return [(0.5 * (lo + hi), before, after) for lo, hi, before, after in brackets]
 
 
-def _root_count(alpha, p):
-    return len(positive_roots(_poly_for(p)(alpha)))
+def _root_counts(alphas, p):
+    return [len(positive_roots(_poly_for(p)(a))) for a in alphas]
 
 
-def _leading_label(alpha, p):
-    return _records([alpha], p)[0].min_set_label[0]
+def _leading_labels(alphas, p):
+    return [rec.min_set_label[0] for rec in _records(alphas, p)]
 
 
 def root_count_transitions(records):
@@ -438,7 +447,7 @@ def root_count_transitions(records):
 
     Returns (alpha, count_before, count_after) triples in grid order.
     """
-    return list(_changes(records, lambda rec: len(rec.roots), _root_count, 1e-10))
+    return _changes(records, lambda rec: len(rec.roots), _root_counts, 1e-10)
 
 
 def tie_locations(records):
@@ -452,9 +461,11 @@ def tie_locations(records):
     out = []
     # crossing costs move ~1e2 per unit alpha, so the bracket must be far
     # narrower than TIE_TOL before both classes can tie
-    changes = _changes(records, lambda rec: rec.min_set_label[0], _leading_label, 1e-13)
-    for a_star, prev, cur in changes:
-        win = _winners(_records([a_star], records[0].p)[0].sets, tol=1e-9)
+    changes = _changes(records, lambda rec: rec.min_set_label[0], _leading_labels, 1e-13)
+    # the winners at every bisected alpha, from one stacked record call
+    recs = _records([a for a, _, _ in changes], records[0].p) if changes else []
+    for (a_star, prev, cur), rec in zip(changes, recs):
+        win = _winners(rec.sets, tol=1e-9)
         labels, Q = {r.label for r in win}, normalize(np.array([r.q for r in win]))
         # the tie must be between the classes that swapped the lead;
         # anything else is root-finder noise at a degenerate pinch
@@ -463,42 +474,29 @@ def tie_locations(records):
     return out
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
-
-
-def _row(rec, label, rep, theta, is_min):
-    return [
-        _fmt(rec.alpha),
-        _fmt(rec.p),
-        label,
-        _fmt(math.nan if rep.x_root is None else rep.x_root),
-        _fmt(rep.q[0]),
-        _fmt(rep.q[1]),
-        _fmt(rep.cost),
-        _fmt(theta),
-        is_min,
-    ]
-
-
 def emit_csv(records, path):
     """Write records as CSV: one row per emitted set, then one row per tied
     minimizer (set_label "min:<label>"). Floats carry 17 significant digits,
-    enough for an exact round trip; inapplicable cells hold nan.
+    enough for an exact round trip; inapplicable cells hold nan. Each row
+    is written with one format, in the bytes of the csv module's writer:
+    no field (a number, a fixed label, "min:<label>", 0 or 1) is ever one
+    that its minimal quoting would quote.
     """
     records = list(records)
     thetas = iter(_thetas([rep.q for rec in records for rep in rec.sets if rep.label != "black"]))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
+        fh.write(",".join(CSV_HEADER) + "\r\n")
         for rec in records:
             winners = set(rec.min_set_label)
-            for rep in rec.sets:
-                theta = math.nan if rep.label == "black" else next(thetas)
-                w.writerow(_row(rec, rep.label, rep, theta, "1" if rep.label in winners else "0"))
+            rows = [
+                (rep.label, rep, math.nan if rep.label == "black" else next(thetas), rep.label in winners)
+                for rep in rec.sets
+            ]
             for label, theta in zip(rec.min_set_label, rec.theta_min):
-                rep = next(r for r in rec.sets if r.label == label)
-                w.writerow(_row(rec, "min:" + label, rep, theta, "1"))
+                rows.append(("min:" + label, next(r for r in rec.sets if r.label == label), theta, True))
+            for label, rep, theta, is_min in rows:
+                x = math.nan if rep.x_root is None else rep.x_root
+                fh.write(_CSV_ROW % (rec.alpha, rec.p, label, x, rep.q[0], rep.q[1], rep.cost, theta, is_min))
 
 
 def parse_csv(path):

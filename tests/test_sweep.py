@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -448,22 +450,28 @@ def test_record_matches_one_candidate_at_a_time(default_records):
             _assert_matches_reference(rec)
 
 
+def _bisect_one_at_a_time(recs, key, width):
+    """Each change of key between adjacent records, bisected one bracket
+    after the other, with a full one-alpha record at each midpoint."""
+    out = []
+    for r0, r1 in zip(recs[:-1], recs[1:]):
+        before, after = key(r0), key(r1)
+        if before != after:
+            lo, hi = r0.alpha, r1.alpha
+            while abs(hi - lo) > width:
+                mid = 0.5 * (lo + hi)
+                if key(_records([mid], 4.0)[0]) == before:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append((0.5 * (lo + hi), before, after))
+    return out
+
+
 def test_root_count_transitions_need_no_records(monkeypatch):
     grid = np.linspace(-1.2, -0.4, 81)
     for recs in (theta_min_curve(4.0, grid), theta_min_curve(4.0, grid[::-1])):
-        # the same bisection, with a full record at each midpoint
-        want = []
-        for r0, r1 in zip(recs[:-1], recs[1:]):
-            before, after = len(r0.roots), len(r1.roots)
-            if before != after:
-                lo, hi = r0.alpha, r1.alpha
-                while abs(hi - lo) > 1e-10:
-                    mid = 0.5 * (lo + hi)
-                    if len(_records([mid], 4.0)[0].roots) == before:
-                        lo = mid
-                    else:
-                        hi = mid
-                want.append((0.5 * (lo + hi), before, after))
+        want = _bisect_one_at_a_time(recs, lambda rec: len(rec.roots), 1e-10)
         calls = []
         with monkeypatch.context() as m:
             m.setattr(sweep, "_candidate_stack", lambda *args: calls.append(args))
@@ -471,6 +479,36 @@ def test_root_count_transitions_need_no_records(monkeypatch):
         assert calls == []
         assert len(want) == 2
         assert got == want
+
+
+def _reference_ties(recs):
+    """tie_locations one bracket and one record at a time: the leading
+    label bisected to 1e-13, then the winners within 1e-9 at each bisected
+    alpha, kept where they hold both swapped labels and two rotations."""
+    out = []
+    for a, prev, cur in _bisect_one_at_a_time(recs, lambda rec: rec.min_set_label[0], 1e-13):
+        sets = _records([a], 4.0)[0].sets
+        labels = _reference_winners(sets, 1e-9)
+        Rs = [covering_map(normalize(np.asarray(rep.q))) for rep in sets if rep.label in labels]
+        if {prev, cur} <= set(labels) and any(np.linalg.norm(Ra - Rb) > 1e-6 for Ra in Rs for Rb in Rs):
+            out.append((a, tuple(sorted(labels))))
+    return out
+
+
+def test_lockstep_ties_match_one_bracket_at_a_time(default_records, monkeypatch):
+    grid = np.linspace(-1.2, -0.4, 81)
+    for recs in (default_records[4.0], theta_min_curve(4.0, grid), theta_min_curve(4.0, grid[::-1])):
+        want = _reference_ties(recs)
+        assert len(want) == 1
+        assert [(a.hex(), labels) for a, labels in tie_locations(recs)] == [(a.hex(), labels) for a, labels in want]
+    # the default grid's bisections take 37 lockstep steps, and one more
+    # call reads the winners; one alpha at a time they take 190 calls
+    calls = []
+    stack = sweep._candidate_stack
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_candidate_stack", lambda *args: calls.append(args) or stack(*args))
+        _assert_quartic_tie(tie_locations(default_records[4.0]))
+    assert len(calls) <= 38
 
 
 def test_root_count_transitions(default_records):
@@ -586,6 +624,42 @@ def test_csv_min_rows(tmp_path):
     assert [r[2][4:] for r in min_rows] == list(recs[0].min_set_label)
     flagged = {r[2] for r in rows if r[8] == "1" and not r[2].startswith("min:")}
     assert flagged == set(recs[0].min_set_label)
+
+
+def _csv_module_emit(records, path):
+    """emit_csv as the csv module's writer, one list of fields per row."""
+
+    def fmt(x):
+        return "%.17g" % float(x)
+
+    def row(rec, label, rep, theta, is_min):
+        x = math.nan if rep.x_root is None else rep.x_root
+        nums = [fmt(v) for v in (x, rep.q[0], rep.q[1], rep.cost, theta)]
+        return [fmt(rec.alpha), fmt(rec.p), label, *nums, is_min]
+
+    thetas = iter(_thetas([rep.q for rec in records for rep in rec.sets if rep.label != "black"]))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(CSV_HEADER)
+        for rec in records:
+            winners = set(rec.min_set_label)
+            for rep in rec.sets:
+                theta = math.nan if rep.label == "black" else next(thetas)
+                w.writerow(row(rec, rep.label, rep, theta, "1" if rep.label in winners else "0"))
+            for label, theta in zip(rec.min_set_label, rec.theta_min):
+                rep = next(r for r in rec.sets if r.label == label)
+                w.writerow(row(rec, "min:" + label, rep, theta, "1"))
+
+
+def test_emit_csv_keeps_the_csv_module_bytes(default_records, tmp_path):
+    (tie,) = theta_min_curve(4.0, [-math.pi / 4])
+    assert len(tie.min_set_label) == 2  # two min: rows
+    (rec,) = theta_min_curve(4.0, [0.3])
+    nan_black = dataclasses.replace(rec, sets=(dataclasses.replace(rec.sets[0], x_root=math.nan),) + rec.sets[1:])
+    for recs in (default_records[2.0], default_records[4.0], [tie], [nan_black]):
+        emit_csv(recs, tmp_path / "got.csv")
+        _csv_module_emit(recs, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_parse_csv_refuses_rows_without_nine_fields(tmp_path):
