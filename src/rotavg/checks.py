@@ -37,7 +37,7 @@ from .geometry import (
     quat_from_rotation,
     tangent_frame,
 )
-from .sweep import _root_residuals, _sample_quats, positive_roots, q2_coeffs
+from .sweep import _root_residuals, _roots_of, _sample_quats
 
 __all__ = ["CheckResult", "run_all", "format_report", "FAMILIES"]
 
@@ -275,13 +275,13 @@ def check_two_roots(seed=0, trials=1000) -> CheckResult:
 
     Sampled on the standard 0.01 grid over [-pi, pi] (the claim degenerates
     exactly at alpha = 0, where the two roots collide, which the grid never
-    hits). The polynomial is quadratic in W = x^2, so positive_roots solves
-    it in closed form; its roots pair as W and 1 - W. One draw of every
-    trial's grid index reads the stream as one draw per trial does, and
-    each distinct index is solved once.
+    hits). The polynomial is quadratic in W = x^2, so its roots come in
+    closed form; they pair as W and 1 - W. One draw of every trial's grid
+    index reads the stream as one draw per trial does, and the distinct
+    indices are solved together, in one sweep._roots_of call.
     """
     grid = set(np.random.default_rng(seed).integers(0, 629, size=trials).tolist())
-    worst = max((abs(len(positive_roots(q2_coeffs(-np.pi + 0.01 * i))) - 2) for i in grid), default=0)
+    worst = max((abs(len(x) - 2) for x in _roots_of([-np.pi + 0.01 * i for i in grid], 2.0)), default=0)
     return CheckResult("quadratic-cost polynomial root count = 2", trials, float(worst), 0.5)
 
 

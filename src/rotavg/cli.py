@@ -263,9 +263,8 @@ def cmd_sweep(args) -> int:
     lo, hi = max(lo, -math.pi), min(hi, math.pi)
     grid = np.minimum(np.arange(lo, hi + 0.5 * step, step), hi)
     records = sweep_mod.theta_min_curve(args.p, grid)
-    out = args.out or "sweep.csv"
-    sweep_mod.emit_csv(records, out)
-    lines = [f"wrote {len(records)} grid points to {out}"]
+    sweep_mod.emit_csv(records, args.out)
+    lines = [f"wrote {len(records)} grid points to {args.out}"]
     trans = sweep_mod.root_count_transitions(records)
     if trans:
         for a, before, after in trans:
@@ -314,10 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rotavg", description="Rotation averaging on the unit-quaternion sphere")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def io(p, needs_input):
+    def io(p, needs_input, out=None):
         if needs_input:
             p.add_argument("--input", required=True, help="JSON file with a rotations array")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--out", default=out, help=f"output path (default: {out or 'stdout'})")
 
     p_avg = sub.add_parser("average", help="critical points of a cost over input rotations")
     io(p_avg, needs_input=True)
@@ -328,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_avg.add_argument("--tol", type=float, default=1e-12, help="flow stopping tolerance, relative to 1 + c r")
 
     p_sweep = sub.add_parser("sweep", help="x-axis three-rotation family over an alpha grid")
-    io(p_sweep, needs_input=False)
+    io(p_sweep, needs_input=False, out="sweep.csv")
     p_sweep.add_argument("--p", type=float, default=2.0, help="chordal exponent, 2 or 4")
     p_sweep.add_argument("--degrees", action="store_true", help="report angles in degrees")
     p_sweep.add_argument("--alpha-min", type=float, default=-math.pi)

@@ -6,6 +6,12 @@ quaternion component; this module builds those polynomials, finds their
 positive roots (in closed form for p = 2, by safeguarded Newton steps on a
 derivative chain for p = 4), labels the resulting critical families and
 traces the minimizer angle over an alpha grid, one SweepRecord per alpha.
+The roots of many alphas are found together (:func:`_roots_of`): up to
+ROOTS_PER_STACK polynomials run the root finder in lockstep over the
+brackets of all of them, with the float operations of the scalar
+:func:`positive_roots` element by element, so every root keeps its bits;
+fewer than STACKED_ROOTS_MIN, where a stacked call's fixed cost would
+dominate, are solved one at a time.
 The grid is worked in chunks of ALPHAS_PER_STACK alphas: the candidates of
 a chunk are the rows of one stacked model, its critical sets are put in
 classes by one call of the rule multistart uses (geometry._classes), and
@@ -52,6 +58,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-8  # a candidate is critical when its pushforward residual beats this
 TIE_TOL = 1e-10  # costs closer than this count as one minimum
 ALPHAS_PER_STACK = 128  # alphas whose candidates share one stacked model; bounds its memory
+ROOTS_PER_STACK = 1024  # polynomials per stacked root finder call, ~0.8 kB each; bounds its memory
+STACKED_ROOTS_MIN = 40  # from this many polynomials on, one stacked call beats one positive_roots call each
 
 CSV_HEADER = ("alpha", "p", "set_label", "x_root", "q0", "q1", "cost", "theta", "is_min")
 
@@ -260,6 +268,116 @@ def positive_roots(poly: EvenPolynomial):
     return [math.sqrt(r) for r in _real_roots_on(w, 0.0, 1.0, ztol) if r > 0.0]
 
 
+# In the stacked finder below, an (n, m) array of roots holds each row's
+# roots ascending, then NaN; a NaN node never crosses, is never near zero
+# and so is never a root. Every element takes the float operations of the
+# scalar functions above, so every root keeps its bits.
+
+
+def _stacked_horner(C, X):
+    # _horner of each row of C at the same row of X
+    v = C[:, -1:]
+    for j in range(C.shape[1] - 2, -1, -1):
+        v = C[:, j : j + 1] + v * X
+    return v
+
+
+def _stacked_in_interval(R):
+    # _in_interval on [0, 1]: a root outside becomes NaN; max and min as
+    # Python's builtins take them, so a -0.0 stays -0.0
+    R = np.where((0.0 - 1e-12 <= R) & (R <= 1.0 + 1e-12), R, np.nan)
+    R = np.where(0.0 > R, 0.0, R)
+    return np.where(1.0 < R, 1.0, R)
+
+
+def _stacked_quadratic(C, ztol):
+    # _quadratic_roots on [0, 1] for each row of the (n, 3) array C
+    c0, c1, c2 = C.T
+    disc = c1 * c1 - 4.0 * c2 * c0
+    v = -c1 / (2.0 * c2)
+    vertex = np.where(np.abs(_stacked_horner(C, v[:, None])[:, 0]) <= ztol, v, np.nan)
+    q = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+    a, b = q / c2, c0 / q
+    first = np.where(disc < 0.0, vertex, np.where(q == 0.0, 0.0, np.where(b < a, b, a)))
+    second = np.where((disc < 0.0) | (q == 0.0), np.nan, np.where(b < a, a, b))
+    return _stacked_in_interval(np.stack([first, second], axis=1))
+
+
+def _stacked_newton(C, D, lo, hi, flo):
+    # _newton_root on every bracket at once: C[i], D[i] are bracket i's
+    # polynomial and derivative. A bracket leaves the lockstep where the
+    # scalar loop would return, with the value it would return
+    neg = flo < 0.0
+    x = 0.5 * (lo + hi)
+    out, idx = np.empty_like(x), np.arange(len(x))
+    for _ in range(100):
+        f, d = C[:, -1], D[:, -1]
+        for j in range(C.shape[1] - 2, 0, -1):
+            f, d = C[:, j] + f * x, D[:, j - 1] + d * x
+        f = C[:, 0] + f * x
+        zero = f == 0.0
+        below = (f < 0.0) == neg
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        step = np.where(d != 0.0, f / d, np.inf)
+        close = ~zero & (np.abs(step) <= 4e-16 * np.abs(x))
+        newton = x - step
+        xn = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+        stop = zero | close | (xn == x)
+        out[idx[stop]] = np.where(close, newton, x)[stop]
+        keep = ~stop
+        x, lo, hi, neg, C, D, idx = xn[keep], lo[keep], hi[keep], neg[keep], C[keep], D[keep], idx[keep]
+        if not idx.size:
+            break
+    out[idx] = x
+    return out
+
+
+def _stacked_roots_on(C, ztol):
+    """_real_roots_on(c, 0.0, 1.0, ztol[i]) for every row c = C[i] of an
+    (n, k) array, k >= 3, whose leading column holds no zero: the
+    derivative chain of all rows in lockstep, one level at a time, and the
+    brackets of every row in one :func:`_stacked_newton` call per level."""
+    n, k = C.shape
+    if k == 3:
+        roots = _stacked_quadratic(C, ztol)
+    else:
+        D = C[:, 1:] * np.arange(1.0, k)
+        R = _stacked_roots_on(D, ztol)
+        nodes = np.full((n, R.shape[1] + 2), np.nan)
+        nodes[:, 0] = 0.0
+        nodes[:, 1:-1] = R
+        nodes[np.arange(n), np.count_nonzero(~np.isnan(R), axis=1) + 1] = 1.0
+        vals = _stacked_horner(C, nodes)
+        cross = vals[:, :-1] * vals[:, 1:] < 0.0
+        flanked = np.zeros(nodes.shape, dtype=bool)
+        flanked[:, 1:] = cross
+        flanked[:, :-1] |= cross
+        i, j = np.nonzero(cross)
+        newton = np.full(cross.shape, np.nan)
+        newton[i, j] = _stacked_newton(C[i], D[i], nodes[i, j], nodes[i, j + 1], vals[i, j])
+        at_node = (np.abs(vals) <= ztol[:, None]) & ~flanked
+        roots = np.concatenate([np.where(at_node, nodes, np.nan), newton], axis=1)
+    # sorted, then each root kept only beyond 1e-10 of the last one kept
+    roots = np.sort(roots, axis=1, kind="stable")
+    last = np.full(n, -np.inf)
+    for col in roots.T:
+        keep = col - last > 1e-10
+        col[~keep] = np.nan
+        last = np.where(keep, col, last)
+    roots = np.sort(roots, axis=1)
+    return roots[:, : np.count_nonzero(~np.isnan(roots), axis=1).max(initial=0)]
+
+
+def _stacked_positive_roots(W):
+    """positive_roots of each even polynomial given by a row of the (n, k)
+    array W, its coefficients in W = Z^2 (poly.coeffs[0::2]), with the same
+    bits; k >= 3, and no leading coefficient is zero."""
+    ztol = 1e-14 * np.maximum(1.0, np.abs(W).max(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = _stacked_roots_on(W, ztol)
+    return [[math.sqrt(r) for r in row if r > 0.0] for row in R.tolist()]
+
+
 @dataclass(frozen=True)
 class CriticalRep:
     """One labeled critical family, pinned by its representative quaternion."""
@@ -277,6 +395,22 @@ def _poly_for(p):
     if p == 4:
         return q4_coeffs
     raise ValueError("closed-form polynomials exist only for p in {2, 4}")
+
+
+def _roots_of(alphas, p):
+    """The positive roots of the power-p polynomial at each alpha of a
+    sequence, with the bits of :func:`positive_roots`: ROOTS_PER_STACK
+    alphas at a time, each batch in one :func:`_stacked_positive_roots`
+    call, or in one positive_roots call per alpha when it holds fewer than
+    STACKED_ROOTS_MIN, where the stacked call's fixed cost would dominate."""
+    poly, out = _poly_for(p), []
+    for k in range(0, len(alphas), ROOTS_PER_STACK):
+        polys = [poly(a) for a in alphas[k : k + ROOTS_PER_STACK]]
+        if len(polys) < STACKED_ROOTS_MIN:
+            out += [positive_roots(q) for q in polys]
+        else:
+            out += _stacked_positive_roots(np.array([q.coeffs[0::2] for q in polys]))
+    return out
 
 
 def _candidates(roots, p):
@@ -302,16 +436,16 @@ def _candidates(roots, p):
 
 
 def _candidate_stack(alphas, p):
-    """For each alpha of a sequence in turn: its positive roots, its
-    :func:`_candidates` stack and rows, and each candidate's cost and
-    pushforward residual norm, as lists. The candidates of ALPHAS_PER_STACK
-    alphas at a time are the rows of one stacked model, each against its
-    own alpha's samples: one value and one pushforward_residual call, each
-    row with the bits of the one-alpha call."""
-    out = []
+    """For each alpha of a sequence in turn: its positive roots (all from
+    one :func:`_roots_of` call), its :func:`_candidates` stack and rows,
+    and each candidate's cost and pushforward residual norm, as lists. The
+    candidates of ALPHAS_PER_STACK alphas at a time are the rows of one
+    stacked model, each against its own alpha's samples: one value and one
+    pushforward_residual call, each row with the bits of the one-alpha
+    call."""
+    out, all_roots = [], _roots_of(alphas, p)
     for k in range(0, len(alphas), ALPHAS_PER_STACK):
-        chunk = alphas[k : k + ALPHAS_PER_STACK]
-        roots = [positive_roots(_poly_for(p)(a)) for a in chunk]
+        chunk, roots = alphas[k : k + ALPHAS_PER_STACK], all_roots[k : k + ALPHAS_PER_STACK]
         found = [_candidates(x, p) for x in roots]
         sizes = [len(C) for C, _ in found]
         model = CostModel.lp_chordal(SampleSet(np.repeat([_sample_quats(a) for a in chunk], sizes, axis=0)), p)
@@ -434,7 +568,7 @@ def _changes(records, key, keys_at, width):
 
 
 def _root_counts(alphas, p):
-    return [len(positive_roots(_poly_for(p)(a))) for a in alphas]
+    return [len(roots) for roots in _roots_of(alphas, p)]
 
 
 def _leading_labels(alphas, p):
@@ -501,8 +635,9 @@ def emit_csv(records, path):
 
 def parse_csv(path):
     """Rebuild SweepRecords from emit_csv output (exact floats). Raises
-    ValueError unless the header is CSV_HEADER and every row holds exactly
-    its nine fields, with a number in each numeric one."""
+    ValueError unless the header is CSV_HEADER, every row holds exactly its
+    nine fields, with a number in each numeric one, and every "min:<label>"
+    row names a set row of its own alpha and p."""
     cells: dict = {}  # (alpha, p) as written -> (sets, (label, theta) of each min row)
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
@@ -519,6 +654,10 @@ def parse_csv(path):
                 sets.append(CriticalRep("black", None, _BLACK_Q, cost, 0.0))
             else:
                 sets.append(CriticalRep(label, x_root, (q0, q1, 0.0, 0.0), cost, 0.0))
+    for (alpha, p), (sets, mins) in cells.items():
+        missing = {label for label, _ in mins} - {r.label for r in sets}
+        if missing:
+            raise ValueError(f"min:{min(missing)} at alpha = {alpha}, p = {p} names no set row")
     return [
         SweepRecord(float(alpha), float(p), tuple(sorted({r.x_root for r in sets if r.x_root is not None})),
                     tuple(sets), tuple(t for _, t in mins), tuple(l for l, _ in mins))

@@ -453,6 +453,19 @@ def test_sweep_csv_deterministic_and_parseable(tmp_path, capsys):
     assert parse_csv(str(a)) == theta_min_curve(2.0, grid)
 
 
+def test_sweep_help_names_its_default_output(tmp_path, monkeypatch, capsys):
+    # sweep writes sweep.csv when --out is not given, the other subcommands
+    # write to stdout, and each help text says so
+    assert main(["sweep", "--help"]) == 0
+    assert "output path (default: sweep.csv)" in capsys.readouterr().out
+    assert main(["check", "--help"]) == 0
+    assert "output path (default: stdout)" in capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--alpha-min", "-0.1", "--alpha-max", "0.1", "--alpha-step", "0.05"]) == 0
+    assert capsys.readouterr().out.startswith("wrote 5 grid points to sweep.csv\n")
+    assert len(parse_csv(tmp_path / "sweep.csv")) == 5
+
+
 def test_sweep_rejects_other_p(capsys):
     assert main(["sweep", "--p", "3"]) == 2
     assert "only p = 2 or p = 4" in capsys.readouterr().err

@@ -250,6 +250,79 @@ def test_positive_roots_rejects_zero_polynomial():
         positive_roots(EvenPolynomial((0.0, 0.0, 0.0)))
 
 
+def _hex(roots):
+    return [x.hex() for x in roots]
+
+
+def test_stacked_roots_bits_match_positive_roots():
+    # the alpha sets of test_positive_roots_bits_match_reference, the check
+    # family's edge angles and the ends and centre of the alpha range, each
+    # set in one stacked call: every row must keep positive_roots' bits
+    grid = np.arange(-math.pi, math.pi + 0.005, 0.01)
+    random_alphas = np.random.default_rng(9).uniform(-math.pi, math.pi, 2000)
+    edges = [checks.POLY_EDGE_ALPHAS, [0.0, math.pi, -math.pi, -math.pi / 2]]
+    for q in (q2_coeffs, q4_coeffs):
+        alphas = [grid, random_alphas, math.pi / 24 * np.arange(-24, 25), *edges]
+        if q is q4_coeffs:
+            alphas += [np.linspace(a - 1e-6, a + 1e-6, 201) for a in QUARTIC_DOUBLE_ROOTS]
+        for batch in alphas:
+            polys = [q(float(a)) for a in batch]
+            got = sweep._stacked_positive_roots(np.array([poly.coeffs[0::2] for poly in polys]))
+            assert len(got) == len(polys)
+            for a, poly, roots in zip(batch, polys, got):
+                assert _hex(roots) == _hex(positive_roots(poly)), (q.__name__, float(a))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_stacked_roots_of_other_polynomials(k):
+    # W-polynomials of k coefficients with a nonzero leading one: random
+    # ones, and products of roots drawn from a few values, so that double
+    # and triple roots, roots at W = 0 and 1 and roots beside them all occur
+    rng = np.random.default_rng(k)
+    rows = [rng.standard_normal(k) for _ in range(300)]
+    for values in ([0.0, 0.25, 0.5, 1.0, 1e-9, 0.3], [-0.1, 0.2, 0.2 + 1e-11, 0.7, 1.0 + 1e-13]):
+        rows += [rng.uniform(0.5, 50.0) * npoly.polyfromroots(rng.choice(values, k - 1)) for _ in range(300)]
+    got = sweep._stacked_positive_roots(np.array(rows))
+    for w, roots in zip(rows, got):
+        coeffs = [0.0] * (2 * k - 1)
+        coeffs[0::2] = w.tolist()
+        assert _hex(roots) == _hex(positive_roots(EvenPolynomial(coeffs))), w.tolist()
+
+
+def test_roots_of_chooses_its_path_by_size(monkeypatch):
+    # one positive_roots call per alpha below STACKED_ROOTS_MIN, none from
+    # there on; a batch of ROOTS_PER_STACK + 5 leaves a tail of five
+    calls = []
+    scalar = sweep.positive_roots
+    monkeypatch.setattr(sweep, "positive_roots", lambda poly: calls.append(poly) or scalar(poly))
+    for n, want in ((sweep.STACKED_ROOTS_MIN - 1, sweep.STACKED_ROOTS_MIN - 1), (sweep.STACKED_ROOTS_MIN, 0),
+                    (sweep.ROOTS_PER_STACK + 5, 5)):
+        calls.clear()
+        alphas = np.linspace(-math.pi, math.pi, n)
+        roots = sweep._roots_of(alphas, 2.0)
+        assert len(calls) == want
+        assert [_hex(r) for r in roots] == [_hex(scalar(q2_coeffs(a))) for a in alphas]
+
+
+def _stack_bits(found):
+    return [(_hex(roots), X.tobytes(), rows, _hex(costs), _hex(res)) for roots, X, rows, costs, res in found]
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_candidate_stack_same_on_both_root_paths(monkeypatch, p):
+    # every root batch stacked (threshold 1) or every one one alpha at a
+    # time (threshold past a full batch): roots, candidates, rows, costs and
+    # residuals agree bit for bit, on the default grid and 2000 random alphas
+    random_alphas = np.random.default_rng(12).uniform(-math.pi, math.pi, 2000)
+    for alphas in (np.arange(-math.pi, math.pi + 0.005, 0.01), random_alphas):
+        found = []
+        for threshold in (1, sweep.ROOTS_PER_STACK + 1):
+            monkeypatch.setattr(sweep, "STACKED_ROOTS_MIN", threshold)
+            found.append(_stack_bits(sweep._candidate_stack(alphas, p)))
+        assert len(found[0]) == len(alphas)
+        assert found[0] == found[1]
+
+
 def test_q2_coeffs_quarter():
     # at alpha = -pi/2: A = 20, constant term 0
     c = q2_coeffs(-math.pi / 2).coeffs
@@ -660,6 +733,23 @@ def test_emit_csv_keeps_the_csv_module_bytes(default_records, tmp_path):
         emit_csv(recs, tmp_path / "got.csv")
         _csv_module_emit(recs, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_parse_csv_refuses_min_rows_without_their_set(tmp_path):
+    # a min:<label> row must name a set row of its own alpha; emit_csv
+    # could not write the record otherwise
+    path = tmp_path / "one.csv"
+    header = ",".join(CSV_HEADER)
+    black, red = "0.5,4,black,nan,0,0,1,nan,0", "0.5,4,red,0.5,0.8,0.5,2,0.1,1"
+    for rows in ([black, red, "0.5,4,min:green,0.5,0.8,0.5,2,0.1,1"],
+                 [black, red, "0.7,4,black,nan,0,0,1,nan,0", "0.7,4,min:red,0.5,0.8,0.5,2,0.1,1"]):
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match="names no set row"):
+            parse_csv(path)
+    path.write_text("\n".join([header, black, red, "0.5,4,min:red,0.5,0.8,0.5,2,0.1,1"]) + "\n")
+    (rec,) = parse_csv(path)
+    assert rec.min_set_label == ("red",)
+    emit_csv([rec], tmp_path / "again.csv")
 
 
 def test_parse_csv_refuses_rows_without_nine_fields(tmp_path):
