@@ -30,7 +30,9 @@ from rotavg.sweep import (
 # the family member at alpha = -pi/4, quadratic (p=2) cost
 alpha = -math.pi / 4
 print("sample angles at alpha = -pi/4:", [180, 90, math.degrees(alpha)], "deg about x")
-print("p=2 polynomial coefficients:", np.round(q2_coeffs(alpha).coeffs, 6))
+# each polynomial is even in x, so it comes as its coefficients in W = x^2
+print("p=2 polynomial coefficients in W = x^2, ascending:", np.round(q2_coeffs(alpha), 6))
+print("p=4 polynomial coefficients in W = x^2, ascending:", np.round(q4_coeffs(alpha), 6))
 print("p=2 positive roots:", positive_roots(q2_coeffs(alpha)))
 print("p=4 positive roots:", positive_roots(q4_coeffs(alpha)))
 

@@ -262,7 +262,7 @@ def check_black_set(seed=0, trials=1000) -> CheckResult:
     readings = []
     for power in sorted(set(p.tolist())):
         rows = p == power
-        model = CostModel.lp_chordal(SampleSet(np.array([_sample_quats(a) for a in alpha[rows].tolist()])), power)
+        model = CostModel.lp_chordal(SampleSet(_sample_quats(alpha[rows].tolist())), power)
         X = np.zeros((np.count_nonzero(rows), 4))
         X[:, 2], X[:, 3] = np.cos(t[rows]), np.sin(t[rows])
         readings.append(np.abs(model.value(X) - 3.0 * 8.0 ** (power / 2.0)))

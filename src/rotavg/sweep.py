@@ -1,8 +1,9 @@
 """Parametric study of three x-axis sample rotations.
 
 The samples are rotations by pi, pi/2 and alpha about the x-axis. On the
-axis the critical-point system collapses to a polynomial in the second
-quaternion component; this module builds those polynomials, finds their
+axis the critical-point system collapses to an even polynomial in the
+second quaternion component x; this module builds those polynomials, as
+their coefficients in W = x^2 (ascending, a tuple of floats), finds their
 positive roots (in closed form for p = 2, by safeguarded Newton steps on a
 derivative chain for p = 4), labels the resulting critical families and
 traces the minimizer angle over an alpha grid, one SweepRecord per alpha.
@@ -12,10 +13,11 @@ brackets of all of them, with the float operations of the scalar
 :func:`positive_roots` element by element, so every root keeps its bits;
 fewer than STACKED_ROOTS_MIN, where a stacked call's fixed cost would
 dominate, are solved one at a time.
-The grid is worked in chunks of ALPHAS_PER_STACK alphas: the candidates of
-a chunk are the rows of one stacked model, its critical sets are put in
-classes by one call of the rule multistart uses (geometry._classes), and
-the angles of all its minimizers come from one stacked call.
+The grid is worked in chunks of ALPHAS_PER_STACK alphas: the sample lifts
+of a chunk form one array and its candidates another, the rows of one
+stacked model; its critical sets are put in classes by one call of the rule
+multistart uses (geometry._classes), and the angles of all its minimizers
+come from one stacked call.
 Root-count transitions and minimizer ties are found from those records:
 each change between adjacent records is bisected, so they work on any
 grid. All changes are bisected in lockstep: each step evaluates the
@@ -39,7 +41,6 @@ from .costs import CostModel
 from .geometry import SampleSet, _classes, _d1, canonicalize_sign, normalize
 
 __all__ = [
-    "EvenPolynomial",
     "CriticalRep",
     "SweepRecord",
     "build_samples",
@@ -65,6 +66,7 @@ CSV_HEADER = ("alpha", "p", "set_label", "x_root", "q0", "q1", "cost", "theta", 
 
 # label pairs (plus-branch, minus-branch) by root rank among n ascending roots
 _PAIR_NAMES = {
+    0: (),
     1: (("red", "blue"),),
     2: (("green", "pink"), ("red", "blue")),
     3: (("green", "pink"), ("yellow", "violet"), ("red", "blue")),
@@ -81,42 +83,30 @@ _CSV_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d\r\n"
 def build_samples(alpha: float) -> SampleSet:
     """The three samples, rotations by pi, pi/2 and alpha about the x-axis,
     as their quaternion lifts (cos(a/2), sin(a/2), 0, 0)."""
-    return SampleSet.from_quaternions(_sample_quats(alpha))
+    return SampleSet.from_quaternions(_sample_quats([alpha])[0])
 
 
-def _sample_quats(alpha):
-    """The (3, 4) lifts of :func:`build_samples`, before the sample set
-    normalizes them: rows of a stack of sample sets."""
-    if not -math.pi <= alpha <= math.pi:
-        raise ValueError("alpha must lie in [-pi, pi]")
-    h = 0.5 * alpha
-    s2 = math.sqrt(2.0) / 2.0
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [s2, s2, 0.0, 0.0],
-            [math.cos(h), math.sin(h), 0.0, 0.0],
-        ]
-    )
+def _sample_quats(alphas):
+    """The (n, 3, 4) lifts of :func:`build_samples` at each alpha of a
+    sequence, before the sample sets normalize them: one stack of sample
+    sets. cos and sin of each half angle come from math, per alpha."""
+    halves = []
+    for alpha in alphas:
+        if not -math.pi <= alpha <= math.pi:
+            raise ValueError("alpha must lie in [-pi, pi]")
+        h = 0.5 * alpha
+        halves.append((math.cos(h), math.sin(h)))
+    Q = np.zeros((len(halves), 3, 4))
+    Q[:, 0, 1] = 1.0
+    Q[:, 1, :2] = math.sqrt(2.0) / 2.0
+    Q[:, 2, :2] = halves
+    return Q
 
 
-@dataclass(frozen=True)
-class EvenPolynomial:
-    """Real polynomial with vanishing odd coefficients, ascending order."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        c = tuple(float(x) for x in self.coeffs)
-        object.__setattr__(self, "coeffs", c)
-        if not all(math.isfinite(x) for x in c):
-            raise ValueError("coefficients must be finite")
-        if any(x != 0.0 for x in c[1::2]):
-            raise ValueError("odd-degree coefficients must vanish")
-
-
-def q2_coeffs(alpha: float) -> EvenPolynomial:
-    """Quartic whose positive roots are the x-axis critical coordinates, p = 2.
+def q2_coeffs(alpha: float) -> tuple:
+    """The p = 2 polynomial, whose positive roots x are the x-axis critical
+    coordinates: a quartic in x, given as its three coefficients in W = x^2,
+    ascending, (a0, -A, A).
 
     The constant term is (1 + sin a)^2 (3 - 2 sin a - 2 cos a). It has a
     fourfold zero at a = -pi/2, where its expansion in sin(a/2) and
@@ -133,18 +123,19 @@ def q2_coeffs(alpha: float) -> EvenPolynomial:
         a0 = -16.0 * s**6 + 16.0 * s**5 * c + 28.0 * s**4 - 8.0 * s**2 + 1.0
     else:
         a0 = (s + c) ** 4 * (3.0 - 2.0 * math.sin(alpha) - 2.0 * math.cos(alpha))
-    return EvenPolynomial((a0, 0.0, -big_a, 0.0, big_a))
+    return (a0, -big_a, big_a)
 
 
-def q4_coeffs(alpha: float) -> EvenPolynomial:
-    """Degree-8 analogue of q2_coeffs for the quartic-chordal cost, p = 4."""
+def q4_coeffs(alpha: float) -> tuple:
+    """Degree-8 analogue of q2_coeffs for the quartic-chordal cost, p = 4:
+    its five coefficients in W = x^2, ascending, (a0, a2, a4, a6, 16.0)."""
     s = math.sin(0.5 * alpha)
     c = math.cos(0.5 * alpha)
     a6 = -128.0 * s**4 + 96.0 * s**2 - 128.0 * s**3 * c + 64.0 * s * c - 32.0
     a4 = 192.0 * s**4 - 128.0 * s**2 + 192.0 * s**3 * c - 80.0 * s * c + 24.0
     a2 = 32.0 * s**6 - 112.0 * s**4 + 48.0 * s**2 - 80.0 * s**3 * c + 24.0 * s * c - 8.0
     a0 = -16.0 * s**8 + 16.0 * s**6 + 8.0 * s**3 * c + 1.0
-    return EvenPolynomial((a0, 0.0, a2, 0.0, a4, 0.0, a6, 0.0, 16.0))
+    return (a0, a2, a4, a6, 16.0)
 
 
 def _horner(c, x):
@@ -246,10 +237,12 @@ def _real_roots_on(c, lo, hi, ztol):
     return out
 
 
-def positive_roots(poly: EvenPolynomial):
-    """All roots of an even polynomial in (0, 1], ascending, multiplicity-free.
+def positive_roots(w):
+    """All roots x in (0, 1] of an even polynomial, ascending and
+    multiplicity-free, from its coefficients w in W = x^2, ascending (as
+    :func:`q2_coeffs` and :func:`q4_coeffs` give them).
 
-    Works in W = Z^2 (halving the degree), all in Python floats. Degree 2
+    Works in W (half the degree in x), all in Python floats. Degree 2
     in W (all of the p = 2 polynomial) is solved in closed form, by the
     formula that subtracts nothing. Higher degrees are isolated by a
     derivative chain down to degree 2: between adjacent roots of P' the
@@ -259,9 +252,11 @@ def positive_roots(poly: EvenPolynomial):
     it (for degree 2, a vertex with a negative discriminant) counts as a
     multiple root only where |poly| is at rounding level, 1e-14 * max|coeff|;
     counting the near-zero values beside a double root as well would make
-    the root count odd there.
+    the root count odd there. Raises ValueError for a coefficient that is
+    not finite and for the zero polynomial.
     """
-    w = poly.coeffs[0::2]
+    if not all(math.isfinite(a) for a in w):
+        raise ValueError("coefficients must be finite")
     if not any(w):
         raise ValueError("polynomial is identically zero")
     ztol = 1e-14 * max(1.0, max(abs(a) for a in w))
@@ -369,9 +364,9 @@ def _stacked_roots_on(C, ztol):
 
 
 def _stacked_positive_roots(W):
-    """positive_roots of each even polynomial given by a row of the (n, k)
-    array W, its coefficients in W = Z^2 (poly.coeffs[0::2]), with the same
-    bits; k >= 3, and no leading coefficient is zero."""
+    """positive_roots of each row of the (n, k) array W, the coefficients of
+    one polynomial in W = x^2, with the same bits; k >= 3, and no leading
+    coefficient is zero."""
     ztol = 1e-14 * np.maximum(1.0, np.abs(W).max(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         R = _stacked_roots_on(W, ztol)
@@ -407,17 +402,17 @@ def _roots_of(alphas, p):
     for k in range(0, len(alphas), ROOTS_PER_STACK):
         polys = [poly(a) for a in alphas[k : k + ROOTS_PER_STACK]]
         if len(polys) < STACKED_ROOTS_MIN:
-            out += [positive_roots(q) for q in polys]
+            out += [positive_roots(w) for w in polys]
         else:
-            out += _stacked_positive_roots(np.array([q.coeffs[0::2] for q in polys]))
+            out += _stacked_positive_roots(np.array(polys))
     return out
 
 
 def _candidates(roots, p):
-    """The points a record evaluates, as one (n, 4) stack: the black point
-    (0,0,1,0), then for each root x its on-axis branches (+-y, x, 0, 0),
-    plus first; one branch where they meet. Also returns (root index,
-    branch index) for each row after the black one.
+    """The points a record evaluates, as a list of 4-tuples: the black
+    point (0,0,1,0), then for each root x its on-axis branches
+    (+-y, x, 0, 0), plus first; one branch where they meet. Also returns
+    (root index, branch index) for each point after the black one.
 
     y is sqrt(1-x^2), except for p = 2 with two roots: its W-polynomial
     A W^2 - A W + a0 has roots W and 1 - W, so each root's y is the other
@@ -432,24 +427,24 @@ def _candidates(roots, p):
         for b, sgn in enumerate((1.0,) if y < 1e-12 else (1.0, -1.0)):
             X.append((sgn * y, x, 0.0, 0.0))
             rows.append((i, b))
-    return np.array(X), rows
+    return X, rows
 
 
 def _candidate_stack(alphas, p):
     """For each alpha of a sequence in turn: its positive roots (all from
-    one :func:`_roots_of` call), its :func:`_candidates` stack and rows,
+    one :func:`_roots_of` call), its :func:`_candidates` points and rows,
     and each candidate's cost and pushforward residual norm, as lists. The
     candidates of ALPHAS_PER_STACK alphas at a time are the rows of one
-    stacked model, each against its own alpha's samples: one value and one
-    pushforward_residual call, each row with the bits of the one-alpha
-    call."""
+    stacked model, one array of points over one array of sample lifts, each
+    against its own alpha's samples: one value and one pushforward_residual
+    call, each row with the bits of the one-alpha call."""
     out, all_roots = [], _roots_of(alphas, p)
     for k in range(0, len(alphas), ALPHAS_PER_STACK):
         chunk, roots = alphas[k : k + ALPHAS_PER_STACK], all_roots[k : k + ALPHAS_PER_STACK]
         found = [_candidates(x, p) for x in roots]
         sizes = [len(C) for C, _ in found]
-        model = CostModel.lp_chordal(SampleSet(np.repeat([_sample_quats(a) for a in chunk], sizes, axis=0)), p)
-        X = np.concatenate([C for C, _ in found])
+        model = CostModel.lp_chordal(SampleSet(np.repeat(_sample_quats(chunk), sizes, axis=0)), p)
+        X = np.array([q for C, _ in found for q in C])
         S = model.pushforward_residual(X).reshape(-1, 9)
         # sqrt of a 9-term dot, as np.linalg.norm forms it for one 3x3 matrix
         costs, res = model.value(X).tolist(), np.sqrt(np.vecdot(S, S)).tolist()
@@ -514,11 +509,10 @@ def _records(alphas, p):
         chunk = []
         for roots, X, rows, costs, res in found[k : k + ALPHAS_PER_STACK]:
             sets = [CriticalRep("black", None, _BLACK_Q, costs[0], res[0])]
-            names = _PAIR_NAMES.get(len(roots))
-            for (i, b), q, cost, r in zip(rows, X[1:].tolist(), costs[1:], res[1:]):
+            names = _PAIR_NAMES[len(roots)]
+            for (i, b), q, cost, r in zip(rows, X[1:], costs[1:], res[1:]):
                 if r < RESIDUAL_TOL:
-                    label = names[i][b] if names else (f"x{i}+", f"x{i}-")[b]
-                    sets.append(CriticalRep(label, float(roots[i]), tuple(q), cost, r))
+                    sets.append(CriticalRep(names[i][b], roots[i], q, cost, r))
             chunk.append((roots, sets))
         K = max(len(sets) for _, sets in chunk)
         U = normalize(np.array([[rep.q for rep in sets] + [_BLACK_Q] * (K - len(sets)) for _, sets in chunk]))

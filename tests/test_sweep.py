@@ -15,7 +15,6 @@ from rotavg.sweep import (
     CSV_HEADER,
     RESIDUAL_TOL,
     CriticalRep,
-    EvenPolynomial,
     _records,
     _root_residuals,
     _thetas,
@@ -44,45 +43,47 @@ def test_build_samples():
 
 
 def test_even_polynomial():
-    p = EvenPolynomial((1.0, 0.0, -2.0, 0.0, 1.0))  # (Z^2 - 1)^2
-    assert npoly.polyval(0.0, p.coeffs) == 1.0
-    assert npoly.polyval(1.0, p.coeffs) == 0.0
-    assert abs(npoly.polyval(0.5, p.coeffs) - 0.5625) < 1e-15
-    with pytest.raises(ValueError):
-        EvenPolynomial((0.0, 1.0, 0.0))  # odd coefficient
+    # an even polynomial in x is carried as its coefficients in W = x^2,
+    # ascending: (x^2 - 1)^2 is (1, -2, 1), and its value at x is the
+    # W-polynomial's at x^2
+    w = (1.0, -2.0, 1.0)
+    assert npoly.polyval(0.0**2, w) == 1.0
+    assert npoly.polyval(1.0**2, w) == 0.0
+    assert abs(npoly.polyval(0.5**2, w) - 0.5625) < 1e-15
+    assert positive_roots(w) == [1.0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_even_polynomial_rejects_non_finite(bad):
+def test_positive_roots_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
-        EvenPolynomial((bad, 0.0, -1.0, 0.0, 1.0))
+        positive_roots((bad, -1.0, 1.0))
     with pytest.raises(ValueError, match="finite"):
-        EvenPolynomial((1.0, 0.0, bad, 0.0, 1.0))
+        positive_roots((1.0, -1.0, bad))
 
 
 def test_positive_roots_factored():
-    # Z^4 - 0.58 Z^2 + 0.0441 = (Z^2 - 0.09)(Z^2 - 0.49)
-    roots = positive_roots(EvenPolynomial((0.0441, 0.0, -0.58, 0.0, 1.0)))
+    # x^4 - 0.58 x^2 + 0.0441 = (x^2 - 0.09)(x^2 - 0.49)
+    roots = positive_roots((0.0441, -0.58, 1.0))
     assert np.allclose(roots, [0.3, 0.7], atol=1e-12)
 
 
 def test_positive_roots_quadruple():
     # at alpha = 0 the quartic degenerates to (2W - 1)^4: one positive root
-    p = q4_coeffs(0.0)
-    assert p.coeffs == (1.0, 0.0, -8.0, 0.0, 24.0, 0.0, -32.0, 0.0, 16.0)
-    roots = positive_roots(p)
+    w = q4_coeffs(0.0)
+    assert w == (1.0, -8.0, 24.0, -32.0, 16.0)
+    roots = positive_roots(w)
     assert len(roots) == 1
     assert abs(roots[0] - math.sqrt(0.5)) < 1e-12
 
 
 def test_positive_roots_tiny():
     # just past alpha = -pi/2 one root sits at ~1.6e-7; it must not be lost
-    roots = positive_roots(q2_coeffs(-1.571593))
+    w = q2_coeffs(-1.571593)
+    roots = positive_roots(w)
     assert len(roots) == 2
     assert roots[0] < 1e-5
-    p = q2_coeffs(-1.571593)
     for r in roots:
-        assert abs(npoly.polyval(r, p.coeffs)) < 1e-10
+        assert abs(npoly.polyval(r * r, w)) < 1e-10
 
 
 # positive roots of the float coefficients at three alphas, from a 60-digit
@@ -125,7 +126,7 @@ def test_q2_constant_term_matches_expanded_form():
     for a in np.random.default_rng(5).uniform(-math.pi, math.pi, 2000):
         s, c = math.sin(0.5 * a), math.cos(0.5 * a)
         expanded = -16.0 * s**6 + 16.0 * s**5 * c + 28.0 * s**4 - 8.0 * s**2 + 1.0
-        assert abs(q2_coeffs(a).coeffs[0] - expanded) < 1e-13
+        assert abs(q2_coeffs(a)[0] - expanded) < 1e-13
 
 
 def test_q2_roots_certified_next_to_double_root():
@@ -201,12 +202,12 @@ def _reference_roots_on(c, lo, hi, ztol):
     return out
 
 
-def _reference_positive_roots(poly):
+def _reference_positive_roots(w):
     """The isolator on numpy arrays and scalars (polyval, polyder,
     trim_zeros, np.sqrt): the same algorithm as positive_roots, closed form
     at degree 2 in W and safeguarded Newton above, so its roots must match
     bit for bit."""
-    w = np.asarray(poly.coeffs)[0::2]
+    w = np.asarray(w, dtype=float)
     ztol = 1e-14 * max(1.0, float(np.max(np.abs(w))))
     return [float(math.sqrt(r)) for r in _reference_roots_on(w, 0.0, 1.0, ztol) if r > 0.0]
 
@@ -220,34 +221,34 @@ def test_positive_roots_bits_match_reference():
         if q is q4_coeffs:
             alphas += [np.linspace(a - 1e-6, a + 1e-6, 201) for a in QUARTIC_DOUBLE_ROOTS]
         for a in np.concatenate(alphas):
-            poly = q(float(a))
-            assert positive_roots(poly) == _reference_positive_roots(poly), (q.__name__, a)
+            w = q(float(a))
+            assert positive_roots(w) == _reference_positive_roots(w), (q.__name__, a)
 
 
 @pytest.mark.parametrize(
     "coeffs, expected",
     [
-        ((0.25, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0), [0.5]),  # trailing zeros
+        ((0.25, -1.0, 0.0, 0.0), [0.5]),  # trailing zeros
         ((3.0,), []),  # nonzero constant
-        ((3.0, 0.0, 0.0), []),  # nonzero constant with a trailing zero
-        ((-0.25, 0.0, 1.0), [0.5]),  # linear in W
-        ((0.0, 0.0, -0.25, 0.0, 1.0), [0.5]),  # W (W - 1/4): the root W = 0 is dropped
-        ((0.25, 0.0, -1.25, 0.0, 1.0), [0.5, 1.0]),  # (W - 1/4)(W - 1)
-        ((1.0, 0.0, -2.0, 0.0, 1.0), [1.0]),  # (W - 1)^2: a double root at W = 1
-        ((0.0, 0.0, 0.0, 0.0, 1.0), []),  # W^2: a double root at W = 0
+        ((3.0, 0.0), []),  # nonzero constant with a trailing zero
+        ((-0.25, 1.0), [0.5]),  # linear in W
+        ((0.0, -0.25, 1.0), [0.5]),  # W (W - 1/4): the root W = 0 is dropped
+        ((0.25, -1.25, 1.0), [0.5, 1.0]),  # (W - 1/4)(W - 1)
+        ((1.0, -2.0, 1.0), [1.0]),  # (W - 1)^2: a double root at W = 1
+        ((0.0, 0.0, 1.0), []),  # W^2: a double root at W = 0
+        ((-1, 4), [0.5]),  # integer coefficients still give float roots
     ],
 )
 def test_positive_roots_edge_cases(coeffs, expected):
-    poly = EvenPolynomial(coeffs)
-    roots = positive_roots(poly)
-    assert roots == _reference_positive_roots(poly)
+    roots = positive_roots(coeffs)
+    assert roots == _reference_positive_roots(coeffs)
     assert np.allclose(roots, expected, rtol=0.0, atol=1e-12)
     assert all(type(r) is float for r in roots)
 
 
 def test_positive_roots_rejects_zero_polynomial():
     with pytest.raises(ValueError, match="identically zero"):
-        positive_roots(EvenPolynomial((0.0, 0.0, 0.0)))
+        positive_roots((0.0, 0.0, 0.0))
 
 
 def _hex(roots):
@@ -267,10 +268,10 @@ def test_stacked_roots_bits_match_positive_roots():
             alphas += [np.linspace(a - 1e-6, a + 1e-6, 201) for a in QUARTIC_DOUBLE_ROOTS]
         for batch in alphas:
             polys = [q(float(a)) for a in batch]
-            got = sweep._stacked_positive_roots(np.array([poly.coeffs[0::2] for poly in polys]))
+            got = sweep._stacked_positive_roots(np.array(polys))
             assert len(got) == len(polys)
-            for a, poly, roots in zip(batch, polys, got):
-                assert _hex(roots) == _hex(positive_roots(poly)), (q.__name__, float(a))
+            for a, w, roots in zip(batch, polys, got):
+                assert _hex(roots) == _hex(positive_roots(w)), (q.__name__, float(a))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -284,9 +285,7 @@ def test_stacked_roots_of_other_polynomials(k):
         rows += [rng.uniform(0.5, 50.0) * npoly.polyfromroots(rng.choice(values, k - 1)) for _ in range(300)]
     got = sweep._stacked_positive_roots(np.array(rows))
     for w, roots in zip(rows, got):
-        coeffs = [0.0] * (2 * k - 1)
-        coeffs[0::2] = w.tolist()
-        assert _hex(roots) == _hex(positive_roots(EvenPolynomial(coeffs))), w.tolist()
+        assert _hex(roots) == _hex(positive_roots(tuple(w.tolist()))), w.tolist()
 
 
 def test_roots_of_chooses_its_path_by_size(monkeypatch):
@@ -305,7 +304,7 @@ def test_roots_of_chooses_its_path_by_size(monkeypatch):
 
 
 def _stack_bits(found):
-    return [(_hex(roots), X.tobytes(), rows, _hex(costs), _hex(res)) for roots, X, rows, costs, res in found]
+    return [(_hex(roots), np.array(X).tobytes(), rows, _hex(costs), _hex(res)) for roots, X, rows, costs, res in found]
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
@@ -325,19 +324,53 @@ def test_candidate_stack_same_on_both_root_paths(monkeypatch, p):
 
 def test_q2_coeffs_quarter():
     # at alpha = -pi/2: A = 20, constant term 0
-    c = q2_coeffs(-math.pi / 2).coeffs
-    assert len(c) == 5
-    assert abs(c[0]) < 1e-13 and c[1] == 0.0 and c[3] == 0.0
-    assert abs(c[2] + 20.0) < 1e-12 and abs(c[4] - 20.0) < 1e-12
+    c = q2_coeffs(-math.pi / 2)
+    assert len(c) == 3
+    assert abs(c[0]) < 1e-13
+    assert abs(c[1] + 20.0) < 1e-12 and abs(c[2] - 20.0) < 1e-12
+
+
+# (alpha, q2_coeffs, q4_coeffs), every float as its hex literal: both ends
+# of the alpha range, -pi/2 and 1e-6 past it, the floats on either side of
+# -pi/4 (where q2_coeffs switches between the product form of its constant
+# term, below, and the expansion, above), next to 0, at 0, and one random alpha
+PINNED_COEFFS = (
+    ("-0x1.921fb54442d18p+1", ("0x1.3fffffffffffep+2", "-0x1.9p+6", "0x1.9p+6"),
+     ("0x1.ffffffffffffcp-1", "-0x1.4p+5", "0x1.6p+6", "-0x1.0p+6", "0x1.0p+4")),
+    ("0x1.921fb54442d18p+1", ("0x1.4000000000002p+2", "-0x1.9p+6", "0x1.9p+6"),
+     ("0x1.0000000000002p+0", "-0x1.4000000000001p+5", "0x1.6000000000001p+6", "-0x1.0p+6", "0x1.0p+4")),
+    ("-0x1.921fb54442d18p+0", ("0x1.4p-210", "-0x1.3fffffffffffep+4", "0x1.3fffffffffffep+4"),
+     ("0x0.0p+0", "-0x1.0p-48", "0x1.0p-46", "-0x1.0000000000004p+4", "0x1.0p+4")),
+    ("-0x1.921fa47d4b30dp+0", ("0x1.82db29def3ac5p-80", "-0x1.3fffcdab1b50cp+4", "0x1.3fffcdab1b50cp+4"),
+     ("0x1.197p-40", "-0x1.5fdp-36", "0x1.0c6fb338p-16", "-0x1.000010c6f9d39p+4", "0x1.0p+4")),
+    ("-0x1.921fb54442d19p-1", ("0x1.0789332093266p-2", "-0x1.078933209326ap+1", "0x1.078933209326ap+1"),
+     ("0x1.41e24cc824c9ap-1", "-0x1.e75fd32e27da6p+2", "0x1.bb739ffe0f54p+4", "-0x1.257d86660310dp+5", "0x1.0p+4")),
+    ("-0x1.921fb54442d17p-1", ("0x1.078933209326ap-2", "-0x1.0789332093268p+1", "0x1.0789332093268p+1"),
+     ("0x1.41e24cc824c9cp-1", "-0x1.e75fd32e27daap+2", "0x1.bb739ffe0f54p+4", "-0x1.257d86660310dp+5", "0x1.0p+4")),
+    ("0x1.2599ed7c6fbd2p-14", ("0x1.ffffffabd1928p-1", "-0x1.ffffffabd1928p+1", "0x1.ffffffabd1928p+1"),
+     ("0x1.0000000000609p+0", "-0x1.fff23c89bc7a4p+2", "0x1.7ff487d2a2a5fp+4", "-0x1.fff6d31103343p+4", "0x1.0p+4")),
+    ("0x0.0p+0", ("0x1.0p+0", "-0x1.0p+2", "0x1.0p+2"),
+     ("0x1.0p+0", "-0x1.0p+3", "0x1.8p+4", "-0x1.0p+5", "0x1.0p+4")),
+    ("0x1.b89ac06c69d18p-1", ("0x1.1c31451ed001ep-1", "-0x1.27532e823f66ep+1", "0x1.27532e823f66ep+1"),
+     ("0x1.98e898950399bp+0", "0x1.e6ff6c2288fcp-1", "-0x1.43e96f8801e6cp+3", "-0x1.ad13ae7cf838p+1", "0x1.0p+4")),
+)
+
+
+@pytest.mark.parametrize("alpha, w2, w4", PINNED_COEFFS)
+def test_w_coefficients_keep_their_bits(alpha, w2, w4):
+    alpha = float.fromhex(alpha)
+    assert [a.hex() for a in q2_coeffs(alpha)] == [float.fromhex(a).hex() for a in w2]
+    assert [a.hex() for a in q4_coeffs(alpha)] == [float.fromhex(a).hex() for a in w4]
+    assert all(type(a) is float for a in q2_coeffs(alpha) + q4_coeffs(alpha))
 
 
 def test_roots_satisfy_polynomials():
     rng = np.random.default_rng(30)
     for _ in range(25):
         a = float(rng.uniform(-math.pi, math.pi))
-        for poly in (q2_coeffs(a), q4_coeffs(a)):
-            for r in positive_roots(poly):
-                assert abs(npoly.polyval(r, poly.coeffs)) < 1e-9
+        for w in (q2_coeffs(a), q4_coeffs(a)):
+            for r in positive_roots(w):
+                assert abs(npoly.polyval(r * r, w)) < 1e-9
 
 
 def test_critical_sets_black():
@@ -489,8 +522,7 @@ def _reference_record(alpha, p):
             q = np.array([sgn * y, x, 0.0, 0.0])
             r = float(np.linalg.norm(model.pushforward_residual(q)))
             if r < RESIDUAL_TOL:
-                label = names[len(roots)][2 * i + b] if len(roots) in names else f"x{i}{'+-'[b]}"
-                sets.append(CriticalRep(label, x, tuple(q.tolist()), model.value(q), r))
+                sets.append(CriticalRep(names[len(roots)][2 * i + b], x, tuple(q.tolist()), model.value(q), r))
                 res.append(r)
     classes = []
     for rep in sets:
