@@ -34,6 +34,12 @@ from the weights:
 
 The geodesic model alone reads its per-sample functions at q/|q| (its
 prolongation is of degree 0); the others read them at q.
+
+The kinds with polynomial weights, l2 (w = x) and Lp 4 (w = x - x^3), form
+their gradient and S from the samples' moments M = sum_i q_i q_i^T and
+T = sum_i q_i^(x4) instead, with no per-sample work at a point: with
+P = T(q, q, ., .), sum_i w(x_i) q_i is M q or M q - P q, and S is M or
+M - 3 P. Their value, guards and residuals stay per sample.
 """
 
 from __future__ import annotations
@@ -67,48 +73,64 @@ class NonDifferentiable(ValueError):
     """The model value exists here but its gradient does not (trace-sqrt on Pi_i)."""
 
 
-def _arc_over_sin(phi):
-    """phi / sin(phi), elementwise, stable at phi -> 0 (Taylor below 1e-4)."""
-    phi = np.asarray(phi, dtype=float)
-    small = phi < 1e-4
-    out = np.sin(phi, out=np.empty_like(phi))
-    out[small] = 1.0  # keeps the division finite; replaced below
-    np.divide(phi, out, out=out)
-    p2 = phi[small] ** 2
-    out[small] = 1.0 + p2 / 6.0 + 7.0 * p2 * p2 / 360.0
-    return out
-
-
-def _arc_slope(phi):
-    """-(sin phi - phi cos phi) / sin^3 phi, elementwise: the slope of the
-    geodesic weight. The difference cancels as phi -> 0, so below 1e-2 the
-    Taylor form -(1/3 + 2 phi^2/15 + 2 phi^4/63) takes over; either side of
-    the switch is within ~4e-12 relative of the exact value."""
-    small = phi < 1e-2
-    s = np.sin(phi)
-    out = np.cos(phi)
-    out *= phi
-    np.subtract(s, out, out=out)
-    np.negative(out, out=out)
-    s[small] = 1.0  # keeps the division finite; replaced below
-    np.divide(out, np.power(s, 3, out=s), out=out)
-    p2 = phi[small] ** 2
-    out[small] = -(1.0 / 3.0 + p2 * (2.0 / 15.0 + 2.0 * p2 / 63.0))
-    return out
-
-
 def _half_angles(d):
-    """arccos |x_i| at the unit-sphere dots d, formed in one new array (a
-    stack of n points has n r dots)."""
-    phi = np.abs(d)
-    np.clip(phi, 0.0, 1.0, out=phi)
-    return np.arccos(phi, out=phi)
+    """a = |x_i|, clamped at 1, and phi = arccos a at the unit-sphere dots d."""
+    a = np.abs(d)
+    np.minimum(a, 1.0, out=a)
+    return a, np.arccos(a)
+
+
+def _arcs(d):
+    """a and phi as :func:`_half_angles` gives them, and sin phi =
+    sqrt((1 - a)(1 + a)): one arccos, and no sin or cos (1 - a is exact for
+    a >= 1/2)."""
+    a, phi = _half_angles(d)
+    s = 1.0 - a
+    s *= 1.0 + a
+    return a, phi, np.sqrt(s, out=s)
+
+
+def _series(out, phi, below, coeffs):
+    """Write sum_k coeffs[k] phi^(2k) into ``out`` where phi < below; the
+    masked write happens only where some entry needs it."""
+    small = phi < below
+    if small.any():
+        p2 = phi[small] ** 2
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = c + p2 * acc
+        out[small] = acc
 
 
 def _geodesic_weight(d, _):
-    """sgn(x) phi / sin phi with phi = arccos |x|, elementwise."""
-    w = _arc_over_sin(_half_angles(d))
-    w *= np.sign(d)
+    """sgn(x) phi / sin phi with phi = arccos |x|, elementwise; below
+    phi = 1e-4, and so at phi = 0, where sin phi = 0, its Taylor series
+    1 + phi^2/6 + 7 phi^4/360."""
+    _, phi, s = _arcs(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.divide(phi, s, out=s)
+    _series(w, phi, 1e-4, (1.0, 1.0 / 6.0, 7.0 / 360.0))
+    return np.copysign(w, d, out=w)
+
+
+# below this phi the geodesic slope is read from its Taylor series: the
+# exact form loses up to about 7.5 eps / phi^2 relative to cancellation
+# (3.3e-13 at the switch), the five-term series about 4e-17 to truncation
+GEODESIC_SLOPE_SWITCH = 5e-2
+
+
+def _geodesic_slope(d, _):
+    """(phi a - sin phi) / sin^3 phi with a = |x|, phi = arccos a,
+    elementwise: the slope of the geodesic weight. The difference cancels
+    as phi -> 0, so below GEODESIC_SLOPE_SWITCH the Taylor series
+    -(1/3 + 2 phi^2/15 + 2 phi^4/63 + 4 phi^6/675 + 2 phi^8/2079) takes
+    over."""
+    a, phi, s = _arcs(d)
+    w = phi * a
+    w -= s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w /= s * s * s
+    _series(w, phi, GEODESIC_SLOPE_SWITCH, (-1.0 / 3.0, -2.0 / 15.0, -2.0 / 63.0, -4.0 / 675.0, -2.0 / 2079.0))
     return w
 
 
@@ -126,7 +148,10 @@ class _Kind(NamedTuple):
     derivative at a single point inside its guard buffer raises.
     ``slope_diverges`` marks a w' that diverges on the sample lines (Lp,
     p < 4), where the Hessian keeps the terms of the pairs next to a line
-    (:meth:`CostModel.hessian`).
+    (:meth:`CostModel.hessian`). A kind whose weight is the polynomial
+    w(x) = x + ``cubic`` x^3 (l2: 0, Lp 4: -1) sets ``cubic``: its field
+    and Hessian read the samples' moments (:meth:`CostModel._moments`), M
+    alone where ``cubic`` is 0, and form no per-sample weights or slopes.
     """
 
     factor: float
@@ -139,6 +164,7 @@ class _Kind(NamedTuple):
     error: type = DomainError
     reads_base: bool = False
     slope_diverges: bool = False
+    cubic: Optional[float] = None
 
 
 def _lp(p):
@@ -171,15 +197,16 @@ def _lp(p):
 
     excluded = "lines" if p < 2.0 else None
     return _Kind(8.0 ** (p / 2.0), term, weight, slope, p * 8.0 ** (p / 2.0), 4.0 ** (1.0 - p / 2.0), excluded,
-                 reads_base=True, slope_diverges=p < 4.0)
+                 reads_base=True, slope_diverges=p < 4.0, cubic=-1.0 if p == 4.0 else None)
 
 
-# kind -> its record (factor, f, w, w', c, kappa, excluded set, guard error),
-# or for LpChordal the function that builds it from p
+# kind -> its record (factor, f, w, w', c, kappa, excluded set, guard error,
+# then the flags), or for LpChordal the function that builds it from p
 _KINDS = {
-    "L2Chordal": _Kind(8.0, lambda d, _: 1.0 - d * d, lambda d, _: d, lambda d, _: np.ones_like(d), 16.0, None),
-    "Geodesic": _Kind(2.0, lambda d, _: _half_angles(d) ** 2, _geodesic_weight,
-                      lambda d, _: _arc_slope(_half_angles(d)), 4.0, 2.0, "planes"),
+    "L2Chordal": _Kind(8.0, lambda d, _: 1.0 - d * d, lambda d, _: d, lambda d, _: np.ones_like(d), 16.0, None,
+                       cubic=0.0),
+    "Geodesic": _Kind(2.0, lambda d, _: _half_angles(d)[1] ** 2, _geodesic_weight, _geodesic_slope, 4.0, 2.0,
+                      "planes"),
     "TraceSqrt": _Kind(1.0, lambda d, _: (1.0 - np.abs(d)) ** 2, lambda d, _: (1.0 - np.abs(d)) * np.sign(d),
                        lambda d, _: -np.ones_like(d), 2.0, 1.0, "planes", NonDifferentiable),
     "LpChordal": _lp,
@@ -410,24 +437,47 @@ class CostModel:
         return self._cost.factor * self._cost.term(D, self._bases(X, D)).sum(axis=1)
 
     def gradient(self, q):
-        """Analytic gradient of the prolongation (agrees with central FD)."""
+        """Analytic gradient of the prolongation (agrees with central FD of
+        the value). For Lp 4 it is the gradient of the polynomial
+        64 sum_i (1 - x_i^2)^2, which the value, clamping 1 - x_i^2 at 0,
+        matches only where every |x_i| <= 1: on and inside the unit sphere."""
         return self._evaluate(lambda X, D: self._gradient(X, D)[0], q)
 
     def _gradient(self, X, D):
-        """:meth:`gradient` at the rows X with dots D, and the weights W it
-        was formed from."""
+        """:meth:`gradient` at the rows X with dots D, and the products
+        <w, d> of its weights with the dots."""
+        if self._cost.cubic is not None:
+            # sum_i w(x_i) q_i = A q, so <w, d> = <A q, q>
+            g = np.matvec(self._moments(X, self._cost.cubic), X)
+            return -self.scale * g, np.vecdot(g, X)
         if self.kind == "Geodesic":
             # degree-0 prolongation: weights at q/|q|, radial part removed;
             # the origin has no direction, and its row is NaN without warnings
             nq = np.sqrt(np.vecdot(X, X, keepdims=True))
             with np.errstate(divide="ignore", invalid="ignore"):
                 W = self._cost.weight(self._guard(X / nq, D / nq), None)
-                G = (-self.scale / nq**3) * (nq * nq * self._weighted_sum(W) - np.vecdot(W, D, keepdims=True) * X)
-        else:
-            base = self._bases(X, D)
-            W = self._cost.weight(self._guard(X, D, base), base)
-            G = -self.scale * self._weighted_sum(W)
-        return G, W
+                wd = np.vecdot(W, D, keepdims=True)
+                G = (-self.scale / nq**3) * (nq * nq * self._weighted_sum(W) - wd * X)
+            return G, wd[:, 0]
+        base = self._bases(X, D)
+        W = self._cost.weight(self._guard(X, D, base), base)
+        return -self.scale * self._weighted_sum(W), np.vecdot(W, D)
+
+    def _moments(self, X, f):
+        """M + f P at each row q of X, for a kind read through the samples'
+        moments (``_Kind.cubic``): M = sum_i q_i q_i^T and P = T(q, q, ., .)
+        = sum_i x_i^2 q_i q_i^T, one matvec of T with the entries of q q^T.
+
+        With w(x) = x + b x^3, f = b gives the A with sum_i w(x_i) q_i = A q,
+        and f = 3 b gives S = sum_i w'(x_i) q_i q_i^T. Where b = 0 (l2) that
+        is M itself, and T is never formed."""
+        M = self.samples.second_moment
+        if not self._cost.cubic:
+            return M
+        P = np.matvec(self.samples.fourth_moment, (X[:, :, None] * X[:, None, :]).reshape(-1, 16)).reshape(-1, 4, 4)
+        P *= f
+        P += M
+        return P
 
     def control_field(self, q):
         """The sphere control field: T(q) applied to the prolongation gradient.
@@ -439,10 +489,11 @@ class CostModel:
         return self._evaluate(lambda X, D: self._field(X, D)[0], q)
 
     def _field(self, X, D):
-        """:meth:`control_field` at the rows X with dots D, and the weights
-        W of its gradient."""
-        G, W = self._gradient(X, D)
-        return apply_T_sphere(X, G), W
+        """:meth:`control_field` at the rows X with dots D, and the products
+        <w, d> of its gradient's weights with the dots, all the Hessian reads
+        of them (:meth:`_frame_hessian`)."""
+        G, wd = self._gradient(X, D)
+        return apply_T_sphere(X, G), wd
 
     # -- residual systems --------------------------------------------------
 
@@ -494,16 +545,24 @@ class CostModel:
         """The tangent frames B (n, 3, 4) at the unit rows of X and the
         Hessians K (n, 3, 3) in them (see :meth:`hessian`), from the rows'
         dots D and the products wd = <w, d> of their weights with them: the
-        flow passes the weights of its last :meth:`_field` call in that
-        form. Without D and wd they are formed here, and the rows inside a
-        guard buffer are NaN. A stacked sample set raises ValueError.
+        flow passes those of its last :meth:`_field` call. Without D and wd
+        they are formed here, and the rows inside a guard buffer are NaN. A
+        stacked sample set raises ValueError.
 
-        S comes for every row from one matvec of the slopes with the
-        samples' outer products (``SampleSet.outer_products``), which gives
-        each row the bits of the one-point call. The pairs (k, i) that keep
-        their own term (Lp, p < 4, 1 - x_i^2 < LINE_PAIR_GAP) are left out
-        of it and added to their rows with ``np.add.at``."""
+        A kind read through moments takes S from them (:meth:`_moments`),
+        with no per-sample work. For every other kind S comes for every row
+        from one matvec of the slopes with the samples' outer products
+        (``SampleSet.outer_products``), which gives each row the bits of the
+        one-point call. The pairs (k, i) that keep their own term (Lp,
+        p < 4, 1 - x_i^2 < LINE_PAIR_GAP) are left out of it and added to
+        their rows with ``np.add.at``."""
         self._single_set()
+        B = tangent_frame(X)
+        if self._cost.cubic is not None:
+            if wd is None:
+                wd = self._gradient(X, D)[1]
+            S = self._moments(X, 3.0 * self._cost.cubic)
+            return B, self.scale * (wd[:, None, None] * np.eye(3) - B @ S @ B.transpose(0, 2, 1))
         if D is None:
             D = self._dots(X)
         base = self._bases(X, D)
@@ -515,7 +574,6 @@ class CostModel:
             # the pairs that keep their own term (see hessian)
             k, i = np.nonzero(base < LINE_PAIR_GAP)
             near, dW[k, i] = dW[k, i], 0.0
-        B = tangent_frame(X)
         K = B @ np.matvec(self.samples.outer_products, dW).reshape(-1, 4, 4) @ B.transpose(0, 2, 1)
         if self._cost.slope_diverges and k.size:
             # B q_i = B (q_i - s x) with s = sign x_i, since B x = 0: the

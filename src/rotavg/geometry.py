@@ -321,6 +321,20 @@ class SampleSet:
         The entries of each q_i q_i^T as columns: S = sum_i v_i q_i q_i^T
         is one matvec, reshaped to 4x4. Formed on first read and cached,
         like ``rotations``.
+    second_moment : (4, 4) or (m, 4, 4) ndarray
+        M = sum_i q_i q_i^T.
+    fourth_moment : (16, 16) or (m, 16, 16) ndarray
+        T = sum_i q_i^(x4), with T[4a + b, 4c + d] = sum_i q_ia q_ib q_ic
+        q_id, so that T(q, q, ., .) = sum_i <q, q_i>^2 q_i q_i^T is one
+        matvec with the entries of q q^T, reshaped to 4x4.
+
+    The two moments are even in each lift, so they do not depend on the
+    lift signs. The cost kinds whose weights are polynomials (l2 and Lp 4)
+    read the samples through them in their fields and Hessians, with no
+    per-sample work at a point. Each is formed on the first read and
+    cached, like ``rotations``, by one product of a matrix with its own
+    transpose per set, so it is exactly symmetric and set k of a stack has
+    the bits of set k alone.
 
     A stack lets one :class:`~rotavg.costs.CostModel` evaluate m problems
     at once: each of its evaluators takes exactly m rows, an (m, 4) stack
@@ -350,6 +364,14 @@ class SampleSet:
     def outer_products(self):
         Q = self.quaternions
         return np.einsum("...ia,...ib->...abi", Q, Q, order="C").reshape(Q.shape[:-2] + (16, -1))
+
+    @cached_property
+    def second_moment(self):
+        return self.columns @ np.swapaxes(self.columns, -1, -2)
+
+    @cached_property
+    def fourth_moment(self):
+        return self.outer_products @ np.swapaxes(self.outer_products, -1, -2)
 
     @classmethod
     def from_quaternions(cls, qs):

@@ -124,11 +124,9 @@ def _flow(model, Q0, tol):
     for it in range(MAX_ITERS):
         if not live.size:
             break
-        V, W = model._field(X, D)
-        # the Hessian reads the field's weights only through <w, d>, so the
-        # (n, r) weights are dropped here rather than carried
-        wd = np.vecdot(W, D)
-        del W
+        # the Hessian reads the field's weights only through <w, d>, which
+        # the field hands back in their place
+        V, wd = model._field(X, D)
         nv = np.sqrt(np.vecdot(V, V))
         done = nv < stop
         nv_end[live[done]] = nv[done]

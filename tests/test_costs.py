@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rotavg.control import fd_gradient
-from rotavg.costs import EPS_DOM, CostModel, DomainError, NonDifferentiable
+from rotavg.control import apply_T_sphere, fd_gradient
+from rotavg.costs import EPS_DOM, GEODESIC_SLOPE_SWITCH, CostModel, DomainError, NonDifferentiable
 from rotavg.geometry import SampleSet, covering_map, delta_skew, normalize, tangent_frame
 from rotavg.solvers import HESSIAN_BOUND_SLACK, DomainBreach, flow_descend
 
@@ -293,8 +293,81 @@ def test_hessian_matches_finite_differences(kind, p, r):
 
 def test_geodesic_slope_continuous_at_taylor_switch():
     model = make("geodesic", IDENTITY)
-    below, above = model._cost.slope(np.cos(np.array([1e-2 * (1.0 - 1e-9), 1e-2 * (1.0 + 1e-9)])), None)
-    assert abs(below - above) < 1e-11
+    for phi in (1e-2, GEODESIC_SLOPE_SWITCH):
+        below, above = model._cost.slope(np.cos(np.array([phi * (1.0 - 1e-9), phi * (1.0 + 1e-9)])), None)
+        assert abs(below - above) < 1e-11
+
+
+# x = cos(phi) for phi from 1e-7 to 1.5, on both sides of the Taylor switches
+# at 1e-4 (weight), 1e-2 (the slope's former switch) and 5e-2 (the slope's),
+# and x = 1: x, then w(x) and w'(x) of the geodesic kind, each as the double
+# pair hi + lo of its 50-digit mpmath value phi / sin(phi) and
+# -(sin(phi) - phi x) / sin(phi)^3 with phi = acos(x), at x itself
+GEODESIC_REFERENCE = [
+    '0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 -0x1.5555555555555p-2 -0x1.5555555555555p-56',
+    '0x1.fffffffffffd3p-1 0x1.0000000000008p+0 -0x1.ffffffffffef2p-54 -0x1.555555555556dp-2 -0x1.5555555555ac2p-56',
+    '0x1.fffffffffff97p-1 0x1.0000000000012p+0 -0x1.ffffffffffa42p-54 -0x1.555555555558dp-2 -0x1.55555555572ddp-56',
+    '0x1.fffffffffff0bp-1 0x1.0000000000029p+0 -0x1.55555555516cfp-55 -0x1.55555555555d8p-2 -0x1.418fffff3c302p-93',
+    '0x1.ffffffffffdc4p-1 0x1.000000000005fp+0 0x1.555555555ffbep-54 -0x1.5555555555686p-2 -0x1.99999999d05fcp-56',
+    '0x1.ffffffffffac9p-1 0x1.00000000000dfp+0 -0x1.ffffffffc5fc2p-54 -0x1.555555555581dp-2 -0x1.555555567fb26p-56',
+    '0x1.ffffffffff3d4p-1 0x1.0000000000207p+0 0x1.5555555691657p-54 -0x1.5555555555bd3p-2 -0x1.999999a64c88bp-57',
+    '0x1.fffffffffe399p-1 0x1.00000000004bcp+0 -0x1.55555547e3715p-55 -0x1.555555555647bp-2 -0x1.999999debec09p-57',
+    '0x1.fffffffffbdb9p-1 0x1.0000000000b0cp+0 -0x1.5555550c1f348p-55 -0x1.55555555578aep-2 -0x1.99999a55dba4dp-56',
+    '0x1.fffffffff6559p-1 0x1.00000000019c7p+0 -0x1.ffffff38b0535p-54 -0x1.555555555a7d1p-2 0x1.ddddd9dcd665dp-56',
+    '0x1.ffffffffe971fp-1 0x1.0000000003c26p+0 -0x1.fffffbc2b85a2p-54 -0x1.55555555615cdp-2 -0x1.55556b22c5cf0p-56',
+    '0x1.ffffffffcb5e5p-1 0x1.0000000008c5ap+0 -0x1.5555272a4e6b5p-55 -0x1.5555555571675p-2 0x1.9998ac2a0853cp-57',
+    '0x1.ffffffff852f6p-1 0x1.0000000014782p+0 -0x1.5554d7a32dd47p-54 -0x1.5555555596d5bp-2 0x1.5552cee5aebe6p-56',
+    '0x1.fffffffee169dp-1 0x1.000000002fc3bp+0 0x1.555aae32db24ap-55 -0x1.55555555ee2dfp-2 -0x1.ddeb9dce5a868p-56',
+    '0x1.fffffffd63414p-1 0x1.000000006f752p+0 0x1.d1daacd6c4c61p-67 -0x1.55555556b9ff5p-2 -0x1.55a033e7f7e99p-56',
+    '0x1.fffffff9e77e9p-1 0x1.0000000104159p+0 0x1.55f3dfa12d607p-55 -0x1.55555558959a6p-2 0x1.0de1b78b01898p-57',
+    '0x1.fffffff1c6961p-1 0x1.000000025ee70p+0 -0x1.51f60f1703be0p-55 -0x1.5555555ceb6bbp-2 -0x1.aaf14bfebf281p-57',
+    '0x1.ffffffdeced28p-1 0x1.0000000588324p+0 0x1.25ca728d409d5p-59 -0x1.5555556709295p-2 -0x1.848cba07f71a5p-56',
+    '0x1.ffffffd50ce7ep-1 0x1.0000000728840p+0 0x1.64b49f7acfa95p-54 -0x1.5555556c3d623p-2 -0x1.1bdb6eb333cf3p-56',
+    '0x1.ffffffd50cdcap-1 0x1.000000072885ep+0 0x1.64b4a788653dcp-54 -0x1.5555556c3d683p-2 -0x1.1bdb981da2cb7p-56',
+    '0x1.ffffffb28bfa7p-1 0x1.0000000ce8abap+0 -0x1.ce02224600f54p-54 -0x1.5555557ea4474p-2 0x1.feef05320a7a6p-61',
+    '0x1.ffffff4b43a50p-1 0x1.0000001e1f648p+0 0x1.103638cf1e30fp-54 -0x1.555555b5b9ca4p-2 0x1.ff852e6af26bap-56',
+    '0x1.fffffe5a4191ep-1 0x1.000000464a67cp+0 0x1.ca3b81c0628a1p-54 -0x1.55555636436e6p-2 -0x1.82a4a4315674bp-56',
+    '0x1.fffffc27de26ap-1 0x1.000000a405a4cp+0 -0x1.ce5d44dd349f3p-54 -0x1.5555576234323p-2 -0x1.9d041bd30c0bcp-57',
+    '0x1.fffff7078b465p-1 0x1.0000017ebe21ap+0 0x1.5904e3a32f04dp-56 -0x1.55555a1e1c2c9p-2 0x1.d8313c609830bp-61',
+    '0x1.ffffeb1142477p-1 0x1.0000037d1fad6p+0 -0x1.20c50130212c9p-55 -0x1.5555607f54695p-2 0x1.f29d64b916adfp-56',
+    '0x1.ffffcf2778288p-1 0x1.0000082416f37p+0 0x1.3dbb379816b28p-55 -0x1.55556f626c2e1p-2 -0x1.2dbf4c1e231f8p-56',
+    '0x1.ffff8e04e5ae4p-1 0x1.000012ff30bebp+0 -0x1.daa81a585df81p-56 -0x1.5555921f8e341p-2 -0x1.b702c24ecbf6ap-57',
+    '0x1.fffef6071ae00p-1 0x1.00002c542f661p+0 -0x1.b3c2aef30625ap-55 -0x1.5555e32f98814p-2 -0x1.3016fefd95d10p-57',
+    '0x1.fffd935bfc9afp-1 0x1.00006770dd637p+0 0x1.8c42875b7e1e6p-57 -0x1.5556a0587b391p-2 -0x1.f81197be8c421p-56',
+    '0x1.fffa57c058e08p-1 0x1.0000f161024b6p+0 -0x1.be6f78e71232ap-54 -0x1.555859c108e4bp-2 0x1.2c3119221af77p-60',
+    '0x1.fff9724bb560bp-1 0x1.0001179f7af0fp+0 0x1.7d858a0d3567ap-55 -0x1.5558d423406d0p-2 -0x1.7af462cddbb6bp-56',
+    '0x1.fff97249fd949p-1 0x1.0001179fc43e6p+0 0x1.915bc35f86f2fp-55 -0x1.5558d4242affep-2 -0x1.145723ebc1447p-57',
+    '0x1.fff2cc918af35p-1 0x1.00023342e29fdp+0 -0x1.e05947325fa06p-54 -0x1.555c5fd040b5fp-2 -0x1.7588727f450c6p-59',
+    '0x1.ffe1325475ab5p-1 0x1.00052266e362bp+0 -0x1.c72ba785a710cp-54 -0x1.5565c3a8d6602p-2 -0x1.90ad969900afcp-56',
+    '0x1.ffb81fe1e5c4cp-1 0x1.000bfb5bed4c5p+0 0x1.eefdf1df37c12p-54 -0x1.557bae309f896p-2 -0x1.6cc874060c3b2p-57',
+    '0x1.ff5c31c800695p-1 0x1.001b5088388ccp+0 0x1.d5b53036b9d5ep-58 -0x1.55acc43b392e2p-2 0x1.9ca9b2dd14da9p-56',
+    '0x1.ff5c319d11e04p-1 0x1.001b508f62238p+0 -0x1.db904d6d21c94p-54 -0x1.55acc452283a6p-2 0x1.a5a4a2d90b8b5p-56',
+    '0x1.ff584cde209f0p-1 0x1.001bf6da4436fp+0 -0x1.29a7efa1f2498p-54 -0x1.55aed8c8b5d35p-2 0x1.20de97a8054c9p-57',
+    '0x1.fe78c969fb183p-1 0x1.004147b7cc19cp+0 -0x1.505fda915d96fp-54 -0x1.562661a5ecd06p-2 -0x1.2fd69882fdcacp-60',
+    '0x1.fc6fb75d4b6f1p-1 0x1.009878cc2e3d3p+0 0x1.4981e28287674p-56 -0x1.573e121920a5bp-2 0x1.7e9d3bf6fd73bp-56',
+    '0x1.f7b27f2c8d4dap-1 0x1.01649081907dbp+0 0x1.047c7bdc0001cp-57 -0x1.59cede0127501p-2 -0x1.9c485080a923bp-57',
+    '0x1.ecb214e3648bdp-1 0x1.03444777995cap+0 -0x1.7a7130aa4ca74p-58 -0x1.5fe25db803a00p-2 -0x1.bfdfcafeadf9bp-57',
+    '0x1.d355283937740p-1 0x1.07b6e65e77a26p+0 0x1.1b8dddb0ab76dp-58 -0x1.6e908c91d3ac6p-2 0x1.658525c97fa58p-56',
+    '0x1.99cf774e55a94p-1 0x1.1284dc0d16951p+0 -0x1.1af9bc08806a1p-57 -0x1.93c284e345461p-2 -0x1.1ed6bc3406fbdp-60',
+    '0x1.1c5dc40178268p-1 0x1.2e4a4c80140adp+0 -0x1.c98cb2c5c1934p-54 -0x1.fda33f5823a55p-2 0x1.e1929b8c91dfap-58',
+    '0x1.21bd54fc5f9a7p-4 0x1.80f6df0a6a3c6p+0 0x1.8d22d59b5b9cep-54 -0x1.cbd69be62ff04p-1 -0x1.f8d1b5ba42627p-55',
+]
+
+
+def test_geodesic_kernels_against_mpmath():
+    # the relative errors of the geodesic weight and slope against the pinned
+    # references, read exactly from the pairs. The weight rounds phi and
+    # sin phi apart, within 4e-16 of it; so does the slope's series below
+    # phi = 5e-2, and above it the cancelling difference phi a - sin phi
+    # adds up to 7.5 eps / phi^2
+    rows = np.array([[float.fromhex(v) for v in row.split()] for row in GEODESIC_REFERENCE])
+    x = rows[:, 0]
+    phi = np.arccos(x)
+    kind = make("geodesic", IDENTITY)._cost
+    cancel = np.where(phi < 5e-2, 0.0, 7.5 * np.finfo(float).eps / np.maximum(phi, 5e-2) ** 2)
+    for got, hi, lo, bound in [(kind.weight(x, None), rows[:, 1], rows[:, 2], 4e-16),
+                               (kind.slope(x, None), rows[:, 3], rows[:, 4], 4e-16 + cancel)]:
+        assert np.all(np.abs((got - hi) - lo) / np.abs(hi) <= bound)
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,6 +523,60 @@ def test_frame_hessian_matches_the_a_form(kind_p, r, near, log_t, clustered, see
     K, want = model._frame_hessian(X)[1], a_form_frame_hessian(model, X)
     scale = np.maximum(np.abs(want).max(axis=(1, 2)), 1e-3 * model.scale * r)
     assert np.all(np.abs(K - want).max(axis=(1, 2)) <= 1e-12 * scale)
+
+
+def per_sample_forms(model, X):
+    # the gradient, control field, <w, d> and frame Hessian of the per-sample
+    # forms, from the kind record's weight w and slope w' at every sample:
+    # -c sum_i w(x_i) q_i, T(q) of it, sum_i w(x_i) x_i and
+    # c (<w, d> I - B S B^T) with S = sum_i w'(x_i) q_i q_i^T; and, per row,
+    # the sizes of the terms summed: sum_i |w(x_i)| and
+    # |<w, d>| + sum_i |w'(x_i)|
+    Q = model.samples.quaternions
+    D = X @ Q.T
+    W, dW = model._cost.weight(D, None), model._cost.slope(D, None)
+    G = -model.scale * (W @ Q)
+    B = tangent_frame(X)
+    S = np.einsum("ki,ia,ib->kab", dW, Q, Q)
+    wd = np.einsum("ki,ki->k", W, D)
+    K = model.scale * (wd[:, None, None] * np.eye(3) - B @ S @ B.transpose(0, 2, 1))
+    return (G, apply_T_sphere(X, G), wd, K), np.abs(W).sum(axis=1), np.abs(wd) + np.abs(dW).sum(axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind_p=st.sampled_from([("l2", None), ("lp", 4.0)]),
+    r=st.sampled_from([1, 2, 5, 1000]),
+    duplicated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moments_match_the_per_sample_forms(kind_p, r, duplicated, seed):
+    # l2 and Lp 4 read their field and Hessian from the samples' moments M and
+    # T: the per-sample forms' quantities to within 1e-14 of the terms those
+    # sum (c sum_i |w_i| for the gradient). The moments' own terms are of
+    # size up to 1 per sample whatever x_i is, so where every |x_i| is small
+    # the floor is 8 eps c r instead. Also with samples drawn twice over, and
+    # with lift signs flipped at random, which leaves M and T bit for bit
+    # as they were
+    rng = np.random.default_rng(seed)
+    Q = normalize(rng.standard_normal((r, 4)))
+    if duplicated:
+        Q = Q[rng.integers(0, r, r)]
+    model = make(kind_p[0], SampleSet(Q), kind_p[1])
+    X = normalize(rng.standard_normal((8, 4)))
+    V, wd = model._field(X, model._dots(X))
+    got = (model.gradient(X), V, wd, model._frame_hessian(X)[1])
+    want, w_size, k_size = per_sample_forms(model, X)
+    c, eps = model.scale, np.finfo(float).eps
+    for a, b, size, unit in zip(got, want, (w_size, w_size, w_size, k_size), (c, 4.0 * c, 1.0, c)):
+        err = np.abs(a - b).reshape(len(X), -1).max(axis=1)
+        assert np.all(err <= unit * np.maximum(1e-14 * size, 8.0 * eps * r))
+    flipped = make(kind_p[0], SampleSet(rng.choice([-1.0, 1.0], (r, 1)) * Q), kind_p[1])
+    assert np.array_equal(flipped.samples.second_moment, model.samples.second_moment)
+    assert np.array_equal(flipped.samples.fourth_moment, model.samples.fourth_moment)
+    Vf, wdf = flipped._field(X, flipped._dots(X))
+    assert np.array_equal(Vf, V) and np.array_equal(wdf, wd)
+    assert np.array_equal(flipped._frame_hessian(X)[1], got[3])
 
 
 BATCH_CASES = [("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 3.0), ("lp", 4.0)]
@@ -734,12 +861,12 @@ PIN_POINTS = normalize(np.array([[0.875, 0.375, 0.25, -0.125], [0.125, -0.625, 0
 PINNED_BITS = {
     ('L2Chordal', None, 0): {
         'value': '0x1.1f3a1463b7d59p+4',
-        'gradient': '-0x1.9bacb02f774d6p+3 -0x1.b49b3ddb4210dp+0 -0x1.0d1f9afbf2398p+1 -0x1.ae3cfecab2ef3p+1',
+        'gradient': '-0x1.9bacb02f774d6p+3 -0x1.b49b3ddb4210ap+0 -0x1.0d1f9afbf239ap+1 -0x1.ae3cfecab2ef6p+1',
         'hessian': (
-            '-0x1.335de53b59e71p+1 0x1.a1a364a024241p+1 0x1.c0142e95a963fp+0 -0x1.c292e8295f81cp+1 '
-            '0x1.a1a364a024241p+1 -0x1.0080a0d10614dp+2 -0x1.492a75b1888fdp+1 0x1.6b0f880be3b03p+2 '
-            '0x1.c0142e95a963fp+0 -0x1.492a75b1888fdp+1 0x1.1194478ae9e5cp+0 0x1.ab2dc4c1108a2p+2 '
-            '-0x1.c292e8295f81cp+1 0x1.6b0f880be3b02p+2 0x1.ab2dc4c1108a3p+2 0x1.6e87f514fdde7p+2'
+            '-0x1.335de53b59e6fp+1 0x1.a1a364a02423dp+1 0x1.c0142e95a963ep+0 -0x1.c292e8295f81bp+1 '
+            '0x1.a1a364a02423ep+1 -0x1.0080a0d106149p+2 -0x1.492a75b1888fep+1 0x1.6b0f880be3b03p+2 '
+            '0x1.c0142e95a963dp+0 -0x1.492a75b1888fdp+1 0x1.1194478ae9e63p+0 0x1.ab2dc4c1108a2p+2 '
+            '-0x1.c292e8295f819p+1 0x1.6b0f880be3b01p+2 0x1.ab2dc4c1108a2p+2 0x1.6e87f514fddebp+2'
         ),
         'pushforward_residual': (
             '0x0.0p+0 -0x1.0e17f2ab495a1p-2 0x1.9116b0b982780p-8 0x1.0e17f2ab495a1p-2 '
@@ -754,12 +881,12 @@ PINNED_BITS = {
     },
     ('L2Chordal', None, 1): {
         'value': '0x1.257bbc7bace03p+4',
-        'gradient': '-0x1.0295a3d035b20p+3 0x1.62553acc7f20bp+3 -0x1.2c131ff47da6dp+1 -0x1.54771e592093cp+1',
+        'gradient': '-0x1.0295a3d035b20p+3 0x1.62553acc7f20bp+3 -0x1.2c131ff47da6ep+1 -0x1.54771e592093bp+1',
         'hessian': (
-            '-0x1.4f4281c7a31b4p+2 -0x1.da958056b0fa3p-6 0x1.470ec46e443dfp+2 -0x1.4769d3d10a707p+2 '
-            '-0x1.da958056b0f60p-6 0x1.ca1b6a589548bp+0 -0x1.d839add987dd3p-2 0x1.cdb22e98f7820p+1 '
-            '0x1.470ec46e443e0p+2 -0x1.d839add987dd2p-2 -0x1.dae2e4fd273ddp+1 0x1.3cc354d00a85bp+1 '
-            '-0x1.4769d3d10a707p+2 0x1.cdb22e98f7820p+1 0x1.3cc354d00a85cp+1 0x1.1ab58a3a75635p+2'
+            '-0x1.4f4281c7a31b3p+2 -0x1.da958056b0fbbp-6 0x1.470ec46e443dep+2 -0x1.4769d3d10a706p+2 '
+            '-0x1.da958056b0fa0p-6 0x1.ca1b6a5895487p+0 -0x1.d839add987dd8p-2 0x1.cdb22e98f781fp+1 '
+            '0x1.470ec46e443dfp+2 -0x1.d839add987dd0p-2 -0x1.dae2e4fd273dcp+1 0x1.3cc354d00a85ap+1 '
+            '-0x1.4769d3d10a707p+2 0x1.cdb22e98f781ep+1 0x1.3cc354d00a85ap+1 0x1.1ab58a3a75634p+2'
         ),
         'pushforward_residual': (
             '0x0.0p+0 0x1.e54d5f6b3f1b3p-2 -0x1.689a4a6c90c78p-4 -0x1.e54d5f6b3f1b3p-2 '
@@ -787,8 +914,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 -0x1.b5106def10daap-1 -0x1.79a8a10343a7cp+0 0x1.b5106def10daap-1 '
-            '0x0.0p+0 -0x1.d072d6ab82cc0p+0 0x1.79a8a10343a7cp+0 0x1.d072d6ab82cc0p+0 '
+            '0x0.0p+0 -0x1.b5106def10daap-1 -0x1.79a8a10343a7ap+0 0x1.b5106def10daap-1 '
+            '0x0.0p+0 -0x1.d072d6ab82cbdp+0 0x1.79a8a10343a7ap+0 0x1.d072d6ab82cbdp+0 '
             '0x0.0p+0'
         ),
     },
@@ -796,9 +923,9 @@ PINNED_BITS = {
         'value': '0x1.365e7801cc6d6p+3',
         'gradient': '-0x1.0e508d44215ffp+3 0x1.8183757feb0c3p+0 0x1.a1b7c1299f133p+2 -0x1.b03bba298d28fp+1',
         'hessian': (
-            '0x1.ec6eae83f0edep+2 0x1.cce4ab0b4ab1fp-1 -0x1.83e0a33fc35a7p+0 0x1.e957a9b25849ep-1 '
-            '0x1.cce4ab0b4ab22p-1 0x1.82e71e77305a7p+1 0x1.5821d30b7cd4cp+1 0x1.272cc0ecc7d85p+0 '
-            '-0x1.83e0a33fc35a7p+0 0x1.5821d30b7cd4dp+1 0x1.5b0a676e6c50ep+2 -0x1.1f3dee335ae60p+1 '
+            '0x1.ec6eae83f0edep+2 0x1.cce4ab0b4ab23p-1 -0x1.83e0a33fc35a3p+0 0x1.e957a9b2584a2p-1 '
+            '0x1.cce4ab0b4ab24p-1 0x1.82e71e77305a6p+1 0x1.5821d30b7cd4bp+1 0x1.272cc0ecc7d85p+0 '
+            '-0x1.83e0a33fc35a7p+0 0x1.5821d30b7cd4cp+1 0x1.5b0a676e6c50dp+2 -0x1.1f3dee335ae5ep+1 '
             '0x1.e957a9b2584a3p-1 0x1.272cc0ecc7d87p+0 -0x1.1f3dee335ae5fp+1 0x1.2618481d76db0p+2'
         ),
         'pushforward_residual': (
@@ -934,12 +1061,12 @@ PINNED_BITS = {
     },
     ('LpChordal', 4.0, 0): {
         'value': '0x1.edf837e6e3372p+6',
-        'gradient': '-0x1.4175eaea0de5bp+6 0x1.7b4003fc8a4bcp+1 -0x1.73ffc69931a3cp+5 -0x1.f605a66631c5ap+2',
+        'gradient': '-0x1.4175eaea0de5ep+6 0x1.7b4003fc8a4a0p+1 -0x1.73ffc69931a3ep+5 -0x1.f605a66631c58p+2',
         'hessian': (
-            '-0x1.1940fc40101f4p+5 0x1.088779e14a9fap+6 0x1.d400faec500afp+3 -0x1.27331a05122fap+4 '
-            '0x1.088779e14a9fap+6 -0x1.f59e38f2daa74p+6 -0x1.dca8564864e7ap+3 0x1.c75f297cc25b9p+5 '
-            '0x1.d400faec500adp+3 -0x1.dca8564864e76p+3 -0x1.1989b1ac2a8ddp+4 0x1.67f389762baf5p+4 '
-            '-0x1.27331a05122fap+4 0x1.c75f297cc25bbp+5 0x1.67f389762baf3p+4 0x1.5a6f156d598ddp+6'
+            '-0x1.1940fc40101f2p+5 0x1.088779e14a9f8p+6 0x1.d400faec500adp+3 -0x1.27331a05122f7p+4 '
+            '0x1.088779e14a9f9p+6 -0x1.f59e38f2daa70p+6 -0x1.dca8564864e82p+3 0x1.c75f297cc25bap+5 '
+            '0x1.d400faec500aap+3 -0x1.dca8564864e7dp+3 -0x1.1989b1ac2a8d5p+4 0x1.67f389762baf3p+4 '
+            '-0x1.27331a05122f8p+4 0x1.c75f297cc25bcp+5 0x1.67f389762baf3p+4 0x1.5a6f156d598e0p+6'
         ),
         'pushforward_residual': (
             '0x0.0p+0 0x1.476b9eb5c14b8p-8 0x1.759b6007a9c83p-4 -0x1.476b9eb5c14b8p-8 '
@@ -954,12 +1081,12 @@ PINNED_BITS = {
     },
     ('LpChordal', 4.0, 1): {
         'value': '0x1.09165e697736cp+7',
-        'gradient': '-0x1.92f51e715eb8ap+5 0x1.d67128abcab7ep+5 0x1.c4abbcb994aaap+0 -0x1.6c037d2dd3553p+4',
+        'gradient': '-0x1.92f51e715eb88p+5 0x1.d67128abcab7ep+5 0x1.c4abbcb994a40p+0 -0x1.6c037d2dd3554p+4',
         'hessian': (
-            '-0x1.c2e49314b585dp+6 -0x1.d98cf6f4ece01p+5 0x1.6bdc6d5d92d06p+5 -0x1.e6e6e5ae40190p+6 '
-            '-0x1.d98cf6f4ece01p+5 -0x1.41507fbc89f56p+3 -0x1.f73ed9de3b54ap+4 0x1.67775901e7b23p+5 '
-            '0x1.6bdc6d5d92d05p+5 -0x1.f73ed9de3b54dp+4 -0x1.d9cb93e446e72p+6 0x1.6965d82ed8036p+6 '
-            '-0x1.e6e6e5ae40190p+6 0x1.67775901e7b23p+5 0x1.6965d82ed8037p+6 -0x1.4020982c9926bp+2'
+            '-0x1.c2e49314b585ap+6 -0x1.d98cf6f4ece01p+5 0x1.6bdc6d5d92d07p+5 -0x1.e6e6e5ae40191p+6 '
+            '-0x1.d98cf6f4ece02p+5 -0x1.41507fbc89f51p+3 -0x1.f73ed9de3b548p+4 0x1.67775901e7b24p+5 '
+            '0x1.6bdc6d5d92d06p+5 -0x1.f73ed9de3b54cp+4 -0x1.d9cb93e446e72p+6 0x1.6965d82ed8036p+6 '
+            '-0x1.e6e6e5ae40192p+6 0x1.67775901e7b24p+5 0x1.6965d82ed8039p+6 -0x1.4020982c9925ep+2'
         ),
         'pushforward_residual': (
             '0x0.0p+0 0x1.a131c1011d67ap-3 -0x1.3af979187f67cp-4 -0x1.a131c1011d67ap-3 '

@@ -263,11 +263,11 @@ def test_newton_steps_only_positive_definite_rows():
     K = B @ model.hessian(X) @ B.transpose(0, 2, 1)
     assert np.array_equal(np.linalg.eigvalsh(K).min(axis=1) > 0.0, near_min)
     D = model._dots(X)
-    V, W = model._field(X, D)
+    V, wd = model._field(X, D)
     cost = model._value(X, D)
     X0, cost0 = X.copy(), cost.copy()
     nv, noise = np.sqrt(np.vecdot(V, V)), 1e-13 * (1.0 + np.abs(cost))
-    took = solvers._newton_trial(model, X, D, V, np.vecdot(W, D), nv, cost, noise)
+    took = solvers._newton_trial(model, X, D, V, wd, nv, cost, noise)
     assert np.array_equal(took, near_min)
     assert np.all(cost[took] < cost0[took])
     assert np.all(1.0 - np.abs(X[took] @ E[3]) < 1e-15)
@@ -300,8 +300,8 @@ def newton_trials(model, X, monkeypatch):
     # rows X, each on its own copy: (took, X, D, cost) of each, and the rows
     # the screened one formed a Hessian for
     D = model._dots(X)
-    V, W = model._field(X, D)
-    wd, nv, cost = np.vecdot(W, D), np.sqrt(np.vecdot(V, V)), model._value(X, D)
+    V, wd = model._field(X, D)
+    nv, cost = np.sqrt(np.vecdot(V, V)), model._value(X, D)
     noise = 1e-13 * (1.0 + np.abs(cost))
     hessian_rows = []
     frame_hessian = CostModel._frame_hessian
