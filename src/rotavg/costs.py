@@ -39,7 +39,10 @@ The kinds with polynomial weights, l2 (w = x) and Lp 4 (w = x - x^3), form
 their gradient and S from the samples' moments M = sum_i q_i q_i^T and
 T = sum_i q_i^(x4) instead, with no per-sample work at a point: with
 P = T(q, q, ., .), sum_i w(x_i) q_i is M q or M q - P q, and S is M or
-M - 3 P. Their value, guards and residuals stay per sample.
+M - 3 P. The flow's trial costs of these two kinds are exact changes read
+from the same moments (:meth:`CostModel._trial`), so the flow forms their
+sample dots only at its starts. Their public value, the cost a solver
+reports, and their guards and residuals stay per sample.
 """
 
 from __future__ import annotations
@@ -88,6 +91,12 @@ def _arcs(d):
     s = 1.0 - a
     s *= 1.0 + a
     return a, phi, np.sqrt(s, out=s)
+
+
+def _outer(a, b):
+    """The entries of a_k b_k^T for each row k of the (n, 4) rows a and b,
+    as (n, 16) rows."""
+    return (a[:, :, None] * b[:, None, :]).reshape(-1, 16)
 
 
 def _series(out, phi, below, coeffs):
@@ -149,9 +158,10 @@ class _Kind(NamedTuple):
     ``slope_diverges`` marks a w' that diverges on the sample lines (Lp,
     p < 4), where the Hessian keeps the terms of the pairs next to a line
     (:meth:`CostModel.hessian`). A kind whose weight is the polynomial
-    w(x) = x + ``cubic`` x^3 (l2: 0, Lp 4: -1) sets ``cubic``: its field
-    and Hessian read the samples' moments (:meth:`CostModel._moments`), M
-    alone where ``cubic`` is 0, and form no per-sample weights or slopes.
+    w(x) = x + ``cubic`` x^3 (l2: 0, Lp 4: -1) sets ``cubic``: its field,
+    Hessian and the flow's trial costs read the samples' moments
+    (:meth:`CostModel._moments`, :meth:`CostModel._trial`), M alone where
+    ``cubic`` is 0, and form no per-sample weights, slopes or dots.
     """
 
     factor: float
@@ -361,8 +371,9 @@ class CostModel:
         return np.full(len(D), np.inf)
 
     def _bases(self, X, D):
-        """1 - d_i^2, clamped at 0, at the dots D of the rows X, for a kind
-        that reads it (None for the others).
+        """1 - d_i^2 at the dots D of the rows X, for a kind that reads it
+        (None for the others): clamped at 0, except for Lp 4, whose value,
+        weights and slopes are the polynomials its moment forms read.
 
         The rounded 1 - d^2 has an absolute error near 2e-16, so it resolves
         no clearance below about 1e-8, where the guard buffer is 1e-9. For a
@@ -376,7 +387,8 @@ class CostModel:
         # in place: one (n, r) array, not three
         base = D * D
         np.subtract(1.0, base, out=base)
-        np.maximum(base, 0.0, out=base)
+        if self._cost.cubic is None:
+            np.maximum(base, 0.0, out=base)
         if self._cost.excluded == "lines" and np.fmin.reduce(base, axis=None, initial=1.0) < 1e-8:
             k, i = np.nonzero(base < 1e-8)
             unit = np.abs(np.vecdot(X[k], X[k]) - 1.0) <= 1e-12
@@ -417,8 +429,8 @@ class CostModel:
     # D = self._dots(X) of its rows and hands them to a private form, all in
     # :meth:`_evaluate`. Every private form computes a stack, with NaN in the
     # guarded rows, and never raises for a row; the flow carries D with its
-    # points and calls the private forms directly, so each point's dots are
-    # formed once.
+    # points (:meth:`_trial`) and calls the private forms directly, so each
+    # point's dots are formed once, and for l2 and Lp 4 only at the starts.
 
     def value(self, q):
         # only the geodesic value has guarded rows: those on a hyperplane
@@ -436,11 +448,37 @@ class CostModel:
                 D = np.where(on_plane[:, None], np.nan, D)
         return self._cost.factor * self._cost.term(D, self._bases(X, D)).sum(axis=1)
 
+    def _trial(self, Y, X=None, c=None):
+        """The dots and costs the flow carries at the points Y: its starts
+        (X None), or the trial points it steps to from its rows X, whose
+        costs are c.
+
+        A per-sample kind carries Y's dots and value as :meth:`value` forms
+        them. A kind read through moments (``_Kind.cubic`` = b) carries
+        zero-width dots, and its cost at a trial point is c + Delta, with
+        Delta the exact change of its value, -scale sum_i [(y_i^2 - x_i^2)/2
+        + b (y_i^4 - x_i^4)/4] at the dots y_i and x_i of Y and X. Since
+        y_i^2 - x_i^2 = <q_i, d> <q_i, s> with d = Y - X and s = Y + X, and
+        y_i^2 + x_i^2 = <q_i q_i^T, Y Y^T + X X^T>, that is
+
+            Delta = -scale <d (x) s, vec(M)/2 + (b/4) T(Y (x) Y + X (x) X)>,
+
+        read from the moments alone and formed from the difference d, so it
+        does not cancel where Y is next to X. Its starts carry the
+        per-sample value. Each row has the bits of its one-row call."""
+        b = self._cost.cubic
+        if b is None or X is None:
+            D = self._dots(Y)
+            return D if b is None else np.empty((len(Y), 0)), self._value(Y, D)
+        # Delta = <d (x) s, g>; T is exactly symmetric, so vecmat with it is matvec
+        g = -0.5 * self.scale * self.samples.second_moment.reshape(16)
+        if b:
+            g = g - 0.25 * b * self.scale * np.vecmat(_outer(Y, Y) + _outer(X, X), self.samples.fourth_moment)
+        return np.empty((len(Y), 0)), c + np.vecdot(_outer(Y - X, Y + X), g)
+
     def gradient(self, q):
         """Analytic gradient of the prolongation (agrees with central FD of
-        the value). For Lp 4 it is the gradient of the polynomial
-        64 sum_i (1 - x_i^2)^2, which the value, clamping 1 - x_i^2 at 0,
-        matches only where every |x_i| <= 1: on and inside the unit sphere."""
+        the value)."""
         return self._evaluate(lambda X, D: self._gradient(X, D)[0], q)
 
     def _gradient(self, X, D):
@@ -474,7 +512,7 @@ class CostModel:
         M = self.samples.second_moment
         if not self._cost.cubic:
             return M
-        P = np.matvec(self.samples.fourth_moment, (X[:, :, None] * X[:, None, :]).reshape(-1, 16)).reshape(-1, 4, 4)
+        P = np.matvec(self.samples.fourth_moment, _outer(X, X)).reshape(-1, 4, 4)
         P *= f
         P += M
         return P

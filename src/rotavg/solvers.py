@@ -106,7 +106,9 @@ def _flow(model, Q0, tol):
     running share one batched call per evaluation. Their state is kept
     compacted to those rows: points X, costs c, steps h and the sample dots
     D = Q X, formed once per point when it is first evaluated and read by
-    every later evaluation there. Returns the final points (n, 4), their
+    every later evaluation there (:meth:`CostModel._trial`: zero-width for
+    l2 and Lp 4, whose trial costs are exact changes read from the samples'
+    moments). Returns the final points (n, 4), their
     ||control_field|| and, per row, None where it converged or the MaxIters
     or DomainBreach it ended with.
     """
@@ -118,8 +120,7 @@ def _flow(model, Q0, tol):
     q = X.copy()
     nv_end = np.full(len(X), np.nan)
     ends = [None] * len(X)
-    D = model._dots(X)
-    c = model._value(X, D)
+    D, c = model._trial(X)
     live, h = np.arange(len(X)), np.full(len(X), INITIAL_STEP)
     for it in range(MAX_ITERS):
         if not live.size:
@@ -213,10 +214,11 @@ def _try(model, X, D, cost, noise, rows, T, fall, field_bound):
     |dc| <= noise, while ||control_field|| at T is at most field_bound (the
     field is evaluated only on the rows that decides). A NaN cost (a trial
     inside a guard buffer) passes neither test. The accepted rows of X move
-    in place to T, with their dots D and costs."""
-    DT = model._dots(T)
-    cT = model._value(T, DT)
-    dc = cT - cost[rows]
+    in place to T, with the dots D and costs that
+    :meth:`CostModel._trial` gives T from its rows."""
+    c = cost[rows]
+    DT, cT = model._trial(T, X[rows], c)
+    dc = cT - c
     ok = dc <= -fall
     check = ~ok & (np.abs(dc) <= noise[rows])
     if check.any():

@@ -579,6 +579,67 @@ def test_moments_match_the_per_sample_forms(kind_p, r, duplicated, seed):
     assert np.array_equal(flipped._frame_hessian(X)[1], got[3])
 
 
+def test_lp4_gradient_is_the_value_derivative_off_the_unit_ball():
+    # Lp 4's value is the polynomial 64 sum_i (1 - x_i^2)^2 everywhere, the
+    # one its moment gradient derives, also beyond a sample's line (|x| = 1.2)
+    model = make("lp", IDENTITY, 4.0)
+    q = 1.2 * normalize([1.0, 0.05, 0.0, 0.0])
+    g = model.gradient(q)
+    assert abs(g[0]) > 100.0
+    assert np.abs(fd_gradient(model.value, q) - g).max() < 1e-6 * np.abs(g).max()
+
+
+def long_value_change(model, T, X):
+    # value(T) - value(X) of l2 or Lp 4 per sample in long double, from
+    # differences: f(x_T) - f(x_X) is -(x_T - x_X)(x_T + x_X) times 1 for
+    # f = 1 - x^2, and times 2 - x_T^2 - x_X^2 for f = (1 - x^2)^2
+    Q, T, X = (a.astype(np.longdouble) for a in (model.samples.quaternions, T, X))
+    xT, xX = T @ Q.T, X @ Q.T
+    df = -((T - X) @ Q.T) * ((T + X) @ Q.T)
+    if model._cost.cubic:
+        df *= 2.0 - xT * xT - xX * xX
+    return model._cost.factor * df.sum(axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind_p=st.sampled_from([("l2", None), ("lp", 4.0)]),
+    r=st.sampled_from([1, 2, 5, 1000]),
+    duplicated=st.booleans(),
+    log_eps=st.floats(-12.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trial_cost_is_the_exact_value_change(kind_p, r, duplicated, log_eps, seed):
+    # l2 and Lp 4 step the flow's cost from X to T = normalize(X + eps t) by
+    # the change Delta of their value that the moments give, at no sample
+    # dot. It agrees with the per-sample difference to within a few eps of
+    # the two values (and of factor r, the floor of a value whose terms
+    # cancel next to a sample's line), and with a long-double reference to
+    # within a few eps c ||T - X|| r, a bound that the per-sample
+    # difference misses for small eps, where it cancels. Each row has the
+    # bits of its one-row call
+    rng = np.random.default_rng(seed)
+    Q = normalize(rng.standard_normal((r, 4)))
+    if duplicated:
+        Q = Q[rng.integers(0, r, r)]
+    model = make(kind_p[0], SampleSet(Q), kind_p[1])
+    X = normalize(rng.standard_normal((8, 4)))
+    T = normalize(X + 10.0**log_eps * rng.standard_normal((8, 4)))
+    D, delta = model._trial(T, X, np.zeros(8))
+    assert D.shape == (8, 0)
+    vT, vX, eps = model.value(T), model.value(X), np.finfo(float).eps
+    assert np.all(np.abs(delta - (vT - vX)) <= 8.0 * eps * (np.abs(vT) + np.abs(vX) + model._cost.factor * r))
+    want = long_value_change(model, T, X)
+    bound = 4.0 * eps * model.scale * np.sqrt(np.vecdot(T - X, T - X)) * r
+    assert np.all(np.abs(delta - want) <= bound)
+    if r == 1000 and log_eps < -8.0:
+        assert np.any(np.abs((vT - vX) - want) > bound)
+    c = rng.standard_normal(8)
+    rows = model._trial(T, X, c)[1]
+    for k in range(8):
+        assert model._trial(T[k : k + 1], X[k : k + 1], c[k : k + 1])[1].tobytes() == rows[k : k + 1].tobytes()
+
+
 BATCH_CASES = [("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 3.0), ("lp", 4.0)]
 EVALUATORS = ("value", "gradient", "control_field", "hessian", "pushforward_residual", "clearance", "admissible")
 

@@ -205,14 +205,16 @@ def test_line_search_acceptance_rule(problem):
     # for Newton, max(0.025 h |v|^2, noise) for the line search), or leaves
     # it within the noise, |dc| <= noise, while the field at the new point
     # is at most 0.5 |v| (Newton) or 0.999 |v| (line search). The rows that
-    # move carry the dots and cost of their new point
+    # move carry the dots and cost that CostModel._trial gives their new
+    # point from their old one
     model, starts = problem
     newton_trial, line_search = solvers._newton_trial, solvers._line_search
     accepted = []
 
-    def check_steps(X, D, cost, k, cost0, fall, noise, field_bound):
+    def check_steps(X, D, cost, k, X0, cost0, fall, noise, field_bound):
         T = X[k]
-        assert np.array_equal(D[k], model._dots(T)) and np.array_equal(cost[k], model._value(T, D[k]))
+        DT, cT = model._trial(T, X0, cost0)
+        assert np.array_equal(D[k], DT) and np.array_equal(cost[k], cT)
         dc = cost[k] - cost0
         rest = dc > -fall  # no sufficient decrease
         assert np.all(np.abs(dc[rest]) <= noise[rest])
@@ -225,7 +227,7 @@ def test_line_search_acceptance_rule(problem):
         X0, cost0 = X.copy(), cost.copy()
         took = newton_trial(model, X, D, V, wd, nv, cost, noise)
         assert np.array_equal(X[~took], X0[~took]) and np.array_equal(cost[~took], cost0[~took])
-        check_steps(X, D, cost, took, cost0[took], noise[took], noise[took], 0.5 * nv[took])
+        check_steps(X, D, cost, took, X0[took], cost0[took], noise[took], noise[took], 0.5 * nv[took])
         return took
 
     def checked_line_search(model, X, D, V, nv, cost, noise, h, rows):
@@ -235,7 +237,7 @@ def test_line_search_acceptance_rule(problem):
         n = nv[k]
         assert np.array_equal(X[k], normalize(X0[found] - h[k, None] * V[k]))
         fall = np.maximum(0.025 * h[k] * n * n, noise[k])
-        check_steps(X, D, cost, k, cost0[found], fall, noise[k], 0.999 * n)
+        check_steps(X, D, cost, k, X0[found], cost0[found], fall, noise[k], 0.999 * n)
         accepted.append(len(k))
         return found
 
@@ -262,18 +264,20 @@ def test_newton_steps_only_positive_definite_rows():
     B = tangent_frame(X)
     K = B @ model.hessian(X) @ B.transpose(0, 2, 1)
     assert np.array_equal(np.linalg.eigvalsh(K).min(axis=1) > 0.0, near_min)
-    D = model._dots(X)
+    D, cost = model._trial(X)
     V, wd = model._field(X, D)
-    cost = model._value(X, D)
     X0, cost0 = X.copy(), cost.copy()
     nv, noise = np.sqrt(np.vecdot(V, V)), 1e-13 * (1.0 + np.abs(cost))
     took = solvers._newton_trial(model, X, D, V, wd, nv, cost, noise)
     assert np.array_equal(took, near_min)
     assert np.all(cost[took] < cost0[took])
     assert np.all(1.0 - np.abs(X[took] @ E[3]) < 1e-15)
-    # the rows that stay keep their state; the moved ones carry their new dots
+    # the rows that stay keep their state; the moved ones carry the dots
+    # (none: l2 steps its cost by the exact change) and cost of their trial
     assert np.array_equal(X[~took], X0[~took]) and np.array_equal(cost[~took], cost0[~took])
-    assert np.array_equal(D, model._dots(X)) and np.array_equal(cost, model.value(X))
+    DT, cT = model._trial(X[took], X0[took], cost0[took])
+    assert D.shape == (len(X), 0) and DT.shape == (took.sum(), 0) and np.array_equal(cost[took], cT)
+    assert np.all(np.abs(cost - model.value(X)) <= noise)
 
 
 def unscreened_newton_trial(model, X, D, V, wd, nv, cost, noise):
@@ -299,9 +303,9 @@ def newton_trials(model, X, monkeypatch):
     # the screened and the unscreened trial from the flow's state at the unit
     # rows X, each on its own copy: (took, X, D, cost) of each, and the rows
     # the screened one formed a Hessian for
-    D = model._dots(X)
+    D, cost = model._trial(X)
     V, wd = model._field(X, D)
-    nv, cost = np.sqrt(np.vecdot(V, V)), model._value(X, D)
+    nv = np.sqrt(np.vecdot(V, V))
     noise = 1e-13 * (1.0 + np.abs(cost))
     hessian_rows = []
     frame_hessian = CostModel._frame_hessian
@@ -457,13 +461,17 @@ def test_flow_forms_each_points_dots_once(kind, monkeypatch):
     # later evaluation there (field, Hessian, guard) reads them: the rows it
     # passes to the dots function are, call for call, the rows whose cost it
     # takes. (Two starts may still reach a minimum with the same bits, so
-    # the rows need not be distinct across starts.)
+    # the rows need not be distinct across starts.) l2 and Lp 4 step their
+    # costs by exact changes from their moments, so they form dots and
+    # per-sample costs at the starts alone
     rng = np.random.default_rng(43)
     model = kind_model(kind, SampleSet.from_quaternions(rng.standard_normal((5, 4))))
     calls = {"_dots": [], "_value": []}
+    starts = []
     flow = solvers._flow
 
     def recording_flow(*args):
+        starts.append(normalize(args[1]).tobytes())
         with monkeypatch.context() as m:
             for name, log in calls.items():
                 method = getattr(CostModel, name)
@@ -472,8 +480,25 @@ def test_flow_forms_each_points_dots_once(kind, monkeypatch):
 
     monkeypatch.setattr(solvers, "_flow", recording_flow)
     assert multistart(model, 16, seed=5)
-    assert len(calls["_dots"]) > 16
+    if kind in ("l2", "lp4"):
+        assert calls["_dots"] == starts
+    else:
+        assert len(calls["_dots"]) > 16
     assert calls["_dots"] == calls["_value"]
+
+
+@pytest.mark.parametrize("kind, cost, n_classes", [("l2", "0x1.98154e0000000p-26", 1), ("lp4", "0x1.0b021f9bf89ddp-42", 64)])
+def test_multistart_on_tight_samples(kind, cost, n_classes):
+    # 1000 samples within about 1e-6 of each other, where the per-sample cost
+    # changes of a trial step cancel: the best cost and the class count that
+    # the flow on per-sample trial costs returned (all classes Min; the flat
+    # Lp 4 minimum splits into one class per start)
+    rng = np.random.default_rng(47)
+    base = normalize(rng.standard_normal(4))
+    model = kind_model(kind, SampleSet.from_quaternions(base + 1e-6 * rng.standard_normal((1000, 4))))
+    pts = multistart(model, 64, seed=0)
+    assert pts[0].cost.hex() == cost and len(pts) == n_classes
+    assert all(pt.classification == "Min" for pt in pts)
 
 
 def test_multistart_drops_slow_starts(monkeypatch):
