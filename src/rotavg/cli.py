@@ -22,8 +22,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import checks as checks_mod
-from . import sweep as sweep_mod
 from .costs import CostModel
 from .geometry import SampleSet, _pair_distances, normalize, quat_from_rotation
 from .solvers import multistart
@@ -196,7 +194,10 @@ def _model_from_args(args, samples) -> CostModel:
         raise _ParseError("--cost lp requires --p" if args.p is None else "--p applies only to --cost lp")
     if args.p is not None and not 1.0 <= args.p < math.inf:
         raise _ValidationError("--p must be finite and >= 1")
-    return CostModel(_COSTS[args.cost], samples, args.p)
+    try:
+        return CostModel(_COSTS[args.cost], samples, args.p)
+    except ValueError as e:  # an lp power whose scale overflows
+        raise _ValidationError(f"--p is too large: {e}") from e
 
 
 def _require_seed(args) -> None:
@@ -248,6 +249,9 @@ def _fmt_angle(x, degrees):
 
 
 def cmd_sweep(args) -> int:
+    # imported where it runs, so that a process that only averages never loads it
+    from . import sweep as sweep_mod
+
     if not math.isfinite(args.p):
         raise _ValidationError("--p must be finite")
     if args.p not in (2.0, 4.0):
@@ -282,6 +286,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import checks as checks_mod  # as sweep_mod in cmd_sweep
+
     if args.trials < 1:
         raise _ValidationError("--trials must be >= 1")
     _require_seed(args)

@@ -143,6 +143,12 @@ def _geodesic_slope(d, _):
     return w
 
 
+def _l2_term(d, _):
+    """1 - d^2 elementwise, formed in place: one (n, r) array, not two."""
+    t = d * d
+    return np.subtract(1.0, t, out=t)
+
+
 class _Kind(NamedTuple):
     """One cost kind's per-sample definition.
 
@@ -178,7 +184,8 @@ class _Kind(NamedTuple):
 
 
 def _lp(p):
-    """The Lp chordal record for the power p, which must satisfy 1 <= p < inf."""
+    """The Lp chordal record for the power p, which must satisfy 1 <= p < inf
+    and keep the scale p 8^(p/2) finite (p up to about 676.4)."""
     if p is None or not 1.0 <= p < np.inf:
         raise ValueError("LpChordal requires a power p with 1 <= p < inf")
 
@@ -205,15 +212,22 @@ def _lp(p):
         base[on_line] = 0.0
         return base
 
+    # past p = 700 the float power raises; past p = 676.39... the scale is inf
+    try:
+        factor = 8.0 ** (p / 2.0)
+    except OverflowError:
+        factor = np.inf
+    if not np.isfinite(p * factor):
+        raise ValueError(f"LpChordal's scale p 8^(p/2) overflows at p = {p:g}; it is finite up to about p = 676.4")
     excluded = "lines" if p < 2.0 else None
-    return _Kind(8.0 ** (p / 2.0), term, weight, slope, p * 8.0 ** (p / 2.0), 4.0 ** (1.0 - p / 2.0), excluded,
+    return _Kind(factor, term, weight, slope, p * factor, 4.0 ** (1.0 - p / 2.0), excluded,
                  reads_base=True, slope_diverges=p < 4.0, cubic=-1.0 if p == 4.0 else None)
 
 
 # kind -> its record (factor, f, w, w', c, kappa, excluded set, guard error,
 # then the flags), or for LpChordal the function that builds it from p
 _KINDS = {
-    "L2Chordal": _Kind(8.0, lambda d, _: 1.0 - d * d, lambda d, _: d, lambda d, _: np.ones_like(d), 16.0, None,
+    "L2Chordal": _Kind(8.0, _l2_term, lambda d, _: d, lambda d, _: np.ones_like(d), 16.0, None,
                        cubic=0.0),
     "Geodesic": _Kind(2.0, lambda d, _: _half_angles(d)[1] ** 2, _geodesic_weight, _geodesic_slope, 4.0, 2.0,
                       "planes"),
@@ -228,8 +242,9 @@ class CostModel:
     """One averaging cost over a fixed :class:`~rotavg.geometry.SampleSet`.
 
     ``kind`` is one of {"L2Chordal", "Geodesic", "TraceSqrt", "LpChordal"};
-    ``p`` is set only for LpChordal (real, 1 <= p < inf). Instances are immutable
-    and every evaluator is a pure function.
+    ``p`` is set only for LpChordal (real, 1 <= p up to about 676.4, where the
+    scale p 8^(p/2) overflows). Instances are immutable and every evaluator
+    is a pure function.
 
     One shape rule holds for every evaluator (:meth:`_evaluate`).
     ``value``, ``gradient``, ``control_field``, ``hessian``,

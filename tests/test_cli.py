@@ -103,6 +103,13 @@ def test_average_p_not_finite(cluster_input, capsys):
     assert "error: --p" in capsys.readouterr().err
 
 
+def test_average_p_whose_scale_overflows(cluster_input, capsys):
+    # the float power 8^(p/2) overflows: one error line, not a traceback
+    assert main(["average", "--cost", "lp", "--p", "700", "--input", str(cluster_input)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --p") and len(err.splitlines()) == 1
+
+
 def test_average_seed_negative(cluster_input, capsys):
     assert main(["average", "--input", str(cluster_input), "--seed", "-1"]) == 3
     assert "error: --seed" in capsys.readouterr().err
@@ -573,6 +580,34 @@ def test_module_entry_point(tmp_path):
         )
         assert proc.returncode == 0, (module, proc.stderr)
         assert "PASS" in out.read_text()
+
+
+def _cold_imports(tmp_path, argv):
+    """The exit code of ``python -m rotavg`` on argv in a fresh process, and
+    the rotavg modules it imported, as ``-X importtime`` lists them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rotavg", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.returncode, {m for m in names if m.split(".")[0] == "rotavg"}
+
+
+@pytest.mark.parametrize("command", ["average", "distance"])
+def test_cold_average_and_distance_leave_sweep_and_checks_unloaded(tmp_path, command):
+    data = Path(__file__).resolve().parent / "data" / "d3_straggler.json"
+    rc, loaded = _cold_imports(tmp_path, [command, "--input", str(data)])
+    assert rc == 0
+    assert "rotavg.cli" in loaded
+    assert not loaded & {"rotavg.sweep", "rotavg.checks"}
+
+
+def test_cold_sweep_imports_its_module(tmp_path):
+    rc, loaded = _cold_imports(tmp_path, ["sweep", "--p", "4", "--alpha-min", "-1.1", "--alpha-max", "-1.0"])
+    assert rc == 0
+    assert "rotavg.sweep" in loaded and "rotavg.checks" not in loaded
+    assert parse_csv(tmp_path / "out")
 
 
 def test_lazy_rotations_leave_the_check_report_unchanged(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -904,6 +905,19 @@ def test_model_validation():
         CostModel("L2Chordal", IDENTITY, p=2.0)
 
 
+@pytest.mark.parametrize("p", [680.0, 700.0, 1e6])
+def test_lp_power_whose_scale_overflows_is_refused(p):
+    # the float power 8^(p/2) overflows past p = 700, and the scale
+    # p 8^(p/2) is inf past p = 676.4; both are refused alike
+    with pytest.raises(ValueError, match="overflows"):
+        CostModel.lp_chordal(IDENTITY, p)
+
+
+def test_lp_power_at_the_overflow_bound_builds():
+    model = CostModel.lp_chordal(IDENTITY, 676.0)
+    assert math.isfinite(model.scale) and model.scale == 676.0 * 8.0**338.0
+
+
 def test_scalar_field_view():
     model = make("l2", IDENTITY)
     sf = model.scalar_field()
@@ -1170,3 +1184,21 @@ def test_evaluators_keep_their_bits(kind, p, k):
     for name, want in PINNED_BITS[kind, p, k].items():
         got = getattr(model, name)(covering_map(q) if name == "rotation_residual" else q)
         assert [float(v).hex() for v in np.ravel(got)] == want.split(), name
+
+
+def test_l2_values_allocate_one_dots_sized_array():
+    # the flow's starts read l2's value at (n, r) dots: 1 - d^2 is formed
+    # in place, so no second (n, r) array is held beside d * d
+    n, r = 16, 20_000
+    rng = np.random.default_rng(0)
+    model = CostModel.l2_chordal(SampleSet.from_quaternions(normalize(rng.standard_normal((r, 4)))))
+    X = normalize(rng.standard_normal((n, 4)))
+    D = model._dots(X)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        model._value(X, D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * D.nbytes
