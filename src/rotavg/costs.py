@@ -25,8 +25,10 @@ from the weights:
 - the rotation residual M^T R - R^T M reads u = w(x)/x (w'(0) at x = 0)
   at the dots x_i of the lift of R: M = sum_i u(x_i) R_i / kappa. u is even
   in x, so either lift gives the same M, and kappa keeps each kind's
-  residual scale. Since x_i Delta_i = (R^T R_i - R_i^T R) / 4, the
-  pushforward residual is -kappa/4 times the rotation residual;
+  residual scale. The sample rotations R_i = L(q_i q_i^T) are never formed:
+  M = L(sum_i u(x_i) q_i q_i^T) / kappa, with L the fixed linear map that
+  the covering map is on q q^T. Since x_i Delta_i = (R^T R_i - R_i^T R) / 4,
+  the pushforward residual is -kappa/4 times the rotation residual;
 - the guards keep a finite buffer eps_dom around the excluded set: the
   hyperplanes Pi_i where x_i = 0 (relative angle pi to a sample), on which
   the geodesic model is undefined and trace-sqrt is not differentiable, or
@@ -53,7 +55,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .control import ScalarField, apply_T_sphere
-from .geometry import SampleSet, _skew, quat_from_rotation, tangent_frame
+from .geometry import _OUTER_TO_ROTATION, SampleSet, _skew, quat_from_rotation, tangent_frame
 
 __all__ = [
     "DomainError",
@@ -143,19 +145,13 @@ def _geodesic_slope(d, _):
     return w
 
 
-def _l2_term(d, _):
-    """1 - d^2 elementwise, formed in place: one (n, r) array, not two."""
-    t = d * d
-    return np.subtract(1.0, t, out=t)
-
-
 class _Kind(NamedTuple):
     """One cost kind's per-sample definition.
 
     ``term``, ``weight`` and ``slope`` map the unit-sphere dots d = Q q and
     ``base`` to f(x), w(x) and w'(x) elementwise. A kind that sets
     ``reads_base`` reads 1 - d^2 from ``base`` where the caller formed it
-    (see :meth:`CostModel._bases`; ``term`` overwrites it), and forms it
+    (see :meth:`CostModel._bases`; ``term`` may overwrite it), and forms it
     where ``base`` is None; the other kinds ignore it. The value is
     ``factor`` sum_i f(x_i) and the gradient -``scale`` sum_i w(x_i) q_i;
     ``kappa`` scales the rotation residual (None: the sample count r).
@@ -227,8 +223,8 @@ def _lp(p):
 # kind -> its record (factor, f, w, w', c, kappa, excluded set, guard error,
 # then the flags), or for LpChordal the function that builds it from p
 _KINDS = {
-    "L2Chordal": _Kind(8.0, _l2_term, lambda d, _: d, lambda d, _: np.ones_like(d), 16.0, None,
-                       cubic=0.0),
+    "L2Chordal": _Kind(8.0, lambda d, base: base, lambda d, _: d, lambda d, _: np.ones_like(d), 16.0, None,
+                       reads_base=True, cubic=0.0),
     "Geodesic": _Kind(2.0, lambda d, _: _half_angles(d)[1] ** 2, _geodesic_weight, _geodesic_slope, 4.0, 2.0,
                       "planes"),
     "TraceSqrt": _Kind(1.0, lambda d, _: (1.0 - np.abs(d)) ** 2, lambda d, _: (1.0 - np.abs(d)) * np.sign(d),
@@ -387,8 +383,9 @@ class CostModel:
 
     def _bases(self, X, D):
         """1 - d_i^2 at the dots D of the rows X, for a kind that reads it
-        (None for the others): clamped at 0, except for Lp 4, whose value,
-        weights and slopes are the polynomials its moment forms read.
+        (None for the others): clamped at 0, except for l2 and Lp 4, whose
+        values, weights and slopes are the polynomials their moment forms
+        read.
 
         The rounded 1 - d^2 has an absolute error near 2e-16, so it resolves
         no clearance below about 1e-8, where the guard buffer is 1e-9. For a
@@ -665,9 +662,12 @@ class CostModel:
         bases, as every other evaluator reads its points; u is even in x,
         so either lift gives the same residual. ``kappa`` keeps each kind's
         scale: M is the arithmetic mean for l2, and M^T R - R^T M is
-        sum_i Log(R_i^T R) for geodesic. Inside the guard buffer of an
-        excluded set a single R raises like the gradient and a row of a
-        stack is NaN.
+        sum_i Log(R_i^T R) for geodesic. The sample rotations are never
+        formed: M = L(sum_i u(x_i) q_i q_i^T) / kappa, one matvec of
+        ``SampleSet.outer_products`` with u mapped by the fixed linear map L
+        that :func:`~rotavg.geometry.covering_map` is on q q^T. Inside the
+        guard buffer of an excluded set a single R raises like the gradient
+        and a row of a stack is NaN.
         """
         return self._evaluate(self._rotation_residual, R, shape=(3, 3))
 
@@ -681,6 +681,5 @@ class CostModel:
         w0 = self._cost.slope(np.zeros(1), None)[0]
         # NaN != 0, so a guarded row keeps its NaN instead of taking w'(0)
         u = np.divide(self._cost.weight(x, base), x, out=np.full_like(x, w0), where=x != 0.0)
-        Rs = self.samples.rotations
-        M = np.vecmat(u, Rs.reshape(Rs.shape[:-2] + (9,))).reshape(-1, 3, 3) / self.kappa
+        M = np.vecmat(np.matvec(self.samples.outer_products, u), _OUTER_TO_ROTATION).reshape(-1, 3, 3) / self.kappa
         return M.transpose(0, 2, 1) @ Rr - Rr.transpose(0, 2, 1) @ M

@@ -7,7 +7,9 @@ in this module: the covering map, the inverse lift,
 three distances, the global orthonormal tangent frame of S3, and the skew
 matrices that push tangent data down to rotation space. A rotation matrix
 becomes numbers one way only, through its lift: the distances and the
-relative angle of two matrices are read off their lifts.
+relative angle of two matrices are read off their lifts. A weighted sum of
+sample rotations is read off the lifts too, as L(sum_i u_i q_i q_i^T),
+with L the fixed linear map that the covering map is on q q^T.
 
 All functions take and return plain numpy arrays.
 """
@@ -106,6 +108,15 @@ def covering_map(q):
         ]
     )
     return np.ascontiguousarray(R.reshape(9, -1).T).reshape(q.shape[:-1] + (3, 3))
+
+
+# each entry of covering_map(q) is a quadratic form in q, so R(q) = L(q q^T)
+# for one fixed linear map L, and sum_i u_i R_i = L(sum_i u_i q_i q_i^T):
+# row 4a + b holds the matrix of the bilinear form at (e_a, e_b), read off
+# covering_map itself by polarization. Its entries are 0 and +-1, so the
+# (16,) @ (16, 9) product with it only adds and subtracts entries of a sum
+_E = np.eye(4)
+_OUTER_TO_ROTATION = ((covering_map(_E[:, None] + _E) - covering_map(_E)[:, None] - covering_map(_E)) / 2.0).reshape(16, 9)
 
 
 def quat_from_rotation(R):
@@ -307,20 +318,17 @@ class SampleSet:
     quaternions : (r, 4) or (m, r, 4) ndarray
         Unit lifts q_i, one row per sample, kept exactly as supplied
         (results never depend on the lift signs, but the lifts themselves
-        are the caller's choice).
-    rotations : (r, 3, 3) or (m, r, 3, 3) ndarray
-        The sample rotations R_i = covering_map(q_i), formed on first read
-        and cached; most callers work on the lifts alone and never form
-        them. A set built by ``from_rotations`` keeps only the lifts
-        (:func:`quat_from_rotation`) and forms its rotations from them like
-        any other.
+        are the caller's choice). The set keeps no rotation matrices; a
+        caller that wants them calls ``covering_map(quaternions)``.
     columns : (4, r) or (m, 4, r) ndarray
         The lifts as contiguous columns, so that a weighted sum
         sum_i w_i q_i is one matvec for every row of weights.
     outer_products : (16, r) or (m, 16, r) ndarray
         The entries of each q_i q_i^T as columns: S = sum_i v_i q_i q_i^T
-        is one matvec, reshaped to 4x4. Formed on first read and cached,
-        like ``rotations``.
+        is one matvec, reshaped to 4x4, and the sample rotations enter
+        only through it: sum_i u_i R_i is L(sum_i u_i q_i q_i^T) for the
+        fixed linear map L that :func:`covering_map` is on q q^T. Formed on
+        first read and cached.
     second_moment : (4, 4) or (m, 4, 4) ndarray
         M = sum_i q_i q_i^T.
     fourth_moment : (16, 16) or (m, 16, 16) ndarray
@@ -332,7 +340,7 @@ class SampleSet:
     lift signs. The cost kinds whose weights are polynomials (l2 and Lp 4)
     read the samples through them in their fields and Hessians, with no
     per-sample work at a point. Each is formed on the first read and
-    cached, like ``rotations``, by one product of a matrix with its own
+    cached, like ``outer_products``, by one product of a matrix with its own
     transpose per set, so it is exactly symmetric and set k of a stack has
     the bits of set k alone.
 
@@ -355,10 +363,6 @@ class SampleSet:
             raise ValueError("quaternions must be a finite (r, 4) or (m, r, 4) array with r >= 1")
         self.quaternions = normalize(Q)
         self.columns = np.ascontiguousarray(np.swapaxes(self.quaternions, -1, -2))
-
-    @cached_property
-    def rotations(self):
-        return covering_map(self.quaternions)
 
     @cached_property
     def outer_products(self):

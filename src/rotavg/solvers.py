@@ -85,13 +85,18 @@ def flow_descend(model: CostModel, q0, tol: float = 1e-12) -> CriticalPoint:
     holds a stack of sample sets, MaxIters if
     MAX_ITERS iterations run out (or no acceptable step exists) and
     DomainBreach if the start or an accepted iterate lies inside a guard
-    buffer. The flow reads that from the control field it evaluates at
-    each point anyway: the field is NaN exactly there, by the clearance
-    that :meth:`CostModel.admissible` reads. The limit is certified as
+    buffer. The start is judged as given, by :meth:`CostModel.admissible`,
+    before the flow normalizes it (a zero start raises the ValueError of
+    :func:`~rotavg.geometry.normalize`); the flow reads the iterates'
+    guard from the control field it evaluates at each point anyway: the
+    field is NaN exactly there, by the clearance that ``admissible``
+    reads. The limit is certified as
     :func:`multistart` certifies its classes, but where its rotation
     residual raises (a limit inside a guard buffer that the flow's own
     guard let pass), so does this.
     """
+    if np.any(q0) and not model.admissible(q0):
+        raise DomainBreach("start point violates the model's domain guard")
     q, nv, ends = _flow(model, np.asarray(q0, dtype=float)[None], tol)
     if ends[0] is not None:
         raise ends[0]
@@ -365,6 +370,11 @@ def eigen_oracle_l2(samples):
     Maximizes sum <q,q_i>^2 over S3 (Markley et al., "Averaging
     Quaternions", 2007). Raises AmbiguousMean when the top two eigenvalues
     are closer than 1e-10, and ValueError on a stack of sample sets.
+
+    It reads ``samples.quaternions`` alone, so any object with that
+    attribute will do: the bench certifies its l2 answers by calling it on
+    a bare namespace of the input's lifts, which holds none of the
+    :class:`~rotavg.geometry.SampleSet` caches (such as its second moment).
     """
     Q = samples.quaternions
     if Q.ndim != 2:

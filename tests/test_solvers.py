@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -626,6 +627,16 @@ def test_eigen_oracle_single_sample():
     q = random_unit_quaternion(rng)
     samples = SampleSet.from_quaternions(q[None])
     assert np.abs(eigen_oracle_l2(samples) - canonicalize_sign(q)).max() < 1e-14
+
+
+def test_eigen_oracle_reads_only_the_lifts():
+    # the bench's l2 certificate calls the oracle on a bare namespace of the
+    # input's unit lifts: any object with a quaternions attribute will do,
+    # and it gives the answer of the SampleSet that holds the same lifts
+    Q = normalize(np.random.default_rng(5).standard_normal((7, 4)))
+    samples = SampleSet.from_quaternions(Q)
+    assert np.array_equal(eigen_oracle_l2(SimpleNamespace(quaternions=samples.quaternions)), eigen_oracle_l2(samples))
+    assert np.abs(eigen_oracle_l2(SimpleNamespace(quaternions=Q)) - eigen_oracle_l2(samples)).max() < 1e-14
 
 
 def test_eigen_oracle_ambiguous():
