@@ -50,7 +50,7 @@ _QA = normalize(np.array([1.0, 2.0, 3.0, 4.0]))
 D3_EDGE = (_QA, np.cos(0.5 * (np.pi - 1e-6)) * _QA + np.sin(0.5 * (np.pi - 1e-6)) * tangent_frame(_QA)[0])
 
 # alpha next to -pi/2, where the p = 2 roots are x ~ 2.5e-13 and x ~ 1 (whose
-# y = sqrt(1 - x^2) would round to 0; see sweep._candidates) and the p = 4
+# y = sqrt(1 - x^2) would round to 0; see sweep._candidate_stack) and the p = 4
 # coefficients cancel, and next to 0, where the p = 2 roots W and 1 - W meet
 POLY_EDGE_ALPHAS = (-np.pi / 2 + 1e-6, 7e-5)
 
@@ -281,8 +281,8 @@ def check_two_roots(seed=0, trials=1000) -> CheckResult:
     indices are solved together, in one sweep._roots_of call.
     """
     grid = set(np.random.default_rng(seed).integers(0, 629, size=trials).tolist())
-    worst = max((abs(len(x) - 2) for x in _roots_of([-np.pi + 0.01 * i for i in grid], 2.0)), default=0)
-    return CheckResult("quadratic-cost polynomial root count = 2", trials, float(worst), 0.5)
+    counts = np.count_nonzero(~np.isnan(_roots_of([-np.pi + 0.01 * i for i in grid], 2.0)), axis=1)
+    return CheckResult("quadratic-cost polynomial root count = 2", trials, _worst([np.abs(counts - 2)]), 0.5)
 
 
 def check_poly_consistency(seed=0, trials=40) -> CheckResult:

@@ -7,22 +7,31 @@ their coefficients in W = x^2 (ascending, a tuple of floats), finds their
 positive roots (in closed form for p = 2, by safeguarded Newton steps on a
 derivative chain for p = 4), labels the resulting critical families and
 traces the minimizer angle over an alpha grid, one SweepRecord per alpha.
-The roots of many alphas are found together (:func:`_roots_of`): up to
-ROOTS_PER_STACK polynomials run the root finder in lockstep over the
-brackets of all of them, with the float operations of the scalar
-:func:`positive_roots` element by element, so every root keeps its bits;
-fewer than STACKED_ROOTS_MIN, where a stacked call's fixed cost would
-dominate, are solved one at a time.
-The grid is worked in chunks of ALPHAS_PER_STACK alphas: the sample lifts
-of a chunk form one array and its candidates another, the rows of one
-stacked model; its critical sets are put in classes by one call of the rule
-multistart uses (geometry._classes), and the angles of all its minimizers
-come from one stacked call.
+The roots of many alphas are found together (:func:`_roots_of`), as one
+array with a row per alpha, padded with NaN: up to ROOTS_PER_STACK
+polynomials run the root finder in lockstep over the brackets of all of
+them, with the float operations of the scalar :func:`positive_roots`
+element by element, so every root keeps its bits; fewer than
+STACKED_ROOTS_MIN, where a stacked call's fixed cost would dominate, are
+solved one at a time.
+The candidates of every alpha lie in one array too
+(:func:`_candidate_stack`): the off-axis point, then both branches of each
+root, with a mask of the points that exist. The grid is evaluated in chunks
+of ALPHAS_PER_STACK alphas: the sample lifts of a chunk form one array and
+its live candidates another, the rows of one stacked model, whose costs and
+residuals are written back into the candidate array's layout; a record's
+critical sets are put in classes by one call of the rule multistart uses
+(geometry._classes) per chunk, and the angles of all its minimizers come
+from one stacked call.
 Root-count transitions and minimizer ties are found from those records:
 each change between adjacent records is bisected, so only changes that
 show between adjacent grid points are found. Two that fall inside one grid
 step cancel: at alpha step 1.0 the p = 4 sweep finds neither transition
-nor the tie at -pi/4 (ROADMAP item 21 is the fix). All changes are
+nor the tie at -pi/4 (ROADMAP item 21 is the fix). Within about 1.3e-4
+of alpha = 0 the gap of the two p = 2 roots falls below the rounding of
+the constant term and the count reads 1, though it is 2 at every alpha
+but 0; a p = 2 grid that fine there shows two such spurious transitions
+(ROADMAP item 21). All changes are
 bisected in lockstep: each step evaluates the midpoints of every bracket
 still open in one stacked call, and each bracket takes the midpoints it
 would take alone, with the same 0.5 * (lo + hi); as every stacked row has
@@ -366,16 +375,6 @@ def _stacked_roots_on(C, ztol):
     return roots[:, : np.count_nonzero(~np.isnan(roots), axis=1).max(initial=0)]
 
 
-def _stacked_positive_roots(W):
-    """positive_roots of each row of the (n, k) array W, the coefficients of
-    one polynomial in W = x^2, with the same bits; k >= 3, and no leading
-    coefficient is zero."""
-    ztol = 1e-14 * np.maximum(1.0, np.abs(W).max(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R = _stacked_roots_on(W, ztol)
-    return [[math.sqrt(r) for r in row if r > 0.0] for row in R.tolist()]
-
-
 @dataclass(frozen=True)
 class CriticalRep:
     """One labeled critical family, pinned by its representative quaternion."""
@@ -397,76 +396,86 @@ def _poly_for(p):
 
 def _roots_of(alphas, p):
     """The positive roots of the power-p polynomial at each alpha of a
-    sequence, with the bits of :func:`positive_roots`: ROOTS_PER_STACK
-    alphas at a time, each batch in one :func:`_stacked_positive_roots`
-    call, or in one positive_roots call per alpha when it holds fewer than
-    STACKED_ROOTS_MIN, where the stacked call's fixed cost would dominate."""
-    poly, out = _poly_for(p), []
+    sequence, with the bits of :func:`positive_roots`, as one (n, m) array:
+    row k holds the roots at alphas[k], ascending, then NaN, and m is the
+    most roots at any alpha. ROOTS_PER_STACK alphas at a time form one
+    batch. A batch of at least STACKED_ROOTS_MIN is solved by one
+    :func:`_stacked_roots_on` call, whose W-roots above 0 become x by
+    np.sqrt (correctly rounded, as math.sqrt is); a smaller one, where that
+    call's fixed cost would dominate, by one positive_roots call per alpha,
+    its lists padded in one np.array call."""
+    # no polynomial here has more positive roots than _PAIR_NAMES labels
+    poly, out, m = _poly_for(p), np.full((len(alphas), len(_PAIR_NAMES) - 1), np.nan), 0
     for k in range(0, len(alphas), ROOTS_PER_STACK):
         polys = [poly(a) for a in alphas[k : k + ROOTS_PER_STACK]]
         if len(polys) < STACKED_ROOTS_MIN:
-            out += [positive_roots(w) for w in polys]
+            roots = [positive_roots(w) for w in polys]
+            width = max(map(len, roots))
+            R = np.array([x + [math.nan] * (width - len(x)) for x in roots])
         else:
-            out += _stacked_positive_roots(np.array(polys))
-    return out
-
-
-def _candidates(roots, p):
-    """The points a record evaluates, as a list of 4-tuples: the black
-    point (0,0,1,0), then for each root x its on-axis branches
-    (+-y, x, 0, 0), plus first; one branch where they meet. Also returns
-    (root index, branch index) for each point after the black one.
-
-    y is sqrt(1-x^2), except for p = 2 with two roots: its W-polynomial
-    A W^2 - A W + a0 has roots W and 1 - W, so each root's y is the other
-    root's x. That keeps y where 1 - x^2 cancels, as next to alpha = -pi/2,
-    where W ~ 7e-17 rounds 1 - W to 1 and sqrt(1-x^2) to 0 for y ~ 8e-9.
-    """
-    paired = p == 2 and len(roots) == 2
-    X = [_BLACK_Q]
-    rows = []
-    for i, x in enumerate(roots):
-        y = roots[1 - i] if paired else math.sqrt(max(1.0 - x * x, 0.0))
-        for b, sgn in enumerate((1.0,) if y < 1e-12 else (1.0, -1.0)):
-            X.append((sgn * y, x, 0.0, 0.0))
-            rows.append((i, b))
-    return X, rows
+            W = np.array(polys)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                R = _stacked_roots_on(W, 1e-14 * np.maximum(1.0, np.abs(W).max(axis=1)))
+            R = np.sort(np.sqrt(np.where(R > 0.0, R, np.nan)), axis=1)
+            width = np.count_nonzero(R > 0.0, axis=1).max()
+        out[k : k + len(polys), :width], m = R[:, :width], max(m, width)
+    return out[:, :m]
 
 
 def _candidate_stack(alphas, p):
-    """For each alpha of a sequence in turn: its positive roots (all from
-    one :func:`_roots_of` call), its :func:`_candidates` points and rows,
-    and each candidate's cost and pushforward residual norm, as lists. The
-    candidates of ALPHAS_PER_STACK alphas at a time are the rows of one
-    stacked model, one array of points over one array of sample lifts, each
-    against its own alpha's samples: one value and one pushforward_residual
-    call, each row with the bits of the one-alpha call."""
-    out, all_roots = [], _roots_of(alphas, p)
-    for k in range(0, len(alphas), ALPHAS_PER_STACK):
-        chunk, roots = alphas[k : k + ALPHAS_PER_STACK], all_roots[k : k + ALPHAS_PER_STACK]
-        found = [_candidates(x, p) for x in roots]
-        sizes = [len(C) for C, _ in found]
-        model = CostModel.lp_chordal(SampleSet(np.repeat(_sample_quats(chunk), sizes, axis=0)), p)
-        X = np.array([q for C, _ in found for q in C])
+    """The roots and candidate points of each alpha of a sequence, and each
+    candidate's cost and pushforward residual norm, as arrays: the (n, m)
+    roots R of one :func:`_roots_of` call, the (n, 1 + 2m, 4) points P, the
+    (n, 1 + 2m) mask ``live`` of the points evaluated, and their costs and
+    residual norms, NaN where not live.
+
+    Column 0 is the black point (0,0,1,0), live at every alpha. Columns
+    1 + 2i and 2 + 2i are root x_i's on-axis branches (y, x_i, 0, 0) and
+    (-y, x_i, 0, 0); the plus branch is live wherever the root is, the
+    minus branch only where y >= 1e-12 (below, the two are one point).
+    P[..., 0] is NaN exactly where a point is not live.
+    y is sqrt(max(1 - x^2, 0)), except for p = 2 with two roots: its
+    W-polynomial A W^2 - A W + a0 has roots W and 1 - W, so each root's y
+    is the other root's x. That keeps y where 1 - x^2 cancels, as next to
+    alpha = -pi/2, where W ~ 7e-17 rounds 1 - W to 1 and sqrt(1-x^2) to 0
+    for y ~ 8e-9.
+
+    The live points of ALPHAS_PER_STACK alphas at a time, P[chunk][live],
+    in row-major order, are the rows of one stacked model, each over its
+    own alpha's samples: one value and one pushforward_residual call, each
+    row with the bits of the one-alpha call."""
+    R = _roots_of(alphas, p)
+    n, m = R.shape
+    Y = np.sqrt(np.maximum(1.0 - R * R, 0.0))
+    if p == 2 and m == 2:
+        Y = np.where(np.isnan(R[:, 1:]), Y, R[:, ::-1])
+    P = np.zeros((n, 1 + 2 * m, 4))
+    P[:, 0, 2] = 1.0
+    P[:, 1::2, 0], P[:, 2::2, 0] = Y, np.where(Y >= 1e-12, -Y, np.nan)
+    P[:, 1::2, 1] = P[:, 2::2, 1] = R
+    live = ~np.isnan(P[..., 0])
+    costs, res = np.full((2, n, 1 + 2 * m), np.nan)
+    for k in range(0, n, ALPHAS_PER_STACK):
+        on = live[k : k + ALPHAS_PER_STACK]
+        lifts = np.repeat(_sample_quats(alphas[k : k + ALPHAS_PER_STACK]), on.sum(axis=1), axis=0)
+        model, X = CostModel.lp_chordal(SampleSet(lifts), p), P[k : k + ALPHAS_PER_STACK][on]
         S = model.pushforward_residual(X).reshape(-1, 9)
+        costs[k : k + ALPHAS_PER_STACK][on] = model.value(X)
         # sqrt of a 9-term dot, as np.linalg.norm forms it for one 3x3 matrix
-        costs, res = model.value(X).tolist(), np.sqrt(np.vecdot(S, S)).tolist()
-        for x, (C, rows), end in zip(roots, found, np.cumsum(sizes).tolist()):
-            out.append((x, C, rows, costs[end - len(C) : end], res[end - len(C) : end]))
-    return out
+        res[k : k + ALPHAS_PER_STACK][on] = np.sqrt(np.vecdot(S, S))
+    return R, P, live, costs, res
 
 
 def _root_residuals(alphas, p):
     """(x, best residual) for each positive root x of the polynomial at an
     alpha, or at each alpha of a sequence in turn: the smaller pushforward
-    residual norm of the root's two branches, in one grouped minimum over
-    all the alphas."""
-    stack = _candidate_stack(np.atleast_1d(alphas), p)
-    roots = [x for found in stack for x in found[0]]
-    # each root's branches are consecutive rows, the first of them branch 0
-    branches = np.array([b for found in stack for _, b in found[2]])
-    res = [r for found in stack for r in found[4][1:]]
-    return list(zip(roots, np.minimum.reduceat(res, np.flatnonzero(branches == 0)).tolist(), strict=True))
+    residual norm of the root's live branches, read from the arrays of
+    :func:`_candidate_stack` at once. A NaN residual of a live branch stays
+    NaN, and so fails every tolerance."""
+    R, _, live, _, res = _candidate_stack(np.atleast_1d(alphas), p)
+    best = np.where(live[:, 2::2], np.minimum(res[:, 1::2], res[:, 2::2]), res[:, 1::2])
+    present = ~np.isnan(R)
+    return list(zip(R[present].tolist(), best[present].tolist()))
 
 
 def _thetas(qs):
@@ -502,28 +511,36 @@ class SweepRecord:
 def _records(alphas, p):
     """The SweepRecord of each alpha of a sequence: the polynomial's
     positive roots, the labeled critical sets they yield, and the
-    cost-minimal classes, from one :func:`_candidate_stack`. Each chunk of
-    ALPHAS_PER_STACK records is classed by one :func:`_classes` call, over
-    a (records, K, 4) stack padded with the black point to the chunk's
+    cost-minimal classes, read from the arrays of one
+    :func:`_candidate_stack`. A set is emitted for the black point and for
+    every branch whose residual beats RESIDUAL_TOL; only those entries
+    become Python floats and CriticalReps. Each chunk of ALPHAS_PER_STACK
+    records is classed by one :func:`_classes` call, over a
+    (records, K, 4) stack padded with the black point to the chunk's
     longest K (a record's classes read only its own rows), and the angles
     of all its winners come from one :func:`_thetas` call."""
-    found, out = _candidate_stack(alphas, p), []
-    for k in range(0, len(found), ALPHAS_PER_STACK):
-        chunk = []
-        for roots, X, rows, costs, res in found[k : k + ALPHAS_PER_STACK]:
-            sets = [CriticalRep("black", None, _BLACK_Q, costs[0], res[0])]
-            names = _PAIR_NAMES[len(roots)]
-            for (i, b), q, cost, r in zip(rows, X[1:], costs[1:], res[1:]):
-                if r < RESIDUAL_TOL:
-                    sets.append(CriticalRep(names[i][b], roots[i], q, cost, r))
-            chunk.append((roots, sets))
-        K = max(len(sets) for _, sets in chunk)
-        U = normalize(np.array([[rep.q for rep in sets] + [_BLACK_Q] * (K - len(sets)) for _, sets in chunk]))
-        wins = [_winners(sets, heads=h) for (_, sets), h in zip(chunk, _classes(U))]
+    R, P, _, costs, res = _candidate_stack(alphas, p)
+    emit = res < RESIDUAL_TOL
+    emit[:, 0] = True
+    roots = [[x for x in row if x == x] for row in R.tolist()]
+    sets = [[] for _ in roots]
+    entries = (*np.nonzero(emit), P[emit], costs[emit], res[emit])
+    for k, col, q, cost, r in zip(*(a.tolist() for a in entries)):
+        if col:
+            i, b = divmod(col - 1, 2)
+            sets[k].append(CriticalRep(_PAIR_NAMES[len(roots[k])][i][b], roots[k][i], tuple(q), cost, r))
+        else:
+            sets[k].append(CriticalRep("black", None, _BLACK_Q, cost, r))
+    out = []
+    for k in range(0, len(sets), ALPHAS_PER_STACK):
+        chunk = sets[k : k + ALPHAS_PER_STACK]
+        K = max(map(len, chunk))
+        U = normalize(np.array([[rep.q for rep in s] + [_BLACK_Q] * (K - len(s)) for s in chunk]))
+        wins = [_winners(s, heads=h) for s, h in zip(chunk, _classes(U))]
         thetas = iter(_thetas([rep.q for win in wins for rep in win]))
-        for alpha, (roots, sets), win in zip(alphas[k:], chunk, wins):
+        for alpha, x, s, win in zip(alphas[k:], roots[k:], chunk, wins):
             thetas_min, labels = tuple(next(thetas) for _ in win), tuple(rep.label for rep in win)
-            out.append(SweepRecord(float(alpha), float(p), tuple(roots), tuple(sets), thetas_min, labels))
+            out.append(SweepRecord(float(alpha), float(p), tuple(x), tuple(s), thetas_min, labels))
     return out
 
 
@@ -565,7 +582,7 @@ def _changes(records, key, keys_at, width):
 
 
 def _root_counts(alphas, p):
-    return [len(roots) for roots in _roots_of(alphas, p)]
+    return (~np.isnan(_roots_of(alphas, p))).sum(axis=1).tolist()
 
 
 def _leading_labels(alphas, p):

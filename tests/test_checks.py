@@ -18,7 +18,7 @@ from rotavg.control import dissipation_rate, fd_gradient, unit_sphere_problem, v
 from rotavg.costs import _KINDS, CostModel
 from rotavg.geometry import SampleSet, covering_map, delta_skew, dist_d3, normalize
 from rotavg.solvers import multistart
-from rotavg.sweep import _candidates, _poly_for, build_samples, positive_roots, q2_coeffs
+from rotavg.sweep import _poly_for, build_samples, positive_roots, q2_coeffs
 
 
 def reference_draws(seed, trials, unit=True):
@@ -133,19 +133,35 @@ def ref_two_roots(seed, trials):
     return worst
 
 
+def reference_branches(roots, p):
+    """The on-axis branches of each root x of one alpha, as (root index,
+    point) pairs: (y, x, 0, 0), then (-y, x, 0, 0) unless y < 1e-12, where
+    the two are one point. y is sqrt(max(1 - x^2, 0)), or for p = 2 with
+    two roots the other root's x (they pair as W and 1 - W)."""
+    out = []
+    for i, x in enumerate(roots):
+        y = roots[1 - i] if p == 2.0 and len(roots) == 2 else math.sqrt(max(1.0 - x * x, 0.0))
+        out.append((i, (y, x, 0.0, 0.0)))
+        if y >= 1e-12:
+            out.append((i, (-y, x, 0.0, 0.0)))
+    return out
+
+
 def ref_poly_consistency(seed, trials):
-    # one model per alpha and p, its candidates as one stack of points
+    # one model per alpha and p, the black point and the branches as one
+    # stack of points
     rng = np.random.default_rng(seed)
     worst = 0.0
     for alpha in [float(rng.uniform(-np.pi, np.pi)) for _ in range(trials)] + list(checks.POLY_EDGE_ALPHAS):
         for p in (2.0, 4.0):
             model = CostModel.lp_chordal(build_samples(alpha), p)
             roots = positive_roots(_poly_for(p)(alpha))
-            X, rows = _candidates(roots, p)
+            branches = reference_branches(roots, p)
+            X = np.array([(0.0, 0.0, 1.0, 0.0)] + [q for _, q in branches])
             S = model.pushforward_residual(X).reshape(-1, 9)[1:]
             res = np.sqrt(np.vecdot(S, S))
             for i in range(len(roots)):
-                worst = max(worst, min(r for (j, _), r in zip(rows, res) if j == i))
+                worst = max(worst, min(r for (j, _), r in zip(branches, res) if j == i))
     return worst
 
 

@@ -255,71 +255,167 @@ def _hex(roots):
     return [x.hex() for x in roots]
 
 
-def test_stacked_roots_bits_match_positive_roots():
+def _padded(lists):
+    """Lists of roots as one array, each row padded with NaN to the longest."""
+    m = max(map(len, lists), default=0)
+    return np.array([x + [math.nan] * (m - len(x)) for x in lists]).reshape(len(lists), m)
+
+
+def test_stacked_roots_bits_match_positive_roots(monkeypatch):
     # the alpha sets of test_positive_roots_bits_match_reference, the check
     # family's edge angles and the ends and centre of the alpha range, each
-    # set in one stacked call: every row must keep positive_roots' bits
+    # set in one _roots_of call with every batch stacked: every row must
+    # hold positive_roots' bits, padded with NaN
+    monkeypatch.setattr(sweep, "STACKED_ROOTS_MIN", 1)
     grid = np.arange(-math.pi, math.pi + 0.005, 0.01)
     random_alphas = np.random.default_rng(9).uniform(-math.pi, math.pi, 2000)
     edges = [checks.POLY_EDGE_ALPHAS, [0.0, math.pi, -math.pi, -math.pi / 2]]
-    for q in (q2_coeffs, q4_coeffs):
+    for p, q in ((2.0, q2_coeffs), (4.0, q4_coeffs)):
         alphas = [grid, random_alphas, math.pi / 24 * np.arange(-24, 25), *edges]
         if q is q4_coeffs:
             alphas += [np.linspace(a - 1e-6, a + 1e-6, 201) for a in QUARTIC_DOUBLE_ROOTS]
         for batch in alphas:
-            polys = [q(float(a)) for a in batch]
-            got = sweep._stacked_positive_roots(np.array(polys))
-            assert len(got) == len(polys)
-            for a, w, roots in zip(batch, polys, got):
-                assert _hex(roots) == _hex(positive_roots(w)), (q.__name__, float(a))
+            got = sweep._roots_of(batch, p)
+            assert got.tobytes() == _padded([positive_roots(q(float(a))) for a in batch]).tobytes(), q.__name__
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_stacked_roots_of_other_polynomials(k):
     # W-polynomials of k coefficients with a nonzero leading one: random
     # ones, and products of roots drawn from a few values, so that double
-    # and triple roots, roots at W = 0 and 1 and roots beside them all occur
+    # and triple roots, roots at W = 0 and 1 and roots beside them all occur.
+    # The stacked finder keeps each row's W-roots in [0, 1] to the bit, and
+    # their square roots above 0 are positive_roots'
     rng = np.random.default_rng(k)
     rows = [rng.standard_normal(k) for _ in range(300)]
     for values in ([0.0, 0.25, 0.5, 1.0, 1e-9, 0.3], [-0.1, 0.2, 0.2 + 1e-11, 0.7, 1.0 + 1e-13]):
         rows += [rng.uniform(0.5, 50.0) * npoly.polyfromroots(rng.choice(values, k - 1)) for _ in range(300)]
-    got = sweep._stacked_positive_roots(np.array(rows))
-    for w, roots in zip(rows, got):
-        assert _hex(roots) == _hex(positive_roots(tuple(w.tolist()))), w.tolist()
+    W = np.array(rows)
+    ztol = 1e-14 * np.maximum(1.0, np.abs(W).max(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = sweep._stacked_roots_on(W, ztol)
+    for w, tol, row in zip(W.tolist(), ztol.tolist(), got.tolist()):
+        want = sweep._real_roots_on(w, 0.0, 1.0, tol)
+        assert _hex(row) == _hex(want + [math.nan] * (got.shape[1] - len(want))), w
+        assert _hex(np.sqrt([r for r in want if r > 0.0]).tolist()) == _hex(positive_roots(tuple(w))), w
 
 
 def test_roots_of_chooses_its_path_by_size(monkeypatch):
     # one positive_roots call per alpha below STACKED_ROOTS_MIN, none from
-    # there on; a batch of ROOTS_PER_STACK + 5 leaves a tail of five
+    # there on; a batch of ROOTS_PER_STACK + 5 leaves a tail of five, whose
+    # rows join the stacked ones in the one padded array
     calls = []
     scalar = sweep.positive_roots
     monkeypatch.setattr(sweep, "positive_roots", lambda poly: calls.append(poly) or scalar(poly))
     for n, want in ((sweep.STACKED_ROOTS_MIN - 1, sweep.STACKED_ROOTS_MIN - 1), (sweep.STACKED_ROOTS_MIN, 0),
                     (sweep.ROOTS_PER_STACK + 5, 5)):
-        calls.clear()
-        alphas = np.linspace(-math.pi, math.pi, n)
-        roots = sweep._roots_of(alphas, 2.0)
-        assert len(calls) == want
-        assert [_hex(r) for r in roots] == [_hex(scalar(q2_coeffs(a))) for a in alphas]
-
-
-def _stack_bits(found):
-    return [(_hex(roots), np.array(X).tobytes(), rows, _hex(costs), _hex(res)) for roots, X, rows, costs, res in found]
+        for p, q in ((2.0, q2_coeffs), (4.0, q4_coeffs)):
+            calls.clear()
+            alphas = np.linspace(-math.pi, math.pi, n)
+            roots = sweep._roots_of(alphas, p)
+            assert len(calls) == want
+            assert roots.tobytes() == _padded([scalar(q(a)) for a in alphas]).tobytes()
+            assert roots.shape == (n, 2 if p == 2.0 else 4)
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_candidate_stack_same_on_both_root_paths(monkeypatch, p):
     # every root batch stacked (threshold 1) or every one one alpha at a
-    # time (threshold past a full batch): roots, candidates, rows, costs and
-    # residuals agree bit for bit, on the default grid and 2000 random alphas
+    # time (threshold past a full batch): the roots, points, live masks,
+    # costs and residuals agree byte for byte, NaN padding included, on the
+    # default grid and 2000 random alphas
     random_alphas = np.random.default_rng(12).uniform(-math.pi, math.pi, 2000)
     for alphas in (np.arange(-math.pi, math.pi + 0.005, 0.01), random_alphas):
         found = []
         for threshold in (1, sweep.ROOTS_PER_STACK + 1):
             monkeypatch.setattr(sweep, "STACKED_ROOTS_MIN", threshold)
-            found.append(_stack_bits(sweep._candidate_stack(alphas, p)))
-        assert len(found[0]) == len(alphas)
+            found.append([a.tobytes() for a in sweep._candidate_stack(alphas, p)])
         assert found[0] == found[1]
+
+
+# the labels of the plus and minus branches of each root, by root count
+_REFERENCE_NAMES = {
+    1: ("red", "blue"),
+    2: ("green", "pink", "red", "blue"),
+    3: ("green", "pink", "yellow", "violet", "red", "blue"),
+    4: ("green", "pink", "yellow", "violet", "maroon", "gold", "red", "blue"),
+}
+
+
+def _one_alpha_candidates(alpha, p):
+    """One alpha's roots from one positive_roots call, its candidates as
+    (column, point) pairs, and their costs and pushforward residual norms
+    from one CostModel over them. Column 0 is the black point (0,0,1,0);
+    root i's branches (y, x, 0, 0) and (-y, x, 0, 0) take columns 1 + 2i
+    and 2 + 2i, the second only where y >= 1e-12; y is sqrt(max(1 - x^2,
+    0)), or for p = 2 with two roots the other root's x."""
+    roots = positive_roots((q2_coeffs if p == 2.0 else q4_coeffs)(alpha))
+    found = [(0, (0.0, 0.0, 1.0, 0.0))]
+    for i, x in enumerate(roots):
+        y = roots[1 - i] if p == 2.0 and len(roots) == 2 else math.sqrt(max(1.0 - x * x, 0.0))
+        found.append((1 + 2 * i, (y, x, 0.0, 0.0)))
+        if y >= 1e-12:
+            found.append((2 + 2 * i, (-y, x, 0.0, 0.0)))
+    model = CostModel.lp_chordal(build_samples(alpha), p)
+    X = np.array([q for _, q in found])
+    S = model.pushforward_residual(X).reshape(-1, 9)
+    return roots, found, model.value(X).tolist(), np.sqrt(np.vecdot(S, S)).tolist()
+
+
+def _assert_arrays_match_one_alpha_reference(alphas, p):
+    R, P, live, costs, res = sweep._candidate_stack(alphas, p)
+    pairs, recs = _root_residuals(alphas, p), _records(alphas, p)
+    want_pairs, counts = [], []
+    assert R.shape[0] == len(recs) == len(alphas)
+    assert P.shape == (*live.shape, 4) == (len(alphas), 1 + 2 * R.shape[1], 4)
+    for k, alpha in enumerate(alphas):
+        roots, found, cost, r = _one_alpha_candidates(float(alpha), p)
+        cols = [col for col, _ in found]
+        counts.append(len(roots))
+        assert _hex(R[k, : len(roots)].tolist()) == _hex(roots) and np.isnan(R[k, len(roots) :]).all()
+        assert np.flatnonzero(live[k]).tolist() == cols
+        assert P[k, cols].tobytes() == np.array([q for _, q in found]).tobytes()
+        assert _hex(costs[k, cols].tolist()) == _hex(cost) and _hex(res[k, cols].tolist()) == _hex(r)
+        assert np.isnan(costs[k][~live[k]]).all() and np.isnan(res[k][~live[k]]).all()
+        want_pairs += [(x, min(rj for col, rj in zip(cols, r) if col in (1 + 2 * i, 2 + 2 * i)))
+                       for i, x in enumerate(roots)]
+        # the record: the black point and every branch below RESIDUAL_TOL
+        sets = [CriticalRep("black", None, found[0][1], cost[0], r[0])]
+        for (col, q), c, rj in zip(found[1:], cost[1:], r[1:]):
+            if rj < RESIDUAL_TOL:
+                sets.append(CriticalRep(_REFERENCE_NAMES[len(roots)][col - 1], roots[(col - 1) // 2], q, c, rj))
+        rec = recs[k]
+        assert _hex(rec.roots) == _hex(roots)
+        assert [(*dataclasses.astuple(rep)[:3], rep.cost.hex(), rep.residual_norm.hex()) for rep in rec.sets] == [
+            (*dataclasses.astuple(rep)[:3], rep.cost.hex(), rep.residual_norm.hex()) for rep in sets]
+        labels = _reference_winners(sets, sweep.TIE_TOL)
+        assert rec.min_set_label == tuple(labels)
+        assert _hex(rec.theta_min) == [_theta_one_row(rep.q).hex() for rep in sets if rep.label in labels]
+    assert R.shape[1] == max(counts)
+    assert [(x.hex(), b.hex()) for x, b in pairs] == [(x.hex(), b.hex()) for x, b in want_pairs]
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_candidate_arrays_match_one_alpha_reference(p):
+    # the arrays of _candidate_stack, _root_residuals and _records against
+    # one positive_roots call, explicit branches and one CostModel per alpha,
+    # bit for bit: on the default grid, 2000 random alphas, the check
+    # family's edge angles and the ends, centre and quarter turns of the range
+    batches = (
+        np.arange(-math.pi, math.pi + 0.005, 0.01),
+        np.random.default_rng(14).uniform(-math.pi, math.pi, 2000),
+        checks.POLY_EDGE_ALPHAS,
+        (-math.pi, -math.pi / 2, -math.pi / 4, 0.0, math.pi),
+    )
+    for alphas in batches:
+        _assert_arrays_match_one_alpha_reference(alphas, p)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_no_alphas_give_no_records(p):
+    assert theta_min_curve(p, []) == []
+    assert _root_residuals([], p) == []
+    assert sweep._roots_of([], p).shape == (0, 0)
 
 
 def test_q2_coeffs_quarter():
