@@ -21,8 +21,8 @@ of ALPHAS_PER_STACK alphas: the sample lifts of a chunk form one array and
 its live candidates another, the rows of one stacked model, whose costs and
 residuals are written back into the candidate array's layout; a record's
 critical sets are put in classes by one call of the rule multistart uses
-(geometry._classes) per chunk, and the angles of all its minimizers come
-from one stacked call.
+(geometry._classes) per chunk, and the angles of all minimizers come from
+one stacked call.
 Root-count transitions and minimizer ties are found from those records:
 each change between adjacent records is bisected, so only changes that
 show between adjacent grid points are found. Two that fall inside one grid
@@ -35,9 +35,11 @@ but 0; a p = 2 grid that fine there shows two such spurious transitions
 bisected in lockstep: each step evaluates the midpoints of every bracket
 still open in one stacked call, and each bracket takes the midpoints it
 would take alone, with the same 0.5 * (lo + hi); as every stacked row has
-the bits of its one-alpha call, every bisected alpha keeps its bits.
-Records round-trip through CSV, each row formatted directly in the bytes
-of the csv module's writer.
+the bits of its one-alpha call, every bisected alpha keeps its bits. A
+record's winners, and a tie midpoint's leading label, are read from the
+candidate arrays as masks (:func:`_emitted`), so a midpoint builds no
+record. Records round-trip through CSV, each row formatted directly in the
+bytes of the csv module's writer, each distinct number of a record once.
 """
 
 from __future__ import annotations
@@ -76,20 +78,17 @@ STACKED_ROOTS_MIN = 40  # from this many polynomials on, one stacked call beats 
 
 CSV_HEADER = ("alpha", "p", "set_label", "x_root", "q0", "q1", "cost", "theta", "is_min")
 
-# label pairs (plus-branch, minus-branch) by root rank among n ascending roots
-_PAIR_NAMES = {
-    0: (),
-    1: (("red", "blue"),),
-    2: (("green", "pink"), ("red", "blue")),
-    3: (("green", "pink"), ("yellow", "violet"), ("red", "blue")),
-    4: (("green", "pink"), ("yellow", "violet"), ("maroon", "gold"), ("red", "blue")),
+# the label of each candidate column (black, then the plus and the minus
+# branch of each root, by root rank) among n ascending roots
+_LABELS = {
+    0: ("black",),
+    1: ("black", "red", "blue"),
+    2: ("black", "green", "pink", "red", "blue"),
+    3: ("black", "green", "pink", "yellow", "violet", "red", "blue"),
+    4: ("black", "green", "pink", "yellow", "violet", "maroon", "gold", "red", "blue"),
 }
 
 _BLACK_Q = (0.0, 0.0, 1.0, 0.0)
-
-# one emit_csv row: 17 significant digits for each number, is_min as 0 or 1,
-# and the csv module's terminator
-_CSV_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d\r\n"
 
 
 def build_samples(alpha: float) -> SampleSet:
@@ -184,17 +183,19 @@ def _quadratic_roots(c, lo, hi, ztol):
 def _newton_root(c, dc, lo, hi, flo):
     # the root of c in [lo, hi], where c changes sign and c(lo) = flo; dc is
     # c's derivative. Newton from the midpoint, with c and dc in one Horner
-    # pass (each in numpy polyval's order). Every iterate becomes an end of
-    # the bracket, by its sign; a step that would leave the bracket is
-    # replaced by the bracket's midpoint
+    # pass (each in numpy polyval's order) over their coefficient pairs,
+    # paired once per bracket, so an iteration does no other Python work.
+    # One body serves every degree. Every iterate becomes an end of the
+    # bracket, by its sign; a step that would leave the bracket is replaced
+    # by the bracket's midpoint
     neg = flo < 0.0
-    head, tail = c[-2:0:-1], dc[-2::-1]
+    c0, top_c, top_d, pairs = c[0], c[-1], dc[-1], tuple(zip(c[-2:0:-1], dc[-2::-1]))
     x = 0.5 * (lo + hi)
     for _ in range(100):
-        f, d = c[-1], dc[-1]
-        for a, b in zip(head, tail):
+        f, d = top_c, top_d
+        for a, b in pairs:
             f, d = a + f * x, b + d * x
-        f = c[0] + f * x
+        f = c0 + f * x
         if f == 0.0:
             break
         if (f < 0.0) == neg:
@@ -213,40 +214,45 @@ def _newton_root(c, dc, lo, hi, flo):
     return x
 
 
+def _distinct(roots):
+    # sorted, each root kept only beyond 1e-10 of the last one kept
+    out = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > 1e-10:
+            out.append(r)
+    return out
+
+
 def _real_roots_on(c, lo, hi, ztol):
-    # roots of P' partition [lo, hi] into monotone pieces; recurse on the
-    # derivative down to degree 2, solved in closed form, then root every
-    # sign change and keep near-zero nodes (this catches multiple roots
-    # that plain companion-matrix solves smear)
+    # roots of P' partition [lo, hi] into monotone pieces. The derivative
+    # chain is formed once, down to degree 2, solved in closed form; then,
+    # from the bottom link up and without recursion, each link roots every
+    # sign change between its derivative's roots and keeps near-zero nodes
+    # (this catches multiple roots that plain companion-matrix solves smear)
     while c and c[-1] == 0.0:
         c = c[:-1]
     if len(c) <= 1:
         return []
     if len(c) == 2:
         return _in_interval([-c[0] / c[1]], lo, hi)
-    if len(c) == 3:
-        roots = _quadratic_roots(c, lo, hi, ztol)
-    else:
-        dc = _derivative(c)
-        nodes = [lo] + _real_roots_on(dc, lo, hi, ztol) + [hi]
+    chain = [c]
+    while len(c) > 3:
+        c = _derivative(c)
+        chain.append(c)
+    roots = _distinct(_quadratic_roots(c, lo, hi, ztol))
+    # (a link's derivative, the link), from the bottom of the chain up
+    for dc, c in zip(chain[::-1], chain[-2::-1]):
+        nodes = [lo, *roots, hi]
         vals = [_horner(c, t) for t in nodes]
-        n = len(nodes)
-        cross = [vals[i] * vals[i + 1] < 0.0 for i in range(n - 1)]
-        roots = []
-        for i in range(n):
-            # a near-zero node is a (multiple) root only when no strict sign
-            # change flanks it; otherwise the crossings already cover it
-            flanked = (i > 0 and cross[i - 1]) or (i < n - 1 and cross[i])
-            if abs(vals[i]) <= ztol and not flanked:
-                roots.append(nodes[i])
-        for i in range(n - 1):
-            if cross[i]:
-                roots.append(_newton_root(c, dc, nodes[i], nodes[i + 1], vals[i]))
-    out = []
-    for r in sorted(roots):
-        if not out or r - out[-1] > 1e-10:
-            out.append(r)
-    return out
+        cross = [v * w < 0.0 for v, w in zip(vals, vals[1:])]
+        # a near-zero node is a (multiple) root only when no strict sign
+        # change flanks it; otherwise the crossings already cover it
+        roots = [nodes[i] for i, v in enumerate(vals)
+                 if abs(v) <= ztol and not (i and cross[i - 1] or i < len(cross) and cross[i])]
+        roots += [_newton_root(c, dc, nodes[i], nodes[i + 1], vals[i])
+                  for i, crossing in enumerate(cross) if crossing]
+        roots = _distinct(roots)
+    return roots
 
 
 def positive_roots(w):
@@ -266,12 +272,18 @@ def positive_roots(w):
     counting the near-zero values beside a double root as well would make
     the root count odd there. Raises ValueError for a coefficient that is
     not finite and for the zero polynomial.
+
+    One kernel serves every degree: the chain is formed once and solved
+    from the bottom up, and each Newton iteration evaluates the polynomial
+    and its derivative in one Horner pass over coefficient pairs formed
+    once per bracket, with numpy polyval's float operations in its order.
+    A p = 4 polynomial takes about 30-50 us on a shared 2-core x86 host.
     """
-    if not all(math.isfinite(a) for a in w):
+    if not all(map(math.isfinite, w)):
         raise ValueError("coefficients must be finite")
     if not any(w):
         raise ValueError("polynomial is identically zero")
-    ztol = 1e-14 * max(1.0, max(abs(a) for a in w))
+    ztol = 1e-14 * max(1.0, *map(abs, w))
     return [math.sqrt(r) for r in _real_roots_on(w, 0.0, 1.0, ztol) if r > 0.0]
 
 
@@ -404,8 +416,8 @@ def _roots_of(alphas, p):
     np.sqrt (correctly rounded, as math.sqrt is); a smaller one, where that
     call's fixed cost would dominate, by one positive_roots call per alpha,
     its lists padded in one np.array call."""
-    # no polynomial here has more positive roots than _PAIR_NAMES labels
-    poly, out, m = _poly_for(p), np.full((len(alphas), len(_PAIR_NAMES) - 1), np.nan), 0
+    # no polynomial here has more positive roots than _LABELS names
+    poly, out, m = _poly_for(p), np.full((len(alphas), len(_LABELS) - 1), np.nan), 0
     for k in range(0, len(alphas), ROOTS_PER_STACK):
         polys = [poly(a) for a in alphas[k : k + ROOTS_PER_STACK]]
         if len(polys) < STACKED_ROOTS_MIN:
@@ -486,16 +498,37 @@ def _thetas(qs):
     return [2.0 * math.atan2(q1, q0) for q0, q1, _, _ in Q.tolist()]
 
 
-def _winners(sets, tol=TIE_TOL, heads=None):
-    """The cost-minimal classes of reps: the class heads
-    (:func:`~rotavg.geometry._classes`) whose cost lies within tol of the
-    least head's. ``heads`` gives each rep's class head and is formed here
-    if not given; only its first len(sets) entries are read."""
-    if heads is None:
-        heads = _classes(normalize(np.array([rep.q for rep in sets])))
-    classes = [rep for k, rep in enumerate(sets) if heads[k] == k]
-    best = min(rep.cost for rep in classes)
-    return [rep for rep in classes if rep.cost <= best + tol]
+def _emitted(stack, tol):
+    """The candidates each alpha emits and its winners, read from the
+    arrays of one :func:`_candidate_stack` call: two masks in its candidate
+    layout, ``emit`` (the black point, and every branch whose residual
+    beats RESIDUAL_TOL) and ``won`` (the cost-minimal classes among them:
+    the class heads whose cost lies within tol of the least head's).
+    P[emit] and P[won] list the points alpha by alpha, each alpha's in
+    emission order.
+
+    Each chunk of ALPHAS_PER_STACK alphas is classed by one
+    :func:`~rotavg.geometry._classes` call, over a (chunk, K, 4) stack of
+    each alpha's emitted points in emission order, padded with the black
+    point to the chunk's longest count K. The padding joins the black
+    point's class, and an alpha's classes read only its own rows."""
+    _, P, _, costs, res = stack
+    emit = res < RESIDUAL_TOL
+    emit[:, 0] = True
+    won = np.zeros_like(emit)
+    # each row's emitted columns first, ascending, then the rest
+    order = np.argsort(~emit, axis=1, kind="stable")
+    count = np.count_nonzero(emit, axis=1)
+    for k in range(0, len(emit), ALPHAS_PER_STACK):
+        n = count[k : k + ALPHAS_PER_STACK]
+        slots = np.arange(n.max())
+        cols = np.where(slots < n[:, None], order[k : k + ALPHAS_PER_STACK, : len(slots)], 0)
+        rows = np.arange(k, k + len(n))[:, None]
+        heads = np.array(_classes(normalize(P[rows, cols])))
+        cost = np.where(heads == slots, costs[rows, cols], np.inf)
+        i, j = np.nonzero(cost <= cost.min(axis=1, keepdims=True) + tol)
+        won[k + i, cols[i, j]] = True
+    return emit, won
 
 
 @dataclass(frozen=True)
@@ -511,37 +544,28 @@ class SweepRecord:
 def _records(alphas, p):
     """The SweepRecord of each alpha of a sequence: the polynomial's
     positive roots, the labeled critical sets they yield, and the
-    cost-minimal classes, read from the arrays of one
-    :func:`_candidate_stack`. A set is emitted for the black point and for
-    every branch whose residual beats RESIDUAL_TOL; only those entries
-    become Python floats and CriticalReps. Each chunk of ALPHAS_PER_STACK
-    records is classed by one :func:`_classes` call, over a
-    (records, K, 4) stack padded with the black point to the chunk's
-    longest K (a record's classes read only its own rows), and the angles
-    of all its winners come from one :func:`_thetas` call."""
-    R, P, _, costs, res = _candidate_stack(alphas, p)
-    emit = res < RESIDUAL_TOL
-    emit[:, 0] = True
+    cost-minimal classes within TIE_TOL, read from the arrays of one
+    :func:`_candidate_stack` and the masks :func:`_emitted` reads from them.
+    Only the emitted entries become Python floats and CriticalReps, and the
+    angles of all winners come from one :func:`_thetas` call."""
+    stack = R, P, _, costs, res = _candidate_stack(alphas, p)
+    emit, won = _emitted(stack, TIE_TOL)
     roots = [[x for x in row if x == x] for row in R.tolist()]
-    sets = [[] for _ in roots]
-    entries = (*np.nonzero(emit), P[emit], costs[emit], res[emit])
-    for k, col, q, cost, r in zip(*(a.tolist() for a in entries)):
+    sets, labels = [[] for _ in roots], [[] for _ in roots]
+    entries = (*np.nonzero(emit), P[emit], costs[emit], res[emit], won[emit])
+    for k, col, q, cost, r, w in zip(*(a.tolist() for a in entries)):
         if col:
-            i, b = divmod(col - 1, 2)
-            sets[k].append(CriticalRep(_PAIR_NAMES[len(roots[k])][i][b], roots[k][i], tuple(q), cost, r))
+            rep = CriticalRep(_LABELS[len(roots[k])][col], roots[k][(col - 1) // 2], tuple(q), cost, r)
         else:
-            sets[k].append(CriticalRep("black", None, _BLACK_Q, cost, r))
-    out = []
-    for k in range(0, len(sets), ALPHAS_PER_STACK):
-        chunk = sets[k : k + ALPHAS_PER_STACK]
-        K = max(map(len, chunk))
-        U = normalize(np.array([[rep.q for rep in s] + [_BLACK_Q] * (K - len(s)) for s in chunk]))
-        wins = [_winners(s, heads=h) for s, h in zip(chunk, _classes(U))]
-        thetas = iter(_thetas([rep.q for win in wins for rep in win]))
-        for alpha, x, s, win in zip(alphas[k:], roots[k:], chunk, wins):
-            thetas_min, labels = tuple(next(thetas) for _ in win), tuple(rep.label for rep in win)
-            out.append(SweepRecord(float(alpha), float(p), tuple(x), tuple(s), thetas_min, labels))
-    return out
+            rep = CriticalRep("black", None, _BLACK_Q, cost, r)
+        sets[k].append(rep)
+        if w:
+            labels[k].append(rep.label)
+    thetas = iter(_thetas(P[won]))
+    return [
+        SweepRecord(float(alpha), float(p), tuple(x), tuple(s), tuple(next(thetas) for _ in w), tuple(w))
+        for alpha, x, s, w in zip(alphas, roots, sets, labels)
+    ]
 
 
 def critical_sets(alpha: float, p: float):
@@ -585,8 +609,17 @@ def _root_counts(alphas, p):
     return (~np.isnan(_roots_of(alphas, p))).sum(axis=1).tolist()
 
 
-def _leading_labels(alphas, p):
-    return [rec.min_set_label[0] for rec in _records(alphas, p)]
+def _leaders(alphas, p, tol=TIE_TOL):
+    """The winners within tol at each alpha of a sequence, as a (labels,
+    points) pair per alpha: the labels in emission order, so that labels[0]
+    is the leading label a record reads, and the points as one (w, 4) array.
+    They come from the masks of :func:`_emitted` alone: no CriticalRep or
+    SweepRecord is built."""
+    stack = R, P, *_ = _candidate_stack(alphas, p)
+    won = _emitted(stack, tol)[1]
+    names = [_LABELS[n] for n in np.count_nonzero(~np.isnan(R), axis=1).tolist()]
+    cols = [[c for c, w in enumerate(row) if w] for row in won.tolist()]
+    return [([names[k][c] for c in cs], P[k, cs]) for k, cs in enumerate(cols)]
 
 
 def root_count_transitions(records):
@@ -604,20 +637,24 @@ def tie_locations(records):
     Bisects each change of the leading label between adjacent records, then
     keeps only genuine ties: two winner classes whose rotations differ by
     more than 1e-6 (a mere relabeling of one continuing rotation, as when
-    the x_max branch crosses x = 1, is discarded).
+    the x_max branch crosses x = 1, is discarded). The midpoints' leading
+    labels and the winners within 1e-9 at the bisected alphas are read
+    from the candidate arrays by :func:`_leaders`, so no record is built.
     """
-    out = []
     # crossing costs move ~1e2 per unit alpha, so the bracket must be far
     # narrower than TIE_TOL before both classes can tie
-    changes = _changes(records, lambda rec: rec.min_set_label[0], _leading_labels, 1e-13)
-    # the winners at every bisected alpha, from one stacked record call
-    recs = _records([a for a, _, _ in changes], records[0].p) if changes else []
-    for (a_star, prev, cur), rec in zip(changes, recs):
-        win = _winners(rec.sets, tol=1e-9)
-        labels, Q = {r.label for r in win}, normalize(np.array([r.q for r in win]))
+    changes = _changes(records, lambda rec: rec.min_set_label[0],
+                       lambda alphas, p: [labels[0] for labels, _ in _leaders(alphas, p)], 1e-13)
+    if not changes:
+        return []
+    out = []
+    # the winners at every bisected alpha, from one stacked call
+    winners = _leaders([a for a, _, _ in changes], records[0].p, 1e-9)
+    for (a_star, prev, cur), (labels, Q) in zip(changes, winners):
+        Q = normalize(Q)
         # the tie must be between the classes that swapped the lead;
         # anything else is root-finder noise at a degenerate pinch
-        if {prev, cur} <= labels and (_d1(Q, Q) > 1e-6).any():
+        if {prev, cur} <= set(labels) and (_d1(Q, Q) > 1e-6).any():
             out.append((a_star, tuple(sorted(labels))))
     return out
 
@@ -625,26 +662,32 @@ def tie_locations(records):
 def emit_csv(records, path):
     """Write records as CSV: one row per emitted set, then one row per tied
     minimizer (set_label "min:<label>"). Floats carry 17 significant digits,
-    enough for an exact round trip; inapplicable cells hold nan. Each row
-    is written with one format, in the bytes of the csv module's writer:
-    no field (a number, a fixed label, "min:<label>", 0 or 1) is ever one
-    that its minimal quoting would quote.
+    enough for an exact round trip; inapplicable cells hold nan. Rows are
+    formatted directly, in the bytes of the csv module's writer: no field
+    (a number, a fixed label, "min:<label>", 0 or 1) is ever one that its
+    minimal quoting would quote. Each distinct number is formatted once:
+    alpha and p once per record, x_root once for the x and q1 cells of a
+    row whose q1 is that float, and a min: row takes the x, q0, q1 and
+    cost cells of the first set row of its label. A record's rows go to
+    the file together, so no grid is held as one string.
     """
     records = list(records)
     thetas = iter(_thetas([rep.q for rec in records for rep in rec.sets if rep.label != "black"]))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         for rec in records:
-            winners = set(rec.min_set_label)
-            rows = [
-                (rep.label, rep, math.nan if rep.label == "black" else next(thetas), rep.label in winners)
-                for rep in rec.sets
-            ]
+            head, rows, cells = "%.17g,%.17g," % (rec.alpha, rec.p), [], {}
+            for rep in rec.sets:
+                x, q1 = "nan" if rep.x_root is None else "%.17g" % rep.x_root, rep.q[1]
+                # a nonzero q1 equal to x_root has its bits, as on every branch row
+                cell = "%s,%.17g,%s,%.17g" % (x, rep.q[0], x if q1 == rep.x_root and q1 else "%.17g" % q1, rep.cost)
+                # a min: row reads the first set of its label
+                cells.setdefault(rep.label, cell)
+                theta = math.nan if rep.label == "black" else next(thetas)
+                rows.append("%s%s,%s,%.17g,%d\r\n" % (head, rep.label, cell, theta, rep.label in rec.min_set_label))
             for label, theta in zip(rec.min_set_label, rec.theta_min):
-                rows.append(("min:" + label, next(r for r in rec.sets if r.label == label), theta, True))
-            for label, rep, theta, is_min in rows:
-                x = math.nan if rep.x_root is None else rep.x_root
-                fh.write(_CSV_ROW % (rec.alpha, rec.p, label, x, rep.q[0], rep.q[1], rep.cost, theta, is_min))
+                rows.append("%smin:%s,%s,%.17g,1\r\n" % (head, label, cells[label], theta))
+            fh.write("".join(rows))
 
 
 def parse_csv(path):

@@ -16,7 +16,6 @@ from rotavg.solvers import AmbiguousMean, eigen_oracle_l2, multistart
 from rotavg.sweep import (
     RESIDUAL_TOL,
     _root_residuals,
-    _winners,
     critical_sets,
     root_count_transitions,
     theta_min_curve,
@@ -92,7 +91,8 @@ def test_04_quartic_root_count_transitions():
 
 
 def test_05_quartic_tied_minimizers_at_minus_quarter_pi():
-    win = _winners(critical_sets(-math.pi / 4, 4.0))
+    (rec,) = theta_min_curve(4.0, [-math.pi / 4])
+    win = [r for r in rec.sets if r.label in rec.min_set_label]
     assert len(win) == 2
     got = sorted(
         (canonicalize_sign(normalize(np.asarray(r.q))) for r in win),

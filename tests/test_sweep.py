@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotavg import checks, sweep
 from rotavg.costs import CostModel
@@ -15,6 +17,7 @@ from rotavg.sweep import (
     CSV_HEADER,
     RESIDUAL_TOL,
     CriticalRep,
+    SweepRecord,
     _records,
     _root_residuals,
     _thetas,
@@ -244,6 +247,101 @@ def test_positive_roots_edge_cases(coeffs, expected):
     assert roots == _reference_positive_roots(coeffs)
     assert np.allclose(roots, expected, rtol=0.0, atol=1e-12)
     assert all(type(r) is float for r in roots)
+
+
+def _frozen_newton_root(c, dc, lo, hi, flo):
+    # sweep._newton_root as it stood before its Horner pairs were formed
+    # once per call: the reference for the kernel's bits
+    neg = flo < 0.0
+    head, tail = c[-2:0:-1], dc[-2::-1]
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        f, d = c[-1], dc[-1]
+        for a, b in zip(head, tail):
+            f, d = a + f * x, b + d * x
+        f = c[0] + f * x
+        if f == 0.0:
+            break
+        if (f < 0.0) == neg:
+            lo = x
+        else:
+            hi = x
+        step = f / d if d else math.inf
+        if abs(step) <= 4e-16 * abs(x):
+            return x - step
+        xn = x - step
+        if not lo < xn < hi:
+            xn = 0.5 * (lo + hi)
+        if xn == x:
+            break
+        x = xn
+    return x
+
+
+def _frozen_real_roots_on(c, lo, hi, ztol):
+    # sweep._real_roots_on as it stood before the chain ran bottom-up
+    # without recursion; the closed-form helpers are the module's, whose
+    # bits test_positive_roots_bits_match_reference pins
+    while c and c[-1] == 0.0:
+        c = c[:-1]
+    if len(c) <= 1:
+        return []
+    if len(c) == 2:
+        return sweep._in_interval([-c[0] / c[1]], lo, hi)
+    if len(c) == 3:
+        roots = sweep._quadratic_roots(c, lo, hi, ztol)
+    else:
+        dc = sweep._derivative(c)
+        nodes = [lo] + _frozen_real_roots_on(dc, lo, hi, ztol) + [hi]
+        vals = [sweep._horner(c, t) for t in nodes]
+        n = len(nodes)
+        cross = [vals[i] * vals[i + 1] < 0.0 for i in range(n - 1)]
+        roots = []
+        for i in range(n):
+            flanked = (i > 0 and cross[i - 1]) or (i < n - 1 and cross[i])
+            if abs(vals[i]) <= ztol and not flanked:
+                roots.append(nodes[i])
+        for i in range(n - 1):
+            if cross[i]:
+                roots.append(_frozen_newton_root(c, dc, nodes[i], nodes[i + 1], vals[i]))
+    out = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > 1e-10:
+            out.append(r)
+    return out
+
+
+@st.composite
+def _w_polynomials(draw):
+    """W-polynomials of degree 2 to 8: random coefficients, or a scaled
+    product of roots that may sit at W = 0 or 1, cluster within 1e-8 of a
+    base root or repeat it."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        c = draw(st.lists(st.floats(-50.0, 50.0), min_size=n + 1, max_size=n + 1))
+        return tuple(c) if any(c) else (1.0, *c[1:])
+    base = draw(st.floats(-0.2, 1.2))
+    root = st.one_of(st.sampled_from((0.0, 1.0, base)), st.floats(-0.2, 1.2),
+                     st.floats(-1e-8, 1e-8).map(lambda e: base + e))
+    roots = draw(st.lists(root, min_size=n, max_size=n))
+    return tuple((draw(st.floats(0.5, 50.0)) * npoly.polyfromroots(roots)).tolist())
+
+
+def _alpha_polynomials():
+    """q2_coeffs or q4_coeffs at a random alpha, or within 1e-6 of a p = 4
+    double root, of -pi/2 or of 0."""
+    near = st.sampled_from((*QUARTIC_DOUBLE_ROOTS, -math.pi / 2, 0.0)).flatmap(
+        lambda a: st.floats(a - 1e-6, a + 1e-6))
+    alpha = st.one_of(st.floats(-math.pi, math.pi), near)
+    return st.tuples(st.sampled_from((q2_coeffs, q4_coeffs)), alpha).map(lambda qa: qa[0](qa[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(w=st.one_of(_w_polynomials(), st.deferred(_alpha_polynomials)))
+def test_positive_roots_keep_the_frozen_kernels_bits(w):
+    ztol = 1e-14 * max(1.0, max(abs(a) for a in w))
+    want = [math.sqrt(r) for r in _frozen_real_roots_on(w, 0.0, 1.0, ztol) if r > 0.0]
+    assert _hex(positive_roots(w)) == _hex(want), w
 
 
 def test_positive_roots_rejects_zero_polynomial():
@@ -538,12 +636,16 @@ def _reference_winners(sets, tol):
 
 
 def test_winners_match_pairwise_rule(default_records):
-    # the one (n, n) distance matrix keeps the labels of the per-pair rule
-    for recs in default_records.values():
-        for rec in recs:
-            for tol in (sweep.TIE_TOL, 1e-9):
-                want = _reference_winners(rec.sets, tol)
-                assert [rep.label for rep in sweep._winners(list(rec.sets), tol)] == want
+    # the one stacked distance matrix per chunk keeps the labels of the
+    # per-pair rule, at both tolerances the sweep reads winners with
+    grid = np.arange(-math.pi, math.pi + 0.005, 0.01)
+    for p, recs in default_records.items():
+        stack = sweep._candidate_stack(grid, p)
+        for tol in (sweep.TIE_TOL, 1e-9):
+            won = sweep._emitted(stack, tol)[1]
+            for rec, w in zip(recs, won):
+                names = sweep._LABELS[len(rec.roots)]
+                assert [names[c] for c in np.flatnonzero(w)] == _reference_winners(rec.sets, tol)
 
 
 def _theta_one_row(q4):
@@ -579,6 +681,49 @@ def test_chunked_grid_matches_one_alpha_records(monkeypatch):
         (one,) = _records([a], 4.0)
         assert rec == one
         assert [r.residual_norm.hex() for r in rec.sets] == [r.residual_norm.hex() for r in one.sets]
+
+
+def test_tie_search_builds_no_records(default_records, monkeypatch):
+    # the bisection's key and the final tie filter read the winners from
+    # the candidate arrays: where every lockstep step and the final call
+    # each built one SweepRecord per alpha, none is built now
+    built = []
+    monkeypatch.setattr(sweep, "SweepRecord", lambda *args: built.append(args))
+    _assert_quartic_tie(tie_locations(default_records[4.0]))
+    assert built == []
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_array_winners_match_one_candidate_at_a_time(default_records, monkeypatch, p):
+    # the winners read from the candidate arrays, as the records hold them
+    # and as the tie search's key reads them (_leaders), against the
+    # reference one candidate at a time, through both root paths: on the
+    # default grid, 2000 random alphas, the check family's edge angles, the
+    # ends, centre and quarter turns of the range, and every alpha the
+    # default-grid p = 4 tie search evaluates
+    visited = []
+    stack = sweep._candidate_stack
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_candidate_stack", lambda alphas, q: visited.extend(alphas) or stack(alphas, q))
+        tie_locations(default_records[4.0])
+    batches = (
+        np.arange(-math.pi, math.pi + 0.005, 0.01),
+        np.random.default_rng(15).uniform(-math.pi, math.pi, 2000),
+        checks.POLY_EDGE_ALPHAS,
+        (-math.pi, -math.pi / 2, -math.pi / 4, 0.0, math.pi),
+        visited,
+    )
+    assert len(visited) > 150
+    for alphas in batches:
+        want = [_reference_record(float(a), p) for a in alphas]
+        for threshold in (1, sweep.ROOTS_PER_STACK + 1):
+            monkeypatch.setattr(sweep, "STACKED_ROOTS_MIN", threshold)
+            for rec, (labels, points), (_, sets, _, thetas, want_labels) in zip(
+                    _records(alphas, p), sweep._leaders(alphas, p), want, strict=True):
+                assert rec.min_set_label == tuple(labels) == want_labels, (p, rec.alpha)
+                assert labels[0] == want_labels[0]
+                assert _hex(rec.theta_min) == _hex(thetas)
+                assert points.tolist() == [list(rep.q) for rep in sets if rep.label in want_labels]
 
 
 def _assert_quartic_transitions(trans):
@@ -858,6 +1003,30 @@ def test_emit_csv_keeps_the_csv_module_bytes(default_records, tmp_path):
     (rec,) = theta_min_curve(4.0, [0.3])
     nan_black = dataclasses.replace(rec, sets=(dataclasses.replace(rec.sets[0], x_root=math.nan),) + rec.sets[1:])
     for recs in (default_records[2.0], default_records[4.0], [tie], [nan_black]):
+        emit_csv(recs, tmp_path / "got.csv")
+        _csv_module_emit(recs, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_emit_csv_keeps_the_csv_module_bytes_where_cells_are_shared(default_records, tmp_path):
+    # emit_csv formats alpha and p once per record, x_root once for the x
+    # and q1 cells of a branch row, and gives a min: row its set row's
+    # cells. Hand-built records where that sharing could go wrong keep the
+    # csv module's bytes: q1 another float than x_root, -0.0 against 0.0
+    # either way round, or nan; a label twice in one record, whose min: row
+    # reads the first; and every default-grid record read back by parse_csv
+    reps = (
+        CriticalRep("black", None, (0.0, 0.0, 1.0, 0.0), 24.0, 0.0),
+        CriticalRep("red", 0.5, (0.8, 0.25, 0.0, 0.0), 2.0, 0.0),
+        CriticalRep("blue", 0.0, (1.0, -0.0, 0.0, 0.0), 3.0, 0.0),
+        CriticalRep("pink", -0.0, (1.0, 0.0, 0.0, 0.0), 3.5, 0.0),
+        CriticalRep("green", 0.3, (0.9, math.nan, 0.0, 0.0), 4.0, 0.0),
+        CriticalRep("red", 0.6, (0.7, 0.6, 0.0, 0.0), 1.5, 0.0),
+    )
+    hand = [SweepRecord(0.25, 4.0, (0.0, 0.3, 0.5, 0.6), reps, (0.1, 0.2), ("red", "blue")),
+            SweepRecord(-0.0, 4.0, (0.5,), reps[:2], (0.3,), ("red",))]
+    emit_csv(default_records[2.0] + default_records[4.0], tmp_path / "grid.csv")
+    for recs in (hand, parse_csv(tmp_path / "grid.csv")):
         emit_csv(recs, tmp_path / "got.csv")
         _csv_module_emit(recs, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
