@@ -29,6 +29,7 @@ from .control import dissipation_rate, fd_gradient, unit_sphere_problem, v0
 from .costs import _KINDS, CostModel
 from .geometry import (
     SampleSet,
+    _norms,
     canonicalize_sign,
     covering_map,
     delta_skew,
@@ -42,6 +43,7 @@ from .sweep import _root_residuals, _roots_of, _sample_quats
 __all__ = ["CheckResult", "run_all", "format_report", "FAMILIES"]
 
 POWERS = (1.5, 2.0, 3.0, 4.0)  # the Lp powers a trial draws from
+PROBE_MARGIN = 1e-3  # how far a probe's |<q, q_i>| keeps from 0 and 1
 
 # a d3 pair at relative angle pi - 1e-6, where <qa, qb> ~ 5e-7 and a trace
 # form of d3 would lose digits; dist_d3 reads the lifts of the two matrices,
@@ -67,10 +69,10 @@ class CheckResult:
         return self.max_violation < self.tol
 
 
-def _clear(d, margin=1e-3):
-    """Whether each |<q, q_i>| in d keeps margin away from 0 and 1, where
-    every cost is smooth."""
-    return (d > margin) & (d < 1.0 - margin)
+def _clear(d):
+    """Whether each |<q, q_i>| in d keeps PROBE_MARGIN away from 0 and 1,
+    where every cost is smooth."""
+    return (d > PROBE_MARGIN) & (d < 1.0 - PROBE_MARGIN)
 
 
 def _slots(rng, trials):
@@ -119,13 +121,6 @@ def _stacks(trials):
         groups.setdefault(key, []).append(t)
     for (n, k, i), rows in groups.items():
         yield CostModel(names[k], SampleSet(A[rows, :n]), POWERS[i] if i >= 0 else None), X[rows]
-
-
-def _norms(A):
-    """The Euclidean norm of each row of A (n, ...), with the bits
-    np.linalg.norm gives the row alone."""
-    A = A.reshape(len(A), -1)
-    return np.sqrt(np.vecdot(A, A))
 
 
 def _worst(readings):

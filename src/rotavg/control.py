@@ -9,6 +9,10 @@ G, the standard control vector field
 is tangent to every level set of F and restricts to a gradient-like field
 for G on each regular leaf; <grad G, v0> is itself a Gram determinant, so
 it is nonnegative and vanishes exactly at the constrained critical points.
+Both read one Gram matrix S of g = (grad F_1..grad F_k, grad G) per point:
+the rate is det S, and v0 = sum_j (-1)^(k+j) det S[:k, columns != j] g_j,
+the Laplace expansion of det S along its last row with g in place of
+<., grad G>.
 
 The unit sphere S3 in R^4 (k=1, F = ||q||^2) has a closed-form fast path:
 the degenerate tensor T with i_w T(q) = 4(<q,q> w - <q,w> q).
@@ -101,6 +105,14 @@ def _det(M):
     return np.linalg.det(M)
 
 
+def _gram(problem: AmbientProblem, x):
+    """The gradients g = (grad F_1..grad F_k, grad G) at x and their Gram
+    matrix S = gramian(g, g), one (k+1)x(k+1) matrix per point."""
+    x = np.asarray(x, dtype=float)
+    g = [f.grad(x) for f in problem.constraints] + [problem.objective.grad(x)]
+    return g, gramian(g, g)
+
+
 def v0(problem: AmbientProblem, x) -> np.ndarray:
     """The standard control vector field at x, a point (m,) or a stack of
     points (n, m) with one field per row.
@@ -109,14 +121,13 @@ def v0(problem: AmbientProblem, x) -> np.ndarray:
     dependent. For k=1 reduces to ||grad F||^2 grad G - <grad F, grad G> grad F.
     The problem's gradients must take the same (m,) or (n, m) input.
     """
-    x = np.asarray(x, dtype=float)
-    gF = [f.grad(x) for f in problem.constraints]
-    gG = problem.objective.grad(x)
-    k = len(gF)
-    out = np.expand_dims(_det(gramian(gF, gF)), -1) * gG
-    for i in range(1, k + 1):
-        cols = gF[: i - 1] + gF[i:] + [gG]
-        out = out + np.expand_dims(((-1.0) ** (i + k + 1)) * _det(gramian(gF, cols)), -1) * gF[i - 1]
+    g, S = _gram(problem, x)
+    k = len(g) - 1
+    # the Laplace expansion along S's last row, with g_j in place of
+    # <g_j, grad G>: g_j's coefficient is the cofactor of S[k, j]
+    out = np.expand_dims(_det(S[..., :k, :k]), -1) * g[k]
+    for j in range(k):
+        out = out + np.expand_dims((-1.0) ** (k + j) * _det(np.delete(S[..., :k, :], j, axis=-1)), -1) * g[j]
     return out
 
 
@@ -127,10 +138,8 @@ def dissipation_rate(problem: AmbientProblem, x):
     Equals <grad G(x), v0(x)>; nonnegative by the Gram inequality, zero
     exactly at the constrained critical points.
     """
-    x = np.asarray(x, dtype=float)
-    g = [f.grad(x) for f in problem.constraints] + [problem.objective.grad(x)]
-    d = _det(gramian(g, g))
-    return float(d) if x.ndim == 1 else d
+    d = _det(_gram(problem, x)[1])
+    return float(d) if np.ndim(x) == 1 else d
 
 
 def apply_T_sphere(q, omega_bar):

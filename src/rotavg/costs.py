@@ -37,14 +37,16 @@ from the weights:
 The geodesic model alone reads its per-sample functions at q/|q| (its
 prolongation is of degree 0); the others read them at q.
 
-The kinds with polynomial weights, l2 (w = x) and Lp 4 (w = x - x^3), form
-their gradient and S from the samples' moments M = sum_i q_i q_i^T and
-T = sum_i q_i^(x4) instead, with no per-sample work at a point: with
-P = T(q, q, ., .), sum_i w(x_i) q_i is M q or M q - P q, and S is M or
-M - 3 P. The flow's trial costs of these two kinds are exact changes read
-from the same moments (:meth:`CostModel._trial`), so the flow forms their
-sample dots only at its starts. Their public value, the cost a solver
-reports, and their guards and residuals stay per sample.
+The l2 chordal kind is the Lp 2 record, with the sample count r as its
+kappa in place of Lp's 1. The kinds with polynomial weights, Lp 2 (w = x)
+and Lp 4 (w = x - x^3), form their gradient and S from the samples'
+moments M = sum_i q_i q_i^T and T = sum_i q_i^(x4) instead, with no
+per-sample work at a point: with P = T(q, q, ., .), sum_i w(x_i) q_i is
+M q or M q - P q, and S is M or M - 3 P. The flow's trial costs of these
+two kinds are exact changes read from the same moments
+(:meth:`CostModel._trial`), so the flow forms their sample dots only at
+its starts. Their public value, the cost a solver reports, and their
+guards and residuals stay per sample.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ class _Kind(NamedTuple):
     ``slope_diverges`` marks a w' that diverges on the sample lines (Lp,
     p < 4), where the Hessian keeps the terms of the pairs next to a line
     (:meth:`CostModel.hessian`). A kind whose weight is the polynomial
-    w(x) = x + ``cubic`` x^3 (l2: 0, Lp 4: -1) sets ``cubic``: its field,
+    w(x) = x + ``cubic`` x^3 (Lp 2: 0, Lp 4: -1) sets ``cubic``: its field,
     Hessian and the flow's trial costs read the samples' moments
     (:meth:`CostModel._moments`, :meth:`CostModel._trial`), M alone where
     ``cubic`` is 0, and form no per-sample weights, slopes or dots.
@@ -181,7 +183,8 @@ class _Kind(NamedTuple):
 
 def _lp(p):
     """The Lp chordal record for the power p, which must satisfy 1 <= p < inf
-    and keep the scale p 8^(p/2) finite (p up to about 676.4)."""
+    and keep the scale p 8^(p/2) finite (p up to about 676.4). At p = 2 and
+    p = 4 the weight is a polynomial, and the record reads the moments."""
     if p is None or not 1.0 <= p < np.inf:
         raise ValueError("LpChordal requires a power p with 1 <= p < inf")
 
@@ -217,14 +220,14 @@ def _lp(p):
         raise ValueError(f"LpChordal's scale p 8^(p/2) overflows at p = {p:g}; it is finite up to about p = 676.4")
     excluded = "lines" if p < 2.0 else None
     return _Kind(factor, term, weight, slope, p * factor, 4.0 ** (1.0 - p / 2.0), excluded,
-                 reads_base=True, slope_diverges=p < 4.0, cubic=-1.0 if p == 4.0 else None)
+                 reads_base=True, slope_diverges=p < 4.0, cubic={2.0: 0.0, 4.0: -1.0}.get(p))
 
 
 # kind -> its record (factor, f, w, w', c, kappa, excluded set, guard error,
-# then the flags), or for LpChordal the function that builds it from p
+# then the flags), or for LpChordal the function that builds it from p; l2 is
+# the Lp 2 record with the rotation residual scaled by the sample count
 _KINDS = {
-    "L2Chordal": _Kind(8.0, lambda d, base: base, lambda d, _: d, lambda d, _: np.ones_like(d), 16.0, None,
-                       reads_base=True, cubic=0.0),
+    "L2Chordal": _lp(2.0)._replace(kappa=None),
     "Geodesic": _Kind(2.0, lambda d, _: _half_angles(d)[1] ** 2, _geodesic_weight, _geodesic_slope, 4.0, 2.0,
                       "planes"),
     "TraceSqrt": _Kind(1.0, lambda d, _: (1.0 - np.abs(d)) ** 2, lambda d, _: (1.0 - np.abs(d)) * np.sign(d),
@@ -383,7 +386,7 @@ class CostModel:
 
     def _bases(self, X, D):
         """1 - d_i^2 at the dots D of the rows X, for a kind that reads it
-        (None for the others): clamped at 0, except for l2 and Lp 4, whose
+        (None for the others): clamped at 0, except for Lp 2 and Lp 4, whose
         values, weights and slopes are the polynomials their moment forms
         read.
 
@@ -442,7 +445,7 @@ class CostModel:
     # :meth:`_evaluate`. Every private form computes a stack, with NaN in the
     # guarded rows, and never raises for a row; the flow carries D with its
     # points (:meth:`_trial`) and calls the private forms directly, so each
-    # point's dots are formed once, and for l2 and Lp 4 only at the starts.
+    # point's dots are formed once, and for Lp 2 and Lp 4 only at the starts.
 
     def value(self, q):
         # only the geodesic value has guarded rows: those on a hyperplane
@@ -519,7 +522,7 @@ class CostModel:
         = sum_i x_i^2 q_i q_i^T, one matvec of T with the entries of q q^T.
 
         With w(x) = x + b x^3, f = b gives the A with sum_i w(x_i) q_i = A q,
-        and f = 3 b gives S = sum_i w'(x_i) q_i q_i^T. Where b = 0 (l2) that
+        and f = 3 b gives S = sum_i w'(x_i) q_i q_i^T. Where b = 0 (Lp 2) that
         is M itself, and T is never formed."""
         M = self.samples.second_moment
         if not self._cost.cubic:

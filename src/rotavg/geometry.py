@@ -16,6 +16,7 @@ All functions take and return plain numpy arrays.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -243,6 +244,13 @@ def _d1(P, Q):
     return _chords(P, Q)[1]
 
 
+def _norms(A):
+    """The Euclidean norm of each row of A (n, ...), with the bits
+    np.linalg.norm gives the row alone: the sqrt of one dot per row."""
+    A = A.reshape(len(A), math.prod(A.shape[1:]))
+    return np.sqrt(np.vecdot(A, A))
+
+
 def _classes(Q):
     """The one rule that puts rotations in one class: for each row of Q,
     unit quaternions (n, 4), the index of its class's first row, its head;
@@ -337,12 +345,12 @@ class SampleSet:
         matvec with the entries of q q^T, reshaped to 4x4.
 
     The two moments are even in each lift, so they do not depend on the
-    lift signs. The cost kinds whose weights are polynomials (l2 and Lp 4)
-    read the samples through them in their fields and Hessians, with no
-    per-sample work at a point. Each is formed on the first read and
-    cached, like ``outer_products``, by one product of a matrix with its own
-    transpose per set, so it is exactly symmetric and set k of a stack has
-    the bits of set k alone.
+    lift signs. The cost kinds whose weights are polynomials (Lp 2, so
+    l2, and Lp 4) read the samples through them in their fields and
+    Hessians, with no per-sample work at a point. Each is formed on the
+    first read and cached, like ``outer_products``, by one product of a
+    matrix with its own transpose per set, so it is exactly symmetric and
+    set k of a stack has the bits of set k alone.
 
     A stack lets one :class:`~rotavg.costs.CostModel` evaluate m problems
     at once: each of its evaluators takes exactly m rows, an (m, 4) stack

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostModel
-from .geometry import _classes, canonicalize_sign, covering_map, normalize
+from .geometry import _classes, _norms, canonicalize_sign, covering_map, normalize
 
 __all__ = [
     "CriticalPoint",
@@ -30,9 +30,10 @@ NEWTON_RADIUS = 1e-3  # longest Newton step flow_descend tries
 # relative slack on the bound that screens rows out of the Newton trial: the
 # computed K = c (<w, d> I - B S B^T) rounds each of the r terms of S to a
 # few eps |w'(x_i)|, at most 1e3 eps times the term's share s of the bound
-# (|w'| <= 2 s for l2, geodesic, d3 and Lp with p >= 4; Lp with p < 4 keeps
-# the pairs with 1 - x_i^2 < 1e-3 out of S), so its rounding stays below
-# 1e-9 of the bound unless r is in the thousands and the roundings align
+# (|w'| <= 2 s for Lp 2, so l2, geodesic, d3 and Lp with p >= 4; Lp with
+# any other p < 4 keeps the pairs with 1 - x_i^2 < 1e-3 out of S), so its
+# rounding stays below 1e-9 of the bound unless r is in the thousands and
+# the roundings align
 HESSIAN_BOUND_SLACK = 1.0 + 1e-9
 BOUNDARY_CLEARANCE = 2e-5  # classify labels points this close to an excluded set Boundary
 
@@ -112,8 +113,8 @@ def _flow(model, Q0, tol):
     compacted to those rows: points X, costs c, steps h and the sample dots
     D = Q X, formed once per point when it is first evaluated and read by
     every later evaluation there (:meth:`CostModel._trial`: zero-width for
-    l2 and Lp 4, whose trial costs are exact changes read from the samples'
-    moments). Returns the final points (n, 4), their
+    Lp 2, so l2, and Lp 4, whose trial costs are exact changes read from
+    the samples' moments). Returns the final points (n, 4), their
     ||control_field|| and, per row, None where it converged or the MaxIters
     or DomainBreach it ended with.
     """
@@ -267,9 +268,7 @@ def _critical_points(model, q, nv):
     residual is NaN (inside a guard buffer); a single point raises there,
     as rotation_residual does."""
     R = covering_map(q)
-    S = model.rotation_residual(R).reshape(-1, 9)
-    # sqrt of a 9-term dot, as np.linalg.norm forms it for one 3x3 matrix
-    rr = np.sqrt(np.vecdot(S, S)).tolist()
+    rr = _norms(model.rotation_residual(R).reshape(-1, 9)).tolist()
     cost = np.reshape(model.value(q), -1).tolist()
     return [
         CriticalPoint(q=qk, R=Rk, cost=ck, control_norm=float(nk), rotation_residual_norm=rk)
@@ -335,8 +334,11 @@ def classify(model: CostModel, point: CriticalPoint):
     (:meth:`CostModel.hessian`) in the tangent frame at q
     (:func:`~rotavg.geometry.tangent_frame`). Eigenvalues below 1e-6 of the
     dominant one are treated as zero (critical circles make one soft direction
-    routine); the second return value flags that degeneracy. Points within
-    BOUNDARY_CLEARANCE of an excluded set are labeled Boundary.
+    routine), and so are those below 1e-12 (1 + c r), the flow's stopping
+    scale at its default tol (c is ``model.scale``, r the sample count), where
+    a Hessian with no significant eigenvalue is rounding alone and the point
+    is Degenerate; the second return value flags that degeneracy. Points
+    within BOUNDARY_CLEARANCE of an excluded set are labeled Boundary.
     """
     return _classify_rows(model, np.asarray(point.q, dtype=float)[None])[0]
 
@@ -348,11 +350,11 @@ def _classify_rows(model, Q):
     labels = [("Boundary", False)] * len(Q)
     inner = np.flatnonzero(model.clearance(Q) >= BOUNDARY_CLEARANCE)
     lams = np.linalg.eigvalsh(model._frame_hessian(Q[inner])[1])
+    stop = 1e-12 * (1.0 + model.scale * model.samples.r)
     for k, lam in zip(inner, lams):
-        scale = float(np.max(np.abs(lam)))
-        signif = lam[np.abs(lam) >= 1e-6 * scale]
+        signif = lam[np.abs(lam) >= max(1e-6 * float(np.max(np.abs(lam))), stop)]
         degenerate = signif.size < 3
-        if scale == 0.0 or signif.size == 0:
+        if not signif.size:
             labels[k] = ("Degenerate", True)
         elif np.all(signif > 0):
             labels[k] = ("Min", degenerate)

@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostModel
-from .geometry import SampleSet, _classes, _d1, canonicalize_sign, normalize
+from .geometry import SampleSet, _classes, _d1, _norms, canonicalize_sign, normalize
 
 __all__ = [
     "CriticalRep",
@@ -471,10 +471,8 @@ def _candidate_stack(alphas, p):
         on = live[k : k + ALPHAS_PER_STACK]
         lifts = np.repeat(_sample_quats(alphas[k : k + ALPHAS_PER_STACK]), on.sum(axis=1), axis=0)
         model, X = CostModel.lp_chordal(SampleSet(lifts), p), P[k : k + ALPHAS_PER_STACK][on]
-        S = model.pushforward_residual(X).reshape(-1, 9)
         costs[k : k + ALPHAS_PER_STACK][on] = model.value(X)
-        # sqrt of a 9-term dot, as np.linalg.norm forms it for one 3x3 matrix
-        res[k : k + ALPHAS_PER_STACK][on] = np.sqrt(np.vecdot(S, S))
+        res[k : k + ALPHAS_PER_STACK][on] = _norms(model.pushforward_residual(X))
     return R, P, live, costs, res
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rotavg import control
 from rotavg.control import (
     AmbientProblem,
     ScalarField,
@@ -179,3 +180,57 @@ def test_gramian_of_stacks():
     assert G.shape == (10, 3, 2)
     for n in range(10):
         assert np.array_equal(G[n], gramian(rows[:, n], cols[:, n]))
+
+
+def per_minor_v0(problem, x):
+    """v0 from k + 1 separate Gram products per point, one per minor, as
+    the control field was first written: the reference for the one-Gram
+    form. A 1x1 minor is its entry, a larger one np.linalg.det."""
+    x = np.asarray(x, dtype=float)
+    gF = [f.grad(x) for f in problem.constraints]
+    gG = problem.objective.grad(x)
+    k = len(gF)
+
+    def det(M):
+        return M[..., 0, 0] if M.shape[-1] == 1 else np.linalg.det(M)
+
+    out = np.expand_dims(det(gramian(gF, gF)), -1) * gG
+    for i in range(1, k + 1):
+        cols = gF[: i - 1] + gF[i:] + [gG]
+        out = out + np.expand_dims(((-1.0) ** (i + k + 1)) * det(gramian(gF, cols)), -1) * gF[i - 1]
+    return out
+
+
+def per_minor_rate(problem, x):
+    """det of the full Gramian, the 2x2 one by its cofactor formula."""
+    g = [f.grad(x) for f in problem.constraints] + [problem.objective.grad(x)]
+    S = gramian(g, g)
+    return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0] if len(g) == 2 else np.linalg.det(S)
+
+
+@pytest.mark.parametrize("m, k", [(4, 1), (3, 1), (5, 2), (6, 3)])
+def test_one_gram_matches_per_minor_form(m, k):
+    # bit for bit with one constraint, on single points and on stacks, and
+    # within 1e-12 relative for k = 2 and 3, whose minors are 2x2 and 3x3
+    rng = np.random.default_rng(30 + m + k)
+    for _ in range(20):
+        prob = random_problem(rng, m, k)
+        for X in (rng.standard_normal(m), rng.standard_normal((9, m))):
+            V, W = v0(prob, X), per_minor_v0(prob, X)
+            rate, want = dissipation_rate(prob, X), per_minor_rate(prob, X)
+            if k == 1:
+                assert np.array_equal(V, W) and np.array_equal(rate, want)
+            else:
+                assert np.abs(V - W).max() <= 1e-12 * np.abs(W).max()
+                assert np.all(np.abs(rate - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_v0_forms_one_gram_matrix_per_call(k, monkeypatch):
+    calls = []
+    monkeypatch.setattr(control, "gramian", lambda *a: calls.append(1) or gramian(*a))
+    prob = random_problem(np.random.default_rng(32), 6, k)
+    X = np.random.default_rng(33).standard_normal((9, 6))
+    v0(prob, X)
+    v0(prob, X[0])
+    assert len(calls) == 2

@@ -7,6 +7,7 @@ from rotavg import geometry
 from rotavg.checks import check_d3_identity
 from rotavg.geometry import (
     SampleSet,
+    _norms,
     canonicalize_sign,
     covering_map,
     delta_skew,
@@ -396,3 +397,11 @@ def test_stacked_helpers_equal_row_calls():
         assert d[k] == dist_d3(Rq[k], Rp[k])
     Q = normalize(rng.standard_normal((5, 3, 4)))
     assert np.array_equal(covering_map(Q)[4], covering_map(Q[4]))
+
+
+def test_norms_have_the_bits_of_one_row_norm():
+    # the one residual-norm rule of the checks, the sweep and multistart
+    rng = np.random.default_rng(40)
+    for shape in [(7, 3, 3), (7, 4), (1, 9), (0, 3, 3)]:
+        A = rng.standard_normal(shape)
+        assert [float(v).hex() for v in _norms(A)] == [float(np.linalg.norm(a)).hex() for a in A]

@@ -615,6 +615,18 @@ def test_classify_labels():
     assert got["pink"] == ("Saddle", False)
 
 
+def test_classify_flat_hessian_is_degenerate():
+    # l2 over the four basis quaternions: M = I, so every rotation is
+    # critical at cost 24 and the Hessian is zero up to rounding (~1e-15);
+    # no eigenvalue clears the flow's stopping scale, so every class is
+    # Degenerate rather than a Min or Saddle read from rounding
+    model = CostModel.l2_chordal(SampleSet.from_quaternions(np.eye(4)))
+    classes = multistart(model, 8, 0)
+    assert classes and all(abs(pt.cost - 24.0) < 1e-12 for pt in classes)
+    assert {(pt.classification, pt.degenerate) for pt in classes} == {("Degenerate", True)}
+    assert classify(model, classes[0]) == ("Degenerate", True)
+
+
 def test_classify_boundary():
     geo = CostModel.geodesic(build_samples(0.5))
     q = normalize([1e-6, 0.0, 1.0, 0.0])
