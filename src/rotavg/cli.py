@@ -24,7 +24,7 @@ import numpy as np
 
 from .costs import CostModel
 from .geometry import SampleSet, _pair_distances, normalize, quat_from_rotation
-from .solvers import multistart
+from .solvers import FLOW_TOL, multistart
 
 __all__ = ["main", "entry"]
 
@@ -330,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_avg.add_argument("--p", type=float, default=None, help="exponent for --cost lp")
     p_avg.add_argument("--starts", type=int, default=64)
     p_avg.add_argument("--seed", type=int, default=0)
-    p_avg.add_argument("--tol", type=float, default=1e-12, help="flow stopping tolerance, relative to 1 + c r")
+    p_avg.add_argument("--tol", type=float, default=FLOW_TOL, help="flow stopping tolerance, relative to 1 + c r")
 
     p_sweep = sub.add_parser("sweep", help="x-axis three-rotation family over an alpha grid")
     io(p_sweep, needs_input=False, out="sweep.csv")

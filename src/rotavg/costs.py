@@ -11,7 +11,8 @@ per-sample term f, its weight w and the weight's slope w', all functions of
 x_i = <q, q_i>, together with the constants and the excluded set that go
 with them (README, section Costs, lists them for the four kinds). The
 value is the record's factor times sum_i f(x_i); everything else derives
-from the weights:
+from the weights, which one pass forms per point (:meth:`CostModel._weights`:
+the bases 1 - x_i^2, the guard, then w):
 
 - the gradient is -c sum_i w(x_i) q_i;
 - the pushforward residual is sum_i w_i Delta_i, whose entries are the
@@ -19,12 +20,14 @@ from the weights:
   S3 at q;
 - the tangent Hessian in the same frame is the 3x3 matrix
   K = c (<w, d> I - B S B^T) with S = sum_i w'(x_i) q_i q_i^T, one 4x4
-  ambient matrix per point, which is B^T K B in Cartesian coordinates. For
-  Lp with p < 4, whose w' diverges on a sample line, the pairs with
-  1 - x_i^2 < LINE_PAIR_GAP enter as w'(x_i) (B q_i)(B q_i)^T instead;
+  ambient matrix per point, which is B^T K B in Cartesian coordinates. Its
+  curvature term <w, d> is read off the gradient's weights, so the public
+  Hessian is the one the flow steps with. For Lp with p < 4, whose w'
+  diverges on a sample line, the pairs with 1 - x_i^2 < LINE_PAIR_GAP
+  enter as w'(x_i) (B q_i)(B q_i)^T instead;
 - the rotation residual M^T R - R^T M reads u = w(x)/x (w'(0) at x = 0)
-  at the dots x_i of the lift of R: M = sum_i u(x_i) R_i / kappa. u is even
-  in x, so either lift gives the same M, and kappa keeps each kind's
+  at the guarded dots x_i of the lift of R: M = sum_i u(x_i) R_i / kappa.
+  u is even in x, so either lift gives the same M, and kappa keeps each kind's
   residual scale. The sample rotations R_i = L(q_i q_i^T) are never formed:
   M = L(sum_i u(x_i) q_i q_i^T) / kappa, with L the fixed linear map that
   the covering map is on q q^T. Since x_i Delta_i = (R^T R_i - R_i^T R) / 4,
@@ -152,9 +155,9 @@ class _Kind(NamedTuple):
 
     ``term``, ``weight`` and ``slope`` map the unit-sphere dots d = Q q and
     ``base`` to f(x), w(x) and w'(x) elementwise. A kind that sets
-    ``reads_base`` reads 1 - d^2 from ``base`` where the caller formed it
-    (see :meth:`CostModel._bases`; ``term`` may overwrite it), and forms it
-    where ``base`` is None; the other kinds ignore it. The value is
+    ``reads_base`` reads 1 - d^2 from ``base``, which
+    :meth:`CostModel._bases` forms (``term`` may overwrite it); the other
+    kinds ignore it. The value is
     ``factor`` sum_i f(x_i) and the gradient -``scale`` sum_i w(x_i) q_i;
     ``kappa`` scales the rotation residual (None: the sample count r).
     ``excluded`` is "planes", "lines" or None, and ``error`` is what a
@@ -193,14 +196,12 @@ def _lp(p):
         return base
 
     def weight(d, base):
-        if base is None:
-            base = np.maximum(1.0 - d * d, 0.0)
         w = base ** (p / 2.0 - 1.0)
         w *= d
         return w
 
     def slope(d, base):
-        base = np.maximum(1.0 - d * d, 0.0) if base is None else base.copy()
+        base = base.copy()
         # for p < 4, w' diverges on a sample line (base = 0); there the
         # sample's tangent part vanishes, and with it the term in `hessian`
         # for every p >= 2, so the slope is set to 0 on the line itself
@@ -508,13 +509,23 @@ class CostModel:
             # the origin has no direction, and its row is NaN without warnings
             nq = np.sqrt(np.vecdot(X, X, keepdims=True))
             with np.errstate(divide="ignore", invalid="ignore"):
-                W = self._cost.weight(self._guard(X / nq, D / nq), None)
+                W = self._weights(X / nq, D / nq)[0]
                 wd = np.vecdot(W, D, keepdims=True)
                 G = (-self.scale / nq**3) * (nq * nq * self._weighted_sum(W) - wd * X)
             return G, wd[:, 0]
-        base = self._bases(X, D)
-        W = self._cost.weight(self._guard(X, D, base), base)
+        W, D = self._weights(X, D)
         return -self.scale * self._weighted_sum(W), np.vecdot(W, D)
+
+    def _weights(self, X, D):
+        """The weights w(x_i) at the dots D of the unit rows X, read from the
+        rows' :meth:`_bases`, and the dots as :meth:`_guard` leaves them: NaN
+        in the rows inside a guard buffer, whose weights are NaN too. The one
+        place the record's weight is read: the per-sample gradient, both
+        residual systems and, through the gradient's <w, d>, the Hessian take
+        their weights here."""
+        base = self._bases(X, D)
+        D = self._guard(X, D, base)
+        return self._cost.weight(D, base), D
 
     def _moments(self, X, f):
         """M + f P at each row q of X, for a kind read through the samples'
@@ -578,7 +589,9 @@ class CostModel:
 
         It annihilates q; restricted to the tangent space it is the
         Riemannian Hessian (no covariant derivatives needed: the sphere's
-        curvature enters through the <w, d> = <grad, q> / (-c) term). The
+        curvature enters through the <w, d> = <grad, q> / (-c) term, read off
+        the gradient's own weights, so this is the Hessian the flow's Newton
+        step solves with, bit for bit). The
         projection B S B^T leaves each pair's term with an absolute error
         near eps |w'(x_i)|, while the term itself is w'(x_i) (1 - x_i^2):
         for Lp with p < 4, whose w' diverges on a sample line, the pairs with
@@ -590,17 +603,19 @@ class CostModel:
         return self._evaluate(self._hessian, q)
 
     def _hessian(self, X, D):
-        """:meth:`hessian` at the rows X with dots D."""
-        B, K = self._frame_hessian(X, D)
+        """:meth:`hessian` at the rows X with dots D: the frame Hessian the
+        flow steps with, from the <w, d> of one :meth:`_gradient` call."""
+        B, K = self._frame_hessian(X, D, self._gradient(X, D)[1])
         return B.transpose(0, 2, 1) @ K @ B
 
-    def _frame_hessian(self, X, D=None, wd=None):
+    def _frame_hessian(self, X, D, wd):
         """The tangent frames B (n, 3, 4) at the unit rows of X and the
         Hessians K (n, 3, 3) in them (see :meth:`hessian`), from the rows'
-        dots D and the products wd = <w, d> of their weights with them: the
-        flow passes those of its last :meth:`_field` call. Without D and wd
-        they are formed here, and the rows inside a guard buffer are NaN. A
-        stacked sample set raises ValueError.
+        dots D and the products wd = <w, d> of their weights with them, as
+        one :meth:`_gradient` call gives them (the flow passes those of its
+        last :meth:`_field` call, :meth:`hessian` and the classifier those
+        of their own): the weights are formed there alone, and a guarded
+        row's NaN wd makes its K NaN. A stacked sample set raises ValueError.
 
         A kind read through moments takes S from them (:meth:`_moments`),
         with no per-sample work. For every other kind S comes for every row
@@ -612,16 +627,9 @@ class CostModel:
         self._single_set()
         B = tangent_frame(X)
         if self._cost.cubic is not None:
-            if wd is None:
-                wd = self._gradient(X, D)[1]
             S = self._moments(X, 3.0 * self._cost.cubic)
             return B, self.scale * (wd[:, None, None] * np.eye(3) - B @ S @ B.transpose(0, 2, 1))
-        if D is None:
-            D = self._dots(X)
         base = self._bases(X, D)
-        if wd is None:
-            D = self._guard(X, D, base)
-            wd = np.vecdot(self._cost.weight(D, base), D)
         dW = self._cost.slope(D, base)
         if self._cost.slope_diverges:
             # the pairs that keep their own term (see hessian)
@@ -648,8 +656,7 @@ class CostModel:
 
     def _pushforward(self, X, D):
         """:meth:`pushforward_residual` at the rows X with dots D."""
-        base = self._bases(X, D)
-        W = self._cost.weight(self._guard(X, D, base), base)
+        W = self._weights(X, D)[0]
         S = _skew(np.matvec(tangent_frame(X), self._weighted_sum(W)))
         S[np.isnan(W).any(axis=1)] = np.nan  # a guarded row: the diagonal too
         return S
@@ -678,11 +685,9 @@ class CostModel:
         """:meth:`rotation_residual` at the rows Rr (n, 3, 3), read from the
         dots of their lifts; a guarded row's NaN dots make the whole row NaN."""
         X = quat_from_rotation(Rr)
-        D = self._dots(X)
-        base = self._bases(X, D)
-        x = np.abs(self._guard(X, D, base))
-        w0 = self._cost.slope(np.zeros(1), None)[0]
+        W, D = self._weights(X, self._dots(X))
+        w0 = self._cost.slope(np.zeros(1), np.ones(1))[0]
         # NaN != 0, so a guarded row keeps its NaN instead of taking w'(0)
-        u = np.divide(self._cost.weight(x, base), x, out=np.full_like(x, w0), where=x != 0.0)
+        u = np.divide(W, D, out=np.full_like(D, w0), where=D != 0.0)
         M = np.vecmat(np.matvec(self.samples.outer_products, u), _OUTER_TO_ROTATION).reshape(-1, 3, 3) / self.kappa
         return M.transpose(0, 2, 1) @ Rr - Rr.transpose(0, 2, 1) @ M

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 MAX_ITERS = 200000  # iteration budget of one flow_descend
+FLOW_TOL = 1e-12  # default stopping tolerance of the flow, relative to 1 + c r (see _stop)
 INITIAL_STEP = 1e-2  # first Euler step flow_descend tries
 STEP_SHRINK = 0.5  # backtracking factor of the line search
 NEWTON_RADIUS = 1e-3  # longest Newton step flow_descend tries
@@ -66,7 +67,7 @@ def random_unit_quaternion(rng):
     return normalize(rng.standard_normal(4))
 
 
-def flow_descend(model: CostModel, q0, tol: float = 1e-12) -> CriticalPoint:
+def flow_descend(model: CostModel, q0, tol: float = FLOW_TOL) -> CriticalPoint:
     """Follow -control_field from q0 to a critical point of the lifted cost.
 
     The one-start case of the lockstep flow that :func:`multistart` runs.
@@ -77,10 +78,8 @@ def flow_descend(model: CostModel, q0, tol: float = 1e-12) -> CriticalPoint:
     Only where the cost change dc sits at the noise floor, |dc| <= noise
     (values can no longer certify descent), is a step accepted instead for
     strictly shrinking ||control_field||, which carries the iterate down to
-    the gradient noise floor. Stops when ||control_field|| < tol * (1 + c r):
-    the gradient -c sum_i w_i q_i sums r terms of scale c, so its rounding
-    floor, and with it the field's, grows with both (c is ``model.scale``,
-    r the sample count).
+    the gradient noise floor. Stops when ||control_field|| < tol * (1 + c r)
+    (:func:`_stop`).
 
     Raises ValueError unless tol is finite and positive, or if the model
     holds a stack of sample sets, MaxIters if
@@ -121,7 +120,7 @@ def _flow(model, Q0, tol):
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and > 0")
     model._single_set()
-    stop = tol * (1.0 + model.scale * model.samples.r)
+    stop = _stop(model, tol)
     X = normalize(Q0)
     q = X.copy()
     nv_end = np.full(len(X), np.nan)
@@ -160,6 +159,13 @@ def _flow(model, Q0, tol):
     for k in live:
         ends[k] = MaxIters(f"no convergence in {MAX_ITERS} iterations")
     return q, nv_end, ends
+
+
+def _stop(model, tol):
+    """The flow's stopping scale tol (1 + c r): the gradient -c sum_i w_i q_i
+    sums r terms of scale c, so its rounding floor, and with it the
+    field's, grows with both (c is ``model.scale``, r the sample count)."""
+    return tol * (1.0 + model.scale * model.samples.r)
 
 
 def _compact(keep, *state):
@@ -277,7 +283,7 @@ def _critical_points(model, q, nv):
     ]
 
 
-def multistart(model: CostModel, n_starts: int, seed: int, tol: float = 1e-12):
+def multistart(model: CostModel, n_starts: int, seed: int, tol: float = FLOW_TOL):
     """Run the flow from n uniform random starts in lockstep; dedup and sort
     by cost.
 
@@ -331,26 +337,30 @@ def classify(model: CostModel, point: CriticalPoint):
     """Label a converged point Min/Max/Saddle/Degenerate/Boundary.
 
     The eigenvalues of the analytic tangent Hessian
-    (:meth:`CostModel.hessian`) in the tangent frame at q
-    (:func:`~rotavg.geometry.tangent_frame`). Eigenvalues below 1e-6 of the
-    dominant one are treated as zero (critical circles make one soft direction
-    routine), and so are those below 1e-12 (1 + c r), the flow's stopping
-    scale at its default tol (c is ``model.scale``, r the sample count), where
-    a Hessian with no significant eigenvalue is rounding alone and the point
-    is Degenerate; the second return value flags that degeneracy. Points
-    within BOUNDARY_CLEARANCE of an excluded set are labeled Boundary.
+    (:meth:`CostModel.hessian`, the one the flow's Newton step solves with)
+    in the tangent frame at q (:func:`~rotavg.geometry.tangent_frame`).
+    Eigenvalues below 1e-6 of the dominant one are treated as zero
+    (critical circles make one soft direction routine), and so are those
+    below the flow's stopping scale at its default tol, FLOW_TOL (1 + c r)
+    (c is ``model.scale``, r the sample count), where a Hessian with no
+    significant eigenvalue is rounding alone and the point is Degenerate;
+    the second return value flags that degeneracy. Points within
+    BOUNDARY_CLEARANCE of an excluded set are labeled Boundary.
     """
     return _classify_rows(model, np.asarray(point.q, dtype=float)[None])[0]
 
 
 def _classify_rows(model, Q):
     """:func:`classify` for each row of Q: one batched Hessian in the
-    tangent frame and one stacked eigvalsh, over the rows clear of the
+    tangent frame, from the dots and <w, d> of one gradient call as the
+    flow forms it, and one stacked eigvalsh, over the rows clear of the
     boundary."""
     labels = [("Boundary", False)] * len(Q)
     inner = np.flatnonzero(model.clearance(Q) >= BOUNDARY_CLEARANCE)
-    lams = np.linalg.eigvalsh(model._frame_hessian(Q[inner])[1])
-    stop = 1e-12 * (1.0 + model.scale * model.samples.r)
+    X = Q[inner]
+    D = model._dots(X)
+    lams = np.linalg.eigvalsh(model._frame_hessian(X, D, model._gradient(X, D)[1])[1])
+    stop = _stop(model, FLOW_TOL)
     for k, lam in zip(inner, lams):
         signif = lam[np.abs(lam) >= max(1e-6 * float(np.max(np.abs(lam))), stop)]
         degenerate = signif.size < 3

@@ -294,6 +294,15 @@ def _error_of(doc, tmp_path, capsys):
     return rc, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["average", "distance"])
+@pytest.mark.parametrize("rotations", [[], {"quaternion": [1.0, 0.0, 0.0, 0.0]}])
+def test_rotations_must_be_a_non_empty_array(command, rotations, tmp_path, capsys):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"rotations": rotations}))
+    assert main([command, "--input", str(p)]) == 2
+    assert capsys.readouterr().err == 'error: "rotations" must be a non-empty array\n'
+
+
 def test_error_names_first_faulty_entry(tmp_path, capsys):
     # a validation fault before a parse fault is the one reported
     rc, err = _error_of({"rotations": [{"matrix": [[float("nan")] * 3] * 3}, {"quaternion": [1, 0, 0]}]},

@@ -415,7 +415,8 @@ def projector_hessian(model, q):
     d = Q @ q
     P = np.eye(4) - np.outer(q, q)
     U = Q - np.outer(d, q)
-    inner = np.dot(model._cost.weight(d, None), d) * np.eye(4) - U.T @ (model._cost.slope(d, None)[:, None] * U)
+    base = np.maximum(1.0 - d * d, 0.0)
+    inner = np.dot(model._cost.weight(d, base), d) * np.eye(4) - U.T @ (model._cost.slope(d, base)[:, None] * U)
     return model.scale * P @ inner @ P
 
 
@@ -431,7 +432,8 @@ def test_hessian_matches_projector_form(kind, p, r):
         # about 1 % of their size, which leaves rounding that is relative to
         # them, not to H
         d = model.samples.quaternions @ q
-        terms = model.scale * (abs(np.dot(model._cost.weight(d, None), d)) + np.abs(model._cost.slope(d, None)).sum())
+        base = np.maximum(1.0 - d * d, 0.0)
+        terms = model.scale * (abs(np.dot(model._cost.weight(d, base), d)) + np.abs(model._cost.slope(d, base)).sum())
         assert np.abs(h - projector_hessian(model, q)).max() <= 1e-13 * terms
 
 
@@ -493,8 +495,8 @@ def test_frame_hessian_norm_bound(kind_p, r, near, log_t, clustered, seed):
     D = model._dots(X)
     keep = model.admissible(X)
     X, D = X[keep], D[keep]
-    K = model._frame_hessian(X)[1]
-    wd = np.vecdot(model._cost.weight(D, model._bases(X, D)), D)
+    wd = model._field(X, D)[1]
+    K = model._frame_hessian(X, D, wd)[1]
     bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + r * model._slope_bound(X, D))
     assert np.all(np.sqrt((K * K).sum(axis=(1, 2))) <= HESSIAN_BOUND_SLACK * bound)
 
@@ -538,9 +540,34 @@ def test_frame_hessian_matches_the_a_form(kind_p, r, near, log_t, clustered, see
     t = 10.0**log_t
     X = normalize(q0 + t * U) if near == "line" else normalize(U + t * q0)
     X = X[model.admissible(X)]
-    K, want = model._frame_hessian(X)[1], a_form_frame_hessian(model, X)
+    D = model._dots(X)
+    K, want = model._frame_hessian(X, D, model._field(X, D)[1])[1], a_form_frame_hessian(model, X)
     scale = np.maximum(np.abs(want).max(axis=(1, 2)), 1e-3 * model.scale * r)
     assert np.all(np.abs(K - want).max(axis=(1, 2)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind,p", HESSIAN_CASES)
+def test_public_hessian_is_the_flows(kind, p):
+    # hessian reads <w, d> from the gradient's own weights, as the flow's
+    # Newton step does: B^T K B with (B, K) the frame Hessian at the dots and
+    # <w, d> of one _field call, bit for bit, at one point and at 8-row
+    # stacks of normalized points over 25 sample sets; each stack's last two
+    # rows sit on its first sample's hyperplane and line, where the guarded
+    # kinds give NaN rows
+    guarded = [6] if kind in ("geodesic", "d3") else [7] if p == 1.5 else []
+    for seed in range(25):
+        rng = np.random.default_rng([35, seed])
+        model = make(kind, SampleSet.from_quaternions(rng.standard_normal((5, 4))), p)
+        q0 = model.samples.quaternions[0]
+        X = normalize(rng.standard_normal((8, 4)))
+        X[6] = normalize(X[6] - (X[6] @ q0) * q0)
+        X[7] = q0
+        D = model._dots(X)
+        B, K = model._frame_hessian(X, D, model._field(X, D)[1])
+        want = B.transpose(0, 2, 1) @ K @ B
+        assert np.array_equal(model.hessian(X), want, equal_nan=True)
+        assert np.flatnonzero(np.isnan(want).any(axis=(1, 2))).tolist() == guarded
+        assert np.array_equal(model.hessian(X[0]), want[0])
 
 
 def per_sample_forms(model, X):
@@ -552,7 +579,8 @@ def per_sample_forms(model, X):
     # |<w, d>| + sum_i |w'(x_i)|
     Q = model.samples.quaternions
     D = X @ Q.T
-    W, dW = model._cost.weight(D, None), model._cost.slope(D, None)
+    base = np.maximum(1.0 - D * D, 0.0)
+    W, dW = model._cost.weight(D, base), model._cost.slope(D, base)
     G = -model.scale * (W @ Q)
     B = tangent_frame(X)
     S = np.einsum("ki,ia,ib->kab", dW, Q, Q)
@@ -582,8 +610,9 @@ def test_moments_match_the_per_sample_forms(kind_p, r, duplicated, seed):
         Q = Q[rng.integers(0, r, r)]
     model = make(kind_p[0], SampleSet(Q), kind_p[1])
     X = normalize(rng.standard_normal((8, 4)))
-    V, wd = model._field(X, model._dots(X))
-    got = (model.gradient(X), V, wd, model._frame_hessian(X)[1])
+    D = model._dots(X)
+    V, wd = model._field(X, D)
+    got = (model.gradient(X), V, wd, model._frame_hessian(X, D, wd)[1])
     want, w_size, k_size = per_sample_forms(model, X)
     c, eps = model.scale, np.finfo(float).eps
     for a, b, size, unit in zip(got, want, (w_size, w_size, w_size, k_size), (c, 4.0 * c, 1.0, c)):
@@ -592,9 +621,10 @@ def test_moments_match_the_per_sample_forms(kind_p, r, duplicated, seed):
     flipped = make(kind_p[0], SampleSet(rng.choice([-1.0, 1.0], (r, 1)) * Q), kind_p[1])
     assert np.array_equal(flipped.samples.second_moment, model.samples.second_moment)
     assert np.array_equal(flipped.samples.fourth_moment, model.samples.fourth_moment)
-    Vf, wdf = flipped._field(X, flipped._dots(X))
+    Df = flipped._dots(X)
+    Vf, wdf = flipped._field(X, Df)
     assert np.array_equal(Vf, V) and np.array_equal(wdf, wd)
-    assert np.array_equal(flipped._frame_hessian(X)[1], got[3])
+    assert np.array_equal(flipped._frame_hessian(X, Df, wdf)[1], got[3])
 
 
 def test_lp4_gradient_is_the_value_derivative_off_the_unit_ball():
@@ -801,7 +831,8 @@ def test_pushforward_is_weighted_delta_sum():
             model = make(kind, samples, p)
             for _ in range(10):
                 q = probe(rng, model, margin=1e-3)
-                w = model._cost.weight(samples.quaternions @ q, None)
+                d = samples.quaternions @ q
+                w = model._cost.weight(d, np.maximum(1.0 - d * d, 0.0))
                 want = sum(wi * delta_skew(q, qi) for wi, qi in zip(w, samples.quaternions))
                 got = model.pushforward_residual(q)
                 assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(w).sum())

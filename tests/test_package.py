@@ -35,6 +35,10 @@ def test_each_root_name_is_its_modules_object():
     assert rotavg.sweep is sys.modules["rotavg.sweep"]
 
 
+def test_dir_lists_every_root_name():
+    assert set(ROOT_NAMES) <= set(dir(rotavg))
+
+
 def test_star_import_binds_the_root_names():
     names = {}
     exec("from rotavg import *", names)

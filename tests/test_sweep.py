@@ -1049,6 +1049,17 @@ def test_parse_csv_refuses_min_rows_without_their_set(tmp_path):
     emit_csv([rec], tmp_path / "again.csv")
 
 
+def test_parse_csv_refuses_a_foreign_header(tmp_path):
+    # a header that is not CSV_HEADER: one field renamed, one missing
+    path = tmp_path / "one.csv"
+    emit_csv(theta_min_curve(4.0, [-0.78]), path)
+    header, *rows = path.read_text().splitlines()
+    for bad in (header.replace("alpha", "angle", 1), header.rsplit(",", 1)[0]):
+        path.write_text("\n".join([bad, *rows]) + "\n")
+        with pytest.raises(ValueError, match="^unrecognized CSV header$"):
+            parse_csv(path)
+
+
 def test_parse_csv_refuses_rows_without_nine_fields(tmp_path):
     # a row without is_min, with a tenth field, with five fields or none
     path = tmp_path / "one.csv"
