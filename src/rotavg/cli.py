@@ -37,6 +37,7 @@ EXIT_IO = 5
 
 ORTHO_TOL = 1e-6  # matrix inputs may be off SO(3) by at most this much
 MAX_GRID_POINTS = 10**6  # longest alpha grid sweep accepts
+MAX_TRIALS = 10**6  # most trials check accepts: each family's arrays grow with the count
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # --cost spelling -> CostModel kind
 _COSTS = {"l2": "L2Chordal", "geodesic": "Geodesic", "d3": "TraceSqrt", "lp": "LpChordal"}
@@ -83,71 +84,70 @@ def _numeric(values):
     return a if _NUMBER_TYPES.issuperset(map(type, leaves)) else None
 
 
-def _stacks(entries, keys):
-    """key -> (entry indices, stacked values) for the entries with that key,
-    or None if some value is not an array of JSON numbers of its shape."""
+def _lifts(entries, first=0):
+    """The unit lifts of entries, which start at rotations[first], or the
+    error of an entry that fails a check.
+
+    Each check runs over all the rows of its key at once, in the order a
+    single entry meets them: object, key, numeric, shape, finite,
+    orthogonal, determinant, norm. So the list fails just when one of its
+    entries fails on its own, and on one entry the error is exact: it names
+    rotations[first] and that entry's first failing check.
+    """
+    values = {key: [] for key in _VALUES}
+    is_matrix = bytearray()  # one byte a row, read by numpy without a copy
+    for ent in entries:
+        if not isinstance(ent, dict):
+            return _ParseError(f"rotations[{first}] must be an object")
+        if "matrix" in ent:
+            values["matrix"].append(ent["matrix"])
+            is_matrix.append(True)
+        elif "quaternion" in ent:
+            values["quaternion"].append(ent["quaternion"])
+            is_matrix.append(False)
+        else:
+            return _ParseError(f'rotations[{first}] needs a "matrix" or "quaternion" key')
     stacks = {}
-    for key, (shape, _) in _VALUES.items():
-        rows = [i for i, k in enumerate(keys) if k == key]
-        a = _numeric([entries[i][key] for i in rows]) if rows else np.empty((0, *shape))
-        if a is None or a.shape != (len(rows), *shape):
-            return None
-        stacks[key] = rows, a
-    return stacks
-
-
-def _parse_error(i, key, value):
-    """The parse error of entry i's value, or None if it stacks."""
-    shape, what = _VALUES[key]
-    a = _numeric([value])
-    if a is None:
-        return _ParseError(f"rotations[{i}].{key} is not numeric")
-    if a.shape[1:] != shape:
-        return _ParseError(f"rotations[{i}].{key} must {what}")
-    return None
-
-
-def _checked_lifts(keys, stacks):
-    """The unit lifts of the entries. Raises the error of the first entry
-    that fails a check, naming that entry's first failing check."""
-    (mrows, R), (qrows, Q) = stacks["matrix"], stacks["quaternion"]
-    # NaN passes every norm and orthogonality test, so non-finite rows fail
-    # first and the identity stands in for them in the tests after
-    mfinite = np.isfinite(R).all(axis=(1, 2))
-    qfinite = np.isfinite(Q).all(axis=1)
-    R = np.where(mfinite[:, None, None], R, np.eye(3))
+    for key, (shape, what) in _VALUES.items():
+        a = _numeric(values[key]) if values[key] else np.empty((0, *shape))
+        if a is None:
+            return _ParseError(f"rotations[{first}].{key} is not numeric")
+        if a.shape[1:] != shape:
+            return _ParseError(f"rotations[{first}].{key} must {what}")
+        # NaN passes every norm and orthogonality test, so it fails here first
+        if not np.isfinite(a).all():
+            return _ValidationError(f"rotations[{first}].{key} has a non-finite entry")
+        stacks[key] = a
+    R, Q = stacks["matrix"], stacks["quaternion"]
     # a finite but huge entry overflows to inf here, which fails the checks
     # below as it should; numpy's warning about it would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
         off = np.abs(np.matrix_transpose(R) @ R - np.eye(3)).max(axis=(1, 2))
-        det = np.linalg.det(R)
         norm = np.sqrt(np.vecdot(Q, Q))
-    bad = np.zeros(len(keys), dtype=bool)
-    bad[mrows] = ~mfinite | (off > ORTHO_TOL) | (det < 0.0)
-    bad[qrows] = ~qfinite | (np.abs(norm - 1.0) > ORTHO_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        key = keys[i]
-        if key == "matrix":
-            j = mrows.index(i)
-            if not mfinite[j]:
-                raise _ValidationError(f"rotations[{i}].{key} has a non-finite entry")
-            if off[j] > ORTHO_TOL:
-                raise _ValidationError(f"rotations[{i}] is not orthogonal within {ORTHO_TOL:g}")
-            raise _ValidationError(f"rotations[{i}] has determinant -1 (not a rotation)")
-        j = qrows.index(i)
-        if not qfinite[j]:
-            raise _ValidationError(f"rotations[{i}].{key} has a non-finite entry")
-        raise _ValidationError(f"rotations[{i}] quaternion norm {float(norm[j]):.8f} is not 1")
-    quats = np.empty((len(keys), 4))
-    if mrows:
-        quats[mrows] = quat_from_rotation(R)
-    if qrows:
-        quats[qrows] = normalize(Q)
+    if (off > ORTHO_TOL).any():
+        return _ValidationError(f"rotations[{first}] is not orthogonal within {ORTHO_TOL:g}")
+    if (np.linalg.det(R) < 0.0).any():
+        return _ValidationError(f"rotations[{first}] has determinant -1 (not a rotation)")
+    off_norm = np.abs(norm - 1.0) > ORTHO_TOL
+    if off_norm.any():
+        return _ValidationError(f"rotations[{first}] quaternion norm {float(norm[off_norm][0]):.8f} is not 1")
+    matrix_rows = np.frombuffer(is_matrix, dtype=bool)
+    quats = np.empty((len(entries), 4))
+    if len(R):  # quat_from_rotation has a fixed cost of tens of us, even on no rows
+        quats[matrix_rows] = quat_from_rotation(R)
+    quats[~matrix_rows] = normalize(Q)
     return quats
 
 
 def _load_rotations(path) -> SampleSet:
+    """The samples of the rotations file at path.
+
+    One _lifts call checks and lifts the whole file. Only if it fails is
+    the first faulty entry looked for: as a list fails just when one of its
+    entries does, halving the range that holds that entry and checking the
+    left half finds it in about one more pass over the file. The error
+    raised is that entry's own.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -155,37 +155,23 @@ def _load_rotations(path) -> SampleSet:
         raise OSError(f"cannot read {path}: {e}") from e
     except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
         raise _ParseError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise _ParseError(f"{path} is nested too deeply to read") from e
     if not isinstance(doc, dict) or "rotations" not in doc:
         raise _ParseError('input must be an object with a "rotations" array')
     entries = doc["rotations"]
     if not isinstance(entries, list) or not entries:
         raise _ParseError('"rotations" must be a non-empty array')
-    # the key of each entry, up to the first that is not an object with one;
-    # an error is raised only once every entry before it has passed its checks
-    keys, error = [], None
-    for i, ent in enumerate(entries):
-        if not isinstance(ent, dict):
-            error = _ParseError(f"rotations[{i}] must be an object")
-            break
-        if "matrix" in ent:
-            keys.append("matrix")
-        elif "quaternion" in ent:
-            keys.append("quaternion")
-        else:
-            error = _ParseError(f'rotations[{i}] needs a "matrix" or "quaternion" key')
-            break
-    stacks = _stacks(entries, keys)
-    if stacks is None:
-        # convert one value at a time only to name the first that does not stack
-        for i, key in enumerate(keys):
-            error = _parse_error(i, key, entries[i][key])
-            if error:
-                break
-        keys = keys[:i]
-        stacks = _stacks(entries, keys)
-    quats = _checked_lifts(keys, stacks)
-    if error:
-        raise error
+    quats = _lifts(entries)
+    if isinstance(quats, Exception):
+        lo, hi = 0, len(entries)  # entries[:lo] pass, entries[lo:hi] hold a fault
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if isinstance(_lifts(entries[lo:mid], lo), Exception):
+                hi = mid
+            else:
+                lo = mid
+        raise _lifts(entries[lo:hi], lo)
     return SampleSet.from_quaternions(quats)
 
 
@@ -288,8 +274,8 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     from . import checks as checks_mod  # as sweep_mod in cmd_sweep
 
-    if args.trials < 1:
-        raise _ValidationError("--trials must be >= 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise _ValidationError(f"--trials must be between 1 and {MAX_TRIALS:g}")
     _require_seed(args)
     results = checks_mod.run_all(seed=args.seed, trials=args.trials)
     report = checks_mod.format_report(results)

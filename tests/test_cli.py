@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import platform
 import subprocess
@@ -437,6 +438,110 @@ def test_load_matches_entry_at_a_time_reference(loader_dir, entries):
     assert _load_outcome(_load_rotations, path) == _load_outcome(_reference_load_rotations, path)
 
 
+def _thousand(kinds=("matrix", "quaternion"), seed=0):
+    """1000 valid entries whose keys cycle through kinds."""
+    q = normalize(np.random.default_rng(seed).standard_normal((1000, 4)))
+    R = covering_map(q)
+    return [{"matrix": R[i].tolist()} if kinds[i % len(kinds)] == "matrix" else {"quaternion": q[i].tolist()}
+            for i in range(1000)]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("position", [0, 499, 500, 999])
+def test_load_of_1000_matches_the_reference(position, fault, loader_dir):
+    # the first entry, the last, and either side of the first halving split;
+    # the keys alternate, so entries 0 and 500 are matrices, 499 and 999
+    # quaternions
+    entries = _thousand(seed=position)
+    entries[position] = _faulty(entries[position], fault, np.random.default_rng(position))
+    path = loader_dir / "in1000.json"
+    path.write_text(json.dumps({"rotations": entries}))
+    assert _load_outcome(_load_rotations, path) == _load_outcome(_reference_load_rotations, path)
+
+
+NAN_MATRIX = {"matrix": [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]]}
+REFLECTION = {"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]}
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({100: NAN_MATRIX, 900: "a string"}, "rotations[100].matrix has a non-finite entry"),
+        ({100: REFLECTION, 900: {"rotation": [1, 0, 0, 0]}}, "rotations[100] has determinant -1 (not a rotation)"),
+        ({300: {"quaternion": [1, 0, 0]}, 301: NAN_MATRIX}, "rotations[300].quaternion must have 4 components"),
+        ({300: REFLECTION, 301: {"quaternion": [2, 0, 0, 0]}}, "rotations[300] has determinant -1 (not a rotation)"),
+    ],
+    ids=["nan-before-string", "reflection-before-no-key", "adjacent-shape-nan", "adjacent-reflection-norm"],
+)
+def test_first_of_several_faults_in_1000_matches_the_reference(faults, message, loader_dir):
+    entries = _thousand(("matrix",) * 3 + ("quaternion",))
+    for i, ent in faults.items():
+        entries[i] = ent
+    path = loader_dir / "in1000.json"
+    path.write_text(json.dumps({"rotations": entries}))
+    outcome = _load_outcome(_load_rotations, path)
+    assert outcome[1] == message
+    assert outcome == _load_outcome(_reference_load_rotations, path)
+
+
+@pytest.fixture
+def lifts_calls(monkeypatch):
+    """The (first, entry count) of each _lifts call the loader makes."""
+    calls = []
+    lifts = cli._lifts
+
+    def spy(entries, first=0):
+        calls.append((first, len(entries)))
+        return lifts(entries, first)
+
+    monkeypatch.setattr(cli, "_lifts", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kinds", [("matrix",), ("matrix", "quaternion")], ids=["matrix", "mixed"])
+def test_valid_file_is_checked_in_one_call(kinds, lifts_calls, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"rotations": _thousand(kinds)}))
+    assert len(_load_rotations(path)) == 1000
+    assert lifts_calls == [(0, 1000)]
+
+
+@pytest.mark.parametrize("position", [0, 1, 499, 500, 998, 999])
+def test_faulty_file_is_halved_not_walked(position, lifts_calls, tmp_path):
+    entries = _thousand(("matrix",))
+    if position < 999:
+        entries[999] = "a string"  # a later fault, of another check
+    entries[position] = REFLECTION
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"rotations": entries}))
+    with pytest.raises(_ValidationError, match=rf"^rotations\[{position}\] has determinant -1"):
+        _load_rotations(path)
+    assert len(lifts_calls) <= math.ceil(math.log2(1000)) + 2
+    assert sum(n for _, n in lifts_calls) <= 2 * 1000
+    assert lifts_calls[-1] == (position, 1)
+
+
+def test_entry_with_both_keys_reads_its_matrix(tmp_path):
+    # the matrix is read, and a faulty quaternion next to it is never looked at
+    R = [rot_x(0.3), rot_y(-1.2), rot_z(2.0)]
+    both = [{"matrix": R[0], "quaternion": [2, 0, 0, 0]}, {"quaternion": [1, 0, 0], "matrix": R[1]},
+            {"matrix": R[2], "quaternion": "a string"}]
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps({"rotations": both}))
+    only = tmp_path / "matrices.json"
+    only.write_text(json.dumps({"rotations": [{"matrix": m} for m in R]}))
+    assert _load_outcome(_load_rotations, p) == _load_outcome(_load_rotations, only)
+    assert _load_rotations(p).quaternions.tobytes() == quat_from_rotation(np.array(R)).tobytes()
+
+
+def test_deeply_nested_input_is_a_parse_error(tmp_path, capsys):
+    # json.load gives up on it with RecursionError
+    p = tmp_path / "deep.json"
+    p.write_text('{"rotations": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["distance", "--input", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {p} is nested too deeply to read\n"
+
+
 def test_sweep_transition_summary(tmp_path, capsys):
     out = tmp_path / "s.csv"
     rc = main(["sweep", "--p", "4", "--alpha-min", "-1.1", "--alpha-max", "-1.0",
@@ -535,6 +640,20 @@ def test_check_trials_below_one(tmp_path, capsys):
     out = tmp_path / "report.txt"
     assert main(["check", "--trials", "-3", "--out", str(out)]) == 3
     assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_trials_above_bound(tmp_path, capsys, monkeypatch):
+    # refused before any family draws, so nothing is allocated
+    from rotavg import checks
+
+    def run_all(**kwargs):
+        raise AssertionError("run_all was called")
+
+    monkeypatch.setattr(checks, "run_all", run_all)
+    out = tmp_path / "report.txt"
+    assert main(["check", "--trials", str(cli.MAX_TRIALS + 1), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: --trials must be between 1 and 1e+06\n"
     assert not out.exists()
 
 
