@@ -38,6 +38,7 @@ EXIT_IO = 5
 ORTHO_TOL = 1e-6  # matrix inputs may be off SO(3) by at most this much
 MAX_GRID_POINTS = 10**6  # longest alpha grid sweep accepts
 MAX_TRIALS = 10**6  # most trials check accepts: each family's arrays grow with the count
+MAX_STARTS = 10**6  # most starts average accepts: the flow's arrays grow with the count
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 # --cost spelling -> CostModel kind
 _COSTS = {"l2": "L2Chordal", "geodesic": "Geodesic", "d3": "TraceSqrt", "lp": "LpChordal"}
@@ -200,8 +201,8 @@ def _write_text(path, text) -> None:
 
 
 def cmd_average(args) -> int:
-    if args.starts < 1:
-        raise _ValidationError("--starts must be >= 1")
+    if not 1 <= args.starts <= MAX_STARTS:
+        raise _ValidationError(f"--starts must be between 1 and {MAX_STARTS:g}")
     if not 0.0 < args.tol < math.inf:
         raise _ValidationError("--tol must be finite and > 0")
     _require_seed(args)

@@ -37,8 +37,10 @@ the bases 1 - x_i^2, the guard, then w):
   the geodesic model is undefined and trace-sqrt is not differentiable, or
   the sample lines, which Lp with p < 2 excludes.
 
-The geodesic model alone reads its per-sample functions at q/|q| (its
-prolongation is of degree 0); the others read them at q.
+The geodesic model alone reads its dots at q/|q| (its prolongation is of
+degree 0; ``_Kind.degree0``): :meth:`CostModel._dots` divides them by |q|,
+so its value, every derivative, both residuals, the guard and the
+clearance all read the direction. The others read the dots at q.
 
 The l2 chordal kind is the Lp 2 record, with the sample count r as its
 kappa in place of Lp's 1. The kinds with polynomial weights, Lp 2 (w = x)
@@ -161,7 +163,9 @@ class _Kind(NamedTuple):
     ``factor`` sum_i f(x_i) and the gradient -``scale`` sum_i w(x_i) q_i;
     ``kappa`` scales the rotation residual (None: the sample count r).
     ``excluded`` is "planes", "lines" or None, and ``error`` is what a
-    derivative at a single point inside its guard buffer raises.
+    single point inside its guard buffer raises. A kind that sets
+    ``degree0`` (geodesic) has a prolongation of degree 0: its dots are
+    those of q/|q| (:meth:`CostModel._dots`).
     ``slope_diverges`` marks a w' that diverges on the sample lines (Lp,
     p < 4), where the Hessian keeps the terms of the pairs next to a line
     (:meth:`CostModel.hessian`). A kind whose weight is the polynomial
@@ -182,6 +186,7 @@ class _Kind(NamedTuple):
     reads_base: bool = False
     slope_diverges: bool = False
     cubic: Optional[float] = None
+    degree0: bool = False
 
 
 def _lp(p):
@@ -224,13 +229,21 @@ def _lp(p):
                  reads_base=True, slope_diverges=p < 4.0, cubic={2.0: 0.0, 4.0: -1.0}.get(p))
 
 
+def _geodesic_term(d, _):
+    """arccos^2 |x| elementwise, NaN where |x| < 1e-12: the geodesic cost is
+    undefined on the hyperplanes (and at the origin, whose dots are 0)."""
+    a, phi = _half_angles(d)
+    phi *= phi
+    phi[a < 1e-12] = np.nan
+    return phi
+
+
 # kind -> its record (factor, f, w, w', c, kappa, excluded set, guard error,
 # then the flags), or for LpChordal the function that builds it from p; l2 is
 # the Lp 2 record with the rotation residual scaled by the sample count
 _KINDS = {
     "L2Chordal": _lp(2.0)._replace(kappa=None),
-    "Geodesic": _Kind(2.0, lambda d, _: _half_angles(d)[1] ** 2, _geodesic_weight, _geodesic_slope, 4.0, 2.0,
-                      "planes"),
+    "Geodesic": _Kind(2.0, _geodesic_term, _geodesic_weight, _geodesic_slope, 4.0, 2.0, "planes", degree0=True),
     "TraceSqrt": _Kind(1.0, lambda d, _: (1.0 - np.abs(d)) ** 2, lambda d, _: (1.0 - np.abs(d)) * np.sign(d),
                        lambda d, _: -np.ones_like(d), 2.0, 1.0, "planes", NonDifferentiable),
     "LpChordal": _lp,
@@ -312,8 +325,16 @@ class CostModel:
 
     def _dots(self, X):
         """D[k, i] = <X[k], q_i> for (n, 4) points X (q_i of set k for a
-        stack of sets)."""
-        return np.matvec(self.samples.quaternions, X)
+        stack of sets). A degree-0 kind reads the dots of X[k]/|X[k]|
+        instead: 0 at the origin, which has no direction, and NaN where |X[k]|
+        overflows."""
+        D = np.matvec(self.samples.quaternions, X)
+        if not self._cost.degree0:
+            return D
+        nq = np.sqrt(np.vecdot(X, X, keepdims=True))
+        nq[nq == np.inf] = np.nan
+        nq[nq == 0.0] = np.inf  # the origin's dots are all 0, and 0 / inf = 0
+        return np.divide(D, nq, out=D)
 
     def _weighted_sum(self, W):
         """sum_i W[k, i] q_i for each row k of the (n, r) weights W (q_i of
@@ -325,7 +346,7 @@ class CostModel:
         if self.samples.stacked:
             raise ValueError("this needs a single sample set, not a stack of them")
 
-    def _evaluate(self, form, a, error=None, shape=(4,)):
+    def _evaluate(self, form, a, shape=(4,)):
         """The shape rule of every public evaluator: ``form`` at ``a``, which
         is one point (4,) or a stack (n, 4) (for ``shape`` (3, 3): one
         rotation or a stack (n, 3, 3)), with n = m over a stacked sample set
@@ -333,11 +354,10 @@ class CostModel:
 
         ``form`` takes the stack and, for points, its dots, and returns one
         result per row, NaN in a guarded row. A one-point call returns its
-        own row. Where that row is NaN at a finite point, it raises ``error``
-        (by default the kind's guard error) if the point or its direction
-        lies inside a guard buffer, as :meth:`admissible` judges it (a
-        rotation at the dots of a lift), and otherwise ValueError: the
-        arithmetic overflowed.
+        own row. Where that row is NaN at a finite point, it raises the
+        kind's guard error if the point lies inside a guard buffer, as
+        :meth:`admissible` judges it from the same dots (a rotation at the
+        dots of a lift), and otherwise ValueError: the arithmetic overflowed.
         """
         a = np.asarray(a, dtype=float)
         one = a.shape == shape
@@ -350,29 +370,17 @@ class CostModel:
             return out
         if np.isnan(out[0]).any() and np.isfinite(a).all():
             X = quat_from_rotation(rows) if shape == (3, 3) else rows
-            nq = np.sqrt(np.vecdot(X, X))
-            if 0.0 < nq[0] < np.inf:
-                # and at its direction, where the geodesic derivatives guard it
-                X = np.concatenate([X, X / nq[:, None]])
-            if (self._clearance_at(X, self._dots(X)) <= EPS_DOM).any():
-                raise error or self._cost.error(f"{self.kind} derivatives need clearance from the excluded set")
+            if self._clearance_at(X, self._dots(X))[0] <= EPS_DOM:
+                raise self._cost.error(f"{self.kind} needs clearance from the excluded set here")
             raise ValueError(f"{self.kind}: the arithmetic overflowed at this input")
         return float(out[0]) if out.ndim == 1 else out[0]
 
     def clearance(self, q):
         """Distance of unit q from this model's excluded set (inf if it has
-        none). The geodesic model reads the direction q/|q|, as its value
-        and derivatives do (0 at the origin, which has no direction); the
-        others read q itself."""
-        return self._evaluate(self._clearance, q)
-
-    def _clearance(self, X, D):
-        """:meth:`clearance` at the rows X with dots D."""
-        if self.kind == "Geodesic":
-            nq = np.sqrt(np.vecdot(X, X, keepdims=True))
-            with np.errstate(invalid="ignore"):
-                D = np.divide(D, nq, out=np.zeros_like(D), where=nq != 0.0)
-        return self._clearance_at(X, D)
+        none), read from the dots every evaluator reads: the geodesic model's
+        are those of the direction q/|q| (0 at the origin, which has no
+        direction), the others' those of q itself."""
+        return self._evaluate(self._clearance_at, q)
 
     def _clearance_at(self, X, D, base=None):
         """:meth:`clearance` for each row of X, with dots D: min_i |x_i| to
@@ -450,18 +458,10 @@ class CostModel:
 
     def value(self, q):
         # only the geodesic value has guarded rows: those on a hyperplane
-        return self._evaluate(self._value, q, DomainError("geodesic cost undefined on a hyperplane Pi_i"))
+        return self._evaluate(self._value, q)
 
     def _value(self, X, D):
         """:meth:`value` at the rows X with dots D."""
-        if self.kind == "Geodesic":
-            # degree-0 prolongation: the terms at q/|q|, undefined on Pi_i
-            # (and at the origin, which has no direction)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                D = D / np.sqrt(np.vecdot(X, X, keepdims=True))
-            on_plane = np.abs(D).min(axis=1) < 1e-12
-            if on_plane.any():
-                D = np.where(on_plane[:, None], np.nan, D)
         return self._cost.factor * self._cost.term(D, self._bases(X, D)).sum(axis=1)
 
     def _trial(self, Y, X=None, c=None):
@@ -504,17 +504,15 @@ class CostModel:
             # sum_i w(x_i) q_i = A q, so <w, d> = <A q, q>
             g = np.matvec(self._moments(X, self._cost.cubic), X)
             return -self.scale * g, np.vecdot(g, X)
-        if self.kind == "Geodesic":
-            # degree-0 prolongation: weights at q/|q|, radial part removed;
-            # the origin has no direction, and its row is NaN without warnings
+        W, D = self._weights(X, D)
+        G, wd = -self.scale * self._weighted_sum(W), np.vecdot(W, D)
+        if self._cost.degree0:
+            # the dots are those of q/|q|: G = (-c sum_i w_i q_i + c <w, d> q/|q|) / |q|,
+            # the radial part removed; the origin's row is NaN without warnings
             nq = np.sqrt(np.vecdot(X, X, keepdims=True))
             with np.errstate(divide="ignore", invalid="ignore"):
-                W = self._weights(X / nq, D / nq)[0]
-                wd = np.vecdot(W, D, keepdims=True)
-                G = (-self.scale / nq**3) * (nq * nq * self._weighted_sum(W) - wd * X)
-            return G, wd[:, 0]
-        W, D = self._weights(X, D)
-        return -self.scale * self._weighted_sum(W), np.vecdot(W, D)
+                G = (G + (self.scale * wd[:, None]) * (X / nq)) / nq
+        return G, wd
 
     def _weights(self, X, D):
         """The weights w(x_i) at the dots D of the unit rows X, read from the
@@ -647,10 +645,9 @@ class CostModel:
         """sum_i w_i(q) Delta_i(q): the critical-point system pushed to SO(3).
 
         Returns a skew 3x3 matrix (n x 3 x 3 for a stack), identical at q and
-        -q. At unit q it is zero exactly where the control field is zero.
-        Off the unit sphere that can fail for geodesic: its field reads the
-        weights at q/|q| (the prolongation has degree 0), this residual reads
-        them at q itself.
+        -q. It is zero exactly where the control field is zero: both read the
+        weights at the same dots (for geodesic those of q/|q|, so this
+        residual is |q| times its value at the direction).
         """
         return self._evaluate(self._pushforward, q)
 

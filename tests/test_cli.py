@@ -116,9 +116,21 @@ def test_average_seed_negative(cluster_input, capsys):
     assert "error: --seed" in capsys.readouterr().err
 
 
-def test_average_starts_below_one(cluster_input, capsys):
+def test_average_starts_below_one(cluster_input, capsys, monkeypatch):
     assert main(["average", "--input", str(cluster_input), "--starts", "0"]) == 3
     assert "--starts" in capsys.readouterr().err
+
+    # above the bound too, refused before the input is read or any start
+    # drawn, so nothing is allocated: a count past numpy's largest array
+    # dimension would otherwise fail in the draw with a traceback
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(cli, "_load_rotations", refuse)
+    monkeypatch.setattr(cli, "multistart", refuse)
+    for starts in (cli.MAX_STARTS + 1, 10**30):
+        assert main(["average", "--input", str(cluster_input), "--starts", str(starts)]) == 3
+        assert capsys.readouterr().err == "error: --starts must be between 1 and 1e+06\n"
 
 
 def test_average_tol_not_positive(cluster_input, capsys):
