@@ -24,7 +24,7 @@ import numpy as np
 
 from .costs import CostModel
 from .geometry import SampleSet, _pair_distances, normalize, quat_from_rotation
-from .solvers import FLOW_TOL, multistart
+from .solvers import FLOW_TOL, _check_model, multistart
 
 __all__ = ["main", "entry"]
 
@@ -182,9 +182,11 @@ def _model_from_args(args, samples) -> CostModel:
     if args.p is not None and not 1.0 <= args.p < math.inf:
         raise _ValidationError("--p must be finite and >= 1")
     try:
-        return CostModel(_COSTS[args.cost], samples, args.p)
-    except ValueError as e:  # an lp power whose scale overflows
+        model = CostModel(_COSTS[args.cost], samples, args.p)
+        _check_model(model)
+    except ValueError as e:  # an lp power whose scale, or the flow's field bound, overflows
         raise _ValidationError(f"--p is too large: {e}") from e
+    return model
 
 
 def _require_seed(args) -> None:

@@ -56,7 +56,7 @@ def normalize(q):
     """
     q = np.asarray(q, dtype=float)
     n = np.sqrt(np.vecdot(q, q, keepdims=True))
-    if (n < 1e-300).any():
+    if np.count_nonzero(n < 1e-300):  # the C call: any() costs more on few rows
         raise ValueError("cannot normalize the zero quaternion")
     return q / n
 
@@ -120,6 +120,13 @@ _E = np.eye(4)
 _OUTER_TO_ROTATION = ((covering_map(_E[:, None] + _E) - covering_map(_E)[:, None] - covering_map(_E)) / 2.0).reshape(16, 9)
 
 
+# the symmetric 4x4 K of quat_from_rotation as columns of its ten distinct
+# entries (its diagonal, K[0, 1:], K[1, 2:], K[2, 3]), and the signs that
+# form K[0, 1:] as differences and the rest as sums
+_K_ENTRIES = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3]])
+_SIGNS = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+
+
 def quat_from_rotation(R):
     """Unit quaternion lift of a rotation matrix, sign-canonicalized.
 
@@ -139,28 +146,23 @@ def quat_from_rotation(R):
         nonzero component positive, one row per matrix of a stack.
     """
     R = np.asarray(R, dtype=float)
-    Rs = R.reshape(-1, 3, 3)
-    d = np.diagonal(Rs, axis1=1, axis2=2)
-    t = np.trace(Rs, axis1=1, axis2=2)
     # K = 4 q q^T from the entries of R, so with s = 2 sqrt(K[b, b]) = 4 |q_b|
     # each row gives K[b] / s = +-q; the row with the largest diagonal entry
     # divides by the largest |q_b| (at least 1/2). Row 0 is the trace branch,
-    # row 1 + i Shepperd's branch for R[i, i]
-    K = np.empty((len(Rs), 4, 4))
-    K[:, 0] = np.stack([1.0 + t, Rs[:, 2, 1] - Rs[:, 1, 2], Rs[:, 0, 2] - Rs[:, 2, 0], Rs[:, 1, 0] - Rs[:, 0, 1]], 1)
-    for i in range(3):
-        # written once under the cyclic relabelling (i, j, k) of the axes;
-        # the subtrahends stay in ascending index order
-        j, k = (i + 1) % 3, (i + 2) % 3
-        m, n = sorted((j, k))
-        K[:, 1 + i, 0] = Rs[:, k, j] - Rs[:, j, k]
-        K[:, 1 + i, 1 + i] = 1.0 + Rs[:, i, i] - Rs[:, m, m] - Rs[:, n, n]
-        K[:, 1 + i, 1 + j] = Rs[:, i, j] + Rs[:, j, i]
-        K[:, 1 + i, 1 + k] = Rs[:, i, k] + Rs[:, k, i]
-    rows = np.arange(len(Rs))
-    b = np.where(t >= d.max(axis=1), 0, 1 + np.argmax(d, axis=1))
-    s = 2.0 * np.sqrt(np.maximum(K[rows, b, b], 0.0))
-    q = K[rows, b] / s[:, None]
+    # row 1 + i Shepperd's branch for R[i, i]. K is symmetric, and its ten
+    # distinct entries are formed once each, as the columns _K_ENTRIES
+    # indexes: K[0, 0] = 1 + t; K[1 + i, 1 + i] = 1 + R[i, i] - R[m, m] -
+    # R[n, n] with m < n the other two axes; K[0, 1 + i] = R[k, j] - R[j, k]
+    # for each cyclic (i, j, k); K[1 + i, 1 + j] = R[i, j] + R[j, i] for
+    # i < j. H holds the entries they read, R[i, j] at 3 i + j of a row
+    H = R.reshape(-1, 9)[:, [0, 4, 8, 4, 0, 0, 8, 8, 4, 7, 2, 3, 1, 2, 5, 5, 6, 1, 3, 6, 7]]
+    d = H[:, :3]
+    t = H[:, 0] + H[:, 1] + H[:, 2]
+    K = np.concatenate([(1.0 + t)[:, None], 1.0 + d - H[:, 3:6] - H[:, 6:9], H[:, 9:15] + _SIGNS * H[:, 15:]], axis=1)
+    rows = np.arange(len(H))
+    b = np.argmax(np.concatenate([t[:, None], d], axis=1), axis=1)  # the first largest of t and the diagonal
+    s = 2.0 * np.sqrt(np.maximum(K[rows, b], 0.0))
+    q = K[rows[:, None], _K_ENTRIES[b]] / s[:, None]
     q[rows, b] = 0.25 * s
     return canonicalize_sign(normalize(q)).reshape(R.shape[:-2] + (4,))
 

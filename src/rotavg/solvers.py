@@ -71,8 +71,9 @@ def flow_descend(model: CostModel, q0, tol: float = FLOW_TOL) -> CriticalPoint:
     """Follow -control_field from q0 to a critical point of the lifted cost.
 
     The one-start case of the lockstep flow that :func:`multistart` runs.
-    Each iteration first tries one Riemannian Newton step (see
-    :func:`_newton_trial`); where it is not taken, a projected explicit
+    Each iteration whose field passes the Newton screen first tries one
+    Riemannian Newton step (see :func:`_newton_trial`); where it is not
+    taken, or the screen rules it out, a projected explicit
     Euler step with a backtracking line search on the cost follows, which
     halves the step until the cost falls by the sufficient-decrease bound.
     Only where the cost change dc sits at the noise floor, |dc| <= noise
@@ -82,7 +83,8 @@ def flow_descend(model: CostModel, q0, tol: float = FLOW_TOL) -> CriticalPoint:
     (:func:`_stop`).
 
     Raises ValueError unless tol is finite and positive, or if the model
-    holds a stack of sample sets, MaxIters if
+    holds a stack of sample sets or its field bound overflows when squared
+    (:func:`_check_model`: Lp past about p = 333 on two samples), MaxIters if
     MAX_ITERS iterations run out (or no acceptable step exists) and
     DomainBreach if the start or an accepted iterate lies inside a guard
     buffer. The start is judged as given, by :meth:`CostModel.admissible`,
@@ -104,61 +106,109 @@ def flow_descend(model: CostModel, q0, tol: float = FLOW_TOL) -> CriticalPoint:
 
 
 def _flow(model, Q0, tol):
-    """Advance the flow from every row of Q0 at once, in lockstep.
+    """Advance the flow from every row of Q0 at once.
 
-    Each row keeps its own point, cost, step size, Newton trial and line
-    search, and leaves the loop when it converges or fails; the rows still
-    running share one batched call per evaluation. Their state is kept
-    compacted to those rows: points X, costs c, steps h and the sample dots
-    D = Q X, formed once per point when it is first evaluated and read by
-    every later evaluation there (:meth:`CostModel._trial`: zero-width for
-    Lp 2, so l2, and Lp 4, whose trial costs are exact changes read from
-    the samples' moments). Returns the final points (n, 4), their
+    Each row keeps its own point, cost, step size, iteration count, Newton
+    trial and line search, and leaves the loop when it converges or fails;
+    the rows share one batched call per evaluation. A row whose field
+    passes the Newton screen (:func:`_newton_screen`) keeps that field and
+    waits, and a row that fails it takes its line search at once. Once
+    every running row waits, one :func:`_newton_trial` runs over all of
+    them, then one :func:`_line_search` over those it did not move. So each
+    row computes what it would compute alone, in the same order; only the
+    grouping of rows into calls depends on the others.
+
+    The running rows' state is kept compacted to them: points X, costs c,
+    steps h, counts and the sample dots D = Q X, formed once per point when
+    it is first evaluated and read by every later evaluation there
+    (:meth:`CostModel._trial`: zero-width for Lp 2, so l2, and Lp 4, whose
+    trial costs are exact changes read from the samples' moments). A row's
+    count rises with each step it takes, and a row ends in MaxIters at its
+    MAX_ITERS-th step. Returns the final points (n, 4), their
     ||control_field|| and, per row, None where it converged or the MaxIters
     or DomainBreach it ended with.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and > 0")
-    model._single_set()
+    _check_model(model)
     stop = _stop(model, tol)
     X = normalize(Q0)
     q = X.copy()
     nv_end = np.full(len(X), np.nan)
     ends = [None] * len(X)
     D, c = model._trial(X)
-    live, h = np.arange(len(X)), np.full(len(X), INITIAL_STEP)
-    for it in range(MAX_ITERS):
-        if not live.size:
-            break
-        # the Hessian reads the field's weights only through <w, d>, which
-        # the field hands back in their place
-        V, wd = model._field(X, D)
-        nv = np.sqrt(np.vecdot(V, V))
-        done = nv < stop
-        nv_end[live[done]] = nv[done]
-        # the field is NaN exactly in the rows inside a guard buffer
-        breach = np.isnan(nv)
-        for k in np.flatnonzero(breach):
-            ends[live[k]] = DomainBreach("iterate entered a guard buffer of an excluded set" if it else
-                                         "start point violates the model's domain guard")
-        live, X, D, c, h, V, wd, nv = _compact(~(done | breach), live, X, D, c, h, V, wd, nv)
-        # value evaluations carry cancellation noise well above one ulp, so
-        # every acceptance test judges decreases against this larger scale
-        noise = 1e-13 * (1.0 + np.abs(c))
-        moved = _newton_trial(model, X, D, V, wd, nv, c, noise)
-        rest = np.flatnonzero(~moved)
-        # retry a bit above the last accepted step
-        h[rest] = np.minimum(2.0 * h[rest], 1e6)
-        moved[rest] = _line_search(model, X, D, V, nv, c, noise, h, rest)
-        for k in np.flatnonzero(~moved):
-            ends[live[k]] = MaxIters(f"line search stalled at iteration {it} (|v0| = {nv[k]:.3e})")
-        # every row that leaves the loop, here or at the next field
+    live, its, h = np.arange(len(X)), np.zeros(len(X), dtype=int), np.full(len(X), INITIAL_STEP)
+    waiting = []  # the state of the rows that wait for the Newton trial, one tuple per pass
+    while live.size or waiting:
+        if live.size:
+            # the Hessian reads the field's weights only through <w, d>,
+            # which the field hands back in their place
+            V, wd = model._field(X, D)
+            nv = np.sqrt(np.vecdot(V, V))
+            done = nv < stop
+            # the field is NaN exactly in the rows inside a guard buffer
+            breach = np.isnan(nv)
+            end = done | breach
+            if np.count_nonzero(end):
+                nv_end[live[done]] = nv[done]
+                for k in breach.nonzero()[0]:
+                    ends[live[k]] = DomainBreach("iterate entered a guard buffer of an excluded set" if its[k] else
+                                                 "start point violates the model's domain guard")
+                live, its, X, D, c, h, V, wd, nv = _compact(~end, live, its, X, D, c, h, V, wd, nv)
+            # value evaluations carry cancellation noise well above one ulp,
+            # so every acceptance test judges decreases against this larger
+            # scale
+            noise = 1e-13 * (1.0 + np.abs(c))
+            wait = _newton_screen(model, X, D, wd, nv)
+            if np.count_nonzero(wait):
+                waiting.append(_compact(wait, live, its, X, D, c, h, V, wd, nv, noise))
+            # the rows that wait take no step here, and so leave the running
+            # rows below
+            step, rest = np.zeros(len(live), dtype=bool), (~wait).nonzero()[0]
+        if not (live.size and rest.size):
+            if not waiting:
+                break  # the last running rows ended at their field
+            # every running row waits: one Newton trial serves them all
+            state = waiting[0] if len(waiting) == 1 else [np.concatenate(a) for a in zip(*waiting)]
+            live, its, X, D, c, h, V, wd, nv, noise = state
+            waiting = []
+            step = _newton_trial(model, X, D, V, wd, nv, c, noise)
+            rest = (~step).nonzero()[0]
+        if rest.size:
+            # retry a bit above the last accepted step; a first search starts
+            # no higher than the row's cost allows
+            h[rest] = np.minimum(2.0 * h[rest], 1e6)
+            first = rest[its[rest] == 0]
+            if first.size:
+                h[first] = _first_step(h[first], nv[first], c[first])
+            found = _line_search(model, X, D, V, nv, c, noise, h, rest)
+            step[rest[found]] = True
+            for k in rest[~found]:
+                ends[live[k]] = MaxIters(f"line search stalled at iteration {its[k]} (|v0| = {nv[k]:.3e})")
+        # a row runs on where it stepped, unless that step was its
+        # MAX_ITERS-th (a new array: a waiting row's state may share this one)
+        its = its + step
+        keep = step & (its < MAX_ITERS)
+        for k in (step ^ keep).nonzero()[0]:
+            ends[live[k]] = MaxIters(f"no convergence in {MAX_ITERS} iterations")
+        # every row that leaves the loop, here or at its next field
         # evaluation, leaves at the point written now
         q[live] = X
-        live, X, D, c, h = _compact(moved, live, X, D, c, h)
-    for k in live:
-        ends[k] = MaxIters(f"no convergence in {MAX_ITERS} iterations")
+        live, its, X, D, c, h = _compact(keep, live, its, X, D, c, h)
     return q, nv_end, ends
+
+
+def _check_model(model):
+    """Raise ValueError unless the flow can run on model: it needs a single
+    sample set, and it squares the field, so the field's bound 4 c r
+    (||v|| <= 4 ||G|| <= 4 c r for Lp with p >= 2; c is ``model.scale``,
+    r the sample count) must stay finite when squared. Lp on two samples
+    passes up to about p = 333."""
+    model._single_set()
+    bound = 4.0 * model.scale * model.samples.r
+    if not math.isfinite(bound * bound):
+        raise ValueError(f"the flow squares the control field, bounded by 4 c r with c = {model.scale:.4g} "
+                         f"and r = {model.samples.r}, and (4 c r)^2 overflows")
 
 
 def _stop(model, tol):
@@ -170,8 +220,13 @@ def _stop(model, tol):
 
 def _compact(keep, *state):
     """The rows ``keep`` of each state array, or the arrays themselves when
-    every row stays."""
-    return state if keep.all() else tuple(a[keep] for a in state)
+    every row stays.
+
+    The flow's masks are tested with count_nonzero and their rows found with
+    nonzero, which call numpy's C functions directly: at the flow's few
+    dozen rows, any, all and flatnonzero cost several times as much in their
+    Python wrappers."""
+    return state if np.count_nonzero(keep) == len(keep) else tuple(a[keep] for a in state)
 
 
 def _newton_trial(model, X, D, V, wd, nv, cost, noise):
@@ -191,22 +246,20 @@ def _newton_trial(model, X, D, V, wd, nv, cost, noise):
     stays within it while ||control_field|| at least halves.
 
     Since ||eta|| >= ||v / 4|| / ||K||_F, a row can step only where
-    ||v / 4|| <= NEWTON_RADIUS ||K||_F. K is formed only for the rows where
-    that holds with ||K||_F replaced by its bound c (sqrt(3) |wd| + r s)
-    (:meth:`CostModel._slope_bound`, times HESSIAN_BOUND_SLACK), which needs
-    neither the slopes w' nor the samples' frame coordinates. Every other
-    row would fail the exact test too, so the screen skips no Newton step,
-    and the rows it keeps get the bits they would get without it.
+    ||v / 4|| <= NEWTON_RADIUS ||K||_F. K is formed only for the rows that
+    pass :func:`_newton_screen`, which tests that with ||K||_F replaced by
+    a bound; every other row would fail the exact test too, so the screen
+    skips no Newton step, and the rows it keeps get the bits they would get
+    without it. The flow passes only rows that pass it.
     """
     took = np.zeros(len(X), dtype=bool)
-    bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + model.samples.r * model._slope_bound(X, D))
-    screen = 0.25 * nv <= NEWTON_RADIUS * HESSIAN_BOUND_SLACK * bound
-    if not screen.any():
+    screen = _newton_screen(model, X, D, wd, nv)
+    if not np.count_nonzero(screen):
         return took
     B, K = model._frame_hessian(*_compact(screen, X, D, wd))
     # the exact test; sel indexes B and K, rows the full arrays
-    sel = np.flatnonzero(0.25 * nv[screen] <= NEWTON_RADIUS * np.sqrt((K * K).sum(axis=(1, 2))))
-    rows = np.flatnonzero(screen)[sel]
+    sel = (0.25 * nv[screen] <= NEWTON_RADIUS * np.sqrt((K * K).sum(axis=(1, 2)))).nonzero()[0]
+    rows = screen.nonzero()[0][sel]
     lam, E = np.linalg.eigh(K[sel])
     pd = lam[:, 0] > 0.0  # eigh sorts each row ascending
     sel, rows, lam = sel[pd], rows[pd], lam[pd]
@@ -217,6 +270,17 @@ def _newton_trial(model, X, D, V, wd, nv, cost, noise):
     ok = _try(model, X, D, cost, noise, rows, normalize(X[rows] + eta[short]), noise[rows], 0.5 * nv[rows])
     took[rows[ok]] = True
     return took
+
+
+def _newton_screen(model, X, D, wd, nv):
+    """Which unit rows of X, with dots D, <w, d> = wd and field norms nv, may
+    take a Newton step (:func:`_newton_trial`): those where ||v / 4|| <=
+    NEWTON_RADIUS ||K||_F holds with ||K||_F replaced by its bound
+    c (sqrt(3) |wd| + r s) (:meth:`CostModel._slope_bound`, times
+    HESSIAN_BOUND_SLACK), which needs neither the slopes w' nor the
+    samples' frame coordinates."""
+    bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + model.samples.r * model._slope_bound(X, D))
+    return 0.25 * nv <= NEWTON_RADIUS * HESSIAN_BOUND_SLACK * bound
 
 
 def _try(model, X, D, cost, noise, rows, T, fall, field_bound):
@@ -233,7 +297,7 @@ def _try(model, X, D, cost, noise, rows, T, fall, field_bound):
     dc = cT - c
     ok = dc <= -fall
     check = ~ok & (np.abs(dc) <= noise[rows])
-    if check.any():
+    if np.count_nonzero(check):
         F = model._field(T[check], DT[check])[0]
         ok[check] = np.sqrt(np.vecdot(F, F)) <= field_bound[check]
     k = rows[ok]
@@ -250,21 +314,35 @@ def _line_search(model, X, D, V, nv, cost, noise, h, rows):
     their dots D and costs, to the point found; h holds each row's last
     step tried."""
     found = np.zeros(len(rows), dtype=bool)
-    todo = np.flatnonzero(h[rows] * nv[rows] > 1e-18)  # positions in rows
+    todo = (h[rows] * nv[rows] > 1e-18).nonzero()[0]  # positions in rows
     while todo.size:
         k = rows[todo]
-        n = nv[k]
+        hk, n = h[k], nv[k]
         # sufficient decrease: <grad, v> = |v|^2 / 4 at unit q, so a
         # tenth of the first-order prediction must materialize — bare
         # descent would admit wildly overshooting steps near the floor
-        fall = np.maximum(0.025 * h[k] * n * n, noise[k])
-        ok = _try(model, X, D, cost, noise, k, normalize(X[k] - h[k, None] * V[k]), fall, 0.999 * n)
+        fall = np.maximum(0.025 * hk * n * n, noise[k])
+        ok = _try(model, X, D, cost, noise, k, normalize(X[k] - hk[:, None] * V[k]), fall, 0.999 * n)
         found[todo[ok]] = True
-        todo = todo[~ok]
-        k = rows[todo]
-        h[k] *= STEP_SHRINK
-        todo = todo[h[k] * nv[k] > 1e-18]
+        fail = ~ok
+        todo, k, hk = todo[fail], k[fail], hk[fail] * STEP_SHRINK
+        h[k] = hk
+        todo = todo[hk * n[fail] > 1e-18]
     return found
+
+
+def _first_step(h, nv, cost):
+    """The steps h of rows' first line search, halved exactly to the largest
+    h 2^-k (k >= 0) whose required decrease 0.025 h |v|^2 does not exceed
+    the cost. Every cost is >= 0, so a longer step could pass only on the
+    noise floor, by a coincidence of some 13 digits; the search would try
+    each and refuse it. The exponents of frexp give k exactly: halving h
+    halves 0.025 h |v|^2 exactly. Rows whose cost or 0.025 h |v|^2 is not
+    positive and finite keep h."""
+    a, ea = np.frexp(0.025 * h * nv * nv)
+    b, eb = np.frexp(cost)
+    k = np.where((a > 0.0) & (b > 0.0) & np.isfinite(a * b), np.maximum(ea - eb + (a > b), 0), 0)
+    return np.ldexp(h, -k)
 
 
 def _critical_points(model, q, nv):
@@ -287,7 +365,11 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = FLOW_TOL
     """Run the flow from n uniform random starts in lockstep; dedup and sort
     by cost.
 
-    Starts violating the model's domain guard are redrawn
+    Each start takes the steps it would take alone, with its own iteration
+    count; a start whose field passes the Newton screen waits until every
+    running start does, so that one Newton trial serves them all
+    (:func:`_flow`). Raises ValueError as :func:`flow_descend` does on the
+    model. Starts violating the model's domain guard are redrawn
     (:func:`_draw_starts`). The converged limits are put in classes by the
     rule of :func:`~rotavg.geometry._classes` (a limit joins the first
     class whose first limit's rotation matrix lies within Frobenius
@@ -302,7 +384,7 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = FLOW_TOL
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    model._single_set()
+    _check_model(model)
     q, nv, ends = _flow(model, _draw_starts(model, n_starts, np.random.default_rng(seed)), tol)
     converged = [k for k, end in enumerate(ends) if end is None]
     q[converged] = canonicalize_sign(normalize(q[converged]))

@@ -111,6 +111,36 @@ def test_average_p_whose_scale_overflows(cluster_input, capsys):
     assert err.startswith("error: --p") and len(err.splitlines()) == 1
 
 
+@pytest.fixture
+def two_rotations(tmp_path):
+    p = tmp_path / "two.json"
+    p.write_text(json.dumps({"rotations": [{"quaternion": [1, 0, 0, 0]}, {"quaternion": [0.6, 0.8, 0, 0]}]}))
+    return p
+
+
+@pytest.mark.parametrize("p", ["334", "400", "676"])
+def test_average_p_whose_field_bound_overflows(two_rotations, capsys, monkeypatch, p):
+    # the model builds, but the flow squares a field bounded by 4 c r, which
+    # overflows past p = 333.5 at r = 2: refused with one error line before
+    # any start is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(cli, "multistart", refuse)
+    assert main(["average", "--cost", "lp", "--p", p, "--input", str(two_rotations)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --p is too large: the flow squares the control field") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("p", ["300", "330", "333"])
+def test_average_p_below_the_field_bound_runs(two_rotations, tmp_path, p):
+    # every accepted power ends with finite costs and field norms
+    out = tmp_path / "out.json"
+    assert main(["average", "--cost", "lp", "--p", p, "--input", str(two_rotations), "--out", str(out)]) == 0
+    pts = json.loads(out.read_text())["critical_points"]
+    assert pts and all(math.isfinite(pt["cost"]) and math.isfinite(pt["control_norm"]) for pt in pts)
+
+
 def test_average_seed_negative(cluster_input, capsys):
     assert main(["average", "--input", str(cluster_input), "--seed", "-1"]) == 3
     assert "error: --seed" in capsys.readouterr().err

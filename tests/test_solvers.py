@@ -67,6 +67,20 @@ def test_flow_tol_validation():
             multistart(model, 2, seed=0, tol=tol)
 
 
+def test_flow_refuses_a_field_bound_that_overflows():
+    # the flow squares the control field, bounded by 4 c r; on two samples Lp
+    # overflows that square past p = 333.5, though the model builds up to
+    # p = 676.4
+    samples = SampleSet.from_quaternions([[1.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0]])
+    for p in (334.0, 400.0, 676.0):
+        model = CostModel.lp_chordal(samples, p)
+        with pytest.raises(ValueError, match="control field"):
+            flow_descend(model, [1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="control field"):
+            multistart(model, 2, seed=0)
+    assert multistart(CostModel.lp_chordal(samples, 333.0), 2, seed=0)
+
+
 def test_random_unit_quaternion():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -347,6 +361,48 @@ def test_newton_screen_skips_no_step(kind, r, monkeypatch):
     assert not screened[0].any() and hessian_rows == []
 
 
+@pytest.mark.parametrize("kind", ["l2", "geodesic", "d3", "lp1.5", "lp4"])
+def test_newton_trial_receives_screened_rows_alone(kind, monkeypatch):
+    # a start whose field passes the Newton screen waits for the others, and
+    # a start that fails it takes its line search at once: every Newton
+    # trial of the flow receives only rows that pass the screen
+    # ||v / 4|| <= NEWTON_RADIUS c (sqrt(3) |<w, d>| + r s), and some trial
+    # serves several rows
+    model = kind_model(kind, SampleSet.from_quaternions(np.random.default_rng(41).standard_normal((5, 4))))
+    newton_trial = solvers._newton_trial
+    rows = []
+
+    def screened_newton_trial(model, X, D, V, wd, nv, cost, noise):
+        bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + model.samples.r * model._slope_bound(X, D))
+        assert np.all(0.25 * nv <= solvers.NEWTON_RADIUS * solvers.HESSIAN_BOUND_SLACK * bound)
+        rows.append(len(X))
+        return newton_trial(model, X, D, V, wd, nv, cost, noise)
+
+    monkeypatch.setattr(solvers, "_newton_trial", screened_newton_trial)
+    assert multistart(model, 64, seed=0)
+    assert rows and max(rows) > 1
+
+
+def test_first_step_halves_to_the_cost():
+    # a first search starts at the longest of 2 INITIAL_STEP, INITIAL_STEP,
+    # ... whose required decrease 0.025 h |v|^2 does not exceed the cost, by
+    # exact halvings: h takes the value the search would have reached by
+    # refusing every longer step
+    rng = np.random.default_rng(5)
+    nv, cost = 10.0 ** rng.uniform(-8.0, 100.0, 300), 10.0 ** rng.uniform(-20.0, 100.0, 300)
+    h0 = 2.0 * solvers.INITIAL_STEP
+    h = solvers._first_step(np.full(300, h0), nv, cost)
+    for hk, n, c in zip(h, nv, cost):
+        want = h0
+        while 0.025 * want * n * n > c:
+            want *= solvers.STEP_SHRINK
+        assert hk == want
+    assert np.any(h == h0) and np.any(h < 1e-100)
+    # a cost or a decrease that is not positive and finite keeps h
+    kept = solvers._first_step(np.full(4, h0), np.array([1.0, 1.0, 1.0, np.nan]), np.array([0.0, np.inf, np.nan, 1.0]))
+    assert np.array_equal(kept, np.full(4, h0))
+
+
 def test_newton_finish_keeps_basins():
     # the trust radius is small enough that Newton steps never leave the
     # basin the line search was in: the same single minimum as the flow
@@ -444,7 +500,11 @@ def assert_same_classes(model, got, want):
 @pytest.mark.parametrize(
     "kind, r, n",
     [pytest.param(kind, 5, 16, id=kind) for kind in ("l2", "geodesic", "d3", "lp1.5", "lp4")]
-    + [pytest.param(kind, 200, 8, id=f"{kind}-r200") for kind in ("geodesic", "lp1.5")],
+    + [pytest.param(kind, 200, 8, id=f"{kind}-r200") for kind in ("geodesic", "lp1.5")]
+    # 64 starts on uniform samples, run one by one, first pass the Newton
+    # screen at iterations 4 to 12, so the lockstep Newton trials batch rows
+    # that waited for different numbers of passes
+    + [pytest.param("d3", 5, 64, id="d3-64")],
 )
 def test_multistart_rows_independent(kind, r, n):
     # the lockstep starts give the classes of the same starts run one by one,
