@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 check failure, 2 parse error, 3 validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import json
@@ -194,11 +195,15 @@ def _require_seed(args) -> None:
         raise _ValidationError("--seed must be >= 0")
 
 
+def _text_out(path):
+    """The text stream to write to: the file at path, opened for writing
+    and closed on leaving the context, or stdout (left open) where path is
+    None."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
 def _write_text(path, text) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w") as fh:
+    with _text_out(path) as fh:
         fh.write(text)
 
 
@@ -291,16 +296,19 @@ def cmd_distance(args) -> int:
     if len(samples) < 2:
         raise _ValidationError("distance needs at least 2 rotations")
     Q = samples.quaternions
-    lines = ["i j d1 d2 d3"]
-    # a block of rows i against every sample, about 2^16 pairs at a time
+    # a block of rows i against every sample, about 2^16 pairs at a time,
+    # written as it is formed, so that memory stays bounded at large r
     step = max(1, 2**16 // len(Q))
-    for i0 in range(0, len(Q) - 1, step):
-        D1, D2, D3 = (d.tolist() for d in _pair_distances(Q[i0 : i0 + step], Q))
-        for i, d1, d2, d3 in zip(range(i0, len(Q)), D1, D2, D3):
-            for j in range(i + 1, len(Q)):
-                d2j = "undefined" if math.isnan(d2[j]) else f"{d2[j]:.12g}"
-                lines.append(f"{i} {j} {d1[j]:.12g} {d2j} {d3[j]:.12g}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _text_out(args.out) as fh:
+        fh.write("i j d1 d2 d3\n")
+        for i0 in range(0, len(Q) - 1, step):
+            D1, D2, D3 = (d.tolist() for d in _pair_distances(Q[i0 : i0 + step], Q))
+            lines = []
+            for i, d1, d2, d3 in zip(range(i0, len(Q)), D1, D2, D3):
+                for j in range(i + 1, len(Q)):
+                    d2j = "undefined" if math.isnan(d2[j]) else f"{d2[j]:.12g}"
+                    lines.append(f"{i} {j} {d1[j]:.12g} {d2j} {d3[j]:.12g}\n")
+            fh.write("".join(lines))
     return EXIT_OK
 
 

@@ -75,6 +75,14 @@ EPS_DOM = 1e-9  # guard buffer around the excluded sets
 # Lp with p < 4: the Hessian terms of the pairs with 1 - x_i^2 below this
 # are formed from the samples' frame coordinates, not from S (see hessian)
 LINE_PAIR_GAP = 1e-3
+# relative slack on the bound on ||K||_F (see _hessian_bound): the computed
+# K = c (<w, d> I - B S B^T) rounds each of the r terms of S to a few
+# eps |w'(x_i)|, at most 1e3 eps times the term's share s of the bound
+# (|w'| <= 2 s for Lp 2, so l2, geodesic, d3 and Lp with p >= 4; Lp with
+# any other p < 4 keeps the pairs with 1 - x_i^2 < LINE_PAIR_GAP out of S),
+# so its rounding stays below 1e-9 of the bound unless r is in the
+# thousands and the roundings align
+HESSIAN_BOUND_SLACK = 1.0 + 1e-9
 
 
 class DomainError(ValueError):
@@ -559,26 +567,6 @@ class CostModel:
 
     # -- residual systems --------------------------------------------------
 
-    def _slope_bound(self, X, D):
-        """s >= |w'(x_i)| |B q_i|^2 for every sample of each row of X, with
-        dots D, so that the Hessian in the frame (:meth:`_frame_hessian`) obeys
-        ||K||_F <= c (sqrt(3) |<w, d>| + r s).
-
-        At unit q and q_i, |B q_i|^2 = 1 - x_i^2. Where w' stays finite,
-        |w'(x)| (1 - x^2) is at most 1, its value at x = 0 (1 - phi cot phi
-        for geodesic; checked over [-1, 1] for Lp with p >= 2), so s = 1.
-        Where w' diverges on the sample lines (Lp, p < 2) it is at most
-        (1 - x^2)^(p/2 - 1), largest at the row's smallest 1 - x_i^2:
-        s = clearance^(p - 2). Rows and samples that are unit only to within
-        a few ulp leave the computed |B q_i|^2 up to about 4e-15 above
-        1 - x_i^2; next to a line that is no longer small against 1 - x_i^2,
-        so s there is raised by the factor 1 + 1e-14 / clearance^2.
-        """
-        if self._cost.excluded == "lines":
-            u = self._clearance_at(X, D) ** 2
-            return u ** (self.p / 2.0 - 1.0) * (1.0 + 1e-14 / u)
-        return 1.0
-
     def hessian(self, q):
         """Tangent Hessian of the cost on S3 at unit q, as a symmetric 4x4
         matrix (one per row of a stack): B^T K B with B = tangent_frame(q)
@@ -640,6 +628,29 @@ class CostModel:
             A = np.matvec(B[k], self.samples.quaternions[i] - np.sign(D[k, i])[:, None] * X[k])
             np.add.at(K, k, near[:, None, None] * A[:, :, None] * A[:, None, :])
         return B, self.scale * (wd[:, None, None] * np.eye(3) - K)
+
+    def _hessian_bound(self, X, D, wd):
+        """HESSIAN_BOUND_SLACK c (sqrt(3) |wd| + r s), a bound on ||K||_F for
+        the Hessian K in the frame (:meth:`_frame_hessian`) at the unit rows
+        of X with dots D and <w, d> = wd, where s >= |w'(x_i)| |B q_i|^2 for
+        every sample of the row. It needs neither the slopes w' nor the
+        samples' frame coordinates.
+
+        At unit q and q_i, |B q_i|^2 = 1 - x_i^2. Where w' stays finite,
+        |w'(x)| (1 - x^2) is at most 1, its value at x = 0 (1 - phi cot phi
+        for geodesic; checked over [-1, 1] for Lp with p >= 2), so s = 1.
+        Where w' diverges on the sample lines (Lp, p < 2) it is at most
+        (1 - x^2)^(p/2 - 1), largest at the row's smallest 1 - x_i^2:
+        s = clearance^(p - 2). Rows and samples that are unit only to within
+        a few ulp leave the computed |B q_i|^2 up to about 4e-15 above
+        1 - x_i^2; next to a line that is no longer small against 1 - x_i^2,
+        so s there is raised by the factor 1 + 1e-14 / clearance^2.
+        """
+        s = 1.0
+        if self._cost.excluded == "lines":
+            u = self._clearance_at(X, D) ** 2
+            s = u ** (self.p / 2.0 - 1.0) * (1.0 + 1e-14 / u)
+        return HESSIAN_BOUND_SLACK * self.scale * (np.sqrt(3.0) * np.abs(wd) + self.samples.r * s)
 
     def pushforward_residual(self, q) -> np.ndarray:
         """sum_i w_i(q) Delta_i(q): the critical-point system pushed to SO(3).

@@ -39,6 +39,12 @@ __all__ = [
 def normalize(q):
     """Return q / ||q||, or each row of an (n, 4) array over its own norm.
 
+    A finite row whose squared norm overflows (entries past about 1e154) is
+    divided by its largest |q_j| first, so it comes out as its direction
+    (numpy still warns of the overflow); every other row keeps the bits of
+    the plain division, and a call with no such row pays one comparison. A
+    row with an infinite entry has no direction and comes out NaN.
+
     Parameters
     ----------
     q : (4,) or (n, 4) array_like
@@ -56,6 +62,9 @@ def normalize(q):
     """
     q = np.asarray(q, dtype=float)
     n = np.sqrt(np.vecdot(q, q, keepdims=True))
+    if np.count_nonzero(n == math.inf):
+        q = q / np.where(n == math.inf, np.max(np.abs(q), axis=-1, keepdims=True), 1.0)
+        n = np.sqrt(np.vecdot(q, q, keepdims=True))
     if np.count_nonzero(n < 1e-300):  # the C call: any() costs more on few rows
         raise ValueError("cannot normalize the zero quaternion")
     return q / n

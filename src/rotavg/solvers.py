@@ -28,14 +28,6 @@ FLOW_TOL = 1e-12  # default stopping tolerance of the flow, relative to 1 + c r 
 INITIAL_STEP = 1e-2  # first Euler step flow_descend tries
 STEP_SHRINK = 0.5  # backtracking factor of the line search
 NEWTON_RADIUS = 1e-3  # longest Newton step flow_descend tries
-# relative slack on the bound that screens rows out of the Newton trial: the
-# computed K = c (<w, d> I - B S B^T) rounds each of the r terms of S to a
-# few eps |w'(x_i)|, at most 1e3 eps times the term's share s of the bound
-# (|w'| <= 2 s for Lp 2, so l2, geodesic, d3 and Lp with p >= 4; Lp with
-# any other p < 4 keeps the pairs with 1 - x_i^2 < 1e-3 out of S), so its
-# rounding stays below 1e-9 of the bound unless r is in the thousands and
-# the roundings align
-HESSIAN_BOUND_SLACK = 1.0 + 1e-9
 BOUNDARY_CLEARANCE = 2e-5  # classify labels points this close to an excluded set Boundary
 
 
@@ -116,7 +108,8 @@ def _flow(model, Q0, tol):
     every running row waits, one :func:`_newton_trial` runs over all of
     them, then one :func:`_line_search` over those it did not move. So each
     row computes what it would compute alone, in the same order; only the
-    grouping of rows into calls depends on the others.
+    grouping of rows into calls depends on the others. Both judge a trial
+    by :func:`_try`, which reads the row's noise floor off its cost.
 
     The running rows' state is kept compacted to them: points X, costs c,
     steps h, counts and the sample dots D = Q X, formed once per point when
@@ -155,13 +148,9 @@ def _flow(model, Q0, tol):
                     ends[live[k]] = DomainBreach("iterate entered a guard buffer of an excluded set" if its[k] else
                                                  "start point violates the model's domain guard")
                 live, its, X, D, c, h, V, wd, nv = _compact(~end, live, its, X, D, c, h, V, wd, nv)
-            # value evaluations carry cancellation noise well above one ulp,
-            # so every acceptance test judges decreases against this larger
-            # scale
-            noise = 1e-13 * (1.0 + np.abs(c))
             wait = _newton_screen(model, X, D, wd, nv)
             if np.count_nonzero(wait):
-                waiting.append(_compact(wait, live, its, X, D, c, h, V, wd, nv, noise))
+                waiting.append(_compact(wait, live, its, X, D, c, h, V, wd, nv))
             # the rows that wait take no step here, and so leave the running
             # rows below
             step, rest = np.zeros(len(live), dtype=bool), (~wait).nonzero()[0]
@@ -170,9 +159,9 @@ def _flow(model, Q0, tol):
                 break  # the last running rows ended at their field
             # every running row waits: one Newton trial serves them all
             state = waiting[0] if len(waiting) == 1 else [np.concatenate(a) for a in zip(*waiting)]
-            live, its, X, D, c, h, V, wd, nv, noise = state
+            live, its, X, D, c, h, V, wd, nv = state
             waiting = []
-            step = _newton_trial(model, X, D, V, wd, nv, c, noise)
+            step = _newton_trial(model, X, D, V, wd, nv, c)
             rest = (~step).nonzero()[0]
         if rest.size:
             # retry a bit above the last accepted step; a first search starts
@@ -181,7 +170,7 @@ def _flow(model, Q0, tol):
             first = rest[its[rest] == 0]
             if first.size:
                 h[first] = _first_step(h[first], nv[first], c[first])
-            found = _line_search(model, X, D, V, nv, c, noise, h, rest)
+            found = _line_search(model, X, D, V, nv, c, h, rest)
             step[rest[found]] = True
             for k in rest[~found]:
                 ends[live[k]] = MaxIters(f"line search stalled at iteration {its[k]} (|v0| = {nv[k]:.3e})")
@@ -229,7 +218,7 @@ def _compact(keep, *state):
     return state if np.count_nonzero(keep) == len(keep) else tuple(a[keep] for a in state)
 
 
-def _newton_trial(model, X, D, V, wd, nv, cost, noise):
+def _newton_trial(model, X, D, V, wd, nv, cost):
     """One Riemannian Newton step from each unit row of X, where it is
     taken: those rows move in place, with their dots D and costs, to the new
     point. Returns which rows took it.
@@ -240,34 +229,27 @@ def _newton_trial(model, X, D, V, wd, nv, cost, noise):
     from D and wd = <w, d>, the weights w of the field V times the dots),
     and moves by eta = B^T e. One eigendecomposition K = E diag(lam) E^T
     gives both the gate and the step eta = B^T E (E^T B (-v / 4) / lam). The step
-    is tried only where K is positive definite (lam_min > 0) and eta is
-    finite and no longer than NEWTON_RADIUS, and taken (:func:`_try`) if
-    the cost at normalize(q + eta) falls by at least the noise scale, or
-    stays within it while ||control_field|| at least halves.
+    is tried only where ||v / 4|| <= NEWTON_RADIUS ||K||_F (elsewhere
+    ||eta|| >= ||v / 4|| / ||K||_F exceeds the radius), K is positive definite
+    (lam_min > 0) and eta is finite and no longer than NEWTON_RADIUS, and
+    taken (:func:`_try`, with fall 0) if the cost at normalize(q + eta)
+    falls by at least the noise floor, or stays within it while
+    ||control_field|| at least halves.
 
-    Since ||eta|| >= ||v / 4|| / ||K||_F, a row can step only where
-    ||v / 4|| <= NEWTON_RADIUS ||K||_F. K is formed only for the rows that
-    pass :func:`_newton_screen`, which tests that with ||K||_F replaced by
-    a bound; every other row would fail the exact test too, so the screen
-    skips no Newton step, and the rows it keeps get the bits they would get
-    without it. The flow passes only rows that pass it.
+    K is formed for every row given: the flow gives only the rows that
+    pass :func:`_newton_screen`, which rules out the rest without it.
     """
     took = np.zeros(len(X), dtype=bool)
-    screen = _newton_screen(model, X, D, wd, nv)
-    if not np.count_nonzero(screen):
-        return took
-    B, K = model._frame_hessian(*_compact(screen, X, D, wd))
-    # the exact test; sel indexes B and K, rows the full arrays
-    sel = (0.25 * nv[screen] <= NEWTON_RADIUS * np.sqrt((K * K).sum(axis=(1, 2)))).nonzero()[0]
-    rows = screen.nonzero()[0][sel]
-    lam, E = np.linalg.eigh(K[sel])
+    B, K = model._frame_hessian(X, D, wd)
+    rows = (0.25 * nv <= NEWTON_RADIUS * np.sqrt((K * K).sum(axis=(1, 2)))).nonzero()[0]
+    lam, E = np.linalg.eigh(K[rows])
     pd = lam[:, 0] > 0.0  # eigh sorts each row ascending
-    sel, rows, lam = sel[pd], rows[pd], lam[pd]
-    EB = E[pd].transpose(0, 2, 1) @ B[sel]  # rows: the eigenvectors as tangent vectors
+    rows, lam = rows[pd], lam[pd]
+    EB = E[pd].transpose(0, 2, 1) @ B[rows]  # rows: the eigenvectors as tangent vectors
     eta = np.vecmat(np.matvec(EB, -0.25 * V[rows]) / lam, EB)
     short = np.all(np.isfinite(eta), axis=1) & (np.sqrt(np.vecdot(eta, eta)) <= NEWTON_RADIUS)
     rows = rows[short]
-    ok = _try(model, X, D, cost, noise, rows, normalize(X[rows] + eta[short]), noise[rows], 0.5 * nv[rows])
+    ok = _try(model, X, D, cost, rows, normalize(X[rows] + eta[short]), 0.0, 0.5 * nv[rows])
     took[rows[ok]] = True
     return took
 
@@ -276,27 +258,29 @@ def _newton_screen(model, X, D, wd, nv):
     """Which unit rows of X, with dots D, <w, d> = wd and field norms nv, may
     take a Newton step (:func:`_newton_trial`): those where ||v / 4|| <=
     NEWTON_RADIUS ||K||_F holds with ||K||_F replaced by its bound
-    c (sqrt(3) |wd| + r s) (:meth:`CostModel._slope_bound`, times
-    HESSIAN_BOUND_SLACK), which needs neither the slopes w' nor the
-    samples' frame coordinates."""
-    bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + model.samples.r * model._slope_bound(X, D))
-    return 0.25 * nv <= NEWTON_RADIUS * HESSIAN_BOUND_SLACK * bound
+    (:meth:`CostModel._hessian_bound`). Every other row would fail the
+    trial's exact test too, so the screen skips no Newton step, and the
+    rows it keeps get the bits they would get without it."""
+    return 0.25 * nv <= NEWTON_RADIUS * model._hessian_bound(X, D, wd)
 
 
-def _try(model, X, D, cost, noise, rows, T, fall, field_bound):
+def _try(model, X, D, cost, rows, T, fall, field_bound):
     """Try the points T for the given rows of X: which of them are
-    accepted. A trial is accepted where its cost change dc falls by at
-    least ``fall``, dc <= -fall, or where dc sits at the noise floor,
-    |dc| <= noise, while ||control_field|| at T is at most field_bound (the
-    field is evaluated only on the rows that decides). A NaN cost (a trial
-    inside a guard buffer) passes neither test. The accepted rows of X move
-    in place to T, with the dots D and costs that
+    accepted. Value evaluations carry cancellation noise well above one
+    ulp, so each trial is judged against the noise floor
+    noise = 1e-13 (1 + |c|) of its row's cost c. A trial is accepted where
+    its cost change dc falls by at least max(fall, noise), or where dc sits
+    at the noise floor, |dc| <= noise, while ||control_field|| at T is at
+    most field_bound (the field is evaluated only on the rows that decides).
+    A NaN cost (a trial inside a guard buffer) passes neither test. The
+    accepted rows of X move in place to T, with the dots D and costs that
     :meth:`CostModel._trial` gives T from its rows."""
     c = cost[rows]
+    noise = 1e-13 * (1.0 + np.abs(c))
     DT, cT = model._trial(T, X[rows], c)
     dc = cT - c
-    ok = dc <= -fall
-    check = ~ok & (np.abs(dc) <= noise[rows])
+    ok = dc <= -np.maximum(fall, noise)
+    check = ~ok & (np.abs(dc) <= noise)
     if np.count_nonzero(check):
         F = model._field(T[check], DT[check])[0]
         ok[check] = np.sqrt(np.vecdot(F, F)) <= field_bound[check]
@@ -305,14 +289,14 @@ def _try(model, X, D, cost, noise, rows, T, fall, field_bound):
     return ok
 
 
-def _line_search(model, X, D, V, nv, cost, noise, h, rows):
+def _line_search(model, X, D, V, nv, cost, h, rows):
     """Backtrack each of the given rows from its step h along -v: which of
-    them found an acceptable step. A step is acceptable (:func:`_try`)
-    where the cost falls by at least max(0.025 h |v|^2, noise), or where
-    its change sits at the noise floor and ||control_field|| shrinks to at
-    most 0.999 |v|; otherwise h halves. Those rows move in place, with
-    their dots D and costs, to the point found; h holds each row's last
-    step tried."""
+    them found an acceptable step. A step is acceptable (:func:`_try`, which
+    forms the noise floor of the row's cost) where the cost falls by at
+    least max(0.025 h |v|^2, noise), or where its change sits at the noise
+    floor and ||control_field|| shrinks to at most 0.999 |v|; otherwise h
+    halves. Those rows move in place, with their dots D and costs, to the
+    point found; h holds each row's last step tried."""
     found = np.zeros(len(rows), dtype=bool)
     todo = (h[rows] * nv[rows] > 1e-18).nonzero()[0]  # positions in rows
     while todo.size:
@@ -321,8 +305,7 @@ def _line_search(model, X, D, V, nv, cost, noise, h, rows):
         # sufficient decrease: <grad, v> = |v|^2 / 4 at unit q, so a
         # tenth of the first-order prediction must materialize — bare
         # descent would admit wildly overshooting steps near the floor
-        fall = np.maximum(0.025 * hk * n * n, noise[k])
-        ok = _try(model, X, D, cost, noise, k, normalize(X[k] - hk[:, None] * V[k]), fall, 0.999 * n)
+        ok = _try(model, X, D, cost, k, normalize(X[k] - hk[:, None] * V[k]), 0.025 * hk * n * n, 0.999 * n)
         found[todo[ok]] = True
         fail = ~ok
         todo, k, hk = todo[fail], k[fail], hk[fail] * STEP_SHRINK

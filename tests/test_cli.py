@@ -733,6 +733,22 @@ def test_distance_table(tmp_path, capsys):
     assert float(row01[4]) == pytest.approx(1.0, abs=1e-11)
 
 
+def test_distance_writes_each_block_as_it_forms_it(tmp_path):
+    # 1200 rotations make a table of 719 400 lines, some 50 MB: written
+    # block by block as distance forms it, the process's peak resident set
+    # stays below 100 MB (a table held whole took it to about 200 MB). The
+    # child's peak is read in a wrapper process whose only child it is
+    # (ru_maxrss is in kilobytes on Linux)
+    p = tmp_path / "in.json"
+    q = normalize(np.random.default_rng(3).standard_normal((1200, 4)))
+    p.write_text(json.dumps({"rotations": [{"quaternion": r} for r in q.tolist()]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    peak = "import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    argv = [sys.executable, "-m", "rotavg", "distance", "--input", str(p), "--out", os.devnull]
+    proc = subprocess.run([sys.executable, "-c", peak, *argv], capture_output=True, text=True, env=env, check=True)
+    assert int(proc.stdout) < 100 * 1024
+
+
 def test_distance_needs_two(tmp_path):
     p = tmp_path / "in.json"
     p.write_text(json.dumps({"rotations": [{"matrix": rot_x(0.0)}]}))

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from rotavg.control import apply_T_sphere, fd_gradient
 from rotavg.costs import _KINDS, EPS_DOM, GEODESIC_SLOPE_SWITCH, CostModel, DomainError, NonDifferentiable
 from rotavg.geometry import SampleSet, covering_map, delta_skew, normalize, quat_from_rotation, tangent_frame
-from rotavg.solvers import HESSIAN_BOUND_SLACK, DomainBreach, flow_descend, multistart
+from rotavg.solvers import DomainBreach, flow_descend, multistart
 
 IDENTITY = SampleSet.from_quaternions([[1.0, 0.0, 0.0, 0.0]])
 
@@ -484,8 +484,8 @@ BOUND_CASES = [("l2", None), ("geodesic", None), ("d3", None)] + [("lp", p) for 
     seed=st.integers(0, 2**32 - 1),
 )
 def test_frame_hessian_norm_bound(kind_p, r, near, log_t, clustered, seed):
-    # ||K||_F <= c (sqrt(3) |<w, d>| + r s), the bound the Newton trial
-    # screens its rows with, up to the screen's stated slack: on rows within
+    # ||K||_F <= HESSIAN_BOUND_SLACK c (sqrt(3) |<w, d>| + r s), the bound
+    # CostModel._hessian_bound gives the Newton screen: on rows within
     # 1e-6 of the first sample's line or hyperplane, with the samples spread
     # or clustered, and with row norms 1 +- a few ulp
     rng = np.random.default_rng(seed)
@@ -507,8 +507,7 @@ def test_frame_hessian_norm_bound(kind_p, r, near, log_t, clustered, seed):
     X, D = X[keep], D[keep]
     wd = model._field(X, D)[1]
     K = model._frame_hessian(X, D, wd)[1]
-    bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + r * model._slope_bound(X, D))
-    assert np.all(np.sqrt((K * K).sum(axis=(1, 2))) <= HESSIAN_BOUND_SLACK * bound)
+    assert np.all(np.sqrt((K * K).sum(axis=(1, 2))) <= model._hessian_bound(X, D, wd))
 
 
 def a_form_frame_hessian(model, X):

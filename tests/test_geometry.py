@@ -5,6 +5,7 @@ import pytest
 
 from rotavg import geometry
 from rotavg.checks import check_d3_identity
+from rotavg.costs import CostModel
 from rotavg.geometry import (
     SampleSet,
     _norms,
@@ -31,6 +32,28 @@ def test_normalize():
     assert abs(np.linalg.norm(normalize([0.3, -1.2, 0.5, 2.0])) - 1.0) < 1e-15
     with pytest.raises(ValueError):
         normalize([0.0, 0.0, 0.0, 0.0])
+
+
+def test_normalize_rescales_rows_whose_squared_norm_overflows():
+    # a finite row past about 1e154 comes out as its direction, and every
+    # other row of the stack keeps the bits of the plain division; numpy
+    # still flags the overflow of the first squared norm. So a sample set
+    # holds no zero sample for such a row, and its l2 value at the identity
+    # reads 5.12 = 4 (1 - 1) + 4 (1 - 0.36)
+    rng = np.random.default_rng(12)
+    U = rng.standard_normal((200, 4))
+    big = rng.random(200) < 0.5
+    with np.errstate(over="ignore"):
+        got = normalize(np.where(big[:, None], 1e200 * U, U))
+        rows = [normalize(1e200 * u) for u in U[:20]]
+        S = SampleSet.from_quaternions([[1e200, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0]])
+        edge = normalize([1e308, 1e308, 0.0, 0.0])
+    assert np.abs(got - normalize(U)).max() <= 4e-16
+    assert np.abs(np.array(rows) - normalize(U[:20])).max() <= 4e-16
+    assert np.array_equal(got[~big], normalize(U[~big]))
+    assert np.array_equal(S.quaternions[0], [1.0, 0.0, 0.0, 0.0])
+    assert abs(float(CostModel.l2_chordal(S).value(np.array([1.0, 0.0, 0.0, 0.0]))) - 5.12) < 1e-12
+    assert np.abs(edge - [math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0]).max() <= 2e-16
 
 
 def test_canonicalize_sign():

@@ -81,6 +81,17 @@ def test_flow_refuses_a_field_bound_that_overflows():
     assert multistart(CostModel.lp_chordal(samples, 333.0), 2, seed=0)
 
 
+def test_flow_starts_where_the_start_squared_overflows():
+    # the start [1e308, 1e308, 0, 0] normalizes to the direction of
+    # [1, 1, 0, 0], bit for bit, so the flow from it is the flow from that
+    samples = SampleSet.from_quaternions([[1.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0]])
+    model = CostModel.l2_chordal(samples)
+    with np.errstate(over="ignore"):
+        pt = flow_descend(model, [1e308, 1e308, 0.0, 0.0])
+    want = flow_descend(model, [1.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(pt.q, want.q) and pt.cost == want.cost
+
+
 def test_random_unit_quaternion():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -216,43 +227,44 @@ def flow_problems(draw):
 @given(flow_problems())
 def test_line_search_acceptance_rule(problem):
     # every step the flow takes passes one rule, the Newton trial's and the
-    # line search's alike: it lowers the cost by at least its bound (noise
-    # for Newton, max(0.025 h |v|^2, noise) for the line search), or leaves
-    # it within the noise, |dc| <= noise, while the field at the new point
-    # is at most 0.5 |v| (Newton) or 0.999 |v| (line search). The rows that
-    # move carry the dots and cost that CostModel._trial gives their new
-    # point from their old one
+    # line search's alike: with noise = 1e-13 (1 + |c|) at the row's cost c,
+    # it lowers the cost by at least its bound (noise for Newton,
+    # max(0.025 h |v|^2, noise) for the line search), or leaves it within
+    # the noise, |dc| <= noise, while the field at the new point is at most
+    # 0.5 |v| (Newton) or 0.999 |v| (line search). The rows that move carry
+    # the dots and cost that CostModel._trial gives their new point from
+    # their old one
     model, starts = problem
     newton_trial, line_search = solvers._newton_trial, solvers._line_search
     accepted = []
 
-    def check_steps(X, D, cost, k, X0, cost0, fall, noise, field_bound):
+    def check_steps(X, D, cost, k, X0, cost0, fall, field_bound):
         T = X[k]
         DT, cT = model._trial(T, X0, cost0)
         assert np.array_equal(D[k], DT) and np.array_equal(cost[k], cT)
         dc = cost[k] - cost0
-        rest = dc > -fall  # no sufficient decrease
+        noise = 1e-13 * (1.0 + np.abs(cost0))
+        rest = dc > -np.maximum(fall, noise)  # no sufficient decrease
         assert np.all(np.abs(dc[rest]) <= noise[rest])
         # the field only there: a sufficient step may end inside a guard
         # buffer, where the flow stops it and the field is not defined
         F = model._field(T[rest], D[k][rest])[0]
         assert np.all(np.sqrt(np.vecdot(F, F)) <= field_bound[rest])
 
-    def checked_newton(model, X, D, V, wd, nv, cost, noise):
+    def checked_newton(model, X, D, V, wd, nv, cost):
         X0, cost0 = X.copy(), cost.copy()
-        took = newton_trial(model, X, D, V, wd, nv, cost, noise)
+        took = newton_trial(model, X, D, V, wd, nv, cost)
         assert np.array_equal(X[~took], X0[~took]) and np.array_equal(cost[~took], cost0[~took])
-        check_steps(X, D, cost, took, X0[took], cost0[took], noise[took], noise[took], 0.5 * nv[took])
+        check_steps(X, D, cost, took, X0[took], cost0[took], 0.0, 0.5 * nv[took])
         return took
 
-    def checked_line_search(model, X, D, V, nv, cost, noise, h, rows):
+    def checked_line_search(model, X, D, V, nv, cost, h, rows):
         X0, cost0 = X[rows], cost[rows]
-        found = line_search(model, X, D, V, nv, cost, noise, h, rows)
+        found = line_search(model, X, D, V, nv, cost, h, rows)
         k = rows[found]
         n = nv[k]
         assert np.array_equal(X[k], normalize(X0[found] - h[k, None] * V[k]))
-        fall = np.maximum(0.025 * h[k] * n * n, noise[k])
-        check_steps(X, D, cost, k, X0[found], cost0[found], fall, noise[k], 0.999 * n)
+        check_steps(X, D, cost, k, X0[found], cost0[found], 0.025 * h[k] * n * n, 0.999 * n)
         accepted.append(len(k))
         return found
 
@@ -283,7 +295,7 @@ def test_newton_steps_only_positive_definite_rows():
     V, wd = model._field(X, D)
     X0, cost0 = X.copy(), cost.copy()
     nv, noise = np.sqrt(np.vecdot(V, V)), 1e-13 * (1.0 + np.abs(cost))
-    took = solvers._newton_trial(model, X, D, V, wd, nv, cost, noise)
+    took = solvers._newton_trial(model, X, D, V, wd, nv, cost)
     assert np.array_equal(took, near_min)
     assert np.all(cost[took] < cost0[took])
     assert np.all(1.0 - np.abs(X[took] @ E[3]) < 1e-15)
@@ -295,8 +307,8 @@ def test_newton_steps_only_positive_definite_rows():
     assert np.all(np.abs(cost - model.value(X)) <= noise)
 
 
-def unscreened_newton_trial(model, X, D, V, wd, nv, cost, noise):
-    # the Newton trial without its screen: the Hessian on every row, then the
+def unscreened_newton_trial(model, X, D, V, wd, nv, cost):
+    # the Newton trial on every row, with no screen: the Hessian, then the
     # exact gate ||v / 4|| <= NEWTON_RADIUS ||K||_F, eigh, the step and the
     # flow's acceptance rule
     took = np.zeros(len(X), dtype=bool)
@@ -309,7 +321,7 @@ def unscreened_newton_trial(model, X, D, V, wd, nv, cost, noise):
     eta = np.vecmat(np.matvec(EB, -0.25 * V[rows]) / lam, EB)
     short = np.all(np.isfinite(eta), axis=1) & (np.sqrt(np.vecdot(eta, eta)) <= solvers.NEWTON_RADIUS)
     rows = rows[short]
-    ok = solvers._try(model, X, D, cost, noise, rows, normalize(X[rows] + eta[short]), noise[rows], 0.5 * nv[rows])
+    ok = solvers._try(model, X, D, cost, rows, normalize(X[rows] + eta[short]), 0.0, 0.5 * nv[rows])
     took[rows[ok]] = True
     return took
 
@@ -317,22 +329,26 @@ def unscreened_newton_trial(model, X, D, V, wd, nv, cost, noise):
 def newton_trials(model, X, monkeypatch):
     # the screened and the unscreened trial from the flow's state at the unit
     # rows X, each on its own copy: (took, X, D, cost) of each, and the rows
-    # the screened one formed a Hessian for
+    # the screened one formed a Hessian for. The screened one runs as the
+    # flow does: the trial receives only the rows that pass the screen, and
+    # runs only where some row does
     D, cost = model._trial(X)
     V, wd = model._field(X, D)
     nv = np.sqrt(np.vecdot(V, V))
-    noise = 1e-13 * (1.0 + np.abs(cost))
     hessian_rows = []
     frame_hessian = CostModel._frame_hessian
-    results = []
-    for trial in (solvers._newton_trial, unscreened_newton_trial):
-        state = [X.copy(), D.copy(), cost.copy()]
+    screened = [np.zeros(len(X), dtype=bool), X.copy(), D.copy(), cost.copy()]
+    rows = np.flatnonzero(solvers._newton_screen(model, X, D, wd, nv))
+    if rows.size:
+        Xs, Ds, cs = (a[rows] for a in screened[1:])
         with monkeypatch.context() as m:
-            if trial is solvers._newton_trial:
-                m.setattr(CostModel, "_frame_hessian", lambda self, X, *a: hessian_rows.append(len(X)) or frame_hessian(self, X, *a))
-            took = trial(model, state[0], state[1], V, wd, nv, state[2], noise)
-        results.append((took, *state))
-    return results, hessian_rows
+            m.setattr(CostModel, "_frame_hessian", lambda self, X, *a: hessian_rows.append(len(X)) or frame_hessian(self, X, *a))
+            took = solvers._newton_trial(model, Xs, Ds, V[rows], wd[rows], nv[rows], cs)
+        for a, b in zip(screened, (took, Xs, Ds, cs)):
+            a[rows] = b
+    unscreened = [X.copy(), D.copy(), cost.copy()]
+    took = unscreened_newton_trial(model, unscreened[0], unscreened[1], V, wd, nv, unscreened[2])
+    return [screened, [took, *unscreened]], hessian_rows
 
 
 @pytest.mark.parametrize("r", [5, 1000])
@@ -366,21 +382,51 @@ def test_newton_trial_receives_screened_rows_alone(kind, monkeypatch):
     # a start whose field passes the Newton screen waits for the others, and
     # a start that fails it takes its line search at once: every Newton
     # trial of the flow receives only rows that pass the screen
-    # ||v / 4|| <= NEWTON_RADIUS c (sqrt(3) |<w, d>| + r s), and some trial
+    # ||v / 4|| <= NEWTON_RADIUS CostModel._hessian_bound, and some trial
     # serves several rows
     model = kind_model(kind, SampleSet.from_quaternions(np.random.default_rng(41).standard_normal((5, 4))))
     newton_trial = solvers._newton_trial
     rows = []
 
-    def screened_newton_trial(model, X, D, V, wd, nv, cost, noise):
-        bound = model.scale * (math.sqrt(3.0) * np.abs(wd) + model.samples.r * model._slope_bound(X, D))
-        assert np.all(0.25 * nv <= solvers.NEWTON_RADIUS * solvers.HESSIAN_BOUND_SLACK * bound)
+    def screened_newton_trial(model, X, D, V, wd, nv, cost):
+        assert np.all(0.25 * nv <= solvers.NEWTON_RADIUS * model._hessian_bound(X, D, wd))
         rows.append(len(X))
-        return newton_trial(model, X, D, V, wd, nv, cost, noise)
+        return newton_trial(model, X, D, V, wd, nv, cost)
 
     monkeypatch.setattr(solvers, "_newton_trial", screened_newton_trial)
     assert multistart(model, 64, seed=0)
     assert rows and max(rows) > 1
+
+
+def test_try_judges_each_trial_against_its_rows_noise_floor():
+    # _try forms the floor noise = 1e-13 (1 + |c|) from each row's cost c: a
+    # change 0.9 noise above c is taken where the field at the trial meets
+    # its bound, and one 1.1 noise above is refused without a field; a fall
+    # of 0.9 noise needs the field too, and one of 1.1 noise is taken
+    # unseen where it passes max(fall, noise), refused where it does not.
+    # Rows 4 and 5 sit at cost 0, whose floor of 1e-13 their change of
+    # 2e-13 leaves, though it is within the floor of a cost of 3
+    cost = np.array([3.0, 3.0, 3.0, 3.0, 0.0, 0.0])
+    noise = 1e-13 * (1.0 + cost)
+    rise = np.array([0.9, 1.1, -0.9, -1.1, 2.0, -2.0]) * noise
+    F = np.array([0.5, 0.5, 2.0, 2.0, 0.5, 0.5])  # the field norm at each trial
+    fields = []
+
+    def field(T, D):
+        fields.extend(T[:, 0].astype(int))
+        return F[T[:, 0].astype(int), None] * np.eye(4)[:1], None
+
+    model = SimpleNamespace(_trial=lambda T, X, c: (np.zeros((len(T), 0)), c + rise[T[:, 0].astype(int)]), _field=field)
+    rows = np.arange(6)
+    T = np.zeros((6, 4))
+    T[:, 0] = rows
+    for fall, want in [(0.0, [1, 0, 0, 1, 0, 1]), (1.5 * noise, [1, 0, 0, 0, 0, 1])]:
+        X, D, c = np.ones((6, 4)), np.zeros((6, 0)), cost.copy()
+        fields.clear()
+        ok = solvers._try(model, X, D, c, rows, T.copy(), fall, np.ones(6))
+        assert ok.tolist() == [bool(w) for w in want] and sorted(fields) == [0, 2]
+        assert np.array_equal(X[ok], T[ok]) and np.all(X[~ok] == 1.0)
+        assert np.array_equal(c, np.where(ok, cost + rise, cost))
 
 
 def test_first_step_halves_to_the_cost():
