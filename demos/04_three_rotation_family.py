@@ -42,8 +42,9 @@ print("\nlabeled critical sets at alpha = -pi/4, p = 4:")
 for rep in critical_sets(alpha, 4.0):
     print(f"  {rep.label:7s} cost = {rep.cost:12.8f}  q = {np.round(rep.q, 6)}")
 
-# sweep the whole family once per p; transitions and ties are bisected
-# from changes between adjacent records
+# sweep the whole family once per p; transitions and ties are read at the
+# family's events, where its polynomial has a multiple root or a root at
+# W = 0 or 1, so any grid over the window finds them
 full = np.arange(-math.pi, math.pi + 0.005, 0.01)
 sweeps = {p: theta_min_curve(p, full) for p in (2.0, 4.0)}
 

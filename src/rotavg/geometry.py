@@ -39,11 +39,13 @@ __all__ = [
 def normalize(q):
     """Return q / ||q||, or each row of an (n, 4) array over its own norm.
 
-    A finite row whose squared norm overflows (entries past about 1e154) is
-    divided by its largest |q_j| first, so it comes out as its direction
-    (numpy still warns of the overflow); every other row keeps the bits of
-    the plain division, and a call with no such row pays one comparison. A
-    row with an infinite entry has no direction and comes out NaN.
+    A finite row whose squared norm overflows (entries past about 1e154) or
+    falls below the smallest normal float (a norm under 1.5e-154, where the
+    squares lose bits or vanish) is divided by its largest |q_j| first, so it
+    comes out as its direction (numpy still warns of an overflow); every
+    other row keeps the bits of the plain division, and a call with no such
+    row pays one mask. A row with an infinite entry has no direction and
+    comes out NaN.
 
     Parameters
     ----------
@@ -58,15 +60,19 @@ def normalize(q):
     Raises
     ------
     ValueError
-        If ``q`` (or any row) is (numerically) zero.
+        If ``q`` (or any row) is zero.
     """
     q = np.asarray(q, dtype=float)
     n = np.sqrt(np.vecdot(q, q, keepdims=True))
-    if np.count_nonzero(n == math.inf):
-        q = q / np.where(n == math.inf, np.max(np.abs(q), axis=-1, keepdims=True), 1.0)
+    # sqrt of the smallest normal float, 2.2e-308: below it the squared norm
+    # is subnormal or zero
+    rescale = (n == math.inf) | (n < 1.5e-154)
+    if np.count_nonzero(rescale):  # the C call: any() costs more on few rows
+        top = np.max(np.abs(q), axis=-1, keepdims=True)
+        if np.count_nonzero(top == 0.0):
+            raise ValueError("cannot normalize the zero quaternion")
+        q = q / np.where(rescale, top, 1.0)
         n = np.sqrt(np.vecdot(q, q, keepdims=True))
-    if np.count_nonzero(n < 1e-300):  # the C call: any() costs more on few rows
-        raise ValueError("cannot normalize the zero quaternion")
     return q / n
 
 

@@ -23,28 +23,29 @@ residuals are written back into the candidate array's layout; a record's
 critical sets are put in classes by one call of the rule multistart uses
 (geometry._classes) per chunk, and the angles of all minimizers come from
 one stacked call.
-Root-count transitions and minimizer ties are found from those records:
-each change between adjacent records is bisected, so only changes that
-show between adjacent grid points are found. Two that fall inside one grid
-step cancel: at alpha step 1.0 the p = 4 sweep finds neither transition
-nor the tie at -pi/4 (ROADMAP item 21 is the fix). Within about 1.3e-4
-of alpha = 0 the gap of the two p = 2 roots falls below the rounding of
-the constant term and the count reads 1, though it is 2 at every alpha
-but 0; a p = 2 grid that fine there shows two such spurious transitions
-(ROADMAP item 21). All changes are
-bisected in lockstep: each step evaluates the midpoints of every bracket
-still open in one stacked call, and each bracket takes the midpoints it
-would take alone, with the same 0.5 * (lo + hi); as every stacked row has
-the bits of its one-alpha call, every bisected alpha keeps its bits. A
-record's winners, and a tie midpoint's leading label, are read from the
-candidate arrays as masks (:func:`_emitted`), so a midpoint builds no
-record. Records round-trip through CSV, each row formatted directly in the
+Root-count transitions and minimizer ties are found from the family's
+events (:func:`_events`): the alphas where its polynomial has a multiple
+root or a root at W = 0 or W = 1, the real roots of its discriminant's and
+boundary polynomials' factors, pinned as integers in t = tan(alpha/4) and
+solved once per p. A transition is an event inside the grid's window whose
+root counts at event -+ EVENT_DELTA differ, so none cancels inside a grid
+step and no misread count next to an event shows as one. Between events a
+leading label changes only at a tie, so the tie search splits each grid
+step at its events and bisects only the event-free pieces whose end labels
+differ. These are bisected in lockstep: each step evaluates the midpoints
+of every bracket still open in one stacked call, and each bracket takes
+the midpoints it would take alone, with the same 0.5 * (lo + hi); as every
+stacked row has the bits of its one-alpha call, every bisected alpha keeps
+its bits. A record's winners, and a tie midpoint's leading label, are read
+from the candidate arrays as masks (:func:`_emitted`), so a midpoint builds
+no record. Records round-trip through CSV, each row formatted directly in the
 bytes of the csv module's writer, each distinct number of a record once.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -75,6 +76,45 @@ TIE_TOL = 1e-10  # costs closer than this count as one minimum
 ALPHAS_PER_STACK = 128  # alphas whose candidates share one stacked model; bounds its memory
 ROOTS_PER_STACK = 1024  # polynomials per stacked root finder call, ~0.8 kB each; bounds its memory
 STACKED_ROOTS_MIN = 40  # from this many polynomials on, one stacked call beats one positive_roots call each
+# the sides of an event are read at alpha -+ EVENT_DELTA: at 1e-6 the root
+# counts and leaders beside every event read clean, where at 1e-9 the
+# leaders beside three of the default grid's four relabelings read
+# root-finder noise (green and pink at -pi/2 + 1e-9)
+EVENT_DELTA = 1e-6
+
+# The events of each power's family: the alphas where its W-polynomial has
+# a multiple root (its discriminant is zero) or a root at W = 0 or W = 1.
+# Put t = tan(alpha / 4), so that sin(alpha/2) = 2t / (1 + t^2) and
+# cos(alpha/2) = (1 - t^2) / (1 + t^2), and alpha in [-pi, pi] is t in
+# [-1, 1]; the coefficients times (1 + t^2)^8 are polynomials in t. Below
+# are the square-free factors, over the integers, of that polynomial's
+# discriminant in W and of its values at W = 0 and W = 1, each listed once,
+# ascending in t; the powers of 1 + t^2, which has no real root, are left
+# out. They were derived with sympy and are checked in exact rationals by
+# the tests. Every coefficient (at most 21172) and every sum in their
+# Horner steps on [-1, 1] is far inside float64's exact integers.
+_EVENT_FACTORS = {
+    2.0: (
+        (0, 1),  # alpha = 0: the double root at W = 1/2
+        (-1, -2, 1),  # alpha = -pi/2: both roots at W = 0 and W = 1
+        # these two make A = 128 s^4 - 32 s^2 + 4 > 0, and the second is
+        # 3 - 2 sin(alpha) - 2 cos(alpha) > 0, a factor of a0 too: no real root
+        (1, 8, 18, -8, 1),
+        (1, -8, 18, 8, 1),
+    ),
+    4.0: (
+        (0, 1),  # alpha = 0: a fourfold root at W = 1/2
+        (-1, -2, 1),  # alpha = -pi/2: roots at W = 0 and W = 1
+        # F8, the two root-count transitions
+        (27, 248, 172, -1480, 290, 1480, 172, -248, 27),
+        # F20, squared in the discriminant: tangencies, where two real
+        # roots touch and the count stays
+        (1, -4, -62, 164, 1005, -1680, -5992, 10320, 15122, -20600, -21172,
+         20600, 15122, -10320, -5992, 1680, 1005, -164, -62, 4, 1),
+        (-1, 2, -9, -12, 9, 2, 1),  # squared in the constant term: a root touches W = 0
+        (-1, -6, 7, 4, -7, -6, 1),  # squared in P(1): a root touches W = 1
+    ),
+}
 
 CSV_HEADER = ("alpha", "p", "set_label", "x_root", "q0", "q1", "cost", "theta", "is_min")
 
@@ -585,26 +625,43 @@ def theta_min_curve(p: float, alpha_grid):
     return _records(np.asarray(alpha_grid, dtype=float), p)
 
 
-def _changes(records, key, keys_at, width):
-    """Every change of key(record) between adjacent records, bisected to a
-    bracket of at most width; returns (alpha, key_before, key_after) in
-    grid order. The brackets advance in lockstep: each step reads the key
-    at the midpoint 0.5 * (lo + hi) of every bracket still wider than width
-    with one keys_at(alphas, p) call, the same key computed at bare alphas.
-    Each bracket takes the midpoints it would take alone."""
-    pairs = [(r0.alpha, r1.alpha, key(r0), key(r1)) for r0, r1 in zip(records[:-1], records[1:])]
-    brackets = [list(b) for b in pairs if b[2] != b[3]]
-    open_ = [b for b in brackets if abs(b[1] - b[0]) > width]
-    while open_:
+def _changes(brackets, keys_at, p, width):
+    """Every bracket [lo, hi, key_lo, key_hi] whose end keys differ,
+    bisected to a width of at most width; returns (alpha, key_lo, key_hi)
+    in the brackets' order. An end key may be None, still to be read. The
+    brackets advance in lockstep: each step reads the key at the midpoint
+    0.5 * (lo + hi) of every bracket still wider than width, and at every
+    end still to be read, with one keys_at(alphas, p) call, so the unread
+    ends ride in the first. Each bracket takes the midpoints it would take
+    alone."""
+    unread = [(b, i) for b in brackets for i in (2, 3) if b[i] is None]
+    while True:
+        open_ = [b for b in brackets if None not in b[2:] and b[2] != b[3] and abs(b[1] - b[0]) > width]
+        if not open_ and not unread:
+            break
         mids = [0.5 * (lo + hi) for lo, hi, _, _ in open_]
-        for b, mid, k in zip(open_, mids, keys_at(mids, records[0].p)):
+        keys = keys_at(mids + [b[i - 2] for b, i in unread], p)
+        for b, mid, k in zip(open_, mids, keys):
             b[0 if k == b[2] else 1] = mid
-        open_ = [b for b in open_ if abs(b[1] - b[0]) > width]
-    return [(0.5 * (lo + hi), before, after) for lo, hi, before, after in brackets]
+        for (b, i), k in zip(unread, keys[len(mids):]):
+            b[i] = k
+        unread = []
+    return [(0.5 * (lo + hi), before, after) for lo, hi, before, after in brackets if before != after]
 
 
 def _root_counts(alphas, p):
     return (~np.isnan(_roots_of(alphas, p))).sum(axis=1).tolist()
+
+
+@functools.cache
+def _events(p):
+    """The events of the power-p family in [-pi, pi], ascending: 4 atan(t)
+    at each real root t in [-1, 1] of its pinned factors, found by
+    :func:`_real_roots_on`. Every factor is square-free, so each root is a
+    sign change. Computed on first use, once per p."""
+    _poly_for(p)  # refuses any other p
+    ts = [t for c in _EVENT_FACTORS[p] for t in _real_roots_on(tuple(map(float, c)), -1.0, 1.0, 0.0)]
+    return tuple(sorted(4.0 * math.atan(t) + 0.0 for t in ts))  # + 0.0: alpha = 0, not -0
 
 
 def _leaders(alphas, p, tol=TIE_TOL):
@@ -621,33 +678,89 @@ def _leaders(alphas, p, tol=TIE_TOL):
 
 
 def root_count_transitions(records):
-    """Alphas where the positive-root count changes between adjacent records,
-    bisected to ~1e-10 on the root count alone.
+    """Alphas where the positive-root count changes, within the records'
+    alpha window, whatever its grid.
+
+    The candidates are the family's events (:func:`_events`), the alphas
+    where the polynomial has a multiple root or a root at W = 0 or W = 1,
+    from its discriminant and boundary polynomials pinned in t = tan(a/4):
+    between two events the count cannot change. Each event strictly inside
+    the window is reported where the counts at event -+ EVENT_DELTA, read
+    in one :func:`_root_counts` call, differ; so no change is missed where
+    two cancel inside one grid step, and the counts the records misread
+    next to an event (p = 2 reads 1 within ~1.3e-4 of alpha = 0, p = 4 an
+    odd count next to its two tangencies) show as no transition.
+    The counts beside an event differ only at the two p = 4 double roots,
+    2 -> 4 and 4 -> 2; they agree beside every other event, p = 2's too
+    (it reads 1 on both sides of alpha = 0, where the true count is 2).
 
     Returns (alpha, count_before, count_after) triples in grid order.
     """
-    return _changes(records, lambda rec: len(rec.roots), _root_counts, 1e-10)
+    if len(records) < 2:
+        return []
+    alphas = [rec.alpha for rec in records]
+    lo, hi = min(alphas), max(alphas)
+    events = [e for e in _events(records[0].p) if lo < e < hi]
+    side = EVENT_DELTA if alphas[0] <= alphas[-1] else -EVENT_DELTA
+    if side < 0.0:
+        events.reverse()
+    counts = _root_counts([a for e in events for a in (e - side, e + side)], records[0].p)
+    return [(e, b, a) for e, b, a in zip(events, counts[::2], counts[1::2]) if b != a]
 
 
 def tie_locations(records):
     """Alphas where distinct minimizer classes exactly exchange the lead.
 
-    Bisects each change of the leading label between adjacent records, then
-    keeps only genuine ties: two winner classes whose rotations differ by
-    more than 1e-6 (a mere relabeling of one continuing rotation, as when
-    the x_max branch crosses x = 1, is discarded). The midpoints' leading
-    labels and the winners within 1e-9 at the bisected alphas are read
+    The leading label can change at an event (:func:`_events`) without a
+    tie: the labels name the roots by rank, so a root that appears, merges
+    or reaches W = 0 or 1 renames the leading rotation (on the default
+    p = 4 grid at -pi/2, -0.5476, 0 and 0.5144). Between events it changes
+    only where two classes exchange the lead. So each bracket between
+    adjacent records is split at every event in it, as [lo, e - d],
+    [e + d, next] with d = EVENT_DELTA, and the leaders at each event -+ d
+    are read in the first lockstep call of :func:`_changes`; the
+    sub-brackets whose end labels differ are bisected to 1e-13, and the
+    event gaps never are. A bracket with no event in it is bisected from
+    its records' ends exactly as it would be alone, so its alpha keeps its
+    bits. Then only genuine ties are kept: two winner classes whose
+    rotations differ by more than 1e-6, holding both swapped labels. The
+    leaders and the winners within 1e-9 at the bisected alphas are read
     from the candidate arrays by :func:`_leaders`, so no record is built.
+
+    Left open: a tie within EVENT_DELTA of an event, and two ties that
+    cancel inside one event-free sub-bracket (the leader is the same at
+    both of its ends).
     """
+    if len(records) < 2:
+        return []
+    p, d = records[0].p, EVENT_DELTA
+    alphas = np.array([rec.alpha for rec in records])
+    lo, hi = np.minimum(alphas[:-1], alphas[1:]), np.maximum(alphas[:-1], alphas[1:])
+    cuts = {}  # bracket index -> the events in its closed span
+    for e in _events(p):
+        for k in np.flatnonzero((lo <= e) & (e <= hi)).tolist():
+            cuts.setdefault(k, []).append(e)
+    brackets = []
+    for k, (r0, r1) in enumerate(zip(records[:-1], records[1:])):
+        a, b, before, after = r0.alpha, r1.alpha, r0.min_set_label[0], r1.min_set_label[0]
+        if k not in cuts:
+            if before != after:
+                brackets.append([a, b, before, after])
+            continue
+        s = 1.0 if a <= b else -1.0
+        ends = [a, *(x for e in sorted(cuts[k], reverse=s < 0.0) for x in (e - s * d, e + s * d)), b]
+        keys = [before, *[None] * (len(ends) - 2), after]
+        # an event within d of an end, or of another event, leaves no sub-bracket
+        brackets += [[x, y, kx, ky] for x, y, kx, ky in zip(ends[::2], ends[1::2], keys[::2], keys[1::2])
+                     if s * (y - x) > 0.0]
     # crossing costs move ~1e2 per unit alpha, so the bracket must be far
     # narrower than TIE_TOL before both classes can tie
-    changes = _changes(records, lambda rec: rec.min_set_label[0],
-                       lambda alphas, p: [labels[0] for labels, _ in _leaders(alphas, p)], 1e-13)
+    changes = _changes(brackets, lambda xs, q: [labels[0] for labels, _ in _leaders(xs, q)], p, 1e-13)
     if not changes:
         return []
     out = []
     # the winners at every bisected alpha, from one stacked call
-    winners = _leaders([a for a, _, _ in changes], records[0].p, 1e-9)
+    winners = _leaders([a for a, _, _ in changes], p, 1e-9)
     for (a_star, prev, cur), (labels, Q) in zip(changes, winners):
         Q = normalize(Q)
         # the tie must be between the classes that swapped the lead;

@@ -56,6 +56,24 @@ def test_normalize_rescales_rows_whose_squared_norm_overflows():
     assert np.abs(edge - [math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0]).max() <= 2e-16
 
 
+def test_normalize_rescales_rows_whose_squared_norm_underflows():
+    # below a norm of 1.5e-154 the squares are subnormal or zero: 1e-160
+    # read 1.00000557 and 1e-170 raised before such rows were rescaled. A
+    # tiny row comes out as its direction, in a stack too, and the other
+    # rows keep their bits; only a zero row still raises
+    rng = np.random.default_rng(16)
+    U = normalize(rng.standard_normal((8, 4)))
+    for k in range(150, 301, 5):
+        scale = 10.0**-k
+        for u in U:
+            assert np.abs(normalize(scale * u) - u).max() <= 4e-16, k
+        got = normalize(np.vstack([scale * U, U]))
+        assert np.abs(got[:8] - U).max() <= 4e-16, k
+        assert np.array_equal(got[8:], normalize(U))
+    with pytest.raises(ValueError, match="zero quaternion"):
+        normalize(np.vstack([1e-200 * U, np.zeros(4)]))
+
+
 def test_canonicalize_sign():
     assert np.allclose(canonicalize_sign([-0.5, 0.5, 0, 0]), [0.5, -0.5, 0, 0])
     assert np.allclose(canonicalize_sign([0.0, -0.3, 0, 0]), [0.0, 0.3, 0, 0])

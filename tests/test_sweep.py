@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotavg import checks, sweep
+from rotavg.cli import main
 from rotavg.costs import CostModel
 from rotavg.geometry import SampleSet, canonicalize_sign, covering_map, normalize
 from rotavg.solvers import multistart
@@ -706,14 +709,21 @@ def test_array_winners_match_one_candidate_at_a_time(default_records, monkeypatc
     with monkeypatch.context() as m:
         m.setattr(sweep, "_candidate_stack", lambda alphas, q: visited.extend(alphas) or stack(alphas, q))
         tie_locations(default_records[4.0])
+    # the search reads the 20 sides of the ten events in its first call,
+    # bisects the -pi/4 bracket alone (37 midpoints) and reads the winners
+    # at its alpha; the bisections of the four relabelings it leaves out
+    # probed ever closer to their events, as the batch beside each p = 4
+    # event does
+    assert len(visited) == 20 + 37 + 1
+    beside = [e + sign * 10.0**-k for e in sweep._events(4.0) for k in range(2, 13) for sign in (-1.0, 1.0)]
     batches = (
         np.arange(-math.pi, math.pi + 0.005, 0.01),
         np.random.default_rng(15).uniform(-math.pi, math.pi, 2000),
         checks.POLY_EDGE_ALPHAS,
         (-math.pi, -math.pi / 2, -math.pi / 4, 0.0, math.pi),
+        beside,
         visited,
     )
-    assert len(visited) > 150
     for alphas in batches:
         want = [_reference_record(float(a), p) for a in alphas]
         for threshold in (1, sweep.ROOTS_PER_STACK + 1):
@@ -730,8 +740,8 @@ def _assert_quartic_transitions(trans):
     assert len(trans) == 2
     (a1, b1, c1), (a2, b2, c2) = trans
     assert (b1, c1) == (2, 4) and (b2, c2) == (4, 2)
-    assert abs(a1 - QUARTIC_DOUBLE_ROOTS[0]) < 1e-8
-    assert abs(a2 - QUARTIC_DOUBLE_ROOTS[1]) < 1e-8
+    assert abs(a1 - QUARTIC_DOUBLE_ROOTS[0]) < 1e-12
+    assert abs(a2 - QUARTIC_DOUBLE_ROOTS[1]) < 1e-12
 
 
 def _assert_quartic_tie(ties):
@@ -815,16 +825,19 @@ def _bisect_one_at_a_time(recs, key, width):
 
 
 def test_root_count_transitions_need_no_records(monkeypatch):
+    # the transitions are the pinned double roots, in grid order, with the
+    # counts before and after them; only root counts are read, no candidate
     grid = np.linspace(-1.2, -0.4, 81)
-    for recs in (theta_min_curve(4.0, grid), theta_min_curve(4.0, grid[::-1])):
-        want = _bisect_one_at_a_time(recs, lambda rec: len(rec.roots), 1e-10)
+    up = [(QUARTIC_DOUBLE_ROOTS[0], 2, 4), (QUARTIC_DOUBLE_ROOTS[1], 4, 2)]
+    down = [(QUARTIC_DOUBLE_ROOTS[1], 2, 4), (QUARTIC_DOUBLE_ROOTS[0], 4, 2)]
+    for recs, want in ((theta_min_curve(4.0, grid), up), (theta_min_curve(4.0, grid[::-1]), down)):
         calls = []
         with monkeypatch.context() as m:
             m.setattr(sweep, "_candidate_stack", lambda *args: calls.append(args))
             got = root_count_transitions(recs)
         assert calls == []
-        assert len(want) == 2
-        assert got == want
+        assert [(b, c) for _, b, c in got] == [(b, c) for _, b, c in want]
+        assert all(abs(a - root) <= 1e-12 for (a, _, _), (root, _, _) in zip(got, want, strict=True))
 
 
 def _reference_ties(recs):
@@ -888,6 +901,174 @@ def test_transitions_do_not_depend_on_grid_direction():
         assert len(found) == 2
         for a, root in zip(found, QUARTIC_DOUBLE_ROOTS):
             assert abs(a - root) < 1e-9
+
+
+# the two F20 tangencies with a double root inside (0, 1), where two real
+# roots touch and the count stays: 4 atan(t) at two roots t of the degree-20
+# factor, from a 60-digit mpmath polyroots solve
+QUARTIC_TANGENCIES = (
+    -0.66849265218463232081606558118606217860842209412208,
+    0.51443695200754133386190218750551535595864307818366,
+)
+
+# the discriminant in W of each power's polynomial, and its values at W = 0
+# and W = 1, at t = tan(alpha/4), derived with sympy: a constant, times each
+# factor of sweep._EVENT_FACTORS[p] to the power listed in its place, times
+# (1 + t^2)^k
+_FACTORIZATIONS = {
+    2.0: (
+        (1024, (4, 0, 1, 2), -10),
+        (1, (0, 4, 0, 1), -6),
+        (1, (0, 4, 0, 1), -6),
+    ),
+    4.0: (
+        (-16777216, (4, 4, 1, 2, 0, 0), -32),
+        (1, (0, 2, 0, 0, 2, 0), -8),
+        (1, (0, 2, 0, 0, 0, 2), -8),
+    ),
+}
+
+
+class _Rational(Fraction):
+    """A Fraction that takes float operands exactly, so that the float
+    constants of q2_coeffs and q4_coeffs (all integers) keep it rational."""
+
+    def __add__(a, b):
+        return _Rational(Fraction(a) + Fraction(b))
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        return _Rational(Fraction(a) - Fraction(b))
+
+    def __rsub__(a, b):
+        return _Rational(Fraction(b) - Fraction(a))
+
+    def __mul__(a, b):
+        return _Rational(Fraction(a) * Fraction(b))
+
+    __rmul__ = __mul__
+
+    def __pow__(a, k):
+        return _Rational(Fraction(a) ** k)
+
+    def __neg__(a):
+        return _Rational(-Fraction(a))
+
+
+def _det(M):
+    """The determinant of a square list of Fraction rows, by elimination."""
+    M, det = [list(row) for row in M], Fraction(1)
+    for i in range(len(M)):
+        pivot = next((r for r in range(i, len(M)) if M[r][i]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            M[i], M[pivot], det = M[pivot], M[i], -det
+        det *= M[i][i]
+        for r in range(i + 1, len(M)):
+            f = M[r][i] / M[i][i]
+            M[r] = [x - f * y for x, y in zip(M[r], M[i])]
+    return det
+
+
+def _discriminant(c):
+    """The discriminant of the polynomial with ascending coefficients c:
+    (-1)^(n(n-1)/2) Res(P, P') / c_n, Res from the Sylvester matrix."""
+    n = len(c) - 1
+    top, dtop = list(c[::-1]), [k * c[k] for k in range(n, 0, -1)]
+    rows = [[0] * i + top + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + dtop + [0] * (n - 1 - i) for i in range(n)]
+    return (-1) ** (n * (n - 1) // 2) * _det(rows) / c[-1]
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_event_factors_match_the_discriminant_exactly(monkeypatch, p):
+    # at rational t, sin(alpha/2) and cos(alpha/2) are rational, and the
+    # W-polynomial of q2_coeffs or q4_coeffs is formed from them in exact
+    # arithmetic; its discriminant and its values at W = 0 and W = 1 must
+    # equal the pinned factorizations, so a mistyped coefficient fails
+    for t in map(Fraction, ("1/3", "-2/7", "5/11", "-13/10", "3/2", "-7/9")):
+        s, c = _Rational(2 * t / (1 + t * t)), _Rational((1 - t * t) / (1 + t * t))
+        with monkeypatch.context() as m:
+            # alpha = 0 picks q2_coeffs's expansion, the same polynomial in s, c
+            m.setattr(sweep, "math", SimpleNamespace(pi=math.pi, sin=lambda _: s, cos=lambda _: c))
+            w = [Fraction(x) for x in sweep._poly_for(p)(0.0)]
+        for value, (k0, powers, k) in zip((_discriminant(w), w[0], sum(w)), _FACTORIZATIONS[p], strict=True):
+            want = Fraction(k0) * (1 + t * t) ** k
+            for f, power in zip(sweep._EVENT_FACTORS[p], powers, strict=True):
+                want *= sum(a * t**j for j, a in enumerate(f)) ** power
+            assert value == want, (p, t)
+
+
+def test_events():
+    # the events in [-pi, pi]: -pi/2 and 0 for both powers; for p = 4 also
+    # the two transitions, the two tangencies inside (0, 1), and four more
+    # where a root touches W = 0 or W = 1 or two roots touch outside (0, 1)
+    quadratic = sweep._events(2.0)
+    assert len(quadratic) == 2 and abs(quadratic[0] + math.pi / 2) <= 4e-16 and quadratic[1] == 0.0
+    events = sweep._events(4.0)
+    assert len(events) == 10 and list(events) == sorted(events)
+    for want in (-math.pi / 2, 0.0, *QUARTIC_DOUBLE_ROOTS, *QUARTIC_TANGENCIES):
+        assert min(abs(e - want) for e in events) <= 4e-16
+    with pytest.raises(ValueError, match="only for p in"):
+        sweep._events(3.0)
+
+
+def _sweep_stdout(capsys, tmp_path, *args):
+    assert main(["sweep", *args, "--out", str(tmp_path / "s.csv")]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("step", ["0.3", "0.5", "1.0", "1.3"])
+def test_coarse_grids_find_every_event(tmp_path, capsys, step):
+    # both transitions and the tie lie inside one step of these grids;
+    # before the events, the changes cancelled, and step 1.0 printed none
+    lines = _sweep_stdout(capsys, tmp_path, "--p", "4", "--alpha-step", step)
+    assert lines[1:] == [
+        "root-count transition at alpha = -1.023155 rad: 2 -> 4",
+        "root-count transition at alpha = -0.547641 rad: 4 -> 2",
+        "tied minima at alpha = -0.785398 rad: blue, yellow",
+    ]
+
+
+@pytest.mark.parametrize("window", [
+    # 1e-8 steps across the two tangencies, where the grid reads odd counts
+    ("--p", "4", "--alpha-min", "-0.668493", "--alpha-max", "-0.668492", "--alpha-step", "1e-8"),
+    ("--p", "4", "--alpha-min", "0.514436", "--alpha-max", "0.514438", "--alpha-step", "1e-8"),
+    # next to alpha = 0, where the p = 2 grid reads one root
+    ("--p", "2", "--alpha-min", "-0.001", "--alpha-max", "0.001", "--alpha-step", "0.0001"),
+])
+def test_fine_windows_print_no_transition(tmp_path, capsys, window):
+    assert "no root-count transitions" in _sweep_stdout(capsys, tmp_path, *window)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("event", [-math.pi / 2, 0.0])
+def test_grids_through_an_event_find_no_transition(p, event):
+    # a grid point exactly at alpha = 0 or -pi/2, where the roots meet
+    for step in (0.05, 1e-4, 1e-7):
+        grid = event + np.arange(-8, 9) * step
+        assert root_count_transitions(theta_min_curve(p, grid)) == []
+
+
+def test_transitions_on_every_step():
+    # a geometric list of steps from 1e-8 to 1.0: each grid reports exactly
+    # the transitions inside its window, at the pinned double roots. Below
+    # 0.05 the windows are narrow, 40 steps around one root, each window
+    # starting a different fraction of a step from it
+    up = {QUARTIC_DOUBLE_ROOTS[0]: (2, 4), QUARTIC_DOUBLE_ROOTS[1]: (4, 2)}
+    for k, step in enumerate(np.geomspace(1e-8, 1.0, 17)):
+        if step >= 0.05:
+            windows = [(-math.pi, math.pi)]
+        else:
+            windows = [(root - (20 + 0.13 * k) * step, root + (20 - 0.13 * k) * step) for root in QUARTIC_DOUBLE_ROOTS]
+        for lo, hi in windows:
+            grid = np.minimum(np.arange(lo, hi + 0.5 * step, step), hi)
+            want = [(root, *counts) for root, counts in up.items() if lo < root < hi]
+            got = root_count_transitions(theta_min_curve(4.0, grid))
+            assert [(b, c) for _, b, c in got] == [(b, c) for _, b, c in want], step
+            assert all(abs(a - root) <= 1e-12 for (a, _, _), (root, _, _) in zip(got, want)), step
 
 
 def test_root_count_even_near_double_roots():
