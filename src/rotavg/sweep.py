@@ -26,20 +26,23 @@ one stacked call.
 Root-count transitions and minimizer ties are found from the family's
 events (:func:`_events`): the alphas where its polynomial has a multiple
 root or a root at W = 0 or W = 1, the real roots of its discriminant's and
-boundary polynomials' factors, pinned as integers in t = tan(alpha/4) and
-solved once per p. A transition is an event inside the grid's window whose
-root counts at event -+ EVENT_DELTA differ, so none cancels inside a grid
-step and no misread count next to an event shows as one. Between events a
-leading label changes only at a tie, so the tie search splits each grid
-step at its events and bisects only the event-free pieces whose end labels
-differ. These are bisected in lockstep: each step evaluates the midpoints
-of every bracket still open in one stacked call, and each bracket takes
-the midpoints it would take alone, with the same 0.5 * (lo + hi); as every
-stacked row has the bits of its one-alpha call, every bisected alpha keeps
-its bits. A record's winners, and a tie midpoint's leading label, are read
-from the candidate arrays as masks (:func:`_emitted`), so a midpoint builds
-no record. Records round-trip through CSV, each row formatted directly in the
-bytes of the csv module's writer, each distinct number of a record once.
+boundary polynomials' factors, pinned as integers in t = tan(alpha/4). One
+table per p holds them and what lies beside each, the root counts and the
+leading label at event -+ EVENT_DELTA, each read once per process. A
+transition is an event inside the grid's window whose counts beside it
+differ, so none cancels inside a grid step and no misread count next to an
+event shows as one. Between events a leading label changes only at a tie,
+so the tie search splits each grid step at its events, every end's label
+known, and bisects only the event-free pieces whose end labels differ.
+These are bisected in lockstep: each step evaluates the midpoints of every
+bracket still open in one stacked call, and each bracket takes the
+midpoints it would take alone, with the same 0.5 * (lo + hi); as every
+stacked row has the bits of its one-alpha call, every side and every
+bisected alpha keeps its bits. A record's winners, and a tie midpoint's
+leading label, are read from the candidate arrays as masks
+(:func:`_emitted`), so a midpoint builds no record. Records round-trip
+through CSV, each row formatted directly in the bytes of the csv module's
+writer, each distinct number of a record once.
 """
 
 from __future__ import annotations
@@ -625,43 +628,23 @@ def theta_min_curve(p: float, alpha_grid):
     return _records(np.asarray(alpha_grid, dtype=float), p)
 
 
-def _changes(brackets, keys_at, p, width):
-    """Every bracket [lo, hi, key_lo, key_hi] whose end keys differ,
-    bisected to a width of at most width; returns (alpha, key_lo, key_hi)
-    in the brackets' order. An end key may be None, still to be read. The
-    brackets advance in lockstep: each step reads the key at the midpoint
-    0.5 * (lo + hi) of every bracket still wider than width, and at every
-    end still to be read, with one keys_at(alphas, p) call, so the unread
-    ends ride in the first. Each bracket takes the midpoints it would take
-    alone."""
-    unread = [(b, i) for b in brackets for i in (2, 3) if b[i] is None]
-    while True:
-        open_ = [b for b in brackets if None not in b[2:] and b[2] != b[3] and abs(b[1] - b[0]) > width]
-        if not open_ and not unread:
-            break
+def _changes(brackets, p, width):
+    """Each bracket [lo, hi, label_lo, label_hi], whose end labels differ,
+    bisected on the leading label to a width of at most width; returns
+    (alpha, label_lo, label_hi) in the brackets' order. The brackets
+    advance in lockstep: each step reads the leading label at the midpoint
+    0.5 * (lo + hi) of every bracket still wider than width, with one
+    :func:`_leaders` call, so each bracket takes the midpoints it would
+    take alone."""
+    while open_ := [b for b in brackets if abs(b[1] - b[0]) > width]:
         mids = [0.5 * (lo + hi) for lo, hi, _, _ in open_]
-        keys = keys_at(mids + [b[i - 2] for b, i in unread], p)
-        for b, mid, k in zip(open_, mids, keys):
-            b[0 if k == b[2] else 1] = mid
-        for (b, i), k in zip(unread, keys[len(mids):]):
-            b[i] = k
-        unread = []
-    return [(0.5 * (lo + hi), before, after) for lo, hi, before, after in brackets if before != after]
+        for b, mid, (labels, _) in zip(open_, mids, _leaders(mids, p)):
+            b[0 if labels[0] == b[2] else 1] = mid
+    return [(0.5 * (lo + hi), before, after) for lo, hi, before, after in brackets]
 
 
 def _root_counts(alphas, p):
     return (~np.isnan(_roots_of(alphas, p))).sum(axis=1).tolist()
-
-
-@functools.cache
-def _events(p):
-    """The events of the power-p family in [-pi, pi], ascending: 4 atan(t)
-    at each real root t in [-1, 1] of its pinned factors, found by
-    :func:`_real_roots_on`. Every factor is square-free, so each root is a
-    sign change. Computed on first use, once per p."""
-    _poly_for(p)  # refuses any other p
-    ts = [t for c in _EVENT_FACTORS[p] for t in _real_roots_on(tuple(map(float, c)), -1.0, 1.0, 0.0)]
-    return tuple(sorted(4.0 * math.atan(t) + 0.0 for t in ts))  # + 0.0: alpha = 0, not -0
 
 
 def _leaders(alphas, p, tol=TIE_TOL):
@@ -677,6 +660,38 @@ def _leaders(alphas, p, tol=TIE_TOL):
     return [([names[k][c] for c in cs], P[k, cs]) for k, cs in enumerate(cols)]
 
 
+class _EventTable:
+    """The events of the power-p family and what lies beside each, as built
+    by :func:`_events`: ``alphas``, ascending in [-pi, pi], are 4 atan(t)
+    at each real root t in [-1, 1] of its pinned factors, found by
+    :func:`_real_roots_on` (every factor is square-free, so each root is a
+    sign change); ``sides`` holds alpha - EVENT_DELTA and alpha +
+    EVENT_DELTA of each event in turn; ``counts`` the positive-root count
+    at each side, from one :func:`_root_counts` call; and ``leaders`` the
+    leading label at each side, from one :func:`_leaders` call on first
+    use, so that the transitions read no candidate. Each side is a row of
+    its call, with the bits of its one-alpha call."""
+
+    def __init__(self, p):
+        _poly_for(p)  # refuses any other p
+        ts = [t for c in _EVENT_FACTORS[p] for t in _real_roots_on(tuple(map(float, c)), -1.0, 1.0, 0.0)]
+        self.p = p
+        self.alphas = tuple(sorted(4.0 * math.atan(t) + 0.0 for t in ts))  # + 0.0: alpha = 0, not -0
+        self.sides = tuple(a for e in self.alphas for a in (e - EVENT_DELTA, e + EVENT_DELTA))
+        self.counts = tuple(_root_counts(self.sides, p))
+
+    @functools.cached_property
+    def leaders(self):
+        return tuple(labels[0] for labels, _ in _leaders(self.sides, self.p))
+
+
+@functools.cache
+def _events(p):
+    """The :class:`_EventTable` of the power-p family, built on first use,
+    once per p per process."""
+    return _EventTable(p)
+
+
 def root_count_transitions(records):
     """Alphas where the positive-root count changes, within the records'
     alpha window, whatever its grid.
@@ -685,11 +700,11 @@ def root_count_transitions(records):
     where the polynomial has a multiple root or a root at W = 0 or W = 1,
     from its discriminant and boundary polynomials pinned in t = tan(a/4):
     between two events the count cannot change. Each event strictly inside
-    the window is reported where the counts at event -+ EVENT_DELTA, read
-    in one :func:`_root_counts` call, differ; so no change is missed where
-    two cancel inside one grid step, and the counts the records misread
-    next to an event (p = 2 reads 1 within ~1.3e-4 of alpha = 0, p = 4 an
-    odd count next to its two tangencies) show as no transition.
+    the window is reported where its table's counts at event -+ EVENT_DELTA
+    differ, so no root is found per call; no change is missed where two
+    cancel inside one grid step, and the counts the records misread next
+    to an event (p = 2 reads 1 within ~1.3e-4 of alpha = 0, p = 4 an odd
+    count next to its two tangencies) show as no transition.
     The counts beside an event differ only at the two p = 4 double roots,
     2 -> 4 and 4 -> 2; they agree beside every other event, p = 2's too
     (it reads 1 on both sides of alpha = 0, where the true count is 2).
@@ -698,14 +713,11 @@ def root_count_transitions(records):
     """
     if len(records) < 2:
         return []
+    table = _events(records[0].p)
     alphas = [rec.alpha for rec in records]
     lo, hi = min(alphas), max(alphas)
-    events = [e for e in _events(records[0].p) if lo < e < hi]
-    side = EVENT_DELTA if alphas[0] <= alphas[-1] else -EVENT_DELTA
-    if side < 0.0:
-        events.reverse()
-    counts = _root_counts([a for e in events for a in (e - side, e + side)], records[0].p)
-    return [(e, b, a) for e, b, a in zip(events, counts[::2], counts[1::2]) if b != a]
+    found = [(e, b, a) for e, b, a in zip(table.alphas, table.counts[::2], table.counts[1::2]) if lo < e < hi and b != a]
+    return found if alphas[0] <= alphas[-1] else [(e, a, b) for e, b, a in reversed(found)]
 
 
 def tie_locations(records):
@@ -717,15 +729,15 @@ def tie_locations(records):
     p = 4 grid at -pi/2, -0.5476, 0 and 0.5144). Between events it changes
     only where two classes exchange the lead. So each bracket between
     adjacent records is split at every event in it, as [lo, e - d],
-    [e + d, next] with d = EVENT_DELTA, and the leaders at each event -+ d
-    are read in the first lockstep call of :func:`_changes`; the
-    sub-brackets whose end labels differ are bisected to 1e-13, and the
-    event gaps never are. A bracket with no event in it is bisected from
-    its records' ends exactly as it would be alone, so its alpha keeps its
-    bits. Then only genuine ties are kept: two winner classes whose
-    rotations differ by more than 1e-6, holding both swapped labels. The
-    leaders and the winners within 1e-9 at the bisected alphas are read
-    from the candidate arrays by :func:`_leaders`, so no record is built.
+    [e + d, next] with d = EVENT_DELTA, each end's leading label taken from
+    its record or from the event table; the pieces whose end labels differ
+    are bisected to 1e-13 (:func:`_changes`), and the event gaps never are.
+    A bracket with no event in it is bisected from its records' ends
+    exactly as it would be alone, so its alpha keeps its bits. Then only
+    genuine ties are kept: two winner classes whose rotations differ by
+    more than 1e-6, holding both swapped labels. The leaders and the
+    winners within 1e-9 at the bisected alphas are read from the candidate
+    arrays by :func:`_leaders`, so no record is built.
 
     Left open: a tie within EVENT_DELTA of an event, and two ties that
     cancel inside one event-free sub-bracket (the leader is the same at
@@ -733,29 +745,24 @@ def tie_locations(records):
     """
     if len(records) < 2:
         return []
-    p, d = records[0].p, EVENT_DELTA
+    p, table = records[0].p, _events(records[0].p)
     alphas = np.array([rec.alpha for rec in records])
     lo, hi = np.minimum(alphas[:-1], alphas[1:]), np.maximum(alphas[:-1], alphas[1:])
-    cuts = {}  # bracket index -> the events in its closed span
-    for e in _events(p):
-        for k in np.flatnonzero((lo <= e) & (e <= hi)).tolist():
-            cuts.setdefault(k, []).append(e)
+    # the events in each bracket's closed span are table.alphas[i:j]
+    first = np.searchsorted(table.alphas, lo, "left").tolist()
+    last = np.searchsorted(table.alphas, hi, "right").tolist()
     brackets = []
-    for k, (r0, r1) in enumerate(zip(records[:-1], records[1:])):
-        a, b, before, after = r0.alpha, r1.alpha, r0.min_set_label[0], r1.min_set_label[0]
-        if k not in cuts:
-            if before != after:
-                brackets.append([a, b, before, after])
-            continue
-        s = 1.0 if a <= b else -1.0
-        ends = [a, *(x for e in sorted(cuts[k], reverse=s < 0.0) for x in (e - s * d, e + s * d)), b]
-        keys = [before, *[None] * (len(ends) - 2), after]
-        # an event within d of an end, or of another event, leaves no sub-bracket
+    for r0, r1, i, j in zip(records[:-1], records[1:], first, last):
+        s = 1 if r0.alpha <= r1.alpha else -1
+        ends = [r0.alpha, *table.sides[2 * i : 2 * j][::s], r1.alpha]
+        keys = [r0.min_set_label[0], *table.leaders[2 * i : 2 * j][::s], r1.min_set_label[0]]
+        # an event within d of an end, or of another event, leaves a piece
+        # whose ends are out of order, which holds no tie
         brackets += [[x, y, kx, ky] for x, y, kx, ky in zip(ends[::2], ends[1::2], keys[::2], keys[1::2])
-                     if s * (y - x) > 0.0]
+                     if kx != ky and s * (y - x) > 0.0]
     # crossing costs move ~1e2 per unit alpha, so the bracket must be far
     # narrower than TIE_TOL before both classes can tie
-    changes = _changes(brackets, lambda xs, q: [labels[0] for labels, _ in _leaders(xs, q)], p, 1e-13)
+    changes = _changes(brackets, p, 1e-13)
     if not changes:
         return []
     out = []

@@ -562,6 +562,51 @@ def test_multistart_rows_independent(kind, r, n):
     assert_same_classes(model, got, classes_one_by_one(model, solvers._draw_starts(model, n, np.random.default_rng(3))))
 
 
+def _left(g):
+    """The matrix of left multiplication by the quaternion g, scalar first:
+    _left(g) @ q is the product g q. It is orthogonal for a unit g."""
+    w, x, y, z = g
+    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+
+
+def assert_moved_classes(got, want, G=np.eye(3)):
+    # the same classes, labels and costs, each point moved by the rotation
+    # G to within the dedup radius of its class
+    assert [(pt.classification, pt.degenerate) for pt in got] == [(pt.classification, pt.degenerate) for pt in want]
+    for a, b in zip(got, want, strict=True):
+        assert abs(a.cost - b.cost) <= 1e-9 * abs(b.cost)
+        assert np.linalg.norm(a.R - G @ b.R) < 1e-8
+
+
+@pytest.mark.parametrize("tight", [True, False], ids=["tight", "uniform"])
+@pytest.mark.parametrize("r", [3, 5, 20])
+@pytest.mark.parametrize("kind", ["l2", "geodesic", "d3", "lp1.5", "lp4"])
+def test_multistart_moves_with_the_problem(kind, r, tight, monkeypatch):
+    # left multiplication by a unit quaternion g is orthogonal on R^4, so
+    # moving the samples and the starts by g leaves every dot <q, q_i>, and
+    # with them every cost, weight, guard and stopping scale, unchanged:
+    # multistart must find the same classes, moved by g. So must it after a
+    # flip of some samples' lifts (every cost is even in each dot) and a
+    # permutation of the samples, from the same starts. A step or a rule
+    # that reads coordinates, such as a line search bounded in the max norm,
+    # breaks this
+    rng = np.random.default_rng([r, tight])
+    Q = normalize(rng.standard_normal(4) + 0.2 * rng.standard_normal((r, 4)) if tight else rng.standard_normal((r, 4)))
+    model = kind_model(kind, SampleSet.from_quaternions(Q))
+    want = multistart(model, 16, seed=7)
+    g = normalize(np.array([0.3, -0.5, 0.7, 0.4]))
+    L, G = _left(g), covering_map(g)
+    assert np.abs(covering_map(Q @ L.T) - G @ covering_map(Q)).max() <= 1e-14
+    draw = solvers._draw_starts
+    with monkeypatch.context() as m:
+        # the starts the unmoved problem draws, moved by g
+        m.setattr(solvers, "_draw_starts", lambda _, n, rng: draw(model, n, rng) @ L.T)
+        assert_moved_classes(multistart(kind_model(kind, SampleSet.from_quaternions(Q @ L.T)), 16, seed=7), want, G)
+    flip = np.where(np.arange(r) % 2, -1.0, 1.0)[:, None]
+    perm = np.random.default_rng(r).permutation(r)
+    assert_moved_classes(multistart(kind_model(kind, SampleSet.from_quaternions((flip * Q)[perm])), 16, seed=7), want)
+
+
 @pytest.mark.parametrize("kind", ["l2", "geodesic", "d3", "lp1.5", "lp4"])
 def test_flow_forms_each_points_dots_once(kind, monkeypatch):
     # the flow forms a point's sample dots once, with its cost, and every

@@ -704,18 +704,22 @@ def test_array_winners_match_one_candidate_at_a_time(default_records, monkeypatc
     # default grid, 2000 random alphas, the check family's edge angles, the
     # ends, centre and quarter turns of the range, and every alpha the
     # default-grid p = 4 tie search evaluates
-    visited = []
     stack = sweep._candidate_stack
-    with monkeypatch.context() as m:
-        m.setattr(sweep, "_candidate_stack", lambda alphas, q: visited.extend(alphas) or stack(alphas, q))
-        tie_locations(default_records[4.0])
-    # the search reads the 20 sides of the ten events in its first call,
-    # bisects the -pi/4 bracket alone (37 midpoints) and reads the winners
-    # at its alpha; the bisections of the four relabelings it leaves out
-    # probed ever closer to their events, as the batch beside each p = 4
-    # event does
-    assert len(visited) == 20 + 37 + 1
-    beside = [e + sign * 10.0**-k for e in sweep._events(4.0) for k in range(2, 13) for sign in (-1.0, 1.0)]
+    tie_locations(default_records[4.0])
+    for cold in (False, True):
+        visited = []
+        if cold:
+            sweep._events.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(sweep, "_candidate_stack", lambda alphas, q: visited.extend(alphas) or stack(alphas, q))
+            tie_locations(default_records[4.0])
+        # on a warm event table the search bisects the -pi/4 bracket alone
+        # (37 midpoints) and reads the winners at its alpha; on a cold one it
+        # first reads the leaders at the 20 sides of the ten events. The
+        # bisections of the four relabelings it leaves out probed ever closer
+        # to their events, as the batch beside each p = 4 event does
+        assert len(visited) == 20 * cold + 37 + 1
+    beside = [e + sign * 10.0**-k for e in sweep._events(4.0).alphas for k in range(2, 13) for sign in (-1.0, 1.0)]
     batches = (
         np.arange(-math.pi, math.pi + 0.005, 0.01),
         np.random.default_rng(15).uniform(-math.pi, math.pi, 2000),
@@ -1005,14 +1009,55 @@ def test_events():
     # the events in [-pi, pi]: -pi/2 and 0 for both powers; for p = 4 also
     # the two transitions, the two tangencies inside (0, 1), and four more
     # where a root touches W = 0 or W = 1 or two roots touch outside (0, 1)
-    quadratic = sweep._events(2.0)
+    quadratic = sweep._events(2.0).alphas
     assert len(quadratic) == 2 and abs(quadratic[0] + math.pi / 2) <= 4e-16 and quadratic[1] == 0.0
-    events = sweep._events(4.0)
+    events = sweep._events(4.0).alphas
     assert len(events) == 10 and list(events) == sorted(events)
     for want in (-math.pi / 2, 0.0, *QUARTIC_DOUBLE_ROOTS, *QUARTIC_TANGENCIES):
         assert min(abs(e - want) for e in events) <= 4e-16
     with pytest.raises(ValueError, match="only for p in"):
         sweep._events(3.0)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_event_table_matches_fresh_reads(p):
+    # each event's sides, and the root count and leading label at each,
+    # equal a fresh one-alpha read at event -+ EVENT_DELTA
+    table, d = sweep._events(p), sweep.EVENT_DELTA
+    assert table.sides == tuple(a for e in table.alphas for a in (e - d, e + d))
+    assert len(table.counts) == len(table.leaders) == 2 * len(table.alphas)
+    for a, count, leader in zip(table.sides, table.counts, table.leaders, strict=True):
+        assert sweep._root_counts([a], p) == [count]
+        assert sweep._leaders([a], p)[0][0][0] == leader
+
+
+def _hex_events(recs):
+    return ([(a.hex(), b, c) for a, b, c in root_count_transitions(recs)],
+            [(a.hex(), labels) for a, labels in tie_locations(recs)])
+
+
+def test_cold_event_table_gives_the_warm_answers(default_records):
+    # the table is read on first use, by whichever search and grid direction
+    # comes first: after cache_clear, ascending and descending grids, and
+    # p = 2 then p = 4 or the reverse, find what a warm table finds
+    runs = [recs[::step] for recs in default_records.values() for step in (1, -1)]
+    warm = [_hex_events(recs) for recs in runs]
+    assert warm[2][0][0][1:] == (2, 4) and warm[3][0][0][1:] == (2, 4) and len(warm[3][1]) == 1
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]):
+        sweep._events.cache_clear()
+        assert [_hex_events(runs[k]) for k in order] == [warm[k] for k in order]
+
+
+def test_warm_transitions_find_no_roots(default_records, monkeypatch):
+    # the counts beside each event are the table's: a warm table's
+    # transitions make no _roots_of or positive_roots call
+    sweep._events(2.0), sweep._events(4.0)
+    calls = []
+    monkeypatch.setattr(sweep, "_roots_of", lambda *args: calls.append(args))
+    monkeypatch.setattr(sweep, "positive_roots", lambda *args: calls.append(args))
+    _assert_quartic_transitions(root_count_transitions(default_records[4.0]))
+    assert root_count_transitions(default_records[2.0]) == []
+    assert calls == []
 
 
 def _sweep_stdout(capsys, tmp_path, *args):
