@@ -135,8 +135,7 @@ def _lifts(entries, first=0):
         return _ValidationError(f"rotations[{first}] quaternion norm {float(norm[off_norm][0]):.8f} is not 1")
     matrix_rows = np.frombuffer(is_matrix, dtype=bool)
     quats = np.empty((len(entries), 4))
-    if len(R):  # quat_from_rotation has a fixed cost of tens of us, even on no rows
-        quats[matrix_rows] = quat_from_rotation(R)
+    quats[matrix_rows] = quat_from_rotation(R)
     quats[~matrix_rows] = normalize(Q)
     return quats
 

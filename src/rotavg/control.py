@@ -90,18 +90,13 @@ def _by_point(grads):
 
 
 def _det(M):
-    # cofactor expansion up to 3x3, LU beyond; one per matrix of a stack
+    # one per matrix of a stack: the cofactor forms for 1x1 and 2x2, the
+    # minors of the sphere (k = 1), LU (np.linalg.det) for every larger one
     n = M.shape[-1]
     if n == 1:
         return M[..., 0, 0]
     if n == 2:
         return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    if n == 3:
-        return (
-            M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
-            - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
-            + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0])
-        )
     return np.linalg.det(M)
 
 

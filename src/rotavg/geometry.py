@@ -36,16 +36,17 @@ __all__ = [
 ]
 
 
+@np.errstate(over="ignore")
 def normalize(q):
     """Return q / ||q||, or each row of an (n, 4) array over its own norm.
 
     A finite row whose squared norm overflows (entries past about 1e154) or
     falls below the smallest normal float (a norm under 1.5e-154, where the
     squares lose bits or vanish) is divided by its largest |q_j| first, so it
-    comes out as its direction (numpy still warns of an overflow); every
-    other row keeps the bits of the plain division, and a call with no such
-    row pays one mask. A row with an infinite entry has no direction and
-    comes out NaN.
+    comes out as its direction, with no overflow warning (the decorator's
+    errstate: no other step here can overflow); every other row keeps the
+    bits of the plain division, and a call with no such row pays one mask.
+    A row with an infinite entry has no direction and comes out NaN.
 
     Parameters
     ----------
@@ -237,28 +238,19 @@ def _pair_distances(P, Q, masked=True):
     each with full relative precision down to coincident rotations, where
     the matrix forms cancel. Where ``masked``, d2 is NaN where
     :func:`dist_d2` raises, tr(R1^T R2) = 4 <p, q>^2 - 1 within 1e-12 of -1.
+    This one table serves every distance the package reads: the public
+    distances, ``rotavg distance``, and d1 of the class rule
+    (:func:`_classes`) and of the sweep's tie test.
     """
-    x, d1, ee, ne, nf = _chords(P, Q)
-    d2 = 4.0 * np.sqrt(2.0) * np.arctan2(ne, nf)
-    if masked:
-        d2[4.0 * x * x < 1e-12] = np.nan
-    return d1, d2, 0.5 * ee
-
-
-def _chords(P, Q):
-    """<p, q>, d1, |e|^2, |e| and |f| for the pairs of :func:`_pair_distances`."""
     x = P @ np.swapaxes(Q, -1, -2)
     sQ = np.copysign(1.0, x)[..., None] * Q[..., None, :, :]
     e, f = P[..., :, None, :] - sQ, P[..., :, None, :] + sQ
     ee = np.vecdot(e, e)
     ne, nf = np.sqrt(ee), np.sqrt(np.vecdot(f, f))
-    return x, np.sqrt(2.0) * ne * nf, ee, ne, nf
-
-
-def _d1(P, Q):
-    """d1 of :func:`_pair_distances` alone, with the same bits and shapes,
-    without d2's arctan2 or d3."""
-    return _chords(P, Q)[1]
+    d2 = 4.0 * np.sqrt(2.0) * np.arctan2(ne, nf)
+    if masked:
+        d2[4.0 * x * x < 1e-12] = np.nan
+    return np.sqrt(2.0) * ne * nf, d2, 0.5 * ee
 
 
 def _norms(A):
@@ -274,7 +266,8 @@ def _classes(Q):
     for a stack (m, n, 4), one such list per set.
 
     A row joins the first class whose head's rotation matrix lies within
-    Frobenius distance 1e-8 of its own (:func:`_d1`), so q and -q share a
+    Frobenius distance 1e-8 of its own, d1 of the unmasked
+    :func:`_pair_distances` table of Q against itself, so q and -q share a
     class; otherwise it heads a new class.
     """
 
@@ -284,7 +277,7 @@ def _classes(Q):
             out.append(next((j for j, h in enumerate(out) if h == j and row[j]), i))
         return out
 
-    near = (_d1(Q, Q) < 1e-8).tolist()
+    near = (_pair_distances(Q, Q, masked=False)[0] < 1e-8).tolist()
     return [heads(t) for t in near] if np.ndim(Q) == 3 else heads(near)
 
 

@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostModel
-from .geometry import SampleSet, _classes, _d1, _norms, canonicalize_sign, normalize
+from .geometry import SampleSet, _classes, _norms, _pair_distances, canonicalize_sign, normalize
 
 __all__ = [
     "CriticalRep",
@@ -130,8 +130,6 @@ _LABELS = {
     3: ("black", "green", "pink", "yellow", "violet", "red", "blue"),
     4: ("black", "green", "pink", "yellow", "violet", "maroon", "gold", "red", "blue"),
 }
-
-_BLACK_Q = (0.0, 0.0, 1.0, 0.0)
 
 
 def build_samples(alpha: float) -> SampleSet:
@@ -595,10 +593,7 @@ def _records(alphas, p):
     sets, labels = [[] for _ in roots], [[] for _ in roots]
     entries = (*np.nonzero(emit), P[emit], costs[emit], res[emit], won[emit])
     for k, col, q, cost, r, w in zip(*(a.tolist() for a in entries)):
-        if col:
-            rep = CriticalRep(_LABELS[len(roots[k])][col], roots[k][(col - 1) // 2], tuple(q), cost, r)
-        else:
-            rep = CriticalRep("black", None, _BLACK_Q, cost, r)
+        rep = CriticalRep(_LABELS[len(roots[k])][col], roots[k][(col - 1) // 2] if col else None, tuple(q), cost, r)
         sets[k].append(rep)
         if w:
             labels[k].append(rep.label)
@@ -763,8 +758,6 @@ def tie_locations(records):
     # crossing costs move ~1e2 per unit alpha, so the bracket must be far
     # narrower than TIE_TOL before both classes can tie
     changes = _changes(brackets, p, 1e-13)
-    if not changes:
-        return []
     out = []
     # the winners at every bisected alpha, from one stacked call
     winners = _leaders([a for a, _, _ in changes], p, 1e-9)
@@ -772,7 +765,7 @@ def tie_locations(records):
         Q = normalize(Q)
         # the tie must be between the classes that swapped the lead;
         # anything else is root-finder noise at a degenerate pinch
-        if {prev, cur} <= set(labels) and (_d1(Q, Q) > 1e-6).any():
+        if {prev, cur} <= set(labels) and (_pair_distances(Q, Q, masked=False)[0] > 1e-6).any():
             out.append((a_star, tuple(sorted(labels))))
     return out
 
@@ -826,7 +819,7 @@ def parse_csv(path):
             if label.startswith("min:"):
                 mins.append((label[4:], theta))
             elif label == "black":
-                sets.append(CriticalRep("black", None, _BLACK_Q, cost, 0.0))
+                sets.append(CriticalRep("black", None, (0.0, 0.0, 1.0, 0.0), cost, 0.0))
             else:
                 sets.append(CriticalRep(label, x_root, (q0, q1, 0.0, 0.0), cost, 0.0))
     for (alpha, p), (sets, mins) in cells.items():

@@ -210,19 +210,22 @@ def per_minor_rate(problem, x):
 
 @pytest.mark.parametrize("m, k", [(4, 1), (3, 1), (5, 2), (6, 3)])
 def test_one_gram_matches_per_minor_form(m, k):
-    # bit for bit with one constraint, on single points and on stacks, and
-    # within 1e-12 relative for k = 2 and 3, whose minors are 2x2 and 3x3
+    # on single points and on stacks, the rate bit for bit at every k: its
+    # (k+1)x(k+1) determinant takes the reference's rule, the cofactor form
+    # for 2x2 and np.linalg.det beyond. v0 bit for bit at k = 1 (1x1
+    # minors) and k = 3 (3x3 minors, np.linalg.det on both sides), and
+    # within 1e-12 relative at k = 2, whose 2x2 minors keep the cofactor
+    # form where the reference takes np.linalg.det
     rng = np.random.default_rng(30 + m + k)
     for _ in range(20):
         prob = random_problem(rng, m, k)
         for X in (rng.standard_normal(m), rng.standard_normal((9, m))):
             V, W = v0(prob, X), per_minor_v0(prob, X)
-            rate, want = dissipation_rate(prob, X), per_minor_rate(prob, X)
-            if k == 1:
-                assert np.array_equal(V, W) and np.array_equal(rate, want)
-            else:
+            assert np.array_equal(dissipation_rate(prob, X), per_minor_rate(prob, X))
+            if k == 2:
                 assert np.abs(V - W).max() <= 1e-12 * np.abs(W).max()
-                assert np.all(np.abs(rate - want) <= 1e-12 * np.abs(want))
+            else:
+                assert np.array_equal(V, W)
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,18 +37,21 @@ def test_normalize():
 
 def test_normalize_rescales_rows_whose_squared_norm_overflows():
     # a finite row past about 1e154 comes out as its direction, and every
-    # other row of the stack keeps the bits of the plain division; numpy
-    # still flags the overflow of the first squared norm. So a sample set
-    # holds no zero sample for such a row, and its l2 value at the identity
-    # reads 5.12 = 4 (1 - 1) + 4 (1 - 0.36)
+    # other row of the stack keeps the bits of the plain division. So a
+    # sample set holds no zero sample for such a row, and its l2 value at
+    # the identity reads 5.12 = 4 (1 - 1) + 4 (1 - 0.36). The overflow of
+    # the first squared norm stays inside: a caller that turns warnings into
+    # errors gets the direction, not a RuntimeWarning
     rng = np.random.default_rng(12)
     U = rng.standard_normal((200, 4))
     big = rng.random(200) < 0.5
-    with np.errstate(over="ignore"):
-        got = normalize(np.where(big[:, None], 1e200 * U, U))
-        rows = [normalize(1e200 * u) for u in U[:20]]
-        S = SampleSet.from_quaternions([[1e200, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0]])
-        edge = normalize([1e308, 1e308, 0.0, 0.0])
+    got = normalize(np.where(big[:, None], 1e200 * U, U))
+    rows = [normalize(1e200 * u) for u in U[:20]]
+    S = SampleSet.from_quaternions([[1e200, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0]])
+    edge = normalize([1e308, 1e308, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(normalize([1e200, 0.0, 0.0, 0.0]), [1.0, 0.0, 0.0, 0.0])
     assert np.abs(got - normalize(U)).max() <= 4e-16
     assert np.abs(np.array(rows) - normalize(U[:20])).max() <= 4e-16
     assert np.array_equal(got[~big], normalize(U[~big]))
@@ -308,18 +312,6 @@ def test_pair_distances_take_stacks():
     Q[2, 1] = -P[2, 0]
     for got, *want in zip(geometry._pair_distances(P, Q), *(geometry._pair_distances(p, q) for p, q in zip(P, Q))):
         assert np.array_equal(got, np.array(want), equal_nan=True)
-
-
-def test_d1_alone_has_the_bits_of_the_table():
-    # the class rule and the sweep's tie test read d1 alone; it must be
-    # the table's d1 bit for bit, on one pair of sets and on stacks, next
-    # to coincident and antipodal rows too
-    rng = np.random.default_rng(29)
-    P = normalize(rng.standard_normal((4, 7, 4)))
-    Q = normalize(rng.standard_normal((4, 9, 4)))
-    Q[0, 0], Q[1, 0] = -P[0, 0], normalize(P[1, 0] + 1e-9 * rng.standard_normal(4))
-    for p, q in [(P, Q), (P[0], Q[0]), (Q[1], Q[1])]:
-        assert np.array_equal(geometry._d1(p, q), geometry._pair_distances(p, q)[0])
 
 
 @pytest.mark.parametrize("angle", [1e-8, 1e-6, 1e-4])

@@ -569,13 +569,20 @@ def _left(g):
     return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
 
 
-def assert_moved_classes(got, want, G=np.eye(3)):
-    # the same classes, labels and costs, each point moved by the rotation
-    # G to within the dedup radius of its class
+def _right(h):
+    """The matrix of right multiplication by the quaternion h, scalar first:
+    _right(h) @ q is the product q h. It is orthogonal for a unit h."""
+    w, x, y, z = h
+    return np.array([[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]])
+
+
+def assert_moved_classes(got, want, G=np.eye(3), H=np.eye(3), scale=1.0):
+    # the same classes and labels, the costs times scale, each point R moved
+    # to G R H to within the dedup radius of its class
     assert [(pt.classification, pt.degenerate) for pt in got] == [(pt.classification, pt.degenerate) for pt in want]
     for a, b in zip(got, want, strict=True):
-        assert abs(a.cost - b.cost) <= 1e-9 * abs(b.cost)
-        assert np.linalg.norm(a.R - G @ b.R) < 1e-8
+        assert abs(a.cost - scale * b.cost) <= 1e-9 * abs(scale * b.cost)
+        assert np.linalg.norm(a.R - G @ b.R @ H) < 1e-8
 
 
 @pytest.mark.parametrize("tight", [True, False], ids=["tight", "uniform"])
@@ -585,11 +592,17 @@ def test_multistart_moves_with_the_problem(kind, r, tight, monkeypatch):
     # left multiplication by a unit quaternion g is orthogonal on R^4, so
     # moving the samples and the starts by g leaves every dot <q, q_i>, and
     # with them every cost, weight, guard and stopping scale, unchanged:
-    # multistart must find the same classes, moved by g. So must it after a
-    # flip of some samples' lifts (every cost is even in each dot) and a
-    # permutation of the samples, from the same starts. A step or a rule
-    # that reads coordinates, such as a line search bounded in the max norm,
-    # breaks this
+    # multistart must find the same classes, moved by g. Right
+    # multiplication by a unit h is orthogonal too, and moves each rotation
+    # R to R H. So must it find the same classes after a flip of some
+    # samples' lifts (every cost is even in each dot) and a permutation of
+    # the samples, from the same starts; and after every sample is taken
+    # three times, where each cost is a sum over the samples and so
+    # triples, as does the field. The flow's first step INITIAL_STEP is
+    # absolute, a length per unit of field, so it is scaled by 1/3 with the
+    # field there: from the default step, 3 of these 30 problems reach other
+    # minima. A step or a rule that reads coordinates, such as a line
+    # search bounded in the max norm, breaks this
     rng = np.random.default_rng([r, tight])
     Q = normalize(rng.standard_normal(4) + 0.2 * rng.standard_normal((r, 4)) if tight else rng.standard_normal((r, 4)))
     model = kind_model(kind, SampleSet.from_quaternions(Q))
@@ -602,6 +615,17 @@ def test_multistart_moves_with_the_problem(kind, r, tight, monkeypatch):
         # the starts the unmoved problem draws, moved by g
         m.setattr(solvers, "_draw_starts", lambda _, n, rng: draw(model, n, rng) @ L.T)
         assert_moved_classes(multistart(kind_model(kind, SampleSet.from_quaternions(Q @ L.T)), 16, seed=7), want, G)
+    h = normalize(np.array([-0.6, 0.2, 0.5, -0.3]))
+    Rh, H = _right(h), covering_map(h)
+    assert np.abs(covering_map(Q @ Rh.T) - covering_map(Q) @ H).max() <= 1e-14
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_draw_starts", lambda _, n, rng: draw(model, n, rng) @ Rh.T)
+        assert_moved_classes(multistart(kind_model(kind, SampleSet.from_quaternions(Q @ Rh.T)), 16, seed=7), want, H=H)
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_draw_starts", lambda _, n, rng: draw(model, n, rng))
+        m.setattr(solvers, "INITIAL_STEP", solvers.INITIAL_STEP / 3.0)
+        got = multistart(kind_model(kind, SampleSet.from_quaternions(np.repeat(Q, 3, axis=0))), 16, seed=7)
+        assert_moved_classes(got, want, scale=3.0)
     flip = np.where(np.arange(r) % 2, -1.0, 1.0)[:, None]
     perm = np.random.default_rng(r).permutation(r)
     assert_moved_classes(multistart(kind_model(kind, SampleSet.from_quaternions((flip * Q)[perm])), 16, seed=7), want)
