@@ -23,23 +23,22 @@ residuals are written back into the candidate array's layout; a record's
 critical sets are put in classes by one call of the rule multistart uses
 (geometry._classes) per chunk, and the angles of all minimizers come from
 one stacked call.
-Root-count transitions and minimizer ties are found from the family's
-events (:func:`_events`): the alphas where its polynomial has a multiple
-root or a root at W = 0 or W = 1, the real roots of its discriminant's and
-boundary polynomials' factors, pinned as integers in t = tan(alpha/4). One
-table per p holds them and what lies beside each, the root counts and the
-leading label at event -+ EVENT_DELTA, each read once per process. A
-transition is an event inside the grid's window whose counts beside it
-differ, so none cancels inside a grid step and no misread count next to an
-event shows as one. Between events a leading label changes only at a tie,
-so the tie search splits each grid step at its events, every end's label
-known, and bisects only the event-free pieces whose end labels differ.
-These are bisected in lockstep: each step evaluates the midpoints of every
-bracket still open in one stacked call, and each bracket takes the
-midpoints it would take alone, with the same 0.5 * (lo + hi); as every
-stacked row has the bits of its one-alpha call, every side and every
-bisected alpha keeps its bits. A record's winners, and a tie midpoint's
-leading label, are read from the candidate arrays as masks
+Root-count transitions and minimizer ties are facts of the family, read
+from its events (:class:`_EventTable`): the alphas where its polynomial
+has a multiple root or a root at W = 0 or W = 1, the real roots of its
+discriminant's and boundary polynomials' factors, pinned as integers in
+t = tan(alpha/4). One table per p, built once per process, holds the
+transitions, the events whose root counts at event -+ EVENT_DELTA differ,
+and, from its first use, the ties: between events a leading label changes
+only at a tie, so the table reads the leader at -pi, at every event side
+and at pi, and bisects only the event-free intervals whose end labels
+differ. These are bisected in lockstep: each step evaluates the midpoints
+of every interval still open in one stacked call, and each interval takes
+the midpoints it would take alone, with the same 0.5 * (lo + hi); as every
+stacked row has the bits of its one-alpha call, every bisected alpha
+keeps its bits, and no grid moves it. A sweep's transitions and ties are
+the table's entries inside its window. A record's winners, and a tie
+midpoint's leading label, are read from the candidate arrays as masks
 (:func:`_emitted`), so a midpoint builds no record. Records round-trip
 through CSV, each row formatted directly in the bytes of the csv module's
 writer, each distinct number of a record once.
@@ -656,16 +655,27 @@ def _leaders(alphas, p, tol=TIE_TOL):
 
 
 class _EventTable:
-    """The events of the power-p family and what lies beside each, as built
-    by :func:`_events`: ``alphas``, ascending in [-pi, pi], are 4 atan(t)
-    at each real root t in [-1, 1] of its pinned factors, found by
+    """The events of the power-p family and what they fix, built once per p
+    per process by ``_events(p)``: ``alphas``, ascending in [-pi, pi], are
+    4 atan(t) at each real root t in [-1, 1] of its pinned factors, found by
     :func:`_real_roots_on` (every factor is square-free, so each root is a
     sign change); ``sides`` holds alpha - EVENT_DELTA and alpha +
-    EVENT_DELTA of each event in turn; ``counts`` the positive-root count
-    at each side, from one :func:`_root_counts` call; and ``leaders`` the
-    leading label at each side, from one :func:`_leaders` call on first
-    use, so that the transitions read no candidate. Each side is a row of
-    its call, with the bits of its one-alpha call."""
+    EVENT_DELTA of each event in turn; ``transitions`` the (alpha,
+    count_before, count_after) of each event whose positive-root counts at
+    its sides differ, from one :func:`_root_counts` call; and ``ties`` the
+    (alpha, labels) of each tie, ascending, found on first use, so that a
+    process that reads only transitions evaluates no candidate.
+
+    Between two events the leading label changes only at a tie. So the tie
+    search reads the leader at -pi, at every side and at pi in one
+    :func:`_leaders` call, bisects to 1e-13 (:func:`_changes`) only the
+    event-free intervals whose end labels differ, and keeps the genuine
+    ties: two winner classes within 1e-9 whose rotations differ by more
+    than 1e-6, holding both swapped labels. Each read is a row of its
+    stacked call, with the bits of its one-alpha call, so each tie's alpha
+    has the bits of its interval bisected alone. Left open: a tie within
+    EVENT_DELTA of an event, and two ties that cancel inside one event-free
+    interval (the leader is the same at both of its ends)."""
 
     def __init__(self, p):
         _poly_for(p)  # refuses any other p
@@ -673,101 +683,87 @@ class _EventTable:
         self.p = p
         self.alphas = tuple(sorted(4.0 * math.atan(t) + 0.0 for t in ts))  # + 0.0: alpha = 0, not -0
         self.sides = tuple(a for e in self.alphas for a in (e - EVENT_DELTA, e + EVENT_DELTA))
-        self.counts = tuple(_root_counts(self.sides, p))
+        counts = _root_counts(self.sides, p)
+        self.transitions = tuple((e, b, a) for e, b, a in zip(self.alphas, counts[::2], counts[1::2]) if b != a)
 
     @functools.cached_property
-    def leaders(self):
-        return tuple(labels[0] for labels, _ in _leaders(self.sides, self.p))
+    def ties(self):
+        ends = [-math.pi, *self.sides, math.pi]
+        keys = [labels[0] for labels, _ in _leaders(ends, self.p)]
+        # an event within EVENT_DELTA of another leaves an interval whose
+        # ends are out of order, which holds no tie
+        intervals = [[x, y, kx, ky] for x, y, kx, ky in zip(ends[::2], ends[1::2], keys[::2], keys[1::2])
+                     if kx != ky and x < y]
+        # crossing costs move ~1e2 per unit alpha, so the interval must be
+        # far narrower than TIE_TOL before both classes can tie
+        changes = _changes(intervals, self.p, 1e-13)
+        out = []
+        # the winners at every bisected alpha, from one stacked call
+        for (a_star, prev, cur), (labels, Q) in zip(changes, _leaders([a for a, _, _ in changes], self.p, 1e-9)):
+            Q = normalize(Q)
+            # the tie must be between the classes that swapped the lead;
+            # anything else is root-finder noise at a degenerate pinch
+            if {prev, cur} <= set(labels) and (_pair_distances(Q, Q, masked=False)[0] > 1e-6).any():
+                out.append((a_star, tuple(sorted(labels))))
+        return tuple(out)
 
 
-@functools.cache
-def _events(p):
-    """The :class:`_EventTable` of the power-p family, built on first use,
-    once per p per process."""
-    return _EventTable(p)
+_events = functools.cache(_EventTable)
+
+
+def _in_window(records, name):
+    """The entries of the records' event table ``name``, (alpha, ...)
+    tuples ascending in alpha, that lie strictly inside the records' alpha
+    window, in grid order: a descending grid meets them in reverse, each
+    with the fields after its alpha reversed too, so that a transition's
+    counts read before, then after (a tie's labels are one field)."""
+    if len(records) < 2:
+        return []
+    alphas = [rec.alpha for rec in records]
+    found = [e for e in getattr(_events(records[0].p), name) if min(alphas) < e[0] < max(alphas)]
+    return found if alphas[0] <= alphas[-1] else [(e[0], *e[:0:-1]) for e in reversed(found)]
 
 
 def root_count_transitions(records):
     """Alphas where the positive-root count changes, within the records'
     alpha window, whatever its grid.
 
-    The candidates are the family's events (:func:`_events`), the alphas
-    where the polynomial has a multiple root or a root at W = 0 or W = 1,
-    from its discriminant and boundary polynomials pinned in t = tan(a/4):
-    between two events the count cannot change. Each event strictly inside
-    the window is reported where its table's counts at event -+ EVENT_DELTA
-    differ, so no root is found per call; no change is missed where two
-    cancel inside one grid step, and the counts the records misread next
-    to an event (p = 2 reads 1 within ~1.3e-4 of alpha = 0, p = 4 an odd
-    count next to its two tangencies) show as no transition.
-    The counts beside an event differ only at the two p = 4 double roots,
-    2 -> 4 and 4 -> 2; they agree beside every other event, p = 2's too
-    (it reads 1 on both sides of alpha = 0, where the true count is 2).
+    The candidates are the family's events (:class:`_EventTable`), the
+    alphas where the polynomial has a multiple root or a root at W = 0 or
+    W = 1, from its discriminant and boundary polynomials pinned in
+    t = tan(a/4): between two events the count cannot change. Each event
+    strictly inside the window is reported where the counts at event -+
+    EVENT_DELTA differ, read once per p, so no root is found per call; no
+    change is missed where two cancel inside one grid step, and the counts
+    the records misread next to an event (p = 2 reads 1 within ~1.3e-4 of
+    alpha = 0, p = 4 an odd count next to its two tangencies) show as no
+    transition. The counts beside an event differ only at the two p = 4
+    double roots, 2 -> 4 and 4 -> 2; they agree beside every other event,
+    p = 2's too (it reads 1 on both sides of alpha = 0, where the true
+    count is 2).
 
     Returns (alpha, count_before, count_after) triples in grid order.
     """
-    if len(records) < 2:
-        return []
-    table = _events(records[0].p)
-    alphas = [rec.alpha for rec in records]
-    lo, hi = min(alphas), max(alphas)
-    found = [(e, b, a) for e, b, a in zip(table.alphas, table.counts[::2], table.counts[1::2]) if lo < e < hi and b != a]
-    return found if alphas[0] <= alphas[-1] else [(e, a, b) for e, b, a in reversed(found)]
+    return _in_window(records, "transitions")
 
 
 def tie_locations(records):
-    """Alphas where distinct minimizer classes exactly exchange the lead.
+    """Alphas where distinct minimizer classes exactly exchange the lead,
+    within the records' alpha window, whatever its grid.
 
-    The leading label can change at an event (:func:`_events`) without a
-    tie: the labels name the roots by rank, so a root that appears, merges
-    or reaches W = 0 or 1 renames the leading rotation (on the default
-    p = 4 grid at -pi/2, -0.5476, 0 and 0.5144). Between events it changes
-    only where two classes exchange the lead. So each bracket between
-    adjacent records is split at every event in it, as [lo, e - d],
-    [e + d, next] with d = EVENT_DELTA, each end's leading label taken from
-    its record or from the event table; the pieces whose end labels differ
-    are bisected to 1e-13 (:func:`_changes`), and the event gaps never are.
-    A bracket with no event in it is bisected from its records' ends
-    exactly as it would be alone, so its alpha keeps its bits. Then only
-    genuine ties are kept: two winner classes whose rotations differ by
-    more than 1e-6, holding both swapped labels. The leaders and the
-    winners within 1e-9 at the bisected alphas are read from the candidate
-    arrays by :func:`_leaders`, so no record is built.
+    The ties are the family's, found once per p from its events
+    (:class:`_EventTable`): each is the alpha where the leading label
+    changes inside an event-free interval, bisected to 1e-13, at which two
+    distinct winner rotations hold both swapped labels. The records only
+    set the window: no label of theirs is read, and no alpha's last bits
+    depend on the grid. The p = 4 family has one tie, blue and yellow next
+    to -pi/4; the p = 2 family has none. A tie within EVENT_DELTA of an
+    event, or two ties that cancel inside one event-free interval, are not
+    found.
 
-    Left open: a tie within EVENT_DELTA of an event, and two ties that
-    cancel inside one event-free sub-bracket (the leader is the same at
-    both of its ends).
+    Returns (alpha, labels) pairs in grid order, the labels sorted.
     """
-    if len(records) < 2:
-        return []
-    p, table = records[0].p, _events(records[0].p)
-    alphas = np.array([rec.alpha for rec in records])
-    lo, hi = np.minimum(alphas[:-1], alphas[1:]), np.maximum(alphas[:-1], alphas[1:])
-    # the events in each bracket's closed span are table.alphas[i:j]
-    first = np.searchsorted(table.alphas, lo, "left").tolist()
-    last = np.searchsorted(table.alphas, hi, "right").tolist()
-    brackets = []
-    for r0, r1, i, j in zip(records[:-1], records[1:], first, last):
-        s = 1 if r0.alpha <= r1.alpha else -1
-        ends = [r0.alpha, *table.sides[2 * i : 2 * j][::s], r1.alpha]
-        keys = [r0.min_set_label[0], *table.leaders[2 * i : 2 * j][::s], r1.min_set_label[0]]
-        # an event within d of an end, or of another event, leaves a piece
-        # whose ends are out of order, which holds no tie
-        brackets += [[x, y, kx, ky] for x, y, kx, ky in zip(ends[::2], ends[1::2], keys[::2], keys[1::2])
-                     if kx != ky and s * (y - x) > 0.0]
-    # crossing costs move ~1e2 per unit alpha, so the bracket must be far
-    # narrower than TIE_TOL before both classes can tie
-    changes = _changes(brackets, p, 1e-13)
-    out = []
-    # the winners at every bisected alpha, from one stacked call
-    winners = _leaders([a for a, _, _ in changes], p, 1e-9)
-    for (a_star, prev, cur), (labels, Q) in zip(changes, winners):
-        Q = normalize(Q)
-        # the tie must be between the classes that swapped the lead;
-        # anything else is root-finder noise at a degenerate pinch
-        if {prev, cur} <= set(labels) and (_pair_distances(Q, Q, masked=False)[0] > 1e-6).any():
-            out.append((a_star, tuple(sorted(labels))))
-    return out
+    return _in_window(records, "ties")
 
 
 def emit_csv(records, path):

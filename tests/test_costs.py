@@ -533,11 +533,17 @@ def a_form_frame_hessian(model, X):
     clustered=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# a clustered Lp 4 set, whose K from the moments rounds at 1.3e-12 of the
+# per-sample floor 1e-3 c r
+@example(kind_p=("lp", 4.0), r=1000, near="line", log_t=-2.0, clustered=True, seed=2489793)
 def test_frame_hessian_matches_the_a_form(kind_p, r, near, log_t, clustered, seed):
     # the S-form K (with the A-form pairs it keeps for Lp p < 4 next to a
     # line) against the per-sample reference, on rows 1e-8 to 1e-1 from the
     # first sample's line or hyperplane: within 1e-12 of the larger of K's
-    # entries and 1e-3 c r, the scale of the terms where K cancels
+    # entries and 1e-3 of the terms where K cancels. For a per-sample kind
+    # those are c w'(x_i) |B q_i|^2, at most c each: c r. A moment kind
+    # (l2, Lp 2, Lp 4: w = x + b x^3) forms S = M + 3b P, whose entries sum
+    # q_i q_i^T and 3b x_i^2 q_i q_i^T over the samples: c (r + 3|b| sum x_i^2)
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((r, 4))
     if clustered:
@@ -551,7 +557,9 @@ def test_frame_hessian_matches_the_a_form(kind_p, r, near, log_t, clustered, see
     X = X[model.admissible(X)]
     D = model._dots(X)
     K, want = model._frame_hessian(X, D, model._field(X, D)[1])[1], a_form_frame_hessian(model, X)
-    scale = np.maximum(np.abs(want).max(axis=(1, 2)), 1e-3 * model.scale * r)
+    b = model._cost.cubic
+    terms = r if b is None else r + 3.0 * abs(b) * (D * D).sum(axis=1)
+    scale = np.maximum(np.abs(want).max(axis=(1, 2)), 1e-3 * model.scale * terms)
     assert np.all(np.abs(K - want).max(axis=(1, 2)) <= 1e-12 * scale)
 
 

@@ -688,12 +688,17 @@ def test_chunked_grid_matches_one_alpha_records(monkeypatch):
 
 def test_tie_search_builds_no_records(default_records, monkeypatch):
     # the bisection's key and the final tie filter read the winners from
-    # the candidate arrays: where every lockstep step and the final call
-    # each built one SweepRecord per alpha, none is built now
+    # the candidate arrays, and the records only set the window: a cold
+    # table's search builds no SweepRecord, and records stripped of their
+    # winners give the same ties
     built = []
-    monkeypatch.setattr(sweep, "SweepRecord", lambda *args: built.append(args))
-    _assert_quartic_tie(tie_locations(default_records[4.0]))
+    sweep._events.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "SweepRecord", lambda *args: built.append(args))
+        _assert_quartic_tie(tie_locations(default_records[4.0]))
     assert built == []
+    bare = [dataclasses.replace(rec, theta_min=(), min_set_label=()) for rec in default_records[4.0]]
+    assert tie_locations(bare) == tie_locations(default_records[4.0])
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
@@ -703,22 +708,19 @@ def test_array_winners_match_one_candidate_at_a_time(default_records, monkeypatc
     # reference one candidate at a time, through both root paths: on the
     # default grid, 2000 random alphas, the check family's edge angles, the
     # ends, centre and quarter turns of the range, and every alpha the
-    # default-grid p = 4 tie search evaluates
+    # p = 4 event table's tie search evaluates
     stack = sweep._candidate_stack
-    tie_locations(default_records[4.0])
-    for cold in (False, True):
-        visited = []
-        if cold:
-            sweep._events.cache_clear()
-        with monkeypatch.context() as m:
-            m.setattr(sweep, "_candidate_stack", lambda alphas, q: visited.extend(alphas) or stack(alphas, q))
-            tie_locations(default_records[4.0])
-        # on a warm event table the search bisects the -pi/4 bracket alone
-        # (37 midpoints) and reads the winners at its alpha; on a cold one it
-        # first reads the leaders at the 20 sides of the ten events. The
-        # bisections of the four relabelings it leaves out probed ever closer
-        # to their events, as the batch beside each p = 4 event does
-        assert len(visited) == 20 * cold + 37 + 1
+    sweep._events.cache_clear()
+    visited = []
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_candidate_stack", lambda alphas, q: visited.extend(alphas) or stack(alphas, q))
+        sweep._events(4.0).ties
+        # the leaders at -pi, at the 20 sides of the ten events and at pi,
+        # 42 midpoints of the one interval whose end labels differ, and the
+        # winners at its alpha; a warm table reads no candidate
+        assert len(visited) == 22 + 42 + 1
+        tie_locations(default_records[4.0])
+    assert len(visited) == 22 + 42 + 1
     beside = [e + sign * 10.0**-k for e in sweep._events(4.0).alphas for k in range(2, 13) for sign in (-1.0, 1.0)]
     batches = (
         np.arange(-math.pi, math.pi + 0.005, 0.01),
@@ -810,17 +812,19 @@ def test_record_matches_one_candidate_at_a_time(default_records):
             _assert_matches_reference(rec)
 
 
-def _bisect_one_at_a_time(recs, key, width):
-    """Each change of key between adjacent records, bisected one bracket
-    after the other, with a full one-alpha record at each midpoint."""
+def _bisect_one_at_a_time(p, key, width):
+    """Each event-free interval of the power-p family, [-pi, e0 - d],
+    [e + d, e' - d], ..., [e_last + d, pi] with d = EVENT_DELTA, whose ends'
+    keys differ, bisected one interval after the other, with a full
+    one-alpha record at each end and each midpoint."""
+    ends = [-math.pi, *sweep._events(p).sides, math.pi]
     out = []
-    for r0, r1 in zip(recs[:-1], recs[1:]):
-        before, after = key(r0), key(r1)
-        if before != after:
-            lo, hi = r0.alpha, r1.alpha
+    for lo, hi in zip(ends[::2], ends[1::2]):
+        before, after = key(_records([lo], p)[0]), key(_records([hi], p)[0])
+        if lo < hi and before != after:
             while abs(hi - lo) > width:
                 mid = 0.5 * (lo + hi)
-                if key(_records([mid], 4.0)[0]) == before:
+                if key(_records([mid], p)[0]) == before:
                     lo = mid
                 else:
                     hi = mid
@@ -844,13 +848,14 @@ def test_root_count_transitions_need_no_records(monkeypatch):
         assert all(abs(a - root) <= 1e-12 for (a, _, _), (root, _, _) in zip(got, want, strict=True))
 
 
-def _reference_ties(recs):
-    """tie_locations one bracket and one record at a time: the leading
-    label bisected to 1e-13, then the winners within 1e-9 at each bisected
-    alpha, kept where they hold both swapped labels and two rotations."""
+def _reference_ties(p):
+    """The family's ties one interval and one record at a time: the leading
+    label bisected to 1e-13 in each event-free interval whose ends' labels
+    differ, then the winners within 1e-9 at each bisected alpha, kept where
+    they hold both swapped labels and two rotations."""
     out = []
-    for a, prev, cur in _bisect_one_at_a_time(recs, lambda rec: rec.min_set_label[0], 1e-13):
-        sets = _records([a], 4.0)[0].sets
+    for a, prev, cur in _bisect_one_at_a_time(p, lambda rec: rec.min_set_label[0], 1e-13):
+        sets = _records([a], p)[0].sets
         labels = _reference_winners(sets, 1e-9)
         Rs = [covering_map(normalize(np.asarray(rep.q))) for rep in sets if rep.label in labels]
         if {prev, cur} <= set(labels) and any(np.linalg.norm(Ra - Rb) > 1e-6 for Ra in Rs for Rb in Rs):
@@ -858,20 +863,32 @@ def _reference_ties(recs):
     return out
 
 
+def _hex_ties(ties):
+    return [(a.hex(), labels) for a, labels in ties]
+
+
 def test_lockstep_ties_match_one_bracket_at_a_time(default_records, monkeypatch):
+    # each grid's ties are the family's, bisected one interval at a time:
+    # one for p = 4, none for p = 2, with the same bits on every grid
     grid = np.linspace(-1.2, -0.4, 81)
-    for recs in (default_records[4.0], theta_min_curve(4.0, grid), theta_min_curve(4.0, grid[::-1])):
-        want = _reference_ties(recs)
-        assert len(want) == 1
-        assert [(a.hex(), labels) for a, labels in tie_locations(recs)] == [(a.hex(), labels) for a, labels in want]
-    # the default grid's bisections take 37 lockstep steps, and one more
-    # call reads the winners; one alpha at a time they take 190 calls
+    for p in (2.0, 4.0):
+        want = _hex_ties(_reference_ties(p))
+        assert len(want) == (p == 4.0)
+        for recs in (default_records[p], theta_min_curve(p, grid), theta_min_curve(p, grid[::-1])):
+            assert _hex_ties(tie_locations(recs)) == want
+    # a cold p = 4 table reads the leaders at its interval ends in one
+    # stacked call, takes 42 lockstep steps in its one qualifying interval
+    # and reads the winners at its alpha in one more; a warm one makes no
+    # call. Per grid, bisecting every bracket took 38 calls on each sweep
     calls = []
     stack = sweep._candidate_stack
+    sweep._events.cache_clear()
     with monkeypatch.context() as m:
         m.setattr(sweep, "_candidate_stack", lambda *args: calls.append(args) or stack(*args))
         _assert_quartic_tie(tie_locations(default_records[4.0]))
-    assert len(calls) <= 38
+        assert len(calls) == 1 + 42 + 1
+        _assert_quartic_tie(tie_locations(default_records[4.0]))
+    assert len(calls) == 1 + 42 + 1
 
 
 def test_root_count_transitions(default_records):
@@ -1021,19 +1038,26 @@ def test_events():
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_event_table_matches_fresh_reads(p):
-    # each event's sides, and the root count and leading label at each,
-    # equal a fresh one-alpha read at event -+ EVENT_DELTA
+    # each event's sides, and the root count and leading label at each, as a
+    # fresh one-alpha read gives them: the transitions are the events whose
+    # counts differ, and each tie lies in its own event-free interval whose
+    # ends' leaders differ, holding both (on p = 4 exactly one interval
+    # qualifies, on p = 2 none)
     table, d = sweep._events(p), sweep.EVENT_DELTA
     assert table.sides == tuple(a for e in table.alphas for a in (e - d, e + d))
-    assert len(table.counts) == len(table.leaders) == 2 * len(table.alphas)
-    for a, count, leader in zip(table.sides, table.counts, table.leaders, strict=True):
-        assert sweep._root_counts([a], p) == [count]
-        assert sweep._leaders([a], p)[0][0][0] == leader
+    counts = [sweep._root_counts([a], p)[0] for a in table.sides]
+    assert table.transitions == tuple((e, b, a) for e, b, a in zip(table.alphas, counts[::2], counts[1::2]) if b != a)
+    ends = [-math.pi, *table.sides, math.pi]
+    leaders = [_records([a], p)[0].min_set_label[0] for a in ends]
+    changed = [(lo, hi, {b, a}) for lo, hi, b, a in zip(ends[::2], ends[1::2], leaders[::2], leaders[1::2]) if b != a]
+    assert len(changed) == len(table.ties) == (p == 4.0)
+    for (lo, hi, swapped), (a, labels) in zip(changed, table.ties):
+        assert lo < a < hi and swapped <= set(labels)
 
 
 def _hex_events(recs):
     return ([(a.hex(), b, c) for a, b, c in root_count_transitions(recs)],
-            [(a.hex(), labels) for a, labels in tie_locations(recs)])
+            _hex_ties(tie_locations(recs)))
 
 
 def test_cold_event_table_gives_the_warm_answers(default_records):
@@ -1046,6 +1070,35 @@ def test_cold_event_table_gives_the_warm_answers(default_records):
     for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]):
         sweep._events.cache_clear()
         assert [_hex_events(runs[k]) for k in order] == [warm[k] for k in order]
+
+
+def _cli_grid(lo, hi, step):
+    # the sweep command's grid: alpha-max kept, the half step's overshoot cut
+    return np.minimum(np.arange(lo, hi + 0.5 * step, step), hi)
+
+
+def test_event_table_holds_every_transition_and_tie():
+    # both searches return the table's entries strictly inside the window,
+    # with their bits, in grid order, on the 1e-3-step grid either way, the
+    # CI smoke windows and at step 1.0; and on the 1e-3 grid the records'
+    # leading label changes across a step clear of every event by
+    # EVENT_DELTA exactly where the step holds one of the table's ties
+    d = sweep.EVENT_DELTA
+    for p in (2.0, 4.0):
+        table = sweep._events(p)
+        fine = theta_min_curve(p, _cli_grid(-math.pi, math.pi, 1e-3))
+        windows = [(-math.pi, math.pi, 1.0), (-1.1, -0.5, 5e-4), (-0.8, -0.77, 1e-3), (-1e-3, 1e-3, 1e-4)]
+        for recs in (fine, fine[::-1], *(theta_min_curve(p, _cli_grid(*w)) for w in windows)):
+            lo, hi = min(rec.alpha for rec in recs), max(rec.alpha for rec in recs)
+            trans = [(a.hex(), b, c) for a, b, c in table.transitions if lo < a < hi]
+            ties = _hex_ties(t for t in table.ties if lo < t[0] < hi)
+            if recs[0].alpha > recs[-1].alpha:
+                trans, ties = [(a, c, b) for a, b, c in trans[::-1]], ties[::-1]
+            assert _hex_events(recs) == (trans, ties), (p, lo, hi)
+        for r0, r1 in zip(fine, fine[1:]):
+            if not any(r0.alpha - d <= e <= r1.alpha + d for e in table.alphas):
+                tie = any(r0.alpha < a < r1.alpha for a, _ in table.ties)
+                assert (r0.min_set_label[0] != r1.min_set_label[0]) == tie, (p, r0.alpha)
 
 
 def test_warm_transitions_find_no_roots(default_records, monkeypatch):
