@@ -38,7 +38,7 @@ from .geometry import (
     quat_from_rotation,
     tangent_frame,
 )
-from .sweep import RESIDUAL_TOL, _root_counts, _root_residuals, _sample_quats
+from .sweep import RESIDUAL_TOL, _root_residuals, _roots_of, _sample_quats
 
 __all__ = ["CheckResult", "run_all", "format_report", "FAMILIES"]
 
@@ -273,10 +273,11 @@ def check_two_roots(seed=0, trials=1000) -> CheckResult:
     hits). The polynomial is quadratic in W = x^2, so its roots come in
     closed form; they pair as W and 1 - W. One draw of every trial's grid
     index reads the stream as one draw per trial does, and the distinct
-    indices are solved together, in one sweep._root_counts call.
+    indices are solved together, in one sweep._roots_of call, whose
+    non-NaN columns are each index's roots.
     """
     grid = set(np.random.default_rng(seed).integers(0, 629, size=trials).tolist())
-    counts = np.array(_root_counts([-np.pi + 0.01 * i for i in grid], 2.0))
+    counts = np.count_nonzero(~np.isnan(_roots_of([-np.pi + 0.01 * i for i in grid], 2.0)), axis=1)
     return CheckResult("quadratic-cost polynomial root count = 2", trials, _worst([np.abs(counts - 2)]), 0.5)
 
 

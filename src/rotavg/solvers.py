@@ -84,10 +84,10 @@ def flow_descend(model: CostModel, q0, tol: float = FLOW_TOL) -> CriticalPoint:
     :func:`~rotavg.geometry.normalize`); the flow reads the iterates'
     guard from the control field it evaluates at each point anyway: the
     field is NaN exactly there, by the clearance that ``admissible``
-    reads. The limit is certified as
-    :func:`multistart` certifies its classes, but where its rotation
-    residual raises (a limit inside a guard buffer that the flow's own
-    guard let pass), so does this.
+    reads. The limit is certified and classified (:func:`classify`) as
+    :func:`multistart` certifies and classifies its classes, but where its
+    rotation residual raises (a limit inside a guard buffer that the flow's
+    own guard let pass), so does this.
     """
     if np.any(q0) and not model.admissible(q0):
         raise DomainBreach("start point violates the model's domain guard")
@@ -330,16 +330,22 @@ def _first_step(h, nv, cost):
 
 def _critical_points(model, q, nv):
     """The CriticalPoints at converged, canonical unit points q, one (4,) or
-    a stack (n, 4), with field norms nv (n,), from one covering_map, one
-    value and one rotation_residual call. A stack drops the rows whose
+    a stack (n, 4), with field norms nv (n,), certified and classified:
+    from one covering_map and one rotation_residual call, and one _dots
+    call on the rows, which the cost, the clearance and the classifier's
+    Hessian read (:func:`_classify_rows`). A stack drops the rows whose
     residual is NaN (inside a guard buffer); a single point raises there,
     as rotation_residual does."""
     R = covering_map(q)
     rr = _norms(model.rotation_residual(R).reshape(-1, 9)).tolist()
-    cost = np.reshape(model.value(q), -1).tolist()
+    Q = np.reshape(q, (-1, 4))
+    D = model._dots(Q)
+    cost = model._value(Q, D).tolist()
     return [
-        CriticalPoint(q=qk, R=Rk, cost=ck, control_norm=float(nk), rotation_residual_norm=rk)
-        for qk, Rk, ck, nk, rk in zip(np.reshape(q, (-1, 4)), R.reshape(-1, 3, 3), cost, nv, rr)
+        CriticalPoint(q=qk, R=Rk, cost=ck, control_norm=float(nk), rotation_residual_norm=rk,
+                      classification=label, degenerate=degenerate)
+        for qk, Rk, ck, nk, rk, (label, degenerate) in zip(
+            Q, R.reshape(-1, 3, 3), cost, nv, rr, _classify_rows(model, Q, D))
         if not math.isnan(rk)
     ]
 
@@ -376,11 +382,7 @@ def multistart(model: CostModel, n_starts: int, seed: int, tol: float = FLOW_TOL
         if head not in best or nv[k] < nv[best[head]]:
             best[head] = k
     reps = list(best.values())
-    classes = _critical_points(model, q[reps], nv[reps])
-    classes.sort(key=lambda p: p.cost)
-    for pt, label in zip(classes, _classify_rows(model, np.reshape([pt.q for pt in classes], (-1, 4)))):
-        pt.classification, pt.degenerate = label
-    return classes
+    return sorted(_critical_points(model, q[reps], nv[reps]), key=lambda p: p.cost)
 
 
 def _draw_starts(model, n, rng):
@@ -412,18 +414,18 @@ def classify(model: CostModel, point: CriticalPoint):
     the second return value flags that degeneracy. Points within
     BOUNDARY_CLEARANCE of an excluded set are labeled Boundary.
     """
-    return _classify_rows(model, np.asarray(point.q, dtype=float)[None])[0]
+    Q = np.asarray(point.q, dtype=float)[None]
+    return _classify_rows(model, Q, model._dots(Q))[0]
 
 
-def _classify_rows(model, Q):
-    """:func:`classify` for each row of Q: one batched Hessian in the
-    tangent frame, from the dots and <w, d> of one gradient call as the
-    flow forms it, and one stacked eigvalsh, over the rows clear of the
-    boundary."""
+def _classify_rows(model, Q, D):
+    """:func:`classify` for each row of Q, with dots D: the clearance read
+    from D, then one batched Hessian in the tangent frame, from D and the
+    <w, d> of one gradient call as the flow forms it, and one stacked
+    eigvalsh, over the rows clear of the boundary."""
     labels = [("Boundary", False)] * len(Q)
-    inner = np.flatnonzero(model.clearance(Q) >= BOUNDARY_CLEARANCE)
-    X = Q[inner]
-    D = model._dots(X)
+    inner = np.flatnonzero(model._clearance_at(Q, D) >= BOUNDARY_CLEARANCE)
+    X, D = Q[inner], D[inner]
     lams = np.linalg.eigvalsh(model._frame_hessian(X, D, model._gradient(X, D)[1])[1])
     stop = _stop(model, FLOW_TOL)
     for k, lam in zip(inner, lams):

@@ -27,19 +27,19 @@ Root-count transitions and minimizer ties are facts of the family, read
 from its events (:class:`_EventTable`): the alphas where its polynomial
 has a multiple root or a root at W = 0 or W = 1, the real roots of its
 discriminant's and boundary polynomials' factors, pinned as integers in
-t = tan(alpha/4). One table per p, built once per process, holds the
-transitions, the events whose root counts at event -+ EVENT_DELTA differ,
-and, from its first use, the ties: between events a leading label changes
-only at a tie, so the table reads the leader at -pi, at every event side
+t = tan(alpha/4). One table per p, built whole on its first use in a
+process, holds the transitions, the events whose root counts at event -+
+EVENT_DELTA differ, and the ties: between events a leading label changes
+only at a tie, so the table reads the records at -pi, at every event side
 and at pi, and bisects only the event-free intervals whose end labels
 differ. These are bisected in lockstep: each step evaluates the midpoints
 of every interval still open in one stacked call, and each interval takes
 the midpoints it would take alone, with the same 0.5 * (lo + hi); as every
 stacked row has the bits of its one-alpha call, every bisected alpha
 keeps its bits, and no grid moves it. A sweep's transitions and ties are
-the table's entries inside its window. A record's winners, and a tie
-midpoint's leading label, are read from the candidate arrays as masks
-(:func:`_emitted`), so a midpoint builds no record. Records round-trip
+the table's entries inside its window. The table reads the family
+through records alone, as the grid does; a record's winners are read from
+the candidate arrays as masks (:func:`_emitted`). Records round-trip
 through CSV, each row formatted directly in the bytes of the csv module's
 writer, each distinct number of a record once.
 """
@@ -536,12 +536,12 @@ def _thetas(qs):
     return [2.0 * math.atan2(q1, q0) for q0, q1, _, _ in Q.tolist()]
 
 
-def _emitted(stack, tol):
+def _emitted(stack):
     """The candidates each alpha emits and its winners, read from the
     arrays of one :func:`_candidate_stack` call: two masks in its candidate
     layout, ``emit`` (the black point, and every branch whose residual
     beats RESIDUAL_TOL) and ``won`` (the cost-minimal classes among them:
-    the class heads whose cost lies within tol of the least head's).
+    the class heads whose cost lies within TIE_TOL of the least head's).
     P[emit] and P[won] list the points alpha by alpha, each alpha's in
     emission order.
 
@@ -564,7 +564,7 @@ def _emitted(stack, tol):
         rows = np.arange(k, k + len(n))[:, None]
         heads = np.array(_classes(normalize(P[rows, cols])))
         cost = np.where(heads == slots, costs[rows, cols], np.inf)
-        i, j = np.nonzero(cost <= cost.min(axis=1, keepdims=True) + tol)
+        i, j = np.nonzero(cost <= cost.min(axis=1, keepdims=True) + TIE_TOL)
         won[k + i, cols[i, j]] = True
     return emit, won
 
@@ -587,7 +587,7 @@ def _records(alphas, p):
     Only the emitted entries become Python floats and CriticalReps, and the
     angles of all winners come from one :func:`_thetas` call."""
     stack = R, P, _, costs, res = _candidate_stack(alphas, p)
-    emit, won = _emitted(stack, TIE_TOL)
+    emit, won = _emitted(stack)
     roots = [[x for x in row if x == x] for row in R.tolist()]
     sets, labels = [[] for _ in roots], [[] for _ in roots]
     entries = (*np.nonzero(emit), P[emit], costs[emit], res[emit], won[emit])
@@ -622,36 +622,19 @@ def theta_min_curve(p: float, alpha_grid):
     return _records(np.asarray(alpha_grid, dtype=float), p)
 
 
-def _changes(brackets, p, width):
+def _changes(brackets, p):
     """Each bracket [lo, hi, label_lo, label_hi], whose end labels differ,
-    bisected on the leading label to a width of at most width; returns
+    bisected on the leading label to a width of at most 1e-13; returns
     (alpha, label_lo, label_hi) in the brackets' order. The brackets
     advance in lockstep: each step reads the leading label at the midpoint
-    0.5 * (lo + hi) of every bracket still wider than width, with one
-    :func:`_leaders` call, so each bracket takes the midpoints it would
+    0.5 * (lo + hi) of every bracket still wider than 1e-13, with one
+    :func:`_records` call, so each bracket takes the midpoints it would
     take alone."""
-    while open_ := [b for b in brackets if abs(b[1] - b[0]) > width]:
+    while open_ := [b for b in brackets if abs(b[1] - b[0]) > 1e-13]:
         mids = [0.5 * (lo + hi) for lo, hi, _, _ in open_]
-        for b, mid, (labels, _) in zip(open_, mids, _leaders(mids, p)):
-            b[0 if labels[0] == b[2] else 1] = mid
+        for b, mid, rec in zip(open_, mids, _records(mids, p)):
+            b[0 if rec.min_set_label[0] == b[2] else 1] = mid
     return [(0.5 * (lo + hi), before, after) for lo, hi, before, after in brackets]
-
-
-def _root_counts(alphas, p):
-    return (~np.isnan(_roots_of(alphas, p))).sum(axis=1).tolist()
-
-
-def _leaders(alphas, p, tol=TIE_TOL):
-    """The winners within tol at each alpha of a sequence, as a (labels,
-    points) pair per alpha: the labels in emission order, so that labels[0]
-    is the leading label a record reads, and the points as one (w, 4) array.
-    They come from the masks of :func:`_emitted` alone: no CriticalRep or
-    SweepRecord is built."""
-    stack = R, P, *_ = _candidate_stack(alphas, p)
-    won = _emitted(stack, tol)[1]
-    names = [_LABELS[n] for n in np.count_nonzero(~np.isnan(R), axis=1).tolist()]
-    cols = [[c for c, w in enumerate(row) if w] for row in won.tolist()]
-    return [([names[k][c] for c in cs], P[k, cs]) for k, cs in enumerate(cols)]
 
 
 class _EventTable:
@@ -662,16 +645,16 @@ class _EventTable:
     sign change); ``sides`` holds alpha - EVENT_DELTA and alpha +
     EVENT_DELTA of each event in turn; ``transitions`` the (alpha,
     count_before, count_after) of each event whose positive-root counts at
-    its sides differ, from one :func:`_root_counts` call; and ``ties`` the
-    (alpha, labels) of each tie, ascending, found on first use, so that a
-    process that reads only transitions evaluates no candidate.
+    its sides differ; and ``ties`` the (alpha, labels) of each tie,
+    ascending. All of it is built at once, from records alone: one
+    :func:`_records` call at -pi, at every side and at pi gives each
+    side's root count and each end's leading label.
 
     Between two events the leading label changes only at a tie. So the tie
-    search reads the leader at -pi, at every side and at pi in one
-    :func:`_leaders` call, bisects to 1e-13 (:func:`_changes`) only the
-    event-free intervals whose end labels differ, and keeps the genuine
-    ties: two winner classes within 1e-9 whose rotations differ by more
-    than 1e-6, holding both swapped labels. Each read is a row of its
+    search bisects (:func:`_changes`) only the event-free intervals whose
+    end labels differ, and keeps the genuine ties: at the bisected alpha,
+    the emitted sets within 1e-9 of the least cost hold both swapped labels
+    and two rotations more than 1e-6 apart. Each read is a row of its
     stacked call, with the bits of its one-alpha call, so each tie's alpha
     has the bits of its interval bisected alone. Left open: a tie within
     EVENT_DELTA of an event, and two ties that cancel inside one event-free
@@ -680,32 +663,32 @@ class _EventTable:
     def __init__(self, p):
         _poly_for(p)  # refuses any other p
         ts = [t for c in _EVENT_FACTORS[p] for t in _real_roots_on(tuple(map(float, c)), -1.0, 1.0, 0.0)]
-        self.p = p
         self.alphas = tuple(sorted(4.0 * math.atan(t) + 0.0 for t in ts))  # + 0.0: alpha = 0, not -0
         self.sides = tuple(a for e in self.alphas for a in (e - EVENT_DELTA, e + EVENT_DELTA))
-        counts = _root_counts(self.sides, p)
-        self.transitions = tuple((e, b, a) for e, b, a in zip(self.alphas, counts[::2], counts[1::2]) if b != a)
-
-    @functools.cached_property
-    def ties(self):
         ends = [-math.pi, *self.sides, math.pi]
-        keys = [labels[0] for labels, _ in _leaders(ends, self.p)]
+        recs = _records(ends, p)
+        counts = [len(rec.roots) for rec in recs[1:-1]]
+        self.transitions = tuple((e, b, a) for e, b, a in zip(self.alphas, counts[::2], counts[1::2]) if b != a)
+        keys = [rec.min_set_label[0] for rec in recs]
         # an event within EVENT_DELTA of another leaves an interval whose
         # ends are out of order, which holds no tie
         intervals = [[x, y, kx, ky] for x, y, kx, ky in zip(ends[::2], ends[1::2], keys[::2], keys[1::2])
                      if kx != ky and x < y]
         # crossing costs move ~1e2 per unit alpha, so the interval must be
         # far narrower than TIE_TOL before both classes can tie
-        changes = _changes(intervals, self.p, 1e-13)
-        out = []
-        # the winners at every bisected alpha, from one stacked call
-        for (a_star, prev, cur), (labels, Q) in zip(changes, _leaders([a for a, _, _ in changes], self.p, 1e-9)):
-            Q = normalize(Q)
+        changes = _changes(intervals, p)
+        ties = []
+        # the sets at every bisected alpha, from one stacked call
+        for (a_star, prev, cur), rec in zip(changes, _records([a for a, _, _ in changes], p)):
+            best = min(rep.cost for rep in rec.sets)
+            near = [rep for rep in rec.sets if rep.cost <= best + 1e-9]
+            labels = [rep.label for rep in near]
+            Q = normalize(np.array([rep.q for rep in near]))
             # the tie must be between the classes that swapped the lead;
             # anything else is root-finder noise at a degenerate pinch
             if {prev, cur} <= set(labels) and (_pair_distances(Q, Q, masked=False)[0] > 1e-6).any():
-                out.append((a_star, tuple(sorted(labels))))
-        return tuple(out)
+                ties.append((a_star, tuple(sorted(labels))))
+        self.ties = tuple(ties)
 
 
 _events = functools.cache(_EventTable)
@@ -733,7 +716,8 @@ def root_count_transitions(records):
     W = 1, from its discriminant and boundary polynomials pinned in
     t = tan(a/4): between two events the count cannot change. Each event
     strictly inside the window is reported where the counts at event -+
-    EVENT_DELTA differ, read once per p, so no root is found per call; no
+    EVENT_DELTA differ, read once per p with the rest of the table (its
+    ties too, on a cold table), so no root is found per call; no
     change is missed where two cancel inside one grid step, and the counts
     the records misread next to an event (p = 2 reads 1 within ~1.3e-4 of
     alpha = 0, p = 4 an odd count next to its two tangencies) show as no
@@ -753,8 +737,9 @@ def tie_locations(records):
 
     The ties are the family's, found once per p from its events
     (:class:`_EventTable`): each is the alpha where the leading label
-    changes inside an event-free interval, bisected to 1e-13, at which two
-    distinct winner rotations hold both swapped labels. The records only
+    changes inside an event-free interval, bisected to 1e-13, where the
+    emitted sets within 1e-9 of the least cost hold both swapped labels
+    and two rotations more than 1e-6 apart. The records only
     set the window: no label of theirs is read, and no alpha's last bits
     depend on the grid. The p = 4 family has one tie, blue and yellow next
     to -pi/4; the p = 2 family has none. A tie within EVENT_DELTA of an

@@ -562,6 +562,18 @@ def test_multistart_rows_independent(kind, r, n):
     assert_same_classes(model, got, classes_one_by_one(model, solvers._draw_starts(model, n, np.random.default_rng(3))))
 
 
+@pytest.mark.parametrize("kind", ["l2", "geodesic", "d3", "lp1.5", "lp4"])
+def test_flow_descend_classifies_its_limit(kind):
+    # the one-start flow's point carries the tangent-Hessian class that
+    # classify gives it, as multistart's classes do
+    rng = np.random.default_rng(47)
+    model = kind_model(kind, SampleSet.from_quaternions(rng.standard_normal((5, 4))))
+    for _ in range(3):
+        pt = flow_descend(model, random_unit_quaternion(rng))
+        assert pt.classification is not None
+        assert (pt.classification, pt.degenerate) == classify(model, pt)
+
+
 def _left(g):
     """The matrix of left multiplication by the quaternion g, scalar first:
     _left(g) @ q is the product g q. It is orthogonal for a unit g."""

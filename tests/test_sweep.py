@@ -640,15 +640,13 @@ def _reference_winners(sets, tol):
 
 def test_winners_match_pairwise_rule(default_records):
     # the one stacked distance matrix per chunk keeps the labels of the
-    # per-pair rule, at both tolerances the sweep reads winners with
+    # per-pair rule, at the tolerance the records read winners with
     grid = np.arange(-math.pi, math.pi + 0.005, 0.01)
     for p, recs in default_records.items():
-        stack = sweep._candidate_stack(grid, p)
-        for tol in (sweep.TIE_TOL, 1e-9):
-            won = sweep._emitted(stack, tol)[1]
-            for rec, w in zip(recs, won):
-                names = sweep._LABELS[len(rec.roots)]
-                assert [names[c] for c in np.flatnonzero(w)] == _reference_winners(rec.sets, tol)
+        won = sweep._emitted(sweep._candidate_stack(grid, p))[1]
+        for rec, w in zip(recs, won):
+            names = sweep._LABELS[len(rec.roots)]
+            assert [names[c] for c in np.flatnonzero(w)] == _reference_winners(rec.sets, sweep.TIE_TOL)
 
 
 def _theta_one_row(q4):
@@ -686,38 +684,32 @@ def test_chunked_grid_matches_one_alpha_records(monkeypatch):
         assert [r.residual_norm.hex() for r in rec.sets] == [r.residual_norm.hex() for r in one.sets]
 
 
-def test_tie_search_builds_no_records(default_records, monkeypatch):
-    # the bisection's key and the final tie filter read the winners from
-    # the candidate arrays, and the records only set the window: a cold
-    # table's search builds no SweepRecord, and records stripped of their
+def test_tie_search_builds_no_records(default_records):
+    # the tie search reads the family through records of its own, and the
+    # sweep's records only set the window: records stripped of their
     # winners give the same ties
-    built = []
     sweep._events.cache_clear()
-    with monkeypatch.context() as m:
-        m.setattr(sweep, "SweepRecord", lambda *args: built.append(args))
-        _assert_quartic_tie(tie_locations(default_records[4.0]))
-    assert built == []
+    _assert_quartic_tie(tie_locations(default_records[4.0]))
     bare = [dataclasses.replace(rec, theta_min=(), min_set_label=()) for rec in default_records[4.0]]
     assert tie_locations(bare) == tie_locations(default_records[4.0])
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_array_winners_match_one_candidate_at_a_time(default_records, monkeypatch, p):
-    # the winners read from the candidate arrays, as the records hold them
-    # and as the tie search's key reads them (_leaders), against the
-    # reference one candidate at a time, through both root paths: on the
-    # default grid, 2000 random alphas, the check family's edge angles, the
-    # ends, centre and quarter turns of the range, and every alpha the
-    # p = 4 event table's tie search evaluates
+    # the winners read from the candidate arrays, as the records hold them,
+    # against the reference one candidate at a time, through both root
+    # paths: on the default grid, 2000 random alphas, the check family's
+    # edge angles, the ends, centre and quarter turns of the range, and
+    # every alpha the p = 4 event table evaluates
     stack = sweep._candidate_stack
     sweep._events.cache_clear()
     visited = []
     with monkeypatch.context() as m:
         m.setattr(sweep, "_candidate_stack", lambda alphas, q: visited.extend(alphas) or stack(alphas, q))
-        sweep._events(4.0).ties
-        # the leaders at -pi, at the 20 sides of the ten events and at pi,
+        sweep._events(4.0)
+        # the records at -pi, at the 20 sides of the ten events and at pi,
         # 42 midpoints of the one interval whose end labels differ, and the
-        # winners at its alpha; a warm table reads no candidate
+        # sets at its alpha; a warm table reads no candidate
         assert len(visited) == 22 + 42 + 1
         tie_locations(default_records[4.0])
     assert len(visited) == 22 + 42 + 1
@@ -734,12 +726,11 @@ def test_array_winners_match_one_candidate_at_a_time(default_records, monkeypatc
         want = [_reference_record(float(a), p) for a in alphas]
         for threshold in (1, sweep.ROOTS_PER_STACK + 1):
             monkeypatch.setattr(sweep, "STACKED_ROOTS_MIN", threshold)
-            for rec, (labels, points), (_, sets, _, thetas, want_labels) in zip(
-                    _records(alphas, p), sweep._leaders(alphas, p), want, strict=True):
-                assert rec.min_set_label == tuple(labels) == want_labels, (p, rec.alpha)
-                assert labels[0] == want_labels[0]
+            for rec, (_, sets, _, thetas, want_labels) in zip(_records(alphas, p), want, strict=True):
+                assert rec.min_set_label == want_labels, (p, rec.alpha)
                 assert _hex(rec.theta_min) == _hex(thetas)
-                assert points.tolist() == [list(rep.q) for rep in sets if rep.label in want_labels]
+                assert [rep.q for rep in rec.sets if rep.label in want_labels] == [
+                    rep.q for rep in sets if rep.label in want_labels]
 
 
 def _assert_quartic_transitions(trans):
@@ -834,7 +825,8 @@ def _bisect_one_at_a_time(p, key, width):
 
 def test_root_count_transitions_need_no_records(monkeypatch):
     # the transitions are the pinned double roots, in grid order, with the
-    # counts before and after them; only root counts are read, no candidate
+    # counts before and after them; a warm table reads no candidate
+    sweep._events(4.0)
     grid = np.linspace(-1.2, -0.4, 81)
     up = [(QUARTIC_DOUBLE_ROOTS[0], 2, 4), (QUARTIC_DOUBLE_ROOTS[1], 4, 2)]
     down = [(QUARTIC_DOUBLE_ROOTS[1], 2, 4), (QUARTIC_DOUBLE_ROOTS[0], 4, 2)]
@@ -1045,7 +1037,7 @@ def test_event_table_matches_fresh_reads(p):
     # qualifies, on p = 2 none)
     table, d = sweep._events(p), sweep.EVENT_DELTA
     assert table.sides == tuple(a for e in table.alphas for a in (e - d, e + d))
-    counts = [sweep._root_counts([a], p)[0] for a in table.sides]
+    counts = [np.count_nonzero(~np.isnan(sweep._roots_of([a], p))) for a in table.sides]
     assert table.transitions == tuple((e, b, a) for e, b, a in zip(table.alphas, counts[::2], counts[1::2]) if b != a)
     ends = [-math.pi, *table.sides, math.pi]
     leaders = [_records([a], p)[0].min_set_label[0] for a in ends]
@@ -1070,6 +1062,25 @@ def test_cold_event_table_gives_the_warm_answers(default_records):
     for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]):
         sweep._events.cache_clear()
         assert [_hex_events(runs[k]) for k in order] == [warm[k] for k in order]
+
+
+def test_transitions_alone_build_the_whole_table(default_records, monkeypatch):
+    # a cold table is built whole on first use, whichever search asks: the
+    # transitions read alone return the pinned double roots and leave the
+    # tie built, after reading the family through 44 stacked candidate
+    # calls over 65 alphas (the records at -pi, the 20 event sides and pi,
+    # 42 midpoints and the tie's alpha); a warm table makes no such call
+    calls = []
+    stack = sweep._candidate_stack
+    sweep._events.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_candidate_stack", lambda alphas, q: calls.append(len(alphas)) or stack(alphas, q))
+        trans = root_count_transitions(default_records[4.0])
+        assert (len(calls), sum(calls)) == (44, 65)
+        assert _hex_ties(sweep._events(4.0).ties) == [("-0x1.921fb5444574dp-1", ("blue", "yellow"))]
+        assert root_count_transitions(default_records[4.0]) == trans
+    assert len(calls) == 44
+    assert [(a.hex(), b, c) for a, b, c in trans] == [("-0x1.05ed7a980537bp+0", 2, 4), ("-0x1.186475587b339p-1", 4, 2)]
 
 
 def _cli_grid(lo, hi, step):
